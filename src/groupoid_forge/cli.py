@@ -27,8 +27,7 @@ from .dimension_groups import (
     k0_corner_class,
     k0_vertex_class,
 )
-from .families import seeded_bouquet_windows
-from .graph_groupoid import render_bisection
+from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
 from .graph_model import (
     diagram_from_json,
     edge_cycle_automorphism,
@@ -190,9 +189,11 @@ def cmd_certify(args) -> int:
         _dump(witness.to_json(), args.out)
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G
+    # inside the fixed window Z(e6.e0.e4 \ {e4, e6, e7})
     G = full_relation([0])
     model = bouquet_twisted_product(G, identity_automorphism(G))
-    window = seeded_bouquet_windows(1, args.seed)[0]
+    bouquet = InfiniteBouquet()
+    window = unit_bisection(bouquet.path([6, 0, 4]), {bouquet.edge(i) for i in (4, 6, 7)})
     witness = contracting_bisection_witness(model, window, frozenset(G.units), l=1)
     _dump(
         {
@@ -353,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--depth", type=int, default=5)
     c.add_argument("--lbound", type=int, default=20)
     c.add_argument("--rank2", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_certify)
 

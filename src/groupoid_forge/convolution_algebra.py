@@ -11,6 +11,7 @@ nothing is ever approximated.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,8 +19,7 @@ from .gaussian import ONE, ZERO, GaussianRational
 from .graph_groupoid import (
     BasicBisection,
     bisection_product,
-    difference_basic,
-    intersect_basic,
+    disjointify,
     render_bisection,
 )
 from .graph_model import vertex_path
@@ -126,29 +126,8 @@ def canonical_pieces(
     Overlaps are split with the exact intersection/difference calculus and
     coefficients added on the common part; zero pieces are dropped.
     """
-    result: list[tuple[BasicBisection, Coeff]] = []
-    queue = [(b, _coeff(c)) for b, c in pieces]
-    fuel = 20000
-    while queue:
-        fuel -= 1
-        if fuel <= 0:
-            raise InternalConsistencyError("canonicalization did not terminate")
-        p, c = queue.pop()
-        hit = None
-        for idx, (q, cq) in enumerate(result):
-            inter = intersect_basic(p, q)
-            if inter is not None:
-                hit = (idx, q, cq, inter)
-                break
-        if hit is None:
-            result.append((p, c))
-            continue
-        idx, q, cq, inter = hit
-        replacement = [(piece, cq) for piece in difference_basic(q, inter)]
-        replacement.append((inter, cq + c))
-        result[idx:idx + 1] = replacement
-        queue.extend((piece, c) for piece in difference_basic(p, inter))
-    return {b: c for b, c in result if c}
+    split = disjointify(((b, _coeff(c)) for b, c in pieces), operator.add)
+    return {b: c for b, c in split if c}
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ from .matrices import (
     IntMatrix,
     IntVector,
     as_matrix,
+    check_repeat_rule,
     is_injective,
     is_proper,
     mat_vec,
+    repeat_index,
     shape,
     transpose,
 )
@@ -75,31 +77,19 @@ class DimensionGroupSpec:
                 raise StructuralError(f"matrix {n} has shape {shape(m)}")
             if any(x < 0 for row in m for x in row):
                 raise StructuralError("connecting matrices must be nonnegative")
-        if self.repeat_from is not None:
-            if not 0 <= self.repeat_from < len(self.matrices):
-                raise StructuralError("repeat_from outside stored matrices")
-            if self.sizes[-1] != self.sizes[self.repeat_from]:
-                raise StructuralError("repetition rule needs matching sizes at the seam")
+        check_repeat_rule(self.sizes, self.repeat_from)
 
     @property
     def horizon(self) -> int:
         return len(self.sizes) - 1
 
     def size(self, n: int) -> int:
-        if n <= self.horizon:
-            return self.sizes[n]
-        if self.repeat_from is None:
-            raise StructuralError(f"level {n} beyond horizon, no repetition rule")
-        period = len(self.matrices) - self.repeat_from
-        return self.sizes[self.repeat_from + (n - self.repeat_from) % period]
+        return self.sizes[repeat_index(n, len(self.sizes), self.horizon, self.repeat_from)]
 
     def matrix(self, n: int) -> IntMatrix:
-        if n < len(self.matrices):
-            return self.matrices[n]
-        if self.repeat_from is None:
-            raise StructuralError(f"matrix {n} beyond horizon, no repetition rule")
-        period = len(self.matrices) - self.repeat_from
-        return self.matrices[self.repeat_from + (n - self.repeat_from) % period]
+        return self.matrices[
+            repeat_index(n, len(self.matrices), self.horizon, self.repeat_from)
+        ]
 
     def repeating_block(self) -> tuple[IntMatrix, ...]:
         if self.repeat_from is None:
@@ -117,10 +107,6 @@ class DimGroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
-
-
-def dg_element(level: int, vector: Sequence[int]) -> DimGroupElement:
-    return DimGroupElement(level, tuple(vector))
 
 
 def dg_push_to_level(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .graph_model import (
     Edge,
@@ -374,28 +374,55 @@ class BisectionSum:
         return any(p.contains_germ(triple) for p in self.pieces)
 
 
-def disjoint_sum(pieces: Iterable[BasicBisection]) -> BisectionSum:
-    """Rewrite an arbitrary finite family as a disjoint union of basics."""
-    result: list[BasicBisection] = []
+# Splitting steps disjointify may take before it gives up.
+DISJOINTIFY_FUEL = 20000
+
+Tag = TypeVar("Tag")
+
+
+class DisjointifyFuelExhausted(RuntimeError):
+    """The splitting loop took DISJOINTIFY_FUEL steps without finishing."""
+
+
+def disjointify(
+    pieces: Iterable[tuple[BasicBisection, Tag]],
+    merge: Callable[[Tag, Tag], Tag],
+) -> list[tuple[BasicBisection, Tag]]:
+    """Split a family of tagged basic bisections into disjoint basics.
+
+    Each piece is checked against the disjoint pieces kept so far; on the
+    first overlap both sides are cut by the exact intersection/difference
+    calculus, the common part is tagged ``merge(kept, new)`` and the rest
+    of each side keeps its own tag.
+    """
+    result: list[tuple[BasicBisection, Tag]] = []
     queue = list(pieces)
-    fuel = 10000
+    fuel = DISJOINTIFY_FUEL
     while queue:
         fuel -= 1
         if fuel <= 0:
-            raise RuntimeError("disjointification did not terminate")
-        p = queue.pop()
-        overlap = next(
-            ((i, q) for i, q in enumerate(result) if intersect_basic(p, q) is not None),
-            None,
-        )
-        if overlap is None:
-            result.append(p)
+            raise DisjointifyFuelExhausted(
+                f"disjointification did not terminate within {DISJOINTIFY_FUEL} steps"
+            )
+        p, tag = queue.pop()
+        for idx, (q, kept) in enumerate(result):
+            inter = intersect_basic(p, q)
+            if inter is not None:
+                break
+        else:
+            result.append((p, tag))
             continue
-        i, q = overlap
-        inter = intersect_basic(p, q)
-        result[i:i + 1] = list(difference_basic(q, inter)) + [inter]
-        queue.extend(difference_basic(p, inter))
-    return BisectionSum(tuple(result))
+        replacement = [(piece, kept) for piece in difference_basic(q, inter)]
+        replacement.append((inter, merge(kept, tag)))
+        result[idx:idx + 1] = replacement
+        queue.extend((piece, tag) for piece in difference_basic(p, inter))
+    return result
+
+
+def disjoint_sum(pieces: Iterable[BasicBisection]) -> BisectionSum:
+    """Rewrite an arbitrary finite family as a disjoint union of basics."""
+    split = disjointify(((p, None) for p in pieces), lambda old, new: None)
+    return BisectionSum(tuple(p for p, _ in split))
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +540,6 @@ def germs_in_bisection(
             )
         )
     return out
-
-
-def compose_germ_triples(g, h):
-    """Compose concrete germ triples when the middle paths literally match."""
-    x, p, y = g
-    y2, q, z = h
-    if y != y2:
-        return None
-    return (x, p + q, z)
 
 
 # ---------------------------------------------------------------------------

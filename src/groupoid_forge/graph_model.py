@@ -22,7 +22,16 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .matrices import IntMatrix, as_matrix, shape
+from .groupoid_core import cycle_positions, cycles, rotate
+from .matrices import (
+    IntMatrix,
+    as_matrix,
+    chain_product,
+    check_repeat_rule,
+    identity,
+    repeat_index,
+    shape,
+)
 from .validation import StructuralError, ValidationReport, Violation, report_from
 
 Vertex = Hashable
@@ -178,13 +187,7 @@ class BratteliDiagram:
                 raise StructuralError(f"matrix at level {n} has wrong shape")
             if any(x < 0 for row in m for x in row):
                 raise StructuralError(f"negative multiplicity at level {n}")
-        if self.repeat_from is not None:
-            if not 0 <= self.repeat_from < len(self.mult):
-                raise StructuralError("repeat_from outside stored matrices")
-            if self.level_sizes[-1] != self.level_sizes[self.repeat_from]:
-                raise StructuralError(
-                    "repetition rule needs matching level sizes at the seam"
-                )
+        check_repeat_rule(self.level_sizes, self.repeat_from)
 
     requires_edge_bound = False
 
@@ -196,25 +199,13 @@ class BratteliDiagram:
         return 0 <= n <= self.horizon or self.repeat_from is not None
 
     def level_size(self, n: int) -> int:
-        if n < 0:
-            raise StructuralError("negative level")
-        if n <= self.horizon:
-            return self.level_sizes[n]
-        if self.repeat_from is None:
-            raise StructuralError(f"level {n} beyond horizon and no repetition rule")
-        period = len(self.mult) - self.repeat_from
-        return self.level_sizes[self.repeat_from + (n - self.repeat_from) % period]
+        return self.level_sizes[
+            repeat_index(n, len(self.level_sizes), self.horizon, self.repeat_from)
+        ]
 
     def multiplicity_matrix(self, n: int) -> IntMatrix:
         """Matrix for edges between levels ``n`` and ``n+1``."""
-        if n < 0:
-            raise StructuralError("negative level")
-        if n < len(self.mult):
-            return self.mult[n]
-        if self.repeat_from is None:
-            raise StructuralError(f"edges at level {n} beyond horizon, no repetition rule")
-        period = len(self.mult) - self.repeat_from
-        return self.mult[self.repeat_from + (n - self.repeat_from) % period]
+        return self.mult[repeat_index(n, len(self.mult), self.horizon, self.repeat_from)]
 
     def vertices_at(self, n: int) -> tuple[Vertex, ...]:
         return tuple((n, i) for i in range(self.level_size(n)))
@@ -375,26 +366,8 @@ def telescope(d: BratteliDiagram, subsequence: Sequence[int]) -> BratteliDiagram
     if d.repeat_from is None and subsequence[-1] > d.horizon:
         raise ValueError("subsequence exceeds the diagram horizon")
     sizes = tuple(d.level_size(t) for t in subsequence)
-    mats = []
-    for a, b in zip(subsequence, subsequence[1:]):
-        # Path counts from level a to level b: right-to-left product keeps
-        # the (upper level) x (lower level) orientation of the tables.
-        prod = d.multiplicity_matrix(a)
-        for n in range(a + 1, b):
-            prod = _mat_mul_tables(prod, d.multiplicity_matrix(n))
-        mats.append(prod)
-    return BratteliDiagram(sizes, tuple(mats), None)
-
-
-def _mat_mul_tables(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError("level sizes do not chain")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb))
-        for i in range(ra)
-    )
+    mats = tuple(path_count_matrix(d, a, b) for a, b in zip(subsequence, subsequence[1:]))
+    return BratteliDiagram(sizes, mats, None)
 
 
 def path_count_matrix(d: BratteliDiagram, from_level: int, to_level: int) -> IntMatrix:
@@ -402,13 +375,12 @@ def path_count_matrix(d: BratteliDiagram, from_level: int, to_level: int) -> Int
     if to_level < from_level:
         raise ValueError("to_level must be >= from_level")
     if to_level == from_level:
-        from .matrices import identity
-
         return identity(d.level_size(from_level))
-    prod = d.multiplicity_matrix(from_level)
-    for n in range(from_level + 1, to_level):
-        prod = _mat_mul_tables(prod, d.multiplicity_matrix(n))
-    return prod
+    # The tables are (upper level) x (lower level), so the level-to-level
+    # product M_from ... M_(to-1) is the chain applied from the deepest level up.
+    return chain_product(
+        [d.multiplicity_matrix(n) for n in range(to_level - 1, from_level - 1, -1)]
+    )
 
 
 def enumerate_paths(
@@ -501,39 +473,16 @@ class MappingGraphAutomorphism(GraphAutomorphismBase):
         return self.edge_map[e]
 
     def power(self, k: int) -> "MappingGraphAutomorphism":
-        n = self.order()
-        k %= n
-        vmap = {v: v for v in self.graph.vertices}
-        emap = {e: e for e in self.graph.edges}
-        for _ in range(k):
-            vmap = {v: self.vertex_map[w] for v, w in vmap.items()}
-            emap = {e: self.edge_map[f] for e, f in emap.items()}
-        return MappingGraphAutomorphism(self.graph, vmap, emap)
+        return MappingGraphAutomorphism(
+            self.graph,
+            rotate(cycle_positions(self.vertex_map, self.graph.vertices), k),
+            rotate(cycle_positions(self.edge_map, self.graph.edges), k),
+        )
 
     def order(self) -> int:
-        n = 1
-        for orbit_len in _orbit_lengths(self.edge_map):
-            n = math.lcm(n, orbit_len)
-        for orbit_len in _orbit_lengths(self.vertex_map):
-            n = math.lcm(n, orbit_len)
-        return n
-
-
-def _orbit_lengths(mapping: Mapping) -> list[int]:
-    seen = set()
-    lengths = []
-    for start in mapping:
-        if start in seen:
-            continue
-        x, n = start, 0
-        while True:
-            seen.add(x)
-            x = mapping[x]
-            n += 1
-            if x == start:
-                break
-        lengths.append(n)
-    return lengths
+        return math.lcm(
+            *(len(c) for m in (self.edge_map, self.vertex_map) for c in cycles(m))
+        )
 
 
 def edge_permutation_automorphism(

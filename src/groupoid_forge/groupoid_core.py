@@ -8,7 +8,9 @@ backend.  Everything is immutable and every check is exhaustive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .validation import StructuralError, ValidationReport, Violation, report_from
@@ -362,6 +364,40 @@ def weight_cocycle(G: FiniteGroupoid, weights: Mapping[El, int]) -> Cocycle:
     return Cocycle(G, {g: weights[G.r(g)] - weights[G.s(g)] for g in G.elements})
 
 
+def cycles(mapping: Mapping[El, El]) -> list[tuple[El, ...]]:
+    """Cycle decomposition of a permutation given as a mapping onto its own
+    keys.  Cycles appear in the order of their first key, each starting at
+    that key and following the mapping."""
+    seen: set = set()
+    out = []
+    for start in mapping:
+        if start in seen:
+            continue
+        cycle = [start]
+        x = mapping[start]
+        while x != start:
+            cycle.append(x)
+            x = mapping[x]
+        seen.update(cycle)
+        out.append(tuple(cycle))
+    return out
+
+
+def cycle_positions(
+    mapping: Mapping[El, El], keys: Iterable[El]
+) -> dict[El, tuple[tuple[El, ...], int]]:
+    """Each key's cycle under the permutation ``mapping`` and its position
+    in that cycle, in ``keys`` order."""
+    where = {x: (cycle, pos) for cycle in cycles(mapping) for pos, x in enumerate(cycle)}
+    return {x: where[x] for x in keys}
+
+
+def rotate(positions: Mapping[El, tuple[tuple[El, ...], int]], k: int) -> dict:
+    """The permutation behind ``positions`` applied ``k`` times (``k`` may
+    be negative): every key moves ``k`` steps along its cycle."""
+    return {x: cycle[(pos + k) % len(cycle)] for x, (cycle, pos) in positions.items()}
+
+
 @dataclass(frozen=True)
 class GroupoidAutomorphism:
     groupoid: FiniteGroupoid
@@ -394,31 +430,15 @@ class GroupoidAutomorphism:
                 v.append(Violation("multiplicativity", f"pair {(g, h)!r}"))
         return report_from(v)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return cycle_positions(self.mapping, self.groupoid.elements)
+
     def power(self, k: int) -> "GroupoidAutomorphism":
-        n = self.order()
-        k %= n
-        out = {g: g for g in self.groupoid.elements}
-        for _ in range(k):
-            out = {g: self.mapping[h] for g, h in out.items()}
-        return GroupoidAutomorphism(self.groupoid, out)
+        return GroupoidAutomorphism(self.groupoid, rotate(self._positions, k))
 
     def order(self) -> int:
-        import math
-
-        n = 1
-        seen: set = set()
-        for start in self.mapping:
-            if start in seen:
-                continue
-            x, ln = start, 0
-            while True:
-                seen.add(x)
-                x = self.mapping[x]
-                ln += 1
-                if x == start:
-                    break
-            n = math.lcm(n, ln)
-        return n
+        return math.lcm(*map(len, cycles(self.mapping)))
 
 
 def identity_automorphism(G: FiniteGroupoid) -> GroupoidAutomorphism:
@@ -437,18 +457,7 @@ def relation_automorphism(
 
 def cyclic_multiplier_automorphism(G: FiniteGroupoid, a: int) -> GroupoidAutomorphism:
     """k -> a*k mod n on a cyclic group groupoid; needs gcd(a, n) = 1."""
-    import math
-
     n = len(G.elements)
     if math.gcd(a, n) != 1:
         raise ValueError("multiplier must be invertible mod n")
     return GroupoidAutomorphism(G, {k: (a * k) % n for k in G.elements})
-
-
-def product_automorphism(
-    G: FiniteGroupoid, a1: GroupoidAutomorphism, a2: GroupoidAutomorphism
-) -> GroupoidAutomorphism:
-    """alpha x beta on a cartesian_product groupoid."""
-    return GroupoidAutomorphism(
-        G, {(g, k): (a1(g), a2(k)) for (g, k) in G.elements}
-    )

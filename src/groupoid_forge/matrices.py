@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .validation import StructuralError
+
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
@@ -54,6 +56,38 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
     for m in mats[1:]:
         acc = mat_mul(m, acc)
     return acc
+
+
+def repeat_index(n: int, stored: int, horizon: int, repeat_from: int | None) -> int:
+    """Position of level ``n`` in a per-level sequence with ``stored`` entries.
+
+    Matrix sequences store levels 0..horizon-1, size sequences 0..horizon.
+    Past the stored entries the eventually periodic rule repeats the matrices
+    from ``repeat_from`` on, with period ``horizon - repeat_from``; the seam
+    check (``check_repeat_rule``) makes the sizes repeat along with them.
+    """
+    if n < 0:
+        raise StructuralError(f"negative level {n}")
+    if n < stored:
+        return n
+    if repeat_from is None:
+        raise StructuralError(f"level {n} beyond horizon, no repetition rule")
+    return repeat_from + (n - repeat_from) % (horizon - repeat_from)
+
+
+def check_repeat_rule(levels: Sequence, repeat_from: int | None) -> None:
+    """Reject a repetition rule that starts outside the stored matrices or
+    whose seam joins levels of different shape; ``levels`` holds one entry
+    per level 0..horizon."""
+    if repeat_from is None:
+        return
+    if not 0 <= repeat_from < len(levels) - 1:
+        raise StructuralError("repeat_from outside stored matrices")
+    if levels[-1] != levels[repeat_from]:
+        raise StructuralError(
+            f"repetition rule needs level {len(levels) - 1} to match level "
+            f"{repeat_from} at the seam"
+        )
 
 
 def transpose(a: IntMatrix) -> IntMatrix:

@@ -468,34 +468,35 @@ def plan_rank2_realization(
 
 def verify_report_json(report_json: dict) -> bool:
     """Re-run the plan from the input echoed inside a report and require the
-    certificates to reproduce exactly (reports are deterministic)."""
-    kind = report_json.get("kind")
-    params = report_json.get("parameters", {})
-    if kind == "af":
-        d = diagram_from_json(report_json["input"])
+    certificates to reproduce exactly (reports are deterministic).
+
+    A report of unknown kind, or one missing a field the plan needs, raises
+    ``PipelineInputError``.
+    """
+    kind = report_json.get("kind") if isinstance(report_json, dict) else None
+    if kind not in ("af", "rank2"):
+        raise PipelineInputError(f"unknown report kind {kind!r}")
+    try:
+        source = report_json["input"]
+        params = report_json.get("parameters", {})
         corner = report_json.get("corner")
-        unit = None
-        if corner:
-            unit = (corner["level"], corner["vector"])
+        options = {
+            "unit_class": (corner["level"], corner["vector"]) if corner else None,
+            "depth": params.get("depth", 5),
+            "stabilization_n": (report_json.get("stabilization") or {}).get(
+                "full_relation_truncation"
+            ),
+        }
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
+    if kind == "af":
         fresh = plan_af_realization(
-            d,
-            unit_class=unit,
-            depth=params.get("depth", 5),
+            diagram_from_json(source),
             lbound=params.get("lbound", 20),
             source_cap=params.get("source_cap", 4096),
-        )
-    elif kind == "rank2":
-        data, _ = rank2_data_from_json(report_json["input"])
-        corner = report_json.get("corner")
-        unit = None
-        if corner:
-            unit = (corner["level"], corner["vector"])
-        fresh = plan_rank2_realization(
-            data,
-            unit_class=unit,
-            depth=params.get("depth", 5),
-            lbound=params.get("lbound", 50),
+            **options,
         )
     else:
-        return False
+        data, _ = rank2_data_from_json(source)
+        fresh = plan_rank2_realization(data, lbound=params.get("lbound", 50), **options)
     return fresh.to_json() == report_json

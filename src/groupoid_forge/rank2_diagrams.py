@@ -22,7 +22,19 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graph_model import Edge
-from .matrices import IntMatrix, as_matrix, is_proper, mat_mul, min_entry, shape
+from .groupoid_core import cycles
+from .matrices import (
+    IntMatrix,
+    as_matrix,
+    chain_product,
+    check_repeat_rule,
+    identity,
+    is_proper,
+    mat_mul,
+    min_entry,
+    repeat_index,
+    shape,
+)
 from .validation import StructuralError, ValidationReport, Violation, report_from
 
 Vertex = tuple[int, int, int]
@@ -169,49 +181,30 @@ class Rank2Data:
                             f"compatibility A_n T_n = T_(n+1) B_n fails at "
                             f"level {n}, entry ({i},{j})"
                         )
-        if self.repeat_from is not None:
-            if not 0 <= self.repeat_from < len(self.A):
-                raise StructuralError("repeat_from outside stored matrices")
-            if self.T[-1] != self.T[self.repeat_from]:
-                raise StructuralError("repetition rule needs matching T at the seam")
-
-    def _index(self, n: int) -> int:
-        if n < len(self.A):
-            return n
-        if self.repeat_from is None:
-            raise StructuralError(f"level {n} beyond horizon, no repetition rule")
-        period = len(self.A) - self.repeat_from
-        return self.repeat_from + (n - self.repeat_from) % period
+        check_repeat_rule(self.T, self.repeat_from)
 
     def a_at(self, n: int) -> IntMatrix:
-        return self.A[self._index(n)]
+        return self.A[repeat_index(n, len(self.A), len(self.A), self.repeat_from)]
 
     def b_at(self, n: int) -> IntMatrix:
-        return self.B[self._index(n)]
+        return self.B[repeat_index(n, len(self.B), len(self.A), self.repeat_from)]
 
     def t_at(self, n: int) -> tuple[int, ...]:
-        if n <= len(self.A):
-            return self.T[n]
-        return self.T[self._index(n)]
+        return self.T[repeat_index(n, len(self.T), len(self.A), self.repeat_from)]
+
+    def _chain(self, matrix_at, top: int, bottom: int) -> IntMatrix:
+        if top < bottom:
+            raise ValueError("top must be >= bottom")
+        if top == bottom:
+            return identity(len(self.t_at(bottom)))
+        return chain_product([matrix_at(n) for n in range(bottom, top)])
 
     def a_chain(self, top: int, bottom: int) -> IntMatrix:
         """A_{top-1} ... A_{bottom} mapping level ``bottom`` to ``top``."""
-        if top < bottom:
-            raise ValueError("top must be >= bottom")
-        acc = as_matrix([[1 if i == j else 0 for j in range(len(self.t_at(bottom)))]
-                         for i in range(len(self.t_at(bottom)))])
-        for n in range(bottom, top):
-            acc = mat_mul(self.a_at(n), acc)
-        return acc
+        return self._chain(self.a_at, top, bottom)
 
     def b_chain(self, top: int, bottom: int) -> IntMatrix:
-        if top < bottom:
-            raise ValueError("top must be >= bottom")
-        acc = as_matrix([[1 if i == j else 0 for j in range(len(self.t_at(bottom)))]
-                         for i in range(len(self.t_at(bottom)))])
-        for n in range(bottom, top):
-            acc = mat_mul(self.b_at(n), acc)
-        return acc
+        return self._chain(self.b_at, top, bottom)
 
     def to_json(self) -> dict:
         out = {
@@ -316,30 +309,16 @@ class OrderData:
 def compute_orders(d: Rank2Diagram) -> OrderData:
     orbit_position: dict[BlueLabel, tuple[tuple[BlueLabel, ...], int]] = {}
     edge_orders: dict[BlueLabel, int] = {}
-    seen: set[BlueLabel] = set()
-    for e in d.blue:
-        if e.label in seen:
-            continue
-        orbit = [e.label]
-        x = d.f_map[e.label]
-        while x != e.label:
-            orbit.append(x)
-            x = d.f_map[x]
-        orbit_t = tuple(orbit)
-        for pos, label in enumerate(orbit_t):
-            seen.add(label)
-            orbit_position[label] = (orbit_t, pos)
-            edge_orders[label] = len(orbit_t)
-    n_levels = d.levels()
-    level_lcm = []
-    for n in range(n_levels - 1):
-        lcm = 1
-        for label, o in edge_orders.items():
-            if label[0] == n:
-                lcm = math.lcm(lcm, o)
-        level_lcm.append(lcm)
+    level_lcm = [1] * (d.levels() - 1)
+    for orbit in cycles(d.f_map):
+        for pos, label in enumerate(orbit):
+            orbit_position[label] = (orbit, pos)
+            edge_orders[label] = len(orbit)
+        # F shifts both endpoints along red edges, so an orbit stays in its level
+        n = orbit[0][0]
+        level_lcm[n] = math.lcm(level_lcm[n], len(orbit))
     m = [0]
-    for n in range(n_levels - 1):
+    for n in range(d.levels() - 1):
         m.append(m[-1] + n * level_lcm[n])
     return OrderData(edge_orders, tuple(level_lcm), tuple(m), orbit_position)
 

@@ -42,6 +42,7 @@ from .groupoid_core import (
     FiniteGroupoid,
     GroupoidAutomorphism,
     build_groupoid,
+    cycles,
     is_principal,
     orbit,
     orbits,
@@ -275,22 +276,30 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 
 
-def _check_wfc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, depth, L):
-    orbit_id: dict = {}
-    for idx, o in enumerate(orbits(G)):
-        for u in o:
-            orbit_id[u] = idx
-    for l in range(1, L + 1):
+def _first_orbit_collision(G: FiniteGroupoid, alpha: GroupoidAutomorphism, shifts):
+    """The first (x, l) with l in ``shifts`` and [x] = [alpha^l(x)], units
+    scanned in repr order; None when no shift collides."""
+    orbit_id = {u: idx for idx, o in enumerate(orbits(G)) for u in o}
+    units = sorted(G.units, key=repr)
+    for l in shifts:
         power = alpha.power(l)
-        for x in sorted(G.units, key=repr):
+        for x in units:
             if orbit_id[x] == orbit_id[power(x)]:
-                return WfcCertificate(
-                    "counterexample",
-                    "finite",
-                    depth,
-                    L,
-                    {"x": repr(x), "l": l, "note": "orbit collision found by scan"},
-                )
+                return x, l
+    return None
+
+
+def _check_wfc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, depth, L):
+    collision = _first_orbit_collision(G, alpha, range(1, L + 1))
+    if collision is not None:
+        x, l = collision
+        return WfcCertificate(
+            "counterexample",
+            "finite",
+            depth,
+            L,
+            {"x": repr(x), "l": l, "note": "orbit collision found by scan"},
+        )
     return WfcCertificate(
         "certificate",
         "finite",
@@ -300,44 +309,34 @@ def _check_wfc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, depth, L):
     )
 
 
+_NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
+
+
 def _alpha_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[int]:
-    """Cycle lengths of the automorphism on each parallel class at a level."""
+    """Cycle lengths of the automorphism on the edges ranging at each vertex
+    of a level; a vertex-fixing automorphism cycles each parallel class."""
     lengths = []
-    m = d.multiplicity_matrix(level)
-    for i, row in enumerate(m):
-        for j, k in enumerate(row):
-            if not k:
-                continue
-            seen = set()
-            for t in range(k):
-                e = next(
-                    e for e in d.edges_with_range((level, i)) if e.label == (level, i, j, t)
-                )
-                if e.label in seen:
-                    continue
-                x, ln = e, 0
-                while True:
-                    seen.add(x.label)
-                    x = alpha.edge_image(x)
-                    ln += 1
-                    if x.label == e.label:
-                        break
-                lengths.append(ln)
+    for v in d.vertices_at(level):
+        images = {e.label: alpha.edge_image(e).label for e in d.edges_with_range(v)}
+        if set(images.values()) != images.keys():
+            raise ValueError(_NOT_VERTEX_FIXING)
+        lengths.extend(map(len, cycles(images)))
     return lengths
 
 
 def _check_wfc_bratteli(d: BratteliDiagram, alpha: GraphAutomorphismBase, depth, L):
     for v in d.vertices_at(0):
         if alpha.vertex_image(v) != v:
-            raise ValueError("bratteli orbit-freeness check needs a vertex-fixing automorphism")
-    min_cycle: dict[int, int] = {}
+            raise ValueError(_NOT_VERTEX_FIXING)
+    lengths_at: dict[int, list[int]] = {}
     for p in range(depth):
         try:
             lengths = _alpha_class_cycle_lengths(d, alpha, p)
         except StructuralError:
             break
         if lengths:
-            min_cycle[p] = min(lengths)
+            lengths_at[p] = lengths
+    min_cycle = {p: min(lengths) for p, lengths in lengths_at.items()}
     witnesses: dict[int, int] = {}
     missing = []
     for l in range(1, L + 1):
@@ -362,10 +361,7 @@ def _check_wfc_bratteli(d: BratteliDiagram, alpha: GraphAutomorphismBase, depth,
     # every edge, so every orbit collides; with a repetition rule this is a
     # genuine counterexample.
     if d.repeat_from is not None and min_cycle:
-        order = 1
-        for p, length in min_cycle.items():
-            for ln in _alpha_class_cycle_lengths(d, alpha, p):
-                order = math.lcm(order, ln)
+        order = math.lcm(*(ln for lengths in lengths_at.values() for ln in lengths))
         for l in missing:
             if l % order == 0:
                 return WfcCertificate(
@@ -681,19 +677,7 @@ def principality_criterion(
     )
     g_principal = is_principal(G)
     iso_values = sorted(c.isotropy_value_range() - {0})
-    collision = None
-    orbit_id: dict = {}
-    for idx, o in enumerate(orbits(G)):
-        for u in o:
-            orbit_id[u] = idx
-    for l in iso_values:
-        power = alpha.power(l)
-        for x in sorted(G.units, key=repr):
-            if orbit_id[x] == orbit_id[power(x)]:
-                collision = (x, l)
-                break
-        if collision:
-            break
+    collision = _first_orbit_collision(G, alpha, iso_values)
     verdict = zero_fiber_trivial and g_principal and collision is None
     return verdict, {
         "zero_fiber_isotropy_trivial": zero_fiber_trivial,

@@ -1,5 +1,5 @@
 """Deterministic seeded families of small groupoids, cocycles and
-automorphisms, shared by tests and demo scripts."""
+automorphisms, shared by the test suite."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import math
 import random
 from fractions import Fraction
 
-from .gaussian import GaussianRational
-from .groupoid_core import (
+from groupoid_forge.convolution_algebra import FiniteConvElement
+from groupoid_forge.gaussian import GaussianRational
+from groupoid_forge.graph_groupoid import InfiniteBouquet, unit_bisection
+from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
     GroupoidAutomorphism,
     cyclic_group_groupoid,
@@ -93,8 +95,6 @@ def random_gaussian(rng: random.Random) -> GaussianRational:
 
 
 def random_conv_element(rng: random.Random, G: FiniteGroupoid):
-    from .convolution_algebra import FiniteConvElement
-
     support = rng.sample(list(G.elements), k=min(len(G.elements), rng.randint(1, 4)))
     return FiniteConvElement(G, {g: random_gaussian(rng) for g in support})
 
@@ -122,8 +122,6 @@ def seeded_groupoids_for_representation(count: int, seed: int, max_size: int = 1
 
 def seeded_bouquet_windows(count: int, seed: int, max_index: int = 9, max_len: int = 4):
     """Unit-space basic opens Z(u \\ F) over the bouquet."""
-    from .graph_groupoid import InfiniteBouquet, unit_bisection
-
     rng = rng_for(seed)
     bouquet = InfiniteBouquet()
     out = []

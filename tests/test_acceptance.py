@@ -29,7 +29,7 @@ from groupoid_forge.dimension_groups import (
     dimension_group_of,
     rank2_k_matrices,
 )
-from groupoid_forge.families import (
+from families import (
     rng_for,
     seeded_bouquet_windows,
     seeded_groupoids_for_representation,

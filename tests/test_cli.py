@@ -203,3 +203,16 @@ class TestRealize:
 
     def test_rejected_input_exit_two(self, bad_diagram_file):
         assert main(["realize", "af", bad_diagram_file]) == 2
+
+
+class TestVerifyReport:
+    @pytest.mark.parametrize(
+        "report, field",
+        [({"kind": "af"}, "input"), ({"kind": "graph", "input": {}}, "graph")],
+        ids=["missing-input", "unknown-kind"],
+    )
+    def test_malformed_report_exit_two(self, report, field, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["verify-report", str(path)]) == 2
+        assert field in capsys.readouterr().err

@@ -30,7 +30,7 @@ from groupoid_forge.convolution_algebra import (
     unit_indicator,
     InternalConsistencyError,
 )
-from groupoid_forge.families import (
+from families import (
     random_conv_element,
     rng_for,
     seeded_groupoids_for_representation,

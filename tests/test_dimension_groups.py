@@ -49,6 +49,39 @@ class TestPush:
         spec = DimensionGroupSpec((1, 1), (as_matrix([[2]]),))
         with pytest.raises(StructuralError):
             dg_push_to_level(spec, DimGroupElement(0, (1,)), 5)
+        # a negative level is never a stored level, with or without a rule
+        for s in (spec, DOUBLING):
+            with pytest.raises(StructuralError):
+                s.size(-1)
+            with pytest.raises(StructuralError):
+                s.matrix(-1)
+            with pytest.raises(StructuralError):
+                dg_is_positive(s, DimGroupElement(-1, (1,)), 5)
+
+    def test_repetition_rule_agrees_across_data_classes(self):
+        # sizes 1, 2, 3, 2 with the matrices from level 1 on repeating
+        # (period 2): past the horizon, sizes alternate 3, 2, 3, ...
+        mult = (
+            as_matrix([[1, 2]]),
+            as_matrix([[1, 0, 1], [1, 1, 0]]),
+            as_matrix([[1, 1], [2, 0], [0, 1]]),
+        )
+        d = BratteliDiagram((1, 2, 3, 2), mult, repeat_from=1)
+        spec = dimension_group_of(d)
+        up = tuple(transpose(m) for m in mult)
+        data = Rank2Data(up, up, ((1,), (1, 1), (1, 1, 1), (1, 1)), repeat_from=1)
+        expected_sizes = [1, 2, 3, 2] + [3, 2] * 3
+        for n, size in enumerate(expected_sizes):
+            assert d.level_size(n) == spec.size(n) == len(data.t_at(n)) == size
+            stored = n if n < 3 else 1 + (n - 1) % 2
+            assert d.multiplicity_matrix(n) == mult[stored]
+            assert spec.matrix(n) == data.a_at(n) == data.b_at(n) == up[stored]
+        for level_of in (
+            d.level_size, d.multiplicity_matrix, spec.size, spec.matrix,
+            data.a_at, data.b_at, data.t_at,
+        ):
+            with pytest.raises(StructuralError):
+                level_of(-1)
 
 
 class TestEqual:

@@ -11,6 +11,7 @@ from groupoid_forge.graph_model import (
     constant_diagram,
     diagram_from_json,
     edge_cycle_automorphism,
+    edge_permutation_automorphism,
     enumerate_paths,
     loop_graph,
     path_count_matrix,
@@ -22,6 +23,7 @@ from groupoid_forge.graph_model import (
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.validation import StructuralError
 
+from families import rng_for
 from helpers import brute_orbit_length
 
 
@@ -213,3 +215,26 @@ class TestEdgeCycle:
         assert a.edge_image(e2) == e0
         assert a.edge_image(e0) == e1
         assert a.edge_image(e1) == e2
+
+
+class TestMappingAutomorphism:
+    def test_power_matches_k_fold_composition(self):
+        rng = rng_for(406)
+        for n in range(1, 8):
+            g = loop_graph(n)
+            labels = list(range(n))
+            rng.shuffle(labels)
+            a = edge_permutation_automorphism(g, dict(zip(range(n), labels)))
+            inverse = {img: e for e, img in a.edge_map.items()}
+            for k in range(-6, 7):
+                expected = {e: e for e in g.edges}
+                for _ in range(abs(k)):
+                    step = a.edge_map if k > 0 else inverse
+                    expected = {e: step[f] for e, f in expected.items()}
+                power = a.power(k)
+                assert list(power.edge_map) == list(g.edges)
+                assert power.edge_map == expected
+                assert power.vertex_map == a.vertex_map
+            assert a.order() == math.lcm(
+                *(brute_orbit_length(a.edge_image, e) for e in g.edges)
+            )

@@ -1,5 +1,7 @@
 """Finite groupoid backend: axioms, isotropy, orbits, stabilization."""
 
+import math
+
 import pytest
 
 from groupoid_forge.groupoid_core import (
@@ -8,6 +10,7 @@ from groupoid_forge.groupoid_core import (
     build_groupoid,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
+    cycles,
     disjoint_union,
     full_relation,
     group_bundle,
@@ -24,7 +27,8 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
-from groupoid_forge.families import seeded_twisted_instances
+from families import rng_for, seeded_twisted_instances
+from helpers import brute_orbit_length
 
 
 class TestAxioms:
@@ -172,3 +176,44 @@ class TestCocyclesAutomorphisms:
         G = cyclic_group_groupoid(3)
         a = identity_automorphism(G)
         assert a.validate().passed and a.order() == 1
+
+
+def _seeded_permutation(rng, n):
+    points = list(range(n))
+    rng.shuffle(points)
+    return dict(zip(range(n), points))
+
+
+def _compose_k_times(mapping, k):
+    """Brute-force k-th power: apply the map (or its inverse for k < 0) |k| times."""
+    step = mapping if k >= 0 else {v: key for key, v in mapping.items()}
+    out = {x: x for x in mapping}
+    for _ in range(abs(k)):
+        out = {x: step[y] for x, y in out.items()}
+    return out
+
+
+class TestCycles:
+    def test_cycles_against_orbit_walk(self):
+        rng = rng_for(404)
+        for n in range(0, 12):
+            perm = _seeded_permutation(rng, n)
+            found = cycles(perm)
+            assert sorted(x for c in found for x in c) == list(range(n))
+            for c in found:
+                assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
+                assert len(c) == brute_orbit_length(perm.__getitem__, c[0])
+
+    def test_power_matches_k_fold_composition(self):
+        rng = rng_for(405)
+        for _ in range(20):
+            m = rng.randint(1, 5)
+            G = full_relation(range(m))
+            a = relation_automorphism(G, _seeded_permutation(rng, m))
+            for k in range(-7, 8):
+                power = a.power(k)
+                assert list(power.mapping) == list(G.elements)
+                assert power.mapping == _compose_k_times(a.mapping, k)
+            assert a.order() == math.lcm(
+                *(brute_orbit_length(a, g) for g in G.elements)
+            )

@@ -86,6 +86,12 @@ class TestAfPlan:
         blob = json.loads(json.dumps(report.to_json()))
         assert verify_report_json(blob)
 
+    def test_stabilization_truncation_reverifies(self):
+        report = plan_af_realization(constant_diagram(2), depth=4, lbound=5, stabilization_n=7)
+        blob = json.loads(json.dumps(report.to_json()))
+        assert blob["stabilization"]["full_relation_truncation"] == 7
+        assert verify_report_json(blob)
+
     def test_tampered_report_fails(self):
         report = plan_af_realization(constant_diagram(2), depth=4, lbound=5)
         blob = json.loads(json.dumps(report.to_json()))
@@ -127,6 +133,12 @@ class TestRank2Plan:
     def test_report_reverifies_from_json(self):
         report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6)
         blob = json.loads(json.dumps(report.to_json()))
+        assert verify_report_json(blob)
+
+    def test_stabilization_truncation_reverifies(self):
+        report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6, stabilization_n=7)
+        blob = json.loads(json.dumps(report.to_json()))
+        assert blob["stabilization"]["full_relation_truncation"] == 7
         assert verify_report_json(blob)
 
     def test_horizon_exhaustion(self):

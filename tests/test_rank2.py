@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from groupoid_forge.families import rng_for
+from families import rng_for
 from groupoid_forge.matrices import min_entry
 from groupoid_forge.rank2_diagrams import (
     OrderData,

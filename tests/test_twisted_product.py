@@ -3,7 +3,7 @@ finite principality oracle."""
 
 import pytest
 
-from groupoid_forge.families import rng_for, seeded_twisted_instances
+from families import rng_for, seeded_twisted_instances
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
