@@ -55,8 +55,9 @@ class FiniteConvElement:
             "coeffs",
             {g: _coeff(c) for g, c in self.coeffs.items() if _coeff(c)},
         )
+        members = self.groupoid._index.position
         for g in self.coeffs:
-            if g not in set(self.groupoid.elements):
+            if g not in members:
                 raise StructuralError(f"support element {g!r} outside the groupoid")
 
     def __call__(self, g) -> Coeff:
@@ -144,8 +145,9 @@ class SymbolicConvElement:
         for (b, g), c in self.coeffs.items():
             by_g.setdefault(g, []).append((b, _coeff(c)))
         flat: dict[tuple[BasicBisection, object], Coeff] = {}
+        members = self.model.g._index.position
         for g, pieces in by_g.items():
-            if g not in set(self.model.g.elements):
+            if g not in members:
                 raise StructuralError(f"support element {g!r} outside the groupoid")
             for b, c in canonical_pieces(pieces).items():
                 flat[(b, g)] = c

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 from .groupoid_core import cycle_positions, cycles, rotate
@@ -520,19 +521,25 @@ class EdgeCycleAutomorphism(GraphAutomorphismBase):
                         f"{k} edge copies"
                     )
 
-    def _cycle_order(self, n: int, i: int, j: int) -> tuple[int, ...]:
-        if self.labelling is not None and (n, i, j) in self.labelling:
-            return self.labelling[(n, i, j)]
-        return tuple(range(self.diagram.multiplicity_matrix(n)[i][j]))
+    @cached_property
+    def _label_positions(self) -> dict[tuple[int, int, int], dict[int, int]]:
+        """Per custom-labelled class, each copy's position in its cycle."""
+        return {
+            key: {t: pos for pos, t in enumerate(order)}
+            for key, order in (self.labelling or {}).items()
+        }
 
     def vertex_image(self, v: Vertex) -> Vertex:
         return v
 
     def edge_image(self, e: Edge) -> Edge:
         n, i, j, t = e.label
-        order = self._cycle_order(n, i, j)
-        pos = order.index(t)
-        t2 = order[(pos + self.step) % len(order)]
+        positions = self._label_positions.get((n, i, j))
+        if positions is None:
+            t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
+        else:
+            order = self.labelling[(n, i, j)]
+            t2 = order[(positions[t] + self.step) % len(order)]
         return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
 
     def power(self, k: int) -> "EdgeCycleAutomorphism":

@@ -11,11 +11,22 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .validation import StructuralError, ValidationReport, Violation, report_from
 
 El = Hashable
+
+
+class _Index(NamedTuple):
+    """Integer index of a finite groupoid: each element's position in
+    ``elements``, and for each range (source) value the positions of the
+    elements with that range (source), in element order.  Values outside the
+    elements get buckets like any other, so lookups never raise."""
+
+    position: dict[El, int]
+    by_range: dict[El, list[int]]
+    by_source: dict[El, list[int]]
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,23 @@ class FiniteGroupoid:
     def composable(self, g: El, h: El) -> bool:
         return self.s(g) == self.r(h)
 
+    @cached_property
+    def _index(self) -> _Index:
+        """Built on first use: a groupoid that is only constructed and
+        serialized never pays for it."""
+        by_range: dict[El, list[int]] = {}
+        by_source: dict[El, list[int]] = {}
+        for i, g in enumerate(self.elements):
+            by_range.setdefault(self.range_map[g], []).append(i)
+            by_source.setdefault(self.source_map[g], []).append(i)
+        position = {g: i for i, g in enumerate(self.elements)}
+        return _Index(position, by_range, by_source)
+
     def elements_with_source(self, u: El) -> tuple[El, ...]:
-        return tuple(g for g in self.elements if self.s(g) == u)
+        return tuple(self.elements[i] for i in self._index.by_source.get(u, ()))
 
     def elements_with_range(self, u: El) -> tuple[El, ...]:
-        return tuple(g for g in self.elements if self.r(g) == u)
+        return tuple(self.elements[i] for i in self._index.by_range.get(u, ()))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -125,63 +148,90 @@ def groupoid_from_json(data: dict | str) -> FiniteGroupoid:
 
 
 def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
-    """Exhaustively check every groupoid axiom; name each offender."""
-    v: list[Violation] = []
-    eset = set(G.elements)
+    """Exhaustively check every groupoid axiom; name each offender.
 
-    for u in G.units:
-        if G.r(u) != u or G.s(u) != u:
-            v.append(Violation("unit fixed by r and s", f"unit {u!r}"))
-    for g in G.elements:
-        if G.r(g) not in G.units or G.s(g) not in G.units:
+    Every id is coded as an integer first: elements by their position, and
+    ids outside the elements (a stray range, inverse or product) by codes
+    from ``len(G.elements)`` on.  The composition table becomes integer rows
+    and composable pairs come from the range buckets.  The order of the
+    violations does not depend on hashing: products on pairs that are not
+    composable come in composition-table order, every other kind in
+    element order.
+    """
+    v: list[Violation] = []
+    els = G.elements
+    n = len(els)
+    index = G._index
+    code = dict(index.position)
+    rng = [code.setdefault(G.range_map[g], len(code)) for g in els]
+    src = [code.setdefault(G.source_map[g], len(code)) for g in els]
+    inv = [code.setdefault(G.inverse_map[g], len(code)) for g in els]
+    rows: dict[int, dict[int, int]] = {}
+    for (g, h), k in G.composition.items():
+        gc = code.setdefault(g, len(code))
+        hc = code.setdefault(h, len(code))
+        rows.setdefault(gc, {})[hc] = code.setdefault(k, len(code))
+    units = {code[u] for u in G.units}
+    partners = [index.by_range.get(G.source_map[g], ()) for g in els]
+    no_row: dict[int, int] = {}
+
+    for i, g in enumerate(els):
+        if i in units and (rng[i] != i or src[i] != i):
+            v.append(Violation("unit fixed by r and s", f"unit {g!r}"))
+    for i, g in enumerate(els):
+        if rng[i] not in units or src[i] not in units:
             v.append(Violation("r,s land in units", f"element {g!r}"))
-        if G.inv(g) not in eset:
+        if inv[i] >= n:
             v.append(Violation("inverse closed", f"element {g!r}"))
 
-    composable = {(g, h) for g in G.elements for h in G.elements if G.composable(g, h)}
-    defined = set(G.composition)
-    for pair in defined - composable:
-        v.append(Violation("composition only on s(g)=r(h)", f"pair {pair!r}"))
-    for pair in composable - defined:
-        v.append(Violation("composition total on composable pairs", f"pair {pair!r}"))
+    for (g, h), k in G.composition.items():
+        gc, hc = code[g], code[h]
+        if gc >= n or hc >= n or src[gc] != rng[hc]:
+            v.append(Violation("composition only on s(g)=r(h)", f"pair {(g, h)!r}"))
+    for i, g in enumerate(els):
+        row = rows.get(i, no_row)
+        for j in partners[i]:
+            k = row.get(j)
+            if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
+                continue
+            pair = f"pair {(g, els[j])!r}"
+            if k is None:
+                v.append(Violation("composition total on composable pairs", pair))
+            elif k >= n:
+                v.append(Violation("composition closed", pair))
+            else:
+                if rng[k] != rng[i]:
+                    v.append(Violation("r(gh) = r(g)", pair))
+                if src[k] != src[j]:
+                    v.append(Violation("s(gh) = s(h)", pair))
 
-    for g, h in composable & defined:
-        gh = G.mul(g, h)
-        if gh not in eset:
-            v.append(Violation("composition closed", f"pair {(g, h)!r}"))
-            continue
-        if G.r(gh) != G.r(g):
-            v.append(Violation("r(gh) = r(g)", f"pair {(g, h)!r}"))
-        if G.s(gh) != G.s(h):
-            v.append(Violation("s(gh) = s(h)", f"pair {(g, h)!r}"))
-
-    for g in G.elements:
-        ru, su = G.r(g), G.s(g)
-        if (ru, g) in defined and G.mul(ru, g) != g:
+    for i, g in enumerate(els):
+        ru, su, gi = rng[i], src[i], inv[i]
+        row = rows.get(i, no_row)
+        if rows.get(ru, no_row).get(i, i) != i:
             v.append(Violation("r(g)g = g", f"element {g!r}"))
-        if (g, su) in defined and G.mul(g, su) != g:
+        if row.get(su, i) != i:
             v.append(Violation("gs(g) = g", f"element {g!r}"))
-        gi = G.inv(g)
-        if (gi, g) in defined and G.mul(gi, g) != su:
+        if rows.get(gi, no_row).get(i, su) != su:
             v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
-        if (g, gi) in defined and G.mul(g, gi) != ru:
+        if row.get(gi, ru) != ru:
             v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
 
     # Associativity over all composable triples.
-    by_range: dict[El, list[El]] = {}
-    for h in G.elements:
-        by_range.setdefault(G.r(h), []).append(h)
-    for g in G.elements:
-        for h in by_range.get(G.s(g), ()):
-            gh = G.composition.get((g, h))
+    for i, g in enumerate(els):
+        row_g = rows.get(i, no_row)
+        for j in partners[i]:
+            gh = row_g.get(j)
             if gh is None:
                 continue
-            for k in by_range.get(G.s(h), ()):
-                hk = G.composition.get((h, k))
-                left = G.composition.get((gh, k))
-                right = G.composition.get((g, hk)) if hk is not None else None
+            row_h = rows.get(j, no_row)
+            row_gh = rows.get(gh, no_row)
+            for k in partners[j]:
+                hk = row_h.get(k)
+                left = row_gh.get(k)
+                right = row_g.get(hk) if hk is not None else None
                 if left != right or left is None:
-                    v.append(Violation("associativity", f"triple {(g, h, k)!r}"))
+                    v.append(Violation("associativity", f"triple {(g, els[j], els[k])!r}"))
 
     return report_from(v)
 
@@ -190,14 +240,14 @@ def isotropy_group(G: FiniteGroupoid, u: El) -> frozenset:
     """All g with r(g) = s(g) = u; trivial for principal groupoids."""
     if u not in G.units:
         raise ValueError(f"{u!r} is not a unit")
-    return frozenset(g for g in G.elements if G.r(g) == u and G.s(g) == u)
+    return frozenset(g for g in G.elements_with_source(u) if G.r(g) == u)
 
 
 def orbit(G: FiniteGroupoid, u: El) -> frozenset:
     """The orbit r(G_u) of a unit."""
     if u not in G.units:
         raise ValueError(f"{u!r} is not a unit")
-    return frozenset(G.r(g) for g in G.elements if G.s(g) == u)
+    return frozenset(map(G.r, G.elements_with_source(u)))
 
 
 def orbits(G: FiniteGroupoid) -> tuple[frozenset, ...]:

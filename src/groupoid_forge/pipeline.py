@@ -348,6 +348,8 @@ def plan_rank2_realization(
     the power automorphism, and cut the requested corner."""
     levels_out = depth + 2
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
+    if source_cap != 4096:
+        params["source_cap"] = source_cap
     tele = telescope_rank2(data, levels_out, source_cap)
     if not tele.complete:
         return RealizationReport(
@@ -486,6 +488,7 @@ def verify_report_json(report_json: dict) -> bool:
             "stabilization_n": (report_json.get("stabilization") or {}).get(
                 "full_relation_truncation"
             ),
+            "source_cap": params.get("source_cap", 4096),
         }
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
@@ -493,7 +496,6 @@ def verify_report_json(report_json: dict) -> bool:
         fresh = plan_af_realization(
             diagram_from_json(source),
             lbound=params.get("lbound", 20),
-            source_cap=params.get("source_cap", 4096),
             **options,
         )
     else:

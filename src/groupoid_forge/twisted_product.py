@@ -272,7 +272,7 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
     from .rank2_diagrams import Rank2Diagram
 
     if isinstance(backend, Rank2Diagram):
-        return _check_wfc_rank2(backend, depth, shift_bound, s_bound)
+        return _check_wfc_rank2(backend, alpha, depth, shift_bound, s_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 
 
@@ -387,10 +387,13 @@ def _check_wfc_bratteli(d: BratteliDiagram, alpha: GraphAutomorphismBase, depth,
     )
 
 
-def _check_wfc_rank2(diagram, depth: int, L: int, s_bound: int | None):
-    from .rank2_diagrams import compute_orders
+def _check_wfc_rank2(diagram, alpha, depth: int, L: int, s_bound: int | None):
+    from .rank2_diagrams import Rank2Automorphism, compute_orders
 
-    orders = compute_orders(diagram)
+    if isinstance(alpha, Rank2Automorphism) and alpha.diagram is diagram:
+        orders = alpha.orders
+    else:
+        orders = compute_orders(diagram)
     max_level = min(depth, orders.max_edge_level())
     inequality = {}
     for n in range(max_level + 1):

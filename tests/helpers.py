@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
 from groupoid_forge.graph_model import path_from_edges, vertex_path
+from groupoid_forge.validation import ValidationReport, Violation, report_from
 
 
 def all_words(graph, anchor, max_len: int, edge_bound=None):
@@ -72,3 +73,67 @@ def brute_orbit_length(apply_fn, start) -> int:
         n += 1
         assert n < 10**6
     return n
+
+
+def brute_groupoid_axioms(G) -> ValidationReport:
+    """The groupoid axioms checked by an n^2 scan over all element pairs and
+    tuple-keyed lookups in the composition table (the oracle for
+    ``verify_groupoid_axioms``)."""
+    v = []
+    eset = set(G.elements)
+
+    for u in G.units:
+        if G.r(u) != u or G.s(u) != u:
+            v.append(Violation("unit fixed by r and s", f"unit {u!r}"))
+    for g in G.elements:
+        if G.r(g) not in G.units or G.s(g) not in G.units:
+            v.append(Violation("r,s land in units", f"element {g!r}"))
+        if G.inv(g) not in eset:
+            v.append(Violation("inverse closed", f"element {g!r}"))
+
+    composable = {(g, h) for g in G.elements for h in G.elements if G.composable(g, h)}
+    defined = set(G.composition)
+    for pair in defined - composable:
+        v.append(Violation("composition only on s(g)=r(h)", f"pair {pair!r}"))
+    for pair in composable - defined:
+        v.append(Violation("composition total on composable pairs", f"pair {pair!r}"))
+
+    for g, h in composable & defined:
+        gh = G.mul(g, h)
+        if gh not in eset:
+            v.append(Violation("composition closed", f"pair {(g, h)!r}"))
+            continue
+        if G.r(gh) != G.r(g):
+            v.append(Violation("r(gh) = r(g)", f"pair {(g, h)!r}"))
+        if G.s(gh) != G.s(h):
+            v.append(Violation("s(gh) = s(h)", f"pair {(g, h)!r}"))
+
+    for g in G.elements:
+        ru, su = G.r(g), G.s(g)
+        if (ru, g) in defined and G.mul(ru, g) != g:
+            v.append(Violation("r(g)g = g", f"element {g!r}"))
+        if (g, su) in defined and G.mul(g, su) != g:
+            v.append(Violation("gs(g) = g", f"element {g!r}"))
+        gi = G.inv(g)
+        if (gi, g) in defined and G.mul(gi, g) != su:
+            v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
+        if (g, gi) in defined and G.mul(g, gi) != ru:
+            v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
+
+    # Associativity over all composable triples.
+    by_range: dict = {}
+    for h in G.elements:
+        by_range.setdefault(G.r(h), []).append(h)
+    for g in G.elements:
+        for h in by_range.get(G.s(g), ()):
+            gh = G.composition.get((g, h))
+            if gh is None:
+                continue
+            for k in by_range.get(G.s(h), ()):
+                hk = G.composition.get((h, k))
+                left = G.composition.get((gh, k))
+                right = G.composition.get((g, hk)) if hk is not None else None
+                if left != right or left is None:
+                    v.append(Violation("associativity", f"triple {(g, h, k)!r}"))
+
+    return report_from(v)

@@ -1,9 +1,14 @@
 """The forge command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupoid_forge
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import constant_diagram
 from groupoid_forge.groupoid_core import full_relation
@@ -77,6 +82,38 @@ class TestTelescope:
 class TestGroupoid:
     def test_check(self, groupoid_file):
         assert main(["check-groupoid", groupoid_file]) == 0
+
+    def test_check_output_does_not_depend_on_hash_seed(self, tmp_path):
+        # string ids hash differently under each PYTHONHASHSEED
+        dump = full_relation("abc").to_json()
+        dropped = [
+            ["('a', 'b')", "('b', 'c')", "('a', 'c')"],
+            ["('c', 'a')", "('a', 'b')", "('c', 'b')"],
+            ["('b', 'a')", "('a', 'b')", "('b', 'b')"],
+        ]
+        dump["compose"] = [e for e in dump["compose"] if e not in dropped] + [
+            ["('a', 'b')", "('a', 'b')", "('a', 'a')"],
+            ["('c', 'a')", "('b', 'c')", "('c', 'c')"],
+            ["('b', 'a')", "('c', 'c')", "('b', 'b')"],
+        ]
+        path = tmp_path / "bad_groupoid.json"
+        path.write_text(json.dumps(dump))
+        src = str(Path(groupoid_forge.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            runs.append(
+                subprocess.run(
+                    [sys.executable, "-m", "groupoid_forge.cli", "check-groupoid", str(path)],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                    timeout=60,
+                )
+            )
+        assert [r.returncode for r in runs] == [1, 1]
+        assert runs[0].stdout == runs[1].stdout
+        assert "Traceback" not in runs[0].stderr + runs[1].stderr
 
     def test_twist_finite(self, groupoid_file, capsys):
         assert (

@@ -216,6 +216,27 @@ class TestEdgeCycle:
         assert a.edge_image(e0) == e1
         assert a.edge_image(e1) == e2
 
+    def test_edge_image_matches_index_formula(self):
+        # oracle: the copy's position in its class's cycle order, stepped
+        d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 5]]), as_matrix([[4], [3]])))
+        for labelling in (None, {(0, 0, 1): (3, 0, 4, 1, 2)}):
+            base = edge_cycle_automorphism(d, labelling)
+            for step in range(-3, 4):
+                a = base.power(step)
+                for lvl in range(2):
+                    for e in d.edges_between(lvl):
+                        n, i, j, t = e.label
+                        order = (labelling or {}).get((n, i, j)) or tuple(
+                            range(d.multiplicity_matrix(n)[i][j])
+                        )
+                        image = a.edge_image(e)
+                        t2 = order[(order.index(t) + step) % len(order)]
+                        assert image.label == (n, i, j, t2)
+                        assert (image.range_vertex, image.source_vertex) == (
+                            e.range_vertex,
+                            e.source_vertex,
+                        )
+
 
 class TestMappingAutomorphism:
     def test_power_matches_k_fold_composition(self):

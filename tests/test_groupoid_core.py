@@ -1,13 +1,16 @@
 """Finite groupoid backend: axioms, isotropy, orbits, stabilization."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from groupoid_forge.groupoid_core import (
     Cocycle,
+    FiniteGroupoid,
     GroupoidAutomorphism,
     build_groupoid,
+    cartesian_product,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
     cycles,
@@ -27,8 +30,10 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
+from groupoid_forge.twisted_product import twisted_product
+
 from families import rng_for, seeded_twisted_instances
-from helpers import brute_orbit_length
+from helpers import brute_groupoid_axioms, brute_orbit_length
 
 
 class TestAxioms:
@@ -71,6 +76,133 @@ class TestAxioms:
         assert dump["compose"][0] == ["(0, 0)", "(0, 0)", "(0, 0)"]
         assert ["(0, 1)", "(1, 0)", "(0, 0)"] in dump["compose"]
         assert dump == full_relation(range(2)).to_json()
+
+
+def _factory_groupoids(twisted: int):
+    """One groupoid from each factory, then ``twisted`` seeded twisted products."""
+    out = [
+        full_relation(range(3)),
+        full_relation("abc"),
+        cyclic_group_groupoid(5),
+        group_bundle({"u": 2, "w": 3}),
+        disjoint_union(full_relation(range(2)), cyclic_group_groupoid(3)),
+        cartesian_product(full_relation(range(2)), group_bundle({0: 2})),
+        product_with_full_relation(cyclic_group_groupoid(2), 1),
+        groupoid_from_json(full_relation("ab").to_json()),
+    ]
+    for H, c, G, alpha in seeded_twisted_instances(twisted, 3):
+        out.append(twisted_product(H, c, G, alpha).finite_form)
+    return out
+
+
+def _corruptions(G: FiniteGroupoid, rng):
+    """(name, G with that one defect at a seeded place) for each defect of
+    the corpus."""
+    els = list(G.elements)
+    pair = rng.choice(sorted(G.composition, key=repr))
+    g = rng.choice(els)
+    loose = [(x, y) for x in els for y in els if not G.composable(x, y)]
+
+    def rebuild(**changed):
+        parts = {
+            "range_map": G.range_map,
+            "source_map": G.source_map,
+            "composition": G.composition,
+            "inverse_map": G.inverse_map,
+        }
+        for key, (x, value) in changed.items():
+            parts[key] = {**parts[key], x: value}
+        return build_groupoid(G.elements, G.units, **parts)
+
+    dropped = {k: v for k, v in G.composition.items() if k != pair}
+    yield "dropped product", build_groupoid(
+        G.elements, G.units, G.range_map, G.source_map, dropped, G.inverse_map
+    )
+    if loose:
+        yield "non-composable product", rebuild(composition=(rng.choice(loose), g))
+    others = [x for x in els if x != G.composition[pair]]
+    if others:
+        yield "wrong product", rebuild(composition=(pair, rng.choice(others)))
+    yield "product outside", rebuild(composition=(pair, "ghost"))
+    # a wrong inverse composable with g on neither side breaks no checked axiom
+    wrong_inverses = [
+        x for x in els if x != G.inv(g) and (G.s(x) == G.r(g) or G.r(x) == G.s(g))
+    ]
+    if wrong_inverses:
+        yield "broken inverse", rebuild(inverse_map=(g, rng.choice(wrong_inverses)))
+    yield "inverse outside", rebuild(inverse_map=(g, "ghost"))
+    yield "range outside", rebuild(range_map=(g, "nowhere"))
+    yield "source outside", rebuild(source_map=(g, "nowhere"))
+
+
+def _violations(report):
+    return Counter((v.invariant, v.subject) for v in report.violations)
+
+
+class TestAxiomOracle:
+    """The bucketed axiom check against the n^2-scan oracle."""
+
+    def test_factories_match_oracle(self):
+        for G in _factory_groupoids(twisted=12):
+            report = verify_groupoid_axioms(G)
+            assert report.passed
+            assert _violations(report) == _violations(brute_groupoid_axioms(G))
+
+    def test_corruption_corpus_matches_oracle(self):
+        rng = rng_for(406)
+        seen = Counter()
+        for G in _factory_groupoids(twisted=4):
+            for name, bad in _corruptions(G, rng):
+                expected = brute_groupoid_axioms(bad)
+                assert not expected.passed, name
+                assert _violations(verify_groupoid_axioms(bad)) == _violations(expected), name
+                seen[name] += 1
+        assert len(seen) == 8
+
+    def test_order_is_element_then_table_order(self):
+        G = full_relation(range(2))
+        comp = dict(G.composition)
+        del comp[((0, 1), (1, 0))]
+        comp[((0, 1), (0, 1))] = (0, 0)
+        comp[((1, 0), (1, 0))] = (1, 1)
+        bad = build_groupoid(G.elements, G.units, G.range_map, G.source_map, comp, G.inverse_map)
+        pairs = [v for v in verify_groupoid_axioms(bad).violations if v.subject.startswith("pair")]
+        assert [str(v) for v in pairs] == [
+            "composition only on s(g)=r(h): pair ((0, 1), (0, 1))",
+            "composition only on s(g)=r(h): pair ((1, 0), (1, 0))",
+            "composition total on composable pairs: pair ((0, 1), (1, 0))",
+        ]
+
+    def test_index_is_built_on_first_query(self):
+        G = full_relation(range(3))
+        assert "_index" not in vars(G)
+        G.elements_with_source((0, 0))
+        assert "_index" in vars(G)
+
+    def test_bucket_queries_match_linear_scans(self):
+        rng = rng_for(407)
+        for G in _factory_groupoids(twisted=4):
+            corrupted = dict(_corruptions(G, rng))
+            for H in (G, corrupted["range outside"], corrupted["source outside"]):
+                for u in H.units:
+                    assert orbit(H, u) == frozenset(
+                        H.r(g) for g in H.elements if H.s(g) == u
+                    )
+                    assert isotropy_group(H, u) == frozenset(
+                        g for g in H.elements if H.r(g) == u and H.s(g) == u
+                    )
+                ids = set(H.elements) | {"nowhere", "elsewhere"}
+                for x in ids:
+                    assert H.elements_with_source(x) == tuple(
+                        g for g in H.elements if H.s(g) == x
+                    )
+                    assert H.elements_with_range(x) == tuple(
+                        g for g in H.elements if H.r(g) == x
+                    )
+                assert is_principal(H) == all(
+                    {g for g in H.elements if H.r(g) == u and H.s(g) == u} == {u}
+                    for u in H.units
+                )
 
 
 class TestIsotropyOrbits:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from groupoid_forge import pipeline, rank2_diagrams
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
@@ -14,7 +15,7 @@ from groupoid_forge.pipeline import (
     unit_corner_spec,
     verify_report_json,
 )
-from groupoid_forge.rank2_diagrams import Rank2Data
+from groupoid_forge.rank2_diagrams import Rank2Data, compute_orders
 
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 
@@ -140,6 +141,27 @@ class TestRank2Plan:
         blob = json.loads(json.dumps(report.to_json()))
         assert blob["stabilization"]["full_relation_truncation"] == 7
         assert verify_report_json(blob)
+
+    def test_source_cap_reverifies(self):
+        report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6, source_cap=4)
+        blob = json.loads(json.dumps(report.to_json()))
+        assert blob["parameters"]["source_cap"] == 4
+        assert verify_report_json(blob)
+        default = plan_rank2_realization(CONSTANT2, depth=3, lbound=6).to_json()
+        assert "source_cap" not in default["parameters"]
+
+    def test_one_plan_computes_the_orders_once(self, monkeypatch):
+        calls = []
+
+        def counted(diagram):
+            calls.append(diagram)
+            return compute_orders(diagram)
+
+        monkeypatch.setattr(pipeline, "compute_orders", counted)
+        monkeypatch.setattr(rank2_diagrams, "compute_orders", counted)
+        report = plan_rank2_realization(CONSTANT2, depth=4, lbound=10)
+        assert report.wfc.is_certificate
+        assert len(calls) == 1
 
     def test_horizon_exhaustion(self):
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10, source_cap=4)
