@@ -87,11 +87,14 @@ from .dimension_groups import (
     rank2_k_matrices,
 )
 from .rank2_diagrams import (
+    CanonicalOrders,
+    CanonicalRank2Diagram,
     OrderData,
     Rank2Data,
     Rank2Diagram,
     Rank2Path,
     build_rank2,
+    canonical_rank2,
     compute_orders,
     rank2_automorphism,
     telescope_rank2,

@@ -12,6 +12,7 @@ import argparse
 import ast
 import json
 import sys
+from itertools import chain, islice
 
 from .convolution_algebra import (
     comp2_identity_sides,
@@ -52,7 +53,7 @@ from .pipeline import (
     verify_report_json,
 )
 from .rank2_diagrams import (
-    build_rank2,
+    canonical_rank2,
     compute_orders,
     rank2_automorphism,
     rank2_data_from_json,
@@ -158,7 +159,7 @@ def cmd_certify(args) -> int:
             if not tele.complete:
                 print(json.dumps({"status": "unknown", "reason": tele.failure}))
                 return 1
-            diagram = build_rank2(tele.telescoped, levels)
+            diagram = canonical_rank2(tele.telescoped, levels)
             cert = check_wfc(diagram, None, args.depth, args.lbound)
         else:
             # certify along the realization route: telescope to meet the
@@ -258,17 +259,17 @@ def cmd_rank2(args) -> int:
     data, horizon = rank2_data_from_json(_load_json(args.input))
     levels = args.levels or horizon or len(data.T)
     if args.action == "build":
-        diagram = build_rank2(data, levels)
+        diagram = canonical_rank2(data, levels)
         _dump(
             {
                 "levels": [list(s) for s in diagram.cycle_sizes],
-                "blue_edges": len(diagram.blue),
+                "blue_edges": diagram.blue_count(),
             },
             args.out,
         )
         return 0
     if args.action == "orders":
-        diagram = build_rank2(data, levels)
+        diagram = canonical_rank2(data, levels)
         orders = compute_orders(diagram)
         _dump(
             {
@@ -285,15 +286,13 @@ def cmd_rank2(args) -> int:
         result = telescope_rank2(data, levels)
         _dump(result.to_json(), args.out)
         return 0 if result.complete else 1
-    diagram = build_rank2(data, levels)
+    diagram = canonical_rank2(data, levels)
     auto = rank2_automorphism(diagram)
+    labels = chain.from_iterable(diagram.blue_labels_at(n) for n in range(levels - 1))
     _dump(
         {
             "m_sequence": list(auto.orders.m),
-            "sample": {
-                str(e.label): str(auto.blue_image(e.label))
-                for e in diagram.blue[: min(8, len(diagram.blue))]
-            },
+            "sample": {str(label): str(auto.blue_image(label)) for label in islice(labels, 8)},
         },
         args.out,
     )

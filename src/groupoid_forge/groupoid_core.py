@@ -183,6 +183,9 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
             v.append(Violation("r,s land in units", f"element {g!r}"))
         if inv[i] >= n:
             v.append(Violation("inverse closed", f"element {g!r}"))
+        elif rng[inv[i]] != src[i] or src[inv[i]] != rng[i]:
+            # the inverse laws below only test products the table holds
+            v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
     for (g, h), k in G.composition.items():
         gc, hc = code[g], code[h]

@@ -11,6 +11,7 @@ are listed as hypotheses, flagged NOT COMPUTED.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .dimension_groups import (
@@ -36,7 +37,8 @@ from .matrices import min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
-    build_rank2,
+    blue_skeleton,
+    canonical_rank2,
     compute_orders,
     rank2_automorphism,
     rank2_data_from_json,
@@ -366,7 +368,7 @@ def plan_rank2_realization(
             corner=None,
             ktheory={},
         )
-    diagram = build_rank2(tele.telescoped, levels_out)
+    diagram = canonical_rank2(tele.telescoped, levels_out)
     structural = validate_rank2(diagram)
     if not structural.passed:
         raise PipelineInputError(
@@ -378,14 +380,11 @@ def plan_rank2_realization(
         orders.min_order_at(n) > n * orders.m[n] for n in range(levels_out - 1)
     )
     a_mats, b_mats, t_mats = rank2_k_matrices(diagram)
-    round_trip_ok = True
-    for n in range(levels_out - 1):
-        for label, o in orders.edge_orders.items():
-            if label[0] != n:
-                continue
-            _, j, i, _ = label
-            if o != a_mats[n][i][j] * t_mats[n][j][j]:
-                round_trip_ok = False
+    round_trip_ok = all(
+        orders.edge_order((n, j, i, 0)) == a_mats[n][i][j] * t_mats[n][j][j]
+        for n in range(levels_out - 1)
+        for j, i, _ in diagram.pairs_at(n)
+    )
 
     auto = rank2_automorphism(diagram, orders)
     wfc = check_wfc(diagram, auto, depth=levels_out - 2, shift_bound=lbound)
@@ -394,13 +393,11 @@ def plan_rank2_realization(
     for j in range(diagram.cycle_count(0)):
         sample.append(Rank2Path((), 0, (0, j, 0)))
         sample.append(Rank2Path((), 1, (0, j, 0)))
-    for e in diagram.blue_edges_at(0)[:4]:
-        sample.append(Rank2Path((e.label,), 0))
-    for e in diagram.blue_edges_at(1)[:4]:
-        sample.append(Rank2Path((e.label,), 1))
+    for label in islice(diagram.blue_labels_at(0), 4):
+        sample.append(Rank2Path((label,), 0))
+    for label in islice(diagram.blue_labels_at(1), 4):
+        sample.append(Rank2Path((label,), 1))
     lc = check_lc(diagram, auto, sample)
-
-    from .rank2_diagrams import blue_skeleton
 
     skeleton = blue_skeleton(diagram)
     minimality = minimality_verdict(skeleton, None, levels_out - 1)

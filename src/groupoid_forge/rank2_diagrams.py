@@ -10,7 +10,11 @@ levels (range above, source below) and carry the factorization permutation
 The canonical layout built from matrix data (A, B, T) indexes the blue edges
 of a cycle pair 0..A(i,j)*T(j)-1, anchors endpoint positions by reduction
 mod the cycle lengths and lets F add one; its single F-orbit per cycle pair
-gives the order formula o(e) = A(i,j)*T(j) exactly.
+gives the order formula o(e) = A(i,j)*T(j) exactly.  ``canonical_rank2``
+keeps that layout as one count per cycle pair, and the orders, validation,
+automorphism and blue skeleton of such a diagram are computed in closed form;
+``build_rank2`` materializes every blue edge and is the reference the closed
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .graph_model import Edge
 from .groupoid_core import cycles
@@ -41,38 +45,16 @@ Vertex = tuple[int, int, int]
 BlueLabel = tuple[int, int, int, int]  # (level, range cycle, source cycle, index)
 
 
-@dataclass(frozen=True)
-class Rank2Diagram:
-    cycle_sizes: tuple[tuple[int, ...], ...]
-    blue: tuple[Edge, ...]
-    f_map: Mapping[BlueLabel, BlueLabel]
-    orientation: int = 1
+class _RedCycles:
+    """The red cycles shared by both diagram representations: a subclass
+    holds ``cycle_sizes`` (per level, the length of each red cycle) and the
+    ``orientation`` (+1 or -1) in which red edges step."""
 
-    def __post_init__(self):
+    def _check_red_cycles(self):
         if self.orientation not in (1, -1):
             raise StructuralError("orientation must be +1 or -1")
         if any(s <= 0 for level in self.cycle_sizes for s in level):
             raise StructuralError("cycle sizes must be positive")
-        labels = [e.label for e in self.blue]
-        if len(set(labels)) != len(labels):
-            raise StructuralError("duplicate blue edge labels")
-        if set(self.f_map) != set(labels) or set(self.f_map.values()) != set(labels):
-            raise StructuralError("factorization permutation must biject the blue edges")
-        for e in self.blue:
-            n, j, p = e.range_vertex
-            n2, i, q = e.source_vertex
-            if n2 != n + 1:
-                raise StructuralError(f"blue edge {e.label} skips a level")
-            if not self._vertex_ok(e.range_vertex) or not self._vertex_ok(e.source_vertex):
-                raise StructuralError(f"blue edge {e.label} references a bad vertex")
-
-    def _vertex_ok(self, v: Vertex) -> bool:
-        n, j, p = v
-        return (
-            0 <= n < len(self.cycle_sizes)
-            and 0 <= j < len(self.cycle_sizes[n])
-            and 0 <= p < self.cycle_sizes[n][j]
-        )
 
     def levels(self) -> int:
         return len(self.cycle_sizes)
@@ -102,6 +84,37 @@ class Rank2Diagram:
         """Source of the unique red path of the given degree ranging here."""
         return self.red_walk(range_vertex, -degree)
 
+
+@dataclass(frozen=True)
+class Rank2Diagram(_RedCycles):
+    cycle_sizes: tuple[tuple[int, ...], ...]
+    blue: tuple[Edge, ...]
+    f_map: Mapping[BlueLabel, BlueLabel]
+    orientation: int = 1
+
+    def __post_init__(self):
+        self._check_red_cycles()
+        labels = [e.label for e in self.blue]
+        if len(set(labels)) != len(labels):
+            raise StructuralError("duplicate blue edge labels")
+        if set(self.f_map) != set(labels) or set(self.f_map.values()) != set(labels):
+            raise StructuralError("factorization permutation must biject the blue edges")
+        for e in self.blue:
+            n, j, p = e.range_vertex
+            n2, i, q = e.source_vertex
+            if n2 != n + 1:
+                raise StructuralError(f"blue edge {e.label} skips a level")
+            if not self._vertex_ok(e.range_vertex) or not self._vertex_ok(e.source_vertex):
+                raise StructuralError(f"blue edge {e.label} references a bad vertex")
+
+    def _vertex_ok(self, v: Vertex) -> bool:
+        n, j, p = v
+        return (
+            0 <= n < len(self.cycle_sizes)
+            and 0 <= j < len(self.cycle_sizes[n])
+            and 0 <= p < self.cycle_sizes[n][j]
+        )
+
     @cached_property
     def _by_level(self) -> Mapping[int, tuple[Edge, ...]]:
         out: dict[int, list[Edge]] = {}
@@ -120,8 +133,54 @@ class Rank2Diagram:
         return self._by_label
 
 
-def validate_rank2(d: Rank2Diagram) -> ValidationReport:
+@dataclass(frozen=True)
+class CanonicalRank2Diagram(_RedCycles):
+    """The canonical layout of matrix data, one blue-edge count per cycle pair.
+
+    ``counts[n][i][j]`` = A_n(i,j) * T_n(j) edges join cycle j at level n to
+    cycle i at level n+1.  They are the labels (n, j, i, k), 0 <= k < count:
+    edge k ranges at (n, j, k mod T_n(j)), sources at (n+1, i, k mod
+    T_{n+1}(i)), and F sends k to k + orientation mod count -- the diagram
+    ``build_rank2`` materializes, with no edge stored.
+    """
+
+    cycle_sizes: tuple[tuple[int, ...], ...]
+    counts: tuple[IntMatrix, ...]
+    orientation: int = 1
+
+    def __post_init__(self):
+        self._check_red_cycles()
+        if len(self.counts) != self.levels() - 1:
+            raise StructuralError("need one count matrix per pair of adjacent levels")
+        for n, counts in enumerate(self.counts):
+            want = (self.cycle_count(n + 1), self.cycle_count(n))
+            if shape(counts) != want or any(c < 0 for row in counts for c in row):
+                raise StructuralError(
+                    f"blue-edge counts at level {n} must be nonnegative of shape {want}"
+                )
+
+    def pairs_at(self, n: int) -> Iterator[tuple[int, int, int]]:
+        """(j, i, count) for each pair of cycles (n, j), (n+1, i) joined by
+        blue edges, in the order ``build_rank2`` lays them out."""
+        for i, row in enumerate(self.counts[n]):
+            for j, c in enumerate(row):
+                if c:
+                    yield j, i, c
+
+    def blue_labels_at(self, n: int) -> Iterator[BlueLabel]:
+        """The labels of the blue edges ranging at level n, in build order."""
+        for j, i, c in self.pairs_at(n):
+            for k in range(c):
+                yield (n, j, i, k)
+
+    def blue_count(self) -> int:
+        return sum(c for counts in self.counts for row in counts for c in row)
+
+
+def validate_rank2(d: Rank2Diagram | CanonicalRank2Diagram) -> ValidationReport:
     """Factorization consistency plus the blue-skeleton degree conditions."""
+    if isinstance(d, CanonicalRank2Diagram):
+        return _validate_canonical(d)
     v: list[Violation] = []
     by_label = d.blue_by_label()
     for e in d.blue:
@@ -146,6 +205,34 @@ def validate_rank2(d: Rank2Diagram) -> ValidationReport:
                 v.append(
                     Violation("blue sinks only at level 0", f"vertex {vertex}")
                 )
+    return report_from(v)
+
+
+def _validate_canonical(d: CanonicalRank2Diagram) -> ValidationReport:
+    v: list[Violation] = []
+    for n in range(d.levels() - 1):
+        for j, i, c in d.pairs_at(n):
+            # Only the edge whose F-image wraps round to the other end of the
+            # pair can miss its red predecessor, and it does so exactly when
+            # the cycle length does not divide the count.
+            wrap = (n, j, i, c - 1 if d.orientation == 1 else 0)
+            if c % d.cycle_size(n, j):
+                v.append(Violation("F shifts the range to its red predecessor", f"edge {wrap}"))
+            if c % d.cycle_size(n + 1, i):
+                v.append(Violation("F shifts the source to its red predecessor", f"edge {wrap}"))
+    # The edges of a pair reach positions 0..count-1 of either cycle, so
+    # position p is an endpoint exactly when some count through its cycle
+    # exceeds p.
+    for n in range(d.levels() - 1):
+        reach = [max(column) for column in zip(*d.counts[n])]
+        for vertex in d.vertices_at(n):
+            if vertex[2] >= reach[vertex[1]]:
+                v.append(Violation("blue graph has no sources", f"vertex {vertex}"))
+    for n in range(1, d.levels()):
+        reach = [max(row) for row in d.counts[n - 1]]
+        for vertex in d.vertices_at(n):
+            if vertex[2] >= reach[vertex[1]]:
+                v.append(Violation("blue sinks only at level 0", f"vertex {vertex}"))
     return report_from(v)
 
 
@@ -239,6 +326,27 @@ def rank2_data_from_json(data: dict | str) -> tuple[Rank2Data, int | None]:
     )
 
 
+def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:
+    """The red cycle lengths of the canonical layout, after checking that
+    its matrices are proper."""
+    if levels < 1:
+        raise ValueError("need at least one level")
+    for n in range(levels - 1):
+        if not is_proper(data.a_at(n)) or not is_proper(data.b_at(n)):
+            raise StructuralError(f"matrices at level {n} must be proper")
+    return tuple(tuple(data.t_at(n)) for n in range(levels))
+
+
+def canonical_rank2(data: Rank2Data, levels: int) -> CanonicalRank2Diagram:
+    """The canonical diagram for the matrix data, kept per cycle pair."""
+    sizes = _cycle_sizes(data, levels)
+    counts = tuple(
+        tuple(tuple(a * t for a, t in zip(row, data.t_at(n))) for row in data.a_at(n))
+        for n in range(levels - 1)
+    )
+    return CanonicalRank2Diagram(sizes, counts, data.orientation)
+
+
 def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
     """Materialize the canonical diagram for the matrix data.
 
@@ -247,12 +355,7 @@ def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
     sources at position k mod T_{n+1}(i), and F advances k by the
     orientation, cyclically.
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
-    for n in range(levels - 1):
-        if not is_proper(data.a_at(n)) or not is_proper(data.b_at(n)):
-            raise StructuralError(f"matrices at level {n} must be proper")
-    sizes = tuple(tuple(data.t_at(n)) for n in range(levels))
+    sizes = _cycle_sizes(data, levels)
     blue: list[Edge] = []
     f_map: dict[BlueLabel, BlueLabel] = {}
     for n in range(levels - 1):
@@ -275,8 +378,23 @@ def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
 # ---------------------------------------------------------------------------
 
 
+class _LevelOrders:
+    """Per-level order queries shared by both order representations; a
+    subclass supplies ``_level_orders``, each level's sorted distinct edge
+    orders."""
+
+    def orders_at(self, n: int) -> tuple[int, ...]:
+        return self._level_orders.get(n, ())
+
+    def min_order_at(self, n: int) -> int:
+        return self._level_orders[n][0]
+
+    def max_edge_level(self) -> int:
+        return max(self._level_orders)
+
+
 @dataclass(frozen=True)
-class OrderData:
+class OrderData(_LevelOrders):
     """Orders o(e) of the blue edges under F, level lcms O_n, and the
     recursion m_0 = 0, m_{n+1} = m_n + n * O_n."""
 
@@ -292,21 +410,48 @@ class OrderData:
             buckets.setdefault(label[0], set()).add(o)
         return {n: tuple(sorted(v)) for n, v in buckets.items()}
 
-    def orders_at(self, n: int) -> tuple[int, ...]:
-        return self._level_orders.get(n, ())
-
-    def min_order_at(self, n: int) -> int:
-        return self._level_orders[n][0]
-
-    def max_edge_level(self) -> int:
-        return max(self._level_orders)
-
     def f_power(self, label: BlueLabel, k: int) -> BlueLabel:
         orbit, pos = self.orbit_position[label]
         return orbit[(pos + k) % len(orbit)]
 
 
-def compute_orders(d: Rank2Diagram) -> OrderData:
+@dataclass(frozen=True)
+class CanonicalOrders(_LevelOrders):
+    """The order data of a canonical diagram in closed form: the edges of a
+    cycle pair form one F-orbit, so each has the pair's count as its order."""
+
+    diagram: CanonicalRank2Diagram
+    level_lcm: tuple[int, ...]
+    m: tuple[int, ...]
+
+    @cached_property
+    def _level_orders(self) -> Mapping[int, tuple[int, ...]]:
+        d = self.diagram
+        out = {n: sorted({c for _, _, c in d.pairs_at(n)}) for n in range(d.levels() - 1)}
+        return {n: tuple(v) for n, v in out.items() if v}
+
+    def edge_order(self, label: BlueLabel) -> int:
+        n, j, i, _ = label
+        return self.diagram.counts[n][i][j]
+
+    def f_power(self, label: BlueLabel, k: int) -> BlueLabel:
+        n, j, i, e = label
+        return (n, j, i, (e + self.diagram.orientation * k) % self.edge_order(label))
+
+
+def _m_sequence(level_lcm: Sequence[int]) -> tuple[int, ...]:
+    m = [0]
+    for n, o in enumerate(level_lcm):
+        m.append(m[-1] + n * o)
+    return tuple(m)
+
+
+def compute_orders(d: Rank2Diagram | CanonicalRank2Diagram) -> OrderData | CanonicalOrders:
+    if isinstance(d, CanonicalRank2Diagram):
+        level_lcm = tuple(
+            math.lcm(1, *(c for _, _, c in d.pairs_at(n))) for n in range(d.levels() - 1)
+        )
+        return CanonicalOrders(d, level_lcm, _m_sequence(level_lcm))
     orbit_position: dict[BlueLabel, tuple[tuple[BlueLabel, ...], int]] = {}
     edge_orders: dict[BlueLabel, int] = {}
     level_lcm = [1] * (d.levels() - 1)
@@ -317,10 +462,7 @@ def compute_orders(d: Rank2Diagram) -> OrderData:
         # F shifts both endpoints along red edges, so an orbit stays in its level
         n = orbit[0][0]
         level_lcm[n] = math.lcm(level_lcm[n], len(orbit))
-    m = [0]
-    for n in range(d.levels() - 1):
-        m.append(m[-1] + n * level_lcm[n])
-    return OrderData(edge_orders, tuple(level_lcm), tuple(m), orbit_position)
+    return OrderData(edge_orders, tuple(level_lcm), _m_sequence(level_lcm), orbit_position)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +648,15 @@ def compose_paths(d: Rank2Diagram, orders: OrderData, p: Rank2Path, q: Rank2Path
     )
 
 
-def blue_skeleton(d: Rank2Diagram):
+def blue_skeleton(d: Rank2Diagram | CanonicalRank2Diagram):
     """The blue graph as an ordinary leveled diagram (forgetting red data).
 
     Vertices (n, j, p) flatten to a per-level index; multiplicities count the
-    blue edges between vertex pairs.
+    blue edges between vertex pairs.  On a canonical diagram they follow from
+    the Chinese remainder theorem: the count c of a cycle pair with lengths
+    t, u puts c // lcm(t, u) edges between positions p and q when p = q mod
+    gcd(t, u), and none otherwise; the c mod lcm(t, u) edges left over (none
+    on a layout matrix data gives) are added one by one.
     """
     from .graph_model import BratteliDiagram
 
@@ -524,8 +670,19 @@ def blue_skeleton(d: Rank2Diagram):
     tables = []
     for n in range(d.levels() - 1):
         table = [[0] * sizes[n + 1] for _ in range(sizes[n])]
-        for e in d.blue_edges_at(n):
-            table[flat_index[e.range_vertex]][flat_index[e.source_vertex]] += 1
+        if isinstance(d, CanonicalRank2Diagram):
+            for j, i, c in d.pairs_at(n):
+                t, u = d.cycle_size(n, j), d.cycle_size(n + 1, i)
+                g, (per, left) = math.gcd(t, u), divmod(c, math.lcm(t, u))
+                for p in range(t):
+                    row = table[flat_index[(n, j, p)]]
+                    for q in range(p % g, u, g):
+                        row[flat_index[(n + 1, i, q)]] += per
+                for k in range(left):
+                    table[flat_index[(n, j, k % t)]][flat_index[(n + 1, i, k % u)]] += 1
+        else:
+            for e in d.blue_edges_at(n):
+                table[flat_index[e.range_vertex]][flat_index[e.source_vertex]] += 1
         tables.append(as_matrix(table))
     return BratteliDiagram(tuple(sizes), tuple(tables), None)
 
@@ -535,8 +692,8 @@ class Rank2Automorphism:
     """Blue edges at level n map through F^{m_n}; vertices rotate inside
     their red cycles accordingly, and red segments re-anchor by degree."""
 
-    diagram: Rank2Diagram
-    orders: OrderData
+    diagram: Rank2Diagram | CanonicalRank2Diagram
+    orders: OrderData | CanonicalOrders
 
     def blue_image(self, label: BlueLabel) -> BlueLabel:
         return self.orders.f_power(label, self.m_at(label[0]))
@@ -564,7 +721,10 @@ class Rank2Automorphism:
         return Rank2Path(blue, p.red_degree, anchor)
 
 
-def rank2_automorphism(d: Rank2Diagram, orders: OrderData | None = None) -> Rank2Automorphism:
+def rank2_automorphism(
+    d: Rank2Diagram | CanonicalRank2Diagram,
+    orders: OrderData | CanonicalOrders | None = None,
+) -> Rank2Automorphism:
     """Build and verify the F^{m_n} automorphism.
 
     Well-definedness needs the image of a blue edge's source to match the
@@ -573,6 +733,22 @@ def rank2_automorphism(d: Rank2Diagram, orders: OrderData | None = None) -> Rank
     """
     orders = orders or compute_orders(d)
     auto = Rank2Automorphism(d, orders)
+    if isinstance(d, CanonicalRank2Diagram):
+        # F^{m_n} sends edge k of a pair to k + a, a = orientation * m_n mod
+        # count, wrapping past the count for k >= count - a; the source of
+        # edge k must move as level n+1 rotates, by orientation * m_{n+1}.
+        # So edge 0 fails unless a matches that rotation mod the upper cycle
+        # length, and else edge count - a fails unless that length divides
+        # the count (which holds on every layout matrix data gives).
+        o = d.orientation
+        for n in range(d.levels() - 1):
+            for j, i, c in d.pairs_at(n):
+                u, a = d.cycle_size(n + 1, i), o * orders.m[n] % c
+                if (a - o * orders.m[n + 1]) % u:
+                    raise StructuralError(_ill_defined_at((n, j, i, 0)))
+                if a and c % u:
+                    raise StructuralError(_ill_defined_at((n, j, i, c - a)))
+        return auto
     by_label = d.blue_by_label()
     for e in d.blue:
         n = e.range_vertex[0]
@@ -581,8 +757,12 @@ def rank2_automorphism(d: Rank2Diagram, orders: OrderData | None = None) -> Rank
         expected = d.red_walk(e.source_vertex, orders.m[n + 1])
         got = by_label[auto.blue_image(e.label)].source_vertex
         if got != expected:
-            raise StructuralError(
-                f"order automorphism ill-defined at edge {e.label}: source "
-                f"rotation mismatch (F inconsistency)"
-            )
+            raise StructuralError(_ill_defined_at(e.label))
     return auto
+
+
+def _ill_defined_at(label: BlueLabel) -> str:
+    return (
+        f"order automorphism ill-defined at edge {label}: source "
+        f"rotation mismatch (F inconsistency)"
+    )

@@ -269,9 +269,9 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
         return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
         return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
-    from .rank2_diagrams import Rank2Diagram
+    from .rank2_diagrams import CanonicalRank2Diagram, Rank2Diagram
 
-    if isinstance(backend, Rank2Diagram):
+    if isinstance(backend, (Rank2Diagram, CanonicalRank2Diagram)):
         return _check_wfc_rank2(backend, alpha, depth, shift_bound, s_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 
@@ -478,11 +478,17 @@ class LcWitness:
         }
 
 
+# Automorphism steps the orbit search of check_lc may take on one path
+# before it gives up.
+LC_ORBIT_FUEL = 10**7
+
+
 def check_lc(backend, alpha, basis_sample: Sequence) -> LcWitness:
     """Per basis element, the least l >= 1 with alpha^{-l}(V) inside V.
 
-    Orbits live inside finite sets, so the search always terminates; every
-    returned witness is re-verified by an exact inclusion check.
+    Orbits live inside finite sets, so the search terminates; on path words
+    and rank-2 paths it gives up after LC_ORBIT_FUEL steps.  Every returned
+    witness is re-verified by an exact inclusion check.
     """
     entries = []
     for V in basis_sample:
@@ -524,8 +530,10 @@ def _lc_cylinder(alpha: GraphAutomorphismBase, mu: PathWord) -> int:
             l = fuel
             break
         fuel += 1
-        if fuel > 10**7:
-            raise AssertionError("orbit of the word did not close")
+        if fuel > LC_ORBIT_FUEL:
+            raise AssertionError(
+                f"orbit of the word did not close within LC_ORBIT_FUEL = {LC_ORBIT_FUEL} steps"
+            )
     image = lifted.power(-l).on_bisection(unit_bisection(mu))
     if not basic_subset(image, unit_bisection(mu)):
         raise AssertionError("orbit length does not witness the inclusion")
@@ -540,8 +548,11 @@ def _lc_rank2(alpha, lam) -> int:
         if current == lam:
             return fuel
         fuel += 1
-        if fuel > 10**7:
-            raise AssertionError("orbit of the rank-2 path did not close")
+        if fuel > LC_ORBIT_FUEL:
+            raise AssertionError(
+                f"orbit of the rank-2 path did not close within "
+                f"LC_ORBIT_FUEL = {LC_ORBIT_FUEL} steps"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ paths under test.
 from __future__ import annotations
 
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
-from groupoid_forge.graph_model import path_from_edges, vertex_path
+from groupoid_forge.graph_model import Edge, path_from_edges, vertex_path
+from groupoid_forge.rank2_diagrams import Rank2Diagram
 from groupoid_forge.validation import ValidationReport, Violation, report_from
 
 
@@ -90,6 +91,8 @@ def brute_groupoid_axioms(G) -> ValidationReport:
             v.append(Violation("r,s land in units", f"element {g!r}"))
         if G.inv(g) not in eset:
             v.append(Violation("inverse closed", f"element {g!r}"))
+        elif G.r(G.inv(g)) != G.s(g) or G.s(G.inv(g)) != G.r(g):
+            v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
     composable = {(g, h) for g in G.elements for h in G.elements if G.composable(g, h)}
     defined = set(G.composition)
@@ -137,3 +140,22 @@ def brute_groupoid_axioms(G) -> ValidationReport:
                     v.append(Violation("associativity", f"triple {(g, h, k)!r}"))
 
     return report_from(v)
+
+
+def materialize_rank2(d):
+    """Every blue edge of a canonical rank-2 diagram, laid out one by one as
+    its class describes: edge k of a pair ranges at k mod T_n(j), sources at
+    k mod T_{n+1}(i), and F adds the orientation modulo the count.  Unlike
+    ``build_rank2`` this accepts counts that are not multiples of their cycle
+    lengths, which no matrix data produces."""
+    blue, f_map = [], {}
+    for n, counts in enumerate(d.counts):
+        for i, row in enumerate(counts):
+            for j, c in enumerate(row):
+                for k in range(c):
+                    label = (n, j, i, k)
+                    low = (n, j, k % d.cycle_size(n, j))
+                    high = (n + 1, i, k % d.cycle_size(n + 1, i))
+                    blue.append(Edge(label, low, high))
+                    f_map[label] = (n, j, i, (k + d.orientation) % c)
+    return Rank2Diagram(d.cycle_sizes, tuple(blue), f_map, d.orientation)

@@ -1,5 +1,6 @@
 """The forge command line surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,23 @@ import groupoid_forge
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import constant_diagram
 from groupoid_forge.groupoid_core import full_relation
-from groupoid_forge.rank2_diagrams import Rank2Data
+from groupoid_forge.rank2_diagrams import (
+    Rank2Data,
+    build_rank2,
+    compute_orders,
+    rank2_automorphism,
+    telescope_rank2,
+)
+from groupoid_forge.twisted_product import check_wfc
+
+CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
+FIGURE_TAIL = Rank2Data(
+    A=(((3,),), ((4,),), ((2,),)),
+    B=(((1,),), ((2,),), ((2,),)),
+    T=((1,), (3,), (6,), (6,)),
+    repeat_from=2,
+)
 
 
 @pytest.fixture
@@ -210,6 +227,54 @@ class TestRank2Cli:
         assert data["m"][0] == 0
         assert main(["rank2", "telescope", "--input", rank2_file, "--levels", "5"]) == 0
         assert main(["rank2", "automorphism", "--input", rank2_file]) == 0
+
+
+def _materialized_rank2_output(action, data, levels):
+    """What the rank-2 tools print when they walk the diagram of build_rank2."""
+    diagram = build_rank2(data, levels)
+    if action == "build":
+        return {"levels": [list(s) for s in diagram.cycle_sizes], "blue_edges": len(diagram.blue)}
+    if action == "orders":
+        orders = compute_orders(diagram)
+        return {
+            "orders_per_level": {str(n): list(orders.orders_at(n)) for n in range(levels - 1)},
+            "level_lcm": list(orders.level_lcm),
+            "m": list(orders.m),
+        }
+    auto = rank2_automorphism(diagram)
+    return {
+        "m_sequence": list(auto.orders.m),
+        "sample": {str(e.label): str(auto.blue_image(e.label)) for e in diagram.blue[:8]},
+    }
+
+
+class TestRank2CliMatchesMaterialized:
+    @pytest.mark.parametrize("action", ["build", "orders", "automorphism"])
+    @pytest.mark.parametrize(
+        "data, levels",
+        [(CONSTANT2, 6), (dataclasses.replace(CONSTANT2, orientation=-1), 6), (FIGURE, 3)],
+        ids=["constant2", "constant2-reversed", "figure"],
+    )
+    def test_rank2_tools(self, action, data, levels, tmp_path):
+        source, out = tmp_path / "data.json", tmp_path / "out.json"
+        source.write_text(json.dumps(data.to_json()))
+        argv = ["rank2", action, "--input", str(source), "--levels", str(levels)]
+        assert main(argv + ["--out", str(out)]) == 0
+        expected = _materialized_rank2_output(action, data, levels)
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "data, depth, lbound", [(CONSTANT2, 4, 10), (FIGURE_TAIL, 3, 5)], ids=["constant2", "figure-tail"]
+    )
+    def test_certify_wfc(self, data, depth, lbound, tmp_path):
+        source, out = tmp_path / "data.json", tmp_path / "cert.json"
+        source.write_text(json.dumps(data.to_json()))
+        argv = ["certify", "wfc", "--rank2", "--input", str(source), "--depth", str(depth)]
+        code = main(argv + ["--lbound", str(lbound), "--out", str(out)])
+        tele = telescope_rank2(data, depth + 2)
+        expected = check_wfc(build_rank2(tele.telescoped, depth + 2), None, depth, lbound)
+        assert code == (0 if expected.is_certificate else 1)
+        assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 class TestRealize:

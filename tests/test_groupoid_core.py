@@ -124,12 +124,14 @@ def _corruptions(G: FiniteGroupoid, rng):
     if others:
         yield "wrong product", rebuild(composition=(pair, rng.choice(others)))
     yield "product outside", rebuild(composition=(pair, "ghost"))
-    # a wrong inverse composable with g on neither side breaks no checked axiom
     wrong_inverses = [
         x for x in els if x != G.inv(g) and (G.s(x) == G.r(g) or G.r(x) == G.s(g))
     ]
     if wrong_inverses:
         yield "broken inverse", rebuild(inverse_map=(g, rng.choice(wrong_inverses)))
+    detached = [x for x in els if G.s(x) != G.r(g) and G.r(x) != G.s(g)]
+    if detached:
+        yield "non-composable inverse", rebuild(inverse_map=(g, rng.choice(detached)))
     yield "inverse outside", rebuild(inverse_map=(g, "ghost"))
     yield "range outside", rebuild(range_map=(g, "nowhere"))
     yield "source outside", rebuild(source_map=(g, "nowhere"))
@@ -157,7 +159,21 @@ class TestAxiomOracle:
                 assert not expected.passed, name
                 assert _violations(verify_groupoid_axioms(bad)) == _violations(expected), name
                 seen[name] += 1
-        assert len(seen) == 8
+        assert len(seen) == 9
+
+    def test_inverse_composable_with_neither_side_is_reported(self):
+        G = full_relation(range(3))
+        bad = build_groupoid(
+            G.elements,
+            G.units,
+            G.range_map,
+            G.source_map,
+            G.composition,
+            {**G.inverse_map, (0, 1): (2, 2)},
+        )
+        expected = [("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", "element (0, 1)")]
+        for report in (verify_groupoid_axioms(bad), brute_groupoid_axioms(bad)):
+            assert [(v.invariant, v.subject) for v in report.violations] == expected
 
     def test_order_is_element_then_table_order(self):
         G = full_relation(range(2))

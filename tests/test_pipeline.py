@@ -1,5 +1,6 @@
 """The realization planners and their self-contained reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,15 @@ class TestRank2Plan:
         report = plan_rank2_realization(CONSTANT2, depth=4, lbound=10)
         assert report.wfc.is_certificate
         assert len(calls) == 1
+
+    def test_depth_six_report_is_pinned(self):
+        # a million blue edges when materialized; the closed forms plan it at once
+        report = plan_rank2_realization(CONSTANT2, depth=6, lbound=50)
+        assert report.ok
+        text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "79df70d468e1d9da3e1bcb86fb58558d61a80e4b34aa8db3fff3aa63f4b257ce"
+        assert verify_report_json(json.loads(text))
 
     def test_horizon_exhaustion(self):
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10, source_cap=4)

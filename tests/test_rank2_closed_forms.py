@@ -1,0 +1,182 @@
+"""The canonical rank-2 layout in closed form, against the materialized
+diagram of ``build_rank2`` as the oracle."""
+
+import dataclasses
+import json
+from itertools import islice
+
+import pytest
+
+from groupoid_forge import graph_model, rank2_diagrams
+from groupoid_forge.dimension_groups import rank2_k_matrices
+from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
+from groupoid_forge.rank2_diagrams import (
+    CanonicalRank2Diagram,
+    Rank2Data,
+    blue_skeleton,
+    build_rank2,
+    canonical_rank2,
+    compute_orders,
+    rank2_automorphism,
+    telescope_rank2,
+    validate_rank2,
+)
+from groupoid_forge.validation import StructuralError
+
+from helpers import materialize_rank2
+
+FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
+CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+CONSTANT3 = Rank2Data(A=(((3,),),), B=(((3,),),), T=((1,), (1,)), repeat_from=0)
+FIGURE_TAIL = Rank2Data(
+    A=(((3,),), ((4,),), ((2,),)),
+    B=(((1,),), ((2,),), ((2,),)),
+    T=((1,), (3,), (6,), (6,)),
+    repeat_from=2,
+)
+TWO_CYCLE_ONES = Rank2Data(
+    A=(((1, 1), (1, 1)),), B=(((1, 1), (1, 1)),), T=((1, 1), (1, 1)), repeat_from=0
+)
+
+
+def _telescoped(data, depth):
+    levels = depth + 2
+    return telescope_rank2(data, levels).telescoped, levels
+
+
+CASES = {
+    "figure": (FIGURE, 3),
+    "const2_d3": _telescoped(CONSTANT2, 3),
+    "const2_d4": _telescoped(CONSTANT2, 4),
+    "const3_d3": _telescoped(CONSTANT3, 3),
+    "const3_d4": _telescoped(CONSTANT3, 4),
+    "figure_tail_d3": _telescoped(FIGURE_TAIL, 3),
+    "two_cycle_ones_d2": _telescoped(TWO_CYCLE_ONES, 2),
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, o) for name in CASES for o in (1, -1)],
+    ids=lambda p: f"{p[0]}{'+' if p[1] == 1 else '-'}",
+)
+def pair(request):
+    """(canonical, materialized) diagrams of one case and orientation."""
+    name, orientation = request.param
+    data, levels = CASES[name]
+    data = dataclasses.replace(data, orientation=orientation)
+    return canonical_rank2(data, levels), build_rank2(data, levels)
+
+
+def _labels(diagram):
+    return [e.label for e in diagram.blue]
+
+
+class TestAgainstMaterialized:
+    def test_labels_in_build_order(self, pair):
+        canon, mat = pair
+        assert canon.blue_count() == len(mat.blue)
+        for n in range(mat.levels() - 1):
+            expected = [e.label for e in mat.blue_edges_at(n)]
+            assert list(canon.blue_labels_at(n)) == expected
+        for n in (0, 1):
+            first = [e.label for e in mat.blue_edges_at(n)[:4]]
+            assert list(islice(canon.blue_labels_at(n), 4)) == first
+
+    def test_orders_and_f_powers(self, pair):
+        canon, mat = pair
+        fast, ref = compute_orders(canon), compute_orders(mat)
+        assert fast.level_lcm == ref.level_lcm
+        assert fast.m == ref.m
+        for n in range(mat.levels() - 1):
+            assert fast.orders_at(n) == ref.orders_at(n)
+            assert fast.min_order_at(n) == ref.min_order_at(n)
+        assert fast.max_edge_level() == ref.max_edge_level()
+        for label in _labels(mat):
+            assert fast.edge_order(label) == ref.edge_orders[label]
+            for s in (*range(-3, 4), ref.m[label[0]]):
+                assert fast.f_power(label, s) == ref.f_power(label, s)
+
+    def test_validation_and_k_matrices(self, pair):
+        canon, mat = pair
+        assert validate_rank2(canon) == validate_rank2(mat)
+        assert validate_rank2(canon).passed
+        assert rank2_k_matrices(canon) == rank2_k_matrices(mat)
+
+    def test_automorphism(self, pair):
+        canon, mat = pair
+        fast, ref = rank2_automorphism(canon), rank2_automorphism(mat)
+        for label in _labels(mat):
+            assert fast.blue_image(label) == ref.blue_image(label)
+            assert fast.blue_preimage(label) == ref.blue_preimage(label)
+
+    def test_skeleton(self, pair):
+        canon, mat = pair
+        fast, ref = blue_skeleton(canon), blue_skeleton(mat)
+        assert fast.level_sizes == ref.level_sizes
+        assert fast.mult == ref.mult
+
+
+# Layouts no matrix data produces: a count that is not a multiple of a cycle
+# length, or a cycle without blue edges.
+BROKEN = {
+    "source_short": (((2,), (3,)), (((4,),),)),
+    "both_short": (((2,), (3,)), (((1,),),)),
+    "idle_cycle": (((1, 2), (2, 3)), (((0, 2), (0, 6)),)),
+    "upper_level": (((1,), (2,), (2,)), (((2,),), ((3,),))),
+    # m = (0, 0, 6): the rotation of level 2 misses the level-1 sources
+    "rotation_mismatch": (((1,), (1,), (4,)), (((2,),), ((6,),))),
+    # m = (0, 0, 0, 2): F^2 wraps the level-2 pair of count 3 past its end
+    "wrap_mismatch": (((1,), (1,), (1,), (2,)), (((1,),), ((2,),), ((3,),))),
+}
+
+
+def _outcome(fn, diagram):
+    try:
+        return "value", fn(diagram)
+    except StructuralError as exc:
+        return "error", str(exc)
+
+
+def _skeleton(diagram):
+    skeleton = blue_skeleton(diagram)
+    return skeleton.level_sizes, skeleton.mult
+
+
+@pytest.mark.parametrize("orientation", (1, -1))
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_layouts_match_the_materialized_diagram(name, orientation):
+    sizes, counts = BROKEN[name]
+    canon = CanonicalRank2Diagram(sizes, counts, orientation)
+    mat = materialize_rank2(canon)
+
+    def images(diagram):
+        auto = rank2_automorphism(diagram)
+        return [auto.blue_image(e.label) for e in mat.blue]
+
+    assert not validate_rank2(canon).passed
+    assert validate_rank2(canon) == validate_rank2(mat)
+    assert _outcome(rank2_k_matrices, canon) == _outcome(rank2_k_matrices, mat)
+    assert _outcome(_skeleton, canon) == _outcome(_skeleton, mat)
+    assert _outcome(images, canon) == _outcome(images, mat)
+
+
+def test_non_proper_matrices_rejected_alike():
+    data = Rank2Data(A=(((0,),),), B=(((0,),),), T=((1,), (1,)))
+    with pytest.raises(StructuralError) as fast:
+        canonical_rank2(data, 2)
+    with pytest.raises(StructuralError) as ref:
+        build_rank2(data, 2)
+    assert str(fast.value) == str(ref.value)
+
+
+def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a blue edge was materialized")
+
+    monkeypatch.setattr(rank2_diagrams, "build_rank2", forbidden)
+    monkeypatch.setattr(graph_model.Edge, "__init__", forbidden)
+    for data, unit in ((CONSTANT2, (0, [2])), (TWO_CYCLE_ONES, (0, [1, 2]))):
+        report = plan_rank2_realization(data, unit_class=unit, depth=3, lbound=10)
+        assert report.telescoping["complete"]
+        assert verify_report_json(json.loads(json.dumps(report.to_json())))

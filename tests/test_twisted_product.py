@@ -1,6 +1,8 @@
 """Twisted products, freeness/contraction certificates, minimality and the
 finite principality oracle."""
 
+import importlib
+
 import pytest
 
 from families import rng_for, seeded_twisted_instances
@@ -42,6 +44,8 @@ from groupoid_forge.twisted_product import (
 )
 
 BQ = InfiniteBouquet()
+# the package exports the function twisted_product under the module's name
+twisted_product_module = importlib.import_module("groupoid_forge.twisted_product")
 
 
 def three_point_relation_with_cocycle():
@@ -217,6 +221,37 @@ class TestLc:
         expected = o // math.gcd(m2, o)
         w = check_lc(diagram, auto, [Rank2Path((e.label,), 0)])
         assert w.entries[0].l == expected == 1
+
+
+class TestLcFuel:
+    """The orbit searches of check_lc stop at LC_ORBIT_FUEL and name it."""
+
+    def test_cylinder_search_names_the_cap(self, monkeypatch):
+        from groupoid_forge.graph_model import BratteliDiagram, path_from_edges
+        from groupoid_forge.matrices import as_matrix
+
+        d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
+        alpha = edge_cycle_automorphism(d)
+        mu = path_from_edges((d.edges_between(0)[0],))
+        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 1)
+        with pytest.raises(AssertionError, match="LC_ORBIT_FUEL = 1"):
+            check_lc(d, alpha, [mu])
+        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 3)
+        assert check_lc(d, alpha, [mu]).entries[0].l == 3
+
+    def test_rank2_search_names_the_cap(self, monkeypatch):
+        from groupoid_forge.rank2_diagrams import Rank2Path, canonical_rank2, rank2_automorphism
+
+        const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+        diagram = canonical_rank2(telescope_rank2(const, 5).telescoped, 5)
+        auto = rank2_automorphism(diagram)
+        # a level-2 edge of order 8 under F^{-m_2}, m_2 = 2, closes after 4 steps
+        path = Rank2Path(((2, 0, 0, 0),), 0)
+        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 1)
+        with pytest.raises(AssertionError, match="LC_ORBIT_FUEL = 1"):
+            check_lc(diagram, auto, [path])
+        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 4)
+        assert check_lc(diagram, auto, [path]).entries[0].l == 4
 
 
 class TestContractingWitness:
