@@ -174,11 +174,20 @@ class SymbolicConvElement:
         return self.add(other.scale(-1))
 
     def __eq__(self, other) -> bool:
+        """Equal as functions: ``self - other`` merged by key, then one
+        disjointification pass per G-element finds no nonzero piece."""
         if not isinstance(other, SymbolicConvElement):
             return NotImplemented
         if self.model is not other.model:
             return False
-        return self.sub(other).is_zero()
+        diff = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            diff[key] = diff[key] - c if key in diff else -c
+        by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
+        for (b, g), c in diff.items():
+            if c:
+                by_g.setdefault(g, []).append((b, c))
+        return not any(canonical_pieces(pieces) for pieces in by_g.values())
 
     def __hash__(self):
         return hash(id(self.model))
@@ -199,6 +208,18 @@ class SymbolicConvElement:
 # ---------------------------------------------------------------------------
 
 
+def _power_cache(alpha: GroupoidAutomorphism):
+    """``k -> alpha.power(k)``, each power computed once per call site."""
+    powers: dict[int, GroupoidAutomorphism] = {}
+
+    def power(k: int) -> GroupoidAutomorphism:
+        if k not in powers:
+            powers[k] = alpha.power(k)
+        return powers[k]
+
+    return power
+
+
 def convolve(x, y):
     """Exact convolution (xi * eta)(g) = sum over hk = g of xi(h) eta(k)."""
     _same_backend(x, y)
@@ -212,14 +233,13 @@ def convolve(x, y):
                     out[k] = out.get(k, ZERO) + cg * ch
         return FiniteConvElement(G, out)
     model = x.model
-    G, alpha = model.g, model.alpha
+    G, power = model.g, _power_cache(model.alpha)
     pieces: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b1, g1), c1 in x.coeffs.items():
-        d1 = b1.degree
-        fwd = alpha.power(d1)
-        back = alpha.power(-d1)
+        back = power(-b1.degree)
+        meets = power(b1.degree)(G.s(g1))
         for (b2, g2), c2 in y.coeffs.items():
-            if fwd(G.s(g1)) != G.r(g2):
+            if meets != G.r(g2):
                 continue
             g12 = G.mul(g1, back(g2))
             for piece in bisection_product(b1, b2).pieces:
@@ -236,10 +256,10 @@ def involution(x):
             G, {G.inv(g): c.conjugate() for g, c in x.coeffs.items()}
         )
     model = x.model
+    power = _power_cache(model.alpha)
     out: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b, g), c in x.coeffs.items():
-        d = b.degree
-        key = (b.inverse(), model.alpha.power(d)(model.g.inv(g)))
+        key = (b.inverse(), power(b.degree)(model.g.inv(g)))
         out[key] = out.get(key, ZERO) + c.conjugate()
     return SymbolicConvElement(model, out)
 

@@ -16,7 +16,7 @@ infinitely many receivers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .graph_model import (
@@ -168,11 +168,17 @@ class GermElement:
 
 @dataclass(frozen=True)
 class BasicBisection:
-    """Z((range_word, source_word) \\ excluded)."""
+    """Z((range_word, source_word) \\ excluded).
+
+    The degree |range_word| - |source_word| is kept from construction and
+    the hash (the dataclass hash of the fields) from its first use."""
 
     range_word: PathWord
     source_word: PathWord
     excluded: frozenset = frozenset()
+    degree: int = field(init=False, repr=False, compare=False)
+
+    _hash = None
 
     def __post_init__(self):
         if self.range_word.source_vertex != self.source_word.source_vertex:
@@ -182,10 +188,16 @@ class BasicBisection:
                 raise StructuralError(
                     "excluded edges must extend the shared source vertex"
                 )
+        object.__setattr__(
+            self, "degree", len(self.range_word.edges) - len(self.source_word.edges)
+        )
 
-    @property
-    def degree(self) -> int:
-        return len(self.range_word) - len(self.source_word)
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.range_word, self.source_word, self.excluded))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def inverse(self) -> "BasicBisection":
         return BasicBisection(self.source_word, self.range_word, self.excluded)
@@ -205,8 +217,8 @@ class BasicBisection:
             return False
         if not self.range_word.is_prefix_of(x) or not self.source_word.is_prefix_of(y):
             return False
-        tx = x.edges[len(self.range_word):]
-        ty = y.edges[len(self.source_word):]
+        tx = x.edges[len(self.range_word.edges):]
+        ty = y.edges[len(self.source_word.edges):]
         if tx != ty:
             return False
         return not tx or tx[0] not in self.excluded
@@ -224,7 +236,7 @@ def _suffix(longer: PathWord, shorter: PathWord) -> tuple[Edge, ...] | None:
     """Edges of ``longer`` past ``shorter`` if ``shorter`` is a prefix."""
     if not shorter.is_prefix_of(longer):
         return None
-    return longer.edges[len(shorter):]
+    return longer.edges[len(shorter.edges):]
 
 
 def bisection_product(a: BasicBisection, b: BasicBisection) -> "BisectionSum":

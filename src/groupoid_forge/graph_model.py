@@ -47,10 +47,16 @@ class Edge:
 
 @dataclass(frozen=True)
 class PathWord:
-    """A finite path; the empty path is anchored at a vertex."""
+    """A finite path; the empty path is anchored at a vertex.
+
+    Words are dictionary keys all through the bisection calculus, so the
+    hash (the dataclass hash of the fields) is computed on first use and
+    kept."""
 
     edges: tuple[Edge, ...] = ()
     anchor: Vertex | None = None
+
+    _hash = None
 
     def __post_init__(self):
         if not self.edges and self.anchor is None:
@@ -62,6 +68,13 @@ class PathWord:
             # the anchor is redundant on nonempty paths; normalize so that
             # structural equality of paths is equality of edge sequences
             object.__setattr__(self, "anchor", None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.edges, self.anchor))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def range_vertex(self) -> Vertex:
@@ -82,18 +95,18 @@ class PathWord:
         return PathWord(self.edges + other.edges, self.anchor)
 
     def prefix(self, n: int) -> "PathWord":
-        if n > len(self):
+        if n > len(self.edges):
             raise ValueError("prefix longer than path")
         if n == 0:
             return vertex_path(self.range_vertex)
         return PathWord(self.edges[:n])
 
     def is_prefix_of(self, other: "PathWord") -> bool:
-        if len(self) > len(other):
-            return False
-        if len(self) == 0:
-            return self.range_vertex == other.range_vertex
-        return other.edges[: len(self)] == self.edges
+        edges = self.edges
+        n = len(edges)
+        if n == 0:
+            return self.anchor == other.range_vertex
+        return other.edges[:n] == edges
 
     def sort_key(self):
         return tuple(e.label for e in self.edges)

@@ -132,6 +132,11 @@ class Rank2Diagram(_RedCycles):
     def blue_by_label(self) -> Mapping[BlueLabel, Edge]:
         return self._by_label
 
+    def blue_ends(self, label: BlueLabel) -> tuple[Vertex, Vertex]:
+        """(range, source) of a blue edge."""
+        e = self._by_label[label]
+        return e.range_vertex, e.source_vertex
+
 
 @dataclass(frozen=True)
 class CanonicalRank2Diagram(_RedCycles):
@@ -175,6 +180,20 @@ class CanonicalRank2Diagram(_RedCycles):
 
     def blue_count(self) -> int:
         return sum(c for counts in self.counts for row in counts for c in row)
+
+    def blue_ends(self, label: BlueLabel) -> tuple[Vertex, Vertex]:
+        """(range, source) of blue edge (n, j, i, k): (n, j, k mod T_n(j))
+        and (n+1, i, k mod T_{n+1}(i)).  An unknown label raises KeyError."""
+        n, j, i, k = label
+        if not (
+            0 <= n < len(self.counts)
+            and 0 <= i < len(self.counts[n])
+            and 0 <= j < len(self.counts[n][i])
+            and 0 <= k < self.counts[n][i][j]
+        ):
+            raise KeyError(label)
+        low, high = self.cycle_size(n, j), self.cycle_size(n + 1, i)
+        return (n, j, k % low), (n + 1, i, k % high)
 
 
 def validate_rank2(d: Rank2Diagram | CanonicalRank2Diagram) -> ValidationReport:
@@ -611,30 +630,35 @@ class Rank2Path:
         return (len(self.blue), self.red_degree)
 
 
-def path_range(d: Rank2Diagram, p: Rank2Path) -> Vertex:
+def path_range(d: Rank2Diagram | CanonicalRank2Diagram, p: Rank2Path) -> Vertex:
     if p.blue:
-        return d.blue_by_label()[p.blue[0]].range_vertex
+        return d.blue_ends(p.blue[0])[0]
     return p.anchor
 
 
-def path_source(d: Rank2Diagram, p: Rank2Path) -> Vertex:
-    if p.blue:
-        last = d.blue_by_label()[p.blue[-1]].source_vertex
-    else:
-        last = p.anchor
+def path_source(d: Rank2Diagram | CanonicalRank2Diagram, p: Rank2Path) -> Vertex:
+    last = d.blue_ends(p.blue[-1])[1] if p.blue else p.anchor
     return d.red_path_source(last, p.red_degree)
 
 
-def make_path(d: Rank2Diagram, blue: Sequence[BlueLabel], red_degree: int = 0,
-              anchor: Vertex | None = None) -> Rank2Path:
-    by_label = d.blue_by_label()
+def make_path(
+    d: Rank2Diagram | CanonicalRank2Diagram,
+    blue: Sequence[BlueLabel],
+    red_degree: int = 0,
+    anchor: Vertex | None = None,
+) -> Rank2Path:
     for a, b in zip(blue, blue[1:]):
-        if by_label[a].source_vertex != by_label[b].range_vertex:
+        if d.blue_ends(a)[1] != d.blue_ends(b)[0]:
             raise StructuralError(f"blue edges do not compose: {a} then {b}")
     return Rank2Path(tuple(blue), red_degree, anchor)
 
 
-def compose_paths(d: Rank2Diagram, orders: OrderData, p: Rank2Path, q: Rank2Path) -> Rank2Path:
+def compose_paths(
+    d: Rank2Diagram | CanonicalRank2Diagram,
+    orders: OrderData | CanonicalOrders,
+    p: Rank2Path,
+    q: Rank2Path,
+) -> Rank2Path:
     """Concatenate in normal form: the leading red part of degree s passes
     through each following blue edge as F^s."""
     if path_source(d, p) != path_range(d, q):

@@ -7,6 +7,9 @@ paths under test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
 from groupoid_forge.graph_model import Edge, path_from_edges, vertex_path
 from groupoid_forge.rank2_diagrams import Rank2Diagram
@@ -159,3 +162,69 @@ def materialize_rank2(d):
                     blue.append(Edge(label, low, high))
                     f_map[label] = (n, j, i, (k + d.orientation) % c)
     return Rank2Diagram(d.cycle_sizes, tuple(blue), f_map, d.orientation)
+
+
+@dataclass(frozen=True)
+class FractionGaussian:
+    """A Gaussian rational kept as two ``Fraction`` parts, each operation
+    written out on the parts (the oracle for ``gaussian.GaussianRational``)."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(value) -> "FractionGaussian":
+        if isinstance(value, FractionGaussian):
+            return value
+        return FractionGaussian(Fraction(value), Fraction(0))
+
+    def __add__(self, other) -> "FractionGaussian":
+        o = FractionGaussian.of(other)
+        return FractionGaussian(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionGaussian":
+        return FractionGaussian(-self.re, -self.im)
+
+    def __sub__(self, other) -> "FractionGaussian":
+        return self + (-FractionGaussian.of(other))
+
+    def __rsub__(self, other) -> "FractionGaussian":
+        return FractionGaussian.of(other) - self
+
+    def __mul__(self, other) -> "FractionGaussian":
+        o = FractionGaussian.of(other)
+        return FractionGaussian(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FractionGaussian":
+        o = FractionGaussian.of(other)
+        denom = o.re * o.re + o.im * o.im
+        if denom == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGaussian(
+            (self.re * o.re + self.im * o.im) / denom,
+            (self.im * o.re - self.re * o.im) / denom,
+        )
+
+    def conjugate(self) -> "FractionGaussian":
+        return FractionGaussian(self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+def fraction_gauss(re=0, im=0) -> FractionGaussian:
+    return FractionGaussian(Fraction(re), Fraction(im))

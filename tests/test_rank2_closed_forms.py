@@ -2,6 +2,7 @@
 diagram of ``build_rank2`` as the oracle."""
 
 import dataclasses
+import itertools
 import json
 from itertools import islice
 
@@ -13,10 +14,15 @@ from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
 from groupoid_forge.rank2_diagrams import (
     CanonicalRank2Diagram,
     Rank2Data,
+    Rank2Path,
     blue_skeleton,
     build_rank2,
     canonical_rank2,
+    compose_paths,
     compute_orders,
+    make_path,
+    path_range,
+    path_source,
     rank2_automorphism,
     telescope_rank2,
     validate_rank2,
@@ -115,6 +121,63 @@ class TestAgainstMaterialized:
         fast, ref = blue_skeleton(canon), blue_skeleton(mat)
         assert fast.level_sizes == ref.level_sizes
         assert fast.mult == ref.mult
+
+
+@pytest.mark.parametrize("orientation", (1, -1))
+@pytest.mark.parametrize("data, levels", [(CONSTANT2, 3), (CONSTANT2, 4), (FIGURE, 3)])
+class TestPathsAgainstMaterialized:
+    def diagrams(self, data, levels, orientation):
+        data = dataclasses.replace(data, orientation=orientation)
+        return canonical_rank2(data, levels), build_rank2(data, levels)
+
+    def test_ends_range_and_source(self, data, levels, orientation):
+        canon, mat = self.diagrams(data, levels, orientation)
+        for e in mat.blue:
+            assert canon.blue_ends(e.label) == (e.range_vertex, e.source_vertex)
+            for red in range(4):
+                p = Rank2Path((e.label,), red)
+                assert path_range(canon, p) == path_range(mat, p) == e.range_vertex
+                assert path_source(canon, p) == path_source(mat, p)
+        for v in canon.vertices_at(1):
+            p = Rank2Path((), 2, v)
+            assert path_range(canon, p) == path_range(mat, p) == v
+            assert path_source(canon, p) == path_source(mat, p)
+
+    def test_make_and_compose(self, data, levels, orientation):
+        canon, mat = self.diagrams(data, levels, orientation)
+        fast, ref = compute_orders(canon), compute_orders(mat)
+        low, high = mat.blue_edges_at(0), mat.blue_edges_at(1)
+        for e, f in itertools.product(low[:6], high[:12]):
+            pair = (e.label, f.label)
+            if e.source_vertex == f.range_vertex:
+                assert make_path(canon, pair, 1) == make_path(mat, pair, 1)
+            else:
+                with pytest.raises(StructuralError) as got:
+                    make_path(canon, pair)
+                with pytest.raises(StructuralError) as want:
+                    make_path(mat, pair)
+                assert str(got.value) == str(want.value)
+            for red in range(3):
+                p, q = Rank2Path((e.label,), red), Rank2Path((f.label,), 1)
+                if path_source(mat, p) == f.range_vertex:
+                    assert compose_paths(canon, fast, p, q) == compose_paths(mat, ref, p, q)
+                else:
+                    with pytest.raises(ValueError):
+                        compose_paths(canon, fast, p, q)
+
+    def test_unknown_labels(self, data, levels, orientation):
+        canon, mat = self.diagrams(data, levels, orientation)
+        n, j, i, _ = mat.blue[-1].label
+        counts = canon.counts[n][i][j]
+        for label in ((n, j, i, counts), (n, j, i, -1), (levels - 1, 0, 0, 0), (0, 5, 0, 0)):
+            for d in (canon, mat):
+                with pytest.raises(KeyError):
+                    path_range(d, Rank2Path((label,), 0))
+
+
+def test_path_source_on_the_canonical_diagram():
+    canon = canonical_rank2(CONSTANT2, 3)
+    assert path_source(canon, Rank2Path(((0, 0, 0, 0),), 0)) == (1, 0, 0)
 
 
 # Layouts no matrix data produces: a count that is not a multiple of a cycle
