@@ -208,18 +208,6 @@ class SymbolicConvElement:
 # ---------------------------------------------------------------------------
 
 
-def _power_cache(alpha: GroupoidAutomorphism):
-    """``k -> alpha.power(k)``, each power computed once per call site."""
-    powers: dict[int, GroupoidAutomorphism] = {}
-
-    def power(k: int) -> GroupoidAutomorphism:
-        if k not in powers:
-            powers[k] = alpha.power(k)
-        return powers[k]
-
-    return power
-
-
 def convolve(x, y):
     """Exact convolution (xi * eta)(g) = sum over hk = g of xi(h) eta(k)."""
     _same_backend(x, y)
@@ -233,7 +221,7 @@ def convolve(x, y):
                     out[k] = out.get(k, ZERO) + cg * ch
         return FiniteConvElement(G, out)
     model = x.model
-    G, power = model.g, _power_cache(model.alpha)
+    G, power = model.g, model.alpha.power
     pieces: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b1, g1), c1 in x.coeffs.items():
         back = power(-b1.degree)
@@ -256,7 +244,7 @@ def involution(x):
             G, {G.inv(g): c.conjugate() for g, c in x.coeffs.items()}
         )
     model = x.model
-    power = _power_cache(model.alpha)
+    power = model.alpha.power
     out: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b, g), c in x.coeffs.items():
         key = (b.inverse(), power(b.degree)(model.g.inv(g)))

@@ -96,9 +96,6 @@ class DimensionGroupSpec:
             return ()
         return self.matrices[self.repeat_from:]
 
-    def is_proper_spec(self) -> bool:
-        return all(is_proper(m) for m in self.matrices)
-
 
 @dataclass(frozen=True)
 class DimGroupElement:

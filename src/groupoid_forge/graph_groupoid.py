@@ -139,9 +139,6 @@ class GermElement:
     def inverse(self) -> "GermElement":
         return GermElement(self.nu, self.mu, self.tail)
 
-    def is_unit(self) -> bool:
-        return self.mu == self.nu
-
     def compose(self, other: "GermElement") -> "GermElement":
         """Exact composition; concrete germs match on full middle words,
         symbolic germs require a literal middle match and a shared tail."""
@@ -222,9 +219,6 @@ class BasicBisection:
         if tx != ty:
             return False
         return not tx or tx[0] not in self.excluded
-
-    def admits_empty_tail(self) -> bool:
-        return True
 
 
 def unit_bisection(word: PathWord, excluded: Iterable[Edge] = ()) -> BasicBisection:
@@ -509,9 +503,6 @@ class SymbolicGroupoidAutomorphism:
             self.base.path_image(b.source_word),
             frozenset(self.base.edge_image(e) for e in b.excluded),
         )
-
-    def on_sum(self, s: BisectionSum) -> BisectionSum:
-        return BisectionSum(tuple(self.on_bisection(p) for p in s.pieces))
 
     def power(self, k: int) -> "SymbolicGroupoidAutomorphism":
         return SymbolicGroupoidAutomorphism(self.base.power(k))

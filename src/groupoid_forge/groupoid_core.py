@@ -2,16 +2,21 @@
 
 Elements are opaque hashable ids and composition is a table, not a formula;
 twisted products, restrictions and stabilizations all reuse this single
-backend.  Everything is immutable and every check is exhaustive.
+backend.  The table is any mapping (g, h) -> gh: factories hand over dicts,
+and twisted products are born as a ``RowTable`` of integer rows over their
+element positions, which the axiom check reads without re-encoding.
+Everything is immutable and every check is exhaustive.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from itertools import chain
+from typing import Hashable, Iterable, NamedTuple
 
 from .validation import StructuralError, ValidationReport, Violation, report_from
 
@@ -27,6 +32,40 @@ class _Index(NamedTuple):
     position: dict[El, int]
     by_range: dict[El, list[int]]
     by_source: dict[El, list[int]]
+
+
+class RowTable(Mapping):
+    """A read-only composition table on element positions: ``rows[i][j] = k``
+    means ``elements[i]·elements[j] = elements[k]``, and ``position`` maps
+    each element to its index.  It reads like the dict {(g, h): gh} it
+    replaces; iteration runs row by row, each row in insertion order."""
+
+    __slots__ = ("elements", "position", "rows")
+
+    def __init__(
+        self, elements: tuple[El, ...], position: Mapping[El, int], rows: list[dict[int, int]]
+    ):
+        self.elements = elements
+        self.position = position
+        self.rows = rows
+
+    def __getitem__(self, pair):
+        if isinstance(pair, tuple) and len(pair) == 2:
+            pos = self.position
+            try:
+                return self.elements[self.rows[pos[pair[0]]][pos[pair[1]]]]
+            except (KeyError, TypeError):  # a missing pair or an unhashable id
+                pass
+        raise KeyError(pair)
+
+    def __iter__(self):
+        els = self.elements
+        for g, row in zip(els, self.rows):
+            for j in row:
+                yield (g, els[j])
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows))
 
 
 @dataclass(frozen=True)
@@ -147,6 +186,41 @@ def groupoid_from_json(data: dict | str) -> FiniteGroupoid:
     return build_groupoid(elements, units, rng, src, comp, inv)
 
 
+def _table_rows(
+    G: FiniteGroupoid, code: dict, rng: list[int], src: list[int], partners: list
+) -> tuple[list[dict[int, int]], list[tuple[El, El]]]:
+    """The composition table as integer rows, ``rows[c][d] = e``, with one
+    row for every code in ``code``, and the pairs it holds that are not
+    composable, in table order.  A ``RowTable`` over the same elements hands
+    its rows over; any other mapping is encoded in one pass, in which ids
+    outside the elements get new codes."""
+    els = G.elements
+    n = len(els)
+    comp = G.composition
+    loose: list[tuple[El, El]] = []
+    if isinstance(comp, RowTable) and comp.elements == els:
+        rows = comp.rows
+        allowed: dict[int, set[int]] = {}
+        for i, row in enumerate(rows):
+            ok = allowed.get(src[i])
+            if ok is None:
+                ok = allowed[src[i]] = set(partners[i])
+            if not ok.issuperset(row):
+                loose += [(els[i], els[j]) for j in row if j not in ok]
+        return rows + [{}] * (len(code) - n), loose
+    rows = [{} for _ in els]
+    stray: dict[int, dict[int, int]] = {}
+    for (g, h), k in comp.items():
+        gc = code.setdefault(g, len(code))
+        hc = code.setdefault(h, len(code))
+        row = rows[gc] if gc < n else stray.setdefault(gc, {})
+        row[hc] = code.setdefault(k, len(code))
+        if gc >= n or hc >= n or src[gc] != rng[hc]:
+            loose.append((g, h))
+    rows += [stray.get(c, {}) for c in range(n, len(code))]
+    return rows, loose
+
+
 def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; name each offender.
 
@@ -157,6 +231,17 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     violations does not depend on hashing: products on pairs that are not
     composable come in composition-table order, every other kind in
     element order.
+
+    Closure and associativity are decided a row at a time.  For each
+    element g, ``lam[g]`` lists the codes of gk for k in the range bucket of
+    s(g) (``None`` if a product is missing).  Row g passes closure when the
+    ranges of ``lam[g]`` all equal r(g) and its sources run as the bucket's.
+    It then passes associativity for every composable (h, k) at once when
+    ``lam[gh]``, chained over h, equals ``lam[h]``, chained over h and
+    translated by row g.  A row that fails either comparison (a missing
+    product, a product outside, a wrong range or source, a failed equation)
+    is checked pair by pair or triple by triple instead, so the violations
+    and their order are exactly those of the element-wise definition.
     """
     v: list[Violation] = []
     els = G.elements
@@ -166,14 +251,10 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     rng = [code.setdefault(G.range_map[g], len(code)) for g in els]
     src = [code.setdefault(G.source_map[g], len(code)) for g in els]
     inv = [code.setdefault(G.inverse_map[g], len(code)) for g in els]
-    rows: dict[int, dict[int, int]] = {}
-    for (g, h), k in G.composition.items():
-        gc = code.setdefault(g, len(code))
-        hc = code.setdefault(h, len(code))
-        rows.setdefault(gc, {})[hc] = code.setdefault(k, len(code))
     units = {code[u] for u in G.units}
-    partners = [index.by_range.get(G.source_map[g], ()) for g in els]
-    no_row: dict[int, int] = {}
+    bucket = {code[u]: b for u, b in index.by_range.items()}
+    partners = [bucket.get(s, ()) for s in src]
+    rows, loose = _table_rows(G, code, rng, src, partners)
 
     for i, g in enumerate(els):
         if i in units and (rng[i] != i or src[i] != i):
@@ -187,12 +268,29 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
             # the inverse laws below only test products the table holds
             v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
-    for (g, h), k in G.composition.items():
-        gc, hc = code[g], code[h]
-        if gc >= n or hc >= n or src[gc] != rng[hc]:
-            v.append(Violation("composition only on s(g)=r(h)", f"pair {(g, h)!r}"))
+    for pair in loose:
+        v.append(Violation("composition only on s(g)=r(h)", f"pair {pair!r}"))
+
+    # Ids outside the elements have range and source -1, which no element's
+    # range equals, so a product outside fails the row comparison.
+    pad = [-1] * (len(rows) - n)
+    rng_of = (rng + pad).__getitem__
+    src_of = (src + pad).__getitem__
+    bucket_src = {c: list(map(src.__getitem__, b)) for c, b in bucket.items()}
+    lam: list[list[int] | None] = []
+    closed: list[bool] = []
     for i, g in enumerate(els):
-        row = rows.get(i, no_row)
+        row = rows[i]
+        prods = list(map(row.get, partners[i]))
+        ok = None not in prods
+        lam.append(prods if ok else None)
+        ok = ok and (
+            list(map(rng_of, prods)) == [rng[i]] * len(prods)
+            and list(map(src_of, prods)) == bucket_src.get(src[i], [])
+        )
+        closed.append(ok)
+        if ok:
+            continue
         for j in partners[i]:
             k = row.get(j)
             if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
@@ -210,25 +308,40 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
 
     for i, g in enumerate(els):
         ru, su, gi = rng[i], src[i], inv[i]
-        row = rows.get(i, no_row)
-        if rows.get(ru, no_row).get(i, i) != i:
+        row = rows[i]
+        if rows[ru].get(i, i) != i:
             v.append(Violation("r(g)g = g", f"element {g!r}"))
         if row.get(su, i) != i:
             v.append(Violation("gs(g) = g", f"element {g!r}"))
-        if rows.get(gi, no_row).get(i, su) != su:
+        if rows[gi].get(i, su) != su:
             v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
         if row.get(gi, ru) != ru:
             v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
 
-    # Associativity over all composable triples.
+    # Associativity over all composable triples.  joined[c] chains lam[h]
+    # over the bucket of range c; for a closed g every gh has the source of
+    # its h, so chaining lam[gh] over lam[g] lines up with it pair by pair.
+    joined: dict[int, list[int] | None] = {}
+    for c, b in bucket.items():
+        parts = list(map(lam.__getitem__, b))
+        joined[c] = None if None in parts else list(chain.from_iterable(parts))
     for i, g in enumerate(els):
-        row_g = rows.get(i, no_row)
+        row_g = rows[i]
+        right = joined.get(src[i]) if closed[i] else None
+        if right is not None:
+            parts = list(map(lam.__getitem__, lam[i]))
+            if None not in parts:
+                try:
+                    if list(chain.from_iterable(parts)) == list(map(row_g.__getitem__, right)):
+                        continue
+                except KeyError:
+                    pass
         for j in partners[i]:
             gh = row_g.get(j)
             if gh is None:
                 continue
-            row_h = rows.get(j, no_row)
-            row_gh = rows.get(gh, no_row)
+            row_h = rows[j]
+            row_gh = rows[gh]
             for k in partners[j]:
                 hk = row_h.get(k)
                 left = row_gh.get(k)
@@ -487,11 +600,26 @@ class GroupoidAutomorphism:
     def _positions(self) -> dict:
         return cycle_positions(self.mapping, self.groupoid.elements)
 
+    @cached_property
+    def _powers(self) -> dict[int, "GroupoidAutomorphism"]:
+        return {}
+
+    @cached_property
+    def _order(self) -> int:
+        return math.lcm(*map(len, cycles(self.mapping)))
+
     def power(self, k: int) -> "GroupoidAutomorphism":
-        return GroupoidAutomorphism(self.groupoid, rotate(self._positions, k))
+        """alpha^k, built once per residue of ``k`` modulo the order and
+        kept: ``power(k) is power(k + order())``."""
+        k %= self._order
+        power = self._powers.get(k)
+        if power is None:
+            power = GroupoidAutomorphism(self.groupoid, rotate(self._positions, k))
+            self._powers[k] = power
+        return power
 
     def order(self) -> int:
-        return math.lcm(*map(len, cycles(self.mapping)))
+        return self._order
 
 
 def identity_automorphism(G: FiniteGroupoid) -> GroupoidAutomorphism:

@@ -7,10 +7,11 @@ groupoid G carrying an automorphism a has elements (h, g),
     (h1, g1)(h2, g2) = (h1 h2, g1 a^{-c(h1)}(g2)),
     (h, g)^{-1} = (h^{-1}, a^{c(h)}(g^{-1})).
 
-Finite x finite instances materialize as a composition table.  The twisted
-product of the infinite bouquet groupoid (with its degree cocycle) and a
-finite G is never materialized: elements are (germ, element) pairs, and
-set-level claims are decided by the basic-bisection calculus.
+Finite x finite instances are born as integer composition rows over their
+element positions (a ``groupoid_core.RowTable``).  The twisted product of
+the infinite bouquet groupoid (with its degree cocycle) and a finite G is
+never materialized: elements are (germ, element) pairs, and set-level
+claims are decided by the basic-bisection calculus.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .groupoid_core import (
     Cocycle,
     FiniteGroupoid,
     GroupoidAutomorphism,
-    build_groupoid,
+    RowTable,
     cycles,
     is_principal,
     orbit,
@@ -63,10 +64,33 @@ class TwistedProduct:
     finite_form: FiniteGroupoid
 
 
+def _g_part_rows(
+    G: FiniteGroupoid, position: dict, back: GroupoidAutomorphism
+) -> list[tuple[list[int], list[int]]]:
+    """For each position p1 of G, the positions p2 of the g2 composable with
+    g1 = G.elements[p1] after ``back`` (r(back(g2)) = s(g1)) and the positions
+    of g1·back(g2), as two lists in increasing p2."""
+    rows: list[tuple[list[int], list[int]]] = [([], []) for _ in G.elements]
+    for p2, g2 in enumerate(G.elements):
+        g2_back = back(g2)
+        for g1 in G.elements_with_source(G.r(g2_back)):
+            keys, values = rows[position[g1]]
+            keys.append(p2)
+            values.append(position[G.mul(g1, g2_back)])
+    return rows
+
+
 def twisted_product(
     H: FiniteGroupoid, c: Cocycle, G: FiniteGroupoid, alpha: GroupoidAutomorphism
 ) -> TwistedProduct:
-    """Materialize the twisted product of two finite groupoids."""
+    """Materialize the twisted product of two finite groupoids.
+
+    The product is born as integer rows: (h, g) sits at position
+    pos_H(h)·|G| + pos_G(g), in the order of ``elements``.  The G-part
+    g1·alpha^{-k}(g2) of a product depends on h1 only through k = c(h1), so
+    it is tabulated once per exponent, and each composable pair (h1, h2)
+    of H then fills its block of the composition rows from that table.
+    """
     c_report = c.validate()
     if not c_report.passed:
         raise ValueError(f"invalid cocycle:\n{c_report.describe()}")
@@ -74,39 +98,33 @@ def twisted_product(
     if not a_report.passed:
         raise ValueError(f"invalid automorphism:\n{a_report.describe()}")
 
-    exponents = {c(h) for h in H.elements}
-    pow_cache: dict[int, GroupoidAutomorphism] = {}
-
-    def a_pow(k: int) -> GroupoidAutomorphism:
-        if k not in pow_cache:
-            pow_cache[k] = alpha.power(k)
-        return pow_cache[k]
-
     elements = tuple((h, g) for h in H.elements for g in G.elements)
     units = frozenset((u, w) for u in H.units for w in G.units)
     rng = {(h, g): (H.r(h), G.r(g)) for (h, g) in elements}
-    src = {(h, g): (H.s(h), a_pow(c(h))(G.s(g))) for (h, g) in elements}
-    inv = {(h, g): (H.inv(h), a_pow(c(h))(G.inv(g))) for (h, g) in elements}
+    twist = {h: alpha.power(c(h)).mapping for h in H.elements}
+    src = {(h, g): (H.s(h), twist[h][G.s(g)]) for (h, g) in elements}
+    inv = {(h, g): (H.inv(h), twist[h][G.inv(g)]) for (h, g) in elements}
 
-    h_by_source: dict = {}
-    for h in H.elements:
-        h_by_source.setdefault(H.s(h), []).append(h)
-    g_by_source: dict = {}
-    for g in G.elements:
-        g_by_source.setdefault(G.s(g), []).append(g)
+    m = len(G.elements)
+    h_position = {h: i for i, h in enumerate(H.elements)}
+    g_position = {g: i for i, g in enumerate(G.elements)}
+    g_part: dict[int, list[tuple[list[int], list[int]]]] = {}
+    rows: list[dict[int, int]] = [{} for _ in elements]
+    for i1, h1 in enumerate(H.elements):
+        k = c(h1)
+        table = g_part.get(k)
+        if table is None:
+            table = g_part[k] = _g_part_rows(G, g_position, alpha.power(-k))
+        block = rows[i1 * m : (i1 + 1) * m]
+        for h2 in H.elements_with_range(H.s(h1)):
+            o2 = h_position[h2] * m
+            o12 = h_position[H.mul(h1, h2)] * m
+            for row, (keys, values) in zip(block, table):
+                row.update(zip(map(o2.__add__, keys), map(o12.__add__, values)))
 
-    comp: dict = {}
-    for h2 in H.elements:
-        for h1 in h_by_source.get(H.r(h2), ()):
-            k = c(h1)
-            back = a_pow(-k)
-            h12 = H.mul(h1, h2)
-            for g2 in G.elements:
-                g2_back = back(g2)
-                for g1 in g_by_source.get(G.r(g2_back), ()):
-                    comp[((h1, g1), (h2, g2))] = (h12, G.mul(g1, g2_back))
-
-    finite = build_groupoid(elements, units, rng, src, comp, inv)
+    position = {x: i for i, x in enumerate(elements)}
+    composition = RowTable(elements, position, rows)
+    finite = FiniteGroupoid(elements, units, rng, src, composition, inv)
     return TwistedProduct(H, c, G, alpha, finite)
 
 
@@ -118,9 +136,6 @@ class BouquetTwistedProduct:
     bouquet: InfiniteBouquet
     g: FiniteGroupoid
     alpha: GroupoidAutomorphism
-
-    def degree_cocycle(self, germ: GermElement) -> int:
-        return germ.degree
 
     def mul(self, x: tuple[GermElement, object], y: tuple[GermElement, object]):
         h1, g1 = x
@@ -134,14 +149,6 @@ class BouquetTwistedProduct:
     def inv(self, x: tuple[GermElement, object]):
         h, g = x
         return (h.inverse(), self.alpha.power(h.degree)(self.g.inv(g)))
-
-    def pair_r(self, x):
-        h, g = x
-        return (GermElement(h.mu, h.mu, h.tail), self.g.r(g))
-
-    def pair_s(self, x):
-        h, g = x
-        return (GermElement(h.nu, h.nu, h.tail), self.alpha.power(h.degree)(self.g.s(g)))
 
 
 def bouquet_twisted_product(

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
 from groupoid_forge.graph_model import Edge, path_from_edges, vertex_path
+from groupoid_forge.groupoid_core import build_groupoid
 from groupoid_forge.rank2_diagrams import Rank2Diagram
 from groupoid_forge.validation import ValidationReport, Violation, report_from
 
@@ -143,6 +144,30 @@ def brute_groupoid_axioms(G) -> ValidationReport:
                     v.append(Violation("associativity", f"triple {(g, h, k)!r}"))
 
     return report_from(v)
+
+
+def dict_twisted_product(H, c, G, alpha):
+    """The finite twisted product built as a tuple-keyed dict straight from
+    the formulas, with no integer positions (the oracle for
+    ``twisted_product``)."""
+    elements = tuple((h, g) for h in H.elements for g in G.elements)
+    units = frozenset((u, w) for u in H.units for w in G.units)
+    rng = {(h, g): (H.r(h), G.r(g)) for (h, g) in elements}
+    src = {(h, g): (H.s(h), alpha.power(c(h))(G.s(g))) for (h, g) in elements}
+    inv = {(h, g): (H.inv(h), alpha.power(c(h))(G.inv(g))) for (h, g) in elements}
+    comp = {}
+    for h1 in H.elements:
+        for h2 in H.elements:
+            if not H.composable(h1, h2):
+                continue
+            back = alpha.power(-c(h1))
+            h12 = H.mul(h1, h2)
+            for g1 in G.elements:
+                for g2 in G.elements:
+                    g2_back = back(g2)
+                    if G.composable(g1, g2_back):
+                        comp[((h1, g1), (h2, g2))] = (h12, G.mul(g1, g2_back))
+    return build_groupoid(elements, units, rng, src, comp, inv)
 
 
 def materialize_rank2(d):

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -135,6 +136,25 @@ def _corruptions(G: FiniteGroupoid, rng):
     yield "inverse outside", rebuild(inverse_map=(g, "ghost"))
     yield "range outside", rebuild(range_map=(g, "nowhere"))
     yield "source outside", rebuild(source_map=(g, "nowhere"))
+    # two products of one row traded, r and s kept: with x a non-unit and
+    # h1, h2 neither s(x) nor x^{-1}, only associativity can break
+    swappable = [
+        (x, h1, h2)
+        for x in els
+        if x not in G.units
+        for h1, h2 in combinations(G.elements_with_range(G.s(x)), 2)
+        if G.s(h1) == G.s(h2) and not {h1, h2} & {G.s(x), G.inv(x)}
+    ]
+    if swappable:
+        x, h1, h2 = rng.choice(swappable)
+        swapped = {
+            **G.composition,
+            (x, h1): G.composition[(x, h2)],
+            (x, h2): G.composition[(x, h1)],
+        }
+        yield "swapped products", build_groupoid(
+            G.elements, G.units, G.range_map, G.source_map, swapped, G.inverse_map
+        )
 
 
 def _violations(report):
@@ -158,8 +178,10 @@ class TestAxiomOracle:
                 expected = brute_groupoid_axioms(bad)
                 assert not expected.passed, name
                 assert _violations(verify_groupoid_axioms(bad)) == _violations(expected), name
+                if name == "swapped products":
+                    assert {v.invariant for v in expected.violations} == {"associativity"}
                 seen[name] += 1
-        assert len(seen) == 9
+        assert len(seen) == 10
 
     def test_inverse_composable_with_neither_side_is_reported(self):
         G = full_relation(range(3))
@@ -362,6 +384,7 @@ class TestCycles:
                 power = a.power(k)
                 assert list(power.mapping) == list(G.elements)
                 assert power.mapping == _compose_k_times(a.mapping, k)
+                assert a.power(k + a.order()) is power
             assert a.order() == math.lcm(
                 *(brute_orbit_length(a, g) for g in G.elements)
             )

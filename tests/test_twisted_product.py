@@ -2,10 +2,12 @@
 finite principality oracle."""
 
 import importlib
+import json
 
 import pytest
 
 from families import rng_for, seeded_twisted_instances
+from helpers import dict_twisted_product
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
@@ -15,6 +17,10 @@ from groupoid_forge.graph_groupoid import (
 from groupoid_forge.graph_model import constant_diagram, edge_cycle_automorphism, telescope
 from groupoid_forge.groupoid_core import (
     Cocycle,
+    FiniteGroupoid,
+    GroupoidAutomorphism,
+    RowTable,
+    build_groupoid,
     cartesian_product,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
@@ -107,6 +113,132 @@ class TestConstruction:
         bundle_unit = ((0, (0, 0)), (0, 0))
         iso = isotropy_group(tw.finite_form, bundle_unit)
         assert len(iso) == 2
+
+
+def _oracle_instances():
+    """(H, c, G, alpha) over full relations, disjoint unions, group bundles and
+    cyclic groups: every H with a zero and a weight cocycle, every G with each
+    kind of automorphism (point permutation, multiplier, identity, swap)."""
+    hs = [
+        full_relation(range(3)),
+        disjoint_union(full_relation(range(2)), group_bundle({0: 2})),
+        group_bundle({"u": 2, "w": 3}),
+        cyclic_group_groupoid(4),
+    ]
+    relation = full_relation(range(3))
+    cyclic = cyclic_group_groupoid(5)
+    two = disjoint_union(full_relation(range(2)), full_relation(range(2)))
+    bundle = group_bundle({0: 2, 1: 2})
+    gs = [
+        (relation, relation_automorphism(relation, {0: 1, 1: 2, 2: 0})),
+        (cyclic, cyclic_multiplier_automorphism(cyclic, 2)),
+        (bundle, identity_automorphism(bundle)),
+        (two, GroupoidAutomorphism(two, {(t, g): (1 - t, g) for t, g in two.elements})),
+    ]
+    for H in hs:
+        weights = {u: 2 * i - 3 for i, u in enumerate(sorted(H.units, key=repr))}
+        for c in (zero_cocycle(H), weight_cocycle(H, weights)):
+            for G, alpha in gs:
+                yield H, c, G, alpha
+
+
+def _with_rows(F, edit):
+    """F with its composition rows copied and changed by ``edit``, still a
+    ``RowTable`` over F's elements."""
+    table = F.composition
+    rows = [dict(row) for row in table.rows]
+    edit(rows)
+    return FiniteGroupoid(
+        F.elements,
+        F.units,
+        F.range_map,
+        F.source_map,
+        RowTable(F.elements, table.position, rows),
+        F.inverse_map,
+    )
+
+
+def _row_edits(F, rng):
+    """Seeded defects written straight into the integer rows: two products
+    of a row swapped, a product dropped, a product on a pair that is not
+    composable, a wrong product."""
+    n = len(F.elements)
+    i = rng.choice([i for i, row in enumerate(F.composition.rows) if len(row) > 1])
+    j1, j2 = rng.sample(sorted(F.composition.rows[i]), 2)
+    loose = [j for j in range(n) if j not in F.composition.rows[i]]
+
+    def swap(rows):
+        rows[i][j1], rows[i][j2] = rows[i][j2], rows[i][j1]
+
+    def drop(rows):
+        del rows[i][j1]
+
+    def add_loose(rows):
+        if loose:
+            rows[i][rng.choice(loose)] = rng.randrange(n)
+
+    def wrong(rows):
+        rows[i][j2] = rng.randrange(n)
+
+    return [_with_rows(F, edit) for edit in (swap, drop, add_loose, wrong)]
+
+
+def _report(G):
+    return [(v.invariant, v.subject) for v in verify_groupoid_axioms(G).violations]
+
+
+class TestBornIndexedProduct:
+    """The integer-row twisted product against the tuple-keyed dict build."""
+
+    def test_matches_dict_build(self):
+        for H, c, G, alpha in _oracle_instances():
+            F = twisted_product(H, c, G, alpha).finite_form
+            D = dict_twisted_product(H, c, G, alpha)
+            assert isinstance(F.composition, RowTable)
+            assert F.elements == D.elements and F.units == D.units
+            for name in ("range_map", "source_map", "inverse_map"):
+                assert list(getattr(F, name).items()) == list(getattr(D, name).items())
+            assert dict(F.composition) == D.composition
+            assert json.dumps(F.to_json()) == json.dumps(D.to_json())
+
+    def test_row_table_reads_like_a_dict(self):
+        for H, c, G, alpha in _oracle_instances():
+            F = twisted_product(H, c, G, alpha).finite_form
+            table, oracle = F.composition, dict_twisted_product(H, c, G, alpha).composition
+            assert len(table) == len(oracle)
+            assert set(table) == set(oracle)
+            for x in F.elements:
+                for y in F.elements:
+                    pair = (x, y)
+                    if F.composable(x, y):
+                        assert pair in table
+                        assert table[pair] == table.get(pair) == oracle[pair]
+                    else:
+                        assert pair not in table
+                        assert table.get(pair) is None and table.get(pair, "-") == "-"
+                        with pytest.raises(KeyError):
+                            table[pair]
+            g = F.elements[0]
+            for bad in (("ghost", g), (g, "ghost"), (g,), (g, g, g), [g, g], None, (["x"], g)):
+                assert bad not in table and table.get(bad) is None
+                with pytest.raises(KeyError):
+                    table[bad]
+
+    def test_axiom_report_matches_dict_copy(self):
+        rng = rng_for(408)
+        for H, c, G, alpha in _oracle_instances():
+            F = twisted_product(H, c, G, alpha).finite_form
+            for X in [F, *_row_edits(F, rng)]:
+                copy = build_groupoid(
+                    X.elements,
+                    X.units,
+                    X.range_map,
+                    X.source_map,
+                    dict(X.composition),
+                    X.inverse_map,
+                )
+                assert _report(X) == _report(copy)
+            assert _report(F) == []
 
 
 class TestWfc:
