@@ -9,7 +9,7 @@ edges up -- so the two blue orders are 3 and 12.
 
 from groupoid_forge import (
     Rank2Data,
-    build_rank2,
+    canonical_rank2,
     compute_orders,
     rank2_automorphism,
     rank2_k_matrices,
@@ -22,9 +22,9 @@ data = Rank2Data(
     B=(((1,),), ((2,),)),
     T=((1,), (3,), (6,)),
 )
-diagram = build_rank2(data, 3)
+diagram = canonical_rank2(data, 3)
 print("levels (cycle sizes):", diagram.cycle_sizes)
-print("blue edges:", len(diagram.blue))
+print("blue edges:", diagram.blue_count())
 print("validation:", validate_rank2(diagram).describe())
 
 orders = compute_orders(diagram)
@@ -40,22 +40,21 @@ print("compatibility A_n T_n = T_(n+1) B_n:",
 
 # Walking the factorization permutation around a level-1 blue edge returns
 # after exactly its order; the range vertex already returns after each lcm.
-e = diagram.blue_edges_at(1)[0]
-by_label = diagram.blue_by_label()
-print(f"\norbit of {e.label}:")
+e = next(diagram.blue_labels_at(1))
+print(f"\norbit of {e}:")
 for k in [1, 3, 12]:
-    moved = orders.f_power(e.label, k)
-    print(f"  F^{k}: {moved}, range {by_label[moved].range_vertex}")
+    moved = orders.f_power(e, k)
+    print(f"  F^{k}: {moved}, range {diagram.blue_ends(moved)[0]}")
 
 auto = rank2_automorphism(diagram, orders)
 print("\nautomorphism powers per level (m_n):", auto.orders.m)
 print("level-0 and level-1 blue edges are fixed (m = 0):",
-      all(auto.blue_image(x.label) == x.label for x in diagram.blue_edges_at(0)))
+      all(auto.blue_image(x) == x for x in diagram.blue_labels_at(0)))
 
 # Blue-red normal form: a red segment crossing a blue edge twists it by F.
 # Anchor the degree-1 red segment so its source meets the blue edge's range.
-red = Rank2Path((), 1, diagram.red_walk(e.range_vertex, 1))
-crossed = compose_paths(diagram, orders, red, Rank2Path((e.label,), 0))
+red = Rank2Path((), 1, diagram.red_walk(diagram.blue_ends(e)[0], 1))
+crossed = compose_paths(diagram, orders, red, Rank2Path((e,), 0))
 print("\nred then blue normalizes to blue", crossed.blue[0],
       "then red of degree", crossed.red_degree)
 print("source of the composite:", path_source(diagram, crossed))

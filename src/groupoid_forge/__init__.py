@@ -89,7 +89,6 @@ from .dimension_groups import (
 from .rank2_diagrams import (
     CanonicalOrders,
     CanonicalRank2Diagram,
-    OrderData,
     Rank2Data,
     Rank2Diagram,
     Rank2Path,

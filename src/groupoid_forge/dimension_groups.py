@@ -18,13 +18,16 @@ from .matrices import (
     IntVector,
     as_matrix,
     check_repeat_rule,
+    diagonal,
     is_injective,
     is_proper,
+    mat_mul,
     mat_vec,
     repeat_index,
     shape,
     transpose,
 )
+from .rank2_diagrams import CanonicalRank2Diagram
 from .validation import StructuralError
 
 
@@ -224,29 +227,29 @@ def k0_corner_class(d: BratteliDiagram, level: int, a: Sequence[int]) -> DimGrou
 # ---------------------------------------------------------------------------
 
 
-def rank2_k_matrices(diagram) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
-    """Count the (A_n, B_n, T_n) matrix data off a rank-2 diagram.
+def rank2_k_matrices(
+    diagram: CanonicalRank2Diagram,
+) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
+    """Read the (A_n, B_n, T_n) matrix data off a rank-2 diagram.
 
-    The counts must be independent of the representative vertex chosen in
-    each cycle (exhaustive recount), and the compatibility A_n T_n =
-    T_{n+1} B_n must hold exactly; both failures reject the diagram.  On a
-    canonical diagram the count c of a cycle pair gives A(i,j) = c / T_n(j)
-    and B(i,j) = c / T_{n+1}(i), and the counts are independent of the
-    vertex exactly when both divisions are exact.
+    The count c of a cycle pair gives A(i,j) = c / T_n(j) and B(i,j) =
+    c / T_{n+1}(i); the blue-edge counts are independent of the
+    representative vertex chosen in each cycle exactly when both divisions
+    are exact, and the compatibility A_n T_n = T_{n+1} B_n must hold
+    exactly; both failures reject the diagram.
     """
-    from .matrices import diagonal, mat_mul
-    from .rank2_diagrams import CanonicalRank2Diagram, Rank2Diagram
-
-    if isinstance(diagram, CanonicalRank2Diagram):
-        count_level = _canonical_k_level
-    elif isinstance(diagram, Rank2Diagram):
-        count_level = _recounted_k_level
-    else:
-        raise TypeError("rank2_k_matrices expects a rank-2 diagram")
     T_list = [diagonal(sizes) for sizes in diagram.cycle_sizes]
     A_list, B_list = [], []
-    for n in range(diagram.levels() - 1):
-        A, B = count_level(diagram, n)
+    for n, counts in enumerate(diagram.counts):
+        for i, row in enumerate(counts):
+            for j, c in enumerate(row):
+                if c % diagram.cycle_size(n, j) or c % diagram.cycle_size(n + 1, i):
+                    raise StructuralError(
+                        f"blue-edge count between cycles ({n},{j}) and ({n + 1},{i}) "
+                        "depends on the representative vertex"
+                    )
+        A = [[c // diagram.cycle_size(n, j) for j, c in enumerate(row)] for row in counts]
+        B = [[c // diagram.cycle_size(n + 1, i) for c in row] for i, row in enumerate(counts)]
         A_list.append(as_matrix(A))
         B_list.append(as_matrix(B))
     for n in range(len(A_list)):
@@ -257,50 +260,3 @@ def rank2_k_matrices(diagram) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, .
                 f"compatibility A_n T_n = T_(n+1) B_n fails at level {n}"
             )
     return tuple(A_list), tuple(B_list), tuple(T_list)
-
-
-def _representative_error(n: int, j: int, i: int) -> StructuralError:
-    return StructuralError(
-        f"blue-edge count between cycles ({n},{j}) and ({n + 1},{i}) "
-        "depends on the representative vertex"
-    )
-
-
-def _canonical_k_level(diagram, n: int):
-    counts = diagram.counts[n]
-    for i, row in enumerate(counts):
-        for j, c in enumerate(row):
-            if c % diagram.cycle_size(n, j) or c % diagram.cycle_size(n + 1, i):
-                raise _representative_error(n, j, i)
-    A = [[c // diagram.cycle_size(n, j) for j, c in enumerate(row)] for row in counts]
-    B = [[c // diagram.cycle_size(n + 1, i) for c in row] for i, row in enumerate(counts)]
-    return A, B
-
-
-def _recounted_k_level(diagram, n: int):
-    cn = diagram.cycle_count(n)
-    cn1 = diagram.cycle_count(n + 1)
-    per_v: dict[tuple[int, int], dict] = {}
-    per_w: dict[tuple[int, int], dict] = {}
-    for i in range(cn1):
-        for j in range(cn):
-            per_v[(i, j)] = {
-                (n, j, p): 0 for p in range(diagram.cycle_size(n, j))
-            }
-            per_w[(i, j)] = {
-                (n + 1, i, q): 0 for q in range(diagram.cycle_size(n + 1, i))
-            }
-    for e in diagram.blue_edges_at(n):
-        key = (e.source_vertex[1], e.range_vertex[1])
-        per_v[key][e.range_vertex] += 1
-        per_w[key][e.source_vertex] += 1
-    A = [[0] * cn for _ in range(cn1)]
-    B = [[0] * cn for _ in range(cn1)]
-    for (i, j), counts in per_v.items():
-        values = set(counts.values())
-        values_w = set(per_w[(i, j)].values())
-        if len(values) != 1 or len(values_w) != 1:
-            raise _representative_error(n, j, i)
-        A[i][j] = values.pop()
-        B[i][j] = values_w.pop()
-    return A, B

@@ -115,7 +115,10 @@ class FiniteGroupoid:
         for i, g in enumerate(self.elements):
             by_range.setdefault(self.range_map[g], []).append(i)
             by_source.setdefault(self.source_map[g], []).append(i)
-        position = {g: i for i, g in enumerate(self.elements)}
+        if _row_table_over(self.composition, self.elements):
+            position = self.composition.position
+        else:
+            position = {g: i for i, g in enumerate(self.elements)}
         return _Index(position, by_range, by_source)
 
     def elements_with_source(self, u: El) -> tuple[El, ...]:
@@ -186,6 +189,12 @@ def groupoid_from_json(data: dict | str) -> FiniteGroupoid:
     return build_groupoid(elements, units, rng, src, comp, inv)
 
 
+def _row_table_over(comp: Mapping, elements: tuple[El, ...]) -> bool:
+    """Whether ``comp`` is a ``RowTable`` over exactly ``elements``, so that
+    its positions and rows can be used as they are."""
+    return isinstance(comp, RowTable) and comp.elements == elements
+
+
 def _table_rows(
     G: FiniteGroupoid, code: dict, rng: list[int], src: list[int], partners: list
 ) -> tuple[list[dict[int, int]], list[tuple[El, El]]]:
@@ -198,7 +207,7 @@ def _table_rows(
     n = len(els)
     comp = G.composition
     loose: list[tuple[El, El]] = []
-    if isinstance(comp, RowTable) and comp.elements == els:
+    if _row_table_over(comp, els):
         rows = comp.rows
         allowed: dict[int, set[int]] = {}
         for i, row in enumerate(rows):

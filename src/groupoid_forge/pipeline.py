@@ -319,7 +319,7 @@ def plan_af_realization(
 # ---------------------------------------------------------------------------
 
 
-def rank2_corner_spec(level: int, vec: Sequence[int], diagram) -> CornerSpec:
+def rank2_corner_spec(level: int, vec: Sequence[int]) -> CornerSpec:
     vec = tuple(int(x) for x in vec)
     if any(x < 0 for x in vec):
         raise ValueError("corner vector must be entrywise nonnegative")
@@ -413,7 +413,7 @@ def plan_rank2_realization(
     }
     if unit_class is not None:
         level, vec = unit_class
-        corner = rank2_corner_spec(level, vec, diagram)
+        corner = rank2_corner_spec(level, vec)
         k_spec = DimensionGroupSpec(
             tuple(len(t) for t in tele.telescoped.T),
             tele.telescoped.A,

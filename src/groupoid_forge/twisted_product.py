@@ -106,8 +106,7 @@ def twisted_product(
     inv = {(h, g): (H.inv(h), twist[h][G.inv(g)]) for (h, g) in elements}
 
     m = len(G.elements)
-    h_position = {h: i for i, h in enumerate(H.elements)}
-    g_position = {g: i for i, g in enumerate(G.elements)}
+    h_position, g_position = H._index.position, G._index.position
     g_part: dict[int, list[tuple[list[int], list[int]]]] = {}
     rows: list[dict[int, int]] = [{} for _ in elements]
     for i1, h1 in enumerate(H.elements):
@@ -276,9 +275,9 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
         return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
         return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
-    from .rank2_diagrams import CanonicalRank2Diagram, Rank2Diagram
+    from .rank2_diagrams import CanonicalRank2Diagram
 
-    if isinstance(backend, (Rank2Diagram, CanonicalRank2Diagram)):
+    if isinstance(backend, CanonicalRank2Diagram):
         return _check_wfc_rank2(backend, alpha, depth, shift_bound, s_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 

@@ -7,14 +7,23 @@ paths under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Mapping
 
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
-from groupoid_forge.graph_model import Edge, path_from_edges, vertex_path
-from groupoid_forge.groupoid_core import build_groupoid
-from groupoid_forge.rank2_diagrams import Rank2Diagram
-from groupoid_forge.validation import ValidationReport, Violation, report_from
+from groupoid_forge.graph_model import BratteliDiagram, Edge, path_from_edges, vertex_path
+from groupoid_forge.groupoid_core import build_groupoid, cycles
+from groupoid_forge.matrices import as_matrix, diagonal, mat_mul
+from groupoid_forge.rank2_diagrams import Rank2Diagram, Rank2Path
+from groupoid_forge.validation import (
+    StructuralError,
+    ValidationReport,
+    Violation,
+    report_from,
+)
 
 
 def all_words(graph, anchor, max_len: int, edge_bound=None):
@@ -170,6 +179,18 @@ def dict_twisted_product(H, c, G, alpha):
     return build_groupoid(elements, units, rng, src, comp, inv)
 
 
+# ---------------------------------------------------------------------------
+# Materialized rank-2 oracles
+#
+# The per-edge algorithms on a ``Rank2Diagram``, the record of every blue
+# edge that ``build_rank2`` (or ``materialize_rank2`` below) returns: the
+# orbit walk over F, the per-edge F and degree scans, the per-edge
+# automorphism check, the per-edge skeleton count and the per-vertex recount
+# of the matrix data.  The closed forms of ``rank2_diagrams`` and
+# ``rank2_k_matrices`` are tested against them.
+# ---------------------------------------------------------------------------
+
+
 def materialize_rank2(d):
     """Every blue edge of a canonical rank-2 diagram, laid out one by one as
     its class describes: edge k of a pair ranges at k mod T_n(j), sources at
@@ -187,6 +208,220 @@ def materialize_rank2(d):
                     blue.append(Edge(label, low, high))
                     f_map[label] = (n, j, i, (k + d.orientation) % c)
     return Rank2Diagram(d.cycle_sizes, tuple(blue), f_map, d.orientation)
+
+
+def _levels(d) -> int:
+    return len(d.cycle_sizes)
+
+
+def _vertices_at(d, n: int) -> tuple:
+    return tuple((n, j, p) for j, size in enumerate(d.cycle_sizes[n]) for p in range(size))
+
+
+def _red_walk(d, v, steps: int):
+    n, j, p = v
+    return (n, j, (p + d.orientation * steps) % d.cycle_sizes[n][j])
+
+
+@dataclass(frozen=True)
+class OrderData:
+    """Orders o(e) of the blue edges under F, level lcms O_n, and the
+    recursion m_0 = 0, m_{n+1} = m_n + n * O_n, read off the orbits of F."""
+
+    edge_orders: Mapping
+    level_lcm: tuple[int, ...]
+    m: tuple[int, ...]
+    orbit_position: Mapping
+
+    @cached_property
+    def _level_orders(self) -> Mapping[int, tuple[int, ...]]:
+        buckets: dict[int, set[int]] = {}
+        for label, o in self.edge_orders.items():
+            buckets.setdefault(label[0], set()).add(o)
+        return {n: tuple(sorted(v)) for n, v in buckets.items()}
+
+    def orders_at(self, n: int) -> tuple[int, ...]:
+        return self._level_orders.get(n, ())
+
+    def min_order_at(self, n: int) -> int:
+        return self._level_orders[n][0]
+
+    def max_edge_level(self) -> int:
+        return max(self._level_orders)
+
+    def f_power(self, label, k: int):
+        orbit, pos = self.orbit_position[label]
+        return orbit[(pos + k) % len(orbit)]
+
+
+def materialized_orders(d: Rank2Diagram) -> OrderData:
+    """The orbit walk over ``f_map`` (the oracle for ``compute_orders``)."""
+    orbit_position = {}
+    edge_orders = {}
+    level_lcm = [1] * (_levels(d) - 1)
+    for orbit in cycles(d.f_map):
+        for pos, label in enumerate(orbit):
+            orbit_position[label] = (orbit, pos)
+            edge_orders[label] = len(orbit)
+        # F shifts both endpoints along red edges, so an orbit stays in its level
+        n = orbit[0][0]
+        level_lcm[n] = math.lcm(level_lcm[n], len(orbit))
+    m = [0]
+    for n, o in enumerate(level_lcm):
+        m.append(m[-1] + n * o)
+    return OrderData(edge_orders, tuple(level_lcm), tuple(m), orbit_position)
+
+
+def materialized_validation(d: Rank2Diagram) -> ValidationReport:
+    """The per-edge F and degree scans (the oracle for ``validate_rank2``)."""
+    v: list[Violation] = []
+    by_label = d.blue_by_label()
+    for e in d.blue:
+        img = by_label[d.f_map[e.label]]
+        if img.range_vertex != _red_walk(d, e.range_vertex, 1):
+            v.append(
+                Violation("F shifts the range to its red predecessor", f"edge {e.label}")
+            )
+        if img.source_vertex != _red_walk(d, e.source_vertex, 1):
+            v.append(
+                Violation("F shifts the source to its red predecessor", f"edge {e.label}")
+            )
+    for n in range(_levels(d) - 1):
+        received = {e.range_vertex for e in d.blue_edges_at(n)}
+        for vertex in _vertices_at(d, n):
+            if vertex not in received:
+                v.append(Violation("blue graph has no sources", f"vertex {vertex}"))
+    for n in range(1, _levels(d)):
+        emitted = {e.source_vertex for e in d.blue_edges_at(n - 1)}
+        for vertex in _vertices_at(d, n):
+            if vertex not in emitted:
+                v.append(
+                    Violation("blue sinks only at level 0", f"vertex {vertex}")
+                )
+    return report_from(v)
+
+
+@dataclass(frozen=True)
+class MaterializedAutomorphism:
+    """Blue edges at level n map through F^{m_n}, walked along the orbits."""
+
+    orders: OrderData
+
+    def blue_image(self, label):
+        return self.orders.f_power(label, self.orders.m[label[0]])
+
+    def blue_preimage(self, label):
+        return self.orders.f_power(label, -self.orders.m[label[0]])
+
+
+def materialized_automorphism(d: Rank2Diagram, orders=None) -> MaterializedAutomorphism:
+    """The per-edge check that the image of each blue edge's source matches
+    the rotation of the next level (the oracle for ``rank2_automorphism``)."""
+    orders = orders or materialized_orders(d)
+    auto = MaterializedAutomorphism(orders)
+    by_label = d.blue_by_label()
+    for e in d.blue:
+        n = e.range_vertex[0]
+        if n + 1 >= _levels(d):
+            continue
+        expected = _red_walk(d, e.source_vertex, orders.m[n + 1])
+        got = by_label[auto.blue_image(e.label)].source_vertex
+        if got != expected:
+            raise StructuralError(
+                f"order automorphism ill-defined at edge {e.label}: source "
+                f"rotation mismatch (F inconsistency)"
+            )
+    return auto
+
+
+def materialized_skeleton(d: Rank2Diagram) -> BratteliDiagram:
+    """The blue graph counted edge by edge (the oracle for ``blue_skeleton``)."""
+    flat_index = {}
+    sizes = []
+    for n in range(_levels(d)):
+        verts = _vertices_at(d, n)
+        sizes.append(len(verts))
+        for idx, v in enumerate(verts):
+            flat_index[v] = idx
+    tables = []
+    for n in range(_levels(d) - 1):
+        table = [[0] * sizes[n + 1] for _ in range(sizes[n])]
+        for e in d.blue_edges_at(n):
+            table[flat_index[e.range_vertex]][flat_index[e.source_vertex]] += 1
+        tables.append(as_matrix(table))
+    return BratteliDiagram(tuple(sizes), tuple(tables), None)
+
+
+def materialized_k_matrices(d: Rank2Diagram):
+    """(A_n, B_n, T_n) recounted at every vertex of every cycle, then the
+    compatibility A_n T_n = T_{n+1} B_n (the oracle for ``rank2_k_matrices``)."""
+    T_list = [diagonal(sizes) for sizes in d.cycle_sizes]
+    A_list, B_list = [], []
+    for n in range(_levels(d) - 1):
+        cn, cn1 = len(d.cycle_sizes[n]), len(d.cycle_sizes[n + 1])
+        per_v: dict[tuple[int, int], dict] = {}
+        per_w: dict[tuple[int, int], dict] = {}
+        for i in range(cn1):
+            for j in range(cn):
+                per_v[(i, j)] = {(n, j, p): 0 for p in range(d.cycle_sizes[n][j])}
+                per_w[(i, j)] = {(n + 1, i, q): 0 for q in range(d.cycle_sizes[n + 1][i])}
+        for e in d.blue_edges_at(n):
+            key = (e.source_vertex[1], e.range_vertex[1])
+            per_v[key][e.range_vertex] += 1
+            per_w[key][e.source_vertex] += 1
+        A = [[0] * cn for _ in range(cn1)]
+        B = [[0] * cn for _ in range(cn1)]
+        for (i, j), counts in per_v.items():
+            values = set(counts.values())
+            values_w = set(per_w[(i, j)].values())
+            if len(values) != 1 or len(values_w) != 1:
+                raise StructuralError(
+                    f"blue-edge count between cycles ({n},{j}) and ({n + 1},{i}) "
+                    "depends on the representative vertex"
+                )
+            A[i][j] = values.pop()
+            B[i][j] = values_w.pop()
+        A_list.append(as_matrix(A))
+        B_list.append(as_matrix(B))
+    for n in range(len(A_list)):
+        if mat_mul(A_list[n], T_list[n]) != mat_mul(T_list[n + 1], B_list[n]):
+            raise StructuralError(
+                f"compatibility A_n T_n = T_(n+1) B_n fails at level {n}"
+            )
+    return tuple(A_list), tuple(B_list), tuple(T_list)
+
+
+def materialized_path_range(d: Rank2Diagram, p: Rank2Path):
+    """Range of a path, read off its first stored blue edge; an unknown
+    label raises KeyError (the oracle for ``path_range``)."""
+    return d.blue_by_label()[p.blue[0]].range_vertex if p.blue else p.anchor
+
+
+def materialized_path_source(d: Rank2Diagram, p: Rank2Path):
+    last = d.blue_by_label()[p.blue[-1]].source_vertex if p.blue else p.anchor
+    return _red_walk(d, last, -p.red_degree)
+
+
+def materialized_make_path(d: Rank2Diagram, blue, red_degree=0, anchor=None) -> Rank2Path:
+    by_label = d.blue_by_label()
+    for a, b in zip(blue, blue[1:]):
+        if by_label[a].source_vertex != by_label[b].range_vertex:
+            raise StructuralError(f"blue edges do not compose: {a} then {b}")
+    return Rank2Path(tuple(blue), red_degree, anchor)
+
+
+def materialized_compose_paths(d: Rank2Diagram, orders: OrderData, p, q) -> Rank2Path:
+    """Normal-form concatenation over stored edges and orbits (the oracle
+    for ``compose_paths``)."""
+    if materialized_path_source(d, p) != materialized_path_range(d, q):
+        raise ValueError("paths do not compose")
+    shifted = tuple(orders.f_power(label, p.red_degree) for label in q.blue)
+    return materialized_make_path(
+        d,
+        p.blue + shifted,
+        p.red_degree + q.red_degree,
+        anchor=materialized_path_range(d, p) if not (p.blue or shifted) else None,
+    )
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import (
     Rank2Data,
     build_rank2,
+    canonical_rank2,
     compute_orders,
     reverify_telescope,
     telescope_rank2,
@@ -69,6 +70,8 @@ from groupoid_forge.twisted_product import (
     reverify_contracting_witness,
     twisted_product,
 )
+
+from helpers import materialized_orders
 
 BQ = InfiniteBouquet()
 
@@ -144,7 +147,7 @@ def test_criterion_04_figure_anchors():
     """The worked two-level example: orders 3 and 12, their lcms, the
     m-recursion values, and the counted matrix data."""
     data = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
-    diagram = build_rank2(data, 3)
+    diagram = canonical_rank2(data, 3)
     orders = compute_orders(diagram)
     assert orders.orders_at(0) == (3,)
     assert orders.level_lcm[0] == 3
@@ -168,12 +171,14 @@ def test_criterion_05_telescoping_recursion_executable():
     data = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
     result = telescope_rank2(data, 7)
     assert result.complete
-    diagram = build_rank2(result.telescoped, 7)
-    orders = compute_orders(diagram)
     tele = result.telescoped
-    for label, o in orders.edge_orders.items():
+    # orbit lengths of the built F against o(e) = A(i,j) T(j)
+    built = materialized_orders(build_rank2(tele, 7))
+    for label, o in built.edge_orders.items():
         n, j, i, _ = label
         assert o == tele.A[n][i][j] * tele.T[n][j]
+    orders = compute_orders(canonical_rank2(tele, 7))
+    assert orders.m == built.m
     for n in range(6):
         assert orders.min_order_at(n) > n * orders.m[n]
     assert reverify_telescope(result)

@@ -14,13 +14,15 @@ from groupoid_forge.cli import main
 from groupoid_forge.graph_model import constant_diagram
 from groupoid_forge.groupoid_core import full_relation
 from groupoid_forge.rank2_diagrams import (
+    Rank2Automorphism,
     Rank2Data,
     build_rank2,
-    compute_orders,
-    rank2_automorphism,
+    canonical_rank2,
     telescope_rank2,
 )
 from groupoid_forge.twisted_product import check_wfc
+
+from helpers import materialized_automorphism, materialized_orders
 
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
@@ -235,13 +237,13 @@ def _materialized_rank2_output(action, data, levels):
     if action == "build":
         return {"levels": [list(s) for s in diagram.cycle_sizes], "blue_edges": len(diagram.blue)}
     if action == "orders":
-        orders = compute_orders(diagram)
+        orders = materialized_orders(diagram)
         return {
             "orders_per_level": {str(n): list(orders.orders_at(n)) for n in range(levels - 1)},
             "level_lcm": list(orders.level_lcm),
             "m": list(orders.m),
         }
-    auto = rank2_automorphism(diagram)
+    auto = materialized_automorphism(diagram)
     return {
         "m_sequence": list(auto.orders.m),
         "sample": {str(e.label): str(auto.blue_image(e.label)) for e in diagram.blue[:8]},
@@ -272,7 +274,12 @@ class TestRank2CliMatchesMaterialized:
         argv = ["certify", "wfc", "--rank2", "--input", str(source), "--depth", str(depth)]
         code = main(argv + ["--lbound", str(lbound), "--out", str(out)])
         tele = telescope_rank2(data, depth + 2)
-        expected = check_wfc(build_rank2(tele.telescoped, depth + 2), None, depth, lbound)
+        # the certificate computed from the orbit walk over the materialized F:
+        # check_wfc reads the orders of an automorphism on the same diagram
+        levels = depth + 2
+        canon = canonical_rank2(tele.telescoped, levels)
+        orders = materialized_orders(build_rank2(tele.telescoped, levels))
+        expected = check_wfc(canon, Rank2Automorphism(canon, orders), depth, lbound)
         assert code == (0 if expected.is_certificate else 1)
         assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
 

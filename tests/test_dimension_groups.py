@@ -21,8 +21,10 @@ from groupoid_forge.dimension_groups import (
 )
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, telescope
 from groupoid_forge.matrices import as_matrix, transpose
-from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2
+from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, build_rank2, canonical_rank2
 from groupoid_forge.validation import StructuralError
+
+from helpers import materialized_k_matrices
 
 DOUBLING = DimensionGroupSpec((1, 1), (as_matrix([[2]]),), repeat_from=0)
 
@@ -221,7 +223,7 @@ class TestRank2Matrices:
         )
 
     def test_figure_counts(self):
-        diagram = build_rank2(self.figure_data(), 3)
+        diagram = canonical_rank2(self.figure_data(), 3)
         A, B, T = rank2_k_matrices(diagram)
         assert A == (((3,),), ((4,),))
         assert B == (((1,),), ((2,),))
@@ -229,6 +231,8 @@ class TestRank2Matrices:
         # compatibility at both levels: 3*1 == 3*1 and 4*3 == 6*2
         assert A[0][0][0] * T[0][0][0] == T[1][0][0] * B[0][0][0]
         assert A[1][0][0] * T[1][0][0] == T[2][0][0] * B[1][0][0]
+        # the same data recounted vertex by vertex on the built edges
+        assert materialized_k_matrices(build_rank2(self.figure_data(), 3)) == (A, B, T)
 
     def test_representative_independence_multicycle(self):
         # two receiving cycles at level 1: A is 2x1, T_1 lists both cycles
@@ -237,26 +241,28 @@ class TestRank2Matrices:
             B=(((1,), (1,)),),
             T=((2,), (4, 4)),
         )
-        diagram = build_rank2(data, 2)
-        A, B, T = rank2_k_matrices(diagram)
+        A, B, T = rank2_k_matrices(canonical_rank2(data, 2))
         assert A[0] == ((2,), (2,))
         assert B[0] == ((1,), (1,))
+        # the recount at every vertex of every cycle agrees
+        assert materialized_k_matrices(build_rank2(data, 2)) == (A, B, T)
 
     def test_incompatible_data_rejected(self):
         with pytest.raises(StructuralError):
             Rank2Data(A=(((3,),),), B=(((1,),),), T=((1,), (2,)))
 
     def test_count_mutation_detected(self):
-        # rewire one blue edge's source position: counts become vertex-dependent
+        # rewire one blue edge's source position: counts become vertex-dependent,
+        # which the per-vertex recount of the materialized oracle must notice
         diagram = build_rank2(
             Rank2Data(A=(((2,),),), B=(((1,),),), T=((2,), (4,))), 2
         )
         from groupoid_forge.graph_model import Edge
-        from groupoid_forge.rank2_diagrams import Rank2Diagram
 
+        materialized_k_matrices(diagram)
         blue = list(diagram.blue)
         e = blue[0]
         blue[0] = Edge(e.label, e.range_vertex, (1, 0, (e.source_vertex[2] + 1) % 4))
         broken = Rank2Diagram(diagram.cycle_sizes, tuple(blue), dict(diagram.f_map))
-        with pytest.raises(StructuralError):
-            rank2_k_matrices(broken)
+        with pytest.raises(StructuralError, match="depends on the representative vertex"):
+            materialized_k_matrices(broken)

@@ -8,11 +8,12 @@ import pytest
 from families import rng_for
 from groupoid_forge.matrices import min_entry
 from groupoid_forge.rank2_diagrams import (
-    OrderData,
     Rank2Data,
+    Rank2Diagram,
     Rank2Path,
     blue_skeleton,
     build_rank2,
+    canonical_rank2,
     compose_paths,
     compute_orders,
     make_path,
@@ -26,7 +27,7 @@ from groupoid_forge.rank2_diagrams import (
 )
 from groupoid_forge.validation import StructuralError
 
-from helpers import brute_orbit_length
+from helpers import brute_orbit_length, materialized_orders, materialized_validation
 
 FIGURE = Rank2Data(
     A=(((3,),), ((4,),)),
@@ -39,22 +40,22 @@ CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 
 class TestBuild:
     def test_figure_level_zero_order_three(self):
-        diagram = build_rank2(FIGURE, 2)
+        diagram = canonical_rank2(FIGURE, 2)
         orders = compute_orders(diagram)
         assert orders.orders_at(0) == (3,)
         assert orders.level_lcm[0] == 3
 
     def test_figure_level_one_order_twelve(self):
-        diagram = build_rank2(FIGURE, 3)
+        diagram = canonical_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
         assert orders.orders_at(1) == (12,)
         assert orders.level_lcm == (3, 12)
 
     def test_orders_by_brute_force_orbit(self):
         diagram = build_rank2(FIGURE, 3)
-        orders = compute_orders(diagram)
+        orders = compute_orders(canonical_rank2(FIGURE, 3))
         for e in diagram.blue:
-            assert orders.edge_orders[e.label] == brute_orbit_length(
+            assert orders.edge_order(e.label) == brute_orbit_length(
                 lambda lbl: diagram.f_map[lbl], e.label
             )
 
@@ -78,7 +79,12 @@ class TestBuild:
                 B.append(tuple(rowB))
             data = Rank2Data((tuple(A),), (tuple(B),), (T0, T1))
             diagram = build_rank2(data, 2)
-            assert validate_rank2(diagram).passed
+            # F and the degree conditions edge by edge on the built diagram,
+            # and the closed form agreeing with that scan
+            assert materialized_validation(diagram).passed
+            assert validate_rank2(canonical_rank2(data, 2)) == materialized_validation(
+                diagram
+            )
             # blue-edge count per cycle pair equals A*T_low and B*T_high
             for i in range(c1):
                 for j in range(c0):
@@ -94,22 +100,26 @@ class TestBuild:
             Rank2Data(A=(((4,),),), B=(((2,),),), T=((1,), (3,)))
 
     def test_validate_catches_broken_factorization(self):
+        # the materialized oracle must notice a scrambled F: no canonical
+        # diagram can carry one
         diagram = build_rank2(FIGURE, 2)
+        assert materialized_validation(diagram).passed
         f2 = dict(diagram.f_map)
         labels = list(f2)
         # force F to fix an edge whose red predecessor differs
         f2[labels[0]], f2[labels[1]] = f2[labels[1]], f2[labels[0]]
-        from groupoid_forge.rank2_diagrams import Rank2Diagram
-
         broken = Rank2Diagram(diagram.cycle_sizes, diagram.blue, f2)
-        assert not validate_rank2(broken).passed
+        assert not materialized_validation(broken).passed
 
     def test_all_trivial_diagram(self):
         data = Rank2Data(A=(((1,),),), B=(((1,),),), T=((1,), (1,)), repeat_from=0)
-        diagram = build_rank2(data, 4)
-        orders = compute_orders(diagram)
-        assert all(o == 1 for o in orders.edge_orders.values())
-        assert orders.m == (0, 0, 1, 3)
+        # orders read off the orbits of the built F, and the closed form
+        ref = materialized_orders(build_rank2(data, 4))
+        assert len(ref.edge_orders) == 3
+        assert all(o == 1 for o in ref.edge_orders.values())
+        orders = compute_orders(canonical_rank2(data, 4))
+        assert all(orders.edge_order(label) == 1 for label in ref.edge_orders)
+        assert orders.m == ref.m == (0, 0, 1, 3)
 
     def test_json_round_trip(self):
         data, horizon = rank2_data_from_json(FIGURE.to_json() | {"horizon": 3})
@@ -119,16 +129,16 @@ class TestBuild:
 class TestFigureCaption:
     def test_range_returns_after_level_lcm_powers(self):
         # for f ranging at level 1: r(F^{l*O_1}(f)) = r(f), and already for O_0
-        diagram = build_rank2(FIGURE, 3)
+        diagram = canonical_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
-        by_label = diagram.blue_by_label()
         O0, O1 = orders.level_lcm
-        for e in diagram.blue_edges_at(1):
+        for label in diagram.blue_labels_at(1):
+            home = diagram.blue_ends(label)[0]
             for l in range(1, 5):
-                moved = orders.f_power(e.label, l * O1)
-                assert by_label[moved].range_vertex == e.range_vertex
-            moved0 = orders.f_power(e.label, O0)
-            assert by_label[moved0].range_vertex == e.range_vertex
+                moved = orders.f_power(label, l * O1)
+                assert diagram.blue_ends(moved)[0] == home
+            moved0 = orders.f_power(label, O0)
+            assert diagram.blue_ends(moved0)[0] == home
 
 
 class TestTelescope:
@@ -143,9 +153,9 @@ class TestTelescope:
         assert reverify_telescope(result)
 
     def test_order_formula_round_trip(self):
+        # the orbit lengths of the materialized F against o(e) = A(i,j) T(j)
         result = telescope_rank2(CONSTANT2, 7)
-        diagram = build_rank2(result.telescoped, 7)
-        orders = compute_orders(diagram)
+        orders = materialized_orders(build_rank2(result.telescoped, 7))
         tele = result.telescoped
         for label, o in orders.edge_orders.items():
             n, j, i, _ = label
@@ -153,7 +163,7 @@ class TestTelescope:
 
     def test_orders_beat_m_recursion(self):
         result = telescope_rank2(CONSTANT2, 7)
-        diagram = build_rank2(result.telescoped, 7)
+        diagram = canonical_rank2(result.telescoped, 7)
         orders = compute_orders(diagram)
         for n in range(6):
             assert orders.min_order_at(n) > n * orders.m[n]
@@ -179,24 +189,24 @@ class TestTelescope:
 
 class TestPaths:
     def test_range_source_of_mixed_path(self):
-        diagram = build_rank2(FIGURE, 3)
-        e = diagram.blue_edges_at(0)[0]
+        diagram = canonical_rank2(FIGURE, 3)
+        e = build_rank2(FIGURE, 3).blue_edges_at(0)[0]
         p = make_path(diagram, (e.label,), red_degree=2)
         assert path_range(diagram, p) == e.range_vertex
         n, j, pos = e.source_vertex
         assert path_source(diagram, p) == diagram.red_walk((n, j, pos), -2)
 
     def test_composition_normal_form(self):
-        diagram = build_rank2(FIGURE, 3)
+        diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
-        e0 = diagram.blue_edges_at(0)[0]
+        e0 = mat.blue_edges_at(0)[0]
         red = Rank2Path((), 1, e0.source_vertex)
         p = Rank2Path((e0.label,), 0)
         combined = compose_paths(diagram, orders, p, red)
         assert combined.blue == (e0.label,) and combined.red_degree == 1
         # red segment then blue edge: the blue edge picks up one F
         f = next(
-            x for x in diagram.blue_edges_at(1)
+            x for x in mat.blue_edges_at(1)
             if x.range_vertex == path_source(diagram, combined)
         )
         q = Rank2Path((f.label,), 0)
@@ -205,12 +215,12 @@ class TestPaths:
         assert total.red_degree == 1
 
     def test_degree_additive(self):
-        diagram = build_rank2(FIGURE, 3)
+        diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
-        e0 = diagram.blue_edges_at(0)[0]
+        e0 = mat.blue_edges_at(0)[0]
         p = Rank2Path((e0.label,), 1)
         f = next(
-            x for x in diagram.blue_edges_at(1)
+            x for x in mat.blue_edges_at(1)
             if x.range_vertex == path_source(diagram, p)
         )
         q = Rank2Path((f.label,), 2)
@@ -219,11 +229,13 @@ class TestPaths:
 
 
 class TestAutomorphism:
+    """The closed-form automorphism, checked against the blue edges that
+    ``build_rank2`` materializes."""
+
     def test_levels_zero_one_fixed(self):
-        diagram = build_rank2(FIGURE, 3)
-        auto = rank2_automorphism(diagram)
+        auto = rank2_automorphism(canonical_rank2(FIGURE, 3))
         assert auto.orders.m[:2] == (0, 0)
-        for e in diagram.blue_edges_at(0):
+        for e in build_rank2(FIGURE, 3).blue_edges_at(0):
             assert auto.blue_image(e.label) == e.label
 
     def test_level_two_moves_through_power_twelve(self):
@@ -232,16 +244,16 @@ class TestAutomorphism:
             B=(((1,),), ((2,),), ((2,),)),
             T=((1,), (3,), (6,), (6,)),
         )
-        diagram = build_rank2(data, 4)
+        diagram, mat = canonical_rank2(data, 4), build_rank2(data, 4)
         orders = compute_orders(diagram)
         auto = rank2_automorphism(diagram, orders)
         assert orders.m[2] == 12
-        for e in diagram.blue_edges_at(2):
+        for e in mat.blue_edges_at(2):
             assert auto.blue_image(e.label) == orders.f_power(e.label, 12)
         # exhaustive source/range compatibility on composable blue pairs
-        by_label = diagram.blue_by_label()
-        for e in diagram.blue_edges_at(1):
-            for f in diagram.blue_edges_at(2):
+        by_label = mat.blue_by_label()
+        for e in mat.blue_edges_at(1):
+            for f in mat.blue_edges_at(2):
                 if e.source_vertex != f.range_vertex:
                     continue
                 img_e = by_label[auto.blue_image(e.label)]
@@ -250,21 +262,21 @@ class TestAutomorphism:
 
     def test_vertex_rotation_consistent(self):
         result = telescope_rank2(CONSTANT2, 6)
-        diagram = build_rank2(result.telescoped, 6)
-        auto = rank2_automorphism(diagram)
-        by_label = diagram.blue_by_label()
-        for e in diagram.blue:
+        mat = build_rank2(result.telescoped, 6)
+        auto = rank2_automorphism(canonical_rank2(result.telescoped, 6))
+        by_label = mat.blue_by_label()
+        for e in mat.blue:
             img = by_label[auto.blue_image(e.label)]
             assert img.range_vertex == auto.vertex_image(e.range_vertex)
 
     def test_path_image_preserves_composition(self):
-        diagram = build_rank2(FIGURE, 3)
+        diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
         auto = rank2_automorphism(diagram, orders)
-        e0 = diagram.blue_edges_at(0)[0]
+        e0 = mat.blue_edges_at(0)[0]
         p = Rank2Path((e0.label,), 1)
         f = next(
-            x for x in diagram.blue_edges_at(1)
+            x for x in mat.blue_edges_at(1)
             if x.range_vertex == path_source(diagram, p)
         )
         q = Rank2Path((f.label,), 0)
@@ -273,16 +285,14 @@ class TestAutomorphism:
         assert lhs == rhs
 
     def test_preimage_inverts(self):
-        diagram = build_rank2(FIGURE, 3)
-        auto = rank2_automorphism(diagram)
-        for e in diagram.blue:
+        auto = rank2_automorphism(canonical_rank2(FIGURE, 3))
+        for e in build_rank2(FIGURE, 3).blue:
             assert auto.blue_preimage(auto.blue_image(e.label)) == e.label
 
 
 class TestSkeleton:
     def test_blue_skeleton_shape(self):
-        diagram = build_rank2(FIGURE, 3)
-        skel = blue_skeleton(diagram)
+        skel = blue_skeleton(canonical_rank2(FIGURE, 3))
         assert skel.level_sizes == (1, 3, 6)
         assert sum(sum(row) for row in skel.mult[0]) == 3
         assert sum(sum(row) for row in skel.mult[1]) == 12

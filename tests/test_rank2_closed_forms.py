@@ -1,5 +1,6 @@
-"""The canonical rank-2 layout in closed form, against the materialized
-diagram of ``build_rank2`` as the oracle."""
+"""The canonical rank-2 layout in closed form, against the per-edge
+algorithms of ``tests/helpers.py`` run on the materialized diagram of
+``build_rank2``."""
 
 import dataclasses
 import itertools
@@ -29,7 +30,18 @@ from groupoid_forge.rank2_diagrams import (
 )
 from groupoid_forge.validation import StructuralError
 
-from helpers import materialize_rank2
+from helpers import (
+    materialize_rank2,
+    materialized_automorphism,
+    materialized_compose_paths,
+    materialized_k_matrices,
+    materialized_make_path,
+    materialized_orders,
+    materialized_path_range,
+    materialized_path_source,
+    materialized_skeleton,
+    materialized_validation,
+)
 
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
@@ -42,6 +54,12 @@ FIGURE_TAIL = Rank2Data(
 )
 TWO_CYCLE_ONES = Rank2Data(
     A=(((1, 1), (1, 1)),), B=(((1, 1), (1, 1)),), T=((1, 1), (1, 1)), repeat_from=0
+)
+# two cycles per level whose T entries differ: A(i,j) T0(j) = B(i,j) T1(i)
+TWO_CYCLE_MIXED = Rank2Data(
+    A=(((2, 1), (1, 1)), ((1, 1), (1, 2))),
+    B=(((1, 1), (1, 2)), ((2, 1), (1, 1))),
+    T=((1, 2), (2, 1), (1, 2)),
 )
 
 
@@ -58,6 +76,7 @@ CASES = {
     "const3_d4": _telescoped(CONSTANT3, 4),
     "figure_tail_d3": _telescoped(FIGURE_TAIL, 3),
     "two_cycle_ones_d2": _telescoped(TWO_CYCLE_ONES, 2),
+    "two_cycle_mixed": (TWO_CYCLE_MIXED, 3),
 }
 
 
@@ -82,7 +101,7 @@ class TestAgainstMaterialized:
     def test_labels_in_build_order(self, pair):
         canon, mat = pair
         assert canon.blue_count() == len(mat.blue)
-        for n in range(mat.levels() - 1):
+        for n in range(canon.levels() - 1):
             expected = [e.label for e in mat.blue_edges_at(n)]
             assert list(canon.blue_labels_at(n)) == expected
         for n in (0, 1):
@@ -91,10 +110,10 @@ class TestAgainstMaterialized:
 
     def test_orders_and_f_powers(self, pair):
         canon, mat = pair
-        fast, ref = compute_orders(canon), compute_orders(mat)
+        fast, ref = compute_orders(canon), materialized_orders(mat)
         assert fast.level_lcm == ref.level_lcm
         assert fast.m == ref.m
-        for n in range(mat.levels() - 1):
+        for n in range(canon.levels() - 1):
             assert fast.orders_at(n) == ref.orders_at(n)
             assert fast.min_order_at(n) == ref.min_order_at(n)
         assert fast.max_edge_level() == ref.max_edge_level()
@@ -105,20 +124,20 @@ class TestAgainstMaterialized:
 
     def test_validation_and_k_matrices(self, pair):
         canon, mat = pair
-        assert validate_rank2(canon) == validate_rank2(mat)
+        assert validate_rank2(canon) == materialized_validation(mat)
         assert validate_rank2(canon).passed
-        assert rank2_k_matrices(canon) == rank2_k_matrices(mat)
+        assert rank2_k_matrices(canon) == materialized_k_matrices(mat)
 
     def test_automorphism(self, pair):
         canon, mat = pair
-        fast, ref = rank2_automorphism(canon), rank2_automorphism(mat)
+        fast, ref = rank2_automorphism(canon), materialized_automorphism(mat)
         for label in _labels(mat):
             assert fast.blue_image(label) == ref.blue_image(label)
             assert fast.blue_preimage(label) == ref.blue_preimage(label)
 
     def test_skeleton(self, pair):
         canon, mat = pair
-        fast, ref = blue_skeleton(canon), blue_skeleton(mat)
+        fast, ref = blue_skeleton(canon), materialized_skeleton(mat)
         assert fast.level_sizes == ref.level_sizes
         assert fast.mult == ref.mult
 
@@ -136,31 +155,32 @@ class TestPathsAgainstMaterialized:
             assert canon.blue_ends(e.label) == (e.range_vertex, e.source_vertex)
             for red in range(4):
                 p = Rank2Path((e.label,), red)
-                assert path_range(canon, p) == path_range(mat, p) == e.range_vertex
-                assert path_source(canon, p) == path_source(mat, p)
+                assert path_range(canon, p) == materialized_path_range(mat, p) == e.range_vertex
+                assert path_source(canon, p) == materialized_path_source(mat, p)
         for v in canon.vertices_at(1):
             p = Rank2Path((), 2, v)
-            assert path_range(canon, p) == path_range(mat, p) == v
-            assert path_source(canon, p) == path_source(mat, p)
+            assert path_range(canon, p) == materialized_path_range(mat, p) == v
+            assert path_source(canon, p) == materialized_path_source(mat, p)
 
     def test_make_and_compose(self, data, levels, orientation):
         canon, mat = self.diagrams(data, levels, orientation)
-        fast, ref = compute_orders(canon), compute_orders(mat)
+        fast, ref = compute_orders(canon), materialized_orders(mat)
         low, high = mat.blue_edges_at(0), mat.blue_edges_at(1)
         for e, f in itertools.product(low[:6], high[:12]):
             pair = (e.label, f.label)
             if e.source_vertex == f.range_vertex:
-                assert make_path(canon, pair, 1) == make_path(mat, pair, 1)
+                assert make_path(canon, pair, 1) == materialized_make_path(mat, pair, 1)
             else:
                 with pytest.raises(StructuralError) as got:
                     make_path(canon, pair)
                 with pytest.raises(StructuralError) as want:
-                    make_path(mat, pair)
+                    materialized_make_path(mat, pair)
                 assert str(got.value) == str(want.value)
             for red in range(3):
                 p, q = Rank2Path((e.label,), red), Rank2Path((f.label,), 1)
-                if path_source(mat, p) == f.range_vertex:
-                    assert compose_paths(canon, fast, p, q) == compose_paths(mat, ref, p, q)
+                if materialized_path_source(mat, p) == f.range_vertex:
+                    got = compose_paths(canon, fast, p, q)
+                    assert got == materialized_compose_paths(mat, ref, p, q)
                 else:
                     with pytest.raises(ValueError):
                         compose_paths(canon, fast, p, q)
@@ -170,9 +190,10 @@ class TestPathsAgainstMaterialized:
         n, j, i, _ = mat.blue[-1].label
         counts = canon.counts[n][i][j]
         for label in ((n, j, i, counts), (n, j, i, -1), (levels - 1, 0, 0, 0), (0, 5, 0, 0)):
-            for d in (canon, mat):
-                with pytest.raises(KeyError):
-                    path_range(d, Rank2Path((label,), 0))
+            with pytest.raises(KeyError):
+                path_range(canon, Rank2Path((label,), 0))
+            with pytest.raises(KeyError):
+                materialized_path_range(mat, Rank2Path((label,), 0))
 
 
 def test_path_source_on_the_canonical_diagram():
@@ -201,9 +222,20 @@ def _outcome(fn, diagram):
         return "error", str(exc)
 
 
-def _skeleton(diagram):
-    skeleton = blue_skeleton(diagram)
-    return skeleton.level_sizes, skeleton.mult
+def _skeleton(skeleton_of):
+    def levels_and_mult(diagram):
+        skeleton = skeleton_of(diagram)
+        return skeleton.level_sizes, skeleton.mult
+
+    return levels_and_mult
+
+
+def _images(automorphism_of, labels):
+    def images(diagram):
+        auto = automorphism_of(diagram)
+        return [auto.blue_image(label) for label in labels]
+
+    return images
 
 
 @pytest.mark.parametrize("orientation", (1, -1))
@@ -212,16 +244,17 @@ def test_broken_layouts_match_the_materialized_diagram(name, orientation):
     sizes, counts = BROKEN[name]
     canon = CanonicalRank2Diagram(sizes, counts, orientation)
     mat = materialize_rank2(canon)
-
-    def images(diagram):
-        auto = rank2_automorphism(diagram)
-        return [auto.blue_image(e.label) for e in mat.blue]
+    labels = [e.label for e in mat.blue]
 
     assert not validate_rank2(canon).passed
-    assert validate_rank2(canon) == validate_rank2(mat)
-    assert _outcome(rank2_k_matrices, canon) == _outcome(rank2_k_matrices, mat)
-    assert _outcome(_skeleton, canon) == _outcome(_skeleton, mat)
-    assert _outcome(images, canon) == _outcome(images, mat)
+    assert validate_rank2(canon) == materialized_validation(mat)
+    assert _outcome(rank2_k_matrices, canon) == _outcome(materialized_k_matrices, mat)
+    assert _outcome(_skeleton(blue_skeleton), canon) == _outcome(
+        _skeleton(materialized_skeleton), mat
+    )
+    assert _outcome(_images(rank2_automorphism, labels), canon) == _outcome(
+        _images(materialized_automorphism, labels), mat
+    )
 
 
 def test_non_proper_matrices_rejected_alike():

@@ -35,7 +35,7 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
-from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, compute_orders, telescope_rank2
+from groupoid_forge.rank2_diagrams import Rank2Data, canonical_rank2, compute_orders, telescope_rank2
 from groupoid_forge.twisted_product import (
     bouquet_twisted_product,
     check_lc,
@@ -200,6 +200,10 @@ class TestBornIndexedProduct:
                 assert list(getattr(F, name).items()) == list(getattr(D, name).items())
             assert dict(F.composition) == D.composition
             assert json.dumps(F.to_json()) == json.dumps(D.to_json())
+            # the index reuses the table's positions, and they agree with
+            # the positions the dict build indexes afresh
+            assert F._index.position is F.composition.position
+            assert F._index == D._index
 
     def test_row_table_reads_like_a_dict(self):
         for H, c, G, alpha in _oracle_instances():
@@ -298,7 +302,7 @@ class TestWfc:
     def test_rank2_certificate(self):
         const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
         tele = telescope_rank2(const, 7)
-        diagram = build_rank2(tele.telescoped, 7)
+        diagram = canonical_rank2(tele.telescoped, 7)
         cert = check_wfc(diagram, None, depth=5, shift_bound=50)
         assert cert.status == "certificate"
         for n, row in cert.details["inequality"].items():
@@ -339,19 +343,19 @@ class TestLc:
             B=(((1,),), ((2,),), ((2,),)),
             T=((1,), (3,), (6,), (6,)),
         )
-        diagram = build_rank2(data, 4)
+        diagram = canonical_rank2(data, 4)
         orders = compute_orders(diagram)
         from groupoid_forge.rank2_diagrams import Rank2Path, rank2_automorphism
 
         auto = rank2_automorphism(diagram, orders)
-        e = diagram.blue_edges_at(2)[0]
-        o = orders.edge_orders[e.label]
+        label = next(diagram.blue_labels_at(2))
+        o = orders.edge_order(label)
         m2 = orders.m[2]
         assert (o, m2) == (12, 12)
         import math
 
         expected = o // math.gcd(m2, o)
-        w = check_lc(diagram, auto, [Rank2Path((e.label,), 0)])
+        w = check_lc(diagram, auto, [Rank2Path((label,), 0)])
         assert w.entries[0].l == expected == 1
 
 
