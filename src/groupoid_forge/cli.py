@@ -93,6 +93,11 @@ def _alpha_for(spec: str, G):
         return identity_automorphism(G)
     if spec.startswith("cycle"):
         shift = int(spec.partition(":")[2] or 1)
+        if not all(
+            isinstance(g, tuple) and len(g) == 2 and (G.r(g), G.s(g)) == ((g[0],) * 2, (g[1],) * 2)
+            for g in G.elements
+        ):
+            raise ValueError(f"--alpha {spec} needs G to be a relation of pairs (a, b) on points")
         points = sorted({u[0] for u in G.units})
         n = len(points)
         return relation_automorphism(G, {p: points[(points.index(p) + shift) % n] for p in points})

@@ -558,15 +558,16 @@ class EdgeCycleAutomorphism(GraphAutomorphismBase):
     def power(self, k: int) -> "EdgeCycleAutomorphism":
         return EdgeCycleAutomorphism(self.diagram, self.step * k, self.labelling)
 
+    def cycle_lengths(self, level: int) -> set[int]:
+        """The distinct cycle lengths on the edges between ``level`` and
+        ``level + 1``: a class of k copies rotated by the step splits into
+        gcd(k, step) cycles of length k / gcd(k, step), whatever its labelling."""
+        m = self.diagram.multiplicity_matrix(level)
+        return {k // math.gcd(k, self.step) for row in m for k in row if k}
+
     def order(self, max_level: int) -> int:
-        """lcm of the class sizes over levels 0..max_level-1."""
-        n = 1
-        for lvl in range(max_level):
-            for row in self.diagram.multiplicity_matrix(lvl):
-                for k in row:
-                    if k:
-                        n = math.lcm(n, k)
-        return n
+        """lcm of the cycle lengths over levels 0..max_level-1."""
+        return math.lcm(*(n for lvl in range(max_level) for n in self.cycle_lengths(lvl)))
 
 
 def edge_cycle_automorphism(

@@ -29,11 +29,10 @@ from .graph_model import (
     diagram_from_json,
     edge_cycle_automorphism,
     enumerate_paths,
-    path_count_matrix,
     telescope,
     validate_bratteli,
 )
-from .matrices import min_entry, transpose
+from .matrices import mat_mul, min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -174,23 +173,21 @@ class RealizationReport:
 
 def _growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int) -> list[int] | None:
     """Levels 0 = t_0 < t_1 < ... with every collapsed multiplicity entry at
-    new level n strictly above n."""
+    new level n strictly above n; each gap keeps one running product."""
     chosen = [0]
     for n in range(levels_out - 1):
-        found = None
-        q = chosen[-1] + 1
-        while q <= cap:
+        prod = None
+        for q in range(chosen[-1] + 1, cap + 1):
             try:
-                prod = path_count_matrix(d, chosen[-1], q)
+                m = d.multiplicity_matrix(q - 1)
             except StructuralError:
                 return None
+            prod = m if prod is None else mat_mul(prod, m)
             if min_entry(prod) > n:
-                found = q
+                chosen.append(q)
                 break
-            q += 1
-        if found is None:
+        else:
             return None
-        chosen.append(found)
     return chosen
 
 

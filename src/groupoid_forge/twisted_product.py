@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .graph_model import (
     BratteliDiagram,
+    EdgeCycleAutomorphism,
     GraphAutomorphismBase,
     PathWord,
     path_from_edges,
@@ -43,7 +44,6 @@ from .groupoid_core import (
     FiniteGroupoid,
     GroupoidAutomorphism,
     RowTable,
-    cycles,
     is_principal,
     orbit,
     orbits,
@@ -101,7 +101,9 @@ def twisted_product(
     elements = tuple((h, g) for h in H.elements for g in G.elements)
     units = frozenset((u, w) for u in H.units for w in G.units)
     rng = {(h, g): (H.r(h), G.r(g)) for (h, g) in elements}
-    twist = {h: alpha.power(c(h)).mapping for h in H.elements}
+    exponent = {h: c(h) for h in H.elements}
+    powers = {k: alpha.power(k).mapping for k in set(exponent.values())}
+    twist = {h: powers[k] for h, k in exponent.items()}
     src = {(h, g): (H.s(h), twist[h][G.s(g)]) for (h, g) in elements}
     inv = {(h, g): (H.inv(h), twist[h][G.inv(g)]) for (h, g) in elements}
 
@@ -110,7 +112,7 @@ def twisted_product(
     g_part: dict[int, list[tuple[list[int], list[int]]]] = {}
     rows: list[dict[int, int]] = [{} for _ in elements]
     for i1, h1 in enumerate(H.elements):
-        k = c(h1)
+        k = exponent[h1]
         table = g_part.get(k)
         if table is None:
             table = g_part[k] = _g_part_rows(G, g_position, alpha.power(-k))
@@ -315,42 +317,33 @@ def _check_wfc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, depth, L):
     )
 
 
-_NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
-
-
-def _alpha_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[int]:
-    """Cycle lengths of the automorphism on the edges ranging at each vertex
-    of a level; a vertex-fixing automorphism cycles each parallel class."""
-    lengths = []
-    for v in d.vertices_at(level):
-        images = {e.label: alpha.edge_image(e).label for e in d.edges_with_range(v)}
-        if set(images.values()) != images.keys():
-            raise ValueError(_NOT_VERTEX_FIXING)
-        lengths.extend(map(len, cycles(images)))
-    return lengths
-
-
-def _check_wfc_bratteli(d: BratteliDiagram, alpha: GraphAutomorphismBase, depth, L):
-    for v in d.vertices_at(0):
-        if alpha.vertex_image(v) != v:
-            raise ValueError(_NOT_VERTEX_FIXING)
-    lengths_at: dict[int, list[int]] = {}
+def _check_wfc_bratteli(d: BratteliDiagram, alpha: EdgeCycleAutomorphism, depth, L):
+    if not isinstance(alpha, EdgeCycleAutomorphism):
+        raise TypeError(
+            "bratteli orbit-freeness check needs an EdgeCycleAutomorphism, "
+            f"got {type(alpha).__name__}"
+        )
+    if alpha.diagram != d:
+        raise ValueError("the automorphism cycles the classes of a different diagram")
+    min_cycle: dict[int, int] = {}
+    order = 1
     for p in range(depth):
         try:
-            lengths = _alpha_class_cycle_lengths(d, alpha, p)
+            lengths = alpha.cycle_lengths(p)
         except StructuralError:
             break
         if lengths:
-            lengths_at[p] = lengths
-    min_cycle = {p: min(lengths) for p, lengths in lengths_at.items()}
+            min_cycle[p] = min(lengths)
+            order = math.lcm(order, *lengths)
+    # shift l is witnessed by the first level whose shortest cycle exceeds l;
+    # that level never moves up as l grows, so one sweep assigns every shift
     witnesses: dict[int, int] = {}
-    missing = []
-    for l in range(1, L + 1):
-        p = next((p for p in sorted(min_cycle) if min_cycle[p] > l), None)
-        if p is None:
-            missing.append(l)
-        else:
+    l = 1
+    for p, shortest in min_cycle.items():
+        while l < shortest and l <= L:
             witnesses[l] = p
+            l += 1
+    missing = list(range(l, L + 1))
     if not missing:
         return WfcCertificate(
             "certificate",
@@ -367,7 +360,6 @@ def _check_wfc_bratteli(d: BratteliDiagram, alpha: GraphAutomorphismBase, depth,
     # every edge, so every orbit collides; with a repetition rule this is a
     # genuine counterexample.
     if d.repeat_from is not None and min_cycle:
-        order = math.lcm(*(ln for lengths in lengths_at.values() for ln in lengths))
         for l in missing:
             if l % order == 0:
                 return WfcCertificate(

@@ -14,10 +14,17 @@ from functools import cached_property
 from typing import Mapping
 
 from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
-from groupoid_forge.graph_model import BratteliDiagram, Edge, path_from_edges, vertex_path
+from groupoid_forge.graph_model import (
+    BratteliDiagram,
+    Edge,
+    path_count_matrix,
+    path_from_edges,
+    vertex_path,
+)
 from groupoid_forge.groupoid_core import build_groupoid, cycles
-from groupoid_forge.matrices import as_matrix, diagonal, mat_mul
+from groupoid_forge.matrices import as_matrix, diagonal, mat_mul, min_entry
 from groupoid_forge.rank2_diagrams import Rank2Diagram, Rank2Path
+from groupoid_forge.twisted_product import WfcCertificate
 from groupoid_forge.validation import (
     StructuralError,
     ValidationReport,
@@ -422,6 +429,115 @@ def materialized_compose_paths(d: Rank2Diagram, orders: OrderData, p, q) -> Rank
         p.red_degree + q.red_degree,
         anchor=materialized_path_range(d, p) if not (p.blue or shifted) else None,
     )
+
+
+# ---------------------------------------------------------------------------
+# Edge-walk AF oracles
+#
+# The Bratteli orbit-freeness check as it walked every edge of a level
+# through the automorphism and collected the cycles of each parallel class,
+# and the growth search that rebuilt the path-count matrix from scratch for
+# every candidate level.  ``twisted_product.check_wfc`` reads the class-cycle
+# lengths off the multiplicities and ``pipeline._growth_subsequence`` keeps
+# one running product per gap; both are tested against these.
+# ---------------------------------------------------------------------------
+
+_NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
+
+
+def walked_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[int]:
+    """Cycle lengths of the automorphism on the edges ranging at each vertex
+    of a level; a vertex-fixing automorphism cycles each parallel class."""
+    lengths = []
+    for v in d.vertices_at(level):
+        images = {e.label: alpha.edge_image(e).label for e in d.edges_with_range(v)}
+        if set(images.values()) != images.keys():
+            raise ValueError(_NOT_VERTEX_FIXING)
+        lengths.extend(map(len, cycles(images)))
+    return lengths
+
+
+def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> WfcCertificate:
+    """The Bratteli orbit-freeness certificate from the per-edge cycle walk."""
+    for v in d.vertices_at(0):
+        if alpha.vertex_image(v) != v:
+            raise ValueError(_NOT_VERTEX_FIXING)
+    lengths_at: dict[int, list[int]] = {}
+    for p in range(depth):
+        try:
+            lengths = walked_class_cycle_lengths(d, alpha, p)
+        except StructuralError:
+            break
+        if lengths:
+            lengths_at[p] = lengths
+    min_cycle = {p: min(lengths) for p, lengths in lengths_at.items()}
+    witnesses: dict[int, int] = {}
+    missing = []
+    for l in range(1, L + 1):
+        p = next((p for p in sorted(min_cycle) if min_cycle[p] > l), None)
+        if p is None:
+            missing.append(l)
+        else:
+            witnesses[l] = p
+    if not missing:
+        return WfcCertificate(
+            "certificate",
+            "bratteli",
+            depth,
+            L,
+            {
+                "kind": "class-cycle-lengths",
+                "min_cycle_length_per_level": {str(k): v for k, v in min_cycle.items()},
+                "witness_level_per_shift": {str(l): p for l, p in witnesses.items()},
+            },
+        )
+    if d.repeat_from is not None and min_cycle:
+        order = math.lcm(*(ln for lengths in lengths_at.values() for ln in lengths))
+        for l in missing:
+            if l % order == 0:
+                return WfcCertificate(
+                    "counterexample",
+                    "bratteli",
+                    depth,
+                    L,
+                    {
+                        "l": l,
+                        "note": "automorphism power acts as the identity on all "
+                        "edges within the horizon and the diagram repeats",
+                    },
+                )
+    return WfcCertificate(
+        "unknown",
+        "bratteli",
+        depth,
+        L,
+        {
+            "undecided_shifts": missing,
+            "min_cycle_length_per_level": {str(k): v for k, v in min_cycle.items()},
+        },
+    )
+
+
+def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
+    """The growth search with one fresh ``path_count_matrix`` per candidate
+    level (the oracle for ``pipeline._growth_subsequence``)."""
+    chosen = [0]
+    for n in range(levels_out - 1):
+        found = None
+        q = chosen[-1] + 1
+        while q <= cap:
+            try:
+                prod = path_count_matrix(d, chosen[-1], q)
+            except StructuralError:
+                return None
+            if min_entry(prod) > n:
+                found = q
+                break
+            q += 1
+        if found is None:
+            return None
+        chosen.append(found)
+    return chosen
 
 
 @dataclass(frozen=True)

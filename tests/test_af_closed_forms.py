@@ -1,0 +1,157 @@
+"""The AF realization route in closed form, against the edge-walk oracles of
+``tests/helpers.py``: the orbit-freeness certificate read off the
+multiplicities, and the growth search with one running product per gap."""
+
+import random
+
+import pytest
+
+from groupoid_forge.graph_model import (
+    BratteliDiagram,
+    EdgeCycleAutomorphism,
+    constant_diagram,
+    edge_cycle_automorphism,
+    edge_permutation_automorphism,
+    loop_graph,
+    telescope,
+)
+from groupoid_forge.matrices import as_matrix
+from groupoid_forge.pipeline import _growth_subsequence
+from groupoid_forge.twisted_product import check_wfc
+
+from helpers import rescanned_growth_subsequence, walked_wfc_certificate
+
+
+def seeded_diagram(seed: int, size: int, levels: int, repeat_from, low: int = 1, high: int = 3):
+    rng = random.Random(seed)
+    mats = tuple(
+        as_matrix([[rng.randint(low, high) for _ in range(size)] for _ in range(size)])
+        for _ in range(levels - 1)
+    )
+    return BratteliDiagram((size,) * levels, mats, repeat_from)
+
+
+# an all-zero level between two nonzero ones; the check skips it
+ZERO_LEVEL = BratteliDiagram(
+    (1, 1, 1, 1), (as_matrix([[2]]), as_matrix([[0]]), as_matrix([[3]])), 0
+)
+# five stored matrices and no repetition rule
+FINITE = BratteliDiagram((1,) * 6, tuple(as_matrix([[k]]) for k in (2, 3, 4, 6, 5)), None)
+
+DIAGRAMS = {
+    "constant1": constant_diagram(1),
+    "constant2": constant_diagram(2),
+    "constant3": constant_diagram(3),
+    "zero_level": ZERO_LEVEL,
+    "finite": FINITE,
+    **{f"seeded2x2_{s}": seeded_diagram(s, 2, 3, 0, high=6) for s in range(3)},
+    **{f"seeded3x3_{s}": seeded_diagram(10 + s, 3, 4, 1, high=5) for s in range(3)},
+    **{f"finite2x2_{s}": seeded_diagram(20 + s, 2, 6, None, low=0, high=4) for s in range(2)},
+}
+
+
+def _growth_telescope(d, levels):
+    sub = _growth_subsequence(d, levels, 4096)
+    return d if sub is None else telescope(d, sub)
+
+
+class TestWfcAgainstEdgeWalk:
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    @pytest.mark.parametrize("step", range(-3, 4))
+    def test_steps_and_horizons(self, name, step):
+        d = DIAGRAMS[name]
+        alpha = edge_cycle_automorphism(d).power(step)
+        for depth in (1, 3, 7):
+            for L in (0, 1, 2, 5, 12):
+                expected = walked_wfc_certificate(d, alpha, depth, L).to_json()
+                assert check_wfc(d, alpha, depth, L).to_json() == expected
+
+    @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
+    def test_telescoped_along_the_growth_condition(self, name):
+        tele = _growth_telescope(DIAGRAMS[name], 14)
+        for step in (1, 2, -3):
+            alpha = edge_cycle_automorphism(tele).power(step)
+            for L in (6, 12):
+                expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
+                assert check_wfc(tele, alpha, 13, L).to_json() == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_custom_labellings(self, seed):
+        rng = random.Random(seed)
+        d = _growth_telescope(DIAGRAMS["seeded2x2_1"], 7)
+        labelling = {}
+        for n in range(d.horizon):
+            for i, row in enumerate(d.multiplicity_matrix(n)):
+                for j, k in enumerate(row):
+                    order = list(range(k))
+                    rng.shuffle(order)
+                    labelling[(n, i, j)] = order
+        base = edge_cycle_automorphism(d, labelling)
+        for step in range(-3, 4):
+            alpha = base.power(step)
+            for L in (3, 8):
+                expected = walked_wfc_certificate(d, alpha, d.horizon, L).to_json()
+                assert check_wfc(d, alpha, d.horizon, L).to_json() == expected
+
+    def test_constant_one_counterexample(self):
+        d = constant_diagram(1)
+        alpha = edge_cycle_automorphism(d)
+        cert = check_wfc(d, alpha, depth=3, shift_bound=2)
+        assert cert.status == "counterexample" and cert.details["l"] == 1
+        assert cert.to_json() == walked_wfc_certificate(d, alpha, 3, 2).to_json()
+
+    def test_finite_horizon_stays_unknown(self):
+        # no repetition rule: the missing shifts are never a counterexample
+        alpha = edge_cycle_automorphism(FINITE).power(6)
+        cert = check_wfc(FINITE, alpha, depth=9, shift_bound=6)
+        assert cert.status == "unknown" and cert.details["undecided_shifts"] == [5, 6]
+        assert cert.details["min_cycle_length_per_level"] == {"0": 1, "1": 1, "2": 2, "3": 1, "4": 5}
+        assert cert.to_json() == walked_wfc_certificate(FINITE, alpha, 9, 6).to_json()
+
+    def test_walks_no_edge(self, monkeypatch):
+        tele = _growth_telescope(constant_diagram(2), 22)
+        alpha = edge_cycle_automorphism(tele)
+        expected = walked_wfc_certificate(tele, alpha, 21, 20).to_json()
+
+        def refuse(self, e):
+            raise AssertionError("check_wfc walked an edge")
+
+        monkeypatch.setattr(EdgeCycleAutomorphism, "edge_image", refuse)
+        cert = check_wfc(tele, alpha, depth=21, shift_bound=20)
+        assert cert.status == "certificate"
+        assert cert.to_json() == expected
+
+    def test_rejects_other_automorphisms(self):
+        d = constant_diagram(2)
+        graph = loop_graph(2)
+        with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
+            check_wfc(d, edge_permutation_automorphism(graph, {0: 1, 1: 0}), 3, 2)
+        with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
+            check_wfc(d, None, 3, 2)
+        with pytest.raises(ValueError, match="different diagram"):
+            check_wfc(d, edge_cycle_automorphism(constant_diagram(3)), 3, 2)
+
+
+class TestGrowthSearchAgainstRescan:
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    def test_matches_fresh_products(self, name):
+        d = DIAGRAMS[name]
+        for levels in (2, 6, 12):
+            for cap in (1, 3, 9, 64):
+                assert _growth_subsequence(d, levels, cap) == rescanned_growth_subsequence(
+                    d, levels, cap
+                )
+
+    def test_seeded_ladders(self):
+        for seed in range(6):
+            d = seeded_diagram(seed, 2 + seed % 2, 4, 1, low=0, high=3)
+            for levels in (5, 11, 21):
+                assert _growth_subsequence(d, levels, 128) == rescanned_growth_subsequence(
+                    d, levels, 128
+                )
+
+    def test_small_cap_and_finite_horizon_give_none(self):
+        assert _growth_subsequence(constant_diagram(2), 12, 5) is None
+        assert _growth_subsequence(FINITE, 6, 4096) == [0, 1, 2, 3, 4, 5]
+        assert _growth_subsequence(FINITE, 7, 4096) is None
+        assert rescanned_growth_subsequence(FINITE, 7, 4096) is None

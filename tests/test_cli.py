@@ -12,7 +12,7 @@ import pytest
 import groupoid_forge
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import constant_diagram
-from groupoid_forge.groupoid_core import full_relation
+from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.rank2_diagrams import (
     Rank2Automorphism,
     Rank2Data,
@@ -140,6 +140,17 @@ class TestGroupoid:
             == 0
         )
         assert "pass" in capsys.readouterr().out
+
+    def test_twist_cycle_needs_pair_elements(self, tmp_path, capsys):
+        # the elements of Z/4 are integers, not pairs of points to permute
+        G = tmp_path / "z4.json"
+        G.write_text(json.dumps(cyclic_group_groupoid(4).to_json()))
+        H = tmp_path / "h.json"
+        H.write_text(json.dumps(full_relation(range(3)).to_json()))
+        assert main(["twist", "--H", str(H), "--G", str(G), "--alpha", "cycle"]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha cycle needs G to be a relation" in err
+        assert "Traceback" not in err
 
     def test_twist_bouquet(self, groupoid_file, capsys):
         assert main(["twist", "--H", "hinf", "--G", groupoid_file, "--alpha", "identity"]) == 0

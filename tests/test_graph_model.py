@@ -196,6 +196,19 @@ class TestEdgeCycle:
             expected = math.lcm(expected, k)
         assert math.lcm(*lengths) == expected == a.order(2)
 
+    def test_powers_cycle_lengths_and_order_by_brute_force(self):
+        d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 6]]), as_matrix([[4], [3]])))
+        for labelling in (None, {(0, 0, 1): (3, 0, 5, 4, 1, 2)}):
+            base = edge_cycle_automorphism(d, labelling)
+            for step in range(-4, 5):
+                a = base.power(step)
+                lengths = []
+                for lvl in range(2):
+                    walked = {brute_orbit_length(a.edge_image, e) for e in d.edges_between(lvl)}
+                    assert a.cycle_lengths(lvl) == walked
+                    lengths.extend(walked)
+                assert a.order(2) == math.lcm(*lengths)
+
     def test_fixes_vertices_and_orbits_have_class_size(self):
         d = BratteliDiagram((1, 1), (as_matrix([[5]]),))
         a = edge_cycle_automorphism(d)

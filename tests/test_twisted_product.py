@@ -205,6 +205,29 @@ class TestBornIndexedProduct:
             assert F._index.position is F.composition.position
             assert F._index == D._index
 
+    def test_one_power_per_distinct_exponent(self, monkeypatch):
+        # alpha^k for the source and inverse maps, alpha^-k for the G-part
+        # table: one lookup each per distinct cocycle exponent k
+        calls = []
+        power = GroupoidAutomorphism.power
+
+        def counted(self, k):
+            calls.append(k)
+            return power(self, k)
+
+        monkeypatch.setattr(GroupoidAutomorphism, "power", counted)
+        H = full_relation(range(4))
+        c = weight_cocycle(H, {(i, i): i % 2 for i in range(4)})
+        G = full_relation(range(3))
+        alpha = relation_automorphism(G, {0: 1, 1: 2, 2: 0})
+        F = twisted_product(H, c, G, alpha).finite_form
+        exponents = {c(h) for h in H.elements}
+        assert exponents == {-1, 0, 1}
+        assert sorted(calls) == sorted([*exponents, *(-k for k in exponents)])
+        monkeypatch.undo()
+        D = dict_twisted_product(H, c, G, alpha)
+        assert json.dumps(F.to_json()) == json.dumps(D.to_json())
+
     def test_row_table_reads_like_a_dict(self):
         for H, c, G, alpha in _oracle_instances():
             F = twisted_product(H, c, G, alpha).finite_form
