@@ -402,6 +402,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "realize" and args.lbound is None:
         args.lbound = 20 if args.target == "af" else 50
+    if getattr(args, "lbound", 1) < 1:
+        print(f"error: --lbound must be at least 1, got {args.lbound}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except StructuralError as exc:

@@ -26,11 +26,12 @@ from .dimension_groups import (
 )
 from .graph_model import (
     BratteliDiagram,
+    PathWord,
     diagram_from_json,
     edge_cycle_automorphism,
-    enumerate_paths,
     telescope,
     validate_bratteli,
+    vertex_path,
 )
 from .matrices import mat_mul, min_entry, transpose
 from .rank2_diagrams import (
@@ -87,6 +88,12 @@ class PipelineInputError(ValueError):
     def __init__(self, message: str, report: ValidationReport | None = None):
         super().__init__(message)
         self.report = report
+
+
+def _check_lbound(lbound: int) -> None:
+    """A plan certifies the shifts 1..lbound, so it needs at least one."""
+    if lbound < 1:
+        raise PipelineInputError(f"lbound must be at least 1, got {lbound}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,24 @@ def _growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int) -> list[i
     return chosen
 
 
+def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
+    """The first ``count`` paths of ``enumerate_paths(d, v, length)`` over
+    the level-0 vertices v and the lengths 0, 1, 2, built no further than
+    needed.  A Bratteli vertex lists its edges in label order, so extending
+    the prefixes in order yields each length already sorted."""
+
+    def paths(v, length):
+        if length == 0:
+            yield vertex_path(v)
+            return
+        for p in paths(v, length - 1):
+            for e in d.edges_with_range(p.source_vertex):
+                yield p.concat(PathWord((e,)))
+
+    every = (p for v in d.vertices_at(0) for length in range(3) for p in paths(v, length))
+    return list(islice(every, count))
+
+
 def plan_af_realization(
     d: BratteliDiagram,
     unit_class: tuple[int, Sequence[int]] | None = None,
@@ -202,6 +227,7 @@ def plan_af_realization(
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
     contraction, stabilize, and cut the requested unit corner."""
+    _check_lbound(lbound)
     check = validate_bratteli(d)
     if not check.passed:
         raise PipelineInputError(
@@ -241,12 +267,7 @@ def plan_af_realization(
     alpha = edge_cycle_automorphism(tele)
     wfc = check_wfc(tele, alpha, depth=levels_out - 1, shift_bound=lbound)
 
-    sample = []
-    for v in tele.vertices_at(0):
-        for length in range(0, 3):
-            sample.extend(enumerate_paths(tele, v, length))
-    sample = sample[:40]
-    lc = check_lc(tele, alpha, sample)
+    lc = check_lc(tele, alpha, _lc_sample(tele, 40))
 
     minimality = minimality_verdict(tele, alpha, min(depth, levels_out - 1))
 
@@ -345,6 +366,7 @@ def plan_rank2_realization(
     """Realization plan for rank-2 matrix data: telescope with the bound
     recursion, build the canonical diagram, certify the order inequality and
     the power automorphism, and cut the requested corner."""
+    _check_lbound(lbound)
     levels_out = depth + 2
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
     if source_cap != 4096:

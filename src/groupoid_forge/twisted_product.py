@@ -272,7 +272,13 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
     Dispatches on the backend: finite groupoids are scanned exhaustively;
     Bratteli diagrams are certified through parallel-class cycle lengths;
     rank-2 diagrams through the order inequality and bounded congruences.
+    A shift bound below 1 or a negative offset bound certifies nothing and
+    raises ``ValueError``.
     """
+    if shift_bound < 1:
+        raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
+    if s_bound is not None and s_bound < 0:
+        raise ValueError(f"red offset bound must be nonnegative, got {s_bound}")
     if isinstance(backend, FiniteGroupoid):
         return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
@@ -411,22 +417,42 @@ def _check_wfc_rank2(diagram, alpha, depth: int, L: int, s_bound: int | None):
             {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality},
         )
     S = L if s_bound is None else s_bound
+    # Level t witnesses (l, s) unless s = l*m_t (mod o) for an order o at t,
+    # so the offsets a level misses are one arithmetic progression per order.
+    # Offsets 0..S are the bits of an int: combs[o] holds the bits 0, o, 2o,
+    # ... up to S (a geometric series in 2^o), and shifted to the start
+    # l*m_t mod o it is one progression.  open_ holds the offsets no level
+    # has witnessed yet; each level takes the open offsets it does not miss.
+    levels = [(orders.m[t], orders.orders_at(t)) for t in range(max_level + 1)]
+    combs = {
+        o: ((1 << (o * (S // o + 1))) - 1) // ((1 << o) - 1) if o <= S else 1
+        for _, level_orders in levels
+        for o in level_orders
+    }
+    offsets = [str(s) for s in range(S + 1)]
     witness: dict[str, int] = {}
     undecided = []
     for l in range(1, L + 1):
-        for s in range(0, S + 1):
-            t = next(
-                (
-                    t
-                    for t in range(max_level + 1)
-                    if all((l * orders.m[t] - s) % o != 0 for o in orders.orders_at(t))
-                ),
-                None,
-            )
-            if t is None:
-                undecided.append([l, s])
-            else:
-                witness[f"{l},{s}"] = t
+        level_of = [None] * (S + 1)
+        open_ = (1 << (S + 1)) - 1
+        for t, (m_t, level_orders) in enumerate(levels):
+            missed = 0
+            for o in level_orders:
+                start = l * m_t % o
+                if start <= S:
+                    missed |= combs[o] << start
+            taken = open_ & ~missed
+            open_ &= missed
+            while taken:
+                low = taken & -taken
+                level_of[low.bit_length() - 1] = t
+                taken ^= low
+            if not open_:
+                break
+        if open_:
+            undecided.extend([l, s] for s, t in enumerate(level_of) if t is None)
+        elif not undecided:  # the witness map is reported only if none is undecided
+            witness.update(zip(map(f"{l},".__add__, offsets), level_of))
     if undecided:
         return WfcCertificate(
             "unknown",

@@ -540,6 +540,83 @@ def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
     return chosen
 
 
+# ---------------------------------------------------------------------------
+# Pair-scan rank-2 oracle
+#
+# The rank-2 orbit-freeness check as it tested every shift and red offset
+# (l, s) on its own, level by level, with one congruence per edge order.
+# ``twisted_product.check_wfc`` sweeps one arithmetic progression per
+# (shift, level, order) instead and is tested against this.
+# ---------------------------------------------------------------------------
+
+
+def scanned_rank2_wfc_certificate(
+    diagram, alpha, depth: int, L: int, s_bound: int | None = None
+) -> WfcCertificate:
+    """The rank-2 orbit-freeness certificate from the per-pair scan."""
+    from groupoid_forge.rank2_diagrams import Rank2Automorphism, compute_orders
+
+    if isinstance(alpha, Rank2Automorphism) and alpha.diagram is diagram:
+        orders = alpha.orders
+    else:
+        orders = compute_orders(diagram)
+    max_level = min(depth, orders.max_edge_level())
+    inequality = {}
+    for n in range(max_level + 1):
+        o_min = orders.min_order_at(n)
+        bound = n * orders.m[n]
+        inequality[str(n)] = {
+            "min_order": o_min,
+            "n_times_m_n": bound,
+            "holds": o_min > bound,
+        }
+    if not all(row["holds"] for row in inequality.values()):
+        return WfcCertificate(
+            "unknown",
+            "rank2",
+            depth,
+            L,
+            {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality},
+        )
+    S = L if s_bound is None else s_bound
+    witness: dict[str, int] = {}
+    undecided = []
+    for l in range(1, L + 1):
+        for s in range(0, S + 1):
+            t = next(
+                (
+                    t
+                    for t in range(max_level + 1)
+                    if all((l * orders.m[t] - s) % o != 0 for o in orders.orders_at(t))
+                ),
+                None,
+            )
+            if t is None:
+                undecided.append([l, s])
+            else:
+                witness[f"{l},{s}"] = t
+    if undecided:
+        return WfcCertificate(
+            "unknown",
+            "rank2",
+            depth,
+            L,
+            {"inequality": inequality, "undecided_pairs": undecided},
+        )
+    return WfcCertificate(
+        "certificate",
+        "rank2",
+        depth,
+        L,
+        {
+            "kind": "order-inequality+bounded-congruences",
+            "inequality": inequality,
+            "s_bound": S,
+            "witness_level_per_shift_and_red_offset": witness,
+        },
+    )
+
+
 @dataclass(frozen=True)
 class FractionGaussian:
     """A Gaussian rational kept as two ``Fraction`` parts, each operation

@@ -62,9 +62,12 @@ class TestWfcAgainstEdgeWalk:
         d = DIAGRAMS[name]
         alpha = edge_cycle_automorphism(d).power(step)
         for depth in (1, 3, 7):
-            for L in (0, 1, 2, 5, 12):
+            for L in (1, 2, 5, 12):
                 expected = walked_wfc_certificate(d, alpha, depth, L).to_json()
                 assert check_wfc(d, alpha, depth, L).to_json() == expected
+            # a shift bound below 1 leaves no shift to certify
+            with pytest.raises(ValueError, match="shift bound must be at least 1"):
+                check_wfc(d, alpha, depth, 0)
 
     @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
     def test_telescoped_along_the_growth_condition(self, name):

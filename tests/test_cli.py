@@ -324,6 +324,25 @@ class TestRealize:
     def test_rejected_input_exit_two(self, bad_diagram_file):
         assert main(["realize", "af", bad_diagram_file]) == 2
 
+    @pytest.mark.parametrize(
+        "command, lbound",
+        [
+            (["realize", "rank2", "{rank2}"], "-2"),
+            (["realize", "af", "{af}"], "0"),
+            (["certify", "wfc", "--rank2", "--input", "{rank2}"], "-3"),
+            (["certify", "wfc", "--input", "{af}"], "0"),
+        ],
+        ids=["realize-rank2", "realize-af", "certify-wfc-rank2", "certify-wfc-af"],
+    )
+    def test_nonpositive_lbound_exit_two(
+        self, command, lbound, rank2_file, diagram_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json"
+        argv = [arg.format(rank2=rank2_file, af=diagram_file) for arg in command]
+        assert main(argv + ["--lbound", lbound, "--out", str(out)]) == 2
+        assert f"--lbound must be at least 1, got {lbound}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyReport:
     @pytest.mark.parametrize(

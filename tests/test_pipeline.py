@@ -2,11 +2,18 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from groupoid_forge import pipeline, rank2_diagrams
-from groupoid_forge.graph_model import BratteliDiagram, constant_diagram
+from groupoid_forge.graph_model import (
+    BratteliDiagram,
+    PathWord,
+    constant_diagram,
+    enumerate_paths,
+    telescope,
+)
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
     ANALYTIC_HYPOTHESES,
@@ -99,6 +106,60 @@ class TestAfPlan:
         blob = json.loads(json.dumps(report.to_json()))
         blob["wfc"]["details"]["witness_level_per_shift"]["1"] = 999
         assert not verify_report_json(blob)
+
+
+def seeded_square(seed: int, size: int) -> BratteliDiagram:
+    rng = random.Random(seed)
+    m = as_matrix([[rng.randint(1, 3) for _ in range(size)] for _ in range(size)])
+    return BratteliDiagram((size, size), (m,), 0)
+
+
+class TestAfLcSample:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_forty_of_every_listed_path(self, seed):
+        d = seeded_square(seed, 2 + seed % 2)
+        tele = telescope(d, pipeline._growth_subsequence(d, 8 + seed, 4096))
+        every = [
+            p for v in tele.vertices_at(0) for n in range(3) for p in enumerate_paths(tele, v, n)
+        ]
+        for count in (1, 7, 40, len(every) + 1):
+            assert pipeline._lc_sample(tele, count) == every[:count]
+
+    def test_lists_no_path_past_the_fortieth(self, monkeypatch):
+        # random 3x3 data at lbound 40: 682 paths of length <= 2 from level 0
+        d = seeded_square(0, 3)
+        tele = telescope(d, pipeline._growth_subsequence(d, 42, 4096))
+        listed = [len(enumerate_paths(tele, v, n)) for v in tele.vertices_at(0) for n in range(3)]
+        assert sum(listed) == 682
+        built = []
+        concat = PathWord.concat
+
+        def counted(self, other):
+            built.append(other)
+            return concat(self, other)
+
+        monkeypatch.setattr(PathWord, "concat", counted)
+        assert len(pipeline._lc_sample(tele, 40)) == 40
+        # 39 paths and the length-1 prefixes of the length-2 paths taken
+        assert len(built) < 50
+
+
+class TestNonpositiveLbound:
+    # a plan certifies the shifts 1..lbound, so a bound below 1 certifies nothing
+    @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
+    @pytest.mark.parametrize("lbound", [0, -2])
+    def test_nonpositive_lbound_rejected(self, plan, lbound):
+        data = constant_diagram(2) if plan is plan_af_realization else CONSTANT2
+        with pytest.raises(PipelineInputError, match="lbound must be at least 1"):
+            plan(data, depth=3, lbound=lbound)
+
+    @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
+    def test_report_with_nonpositive_lbound_rejected(self, plan):
+        data = constant_diagram(2) if plan is plan_af_realization else CONSTANT2
+        blob = json.loads(json.dumps(plan(data, depth=3, lbound=4).to_json()))
+        blob["parameters"]["lbound"] = 0
+        with pytest.raises(PipelineInputError, match="lbound"):
+            verify_report_json(blob)
 
 
 class TestRank2Plan:

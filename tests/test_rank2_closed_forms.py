@@ -1,10 +1,12 @@
 """The canonical rank-2 layout in closed form, against the per-edge
 algorithms of ``tests/helpers.py`` run on the materialized diagram of
-``build_rank2``."""
+``build_rank2``, and the orbit-freeness sweep against the per-pair scan."""
 
 import dataclasses
 import itertools
 import json
+import math
+import random
 from itertools import islice
 
 import pytest
@@ -14,6 +16,7 @@ from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
 from groupoid_forge.rank2_diagrams import (
     CanonicalRank2Diagram,
+    Rank2Automorphism,
     Rank2Data,
     Rank2Path,
     blue_skeleton,
@@ -28,9 +31,11 @@ from groupoid_forge.rank2_diagrams import (
     telescope_rank2,
     validate_rank2,
 )
+from groupoid_forge.twisted_product import check_wfc
 from groupoid_forge.validation import StructuralError
 
 from helpers import (
+    OrderData,
     materialize_rank2,
     materialized_automorphism,
     materialized_compose_paths,
@@ -41,6 +46,7 @@ from helpers import (
     materialized_path_source,
     materialized_skeleton,
     materialized_validation,
+    scanned_rank2_wfc_certificate,
 )
 
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
@@ -276,3 +282,101 @@ def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
         report = plan_rank2_realization(data, unit_class=unit, depth=3, lbound=10)
         assert report.telescoping["complete"]
         assert verify_report_json(json.loads(json.dumps(report.to_json())))
+
+
+# ---------------------------------------------------------------------------
+# Orbit-freeness: the residue sweep against the per-pair scan
+# ---------------------------------------------------------------------------
+
+
+def _same_certificate(diagram, alpha, depth, L, s_bound=None):
+    """``check_wfc`` equals the pair scan, key order included; returns it."""
+    cert = check_wfc(diagram, alpha, depth, L, s_bound)
+    expected = scanned_rank2_wfc_certificate(diagram, alpha, depth, L, s_bound)
+    assert json.dumps(cert.to_json()) == json.dumps(expected.to_json())
+    return cert
+
+
+def seeded_orders(seed: int) -> OrderData:
+    """One to three distinct orders per level, drawn above n * m_n so the
+    order inequality holds, except that about one level in eight draws them
+    above a lower floor, where the inequality may fail."""
+    rng = random.Random(seed)
+    edge_orders, level_lcm, m = {}, [], [0]
+    for n in range(rng.randint(1, 5)):
+        floor = n * m[n]
+        if floor and rng.random() < 0.125:
+            floor = rng.randint(0, floor - 1)
+        level = rng.sample(range(floor + 1, floor + 30), rng.randint(1, 3))
+        edge_orders.update(((n, k), o) for k, o in enumerate(level))
+        level_lcm.append(math.lcm(*level))
+        m.append(m[-1] + n * level_lcm[-1])
+    return OrderData(edge_orders, tuple(level_lcm), tuple(m), {})
+
+
+class TestWfcAgainstPairScan:
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canonical_cases(self, name, seed):
+        data, levels = CASES[name]
+        diagram = canonical_rank2(data, levels)
+        rng = random.Random(f"{name}:{seed}")
+        for depth in range(levels):
+            for L, s_bound in ((1, None), (rng.randint(2, 30), None), (12, 0)):
+                _same_certificate(diagram, None, depth, L, s_bound)
+            L = rng.randint(1, 20)
+            _same_certificate(diagram, None, depth, L, rng.choice((L - 1, L + 1, 3 * L)))
+
+    @pytest.mark.parametrize(
+        "data, depth, lbound, s_bound",
+        [
+            (CONSTANT2, 5, 50, None),
+            (CONSTANT3, 5, 50, None),
+            (CONSTANT2, 7, 60, 11),
+            (CONSTANT2, 5, 200, None),
+        ],
+        ids=["const2_d5", "const3_d5", "const2_d7_s11", "const2_d5_l200"],
+    )
+    def test_benchmark_depths(self, data, depth, lbound, s_bound):
+        levels = depth + 2
+        diagram = canonical_rank2(telescope_rank2(data, levels).telescoped, levels)
+        cert = _same_certificate(diagram, None, depth, lbound, s_bound)
+        if lbound == 200:
+            # one pair (l, s) survives every level
+            assert cert.details["undecided_pairs"] == [[137, 98]]
+        else:
+            assert cert.status == "certificate"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_orders(self, seed):
+        # several distinct orders per level, on the levels of any diagram:
+        # check_wfc reads the orders of an automorphism of the same diagram
+        diagram = canonical_rank2(CONSTANT2, 2)
+        orders = seeded_orders(seed)
+        alpha = Rank2Automorphism(diagram, orders)
+        rng = random.Random(seed)
+        top = orders.max_edge_level()
+        for depth in {top, rng.randint(0, top)}:
+            for L, s_bound in ((rng.randint(1, 40), None), (rng.randint(1, 40), rng.randint(0, 60))):
+                _same_certificate(diagram, alpha, depth, L, s_bound)
+
+    def test_outcomes_the_cases_cover(self):
+        # the sweep meets all three outcomes on these diagrams
+        tail = canonical_rank2(*CASES["figure_tail_d3"])
+        undecided = _same_certificate(tail, None, 2, 30)
+        assert undecided.status == "unknown"
+        assert len(undecided.details["undecided_pairs"]) == 5
+        certified = _same_certificate(tail, None, 3, 30, 7)
+        assert certified.status == "certificate" and certified.details["s_bound"] == 7
+        assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 8
+        # untelescoped constant data: o = 2 at level 2, but 2 * m_2 = 4
+        failing = _same_certificate(canonical_rank2(CONSTANT2, 5), None, 3, 10)
+        assert failing.details["note"] == "order inequality o(e) > n*m_n fails"
+        mixed = canonical_rank2(TWO_CYCLE_MIXED, 3)
+        assert any(len(compute_orders(mixed).orders_at(n)) > 1 for n in range(2))
+
+    @pytest.mark.parametrize("shift_bound, s_bound", [(0, None), (-3, None), (5, -1)])
+    def test_bounds_that_certify_nothing_are_rejected(self, shift_bound, s_bound):
+        diagram = canonical_rank2(*CASES["const2_d3"])
+        with pytest.raises(ValueError, match="bound must be"):
+            check_wfc(diagram, None, 3, shift_bound, s_bound)
