@@ -15,30 +15,36 @@ from groupoid_forge import (
     render_bisection,
     unit_bisection,
 )
-from groupoid_forge.graph_groupoid import render_path, render_sum
+from groupoid_forge.graph_groupoid import render_path
 
 bq = InfiniteBouquet()
 v = bq.unit()
+
+
+def render_product(a, b):
+    """The product of two basic bisections: one basic bisection or empty."""
+    piece = bisection_product(a, b)
+    return "∅" if piece is None else render_bisection(piece)
+
 
 # The generator bisections behave like a family of isometries: composing
 # the transpose of one against another is diagonal.
 for i, j in [(0, 0), (0, 1)]:
     a = BasicBisection(v, bq.path([i]))     # Z(v, e_i)
     b = BasicBisection(bq.path([j]), v)     # Z(e_j, v)
-    prod = bisection_product(a, b)
-    print(f"Z(v,e{i}) . Z(e{j},v) = {render_sum(prod)}")
+    print(f"Z(v,e{i}) . Z(e{j},v) = {render_product(a, b)}")
 
 # Overlapping words compose by prefix absorption.
 a = BasicBisection(bq.path([0, 1]), bq.path([2]))
 b = BasicBisection(bq.path([2, 5]), bq.path([7]))
 print(f"\n{render_bisection(a)} . {render_bisection(b)} =",
-      render_sum(bisection_product(a, b)))
+      render_product(a, b))
 
 # Excluded edges survive the product when they constrain the open tail.
 a = BasicBisection(bq.path([0]), bq.path([1]), frozenset({bq.edge(3)}))
 b = BasicBisection(bq.path([1]), bq.path([2]))
 print(f"{render_bisection(a)} . {render_bisection(b)} =",
-      render_sum(bisection_product(a, b)))
+      render_product(a, b))
 
 # Inside any basic open unit set lives a full cylinder: take the word
 # itself, or step past the largest excluded index.

@@ -23,7 +23,6 @@ from .graph_model import (
 )
 from .graph_groupoid import (
     BasicBisection,
-    BisectionSum,
     GermElement,
     InfiniteBouquet,
     bisection_product,

@@ -32,6 +32,7 @@ from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
 from .graph_model import (
     diagram_from_json,
     edge_cycle_automorphism,
+    enumerate_paths,
     telescope,
     validate_bratteli,
 )
@@ -62,7 +63,6 @@ from .rank2_diagrams import (
 from .twisted_product import (
     bouquet_twisted_product,
     check_lc,
-    check_wfc,
     contracting_bisection_witness,
     twisted_product,
 )
@@ -157,36 +157,25 @@ def cmd_twist(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.what == "wfc":
+        # certify along the realization route: the planner telescopes until
+        # its growth condition holds, builds the automorphism and checks wfc
         if args.rank2:
-            data, horizon = rank2_data_from_json(_load_json(args.input))
-            levels = args.depth + 2
-            tele = telescope_rank2(data, levels)
-            if not tele.complete:
-                print(json.dumps({"status": "unknown", "reason": tele.failure}))
-                return 1
-            diagram = canonical_rank2(tele.telescoped, levels)
-            cert = check_wfc(diagram, None, args.depth, args.lbound)
+            data, _ = rank2_data_from_json(_load_json(args.input))
+            report = plan_rank2_realization(data, depth=args.depth, lbound=args.lbound)
         else:
-            # certify along the realization route: telescope to meet the
-            # growth condition first, then bound the cycle lengths
-            from .pipeline import _growth_subsequence
-
             d = diagram_from_json(_load_json(args.input))
-            levels = max(args.depth, args.lbound + 1) + 1
-            subseq = _growth_subsequence(d, levels, 4096)
-            if subseq is None:
-                print(json.dumps({"status": "unknown", "reason": "horizon exhausted"}))
-                return 1
-            tele = telescope(d, subseq)
-            alpha = edge_cycle_automorphism(tele)
-            cert = check_wfc(tele, alpha, levels - 1, args.lbound)
-        _dump(cert.to_json(), args.out)
-        return 0 if cert.is_certificate else 1
+            report = plan_af_realization(d, depth=args.depth, lbound=args.lbound)
+        if report.wfc is None:
+            reason = (
+                report.telescoping["failure"] if args.rank2 else "horizon exhausted"
+            )
+            print(json.dumps({"status": "unknown", "reason": reason}))
+            return 1
+        _dump(report.wfc.to_json(), args.out)
+        return 0 if report.wfc.is_certificate else 1
     if args.what == "lc":
         d = diagram_from_json(_load_json(args.input))
         alpha = edge_cycle_automorphism(d)
-        from .graph_model import enumerate_paths
-
         sample = []
         for v in d.vertices_at(0):
             for n in range(0, min(3, args.depth + 1)):
@@ -308,14 +297,14 @@ def cmd_realize(args) -> int:
     unit = None
     if args.unit:
         unit = _parse_levels_vector(args.unit)
+    # without --lbound the planner's own default applies
+    options = {} if args.lbound is None else {"lbound": args.lbound}
     if args.target == "af":
         d = diagram_from_json(_load_json(args.input))
-        report = plan_af_realization(d, unit_class=unit, depth=args.depth, lbound=args.lbound)
+        report = plan_af_realization(d, unit_class=unit, depth=args.depth, **options)
     else:
         data, _ = rank2_data_from_json(_load_json(args.input))
-        report = plan_rank2_realization(
-            data, unit_class=unit, depth=args.depth, lbound=args.lbound
-        )
+        report = plan_rank2_realization(data, unit_class=unit, depth=args.depth, **options)
     _dump(report.to_json(), args.out)
     return 0 if report.ok else 1
 
@@ -400,10 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "realize" and args.lbound is None:
-        args.lbound = 20 if args.target == "af" else 50
-    if getattr(args, "lbound", 1) < 1:
-        print(f"error: --lbound must be at least 1, got {args.lbound}", file=sys.stderr)
+    lbound = getattr(args, "lbound", None)
+    if lbound is not None and lbound < 1:
+        print(f"error: --lbound must be at least 1, got {lbound}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -229,9 +229,9 @@ def convolve(x, y):
         for (b2, g2), c2 in y.coeffs.items():
             if meets != G.r(g2):
                 continue
-            g12 = G.mul(g1, back(g2))
-            for piece in bisection_product(b1, b2).pieces:
-                key = (piece, g12)
+            piece = bisection_product(b1, b2)
+            if piece is not None:
+                key = (piece, G.mul(g1, back(g2)))
                 pieces[key] = pieces.get(key, ZERO) + c1 * c2
     return SymbolicConvElement(model, pieces)
 

@@ -15,7 +15,6 @@ infinitely many receivers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -23,6 +22,7 @@ from .graph_model import (
     Edge,
     GraphAutomorphismBase,
     PathWord,
+    enumerate_paths,
     path_from_edges,
     vertex_path,
 )
@@ -233,34 +233,29 @@ def _suffix(longer: PathWord, shorter: PathWord) -> tuple[Edge, ...] | None:
     return longer.edges[len(shorter.edges):]
 
 
-def bisection_product(a: BasicBisection, b: BasicBisection) -> "BisectionSum":
+def bisection_product(a: BasicBisection, b: BasicBisection) -> BasicBisection | None:
     """The exact set product {gh : g in a, h in b, s(g) = r(h)}.
 
     Decided by prefix comparison of b's range word against a's source word;
-    the result is empty or a single basic bisection.
+    the result is a single basic bisection or empty (None).
     """
     mu = _suffix(b.range_word, a.source_word)
     if mu is not None:
         if len(mu) == 0:
-            piece = BasicBisection(
-                a.range_word, b.source_word, a.excluded | b.excluded
-            )
-            return BisectionSum((piece,))
+            return BasicBisection(a.range_word, b.source_word, a.excluded | b.excluded)
         if mu[0] in a.excluded:
-            return BisectionSum(())
-        piece = BasicBisection(
+            return None
+        return BasicBisection(
             a.range_word.concat(path_from_edges(mu)), b.source_word, b.excluded
         )
-        return BisectionSum((piece,))
     nu = _suffix(a.source_word, b.range_word)
     if nu is not None and len(nu) >= 1:
         if nu[0] in b.excluded:
-            return BisectionSum(())
-        piece = BasicBisection(
+            return None
+        return BasicBisection(
             a.range_word, b.source_word.concat(path_from_edges(nu)), a.excluded
         )
-        return BisectionSum((piece,))
-    return BisectionSum(())
+    return None
 
 
 def intersect_basic(a: BasicBisection, b: BasicBisection) -> BasicBisection | None:
@@ -346,40 +341,6 @@ def difference_basic(a: BasicBisection, b: BasicBisection) -> tuple[BasicBisecti
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BisectionSum:
-    """A finite disjoint union of basic bisections."""
-
-    pieces: tuple[BasicBisection, ...]
-
-    def __post_init__(self):
-        for x, y in itertools.combinations(self.pieces, 2):
-            if intersect_basic(x, y) is not None:
-                raise StructuralError(f"overlapping pieces: {x} and {y}")
-
-    @property
-    def empty(self) -> bool:
-        return not self.pieces
-
-    def single(self) -> BasicBisection:
-        if len(self.pieces) != 1:
-            raise ValueError("not a single basic bisection")
-        return self.pieces[0]
-
-    def product(self, other: "BisectionSum") -> "BisectionSum":
-        raw: list[BasicBisection] = []
-        for a in self.pieces:
-            for b in other.pieces:
-                raw.extend(bisection_product(a, b).pieces)
-        return disjoint_sum(raw)
-
-    def inverse(self) -> "BisectionSum":
-        return BisectionSum(tuple(p.inverse() for p in self.pieces))
-
-    def contains_germ(self, triple) -> bool:
-        return any(p.contains_germ(triple) for p in self.pieces)
-
-
 # Splitting steps disjointify may take before it gives up.
 DISJOINTIFY_FUEL = 20000
 
@@ -425,10 +386,10 @@ def disjointify(
     return result
 
 
-def disjoint_sum(pieces: Iterable[BasicBisection]) -> BisectionSum:
+def disjoint_sum(pieces: Iterable[BasicBisection]) -> tuple[BasicBisection, ...]:
     """Rewrite an arbitrary finite family as a disjoint union of basics."""
     split = disjointify(((p, None) for p in pieces), lambda old, new: None)
-    return BisectionSum(tuple(p for p, _ in split))
+    return tuple(p for p, _ in split)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +480,6 @@ def lift_graph_automorphism(a: GraphAutomorphismBase) -> SymbolicGroupoidAutomor
 
 def words_from(graph, anchor, max_len: int, edge_bound: int | None = None):
     """All paths with range ``anchor`` of length 0..max_len."""
-    from .graph_model import enumerate_paths
-
     out = []
     for n in range(max_len + 1):
         out.extend(enumerate_paths(graph, anchor, n, edge_bound))
@@ -570,9 +529,3 @@ def render_bisection(b: BasicBisection) -> str:
     if b.is_unit_set():
         return f"Z({render_path(b.range_word)}{excl})"
     return f"Z(({render_path(b.range_word)}, {render_path(b.source_word)}){excl})"
-
-
-def render_sum(s: BisectionSum) -> str:
-    if s.empty:
-        return "∅"
-    return " ⊔ ".join(render_bisection(p) for p in s.pieces)

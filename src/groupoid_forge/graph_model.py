@@ -150,9 +150,6 @@ class DirectedGraph:
     def edges_with_range(self, v: Vertex) -> tuple[Edge, ...]:
         return tuple(sorted((e for e in self.edges if e.range_vertex == v)))
 
-    def edges_with_source(self, v: Vertex) -> tuple[Edge, ...]:
-        return tuple(sorted((e for e in self.edges if e.source_vertex == v)))
-
     def has_infinite_receivers(self, v: Vertex) -> bool:
         return v in self.infinite_receiver_vertices
 
@@ -241,17 +238,6 @@ class BratteliDiagram:
             Edge((n, i, j, t), (n, i), (n + 1, j))
             for j, k in enumerate(m[i])
             for t in range(k)
-        )
-
-    def edges_with_source(self, v: Vertex) -> tuple[Edge, ...]:
-        n, j = v
-        if n == 0:
-            return ()
-        m = self.multiplicity_matrix(n - 1)
-        return tuple(
-            Edge((n - 1, i, j, t), (n - 1, i), (n, j))
-            for i in range(len(m))
-            for t in range(m[i][j])
         )
 
     def has_infinite_receivers(self, v: Vertex) -> bool:

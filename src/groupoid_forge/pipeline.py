@@ -33,7 +33,7 @@ from .graph_model import (
     validate_bratteli,
     vertex_path,
 )
-from .matrices import mat_mul, min_entry, transpose
+from .matrices import mat_mul, min_entry
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -280,8 +280,7 @@ def plan_af_realization(
                 subseq[m],
                 tuple(1 if k == i else 0 for k in range(tele.level_size(m))),
             )
-            pushed = tuple(transpose(tele.mult[m])[r][i] for r in range(tele.level_size(m + 1)))
-            after = DimGroupElement(subseq[m + 1], pushed)
+            after = DimGroupElement(subseq[m + 1], tuple(tele.mult[m][i]))
             verdict = dg_equal(original_spec, before, after, horizon=subseq[-1])
             consistency_checks += 1
             if not verdict.is_yes:
@@ -484,11 +483,19 @@ def plan_rank2_realization(
 # ---------------------------------------------------------------------------
 
 
+# Report parameters the planners take back as keywords; ``levels_out`` is
+# derived from ``depth`` and is checked only through the report comparison.
+PLAN_PARAMETERS = ("depth", "lbound", "source_cap")
+
+
 def verify_report_json(report_json: dict) -> bool:
     """Re-run the plan from the input echoed inside a report and require the
     certificates to reproduce exactly (reports are deterministic).
 
-    A report of unknown kind, or one missing a field the plan needs, raises
+    The recorded parameters go back to the planner as keywords, so a
+    parameter the report leaves out takes the planner's default.  A report
+    of unknown kind, one missing a field the plan needs, or one recording a
+    parameter the planner does not take or a non-integer one raises
     ``PipelineInputError``.
     """
     kind = report_json.get("kind") if isinstance(report_json, dict) else None
@@ -500,21 +507,22 @@ def verify_report_json(report_json: dict) -> bool:
         corner = report_json.get("corner")
         options = {
             "unit_class": (corner["level"], corner["vector"]) if corner else None,
-            "depth": params.get("depth", 5),
             "stabilization_n": (report_json.get("stabilization") or {}).get(
                 "full_relation_truncation"
             ),
-            "source_cap": params.get("source_cap", 4096),
         }
+        unknown = sorted(set(params) - {"levels_out", *PLAN_PARAMETERS})
+        options.update((k, v) for k, v in params.items() if k != "levels_out")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
+    if unknown:
+        raise PipelineInputError(f"report parameter {unknown[0]!r} is not a plan parameter")
+    for key in PLAN_PARAMETERS:
+        if key in params and type(params[key]) is not int:
+            raise PipelineInputError(f"report parameter {key!r} must be an integer")
     if kind == "af":
-        fresh = plan_af_realization(
-            diagram_from_json(source),
-            lbound=params.get("lbound", 20),
-            **options,
-        )
+        fresh = plan_af_realization(diagram_from_json(source), **options)
     else:
         data, _ = rank2_data_from_json(source)
-        fresh = plan_rank2_realization(data, lbound=params.get("lbound", 50), **options)
+        fresh = plan_rank2_realization(data, **options)
     return fresh.to_json() == report_json

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .graph_model import Edge
+from .graph_model import BratteliDiagram, Edge
 from .matrices import (
     IntMatrix,
     as_matrix,
@@ -599,8 +599,6 @@ def blue_skeleton(d: CanonicalRank2Diagram):
     otherwise; the c mod lcm(t, u) edges left over (none on a layout matrix
     data gives) are added one by one.
     """
-    from .graph_model import BratteliDiagram
-
     flat_index: dict[Vertex, int] = {}
     sizes = []
     for n in range(d.levels()):

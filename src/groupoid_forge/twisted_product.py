@@ -20,22 +20,25 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .dimension_groups import Verdict
 from .graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
     GraphAutomorphismBase,
     PathWord,
+    path_count_matrix,
     path_from_edges,
 )
 from .graph_groupoid import (
     BasicBisection,
-    GermElement,
     InfiniteBouquet,
     basic_proper_subset,
     basic_subset,
     bisection_product,
     find_cylinder_inside,
     lift_graph_automorphism,
+    render_bisection,
+    render_path,
     repeat_word,
     unit_bisection,
 )
@@ -47,6 +50,12 @@ from .groupoid_core import (
     is_principal,
     orbit,
     orbits,
+)
+from .rank2_diagrams import (
+    CanonicalRank2Diagram,
+    Rank2Automorphism,
+    Rank2Path,
+    compute_orders,
 )
 from .validation import StructuralError
 
@@ -138,19 +147,6 @@ class BouquetTwistedProduct:
     g: FiniteGroupoid
     alpha: GroupoidAutomorphism
 
-    def mul(self, x: tuple[GermElement, object], y: tuple[GermElement, object]):
-        h1, g1 = x
-        h2, g2 = y
-        h = h1.compose(h2)
-        g2_back = self.alpha.power(-h1.degree)(g2)
-        if self.g.s(g1) != self.g.r(g2_back):
-            raise ValueError("pairs are not composable in the twisted product")
-        return (h, self.g.mul(g1, g2_back))
-
-    def inv(self, x: tuple[GermElement, object]):
-        h, g = x
-        return (h.inverse(), self.alpha.power(h.degree)(self.g.inv(g)))
-
 
 def bouquet_twisted_product(
     G: FiniteGroupoid, alpha: GroupoidAutomorphism, bouquet: InfiniteBouquet | None = None
@@ -203,11 +199,12 @@ def product_inverse(model: BouquetTwistedProduct, b: ProductBisection) -> Produc
 
 def product_multiply(
     model: BouquetTwistedProduct, b1: ProductBisection, b2: ProductBisection
-) -> tuple[ProductBisection, ...]:
-    """Set product of two product bisections; the H- and G-sides factor."""
-    h_pieces = bisection_product(b1.h_part, b2.h_part).pieces
-    if not h_pieces:
-        return ()
+) -> ProductBisection | None:
+    """Set product of two product bisections; the H- and G-sides factor.
+    The product is one product bisection or empty (None)."""
+    h_part = bisection_product(b1.h_part, b2.h_part)
+    if h_part is None:
+        return None
     d1 = b1.h_part.degree
     fwd = model.alpha.power(d1)
     back = model.alpha.power(-d1)
@@ -217,8 +214,8 @@ def product_multiply(
             if fwd(model.g.s(g1)) == model.g.r(g2):
                 g_set.add(model.g.mul(g1, back(g2)))
     if not g_set:
-        return ()
-    return tuple(ProductBisection(p, frozenset(g_set)) for p in h_pieces)
+        return None
+    return ProductBisection(h_part, frozenset(g_set))
 
 
 def product_unit_subset(
@@ -283,8 +280,6 @@ def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None 
         return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
         return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
-    from .rank2_diagrams import CanonicalRank2Diagram
-
     if isinstance(backend, CanonicalRank2Diagram):
         return _check_wfc_rank2(backend, alpha, depth, shift_bound, s_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
@@ -392,8 +387,6 @@ def _check_wfc_bratteli(d: BratteliDiagram, alpha: EdgeCycleAutomorphism, depth,
 
 
 def _check_wfc_rank2(diagram, alpha, depth: int, L: int, s_bound: int | None):
-    from .rank2_diagrams import Rank2Automorphism, compute_orders
-
     if isinstance(alpha, Rank2Automorphism) and alpha.diagram is diagram:
         orders = alpha.orders
     else:
@@ -520,13 +513,10 @@ def check_lc(backend, alpha, basis_sample: Sequence) -> LcWitness:
             l = _lc_finite(backend, alpha, frozenset(V))
         elif isinstance(V, PathWord):
             l = _lc_cylinder(alpha, V)
+        elif isinstance(V, Rank2Path):
+            l = _lc_rank2(alpha, V)
         else:
-            from .rank2_diagrams import Rank2Path
-
-            if isinstance(V, Rank2Path):
-                l = _lc_rank2(alpha, V)
-            else:
-                raise TypeError(f"unsupported basis element {V!r}")
+            raise TypeError(f"unsupported basis element {V!r}")
         entries.append(LcEntry(V, l))
     return LcWitness(tuple(entries))
 
@@ -593,8 +583,6 @@ class ContractingWitness:
     s_set: tuple[BasicBisection, frozenset]
 
     def to_json(self) -> dict:
-        from .graph_groupoid import render_bisection, render_path
-
         return {
             "lambda": render_path(self.lam),
             "l": self.l,
@@ -642,11 +630,8 @@ def reverify_contracting_witness(
     model: BouquetTwistedProduct, w: ContractingWitness
 ) -> bool:
     """Independent re-check: r(B) must equal B B^{-1} as a unit set."""
-    pieces = product_multiply(model, w.bisection, product_inverse(model, w.bisection))
-    if len(pieces) != 1:
-        return False
-    piece = pieces[0]
-    if not piece.h_part.is_unit_set():
+    piece = product_multiply(model, w.bisection, product_inverse(model, w.bisection))
+    if piece is None or not piece.h_part.is_unit_set():
         return False
     return (
         piece.h_part == w.r_set[0]
@@ -668,8 +653,6 @@ def minimality_verdict(backend, alpha, depth: int):
     Finite backends are decided exactly; Bratteli backends run the
     cofinality check to the requested depth and never answer No.
     """
-    from .dimension_groups import Verdict
-
     if isinstance(backend, FiniteGroupoid):
         n = alpha.order()
         units = set(backend.units)
@@ -683,8 +666,6 @@ def minimality_verdict(backend, alpha, depth: int):
                 return Verdict("no", justification=f"unit {y!r} sweeps only {len(swept)} units")
         return Verdict("yes", justification="every backward sweep covers the unit space")
     if isinstance(backend, BratteliDiagram):
-        from .graph_model import path_count_matrix
-
         for t in range(depth):
             counts = path_count_matrix(backend, t, depth)
             if any(not all(row) for row in counts):

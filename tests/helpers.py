@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from groupoid_forge.graph_groupoid import BasicBisection, BisectionSum
+from groupoid_forge.graph_groupoid import BasicBisection
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     Edge,
@@ -82,8 +82,9 @@ def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bo
     return b.contains_germ((middle, b.degree, y))
 
 
-def sum_contains(s: BisectionSum, candidate) -> bool:
-    return any(p.contains_germ(candidate) for p in s.pieces)
+def sum_contains(piece: BasicBisection | None, candidate) -> bool:
+    """Germ membership in a product result; None is the empty set."""
+    return piece is not None and piece.contains_germ(candidate)
 
 
 def brute_orbit_length(apply_fn, start) -> int:

@@ -256,7 +256,7 @@ def test_criterion_07_contracting_witnesses():
     assert B.range_word == BQ.path([3, 1]) and B.source_word == lam
     assert basic_proper_subset(B.range_set(), B.source_set())
     assert basic_subset(B.source_set(), unit_bisection(lam))
-    assert bisection_product(B, B.inverse()).single() == B.range_set()
+    assert bisection_product(B, B.inverse()) == B.range_set()
     # and the repeated-word construction on the same window, with trivial G
     G = full_relation([0])
     model = bouquet_twisted_product(G, identity_automorphism(G))

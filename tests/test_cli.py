@@ -13,6 +13,7 @@ import groupoid_forge
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import constant_diagram
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
+from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import (
     Rank2Automorphism,
     Rank2Data,
@@ -189,6 +190,13 @@ class TestCertify:
         )
         assert json.loads(out.read_text())["status"] == "certificate"
 
+    def test_wfc_invalid_diagram_exit_two(self, bad_diagram_file, capsys):
+        # the planner validates the diagram before it telescopes
+        assert main(["certify", "wfc", "--input", bad_diagram_file]) == 2
+        captured = capsys.readouterr()
+        assert "input rejected" in captured.err
+        assert captured.out == ""
+
     def test_lc(self, diagram_file, capsys):
         assert main(["certify", "lc", "--input", diagram_file]) == 0
 
@@ -324,6 +332,19 @@ class TestRealize:
     def test_rejected_input_exit_two(self, bad_diagram_file):
         assert main(["realize", "af", bad_diagram_file]) == 2
 
+    @pytest.mark.parametrize("target", ["af", "rank2"])
+    def test_without_lbound_the_planner_default_applies(
+        self, target, diagram_file, rank2_file, tmp_path
+    ):
+        out = tmp_path / "report.json"
+        source = diagram_file if target == "af" else rank2_file
+        main(["realize", target, source, "--depth", "3", "--out", str(out)])
+        if target == "af":
+            expected = plan_af_realization(constant_diagram(2), depth=3)
+        else:
+            expected = plan_rank2_realization(CONSTANT2, depth=3)
+        assert json.loads(out.read_text()) == expected.to_json()
+
     @pytest.mark.parametrize(
         "command, lbound",
         [
@@ -347,8 +368,13 @@ class TestRealize:
 class TestVerifyReport:
     @pytest.mark.parametrize(
         "report, field",
-        [({"kind": "af"}, "input"), ({"kind": "graph", "input": {}}, "graph")],
-        ids=["missing-input", "unknown-kind"],
+        [
+            ({"kind": "af"}, "input"),
+            ({"kind": "graph", "input": {}}, "graph"),
+            ({"kind": "rank2", "input": {}, "parameters": {"horizon": 3}}, "horizon"),
+            ({"kind": "af", "input": {}, "parameters": {"depth": "3"}}, "depth"),
+        ],
+        ids=["missing-input", "unknown-kind", "unknown-parameter", "non-integer-parameter"],
     )
     def test_malformed_report_exit_two(self, report, field, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -162,6 +162,17 @@ class TestNonpositiveLbound:
             verify_report_json(blob)
 
 
+class TestReportParameters:
+    @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
+    def test_unknown_parameter_rejected(self, plan):
+        # recorded parameters go back to the planner as keywords
+        data = constant_diagram(2) if plan is plan_af_realization else CONSTANT2
+        blob = json.loads(json.dumps(plan(data, depth=3, lbound=4).to_json()))
+        blob["parameters"]["unit_class"] = [0, [1]]
+        with pytest.raises(PipelineInputError, match="unit_class"):
+            verify_report_json(blob)
+
+
 class TestRank2Plan:
     def test_full_report(self):
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=50)
