@@ -9,27 +9,22 @@ reads are safe.
 from .gaussian import GaussianRational, gauss
 from .graph_model import (
     BratteliDiagram,
-    DirectedGraph,
     Edge,
     PathWord,
     constant_diagram,
     diagram_from_json,
     edge_cycle_automorphism,
     enumerate_paths,
-    loop_graph,
     telescope,
     validate_bratteli,
     vertex_path,
 )
 from .graph_groupoid import (
     BasicBisection,
-    GermElement,
     InfiniteBouquet,
     bisection_product,
     find_cylinder_inside,
-    lift_graph_automorphism,
     render_bisection,
-    shift,
     unit_bisection,
 )
 from .groupoid_core import (
@@ -40,12 +35,10 @@ from .groupoid_core import (
     full_relation,
     group_bundle,
     identity_automorphism,
-    is_minimal,
     is_principal,
     isotropy_group,
     orbit,
     orbits,
-    product_with_full_relation,
     verify_groupoid_axioms,
     weight_cocycle,
     zero_cocycle,

@@ -32,7 +32,6 @@ from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
 from .graph_model import (
     diagram_from_json,
     edge_cycle_automorphism,
-    enumerate_paths,
     telescope,
     validate_bratteli,
 )
@@ -49,6 +48,7 @@ from .groupoid_core import (
 )
 from .pipeline import (
     PipelineInputError,
+    _lc_sample,
     plan_af_realization,
     plan_rank2_realization,
     verify_report_json,
@@ -85,7 +85,17 @@ def _dump(data: dict, out: str | None) -> None:
 
 def _parse_levels_vector(text: str) -> tuple[int, tuple[int, ...]]:
     level_str, _, vec_str = text.partition(":")
-    return int(level_str), tuple(int(x) for x in vec_str.split(",") if x)
+    vec = tuple(int(x) for x in vec_str.split(",") if x)
+    if not vec:
+        raise ValueError(f"expected level:v1,v2,..., got {text!r}")
+    return int(level_str), vec
+
+
+def _plan_options(args) -> dict:
+    """The planner keywords given on the command line; the others keep the
+    planner's own defaults."""
+    given = {"depth": args.depth, "lbound": args.lbound}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def _alpha_for(spec: str, G):
@@ -156,15 +166,17 @@ def cmd_twist(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.what != "contract" and args.input is None:
+        raise ValueError(f"certify {args.what} needs --input")
     if args.what == "wfc":
         # certify along the realization route: the planner telescopes until
         # its growth condition holds, builds the automorphism and checks wfc
         if args.rank2:
             data, _ = rank2_data_from_json(_load_json(args.input))
-            report = plan_rank2_realization(data, depth=args.depth, lbound=args.lbound)
+            report = plan_rank2_realization(data, **_plan_options(args))
         else:
             d = diagram_from_json(_load_json(args.input))
-            report = plan_af_realization(d, depth=args.depth, lbound=args.lbound)
+            report = plan_af_realization(d, **_plan_options(args))
         if report.wfc is None:
             reason = (
                 report.telescoping["failure"] if args.rank2 else "horizon exhausted"
@@ -175,12 +187,7 @@ def cmd_certify(args) -> int:
         return 0 if report.wfc.is_certificate else 1
     if args.what == "lc":
         d = diagram_from_json(_load_json(args.input))
-        alpha = edge_cycle_automorphism(d)
-        sample = []
-        for v in d.vertices_at(0):
-            for n in range(0, min(3, args.depth + 1)):
-                sample.extend(enumerate_paths(d, v, n))
-        witness = check_lc(d, alpha, sample[:40])
+        witness = check_lc(d, edge_cycle_automorphism(d), _lc_sample(d, 40))
         _dump(witness.to_json(), args.out)
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G
@@ -234,9 +241,11 @@ def cmd_ktheory(args) -> int:
     if args.vertex_class:
         level, vec = _parse_levels_vector(args.vertex_class)
         element = k0_vertex_class(d, (level, vec[0]))
-    else:
+    elif args.corner:
         level, vec = _parse_levels_vector(args.corner)
         element = k0_corner_class(d, level, vec)
+    else:
+        raise ValueError("ktheory needs --class level:index or --corner level:vector")
     if args.op == "positive":
         verdict = dg_is_positive(spec, element, args.horizon)
     else:
@@ -297,14 +306,12 @@ def cmd_realize(args) -> int:
     unit = None
     if args.unit:
         unit = _parse_levels_vector(args.unit)
-    # without --lbound the planner's own default applies
-    options = {} if args.lbound is None else {"lbound": args.lbound}
     if args.target == "af":
         d = diagram_from_json(_load_json(args.input))
-        report = plan_af_realization(d, unit_class=unit, depth=args.depth, **options)
+        report = plan_af_realization(d, unit_class=unit, **_plan_options(args))
     else:
         data, _ = rank2_data_from_json(_load_json(args.input))
-        report = plan_rank2_realization(data, unit_class=unit, depth=args.depth, **options)
+        report = plan_rank2_realization(data, unit_class=unit, **_plan_options(args))
     _dump(report.to_json(), args.out)
     return 0 if report.ok else 1
 
@@ -344,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="produce wfc/lc/contract certificates")
     c.add_argument("what", choices=["wfc", "lc", "contract"])
     c.add_argument("--input")
-    c.add_argument("--depth", type=int, default=5)
-    c.add_argument("--lbound", type=int, default=20)
+    c.add_argument("--depth", type=int)
+    c.add_argument("--lbound", type=int)
     c.add_argument("--rank2", action="store_true")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_certify)
@@ -375,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     rz.add_argument("target", choices=["af", "rank2"])
     rz.add_argument("input")
     rz.add_argument("--unit", help="level:vector unit class")
-    rz.add_argument("--depth", type=int, default=5)
-    rz.add_argument("--lbound", type=int, default=None)
+    rz.add_argument("--depth", type=int)
+    rz.add_argument("--lbound", type=int)
     rz.add_argument("--out")
     rz.set_defaults(fn=cmd_realize)
 

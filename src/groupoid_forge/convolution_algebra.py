@@ -10,7 +10,6 @@ nothing is ever approximated.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -354,43 +353,6 @@ def regular_representation(G: FiniteGroupoid, u, xi: FiniteConvElement) -> RegRe
             if G.s(h) == G.r(g):
                 rows[index[G.mul(h, g)]][j] = rows[index[G.mul(h, g)]][j] + c
     return RegRepMatrix(tuple(basis), tuple(tuple(r) for r in rows))
-
-
-def determinant(entries: tuple[tuple[Coeff, ...], ...]) -> Coeff:
-    """Exact determinant over the Gaussian rationals."""
-    n = len(entries)
-    rows = [list(r) for r in entries]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = det * GaussianRational.of(-1)
-        det = det * rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def is_psd_hermitian(m: RegRepMatrix) -> bool:
-    """All principal minors of a Hermitian matrix are real and nonnegative."""
-    n = len(m.basis)
-    if m.dagger().entries != m.entries:
-        return False
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = tuple(
-                tuple(m.entries[i][j] for j in subset) for i in subset
-            )
-            d = determinant(sub)
-            if d.im != 0 or d.re < 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Symbolic graph groupoids: germs, basic bisections and their exact calculus.
+"""The infinite bouquet's groupoid: basic bisections and their exact calculus.
 
 A basic compact open bisection ``Z((a, b) \\ F)`` collects the germs
 ``(a.t, |a|-|b|, b.t)`` over all tails ``t`` whose first edge avoids the
@@ -6,11 +6,10 @@ finite excluded set ``F``.  Products, intersections and differences of such
 sets are decided purely by prefix comparison of the words involved, with
 exclusion sets propagated; no infinite path is ever materialized.
 
-The distinguished graph here is the *infinite bouquet*: one vertex with
-countably many loops.  Its path space has every finite path as a unit, so
-the empty tail is always admissible; all word-level reasoning below includes
-the empty tail, which is exact for the bouquet and for any vertex with
-infinitely many receivers.
+The one graph here is the *infinite bouquet*: one vertex with countably
+many loops.  Its path space has every finite path as a unit, so the empty
+tail is always admissible; all word-level reasoning below includes the
+empty tail, which is exact for the bouquet.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .graph_model import (
-    Edge,
-    GraphAutomorphismBase,
-    PathWord,
-    enumerate_paths,
-    path_from_edges,
-    vertex_path,
-)
+from .graph_model import Edge, PathWord, path_from_edges, vertex_path
 from .validation import StructuralError
 
 # ---------------------------------------------------------------------------
@@ -47,7 +39,6 @@ class InfiniteBouquet:
     vertex: str = BOUQUET_VERTEX
 
     requires_edge_bound = True
-    finite_paths_are_units = True
 
     def edge(self, i: int) -> Edge:
         if i < 0:
@@ -59,9 +50,6 @@ class InfiniteBouquet:
             raise ValueError(f"unknown vertex {v!r}")
         return tuple(self.edge(i) for i in range(bound))
 
-    def has_infinite_receivers(self, v) -> bool:
-        return v == self.vertex
-
     def path(self, indices: Sequence[int]) -> PathWord:
         if not indices:
             return vertex_path(self.vertex)
@@ -69,93 +57,6 @@ class InfiniteBouquet:
 
     def unit(self) -> PathWord:
         return vertex_path(self.vertex)
-
-
-# ---------------------------------------------------------------------------
-# Shifts, tails and germs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolicTail:
-    """A universally quantified tail variable anchored at a vertex."""
-
-    range_vertex: object
-    name: str = "z"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def shift(p, n: int):
-    """Remove the first ``n`` edges; the zero shift is the identity.
-
-    Symbolic tails have unknown length and reject positive shifts.
-    """
-    if n < 0:
-        raise ValueError("shift exponent must be nonnegative")
-    if isinstance(p, SymbolicTail):
-        if n == 0:
-            return p
-        raise ValueError("cannot shift a symbolic tail of unknown length")
-    if n > len(p):
-        raise ValueError(f"cannot shift {n} edges off a path of length {len(p)}")
-    if n == 0:
-        return p
-    rest = p.edges[n:]
-    if not rest:
-        return vertex_path(p.source_vertex)
-    return PathWord(rest)
-
-
-@dataclass(frozen=True)
-class GermElement:
-    """The germ (mu.z, |mu|-|nu|, nu.z); the tail is a concrete word or a
-    symbolic variable."""
-
-    mu: PathWord
-    nu: PathWord
-    tail: PathWord | SymbolicTail
-
-    def __post_init__(self):
-        if self.mu.source_vertex != self.nu.source_vertex:
-            raise StructuralError("germ words must share their source vertex")
-        if self.tail.range_vertex != self.mu.source_vertex:
-            raise StructuralError("tail must extend the shared source vertex")
-
-    @property
-    def degree(self) -> int:
-        return len(self.mu) - len(self.nu)
-
-    @property
-    def concrete(self) -> bool:
-        return isinstance(self.tail, PathWord)
-
-    def triple(self) -> tuple[PathWord, int, PathWord]:
-        if not self.concrete:
-            raise ValueError("symbolic germ has no concrete triple")
-        return (self.mu.concat(self.tail), self.degree, self.nu.concat(self.tail))
-
-    def inverse(self) -> "GermElement":
-        return GermElement(self.nu, self.mu, self.tail)
-
-    def compose(self, other: "GermElement") -> "GermElement":
-        """Exact composition; concrete germs match on full middle words,
-        symbolic germs require a literal middle match and a shared tail."""
-        if self.concrete and other.concrete:
-            x, p, y = self.triple()
-            y2, q, z = other.triple()
-            if y != y2:
-                raise ValueError("germs are not composable")
-            return GermElement(x, z, vertex_path(x.source_vertex), )
-        if (
-            not self.concrete
-            and not other.concrete
-            and self.tail == other.tail
-            and self.nu == other.mu
-        ):
-            return GermElement(self.mu, other.nu, self.tail)
-        raise ValueError("symbolic germs compose only on a literal middle match")
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +287,6 @@ def disjointify(
     return result
 
 
-def disjoint_sum(pieces: Iterable[BasicBisection]) -> tuple[BasicBisection, ...]:
-    """Rewrite an arbitrary finite family as a disjoint union of basics."""
-    split = disjointify(((p, None) for p in pieces), lambda old, new: None)
-    return tuple(p for p, _ in split)
-
-
 # ---------------------------------------------------------------------------
 # The cylinder finder
 # ---------------------------------------------------------------------------
@@ -416,13 +311,6 @@ def find_cylinder_inside(W: BasicBisection) -> PathWord:
     return u.concat(path_from_edges((fresh,)))
 
 
-def appended_edge_contraction(lam: PathWord, edge_index: int = 1) -> BasicBisection:
-    """Z(lam.e_i, lam): the canonical bouquet bisection whose range
-    Z(lam.e_i) sits properly inside its source Z(lam)."""
-    fresh = Edge(edge_index, lam.source_vertex, lam.source_vertex)
-    return BasicBisection(lam.concat(path_from_edges((fresh,))), lam)
-
-
 def repeat_word(word: PathWord, times: int) -> PathWord:
     """word^times; needs s(word) = r(word) (automatic on the bouquet)."""
     if times < 0:
@@ -430,77 +318,6 @@ def repeat_word(word: PathWord, times: int) -> PathWord:
     out = vertex_path(word.range_vertex)
     for _ in range(times):
         out = out.concat(word)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Lifting graph automorphisms to the groupoid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolicGroupoidAutomorphism:
-    """A graph automorphism acting edgewise on paths, germwise on germs and
-    setwise on basic bisections."""
-
-    base: GraphAutomorphismBase
-
-    def on_path(self, p: PathWord) -> PathWord:
-        return self.base.path_image(p)
-
-    def on_tail(self, t):
-        if isinstance(t, SymbolicTail):
-            return SymbolicTail(self.base.vertex_image(t.range_vertex), t.name)
-        return self.base.path_image(t)
-
-    def on_germ(self, g: GermElement) -> GermElement:
-        return GermElement(
-            self.base.path_image(g.mu), self.base.path_image(g.nu), self.on_tail(g.tail)
-        )
-
-    def on_bisection(self, b: BasicBisection) -> BasicBisection:
-        return BasicBisection(
-            self.base.path_image(b.range_word),
-            self.base.path_image(b.source_word),
-            frozenset(self.base.edge_image(e) for e in b.excluded),
-        )
-
-    def power(self, k: int) -> "SymbolicGroupoidAutomorphism":
-        return SymbolicGroupoidAutomorphism(self.base.power(k))
-
-
-def lift_graph_automorphism(a: GraphAutomorphismBase) -> SymbolicGroupoidAutomorphism:
-    return SymbolicGroupoidAutomorphism(a)
-
-
-# ---------------------------------------------------------------------------
-# Germ enumeration (brute-force oracle backing the calculus)
-# ---------------------------------------------------------------------------
-
-
-def words_from(graph, anchor, max_len: int, edge_bound: int | None = None):
-    """All paths with range ``anchor`` of length 0..max_len."""
-    out = []
-    for n in range(max_len + 1):
-        out.extend(enumerate_paths(graph, anchor, n, edge_bound))
-    return out
-
-
-def germs_in_bisection(
-    b: BasicBisection, graph, max_tail_len: int, edge_bound: int | None = None
-) -> set:
-    """Concrete germ triples of ``b`` with tail length at most ``max_tail_len``."""
-    out = set()
-    for t in words_from(graph, b.range_word.source_vertex, max_tail_len, edge_bound):
-        if t.edges and t.edges[0] in b.excluded:
-            continue
-        out.add(
-            (
-                b.range_word.concat(t),
-                b.degree,
-                b.source_word.concat(t),
-            )
-        )
     return out
 
 

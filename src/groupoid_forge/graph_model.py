@@ -1,4 +1,4 @@
-"""Directed graphs, Bratteli diagrams, path words and graph automorphisms.
+"""Path words, Bratteli diagrams and the parallel-class cycling automorphism.
 
 Conventions (kept throughout the package):
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
-from .groupoid_core import cycle_positions, cycles, rotate
 from .matrices import (
     IntMatrix,
     as_matrix,
@@ -94,13 +93,6 @@ class PathWord:
             return self
         return PathWord(self.edges + other.edges, self.anchor)
 
-    def prefix(self, n: int) -> "PathWord":
-        if n > len(self.edges):
-            raise ValueError("prefix longer than path")
-        if n == 0:
-            return vertex_path(self.range_vertex)
-        return PathWord(self.edges[:n])
-
     def is_prefix_of(self, other: "PathWord") -> bool:
         edges = self.edges
         n = len(edges)
@@ -123,50 +115,6 @@ def vertex_path(v: Vertex) -> PathWord:
 
 def path_from_edges(edges: Sequence[Edge]) -> PathWord:
     return PathWord(tuple(edges))
-
-
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Finite directed graph; vertices with infinitely many receivers can be
-    declared via ``infinite_receiver_vertices`` (their edge list is then only
-    a materialized finite window)."""
-
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    infinite_receiver_vertices: frozenset = frozenset()
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise StructuralError("duplicate vertices")
-        for e in self.edges:
-            if e.range_vertex not in vset or e.source_vertex not in vset:
-                raise StructuralError(f"edge {e.label} references undeclared vertex")
-        if len({e.label for e in self.edges}) != len(self.edges):
-            raise StructuralError("duplicate edge labels")
-
-    requires_edge_bound = False
-
-    def edges_with_range(self, v: Vertex) -> tuple[Edge, ...]:
-        return tuple(sorted((e for e in self.edges if e.range_vertex == v)))
-
-    def has_infinite_receivers(self, v: Vertex) -> bool:
-        return v in self.infinite_receiver_vertices
-
-
-def validate_graph(g: DirectedGraph) -> ValidationReport:
-    """No sources: every vertex must receive at least one edge."""
-    violations = []
-    for v in g.vertices:
-        if not g.edges_with_range(v) and not g.has_infinite_receivers(v):
-            violations.append(Violation("no-sources (r^{-1}(v) nonempty)", f"vertex {v}"))
-    return report_from(violations)
-
-
-def loop_graph(n_loops: int, vertex: Vertex = "v") -> DirectedGraph:
-    """One vertex with ``n_loops`` loop edges labelled 0..n_loops-1."""
-    edges = tuple(Edge(i, vertex, vertex) for i in range(n_loops))
-    return DirectedGraph((vertex,), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +187,6 @@ class BratteliDiagram:
             for j, k in enumerate(m[i])
             for t in range(k)
         )
-
-    def has_infinite_receivers(self, v: Vertex) -> bool:
-        return False
 
     def to_json(self) -> dict:
         edges = []
@@ -389,7 +334,8 @@ def enumerate_paths(
     """All paths of the given length with range ``anchor``, sorted
     lexicographically by edge label sequence.
 
-    Graphs with infinite edge families must be called with ``edge_bound``.
+    The infinite bouquet, whose edge family is infinite, must be called
+    with ``edge_bound``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -414,90 +360,16 @@ def _check_anchor(g, anchor) -> None:
         n, i = anchor
         if not (g.has_level(n) and 0 <= i < g.level_size(n)):
             raise ValueError(f"anchor {anchor} not in diagram")
-    elif isinstance(g, DirectedGraph):
-        if anchor not in g.vertices:
-            raise ValueError(f"anchor {anchor} not in graph")
-    # duck-typed graphs (e.g. the infinite bouquet) check their own anchors
+    # the infinite bouquet checks its own vertex when it lists edges
 
 
 # ---------------------------------------------------------------------------
-# Graph automorphisms
+# The diagram automorphism
 # ---------------------------------------------------------------------------
 
 
-class GraphAutomorphismBase:
-    """Common path/inverse plumbing; subclasses provide vertex/edge images."""
-
-    def vertex_image(self, v: Vertex) -> Vertex:
-        raise NotImplementedError
-
-    def edge_image(self, e: Edge) -> Edge:
-        raise NotImplementedError
-
-    def path_image(self, p: PathWord) -> PathWord:
-        if not p.edges:
-            return vertex_path(self.vertex_image(p.anchor))
-        return PathWord(tuple(self.edge_image(e) for e in p.edges))
-
-    def power(self, k: int) -> "GraphAutomorphismBase":
-        raise NotImplementedError
-
-    def inverse(self) -> "GraphAutomorphismBase":
-        return self.power(-1)
-
-
 @dataclass(frozen=True)
-class MappingGraphAutomorphism(GraphAutomorphismBase):
-    """Automorphism of a finite graph given by explicit bijections."""
-
-    graph: DirectedGraph
-    vertex_map: Mapping[Vertex, Vertex]
-    edge_map: Mapping[Edge, Edge]
-
-    def __post_init__(self):
-        vs, es = set(self.graph.vertices), set(self.graph.edges)
-        if set(self.vertex_map) != vs or set(self.vertex_map.values()) != vs:
-            raise ValueError("vertex map is not a bijection on the vertex set")
-        if set(self.edge_map) != es or set(self.edge_map.values()) != es:
-            raise ValueError("edge map is not a bijection on the edge set")
-        for e, img in self.edge_map.items():
-            if img.range_vertex != self.vertex_map[e.range_vertex]:
-                raise ValueError(f"range not preserved on edge {e.label}")
-            if img.source_vertex != self.vertex_map[e.source_vertex]:
-                raise ValueError(f"source not preserved on edge {e.label}")
-
-    def vertex_image(self, v: Vertex) -> Vertex:
-        return self.vertex_map[v]
-
-    def edge_image(self, e: Edge) -> Edge:
-        return self.edge_map[e]
-
-    def power(self, k: int) -> "MappingGraphAutomorphism":
-        return MappingGraphAutomorphism(
-            self.graph,
-            rotate(cycle_positions(self.vertex_map, self.graph.vertices), k),
-            rotate(cycle_positions(self.edge_map, self.graph.edges), k),
-        )
-
-    def order(self) -> int:
-        return math.lcm(
-            *(len(c) for m in (self.edge_map, self.vertex_map) for c in cycles(m))
-        )
-
-
-def edge_permutation_automorphism(
-    g: DirectedGraph, edge_label_map: Mapping[Hashable, Hashable]
-) -> MappingGraphAutomorphism:
-    """Vertex-fixing automorphism from a permutation of edge labels."""
-    by_label = {e.label: e for e in g.edges}
-    emap = {by_label[a]: by_label[b] for a, b in edge_label_map.items()}
-    for e in g.edges:
-        emap.setdefault(e, e)
-    return MappingGraphAutomorphism(g, {v: v for v in g.vertices}, emap)
-
-
-@dataclass(frozen=True)
-class EdgeCycleAutomorphism(GraphAutomorphismBase):
+class EdgeCycleAutomorphism:
     """Vertex-fixing diagram automorphism cycling each parallel-edge class.
 
     With the default labelling, the edge copy ``t`` of a ``(level, i, j)``
@@ -540,6 +412,11 @@ class EdgeCycleAutomorphism(GraphAutomorphismBase):
             order = self.labelling[(n, i, j)]
             t2 = order[(positions[t] + self.step) % len(order)]
         return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
+
+    def path_image(self, p: PathWord) -> PathWord:
+        if not p.edges:
+            return p
+        return PathWord(tuple(self.edge_image(e) for e in p.edges))
 
     def power(self, k: int) -> "EdgeCycleAutomorphism":
         return EdgeCycleAutomorphism(self.diagram, self.step * k, self.labelling)

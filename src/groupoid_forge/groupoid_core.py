@@ -391,11 +391,6 @@ def is_principal(G: FiniteGroupoid) -> bool:
     return all(isotropy_group(G, u) == {u} for u in G.units)
 
 
-def is_minimal(G: FiniteGroupoid) -> bool:
-    """Single orbit (density in a finite discrete unit space)."""
-    return len(orbits(G)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Factories
 # ---------------------------------------------------------------------------
@@ -461,28 +456,6 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
         comp[((1, g), (1, h))] = (1, k)
     inv = {(t, g): (t, (G1 if t == 0 else G2).inv(g)) for (t, g) in elements}
     return build_groupoid(elements, units, rng, src, comp, inv)
-
-
-def cartesian_product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise product groupoid."""
-    elements = tuple((g, k) for g in G1.elements for k in G2.elements)
-    units = frozenset((u, w) for u in G1.units for w in G2.units)
-    rng = {(g, k): (G1.r(g), G2.r(k)) for (g, k) in elements}
-    src = {(g, k): (G1.s(g), G2.s(k)) for (g, k) in elements}
-    comp = {}
-    for (g1, g2), gp in G1.composition.items():
-        for (k1, k2), kp in G2.composition.items():
-            comp[((g1, k1), (g2, k2))] = (gp, kp)
-    inv = {(g, k): (G1.inv(g), G2.inv(k)) for (g, k) in elements}
-    return build_groupoid(elements, units, rng, src, comp, inv)
-
-
-def product_with_full_relation(G: FiniteGroupoid, N: int) -> FiniteGroupoid:
-    """Stabilization at desk scale: G x (full relation on {-N..N})."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    K = full_relation(range(-N, N + 1))
-    return cartesian_product(G, K)
 
 
 # ---------------------------------------------------------------------------

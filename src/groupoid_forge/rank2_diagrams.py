@@ -497,7 +497,14 @@ def _first_level_with_min_entry(
 ) -> int:
     acc = None
     for m in range(start + 1, cap + 1):
-        acc = data.a_chain(m, start) if acc is None else mat_mul(data.a_at(m - 1), acc)
+        try:
+            acc = data.a_chain(m, start) if acc is None else mat_mul(data.a_at(m - 1), acc)
+        except StructuralError as exc:
+            # data without a repetition rule ends at level len(data.A)
+            raise _HorizonExhausted(
+                f"data horizon {len(data.A)} reached (no repetition rule) before a "
+                f"level with entries {'>' if strict else '>='} {bound} from level {start}"
+            ) from exc
         low = min_entry(acc)
         if (low > bound) if strict else (low >= bound):
             return m

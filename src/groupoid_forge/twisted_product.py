@@ -24,7 +24,6 @@ from .dimension_groups import Verdict
 from .graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
-    GraphAutomorphismBase,
     PathWord,
     path_count_matrix,
     path_from_edges,
@@ -36,7 +35,6 @@ from .graph_groupoid import (
     basic_subset,
     bisection_product,
     find_cylinder_inside,
-    lift_graph_automorphism,
     render_bisection,
     render_path,
     repeat_word,
@@ -533,13 +531,12 @@ def _lc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, V: frozenset) -> 
     raise AssertionError("orbit search exceeded the automorphism order")
 
 
-def _lc_cylinder(alpha: GraphAutomorphismBase, mu: PathWord) -> int:
-    lifted = lift_graph_automorphism(alpha)
-    inv = lifted.power(-1)
+def _lc_cylinder(alpha: EdgeCycleAutomorphism, mu: PathWord) -> int:
+    back = alpha.power(-1)
     current = mu
     fuel = 1
     while True:
-        current = inv.on_path(current)
+        current = back.path_image(current)
         if current == mu:
             l = fuel
             break
@@ -548,8 +545,7 @@ def _lc_cylinder(alpha: GraphAutomorphismBase, mu: PathWord) -> int:
             raise AssertionError(
                 f"orbit of the word did not close within LC_ORBIT_FUEL = {LC_ORBIT_FUEL} steps"
             )
-    image = lifted.power(-l).on_bisection(unit_bisection(mu))
-    if not basic_subset(image, unit_bisection(mu)):
+    if not basic_subset(unit_bisection(alpha.power(-l).path_image(mu)), unit_bisection(mu)):
         raise AssertionError("orbit length does not witness the inclusion")
     return l
 

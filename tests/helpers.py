@@ -7,12 +7,15 @@ paths under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
+from groupoid_forge.convolution_algebra import RegRepMatrix
+from groupoid_forge.gaussian import ONE, ZERO, GaussianRational
 from groupoid_forge.graph_groupoid import BasicBisection
 from groupoid_forge.graph_model import (
     BratteliDiagram,
@@ -21,7 +24,13 @@ from groupoid_forge.graph_model import (
     path_from_edges,
     vertex_path,
 )
-from groupoid_forge.groupoid_core import build_groupoid, cycles
+from groupoid_forge.groupoid_core import (
+    FiniteGroupoid,
+    build_groupoid,
+    cycles,
+    full_relation,
+    orbits,
+)
 from groupoid_forge.matrices import as_matrix, diagonal, mat_mul, min_entry
 from groupoid_forge.rank2_diagrams import Rank2Diagram, Rank2Path
 from groupoid_forge.twisted_product import WfcCertificate
@@ -682,3 +691,73 @@ class FractionGaussian:
 
 def fraction_gauss(re=0, im=0) -> FractionGaussian:
     return FractionGaussian(Fraction(re), Fraction(im))
+
+
+# ---------------------------------------------------------------------------
+# Reference checks only the tests use: minimality and stabilization of
+# finite groupoids, and positivity of regular-representation matrices
+# ---------------------------------------------------------------------------
+
+
+def is_minimal(G: FiniteGroupoid) -> bool:
+    """Single orbit (density in a finite discrete unit space)."""
+    return len(orbits(G)) == 1
+
+
+def cartesian_product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
+    """Componentwise product groupoid."""
+    elements = tuple((g, k) for g in G1.elements for k in G2.elements)
+    units = frozenset((u, w) for u in G1.units for w in G2.units)
+    rng = {(g, k): (G1.r(g), G2.r(k)) for (g, k) in elements}
+    src = {(g, k): (G1.s(g), G2.s(k)) for (g, k) in elements}
+    comp = {}
+    for (g1, g2), gp in G1.composition.items():
+        for (k1, k2), kp in G2.composition.items():
+            comp[((g1, k1), (g2, k2))] = (gp, kp)
+    inv = {(g, k): (G1.inv(g), G2.inv(k)) for (g, k) in elements}
+    return build_groupoid(elements, units, rng, src, comp, inv)
+
+
+def product_with_full_relation(G: FiniteGroupoid, N: int) -> FiniteGroupoid:
+    """Stabilization at desk scale: G x (full relation on {-N..N})."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    K = full_relation(range(-N, N + 1))
+    return cartesian_product(G, K)
+
+
+def determinant(entries):
+    """Exact determinant over the Gaussian rationals."""
+    n = len(entries)
+    rows = [list(r) for r in entries]
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = det * GaussianRational.of(-1)
+        det = det * rows[col][col]
+        inv = rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] / inv
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def is_psd_hermitian(m: RegRepMatrix) -> bool:
+    """All principal minors of a Hermitian matrix are real and nonnegative."""
+    n = len(m.basis)
+    if m.dagger().entries != m.entries:
+        return False
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            sub = tuple(
+                tuple(m.entries[i][j] for j in subset) for i in subset
+            )
+            d = determinant(sub)
+            if d.im != 0 or d.re < 0:
+                return False
+    return True

@@ -36,9 +36,11 @@ from families import (
     seeded_twisted_instances,
 )
 from groupoid_forge.graph_groupoid import (
+    BasicBisection,
     InfiniteBouquet,
     basic_proper_subset,
     basic_subset,
+    bisection_product,
     find_cylinder_inside,
     unit_bisection,
 )
@@ -247,13 +249,10 @@ def test_criterion_07_contracting_witnesses():
         assert basic_subset(w.s_set[0], window_h) and w.s_set[1] <= window_g
         assert reverify_contracting_witness(model, w)
         produced += 1
-    # special case, trivial G: the appended-edge pair contracts Z(lam) and
-    # its range recomputes as B B^{-1} through the bisection product
-    from groupoid_forge.graph_groupoid import appended_edge_contraction, bisection_product
-
+    # special case, trivial G: the appended-edge pair Z(lam.e1, lam) contracts
+    # Z(lam) and its range recomputes as B B^{-1} through the bisection product
     lam = BQ.path([3])
-    B = appended_edge_contraction(lam, 1)
-    assert B.range_word == BQ.path([3, 1]) and B.source_word == lam
+    B = BasicBisection(BQ.path([3, 1]), lam)
     assert basic_proper_subset(B.range_set(), B.source_set())
     assert basic_subset(B.source_set(), unit_bisection(lam))
     assert bisection_product(B, B.inverse()) == B.range_set()

@@ -11,10 +11,9 @@ from groupoid_forge.graph_model import (
     EdgeCycleAutomorphism,
     constant_diagram,
     edge_cycle_automorphism,
-    edge_permutation_automorphism,
-    loop_graph,
     telescope,
 )
+from groupoid_forge.groupoid_core import full_relation, relation_automorphism
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import _growth_subsequence
 from groupoid_forge.twisted_product import check_wfc
@@ -126,9 +125,9 @@ class TestWfcAgainstEdgeWalk:
 
     def test_rejects_other_automorphisms(self):
         d = constant_diagram(2)
-        graph = loop_graph(2)
+        swap = relation_automorphism(full_relation(range(2)), {0: 1, 1: 0})
         with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
-            check_wfc(d, edge_permutation_automorphism(graph, {0: 1, 1: 0}), 3, 2)
+            check_wfc(d, swap, 3, 2)
         with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
             check_wfc(d, None, 3, 2)
         with pytest.raises(ValueError, match="different diagram"):

@@ -11,7 +11,12 @@ import pytest
 
 import groupoid_forge
 from groupoid_forge.cli import main
-from groupoid_forge.graph_model import constant_diagram
+from groupoid_forge.graph_model import (
+    BratteliDiagram,
+    constant_diagram,
+    edge_cycle_automorphism,
+    enumerate_paths,
+)
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import (
@@ -21,7 +26,8 @@ from groupoid_forge.rank2_diagrams import (
     canonical_rank2,
     telescope_rank2,
 )
-from groupoid_forge.twisted_product import check_wfc
+from groupoid_forge.matrices import as_matrix
+from groupoid_forge.twisted_product import check_lc, check_wfc
 
 from helpers import materialized_automorphism, materialized_orders
 
@@ -200,6 +206,36 @@ class TestCertify:
     def test_lc(self, diagram_file, capsys):
         assert main(["certify", "lc", "--input", diagram_file]) == 0
 
+    def test_lc_sample_is_the_first_forty_paths_of_length_at_most_two(self, tmp_path):
+        # 22 such paths below vertex (0, 0), so the cut falls below (0, 1)
+        d = BratteliDiagram(
+            (2, 3, 3),
+            (as_matrix([[1, 1, 1], [2, 1, 3]]), as_matrix([[2, 2, 1], [3, 1, 2], [2, 2, 3]])),
+            repeat_from=1,
+        )
+        source, out = tmp_path / "diagram.json", tmp_path / "lc.json"
+        source.write_text(json.dumps(d.to_json()))
+        assert main(["certify", "lc", "--input", str(source), "--out", str(out)]) == 0
+        # the sample the command drew before it shared the planner's: every
+        # path of length 0, 1, 2 below level 0, enumerated and cut at 40
+        paths = [p for v in d.vertices_at(0) for n in range(3) for p in enumerate_paths(d, v, n)]
+        expected = check_lc(d, edge_cycle_automorphism(d), paths[:40])
+        assert json.loads(out.read_text()) == expected.to_json()
+
+    @pytest.mark.parametrize("target", ["af", "rank2"])
+    def test_wfc_without_flags_is_the_planner_certificate(
+        self, target, diagram_file, rank2_file, tmp_path
+    ):
+        out = tmp_path / "cert.json"
+        if target == "af":
+            argv = ["certify", "wfc", "--input", diagram_file]
+            expected = plan_af_realization(constant_diagram(2)).wfc
+        else:
+            argv = ["certify", "wfc", "--rank2", "--input", rank2_file]
+            expected = plan_rank2_realization(CONSTANT2).wfc
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == expected.to_json()
+
     def test_contract(self, capsys):
         assert main(["certify", "contract"]) == 0
 
@@ -332,6 +368,18 @@ class TestRealize:
     def test_rejected_input_exit_two(self, bad_diagram_file):
         assert main(["realize", "af", bad_diagram_file]) == 2
 
+    def test_rank2_data_past_its_last_level_is_unknown(self, tmp_path, capsys):
+        # three levels of data, no repetition rule: depth 3 needs five
+        data = Rank2Data(A=(((2,),), ((2,),)), B=(((2,),), ((2,),)), T=((1,), (1,), (1,)))
+        source, out = tmp_path / "data.json", tmp_path / "report.json"
+        source.write_text(json.dumps(data.to_json()))
+        assert main(["realize", "rank2", str(source), "--depth", "3", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["status"] == "unknown"
+        assert "data horizon 2" in report["telescoping"]["failure"]
+        assert main(["verify-report", str(out)]) == 0
+        assert capsys.readouterr().out == "report re-verifies\n"
+
     @pytest.mark.parametrize("target", ["af", "rank2"])
     def test_without_lbound_the_planner_default_applies(
         self, target, diagram_file, rank2_file, tmp_path
@@ -363,6 +411,35 @@ class TestRealize:
         assert main(argv + ["--lbound", lbound, "--out", str(out)]) == 2
         assert f"--lbound must be at least 1, got {lbound}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMalformedCommandLine:
+    """Run as the console script does, so an uncaught exception would show
+    as a traceback on stderr."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["ktheory", "{af}", "--op", "positive"], "needs --class"),
+            (["ktheory", "{af}", "--class", "0:", "--op", "positive"], "expected level:"),
+            (["certify", "wfc"], "certify wfc needs --input"),
+            (["certify", "lc"], "certify lc needs --input"),
+        ],
+        ids=["ktheory-no-class", "ktheory-empty-class", "certify-wfc-no-input", "certify-lc-no-input"],
+    )
+    def test_exit_two_with_a_message(self, command, message, diagram_file):
+        src = str(Path(groupoid_forge.__file__).resolve().parents[1])
+        argv = [arg.format(af=diagram_file) for arg in command]
+        run = subprocess.run(
+            [sys.executable, "-m", "groupoid_forge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestVerifyReport:

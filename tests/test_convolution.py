@@ -15,13 +15,11 @@ from groupoid_forge.convolution_algebra import (
     compose_with_automorphism_inverse,
     convolve,
     delta,
-    determinant,
     full_unit_bisection,
     generator_times,
     involution,
     iota_embed,
     iota_inverse,
-    is_psd_hermitian,
     left_action,
     module_inner_product,
     regular_representation,
@@ -45,6 +43,7 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
 )
 from groupoid_forge.twisted_product import bouquet_twisted_product
+from helpers import determinant, is_psd_hermitian
 
 BQ = InfiniteBouquet()
 

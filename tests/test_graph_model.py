@@ -6,25 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoid_forge.graph_groupoid import InfiniteBouquet
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     constant_diagram,
     diagram_from_json,
     edge_cycle_automorphism,
-    edge_permutation_automorphism,
     enumerate_paths,
-    loop_graph,
     path_count_matrix,
     telescope,
     validate_bratteli,
-    validate_graph,
     vertex_path,
 )
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.validation import StructuralError
 
-from families import rng_for
 from helpers import brute_orbit_length
+
+BQ = InfiniteBouquet()
 
 
 def figure_style_diagram():
@@ -75,10 +74,6 @@ class TestValidate:
     def test_json_round_trip(self):
         d = constant_diagram(2)
         assert diagram_from_json(d.to_json()) == d
-
-    def test_graph_no_sources(self):
-        g = loop_graph(2)
-        assert validate_graph(g).passed
 
 
 class TestTelescope:
@@ -141,12 +136,11 @@ class TestTelescope:
 
 class TestEnumeratePaths:
     def test_depth_zero_singleton(self):
-        g = loop_graph(2)
-        assert enumerate_paths(g, "v", 0) == (vertex_path("v"),)
+        assert enumerate_paths(BQ, "v", 0, edge_bound=2) == (vertex_path("v"),)
 
     def test_two_loops_depth_three(self):
         # oracle: 2^3 words over two letters
-        paths = enumerate_paths(loop_graph(2), "v", 3)
+        paths = enumerate_paths(BQ, "v", 3, edge_bound=2)
         assert len(paths) == 8
         assert len(set(paths)) == 8
 
@@ -159,8 +153,8 @@ class TestEnumeratePaths:
             assert path_count_matrix(d, 0, depth)[0][0] == 2**depth
 
     def test_deterministic_order(self):
-        p1 = enumerate_paths(loop_graph(3), "v", 2)
-        p2 = enumerate_paths(loop_graph(3), "v", 2)
+        p1 = enumerate_paths(BQ, "v", 2, edge_bound=3)
+        p2 = enumerate_paths(BQ, "v", 2, edge_bound=3)
         assert p1 == p2
         keys = [p.sort_key() for p in p1]
         assert keys == sorted(keys)
@@ -216,6 +210,17 @@ class TestEdgeCycle:
             assert a.vertex_image(e.range_vertex) == e.range_vertex
             assert brute_orbit_length(a.edge_image, e) == 5
 
+    def test_path_image_is_edgewise_and_inverted_by_the_negative_power(self):
+        d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 3]]), as_matrix([[4], [1]])))
+        a = edge_cycle_automorphism(d, {(0, 0, 1): (2, 0, 1)})
+        for depth in range(3):
+            for p in enumerate_paths(d, (0, 0), depth):
+                image = a.path_image(p)
+                assert image.edges == tuple(a.edge_image(e) for e in p.edges)
+                assert image.range_vertex == p.range_vertex
+                assert a.power(-1).path_image(image) == p
+        assert a.path_image(vertex_path((0, 0))) == vertex_path((0, 0))
+
     def test_custom_labelling_must_be_bijection(self):
         d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
         with pytest.raises(ValueError):
@@ -249,26 +254,3 @@ class TestEdgeCycle:
                             e.range_vertex,
                             e.source_vertex,
                         )
-
-
-class TestMappingAutomorphism:
-    def test_power_matches_k_fold_composition(self):
-        rng = rng_for(406)
-        for n in range(1, 8):
-            g = loop_graph(n)
-            labels = list(range(n))
-            rng.shuffle(labels)
-            a = edge_permutation_automorphism(g, dict(zip(range(n), labels)))
-            inverse = {img: e for e, img in a.edge_map.items()}
-            for k in range(-6, 7):
-                expected = {e: e for e in g.edges}
-                for _ in range(abs(k)):
-                    step = a.edge_map if k > 0 else inverse
-                    expected = {e: step[f] for e, f in expected.items()}
-                power = a.power(k)
-                assert list(power.edge_map) == list(g.edges)
-                assert power.edge_map == expected
-                assert power.vertex_map == a.vertex_map
-            assert a.order() == math.lcm(
-                *(brute_orbit_length(a.edge_image, e) for e in g.edges)
-            )

@@ -11,7 +11,6 @@ from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
     GroupoidAutomorphism,
     build_groupoid,
-    cartesian_product,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
     cycles,
@@ -20,12 +19,10 @@ from groupoid_forge.groupoid_core import (
     group_bundle,
     groupoid_from_json,
     identity_automorphism,
-    is_minimal,
     is_principal,
     isotropy_group,
     orbit,
     orbits,
-    product_with_full_relation,
     relation_automorphism,
     verify_groupoid_axioms,
     weight_cocycle,
@@ -34,7 +31,13 @@ from groupoid_forge.groupoid_core import (
 from groupoid_forge.twisted_product import twisted_product
 
 from families import rng_for, seeded_twisted_instances
-from helpers import brute_groupoid_axioms, brute_orbit_length
+from helpers import (
+    brute_groupoid_axioms,
+    brute_orbit_length,
+    cartesian_product,
+    is_minimal,
+    product_with_full_relation,
+)
 
 
 class TestAxioms:

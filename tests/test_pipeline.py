@@ -249,3 +249,13 @@ class TestRank2Plan:
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10, source_cap=4)
         assert report.status == "unknown"
         assert report.telescoping["failure"]
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_finite_data_past_its_last_level_is_unknown(self, depth):
+        # no repetition rule: the data ends at level 2, as a truncated AF
+        # diagram ends at its horizon
+        data = Rank2Data((((2,),), ((2,),)), (((2,),), ((2,),)), ((1,), (1,), (1,)))
+        report = plan_rank2_realization(data, depth=depth)
+        assert report.status == "unknown"
+        assert report.telescoping["failure"].startswith("data horizon 2 reached")
+        assert verify_report_json(json.loads(json.dumps(report.to_json())))

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from families import rng_for, seeded_twisted_instances
-from helpers import dict_twisted_product
+from helpers import cartesian_product, dict_twisted_product
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
@@ -21,7 +21,6 @@ from groupoid_forge.groupoid_core import (
     GroupoidAutomorphism,
     RowTable,
     build_groupoid,
-    cartesian_product,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
     disjoint_union,
