@@ -396,10 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    lbound = getattr(args, "lbound", None)
-    if lbound is not None and lbound < 1:
-        print(f"error: --lbound must be at least 1, got {lbound}", file=sys.stderr)
-        return 2
+    for flag in ("depth", "lbound"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except StructuralError as exc:

@@ -21,7 +21,6 @@ from .graph_groupoid import (
     disjointify,
     render_bisection,
 )
-from .graph_model import vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
 from .twisted_product import BouquetTwistedProduct
 from .validation import StructuralError
@@ -252,7 +251,7 @@ def involution(x):
 
 
 def full_unit_bisection(model: BouquetTwistedProduct) -> BasicBisection:
-    v = vertex_path(model.bouquet.vertex)
+    v = model.bouquet.unit()
     return BasicBisection(v, v)
 
 
@@ -281,7 +280,7 @@ def generator_times(model: BouquetTwistedProduct, i: int, f: FiniteConvElement) 
     """x_i x f where x_i is the indicator of Z(e_i, v)."""
     if f.groupoid is not model.g:
         raise TypeError("f must live over the model's G backend")
-    v = vertex_path(model.bouquet.vertex)
+    v = model.bouquet.unit()
     e = model.bouquet.path([i])
     b = BasicBisection(e, v)
     return SymbolicConvElement(model, {(b, g): c for g, c in f.coeffs.items()})

@@ -47,14 +47,6 @@ class Verdict:
     def is_yes(self) -> bool:
         return self.value == "yes"
 
-    @property
-    def is_no(self) -> bool:
-        return self.value == "no"
-
-    @property
-    def decided(self) -> bool:
-        return self.value != "unknown"
-
     def to_json(self) -> dict:
         return {
             "value": self.value,

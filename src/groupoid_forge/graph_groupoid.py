@@ -29,34 +29,24 @@ BOUQUET_VERTEX = "v"
 
 @dataclass(frozen=True)
 class InfiniteBouquet:
-    """One vertex with lazily indexed loop edges e_i, i in N.
+    """The vertex BOUQUET_VERTEX with lazily indexed loop edges e_i, i in N.
 
-    Operations touching the edge family demand an explicit index bound; the
-    receiver set of the vertex is infinite, so every finite path is a unit
-    of the associated groupoid.
+    The receiver set of the vertex is infinite, so every finite path is a
+    unit of the associated groupoid.
     """
-
-    vertex: str = BOUQUET_VERTEX
-
-    requires_edge_bound = True
 
     def edge(self, i: int) -> Edge:
         if i < 0:
             raise ValueError("edge index must be nonnegative")
-        return Edge(i, self.vertex, self.vertex)
-
-    def edges_with_range(self, v, bound: int) -> tuple[Edge, ...]:
-        if v != self.vertex:
-            raise ValueError(f"unknown vertex {v!r}")
-        return tuple(self.edge(i) for i in range(bound))
+        return Edge(i, BOUQUET_VERTEX, BOUQUET_VERTEX)
 
     def path(self, indices: Sequence[int]) -> PathWord:
         if not indices:
-            return vertex_path(self.vertex)
+            return vertex_path(BOUQUET_VERTEX)
         return path_from_edges([self.edge(i) for i in indices])
 
     def unit(self) -> PathWord:
-        return vertex_path(self.vertex)
+        return vertex_path(BOUQUET_VERTEX)
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +98,6 @@ class BasicBisection:
 
     def source_set(self) -> "BasicBisection":
         return BasicBisection(self.source_word, self.source_word, self.excluded)
-
-    def contains_germ(self, triple: tuple[PathWord, int, PathWord]) -> bool:
-        x, p, y = triple
-        if p != self.degree:
-            return False
-        if not self.range_word.is_prefix_of(x) or not self.source_word.is_prefix_of(y):
-            return False
-        tx = x.edges[len(self.range_word.edges):]
-        ty = y.edges[len(self.source_word.edges):]
-        if tx != ty:
-            return False
-        return not tx or tx[0] not in self.excluded
 
 
 def unit_bisection(word: PathWord, excluded: Iterable[Edge] = ()) -> BasicBisection:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .matrices import (
     IntMatrix,
@@ -100,9 +99,6 @@ class PathWord:
             return self.anchor == other.range_vertex
         return other.edges[:n] == edges
 
-    def sort_key(self):
-        return tuple(e.label for e in self.edges)
-
     def __str__(self) -> str:
         if not self.edges:
             return str(self.anchor)
@@ -147,8 +143,6 @@ class BratteliDiagram:
             if any(x < 0 for row in m for x in row):
                 raise StructuralError(f"negative multiplicity at level {n}")
         check_repeat_rule(self.level_sizes, self.repeat_from)
-
-    requires_edge_bound = False
 
     @property
     def horizon(self) -> int:
@@ -328,39 +322,29 @@ def path_count_matrix(d: BratteliDiagram, from_level: int, to_level: int) -> Int
     )
 
 
-def enumerate_paths(
-    g, anchor: Vertex, depth: int, edge_bound: int | None = None
-) -> tuple[PathWord, ...]:
-    """All paths of the given length with range ``anchor``, sorted
-    lexicographically by edge label sequence.
+def iter_paths(d: BratteliDiagram, anchor: Vertex, length: int) -> Iterator[PathWord]:
+    """The paths of ``length`` edges with range ``anchor``, built lazily.  A
+    vertex lists its edges in label order, so extending the prefixes in
+    order yields the paths sorted lexicographically by label sequence."""
+    if length == 0:
+        yield vertex_path(anchor)
+        return
+    for p in iter_paths(d, anchor, length - 1):
+        for e in d.edges_with_range(p.source_vertex):
+            yield p.concat(PathWord((e,)))
 
-    The infinite bouquet, whose edge family is infinite, must be called
-    with ``edge_bound``.
-    """
+
+def enumerate_paths(d: BratteliDiagram, anchor: Vertex, depth: int) -> tuple[PathWord, ...]:
+    """All paths of the given length with range ``anchor``, sorted
+    lexicographically by edge label sequence."""
+    if not isinstance(d, BratteliDiagram):
+        raise TypeError(f"enumerate_paths needs a BratteliDiagram, got {type(d).__name__}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if getattr(g, "requires_edge_bound", False) and edge_bound is None:
-        raise ValueError("this graph has infinite edge families: pass edge_bound")
-    _check_anchor(g, anchor)
-    paths = [vertex_path(anchor)]
-    for _ in range(depth):
-        nxt = []
-        for p in paths:
-            if getattr(g, "requires_edge_bound", False):
-                outgoing = g.edges_with_range(p.source_vertex, edge_bound)
-            else:
-                outgoing = g.edges_with_range(p.source_vertex)
-            nxt.extend(p.concat(PathWord((e,))) for e in outgoing)
-        paths = nxt
-    return tuple(sorted(paths, key=PathWord.sort_key))
-
-
-def _check_anchor(g, anchor) -> None:
-    if isinstance(g, BratteliDiagram):
-        n, i = anchor
-        if not (g.has_level(n) and 0 <= i < g.level_size(n)):
-            raise ValueError(f"anchor {anchor} not in diagram")
-    # the infinite bouquet checks its own vertex when it lists edges
+    n, i = anchor
+    if not (d.has_level(n) and 0 <= i < d.level_size(n)):
+        raise ValueError(f"anchor {anchor} not in diagram")
+    return tuple(iter_paths(d, anchor, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -370,47 +354,19 @@ def _check_anchor(g, anchor) -> None:
 
 @dataclass(frozen=True)
 class EdgeCycleAutomorphism:
-    """Vertex-fixing diagram automorphism cycling each parallel-edge class.
-
-    With the default labelling, the edge copy ``t`` of a ``(level, i, j)``
-    class with multiplicity ``k`` maps to copy ``(t + step) mod k``.  A custom
-    labelling gives, per class, the cyclic order in which copies are cycled.
-    """
+    """Vertex-fixing diagram automorphism cycling each parallel-edge class:
+    the edge copy ``t`` of a ``(level, i, j)`` class with multiplicity ``k``
+    maps to copy ``(t + step) mod k``."""
 
     diagram: BratteliDiagram
     step: int = 1
-    labelling: Mapping[tuple[int, int, int], tuple[int, ...]] | None = None
-
-    def __post_init__(self):
-        if self.labelling is not None:
-            for key, order in self.labelling.items():
-                n, i, j = key
-                k = self.diagram.multiplicity_matrix(n)[i][j]
-                if sorted(order) != list(range(k)):
-                    raise ValueError(
-                        f"labelling for class {key} is not a bijection onto its "
-                        f"{k} edge copies"
-                    )
-
-    @cached_property
-    def _label_positions(self) -> dict[tuple[int, int, int], dict[int, int]]:
-        """Per custom-labelled class, each copy's position in its cycle."""
-        return {
-            key: {t: pos for pos, t in enumerate(order)}
-            for key, order in (self.labelling or {}).items()
-        }
 
     def vertex_image(self, v: Vertex) -> Vertex:
         return v
 
     def edge_image(self, e: Edge) -> Edge:
         n, i, j, t = e.label
-        positions = self._label_positions.get((n, i, j))
-        if positions is None:
-            t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
-        else:
-            order = self.labelling[(n, i, j)]
-            t2 = order[(positions[t] + self.step) % len(order)]
+        t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
         return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
 
     def path_image(self, p: PathWord) -> PathWord:
@@ -419,12 +375,12 @@ class EdgeCycleAutomorphism:
         return PathWord(tuple(self.edge_image(e) for e in p.edges))
 
     def power(self, k: int) -> "EdgeCycleAutomorphism":
-        return EdgeCycleAutomorphism(self.diagram, self.step * k, self.labelling)
+        return EdgeCycleAutomorphism(self.diagram, self.step * k)
 
     def cycle_lengths(self, level: int) -> set[int]:
         """The distinct cycle lengths on the edges between ``level`` and
         ``level + 1``: a class of k copies rotated by the step splits into
-        gcd(k, step) cycles of length k / gcd(k, step), whatever its labelling."""
+        gcd(k, step) cycles of length k / gcd(k, step)."""
         m = self.diagram.multiplicity_matrix(level)
         return {k // math.gcd(k, self.step) for row in m for k in row if k}
 
@@ -433,12 +389,6 @@ class EdgeCycleAutomorphism:
         return math.lcm(*(n for lvl in range(max_level) for n in self.cycle_lengths(lvl)))
 
 
-def edge_cycle_automorphism(
-    d: BratteliDiagram,
-    labelling: Mapping[tuple[int, int, int], Sequence[int]] | None = None,
-) -> EdgeCycleAutomorphism:
+def edge_cycle_automorphism(d: BratteliDiagram) -> EdgeCycleAutomorphism:
     """The automorphism fixing every vertex and cycling each parallel class."""
-    canonical = None
-    if labelling is not None:
-        canonical = {k: tuple(v) for k, v in labelling.items()}
-    return EdgeCycleAutomorphism(d, 1, canonical)
+    return EdgeCycleAutomorphism(d)

@@ -29,9 +29,9 @@ from .graph_model import (
     PathWord,
     diagram_from_json,
     edge_cycle_automorphism,
+    iter_paths,
     telescope,
     validate_bratteli,
-    vertex_path,
 )
 from .matrices import mat_mul, min_entry
 from .rank2_diagrams import (
@@ -90,8 +90,11 @@ class PipelineInputError(ValueError):
         self.report = report
 
 
-def _check_lbound(lbound: int) -> None:
-    """A plan certifies the shifts 1..lbound, so it needs at least one."""
+def _check_bounds(depth: int, lbound: int) -> None:
+    """A plan checks levels below depth and certifies the shifts 1..lbound,
+    so it needs at least one of each."""
+    if depth < 1:
+        raise PipelineInputError(f"depth must be at least 1, got {depth}")
     if lbound < 1:
         raise PipelineInputError(f"lbound must be at least 1, got {lbound}")
 
@@ -199,20 +202,9 @@ def _growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int) -> list[i
 
 
 def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
-    """The first ``count`` paths of ``enumerate_paths(d, v, length)`` over
-    the level-0 vertices v and the lengths 0, 1, 2, built no further than
-    needed.  A Bratteli vertex lists its edges in label order, so extending
-    the prefixes in order yields each length already sorted."""
-
-    def paths(v, length):
-        if length == 0:
-            yield vertex_path(v)
-            return
-        for p in paths(v, length - 1):
-            for e in d.edges_with_range(p.source_vertex):
-                yield p.concat(PathWord((e,)))
-
-    every = (p for v in d.vertices_at(0) for length in range(3) for p in paths(v, length))
+    """The first ``count`` paths over the level-0 vertices and the lengths
+    0, 1, 2, each length in label order, built no further than needed."""
+    every = (p for v in d.vertices_at(0) for length in range(3) for p in iter_paths(d, v, length))
     return list(islice(every, count))
 
 
@@ -221,13 +213,12 @@ def plan_af_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 20,
-    stabilization_n: int | None = None,
     source_cap: int = 4096,
 ) -> RealizationReport:
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
     contraction, stabilize, and cut the requested unit corner."""
-    _check_lbound(lbound)
+    _check_bounds(depth, lbound)
     check = validate_bratteli(d)
     if not check.passed:
         raise PipelineInputError(
@@ -293,11 +284,8 @@ def plan_af_realization(
         positivity = dg_is_positive(original_spec, corner.k_class, horizon=subseq[-1])
         ktheory["corner_class_positive"] = positivity.to_json()
 
-    trunc = stabilization_n
-    if trunc is None:
-        trunc = max(corner.vector) if corner is not None else 1
     stabilization = {
-        "full_relation_truncation": trunc,
+        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
         "note": "product with the complete relation on {-N..N}; certificates "
         "transfer because the extra factor is principal, minimal and carries "
         "the identity automorphism",
@@ -359,13 +347,12 @@ def plan_rank2_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 50,
-    stabilization_n: int | None = None,
     source_cap: int = 4096,
 ) -> RealizationReport:
     """Realization plan for rank-2 matrix data: telescope with the bound
     recursion, build the canonical diagram, certify the order inequality and
     the power automorphism, and cut the requested corner."""
-    _check_lbound(lbound)
+    _check_bounds(depth, lbound)
     levels_out = depth + 2
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
     if source_cap != 4096:
@@ -439,11 +426,8 @@ def plan_rank2_realization(
         positivity = dg_is_positive(k_spec, corner.k_class, levels_out - 1)
         ktheory["corner_class_positive"] = positivity.to_json()
 
-    trunc = stabilization_n
-    if trunc is None:
-        trunc = max(corner.vector) if corner is not None else 1
     stabilization = {
-        "full_relation_truncation": trunc,
+        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
         "note": "product with the complete relation on {-N..N}",
     }
 
@@ -493,7 +477,8 @@ def verify_report_json(report_json: dict) -> bool:
     certificates to reproduce exactly (reports are deterministic).
 
     The recorded parameters go back to the planner as keywords, so a
-    parameter the report leaves out takes the planner's default.  A report
+    parameter the report leaves out takes the planner's default; the
+    stabilization truncation is derived from the unit class.  A report
     of unknown kind, one missing a field the plan needs, or one recording a
     parameter the planner does not take or a non-integer one raises
     ``PipelineInputError``.
@@ -505,12 +490,7 @@ def verify_report_json(report_json: dict) -> bool:
         source = report_json["input"]
         params = report_json.get("parameters", {})
         corner = report_json.get("corner")
-        options = {
-            "unit_class": (corner["level"], corner["vector"]) if corner else None,
-            "stabilization_n": (report_json.get("stabilization") or {}).get(
-                "full_relation_truncation"
-            ),
-        }
+        options = {"unit_class": (corner["level"], corner["vector"]) if corner else None}
         unknown = sorted(set(params) - {"levels_out", *PLAN_PARAMETERS})
         options.update((k, v) for k, v in params.items() if k != "levels_out")
     except (KeyError, TypeError, AttributeError) as exc:

@@ -93,15 +93,9 @@ class Rank2Diagram:
             out.setdefault(e.range_vertex[0], []).append(e)
         return {n: tuple(v) for n, v in out.items()}
 
-    def blue_edges_at(self, n: int) -> tuple[Edge, ...]:
-        return self._by_level.get(n, ())
-
     @cached_property
     def _by_label(self) -> Mapping[BlueLabel, Edge]:
         return {e.label: e for e in self.blue}
-
-    def blue_by_label(self) -> Mapping[BlueLabel, Edge]:
-        return self._by_label
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from .rank2_diagrams import (
     CanonicalRank2Diagram,
     Rank2Automorphism,
     Rank2Path,
-    compute_orders,
 )
 from .validation import StructuralError
 
@@ -146,13 +145,11 @@ class BouquetTwistedProduct:
     alpha: GroupoidAutomorphism
 
 
-def bouquet_twisted_product(
-    G: FiniteGroupoid, alpha: GroupoidAutomorphism, bouquet: InfiniteBouquet | None = None
-) -> BouquetTwistedProduct:
+def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> BouquetTwistedProduct:
     report = alpha.validate()
     if not report.passed:
         raise ValueError(f"invalid automorphism:\n{report.describe()}")
-    return BouquetTwistedProduct(bouquet or InfiniteBouquet(), G, alpha)
+    return BouquetTwistedProduct(InfiniteBouquet(), G, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +258,23 @@ class WfcCertificate:
         }
 
 
-def check_wfc(backend, alpha, depth: int, shift_bound: int, s_bound: int | None = None) -> WfcCertificate:
+def check_wfc(backend, alpha, depth: int, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0.
 
     Dispatches on the backend: finite groupoids are scanned exhaustively;
     Bratteli diagrams are certified through parallel-class cycle lengths;
-    rank-2 diagrams through the order inequality and bounded congruences.
-    A shift bound below 1 or a negative offset bound certifies nothing and
-    raises ``ValueError``.
+    rank-2 diagrams through the order inequality and bounded congruences,
+    with red offsets up to the shift bound.  A shift bound below 1
+    certifies nothing and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    if s_bound is not None and s_bound < 0:
-        raise ValueError(f"red offset bound must be nonnegative, got {s_bound}")
     if isinstance(backend, FiniteGroupoid):
         return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
         return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
     if isinstance(backend, CanonicalRank2Diagram):
-        return _check_wfc_rank2(backend, alpha, depth, shift_bound, s_bound)
+        return _check_wfc_rank2(backend, alpha, depth, shift_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 
 
@@ -384,11 +379,14 @@ def _check_wfc_bratteli(d: BratteliDiagram, alpha: EdgeCycleAutomorphism, depth,
     )
 
 
-def _check_wfc_rank2(diagram, alpha, depth: int, L: int, s_bound: int | None):
-    if isinstance(alpha, Rank2Automorphism) and alpha.diagram is diagram:
-        orders = alpha.orders
-    else:
-        orders = compute_orders(diagram)
+def _check_wfc_rank2(diagram: CanonicalRank2Diagram, alpha: Rank2Automorphism, depth, L):
+    if not isinstance(alpha, Rank2Automorphism):
+        raise TypeError(
+            f"rank-2 orbit-freeness check needs a Rank2Automorphism, got {type(alpha).__name__}"
+        )
+    if alpha.diagram != diagram:
+        raise ValueError("the automorphism acts on a different rank-2 diagram")
+    orders = alpha.orders
     max_level = min(depth, orders.max_edge_level())
     inequality = {}
     for n in range(max_level + 1):
@@ -407,7 +405,7 @@ def _check_wfc_rank2(diagram, alpha, depth: int, L: int, s_bound: int | None):
             L,
             {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality},
         )
-    S = L if s_bound is None else s_bound
+    S = L  # red offsets 0..L are checked for every shift
     # Level t witnesses (l, s) unless s = l*m_t (mod o) for an order o at t,
     # so the offsets a level misses are one arithmetic progression per order.
     # Offsets 0..S are the bits of an int: combs[o] holds the bits 0, o, 2o,
@@ -480,12 +478,6 @@ class LcEntry:
 @dataclass(frozen=True)
 class LcWitness:
     entries: tuple[LcEntry, ...]
-
-    def lookup(self, element) -> int:
-        for e in self.entries:
-            if e.element == element:
-                return e.l
-        raise KeyError(element)
 
     def to_json(self) -> dict:
         return {

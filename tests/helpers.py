@@ -16,13 +16,13 @@ from typing import Mapping
 
 from groupoid_forge.convolution_algebra import RegRepMatrix
 from groupoid_forge.gaussian import ONE, ZERO, GaussianRational
-from groupoid_forge.graph_groupoid import BasicBisection
+from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     Edge,
+    PathWord,
     path_count_matrix,
     path_from_edges,
-    vertex_path,
 )
 from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
@@ -42,38 +42,33 @@ from groupoid_forge.validation import (
 )
 
 
-def all_words(graph, anchor, max_len: int, edge_bound=None):
-    """Every path word with the given range, lengths 0..max_len, by direct
-    recursive extension (independent of enumerate_paths)."""
-    words = [vertex_path(anchor)]
-    frontier = [vertex_path(anchor)]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            if edge_bound is not None:
-                outgoing = graph.edges_with_range(w.source_vertex, edge_bound)
-            else:
-                outgoing = graph.edges_with_range(w.source_vertex)
-            for e in outgoing:
-                nxt.append(w.concat(path_from_edges((e,))))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+def bouquet_words(n: int, max_len: int) -> list[PathWord]:
+    """Every bouquet word over the loops e_0..e_{n-1}, lengths 0..max_len,
+    shortest first and each length in label order."""
+    bouquet = InfiniteBouquet()
+    return [bouquet.path(w) for k in range(max_len + 1) for w in itertools.product(range(n), repeat=k)]
 
 
-def germ_universe(graph, anchor, max_len: int, edge_bound=None):
-    """All candidate germ triples (x, |x|-|y|, y) with word lengths bounded.
+def bouquet_germs(n: int, max_len: int):
+    """All candidate germ triples (x, |x|-|y|, y) over ``bouquet_words``;
+    every pair of bouquet words shares the one vertex, so every pair is a
+    genuine germ of the shift space."""
+    words = bouquet_words(n, max_len)
+    return [(x, len(x) - len(y), y) for x in words for y in words]
 
-    Single-anchor graphs only: every pair of words shares the terminal
-    vertex, so every pair is a genuine germ of the shift space.
-    """
-    words = all_words(graph, anchor, max_len, edge_bound)
-    return [
-        (x, len(x) - len(y), y)
-        for x in words
-        for y in words
-        if x.source_vertex == y.source_vertex
-    ]
+
+def contains_germ(b: BasicBisection, triple: tuple[PathWord, int, PathWord]) -> bool:
+    """Germ membership in a basic bisection, by prefix comparison."""
+    x, p, y = triple
+    if p != b.degree:
+        return False
+    if not b.range_word.is_prefix_of(x) or not b.source_word.is_prefix_of(y):
+        return False
+    tx = x.edges[len(b.range_word.edges):]
+    ty = y.edges[len(b.source_word.edges):]
+    if tx != ty:
+        return False
+    return not tx or tx[0] not in b.excluded
 
 
 def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bool:
@@ -88,12 +83,12 @@ def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bo
     if tail and tail[0] in a.excluded:
         return False
     middle = a.source_word if not tail else a.source_word.concat(path_from_edges(tail))
-    return b.contains_germ((middle, b.degree, y))
+    return contains_germ(b, (middle, b.degree, y))
 
 
 def sum_contains(piece: BasicBisection | None, candidate) -> bool:
     """Germ membership in a product result; None is the empty set."""
-    return piece is not None and piece.contains_germ(candidate)
+    return piece is not None and contains_germ(piece, candidate)
 
 
 def brute_orbit_length(apply_fn, start) -> int:
@@ -227,6 +222,16 @@ def materialize_rank2(d):
     return Rank2Diagram(d.cycle_sizes, tuple(blue), f_map, d.orientation)
 
 
+def blue_edges_at(d: Rank2Diagram, n: int) -> tuple[Edge, ...]:
+    """The stored blue edges with range at level ``n``."""
+    return d._by_level.get(n, ())
+
+
+def blue_by_label(d: Rank2Diagram) -> Mapping:
+    """The stored blue edges by label."""
+    return d._by_label
+
+
 def _levels(d) -> int:
     return len(d.cycle_sizes)
 
@@ -292,7 +297,7 @@ def materialized_orders(d: Rank2Diagram) -> OrderData:
 def materialized_validation(d: Rank2Diagram) -> ValidationReport:
     """The per-edge F and degree scans (the oracle for ``validate_rank2``)."""
     v: list[Violation] = []
-    by_label = d.blue_by_label()
+    by_label = blue_by_label(d)
     for e in d.blue:
         img = by_label[d.f_map[e.label]]
         if img.range_vertex != _red_walk(d, e.range_vertex, 1):
@@ -304,12 +309,12 @@ def materialized_validation(d: Rank2Diagram) -> ValidationReport:
                 Violation("F shifts the source to its red predecessor", f"edge {e.label}")
             )
     for n in range(_levels(d) - 1):
-        received = {e.range_vertex for e in d.blue_edges_at(n)}
+        received = {e.range_vertex for e in blue_edges_at(d, n)}
         for vertex in _vertices_at(d, n):
             if vertex not in received:
                 v.append(Violation("blue graph has no sources", f"vertex {vertex}"))
     for n in range(1, _levels(d)):
-        emitted = {e.source_vertex for e in d.blue_edges_at(n - 1)}
+        emitted = {e.source_vertex for e in blue_edges_at(d, n - 1)}
         for vertex in _vertices_at(d, n):
             if vertex not in emitted:
                 v.append(
@@ -336,7 +341,7 @@ def materialized_automorphism(d: Rank2Diagram, orders=None) -> MaterializedAutom
     the rotation of the next level (the oracle for ``rank2_automorphism``)."""
     orders = orders or materialized_orders(d)
     auto = MaterializedAutomorphism(orders)
-    by_label = d.blue_by_label()
+    by_label = blue_by_label(d)
     for e in d.blue:
         n = e.range_vertex[0]
         if n + 1 >= _levels(d):
@@ -363,7 +368,7 @@ def materialized_skeleton(d: Rank2Diagram) -> BratteliDiagram:
     tables = []
     for n in range(_levels(d) - 1):
         table = [[0] * sizes[n + 1] for _ in range(sizes[n])]
-        for e in d.blue_edges_at(n):
+        for e in blue_edges_at(d, n):
             table[flat_index[e.range_vertex]][flat_index[e.source_vertex]] += 1
         tables.append(as_matrix(table))
     return BratteliDiagram(tuple(sizes), tuple(tables), None)
@@ -382,7 +387,7 @@ def materialized_k_matrices(d: Rank2Diagram):
             for j in range(cn):
                 per_v[(i, j)] = {(n, j, p): 0 for p in range(d.cycle_sizes[n][j])}
                 per_w[(i, j)] = {(n + 1, i, q): 0 for q in range(d.cycle_sizes[n + 1][i])}
-        for e in d.blue_edges_at(n):
+        for e in blue_edges_at(d, n):
             key = (e.source_vertex[1], e.range_vertex[1])
             per_v[key][e.range_vertex] += 1
             per_w[key][e.source_vertex] += 1
@@ -411,16 +416,16 @@ def materialized_k_matrices(d: Rank2Diagram):
 def materialized_path_range(d: Rank2Diagram, p: Rank2Path):
     """Range of a path, read off its first stored blue edge; an unknown
     label raises KeyError (the oracle for ``path_range``)."""
-    return d.blue_by_label()[p.blue[0]].range_vertex if p.blue else p.anchor
+    return blue_by_label(d)[p.blue[0]].range_vertex if p.blue else p.anchor
 
 
 def materialized_path_source(d: Rank2Diagram, p: Rank2Path):
-    last = d.blue_by_label()[p.blue[-1]].source_vertex if p.blue else p.anchor
+    last = blue_by_label(d)[p.blue[-1]].source_vertex if p.blue else p.anchor
     return _red_walk(d, last, -p.red_degree)
 
 
 def materialized_make_path(d: Rank2Diagram, blue, red_degree=0, anchor=None) -> Rank2Path:
-    by_label = d.blue_by_label()
+    by_label = blue_by_label(d)
     for a, b in zip(blue, blue[1:]):
         if by_label[a].source_vertex != by_label[b].range_vertex:
             raise StructuralError(f"blue edges do not compose: {a} then {b}")
@@ -560,16 +565,10 @@ def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
-def scanned_rank2_wfc_certificate(
-    diagram, alpha, depth: int, L: int, s_bound: int | None = None
-) -> WfcCertificate:
-    """The rank-2 orbit-freeness certificate from the per-pair scan."""
-    from groupoid_forge.rank2_diagrams import Rank2Automorphism, compute_orders
-
-    if isinstance(alpha, Rank2Automorphism) and alpha.diagram is diagram:
-        orders = alpha.orders
-    else:
-        orders = compute_orders(diagram)
+def scanned_rank2_wfc_certificate(diagram, alpha, depth: int, L: int) -> WfcCertificate:
+    """The rank-2 orbit-freeness certificate from the per-pair scan, red
+    offsets 0..L, over the orders ``alpha`` carries."""
+    orders = alpha.orders
     max_level = min(depth, orders.max_edge_level())
     inequality = {}
     for n in range(max_level + 1):
@@ -588,7 +587,7 @@ def scanned_rank2_wfc_certificate(
             L,
             {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality},
         )
-    S = L if s_bound is None else s_bound
+    S = L
     witness: dict[str, int] = {}
     undecided = []
     for l in range(1, L + 1):

@@ -77,24 +77,6 @@ class TestWfcAgainstEdgeWalk:
                 expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
                 assert check_wfc(tele, alpha, 13, L).to_json() == expected
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_custom_labellings(self, seed):
-        rng = random.Random(seed)
-        d = _growth_telescope(DIAGRAMS["seeded2x2_1"], 7)
-        labelling = {}
-        for n in range(d.horizon):
-            for i, row in enumerate(d.multiplicity_matrix(n)):
-                for j, k in enumerate(row):
-                    order = list(range(k))
-                    rng.shuffle(order)
-                    labelling[(n, i, j)] = order
-        base = edge_cycle_automorphism(d, labelling)
-        for step in range(-3, 4):
-            alpha = base.power(step)
-            for L in (3, 8):
-                expected = walked_wfc_certificate(d, alpha, d.horizon, L).to_json()
-                assert check_wfc(d, alpha, d.horizon, L).to_json() == expected
-
     def test_constant_one_counterexample(self):
         d = constant_diagram(1)
         alpha = edge_cycle_automorphism(d)

@@ -412,6 +412,26 @@ class TestRealize:
         assert f"--lbound must be at least 1, got {lbound}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["realize", "rank2", "{rank2}"],
+            ["realize", "af", "{af}"],
+            ["certify", "wfc", "--rank2", "--input", "{rank2}"],
+            ["certify", "wfc", "--input", "{af}"],
+        ],
+        ids=["realize-rank2", "realize-af", "certify-wfc-rank2", "certify-wfc-af"],
+    )
+    def test_nonpositive_depth_exit_two(
+        self, command, depth, rank2_file, diagram_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json"
+        argv = [arg.format(rank2=rank2_file, af=diagram_file) for arg in command]
+        assert main(argv + ["--depth", depth, "--out", str(out)]) == 2
+        assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedCommandLine:
     """Run as the console script does, so an uncaught exception would show
@@ -443,6 +463,29 @@ class TestMalformedCommandLine:
 
 
 class TestVerifyReport:
+    @pytest.mark.parametrize("target", ["af", "rank2"])
+    def test_edited_truncation_exit_one(self, target, diagram_file, rank2_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        source = diagram_file if target == "af" else rank2_file
+        main(["realize", target, source, "--unit", "0:2", "--depth", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["stabilization"]["full_relation_truncation"] == 2
+        report["stabilization"]["full_relation_truncation"] = 9
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify-report", str(out)]) == 1
+        assert capsys.readouterr().out == "report FAILED re-verification\n"
+
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_report_with_nonpositive_depth_exit_two(self, depth, diagram_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["realize", "af", diagram_file, "--depth", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        report["parameters"]["depth"] = depth
+        out.write_text(json.dumps(report))
+        assert main(["verify-report", str(out)]) == 2
+        assert f"depth must be at least 1, got {depth}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "report, field",
         [

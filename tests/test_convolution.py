@@ -43,7 +43,7 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
 )
 from groupoid_forge.twisted_product import bouquet_twisted_product
-from helpers import determinant, is_psd_hermitian
+from helpers import bouquet_germs, contains_germ, determinant, is_psd_hermitian
 
 BQ = InfiniteBouquet()
 
@@ -268,7 +268,7 @@ class TestSymbolicOracle:
         germ, g = point
         total = gauss(0)
         for (b, gel), c in x.coeffs.items():
-            if gel == g and b.contains_germ(germ):
+            if gel == g and contains_germ(b, germ):
                 total = total + c
         return total
 
@@ -296,11 +296,10 @@ class TestSymbolicOracle:
         return total
 
     def test_convolution_pointwise(self):
-        from helpers import germ_universe
 
         model = swap_model()
         rng = rng_for(31)
-        universe = germ_universe(BQ, BQ.vertex, 2, edge_bound=3)
+        universe = bouquet_germs(3, 2)
         words = None
         for trial in range(12):
             pieces_x = {}
@@ -325,11 +324,10 @@ class TestSymbolicOracle:
                     assert got == want, (trial, point_germ, g)
 
     def test_involution_pointwise(self):
-        from helpers import germ_universe
 
         model = swap_model()
         rng = rng_for(37)
-        universe = germ_universe(BQ, BQ.vertex, 2, edge_bound=3)
+        universe = bouquet_germs(3, 2)
         for _ in range(10):
             r = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
             s = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
@@ -354,17 +352,16 @@ class TestCanonicalization:
         x = SymbolicConvElement(model, {(z_all, g): gauss(1)})
         y = SymbolicConvElement(model, {(z_e0, g): gauss(1)})
         s = x.add(y)
-        from helpers import germ_universe
 
-        for germ in germ_universe(BQ, BQ.vertex, 2, edge_bound=3):
+        for germ in bouquet_germs(3, 2):
             expect = gauss(0)
-            if z_all.contains_germ(germ):
+            if contains_germ(z_all, germ):
                 expect = expect + gauss(1)
-            if z_e0.contains_germ(germ):
+            if contains_germ(z_e0, germ):
                 expect = expect + gauss(1)
             got = gauss(0)
             for (b, gel), c in s.coeffs.items():
-                if gel == g and b.contains_germ(germ):
+                if gel == g and contains_germ(b, germ):
                     got = got + c
             assert got == expect
 

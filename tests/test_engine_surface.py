@@ -1,7 +1,8 @@
 """The library holds only what the engine runs: every public top-level
-function and class of ``groupoid_forge`` is referenced somewhere in ``src/``,
-``demos/`` or ``bench/`` outside its own definition and ``__init__.py``.
-A helper only the tests call belongs in ``tests/helpers.py``."""
+function and class of ``groupoid_forge``, and every public method of a
+public class, is referenced somewhere in ``src/``, ``demos/`` or ``bench/``
+outside its own definition and ``__init__.py``.  A helper only the tests
+call belongs in ``tests/helpers.py``."""
 
 import ast
 from pathlib import Path
@@ -10,16 +11,23 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "groupoid_forge"
 
 
+def _public(nodes, kinds):
+    return [n for n in nodes if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
 def _public_definitions():
     """(module file, name, first line, last line) per public top-level
-    function and class."""
+    function and class, and per public method of a public class, named by
+    its class, ``Class.method``."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out.append((path, node.name, node.lineno, node.end_lineno))
+        for node in _public(ast.parse(path.read_text(encoding="utf-8")).body, (ast.FunctionDef, ast.ClassDef)):
+            out.append((path, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                for sub in _public(node.body, ast.FunctionDef):
+                    out.append((path, f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno))
     return out
 
 
@@ -54,12 +62,15 @@ def _outside(ref, definitions) -> bool:
 def _unused(definitions, refs) -> set:
     """Definitions with no reference outside themselves and outside the
     unused ones, so a cluster of helpers that only call each other is found
-    as a whole."""
+    as a whole.  A method matches references by its bare name, so it shares
+    the references of every attribute or function spelled the same way."""
     unused = set()
     while True:
         dead = [d for d in definitions if d in unused]
         found = {
-            d for d in definitions if not any(_outside(ref, (d, *dead)) for ref in refs.get(d[1], ()))
+            d
+            for d in definitions
+            if not any(_outside(ref, (d, *dead)) for ref in refs.get(d[1].rsplit(".", 1)[-1], ()))
         }
         if found == unused:
             return unused

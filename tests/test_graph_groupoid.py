@@ -1,8 +1,8 @@
 """The symbolic layer: the bisection calculus against its brute-force germ
 oracle, disjointification, the cylinder finder and the bouquet model.
 
-The oracles run over the first n loops of the infinite bouquet
-(``edge_bound=n``)."""
+The oracles run over the words in the first n loops of the infinite bouquet
+(``bouquet_words(n, ...)``)."""
 
 import itertools
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoid_forge.graph_groupoid import (
+    BOUQUET_VERTEX,
     BasicBisection,
     InfiniteBouquet,
     basic_proper_subset,
@@ -24,9 +25,15 @@ from groupoid_forge.graph_groupoid import (
     repeat_word,
     unit_bisection,
 )
-from groupoid_forge.graph_model import enumerate_paths, vertex_path
+from groupoid_forge.graph_model import vertex_path
 
-from helpers import all_words, germ_universe, product_member_oracle, sum_contains
+from helpers import (
+    bouquet_germs,
+    bouquet_words,
+    contains_germ,
+    product_member_oracle,
+    sum_contains,
+)
 
 BQ = InfiniteBouquet()
 
@@ -50,8 +57,8 @@ class TestBisectionProductOracle:
 
     def test_exhaustive_no_exclusions(self):
         n = 2
-        words = all_words(BQ, "v", 2, edge_bound=n)
-        candidates = germ_universe(BQ, "v", 3, edge_bound=n)
+        words = bouquet_words(n, 2)
+        candidates = bouquet_germs(n, 3)
         bisections = [BasicBisection(x, y) for x in words for y in words]
         for a in bisections:
             for b in bisections:
@@ -59,9 +66,9 @@ class TestBisectionProductOracle:
 
     def test_exclusion_grid(self):
         n = 3
-        words = all_words(BQ, "v", 2, edge_bound=n)
+        words = bouquet_words(n, 2)
         excl_options = [frozenset(), frozenset({BQ.edge(0)}), frozenset({BQ.edge(0), BQ.edge(2)})]
-        candidates = germ_universe(BQ, "v", 3, edge_bound=n)
+        candidates = bouquet_germs(n, 3)
         import random
 
         rng = random.Random(7)
@@ -94,31 +101,31 @@ class TestBisectionProductOracle:
     @settings(max_examples=120, deadline=None)
     def test_sampled_alphabet_three(self, data):
         n = 3
-        words = all_words(BQ, "v", 3, edge_bound=n)
+        words = bouquet_words(n, 3)
         word = st.sampled_from(words)
-        excl = st.frozensets(st.sampled_from(BQ.edges_with_range("v", n)), max_size=2)
+        excl = st.frozensets(st.sampled_from([BQ.edge(i) for i in range(n)]), max_size=2)
         a = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
         b = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
-        candidates = germ_universe(BQ, "v", 2, edge_bound=n)
+        candidates = bouquet_germs(n, 2)
         self._check_pair(a, b, candidates)
 
 
 class TestIntersectionDifference:
     def _member(self, b, cand):
-        return b.contains_germ(cand)
+        return contains_germ(b, cand)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_against_membership(self, data):
         n = 2
-        words = all_words(BQ, "v", 2, edge_bound=n)
+        words = bouquet_words(n, 2)
         word = st.sampled_from(words)
-        excl = st.frozensets(st.sampled_from(BQ.edges_with_range("v", n)), max_size=1)
+        excl = st.frozensets(st.sampled_from([BQ.edge(i) for i in range(n)]), max_size=1)
         a = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
         b = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
         inter = intersect_basic(a, b)
         diff = difference_basic(a, b)
-        for cand in germ_universe(BQ, "v", 3, edge_bound=n):
+        for cand in bouquet_germs(n, 3):
             in_a, in_b = self._member(a, cand), self._member(b, cand)
             got_inter = inter is not None and self._member(inter, cand)
             assert got_inter == (in_a and in_b)
@@ -140,14 +147,14 @@ class TestIntersectionDifference:
     def test_disjoint_sum_preserves_membership(self):
         # disjointify with trivial tags rewrites a family as a disjoint sum
         n = 2
-        word = all_words(BQ, "v", 1, edge_bound=n)[1]
+        word = bouquet_words(n, 1)[1]
         pieces = [unit_bisection(vertex_path("v")), unit_bisection(word)]
         s = [piece for piece, _ in disjointify(((p, None) for p in pieces), lambda old, new: None)]
         for p1, p2 in itertools.combinations(s, 2):
             assert intersect_basic(p1, p2) is None
-        for cand in germ_universe(BQ, "v", 3, edge_bound=n):
-            expect = any(p.contains_germ(cand) for p in pieces)
-            assert any(p.contains_germ(cand) for p in s) == expect
+        for cand in bouquet_germs(n, 3):
+            expect = any(contains_germ(p, cand) for p in pieces)
+            assert any(contains_germ(p, cand) for p in s) == expect
 
 
 class TestCylinderFinder:
@@ -177,16 +184,10 @@ class TestCylinderFinder:
     def test_repeat_word(self):
         lam = BQ.path([1, 2])
         assert repeat_word(lam, 3) == BQ.path([1, 2, 1, 2, 1, 2])
-        assert repeat_word(lam, 0) == vertex_path(BQ.vertex)
+        assert repeat_word(lam, 0) == BQ.unit() == vertex_path(BOUQUET_VERTEX)
 
 
 class TestBouquetModel:
-    def test_edge_bound_required(self):
-        with pytest.raises(ValueError):
-            enumerate_paths(BQ, BQ.vertex, 2)
-        paths = enumerate_paths(BQ, BQ.vertex, 2, edge_bound=3)
-        assert len(paths) == 9
-
     def test_render_notation(self):
         b = bq_bis([1, 2], [3], excl=(3, 5))
         assert render_bisection(b) == "Z((e1.e2, e3)∖{e3,e5})"

@@ -23,8 +23,6 @@ from groupoid_forge.validation import StructuralError
 
 from helpers import brute_orbit_length
 
-BQ = InfiniteBouquet()
-
 
 def figure_style_diagram():
     # one top vertex, three level-1 vertices, one edge from each
@@ -136,11 +134,11 @@ class TestTelescope:
 
 class TestEnumeratePaths:
     def test_depth_zero_singleton(self):
-        assert enumerate_paths(BQ, "v", 0, edge_bound=2) == (vertex_path("v"),)
+        assert enumerate_paths(constant_diagram(2), (0, 0), 0) == (vertex_path((0, 0)),)
 
     def test_two_loops_depth_three(self):
-        # oracle: 2^3 words over two letters
-        paths = enumerate_paths(BQ, "v", 3, edge_bound=2)
+        # oracle: 2^3 words over two parallel edges per level
+        paths = enumerate_paths(constant_diagram(2), (0, 0), 3)
         assert len(paths) == 8
         assert len(set(paths)) == 8
 
@@ -153,11 +151,24 @@ class TestEnumeratePaths:
             assert path_count_matrix(d, 0, depth)[0][0] == 2**depth
 
     def test_deterministic_order(self):
-        p1 = enumerate_paths(BQ, "v", 2, edge_bound=3)
-        p2 = enumerate_paths(BQ, "v", 2, edge_bound=3)
+        d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 3]]), as_matrix([[4], [1]])), 0)
+        p1 = enumerate_paths(d, (0, 0), 3)
+        p2 = enumerate_paths(d, (0, 0), 3)
         assert p1 == p2
-        keys = [p.sort_key() for p in p1]
+        keys = [tuple(e.label for e in p.edges) for p in p1]
         assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys) == (2 * 4 + 3 * 1) * (2 + 3)
+
+    def test_rejects_the_bouquet_and_absent_anchors(self):
+        # the bouquet has no vertex "w"; its infinite edge family is not enumerable
+        with pytest.raises(TypeError, match="BratteliDiagram"):
+            enumerate_paths(InfiniteBouquet(), "w", 0)
+        with pytest.raises(TypeError, match="BratteliDiagram"):
+            enumerate_paths(InfiniteBouquet(), "v", 2)
+        with pytest.raises(ValueError, match="not in diagram"):
+            enumerate_paths(constant_diagram(2), (0, 1), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_paths(constant_diagram(2), (0, 0), -1)
 
 
 class TestEdgeCycle:
@@ -192,16 +203,15 @@ class TestEdgeCycle:
 
     def test_powers_cycle_lengths_and_order_by_brute_force(self):
         d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 6]]), as_matrix([[4], [3]])))
-        for labelling in (None, {(0, 0, 1): (3, 0, 5, 4, 1, 2)}):
-            base = edge_cycle_automorphism(d, labelling)
-            for step in range(-4, 5):
-                a = base.power(step)
-                lengths = []
-                for lvl in range(2):
-                    walked = {brute_orbit_length(a.edge_image, e) for e in d.edges_between(lvl)}
-                    assert a.cycle_lengths(lvl) == walked
-                    lengths.extend(walked)
-                assert a.order(2) == math.lcm(*lengths)
+        base = edge_cycle_automorphism(d)
+        for step in range(-4, 5):
+            a = base.power(step)
+            lengths = []
+            for lvl in range(2):
+                walked = {brute_orbit_length(a.edge_image, e) for e in d.edges_between(lvl)}
+                assert a.cycle_lengths(lvl) == walked
+                lengths.extend(walked)
+            assert a.order(2) == math.lcm(*lengths)
 
     def test_fixes_vertices_and_orbits_have_class_size(self):
         d = BratteliDiagram((1, 1), (as_matrix([[5]]),))
@@ -212,7 +222,7 @@ class TestEdgeCycle:
 
     def test_path_image_is_edgewise_and_inverted_by_the_negative_power(self):
         d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 3]]), as_matrix([[4], [1]])))
-        a = edge_cycle_automorphism(d, {(0, 0, 1): (2, 0, 1)})
+        a = edge_cycle_automorphism(d)
         for depth in range(3):
             for p in enumerate_paths(d, (0, 0), depth):
                 image = a.path_image(p)
@@ -221,36 +231,18 @@ class TestEdgeCycle:
                 assert a.power(-1).path_image(image) == p
         assert a.path_image(vertex_path((0, 0))) == vertex_path((0, 0))
 
-    def test_custom_labelling_must_be_bijection(self):
-        d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
-        with pytest.raises(ValueError):
-            edge_cycle_automorphism(d, {(0, 0, 0): (0, 0)})
-
-    def test_custom_labelling_cycles_in_given_order(self):
-        d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
-        a = edge_cycle_automorphism(d, {(0, 0, 0): (2, 0, 1)})
-        e0, e1, e2 = d.edges_between(0)
-        assert a.edge_image(e2) == e0
-        assert a.edge_image(e0) == e1
-        assert a.edge_image(e1) == e2
-
     def test_edge_image_matches_index_formula(self):
-        # oracle: the copy's position in its class's cycle order, stepped
+        # oracle: the copy's index in its class, stepped modulo the class size
         d = BratteliDiagram((1, 2, 1), (as_matrix([[2, 5]]), as_matrix([[4], [3]])))
-        for labelling in (None, {(0, 0, 1): (3, 0, 4, 1, 2)}):
-            base = edge_cycle_automorphism(d, labelling)
-            for step in range(-3, 4):
-                a = base.power(step)
-                for lvl in range(2):
-                    for e in d.edges_between(lvl):
-                        n, i, j, t = e.label
-                        order = (labelling or {}).get((n, i, j)) or tuple(
-                            range(d.multiplicity_matrix(n)[i][j])
-                        )
-                        image = a.edge_image(e)
-                        t2 = order[(order.index(t) + step) % len(order)]
-                        assert image.label == (n, i, j, t2)
-                        assert (image.range_vertex, image.source_vertex) == (
-                            e.range_vertex,
-                            e.source_vertex,
-                        )
+        base = edge_cycle_automorphism(d)
+        for step in range(-3, 4):
+            a = base.power(step)
+            for lvl in range(2):
+                for e in d.edges_between(lvl):
+                    n, i, j, t = e.label
+                    image = a.edge_image(e)
+                    assert image.label == (n, i, j, (t + step) % d.multiplicity_matrix(n)[i][j])
+                    assert (image.range_vertex, image.source_vertex) == (
+                        e.range_vertex,
+                        e.source_vertex,
+                    )

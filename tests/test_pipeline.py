@@ -96,10 +96,13 @@ class TestAfPlan:
         assert verify_report_json(blob)
 
     def test_stabilization_truncation_reverifies(self):
-        report = plan_af_realization(constant_diagram(2), depth=4, lbound=5, stabilization_n=7)
+        # the truncation is derived from the unit class, so an edited one fails
+        report = plan_af_realization(constant_diagram(2), unit_class=(0, [2]), depth=4, lbound=5)
         blob = json.loads(json.dumps(report.to_json()))
-        assert blob["stabilization"]["full_relation_truncation"] == 7
+        assert blob["stabilization"]["full_relation_truncation"] == 2
         assert verify_report_json(blob)
+        blob["stabilization"]["full_relation_truncation"] = 9
+        assert not verify_report_json(blob)
 
     def test_tampered_report_fails(self):
         report = plan_af_realization(constant_diagram(2), depth=4, lbound=5)
@@ -162,6 +165,25 @@ class TestNonpositiveLbound:
             verify_report_json(blob)
 
 
+class TestNonpositiveDepth:
+    # a plan checks the levels below depth, so a depth below 1 checks nothing
+    @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_nonpositive_depth_rejected(self, plan, depth):
+        data = constant_diagram(2) if plan is plan_af_realization else CONSTANT2
+        with pytest.raises(PipelineInputError, match=f"depth must be at least 1, got {depth}"):
+            plan(data, depth=depth, lbound=4)
+
+    @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_report_with_nonpositive_depth_rejected(self, plan, depth):
+        data = constant_diagram(2) if plan is plan_af_realization else CONSTANT2
+        blob = json.loads(json.dumps(plan(data, depth=3, lbound=4).to_json()))
+        blob["parameters"]["depth"] = depth
+        with pytest.raises(PipelineInputError, match="depth must be at least 1"):
+            verify_report_json(blob)
+
+
 class TestReportParameters:
     @pytest.mark.parametrize("plan", [plan_af_realization, plan_rank2_realization])
     def test_unknown_parameter_rejected(self, plan):
@@ -210,10 +232,12 @@ class TestRank2Plan:
         assert verify_report_json(blob)
 
     def test_stabilization_truncation_reverifies(self):
-        report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6, stabilization_n=7)
+        report = plan_rank2_realization(CONSTANT2, unit_class=(0, [2]), depth=3, lbound=6)
         blob = json.loads(json.dumps(report.to_json()))
-        assert blob["stabilization"]["full_relation_truncation"] == 7
+        assert blob["stabilization"]["full_relation_truncation"] == 2
         assert verify_report_json(blob)
+        blob["stabilization"]["full_relation_truncation"] = 9
+        assert not verify_report_json(blob)
 
     def test_source_cap_reverifies(self):
         report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6, source_cap=4)

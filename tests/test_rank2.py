@@ -27,7 +27,13 @@ from groupoid_forge.rank2_diagrams import (
 )
 from groupoid_forge.validation import StructuralError
 
-from helpers import brute_orbit_length, materialized_orders, materialized_validation
+from helpers import (
+    blue_by_label,
+    blue_edges_at,
+    brute_orbit_length,
+    materialized_orders,
+    materialized_validation,
+)
 
 FIGURE = Rank2Data(
     A=(((3,),), ((4,),)),
@@ -190,7 +196,7 @@ class TestTelescope:
 class TestPaths:
     def test_range_source_of_mixed_path(self):
         diagram = canonical_rank2(FIGURE, 3)
-        e = build_rank2(FIGURE, 3).blue_edges_at(0)[0]
+        e = blue_edges_at(build_rank2(FIGURE, 3), 0)[0]
         p = make_path(diagram, (e.label,), red_degree=2)
         assert path_range(diagram, p) == e.range_vertex
         n, j, pos = e.source_vertex
@@ -199,14 +205,14 @@ class TestPaths:
     def test_composition_normal_form(self):
         diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
-        e0 = mat.blue_edges_at(0)[0]
+        e0 = blue_edges_at(mat, 0)[0]
         red = Rank2Path((), 1, e0.source_vertex)
         p = Rank2Path((e0.label,), 0)
         combined = compose_paths(diagram, orders, p, red)
         assert combined.blue == (e0.label,) and combined.red_degree == 1
         # red segment then blue edge: the blue edge picks up one F
         f = next(
-            x for x in mat.blue_edges_at(1)
+            x for x in blue_edges_at(mat, 1)
             if x.range_vertex == path_source(diagram, combined)
         )
         q = Rank2Path((f.label,), 0)
@@ -217,10 +223,10 @@ class TestPaths:
     def test_degree_additive(self):
         diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
-        e0 = mat.blue_edges_at(0)[0]
+        e0 = blue_edges_at(mat, 0)[0]
         p = Rank2Path((e0.label,), 1)
         f = next(
-            x for x in mat.blue_edges_at(1)
+            x for x in blue_edges_at(mat, 1)
             if x.range_vertex == path_source(diagram, p)
         )
         q = Rank2Path((f.label,), 2)
@@ -235,7 +241,7 @@ class TestAutomorphism:
     def test_levels_zero_one_fixed(self):
         auto = rank2_automorphism(canonical_rank2(FIGURE, 3))
         assert auto.orders.m[:2] == (0, 0)
-        for e in build_rank2(FIGURE, 3).blue_edges_at(0):
+        for e in blue_edges_at(build_rank2(FIGURE, 3), 0):
             assert auto.blue_image(e.label) == e.label
 
     def test_level_two_moves_through_power_twelve(self):
@@ -248,12 +254,12 @@ class TestAutomorphism:
         orders = compute_orders(diagram)
         auto = rank2_automorphism(diagram, orders)
         assert orders.m[2] == 12
-        for e in mat.blue_edges_at(2):
+        for e in blue_edges_at(mat, 2):
             assert auto.blue_image(e.label) == orders.f_power(e.label, 12)
         # exhaustive source/range compatibility on composable blue pairs
-        by_label = mat.blue_by_label()
-        for e in mat.blue_edges_at(1):
-            for f in mat.blue_edges_at(2):
+        by_label = blue_by_label(mat)
+        for e in blue_edges_at(mat, 1):
+            for f in blue_edges_at(mat, 2):
                 if e.source_vertex != f.range_vertex:
                     continue
                 img_e = by_label[auto.blue_image(e.label)]
@@ -264,7 +270,7 @@ class TestAutomorphism:
         result = telescope_rank2(CONSTANT2, 6)
         mat = build_rank2(result.telescoped, 6)
         auto = rank2_automorphism(canonical_rank2(result.telescoped, 6))
-        by_label = mat.blue_by_label()
+        by_label = blue_by_label(mat)
         for e in mat.blue:
             img = by_label[auto.blue_image(e.label)]
             assert img.range_vertex == auto.vertex_image(e.range_vertex)
@@ -273,10 +279,10 @@ class TestAutomorphism:
         diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
         orders = compute_orders(diagram)
         auto = rank2_automorphism(diagram, orders)
-        e0 = mat.blue_edges_at(0)[0]
+        e0 = blue_edges_at(mat, 0)[0]
         p = Rank2Path((e0.label,), 1)
         f = next(
-            x for x in mat.blue_edges_at(1)
+            x for x in blue_edges_at(mat, 1)
             if x.range_vertex == path_source(diagram, p)
         )
         q = Rank2Path((f.label,), 0)

@@ -36,6 +36,7 @@ from groupoid_forge.validation import StructuralError
 
 from helpers import (
     OrderData,
+    blue_edges_at,
     materialize_rank2,
     materialized_automorphism,
     materialized_compose_paths,
@@ -108,10 +109,10 @@ class TestAgainstMaterialized:
         canon, mat = pair
         assert canon.blue_count() == len(mat.blue)
         for n in range(canon.levels() - 1):
-            expected = [e.label for e in mat.blue_edges_at(n)]
+            expected = [e.label for e in blue_edges_at(mat, n)]
             assert list(canon.blue_labels_at(n)) == expected
         for n in (0, 1):
-            first = [e.label for e in mat.blue_edges_at(n)[:4]]
+            first = [e.label for e in blue_edges_at(mat, n)[:4]]
             assert list(islice(canon.blue_labels_at(n), 4)) == first
 
     def test_orders_and_f_powers(self, pair):
@@ -171,7 +172,7 @@ class TestPathsAgainstMaterialized:
     def test_make_and_compose(self, data, levels, orientation):
         canon, mat = self.diagrams(data, levels, orientation)
         fast, ref = compute_orders(canon), materialized_orders(mat)
-        low, high = mat.blue_edges_at(0), mat.blue_edges_at(1)
+        low, high = blue_edges_at(mat, 0), blue_edges_at(mat, 1)
         for e, f in itertools.product(low[:6], high[:12]):
             pair = (e.label, f.label)
             if e.source_vertex == f.range_vertex:
@@ -289,10 +290,12 @@ def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _same_certificate(diagram, alpha, depth, L, s_bound=None):
-    """``check_wfc`` equals the pair scan, key order included; returns it."""
-    cert = check_wfc(diagram, alpha, depth, L, s_bound)
-    expected = scanned_rank2_wfc_certificate(diagram, alpha, depth, L, s_bound)
+def _same_certificate(diagram, alpha, depth, L):
+    """``check_wfc`` equals the pair scan, key order included; returns it.
+    Without ``alpha`` both read the closed-form orders of the diagram."""
+    alpha = alpha or Rank2Automorphism(diagram, compute_orders(diagram))
+    cert = check_wfc(diagram, alpha, depth, L)
+    expected = scanned_rank2_wfc_certificate(diagram, alpha, depth, L)
     assert json.dumps(cert.to_json()) == json.dumps(expected.to_json())
     return cert
 
@@ -322,25 +325,23 @@ class TestWfcAgainstPairScan:
         diagram = canonical_rank2(data, levels)
         rng = random.Random(f"{name}:{seed}")
         for depth in range(levels):
-            for L, s_bound in ((1, None), (rng.randint(2, 30), None), (12, 0)):
-                _same_certificate(diagram, None, depth, L, s_bound)
-            L = rng.randint(1, 20)
-            _same_certificate(diagram, None, depth, L, rng.choice((L - 1, L + 1, 3 * L)))
+            for L in (1, rng.randint(2, 30), 12, rng.randint(1, 20)):
+                _same_certificate(diagram, None, depth, L)
 
     @pytest.mark.parametrize(
-        "data, depth, lbound, s_bound",
+        "data, depth, lbound",
         [
-            (CONSTANT2, 5, 50, None),
-            (CONSTANT3, 5, 50, None),
-            (CONSTANT2, 7, 60, 11),
-            (CONSTANT2, 5, 200, None),
+            (CONSTANT2, 5, 50),
+            (CONSTANT3, 5, 50),
+            (CONSTANT2, 7, 11),
+            (CONSTANT2, 5, 200),
         ],
         ids=["const2_d5", "const3_d5", "const2_d7_s11", "const2_d5_l200"],
     )
-    def test_benchmark_depths(self, data, depth, lbound, s_bound):
+    def test_benchmark_depths(self, data, depth, lbound):
         levels = depth + 2
         diagram = canonical_rank2(telescope_rank2(data, levels).telescoped, levels)
-        cert = _same_certificate(diagram, None, depth, lbound, s_bound)
+        cert = _same_certificate(diagram, None, depth, lbound)
         if lbound == 200:
             # one pair (l, s) survives every level
             assert cert.details["undecided_pairs"] == [[137, 98]]
@@ -357,8 +358,8 @@ class TestWfcAgainstPairScan:
         rng = random.Random(seed)
         top = orders.max_edge_level()
         for depth in {top, rng.randint(0, top)}:
-            for L, s_bound in ((rng.randint(1, 40), None), (rng.randint(1, 40), rng.randint(0, 60))):
-                _same_certificate(diagram, alpha, depth, L, s_bound)
+            for L in (rng.randint(1, 40), rng.randint(1, 40)):
+                _same_certificate(diagram, alpha, depth, L)
 
     def test_outcomes_the_cases_cover(self):
         # the sweep meets all three outcomes on these diagrams
@@ -366,17 +367,26 @@ class TestWfcAgainstPairScan:
         undecided = _same_certificate(tail, None, 2, 30)
         assert undecided.status == "unknown"
         assert len(undecided.details["undecided_pairs"]) == 5
-        certified = _same_certificate(tail, None, 3, 30, 7)
-        assert certified.status == "certificate" and certified.details["s_bound"] == 7
-        assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 8
+        certified = _same_certificate(tail, None, 3, 30)
+        assert certified.status == "certificate" and certified.details["s_bound"] == 30
+        assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 31
         # untelescoped constant data: o = 2 at level 2, but 2 * m_2 = 4
         failing = _same_certificate(canonical_rank2(CONSTANT2, 5), None, 3, 10)
         assert failing.details["note"] == "order inequality o(e) > n*m_n fails"
         mixed = canonical_rank2(TWO_CYCLE_MIXED, 3)
         assert any(len(compute_orders(mixed).orders_at(n)) > 1 for n in range(2))
 
-    @pytest.mark.parametrize("shift_bound, s_bound", [(0, None), (-3, None), (5, -1)])
-    def test_bounds_that_certify_nothing_are_rejected(self, shift_bound, s_bound):
+    @pytest.mark.parametrize("shift_bound", [0, -3])
+    def test_bounds_that_certify_nothing_are_rejected(self, shift_bound):
         diagram = canonical_rank2(*CASES["const2_d3"])
-        with pytest.raises(ValueError, match="bound must be"):
-            check_wfc(diagram, None, 3, shift_bound, s_bound)
+        alpha = Rank2Automorphism(diagram, compute_orders(diagram))
+        with pytest.raises(ValueError, match="shift bound must be at least 1"):
+            check_wfc(diagram, alpha, 3, shift_bound)
+
+    def test_orders_come_from_the_automorphism_of_the_same_diagram(self):
+        diagram = canonical_rank2(*CASES["const2_d3"])
+        other = canonical_rank2(*CASES["const3_d3"])
+        with pytest.raises(TypeError, match="Rank2Automorphism"):
+            check_wfc(diagram, None, 3, 5)
+        with pytest.raises(ValueError, match="different rank-2 diagram"):
+            check_wfc(diagram, Rank2Automorphism(other, compute_orders(other)), 3, 5)

@@ -34,7 +34,13 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
-from groupoid_forge.rank2_diagrams import Rank2Data, canonical_rank2, compute_orders, telescope_rank2
+from groupoid_forge.rank2_diagrams import (
+    Rank2Automorphism,
+    Rank2Data,
+    canonical_rank2,
+    compute_orders,
+    telescope_rank2,
+)
 from groupoid_forge.twisted_product import (
     bouquet_twisted_product,
     check_lc,
@@ -325,7 +331,8 @@ class TestWfc:
         const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
         tele = telescope_rank2(const, 7)
         diagram = canonical_rank2(tele.telescoped, 7)
-        cert = check_wfc(diagram, None, depth=5, shift_bound=50)
+        alpha = Rank2Automorphism(diagram, compute_orders(diagram))
+        cert = check_wfc(diagram, alpha, depth=5, shift_bound=50)
         assert cert.status == "certificate"
         for n, row in cert.details["inequality"].items():
             assert row["holds"] and row["min_order"] > row["n_times_m_n"]
@@ -494,7 +501,7 @@ class TestMinimality:
     def test_two_orbits_identity_no(self):
         G = disjoint_union(full_relation(range(2)), full_relation(range(2)))
         v = minimality_verdict(G, identity_automorphism(G), 3)
-        assert v.is_no and v.justification
+        assert v.value == "no" and v.justification
 
     def test_bratteli_cofinal_yes(self):
         assert minimality_verdict(constant_diagram(2), None, 4).is_yes
