@@ -178,9 +178,7 @@ def cmd_certify(args) -> int:
             d = diagram_from_json(_load_json(args.input))
             report = plan_af_realization(d, **_plan_options(args))
         if report.wfc is None:
-            reason = (
-                report.telescoping["failure"] if args.rank2 else "horizon exhausted"
-            )
+            reason = report.telescoping["failure"]
             print(json.dumps({"status": "unknown", "reason": reason}))
             return 1
         _dump(report.wfc.to_json(), args.out)

@@ -16,11 +16,14 @@ from typing import Iterable, Mapping
 
 from .gaussian import ONE, ZERO, GaussianRational
 from .graph_groupoid import (
+    BOUQUET_VERTEX,
     BasicBisection,
+    InfiniteBouquet,
     bisection_product,
     disjointify,
     render_bisection,
 )
+from .graph_model import vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
 from .twisted_product import BouquetTwistedProduct
 from .validation import StructuralError
@@ -251,7 +254,7 @@ def involution(x):
 
 
 def full_unit_bisection(model: BouquetTwistedProduct) -> BasicBisection:
-    v = model.bouquet.unit()
+    v = vertex_path(BOUQUET_VERTEX)
     return BasicBisection(v, v)
 
 
@@ -280,9 +283,7 @@ def generator_times(model: BouquetTwistedProduct, i: int, f: FiniteConvElement) 
     """x_i x f where x_i is the indicator of Z(e_i, v)."""
     if f.groupoid is not model.g:
         raise TypeError("f must live over the model's G backend")
-    v = model.bouquet.unit()
-    e = model.bouquet.path([i])
-    b = BasicBisection(e, v)
+    b = BasicBisection(InfiniteBouquet().path([i]), vertex_path(BOUQUET_VERTEX))
     return SymbolicConvElement(model, {(b, g): c for g, c in f.coeffs.items()})
 
 

@@ -8,7 +8,7 @@ rationals with ``fractions.Fraction``; nothing here ever touches a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .validation import StructuralError
 
@@ -56,6 +56,36 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
     for m in mats[1:]:
         acc = mat_mul(m, acc)
     return acc
+
+
+def first_level_above(
+    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, cap: int
+) -> tuple[int, IntMatrix] | None:
+    """The first level m in start+1..cap whose chain
+    ``matrix_at(m-1) @ ... @ matrix_at(start)`` has every entry above
+    ``bound``, with that chain; None once ``cap`` is passed.
+
+    One running product serves the whole walk.  A data horizon shows up as
+    the ``StructuralError`` that ``matrix_at`` raises."""
+    chain = None
+    for m in range(start + 1, cap + 1):
+        step = matrix_at(m - 1)
+        chain = step if chain is None else mat_mul(step, chain)
+        if min_entry(chain) > bound:
+            return m, chain
+    return None
+
+
+def growth_failure(start: int, relation: str, cap: int, horizon: int | None = None) -> str:
+    """Why a ``first_level_above`` search from ``start`` stopped: the level
+    cap, or the data horizon when one is given; ``relation`` is the entry
+    condition searched for, such as ``"> 5"``."""
+    if horizon is not None:
+        return (
+            f"data horizon {horizon} reached (no repetition rule) before a level "
+            f"with entries {relation} from level {start}"
+        )
+    return f"no level within cap {cap} has entries {relation} from level {start}"
 
 
 def repeat_index(n: int, stored: int, horizon: int, repeat_from: int | None) -> int:

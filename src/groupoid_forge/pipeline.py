@@ -33,7 +33,7 @@ from .graph_model import (
     telescope,
     validate_bratteli,
 )
-from .matrices import mat_mul, min_entry
+from .matrices import first_level_above, growth_failure, min_entry
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -181,24 +181,24 @@ class RealizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int) -> list[int] | None:
+def _growth_subsequence(
+    spec: DimensionGroupSpec, levels_out: int, cap: int
+) -> tuple[list[int], str | None]:
     """Levels 0 = t_0 < t_1 < ... with every collapsed multiplicity entry at
-    new level n strictly above n; each gap keeps one running product."""
+    new level n strictly above n, searched over the K0 connecting matrices
+    (the transposed multiplicities); the levels found and, when the search
+    stops short, the failure naming the cap or the data horizon."""
     chosen = [0]
     for n in range(levels_out - 1):
-        prod = None
-        for q in range(chosen[-1] + 1, cap + 1):
-            try:
-                m = d.multiplicity_matrix(q - 1)
-            except StructuralError:
-                return None
-            prod = m if prod is None else mat_mul(prod, m)
-            if min_entry(prod) > n:
-                chosen.append(q)
-                break
-        else:
-            return None
-    return chosen
+        try:
+            found = first_level_above(spec.matrix, chosen[-1], n, cap)
+        except StructuralError:
+            # a diagram without a repetition rule ends at its horizon
+            return chosen, growth_failure(chosen[-1], f"> {n}", cap, spec.horizon)
+        if found is None:
+            return chosen, growth_failure(chosen[-1], f"> {n}", cap)
+        chosen.append(found[0])
+    return chosen, None
 
 
 def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
@@ -231,18 +231,15 @@ def plan_af_realization(
 
     params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
     levels_out = max(depth, lbound + 1) + 1
-    subseq = _growth_subsequence(d, levels_out, source_cap)
-    if subseq is None:
+    original_spec = dimension_group_of(d)
+    subseq, failure = _growth_subsequence(original_spec, levels_out, source_cap)
+    if failure is not None:
         return RealizationReport(
             kind="af",
             status="unknown",
             input_echo=d.to_json(),
             parameters=params,
-            telescoping={
-                "complete": False,
-                "note": "source horizon exhausted before the multiplicity "
-                "growth condition was met",
-            },
+            telescoping={"complete": False, "failure": failure},
             automorphism={},
             wfc=None,
             lc=None,
@@ -262,7 +259,6 @@ def plan_af_realization(
 
     minimality = minimality_verdict(tele, alpha, min(depth, levels_out - 1))
 
-    original_spec = dimension_group_of(d)
     consistency_checks = 0
     consistent = True
     for m in range(len(subseq) - 1):

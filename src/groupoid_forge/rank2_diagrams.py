@@ -32,9 +32,10 @@ from .matrices import (
     as_matrix,
     chain_product,
     check_repeat_rule,
+    first_level_above,
+    growth_failure,
     identity,
     is_proper,
-    mat_mul,
     min_entry,
     repeat_index,
     shape,
@@ -85,17 +86,6 @@ class Rank2Diagram:
             and 0 <= j < len(self.cycle_sizes[n])
             and 0 <= p < self.cycle_sizes[n][j]
         )
-
-    @cached_property
-    def _by_level(self) -> Mapping[int, tuple[Edge, ...]]:
-        out: dict[int, list[Edge]] = {}
-        for e in self.blue:
-            out.setdefault(e.range_vertex[0], []).append(e)
-        return {n: tuple(v) for n, v in out.items()}
-
-    @cached_property
-    def _by_label(self) -> Mapping[BlueLabel, Edge]:
-        return {e.label: e for e in self.blue}
 
 
 @dataclass(frozen=True)
@@ -254,19 +244,13 @@ class Rank2Data:
     def t_at(self, n: int) -> tuple[int, ...]:
         return self.T[repeat_index(n, len(self.T), len(self.A), self.repeat_from)]
 
-    def _chain(self, matrix_at, top: int, bottom: int) -> IntMatrix:
+    def a_chain(self, top: int, bottom: int) -> IntMatrix:
+        """A_{top-1} ... A_{bottom} mapping level ``bottom`` to ``top``."""
         if top < bottom:
             raise ValueError("top must be >= bottom")
         if top == bottom:
             return identity(len(self.t_at(bottom)))
-        return chain_product([matrix_at(n) for n in range(bottom, top)])
-
-    def a_chain(self, top: int, bottom: int) -> IntMatrix:
-        """A_{top-1} ... A_{bottom} mapping level ``bottom`` to ``top``."""
-        return self._chain(self.a_at, top, bottom)
-
-    def b_chain(self, top: int, bottom: int) -> IntMatrix:
-        return self._chain(self.b_at, top, bottom)
+        return chain_product([self.a_at(n) for n in range(bottom, top)])
 
     def to_json(self) -> dict:
         out = {
@@ -433,78 +417,51 @@ def telescope_rank2(data: Rank2Data, levels_out: int, horizon_cap: int = 4096) -
     Seed levels come from a subsequence along which every entry of the
     chained matrices reaches n; then M_0 = M_1 = 0 and each further level is
     the first whose chained matrix has every entry above (n+1) * M_{n+1},
-    where M_{n+1} = M_n + n * prod(A_chain(i,j) * T(j)).
+    where M_{n+1} = M_n + n * prod(A_chain(i,j) * T(j)).  Each chain is
+    multiplied once, by the search that finds its top level; the B chains
+    follow from A_n T_n = T_{n+1} B_n.
     """
     if levels_out < 3:
         raise ValueError("telescoping needs at least three output levels")
-    l_prime: list[int] = [0]
-    try:
-        for i in range(1, 3):
-            m = _first_level_with_min_entry(data, l_prime[-1], i, horizon_cap, strict=False)
-            l_prime.append(m)
-    except _HorizonExhausted as exc:
-        return TelescopeResult(
-            False, tuple(l_prime), tuple(l_prime), (0, 0), None, (), data, str(exc)
-        )
-    l = list(l_prime[:3])
+    l = [0]
     M = [0, 0]
+    chains: list[IntMatrix] = []
     certificate: list[dict] = []
-    for step in range(2, levels_out - 1):
-        chained = data.a_chain(l[step], l[step - 1])
-        t_vec = data.t_at(l[step - 1])
-        prod = 1
-        for i in range(len(chained)):
-            for j in range(len(chained[0])):
-                prod *= chained[i][j] * t_vec[j]
-        M.append(M[-1] + (step - 1) * prod)
-        bound = step * M[step]
+    for step in range(levels_out - 1):
+        if step < 2:
+            bound, relation = step, f">= {step + 1}"
+        else:
+            t_vec = data.t_at(l[step - 1])
+            prod = math.prod(a * t for row in chains[-1] for a, t in zip(row, t_vec))
+            M.append(M[-1] + (step - 1) * prod)
+            bound = step * M[step]
+            relation = f"> {bound}"
         try:
-            nxt = _first_level_with_min_entry(data, l[step], bound, horizon_cap, strict=True)
-        except _HorizonExhausted as exc:
+            found = first_level_above(data.a_at, l[step], bound, horizon_cap)
+            failure = None if found else growth_failure(l[step], relation, horizon_cap)
+        except StructuralError:
+            # data without a repetition rule ends at level len(data.A)
+            failure = growth_failure(l[step], relation, horizon_cap, len(data.A))
+        if failure:
             return TelescopeResult(
-                False, tuple(l_prime), tuple(l), tuple(M), None, tuple(certificate), data, str(exc)
+                False, tuple(l[:3]), tuple(l), tuple(M), None, tuple(certificate), data, failure
+            )
+        nxt, chain = found
+        if step >= 2:
+            certificate.append(
+                {"step": step, "level": nxt, "min_entry": min_entry(chain), "strict_bound": bound}
             )
         l.append(nxt)
-        certificate.append(
-            {
-                "step": step,
-                "level": nxt,
-                "min_entry": min_entry(data.a_chain(nxt, l[step])),
-                "strict_bound": bound,
-            }
-        )
-    A_out = tuple(data.a_chain(l[n + 1], l[n]) for n in range(levels_out - 1))
-    B_out = tuple(data.b_chain(l[n + 1], l[n]) for n in range(levels_out - 1))
-    T_out = tuple(tuple(data.t_at(l[n])) for n in range(levels_out))
-    telescoped = Rank2Data(A_out, B_out, T_out, None, data.orientation)
-    return TelescopeResult(
-        True, tuple(l_prime), tuple(l), tuple(M), telescoped, tuple(certificate), data
+        chains.append(chain)
+    T_out = tuple(tuple(data.t_at(n)) for n in l)
+    # A_chain T_low = T_high B_chain with T diagonal, entry by entry
+    B_out = tuple(
+        tuple(tuple(a * t // top for a, t in zip(row, low)) for row, top in zip(chain, high))
+        for chain, low, high in zip(chains, T_out, T_out[1:])
     )
-
-
-class _HorizonExhausted(Exception):
-    pass
-
-
-def _first_level_with_min_entry(
-    data: Rank2Data, start: int, bound: int, cap: int, strict: bool
-) -> int:
-    acc = None
-    for m in range(start + 1, cap + 1):
-        try:
-            acc = data.a_chain(m, start) if acc is None else mat_mul(data.a_at(m - 1), acc)
-        except StructuralError as exc:
-            # data without a repetition rule ends at level len(data.A)
-            raise _HorizonExhausted(
-                f"data horizon {len(data.A)} reached (no repetition rule) before a "
-                f"level with entries {'>' if strict else '>='} {bound} from level {start}"
-            ) from exc
-        low = min_entry(acc)
-        if (low > bound) if strict else (low >= bound):
-            return m
-    raise _HorizonExhausted(
-        f"no level within cap {cap} has entries {'>' if strict else '>='} {bound} "
-        f"from level {start}"
+    telescoped = Rank2Data(tuple(chains), B_out, T_out, None, data.orientation)
+    return TelescopeResult(
+        True, tuple(l[:3]), tuple(l), tuple(M), telescoped, tuple(certificate), data
     )
 
 
@@ -545,10 +502,6 @@ class Rank2Path:
             raise StructuralError("red degree must be nonnegative")
         if self.blue and self.anchor is not None:
             object.__setattr__(self, "anchor", None)
-
-    @property
-    def degree(self) -> tuple[int, int]:
-        return (len(self.blue), self.red_degree)
 
 
 def path_range(d: CanonicalRank2Diagram, p: Rank2Path) -> Vertex:

@@ -140,7 +140,6 @@ class BouquetTwistedProduct:
     """The twisted product of the bouquet groupoid (degree cocycle) with a
     finite G; elements are (germ, g) pairs, never materialized as a table."""
 
-    bouquet: InfiniteBouquet
     g: FiniteGroupoid
     alpha: GroupoidAutomorphism
 
@@ -149,7 +148,7 @@ def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> B
     report = alpha.validate()
     if not report.passed:
         raise ValueError(f"invalid automorphism:\n{report.describe()}")
-    return BouquetTwistedProduct(InfiniteBouquet(), G, alpha)
+    return BouquetTwistedProduct(G, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +160,6 @@ def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> B
 class ProductBisection:
     h_part: BasicBisection
     g_part: frozenset
-
-    def degree(self) -> int:
-        return self.h_part.degree
 
 
 def check_product_bisection(model: BouquetTwistedProduct, b: ProductBisection) -> None:

@@ -31,8 +31,8 @@ from groupoid_forge.groupoid_core import (
     full_relation,
     orbits,
 )
-from groupoid_forge.matrices import as_matrix, diagonal, mat_mul, min_entry
-from groupoid_forge.rank2_diagrams import Rank2Diagram, Rank2Path
+from groupoid_forge.matrices import as_matrix, chain_product, diagonal, mat_mul, min_entry
+from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, Rank2Path, TelescopeResult
 from groupoid_forge.twisted_product import WfcCertificate
 from groupoid_forge.validation import (
     StructuralError,
@@ -224,12 +224,12 @@ def materialize_rank2(d):
 
 def blue_edges_at(d: Rank2Diagram, n: int) -> tuple[Edge, ...]:
     """The stored blue edges with range at level ``n``."""
-    return d._by_level.get(n, ())
+    return tuple(e for e in d.blue if e.range_vertex[0] == n)
 
 
 def blue_by_label(d: Rank2Diagram) -> Mapping:
     """The stored blue edges by label."""
-    return d._by_label
+    return {e.label: e for e in d.blue}
 
 
 def _levels(d) -> int:
@@ -535,7 +535,8 @@ def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> Wfc
 
 def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
     """The growth search with one fresh ``path_count_matrix`` per candidate
-    level (the oracle for ``pipeline._growth_subsequence``)."""
+    level (the oracle for ``pipeline._growth_subsequence``): the levels found
+    and the failure text, None when the search completes."""
     chosen = [0]
     for n in range(levels_out - 1):
         found = None
@@ -544,15 +545,102 @@ def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
             try:
                 prod = path_count_matrix(d, chosen[-1], q)
             except StructuralError:
-                return None
+                return chosen, (
+                    f"data horizon {d.horizon} reached (no repetition rule) before a "
+                    f"level with entries > {n} from level {chosen[-1]}"
+                )
             if min_entry(prod) > n:
                 found = q
                 break
             q += 1
         if found is None:
-            return None
+            return chosen, f"no level within cap {cap} has entries > {n} from level {chosen[-1]}"
         chosen.append(found)
-    return chosen
+    return chosen, None
+
+
+# ---------------------------------------------------------------------------
+# Rescanned rank-2 telescope
+#
+# The rank-2 telescope as it recomputed every chain it needed with
+# ``a_chain`` (for M, for each certificate entry and for the output A) and
+# built each output B as the chain product of the stored B matrices, with
+# separate seed and bound searches.  ``rank2_diagrams.telescope_rank2``
+# multiplies each chain once and reads B off A_n T_n = T_{n+1} B_n; it is
+# tested against this.
+# ---------------------------------------------------------------------------
+
+
+class _SearchStopped(Exception):
+    pass
+
+
+def _rescanned_level(data: Rank2Data, start: int, bound: int, cap: int, strict: bool) -> int:
+    relation = ">" if strict else ">="
+    acc = None
+    for m in range(start + 1, cap + 1):
+        try:
+            acc = data.a_chain(m, start) if acc is None else mat_mul(data.a_at(m - 1), acc)
+        except StructuralError as exc:
+            raise _SearchStopped(
+                f"data horizon {len(data.A)} reached (no repetition rule) before a "
+                f"level with entries {relation} {bound} from level {start}"
+            ) from exc
+        low = min_entry(acc)
+        if (low > bound) if strict else (low >= bound):
+            return m
+    raise _SearchStopped(
+        f"no level within cap {cap} has entries {relation} {bound} from level {start}"
+    )
+
+
+def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> TelescopeResult:
+    """The rank-2 telescope with every chain recomputed (the oracle for
+    ``rank2_diagrams.telescope_rank2``)."""
+    l_prime = [0]
+    try:
+        for i in range(1, 3):
+            l_prime.append(_rescanned_level(data, l_prime[-1], i, cap, strict=False))
+    except _SearchStopped as exc:
+        return TelescopeResult(
+            False, tuple(l_prime), tuple(l_prime), (0, 0), None, (), data, str(exc)
+        )
+    l = list(l_prime)
+    M = [0, 0]
+    certificate = []
+    for step in range(2, levels_out - 1):
+        chained = data.a_chain(l[step], l[step - 1])
+        t_vec = data.t_at(l[step - 1])
+        prod = 1
+        for i in range(len(chained)):
+            for j in range(len(chained[0])):
+                prod *= chained[i][j] * t_vec[j]
+        M.append(M[-1] + (step - 1) * prod)
+        bound = step * M[step]
+        try:
+            nxt = _rescanned_level(data, l[step], bound, cap, strict=True)
+        except _SearchStopped as exc:
+            return TelescopeResult(
+                False, tuple(l_prime), tuple(l), tuple(M), None, tuple(certificate), data, str(exc)
+            )
+        l.append(nxt)
+        certificate.append(
+            {
+                "step": step,
+                "level": nxt,
+                "min_entry": min_entry(data.a_chain(nxt, l[step])),
+                "strict_bound": bound,
+            }
+        )
+    A_out = tuple(data.a_chain(l[n + 1], l[n]) for n in range(levels_out - 1))
+    B_out = tuple(
+        chain_product([data.b_at(k) for k in range(l[n], l[n + 1])]) for n in range(levels_out - 1)
+    )
+    T_out = tuple(tuple(data.t_at(l[n])) for n in range(levels_out))
+    telescoped = Rank2Data(A_out, B_out, T_out, None, data.orientation)
+    return TelescopeResult(
+        True, tuple(l_prime), tuple(l), tuple(M), telescoped, tuple(certificate), data
+    )
 
 
 # ---------------------------------------------------------------------------

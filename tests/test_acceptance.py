@@ -10,8 +10,6 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from groupoid_forge.convolution_algebra import (
     comp2_identity_sides,
     comp_identity_sides,
@@ -46,8 +44,6 @@ from groupoid_forge.graph_groupoid import (
 )
 from groupoid_forge.graph_model import constant_diagram, telescope
 from groupoid_forge.groupoid_core import (
-    cyclic_group_groupoid,
-    cyclic_multiplier_automorphism,
     full_relation,
     identity_automorphism,
     is_principal,
@@ -55,7 +51,7 @@ from groupoid_forge.groupoid_core import (
     verify_groupoid_axioms,
 )
 from groupoid_forge.matrices import min_entry, transpose
-from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
+from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.rank2_diagrams import (
     Rank2Data,
     build_rank2,

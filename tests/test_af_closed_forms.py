@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from groupoid_forge.dimension_groups import dimension_group_of
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
@@ -49,9 +50,13 @@ DIAGRAMS = {
 }
 
 
+def growth(d, levels, cap):
+    return _growth_subsequence(dimension_group_of(d), levels, cap)
+
+
 def _growth_telescope(d, levels):
-    sub = _growth_subsequence(d, levels, 4096)
-    return d if sub is None else telescope(d, sub)
+    sub, failure = growth(d, levels, 4096)
+    return d if failure else telescope(d, sub)
 
 
 class TestWfcAgainstEdgeWalk:
@@ -122,20 +127,24 @@ class TestGrowthSearchAgainstRescan:
         d = DIAGRAMS[name]
         for levels in (2, 6, 12):
             for cap in (1, 3, 9, 64):
-                assert _growth_subsequence(d, levels, cap) == rescanned_growth_subsequence(
-                    d, levels, cap
-                )
+                assert growth(d, levels, cap) == rescanned_growth_subsequence(d, levels, cap)
 
     def test_seeded_ladders(self):
         for seed in range(6):
             d = seeded_diagram(seed, 2 + seed % 2, 4, 1, low=0, high=3)
             for levels in (5, 11, 21):
-                assert _growth_subsequence(d, levels, 128) == rescanned_growth_subsequence(
-                    d, levels, 128
-                )
+                assert growth(d, levels, 128) == rescanned_growth_subsequence(d, levels, 128)
 
     def test_small_cap_and_finite_horizon_give_none(self):
-        assert _growth_subsequence(constant_diagram(2), 12, 5) is None
-        assert _growth_subsequence(FINITE, 6, 4096) == [0, 1, 2, 3, 4, 5]
-        assert _growth_subsequence(FINITE, 7, 4096) is None
-        assert rescanned_growth_subsequence(FINITE, 7, 4096) is None
+        # no subsequence: the levels found and the failure naming the bound
+        assert growth(constant_diagram(2), 12, 5) == (
+            [0, 1, 2, 4],
+            "no level within cap 5 has entries > 3 from level 4",
+        )
+        assert growth(FINITE, 6, 4096) == ([0, 1, 2, 3, 4, 5], None)
+        failure = (
+            "data horizon 5 reached (no repetition rule) before a level with entries > 5 "
+            "from level 5"
+        )
+        assert growth(FINITE, 7, 4096) == ([0, 1, 2, 3, 4, 5], failure)
+        assert rescanned_growth_subsequence(FINITE, 7, 4096) == ([0, 1, 2, 3, 4, 5], failure)

@@ -33,7 +33,7 @@ from families import (
     rng_for,
     seeded_groupoids_for_representation,
 )
-from groupoid_forge.gaussian import GaussianRational, gauss
+from groupoid_forge.gaussian import gauss
 from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
 from groupoid_forge.groupoid_core import (
     cyclic_group_groupoid,
@@ -273,8 +273,6 @@ class TestSymbolicOracle:
         return total
 
     def _oracle_convolve_at(self, x, y, point, factor_germs):
-        from groupoid_forge.gaussian import ZERO
-
         model = x.model
         G, alpha = model.g, model.alpha
         k_germ, gk = point

@@ -26,7 +26,6 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
     verify_groupoid_axioms,
     weight_cocycle,
-    zero_cocycle,
 )
 from groupoid_forge.twisted_product import twisted_product
 

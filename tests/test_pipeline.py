@@ -7,6 +7,7 @@ import random
 import pytest
 
 from groupoid_forge import pipeline, rank2_diagrams
+from groupoid_forge.dimension_groups import dimension_group_of
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     PathWord,
@@ -76,7 +77,10 @@ class TestAfPlan:
             constant_diagram(2), depth=5, lbound=8, source_cap=3
         )
         assert report.status == "unknown"
-        assert not report.telescoping["complete"]
+        assert report.telescoping == {
+            "complete": False,
+            "failure": "no level within cap 3 has entries > 2 from level 2",
+        }
 
     def test_hypothesis_list_is_fixed(self):
         report = plan_af_realization(constant_diagram(2), depth=3, lbound=4)
@@ -117,11 +121,15 @@ def seeded_square(seed: int, size: int) -> BratteliDiagram:
     return BratteliDiagram((size, size), (m,), 0)
 
 
+def growth_telescope(d, levels):
+    return telescope(d, pipeline._growth_subsequence(dimension_group_of(d), levels, 4096)[0])
+
+
 class TestAfLcSample:
     @pytest.mark.parametrize("seed", range(6))
     def test_first_forty_of_every_listed_path(self, seed):
         d = seeded_square(seed, 2 + seed % 2)
-        tele = telescope(d, pipeline._growth_subsequence(d, 8 + seed, 4096))
+        tele = growth_telescope(d, 8 + seed)
         every = [
             p for v in tele.vertices_at(0) for n in range(3) for p in enumerate_paths(tele, v, n)
         ]
@@ -131,7 +139,7 @@ class TestAfLcSample:
     def test_lists_no_path_past_the_fortieth(self, monkeypatch):
         # random 3x3 data at lbound 40: 682 paths of length <= 2 from level 0
         d = seeded_square(0, 3)
-        tele = telescope(d, pipeline._growth_subsequence(d, 42, 4096))
+        tele = growth_telescope(d, 42)
         listed = [len(enumerate_paths(tele, v, n)) for v in tele.vertices_at(0) for n in range(3)]
         assert sum(listed) == 682
         built = []

@@ -231,7 +231,7 @@ class TestPaths:
         )
         q = Rank2Path((f.label,), 2)
         total = compose_paths(diagram, orders, p, q)
-        assert total.degree == (2, 3)
+        assert (len(total.blue), total.red_degree) == (2, 3)
 
 
 class TestAutomorphism:

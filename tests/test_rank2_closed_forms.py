@@ -1,6 +1,7 @@
 """The canonical rank-2 layout in closed form, against the per-edge
 algorithms of ``tests/helpers.py`` run on the materialized diagram of
-``build_rank2``, and the orbit-freeness sweep against the per-pair scan."""
+``build_rank2``, the orbit-freeness sweep against the per-pair scan, and
+the telescope against the one that recomputes every chain."""
 
 import dataclasses
 import itertools
@@ -47,6 +48,7 @@ from helpers import (
     materialized_path_source,
     materialized_skeleton,
     materialized_validation,
+    rescanned_telescope_rank2,
     scanned_rank2_wfc_certificate,
 )
 
@@ -390,3 +392,40 @@ class TestWfcAgainstPairScan:
             check_wfc(diagram, None, 3, 5)
         with pytest.raises(ValueError, match="different rank-2 diagram"):
             check_wfc(diagram, Rank2Automorphism(other, compute_orders(other)), 3, 5)
+
+
+def seeded_compatible_data(seed: int, repeat: bool, orientation: int) -> Rank2Data:
+    """Random data with 1-2 cycles per level and T entries in {1, 2, 3}; each
+    A entry is a multiple of T_{n+1}(i) / gcd(T_n(j), T_{n+1}(i)), so B_n =
+    T_{n+1}^{-1} A_n T_n is integral."""
+    rng = random.Random(seed)
+    stored = rng.randint(1, 4)
+    T = [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2))) for _ in range(stored + 1)]
+    repeat_from = rng.randrange(stored) if repeat else None
+    if repeat:
+        T[-1] = T[repeat_from]
+    A, B = [], []
+    for low, high in zip(T, T[1:]):
+        a = [[rng.randint(1, 2) * ti // math.gcd(ti, tj) for tj in low] for ti in high]
+        A.append(tuple(map(tuple, a)))
+        B.append(tuple(tuple(x * tj // ti for x, tj in zip(row, low)) for row, ti in zip(a, high)))
+    return Rank2Data(tuple(A), tuple(B), tuple(T), repeat_from, orientation)
+
+
+def test_telescope_matches_the_rescanned_chains():
+    outcomes = set()
+    for seed in range(12):
+        for repeat in (False, True):
+            for orientation in (1, -1):
+                data = seeded_compatible_data(seed, repeat, orientation)
+                for levels_out in range(3, 8):
+                    for cap in (3, 10, 4096):
+                        result = telescope_rank2(data, levels_out, cap)
+                        expected = rescanned_telescope_rank2(data, levels_out, cap)
+                        assert result.to_json() == expected.to_json()
+                        if result.complete:
+                            outcomes.add("complete")
+                        else:
+                            outcomes.add(result.failure.split(" ", 2)[1])
+    # "level" starts the cap failure, "horizon" the data-horizon failure
+    assert outcomes == {"complete", "level", "horizon"}
