@@ -253,25 +253,25 @@ def involution(x):
     return SymbolicConvElement(model, out)
 
 
-def full_unit_bisection(model: BouquetTwistedProduct) -> BasicBisection:
-    v = vertex_path(BOUQUET_VERTEX)
-    return BasicBisection(v, v)
+# Z(v, v) for the bouquet vertex v: the whole unit space, where the embedded
+# G-algebra lives.
+FULL_UNIT_BISECTION = BasicBisection(vertex_path(BOUQUET_VERTEX), vertex_path(BOUQUET_VERTEX))
 
 
 def iota_embed(f: FiniteConvElement, model: BouquetTwistedProduct) -> SymbolicConvElement:
     """1_{unit space} x f: the embedding of the G-algebra."""
     if f.groupoid is not model.g:
         raise TypeError("f must live over the model's G backend")
-    unit = full_unit_bisection(model)
-    return SymbolicConvElement(model, {(unit, g): c for g, c in f.coeffs.items()})
+    return SymbolicConvElement(
+        model, {(FULL_UNIT_BISECTION, g): c for g, c in f.coeffs.items()}
+    )
 
 
 def iota_inverse(x: SymbolicConvElement) -> FiniteConvElement:
     """Invert the embedding; support escaping its image is a bug signal."""
-    unit = full_unit_bisection(x.model)
     out: dict[object, Coeff] = {}
     for (b, g), c in x.coeffs.items():
-        if b != unit:
+        if b != FULL_UNIT_BISECTION:
             raise InternalConsistencyError(
                 f"support escapes the embedded copy of the G-algebra: {render_bisection(b)}"
             )

@@ -356,33 +356,26 @@ def enumerate_paths(d: BratteliDiagram, anchor: Vertex, depth: int) -> tuple[Pat
 class EdgeCycleAutomorphism:
     """Vertex-fixing diagram automorphism cycling each parallel-edge class:
     the edge copy ``t`` of a ``(level, i, j)`` class with multiplicity ``k``
-    maps to copy ``(t + step) mod k``."""
+    maps to copy ``(t + 1) mod k``, so every edge lies on a cycle of length
+    k."""
 
     diagram: BratteliDiagram
-    step: int = 1
-
-    def vertex_image(self, v: Vertex) -> Vertex:
-        return v
 
     def edge_image(self, e: Edge) -> Edge:
         n, i, j, t = e.label
-        t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
+        t2 = (t + 1) % self.diagram.multiplicity_matrix(n)[i][j]
         return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
-
-    def path_image(self, p: PathWord) -> PathWord:
-        if not p.edges:
-            return p
-        return PathWord(tuple(self.edge_image(e) for e in p.edges))
-
-    def power(self, k: int) -> "EdgeCycleAutomorphism":
-        return EdgeCycleAutomorphism(self.diagram, self.step * k)
 
     def cycle_lengths(self, level: int) -> set[int]:
         """The distinct cycle lengths on the edges between ``level`` and
-        ``level + 1``: a class of k copies rotated by the step splits into
-        gcd(k, step) cycles of length k / gcd(k, step)."""
-        m = self.diagram.multiplicity_matrix(level)
-        return {k // math.gcd(k, self.step) for row in m for k in row if k}
+        ``level + 1``: the nonzero multiplicities."""
+        return {k for row in self.diagram.multiplicity_matrix(level) for k in row if k}
+
+    def orbit_length(self, p: PathWord) -> int:
+        """The orbit length of a path: the lcm of the multiplicities of its
+        edge classes (1 for an empty path)."""
+        mult = self.diagram.multiplicity_matrix
+        return math.lcm(*(mult(n)[i][j] for n, i, j, _ in (e.label for e in p.edges)))
 
     def order(self, max_level: int) -> int:
         """lcm of the cycle lengths over levels 0..max_level-1."""

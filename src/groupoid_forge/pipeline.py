@@ -257,7 +257,7 @@ def plan_af_realization(
 
     lc = check_lc(tele, alpha, _lc_sample(tele, 40))
 
-    minimality = minimality_verdict(tele, alpha, min(depth, levels_out - 1))
+    minimality = minimality_verdict(tele, min(depth, levels_out - 1))
 
     consistency_checks = 0
     consistent = True
@@ -401,7 +401,7 @@ def plan_rank2_realization(
     lc = check_lc(diagram, auto, sample)
 
     skeleton = blue_skeleton(diagram)
-    minimality = minimality_verdict(skeleton, None, levels_out - 1)
+    minimality = minimality_verdict(skeleton, levels_out - 1)
 
     corner = None
     ktheory = {

@@ -238,9 +238,6 @@ class Rank2Data:
     def a_at(self, n: int) -> IntMatrix:
         return self.A[repeat_index(n, len(self.A), len(self.A), self.repeat_from)]
 
-    def b_at(self, n: int) -> IntMatrix:
-        return self.B[repeat_index(n, len(self.B), len(self.A), self.repeat_from)]
-
     def t_at(self, n: int) -> tuple[int, ...]:
         return self.T[repeat_index(n, len(self.T), len(self.A), self.repeat_from)]
 
@@ -287,11 +284,12 @@ def rank2_data_from_json(data: dict | str) -> tuple[Rank2Data, int | None]:
 
 def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:
     """The red cycle lengths of the canonical layout, after checking that
-    its matrices are proper."""
+    its matrices are proper.  Compatibility with the positive diagonal T
+    gives B_n the zero pattern of A_n, so checking A_n suffices."""
     if levels < 1:
         raise ValueError("need at least one level")
     for n in range(levels - 1):
-        if not is_proper(data.a_at(n)) or not is_proper(data.b_at(n)):
+        if not is_proper(data.a_at(n)):
             raise StructuralError(f"matrices at level {n} must be proper")
     return tuple(tuple(data.t_at(n)) for n in range(levels))
 
@@ -587,27 +585,26 @@ class Rank2Automorphism:
     def blue_image(self, label: BlueLabel) -> BlueLabel:
         return self.orders.f_power(label, self.m_at(label[0]))
 
-    def blue_preimage(self, label: BlueLabel) -> BlueLabel:
-        return self.orders.f_power(label, -self.m_at(label[0]))
-
     def m_at(self, n: int) -> int:
         return self.orders.m[n]
 
-    def vertex_image(self, v: Vertex) -> Vertex:
-        return self.diagram.red_walk(v, self.m_at(v[0]))
+    def orbit_length(self, p: Rank2Path) -> int:
+        """The orbit length of a path.  F^{m_n} splits the o edges of a cycle
+        pair into cycles of length o / gcd(o, m_n), so a path's orbit is the
+        lcm of those over its blue edges; a blueless path rotates its anchor
+        inside a red cycle of length t, with orbit t / gcd(t, m_n).  The red
+        degree is fixed."""
+        if not p.blue:
+            n, j, _ = p.anchor
+            return _cycle_length(self.diagram.cycle_size(n, j), self.m_at(n))
+        return math.lcm(
+            *(_cycle_length(self.orders.edge_order(b), self.m_at(b[0])) for b in p.blue)
+        )
 
-    def vertex_preimage(self, v: Vertex) -> Vertex:
-        return self.diagram.red_walk(v, -self.m_at(v[0]))
 
-    def path_image(self, p: Rank2Path) -> Rank2Path:
-        blue = tuple(self.blue_image(label) for label in p.blue)
-        anchor = None if p.blue else self.vertex_image(p.anchor)
-        return Rank2Path(blue, p.red_degree, anchor)
-
-    def path_preimage(self, p: Rank2Path) -> Rank2Path:
-        blue = tuple(self.blue_preimage(label) for label in p.blue)
-        anchor = None if p.blue else self.vertex_preimage(p.anchor)
-        return Rank2Path(blue, p.red_degree, anchor)
+def _cycle_length(size: int, shift: int) -> int:
+    """The cycle length of a rotation by ``shift`` on a cycle of ``size``."""
+    return size // math.gcd(size, shift)
 
 
 def rank2_automorphism(

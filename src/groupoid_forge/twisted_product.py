@@ -38,7 +38,6 @@ from .graph_groupoid import (
     render_bisection,
     render_path,
     repeat_word,
-    unit_bisection,
 )
 from .groupoid_core import (
     Cocycle,
@@ -46,7 +45,6 @@ from .groupoid_core import (
     GroupoidAutomorphism,
     RowTable,
     is_principal,
-    orbit,
     orbits,
 )
 from .rank2_diagrams import (
@@ -257,54 +255,19 @@ class WfcCertificate:
 def check_wfc(backend, alpha, depth: int, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0.
 
-    Dispatches on the backend: finite groupoids are scanned exhaustively;
-    Bratteli diagrams are certified through parallel-class cycle lengths;
-    rank-2 diagrams through the order inequality and bounded congruences,
-    with red offsets up to the shift bound.  A shift bound below 1
+    Dispatches on the diagram: Bratteli diagrams are certified through
+    parallel-class cycle lengths; rank-2 diagrams through the order
+    inequality and bounded congruences, with red offsets up to the shift
+    bound.  Any other backend raises ``TypeError``.  A shift bound below 1
     certifies nothing and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    if isinstance(backend, FiniteGroupoid):
-        return _check_wfc_finite(backend, alpha, depth, shift_bound)
     if isinstance(backend, BratteliDiagram):
         return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
     if isinstance(backend, CanonicalRank2Diagram):
         return _check_wfc_rank2(backend, alpha, depth, shift_bound)
     raise TypeError(f"unsupported backend {type(backend).__name__}")
-
-
-def _first_orbit_collision(G: FiniteGroupoid, alpha: GroupoidAutomorphism, shifts):
-    """The first (x, l) with l in ``shifts`` and [x] = [alpha^l(x)], units
-    scanned in repr order; None when no shift collides."""
-    orbit_id = {u: idx for idx, o in enumerate(orbits(G)) for u in o}
-    units = sorted(G.units, key=repr)
-    for l in shifts:
-        power = alpha.power(l)
-        for x in units:
-            if orbit_id[x] == orbit_id[power(x)]:
-                return x, l
-    return None
-
-
-def _check_wfc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, depth, L):
-    collision = _first_orbit_collision(G, alpha, range(1, L + 1))
-    if collision is not None:
-        x, l = collision
-        return WfcCertificate(
-            "counterexample",
-            "finite",
-            depth,
-            L,
-            {"x": repr(x), "l": l, "note": "orbit collision found by scan"},
-        )
-    return WfcCertificate(
-        "certificate",
-        "finite",
-        depth,
-        L,
-        {"kind": "exhaustive-scan", "units": len(G.units)},
-    )
 
 
 def _check_wfc_bratteli(d: BratteliDiagram, alpha: EdgeCycleAutomorphism, depth, L):
@@ -481,26 +444,20 @@ class LcWitness:
         }
 
 
-# Automorphism steps the orbit search of check_lc may take on one path
-# before it gives up.
-LC_ORBIT_FUEL = 10**7
-
-
 def check_lc(backend, alpha, basis_sample: Sequence) -> LcWitness:
     """Per basis element, the least l >= 1 with alpha^{-l}(V) inside V.
 
-    Orbits live inside finite sets, so the search terminates; on path words
-    and rank-2 paths it gives up after LC_ORBIT_FUEL steps.  Every returned
-    witness is re-verified by an exact inclusion check.
+    On a cylinder of a path word or rank-2 path, l is the orbit length of
+    the path, read in closed form from the automorphism's cycle lengths.
+    On a finite groupoid V is a set of units, and the search walks the
+    automorphism, whose order bounds it.
     """
     entries = []
     for V in basis_sample:
         if isinstance(backend, FiniteGroupoid):
             l = _lc_finite(backend, alpha, frozenset(V))
-        elif isinstance(V, PathWord):
-            l = _lc_cylinder(alpha, V)
-        elif isinstance(V, Rank2Path):
-            l = _lc_rank2(alpha, V)
+        elif isinstance(V, (PathWord, Rank2Path)):
+            l = alpha.orbit_length(V)
         else:
             raise TypeError(f"unsupported basis element {V!r}")
         entries.append(LcEntry(V, l))
@@ -517,40 +474,6 @@ def _lc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, V: frozenset) -> 
         if current <= V:
             return l
     raise AssertionError("orbit search exceeded the automorphism order")
-
-
-def _lc_cylinder(alpha: EdgeCycleAutomorphism, mu: PathWord) -> int:
-    back = alpha.power(-1)
-    current = mu
-    fuel = 1
-    while True:
-        current = back.path_image(current)
-        if current == mu:
-            l = fuel
-            break
-        fuel += 1
-        if fuel > LC_ORBIT_FUEL:
-            raise AssertionError(
-                f"orbit of the word did not close within LC_ORBIT_FUEL = {LC_ORBIT_FUEL} steps"
-            )
-    if not basic_subset(unit_bisection(alpha.power(-l).path_image(mu)), unit_bisection(mu)):
-        raise AssertionError("orbit length does not witness the inclusion")
-    return l
-
-
-def _lc_rank2(alpha, lam) -> int:
-    current = lam
-    fuel = 1
-    while True:
-        current = alpha.path_preimage(current)
-        if current == lam:
-            return fuel
-        fuel += 1
-        if fuel > LC_ORBIT_FUEL:
-            raise AssertionError(
-                f"orbit of the rank-2 path did not close within "
-                f"LC_ORBIT_FUEL = {LC_ORBIT_FUEL} steps"
-            )
 
 
 @dataclass(frozen=True)
@@ -631,34 +554,20 @@ def reverify_contracting_witness(
 # ---------------------------------------------------------------------------
 
 
-def minimality_verdict(backend, alpha, depth: int):
-    """Density of the backward automorphism sweep of every orbit.
-
-    Finite backends are decided exactly; Bratteli backends run the
-    cofinality check to the requested depth and never answer No.
-    """
-    if isinstance(backend, FiniteGroupoid):
-        n = alpha.order()
-        units = set(backend.units)
-        for y in sorted(units, key=repr):
-            swept: set = set()
-            base = orbit(backend, y)
-            for k in range(n):
-                back = alpha.power(-k)
-                swept |= {back(u) for u in base}
-            if swept != units:
-                return Verdict("no", justification=f"unit {y!r} sweeps only {len(swept)} units")
-        return Verdict("yes", justification="every backward sweep covers the unit space")
-    if isinstance(backend, BratteliDiagram):
-        for t in range(depth):
-            counts = path_count_matrix(backend, t, depth)
-            if any(not all(row) for row in counts):
-                return Verdict(
-                    "unknown",
-                    justification=f"level {t} does not reach every level-{depth} vertex",
-                )
-        return Verdict("yes", justification=f"cofinal at depth {depth}")
-    raise TypeError(f"unsupported backend {type(backend).__name__}")
+def minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
+    """Cofinality of a Bratteli diagram to the requested depth: every level
+    below ``depth`` must reach every level-``depth`` vertex.  It answers yes
+    or unknown, never no; any other backend raises ``TypeError``."""
+    if not isinstance(d, BratteliDiagram):
+        raise TypeError(f"unsupported backend {type(d).__name__}")
+    for t in range(depth):
+        counts = path_count_matrix(d, t, depth)
+        if any(not all(row) for row in counts):
+            return Verdict(
+                "unknown",
+                justification=f"level {t} does not reach every level-{depth} vertex",
+            )
+    return Verdict("yes", justification=f"cofinal at depth {depth}")
 
 
 def principality_criterion(
@@ -672,6 +581,8 @@ def principality_criterion(
     cocycle vanishes on isotropy (finite subgroups of Z are trivial), so the
     collision clause is vacuous there; it is kept for fidelity to the
     infinite-bouquet criterion, where the isotropy realizes every integer.
+    The first collision is reported, shifts in increasing order and units
+    in repr order.
     """
     zero_fiber_trivial = all(
         g in H.units
@@ -680,11 +591,19 @@ def principality_criterion(
     )
     g_principal = is_principal(G)
     iso_values = sorted(c.isotropy_value_range() - {0})
-    collision = _first_orbit_collision(G, alpha, iso_values)
+    orbit_id = {u: idx for idx, o in enumerate(orbits(G)) for u in o}
+    units = sorted(G.units, key=repr)
+    collision = None
+    for l in iso_values:
+        power = alpha.power(l)
+        x = next((x for x in units if orbit_id[x] == orbit_id[power(x)]), None)
+        if x is not None:
+            collision = [repr(x), l]
+            break
     verdict = zero_fiber_trivial and g_principal and collision is None
     return verdict, {
         "zero_fiber_isotropy_trivial": zero_fiber_trivial,
         "g_principal": g_principal,
         "isotropy_cocycle_values": iso_values,
-        "collision": None if collision is None else [repr(collision[0]), collision[1]],
+        "collision": collision,
     }

@@ -31,7 +31,14 @@ from groupoid_forge.groupoid_core import (
     full_relation,
     orbits,
 )
-from groupoid_forge.matrices import as_matrix, chain_product, diagonal, mat_mul, min_entry
+from groupoid_forge.matrices import (
+    as_matrix,
+    chain_product,
+    diagonal,
+    mat_mul,
+    min_entry,
+    repeat_index,
+)
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, Rank2Path, TelescopeResult
 from groupoid_forge.twisted_product import WfcCertificate
 from groupoid_forge.validation import (
@@ -91,14 +98,19 @@ def sum_contains(piece: BasicBisection | None, candidate) -> bool:
     return piece is not None and contains_germ(piece, candidate)
 
 
-def brute_orbit_length(apply_fn, start) -> int:
+def brute_orbit(apply_fn, start) -> list:
+    """The orbit of ``start`` under ``apply_fn``, in walking order."""
+    orbit = [start]
     x = apply_fn(start)
-    n = 1
     while x != start:
+        orbit.append(x)
         x = apply_fn(x)
-        n += 1
-        assert n < 10**6
-    return n
+        assert len(orbit) < 10**6
+    return orbit
+
+
+def brute_orbit_length(apply_fn, start) -> int:
+    return len(brute_orbit(apply_fn, start))
 
 
 def brute_groupoid_axioms(G) -> ValidationReport:
@@ -332,9 +344,6 @@ class MaterializedAutomorphism:
     def blue_image(self, label):
         return self.orders.f_power(label, self.orders.m[label[0]])
 
-    def blue_preimage(self, label):
-        return self.orders.f_power(label, -self.orders.m[label[0]])
-
 
 def materialized_automorphism(d: Rank2Diagram, orders=None) -> MaterializedAutomorphism:
     """The per-edge check that the image of each blue edge's source matches
@@ -474,9 +483,6 @@ def walked_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[in
 
 def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> WfcCertificate:
     """The Bratteli orbit-freeness certificate from the per-edge cycle walk."""
-    for v in d.vertices_at(0):
-        if alpha.vertex_image(v) != v:
-            raise ValueError(_NOT_VERTEX_FIXING)
     lengths_at: dict[int, list[int]] = {}
     for p in range(depth):
         try:
@@ -633,14 +639,67 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
             }
         )
     A_out = tuple(data.a_chain(l[n + 1], l[n]) for n in range(levels_out - 1))
+
+    def b_at(k):
+        return data.B[repeat_index(k, len(data.B), len(data.A), data.repeat_from)]
+
     B_out = tuple(
-        chain_product([data.b_at(k) for k in range(l[n], l[n + 1])]) for n in range(levels_out - 1)
+        chain_product([b_at(k) for k in range(l[n], l[n + 1])]) for n in range(levels_out - 1)
     )
     T_out = tuple(tuple(data.t_at(l[n])) for n in range(levels_out))
     telescoped = Rank2Data(A_out, B_out, T_out, None, data.orientation)
     return TelescopeResult(
         True, tuple(l_prime), tuple(l), tuple(M), telescoped, tuple(certificate), data
     )
+
+
+# ---------------------------------------------------------------------------
+# Walked LC oracles
+#
+# The local-contraction entries as ``check_lc`` found them by walking each
+# path through the automorphism until it closed.  On a cylinder Z(mu),
+# alpha^{-l}(Z(mu)) = Z(alpha^{-l}(mu)) lies inside Z(mu) exactly when
+# alpha^{-l}(mu) = mu, so the entry is the orbit length of mu, which is the
+# same under alpha as under its inverse.  ``twisted_product.check_lc`` reads
+# it off the cycle lengths and is tested against these walks.
+# ---------------------------------------------------------------------------
+
+
+def af_path_image(alpha, p: PathWord) -> PathWord:
+    """The image of a path under the class-cycling automorphism, edge by edge."""
+    if not p.edges:
+        return p
+    return PathWord(tuple(alpha.edge_image(e) for e in p.edges))
+
+
+def rank2_path_image(auto, p: Rank2Path) -> Rank2Path:
+    """The image of a blue-red path under the order automorphism: a blue edge
+    at level n moves by F^{m_n}, a blueless anchor at level n moves m_n steps
+    along its red cycle, and the red degree is kept."""
+    m = auto.orders.m
+    if p.blue:
+        return Rank2Path(tuple(auto.orders.f_power(b, m[b[0]]) for b in p.blue), p.red_degree)
+    return Rank2Path((), p.red_degree, auto.diagram.red_walk(p.anchor, m[p.anchor[0]]))
+
+
+def walked_lc_lengths(image, paths) -> list[int]:
+    """The LC entry of each path's cylinder, found by walking the path
+    through ``image`` until it closes; each orbit is walked once, and its
+    length serves every path on it."""
+    lengths: dict = {}
+    for p in paths:
+        if p not in lengths:
+            orbit = brute_orbit(image, p)
+            lengths.update(dict.fromkeys(orbit, len(orbit)))
+    return [lengths[p] for p in paths]
+
+
+def walked_af_lc_lengths(alpha, paths) -> list[int]:
+    return walked_lc_lengths(lambda p: af_path_image(alpha, p), paths)
+
+
+def walked_rank2_lc_lengths(auto, paths) -> list[int]:
+    return walked_lc_lengths(lambda p: rank2_path_image(auto, p), paths)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The AF realization route in closed form, against the edge-walk oracles of
 ``tests/helpers.py``: the orbit-freeness certificate read off the
-multiplicities, and the growth search with one running product per gap."""
+multiplicities, the local-contraction entries read off the class sizes, and
+the growth search with one running product per gap."""
 
 import random
 
@@ -12,14 +13,15 @@ from groupoid_forge.graph_model import (
     EdgeCycleAutomorphism,
     constant_diagram,
     edge_cycle_automorphism,
+    iter_paths,
     telescope,
 )
 from groupoid_forge.groupoid_core import full_relation, relation_automorphism
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import _growth_subsequence
-from groupoid_forge.twisted_product import check_wfc
+from groupoid_forge.twisted_product import check_lc, check_wfc
 
-from helpers import rescanned_growth_subsequence, walked_wfc_certificate
+from helpers import rescanned_growth_subsequence, walked_af_lc_lengths, walked_wfc_certificate
 
 
 def seeded_diagram(seed: int, size: int, levels: int, repeat_from, low: int = 1, high: int = 3):
@@ -61,10 +63,9 @@ def _growth_telescope(d, levels):
 
 class TestWfcAgainstEdgeWalk:
     @pytest.mark.parametrize("name", sorted(DIAGRAMS))
-    @pytest.mark.parametrize("step", range(-3, 4))
-    def test_steps_and_horizons(self, name, step):
+    def test_depths_and_shift_bounds(self, name):
         d = DIAGRAMS[name]
-        alpha = edge_cycle_automorphism(d).power(step)
+        alpha = edge_cycle_automorphism(d)
         for depth in (1, 3, 7):
             for L in (1, 2, 5, 12):
                 expected = walked_wfc_certificate(d, alpha, depth, L).to_json()
@@ -76,11 +77,10 @@ class TestWfcAgainstEdgeWalk:
     @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
     def test_telescoped_along_the_growth_condition(self, name):
         tele = _growth_telescope(DIAGRAMS[name], 14)
-        for step in (1, 2, -3):
-            alpha = edge_cycle_automorphism(tele).power(step)
-            for L in (6, 12):
-                expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
-                assert check_wfc(tele, alpha, 13, L).to_json() == expected
+        alpha = edge_cycle_automorphism(tele)
+        for L in (6, 12):
+            expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
+            assert check_wfc(tele, alpha, 13, L).to_json() == expected
 
     def test_constant_one_counterexample(self):
         d = constant_diagram(1)
@@ -91,11 +91,13 @@ class TestWfcAgainstEdgeWalk:
 
     def test_finite_horizon_stays_unknown(self):
         # no repetition rule: the missing shifts are never a counterexample
-        alpha = edge_cycle_automorphism(FINITE).power(6)
-        cert = check_wfc(FINITE, alpha, depth=9, shift_bound=6)
+        mult = tuple(as_matrix([[k]]) for k in (1, 1, 2, 1, 5))
+        d = BratteliDiagram((1,) * 6, mult, None)
+        alpha = edge_cycle_automorphism(d)
+        cert = check_wfc(d, alpha, depth=9, shift_bound=6)
         assert cert.status == "unknown" and cert.details["undecided_shifts"] == [5, 6]
         assert cert.details["min_cycle_length_per_level"] == {"0": 1, "1": 1, "2": 2, "3": 1, "4": 5}
-        assert cert.to_json() == walked_wfc_certificate(FINITE, alpha, 9, 6).to_json()
+        assert cert.to_json() == walked_wfc_certificate(d, alpha, 9, 6).to_json()
 
     def test_walks_no_edge(self, monkeypatch):
         tele = _growth_telescope(constant_diagram(2), 22)
@@ -119,6 +121,39 @@ class TestWfcAgainstEdgeWalk:
             check_wfc(d, None, 3, 2)
         with pytest.raises(ValueError, match="different diagram"):
             check_wfc(d, edge_cycle_automorphism(constant_diagram(3)), 3, 2)
+
+
+class TestLcAgainstOrbitWalk:
+    """Every path of length <= 3 from level 0: check_lc against the orbit
+    walk of each path through the class-cycling automorphism."""
+
+    def check(self, d):
+        alpha = edge_cycle_automorphism(d)
+        paths = []
+        for v in d.vertices_at(0):
+            for length in range(4):
+                if not d.has_level(length):
+                    break
+                paths.extend(iter_paths(d, v, length))
+        got = [e.l for e in check_lc(d, alpha, paths).entries]
+        assert got == walked_af_lc_lengths(alpha, paths)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    def test_diagrams(self, name):
+        self.check(DIAGRAMS[name])
+
+    def test_seeded_with_and_without_repetition(self):
+        seen = set()
+        for seed in range(12):
+            repeat = (None, 0, 1)[seed % 3]
+            d = seeded_diagram(30 + seed, 1 + seed % 3, 4, repeat, low=0, high=4)
+            seen.update(self.check(d))
+        assert {1, 2, 3, 4, 6, 12} <= seen
+
+    @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded2x2_1"])
+    def test_telescoped_along_the_growth_condition(self, name):
+        assert max(self.check(_growth_telescope(DIAGRAMS[name], 14))) > 1
 
 
 class TestGrowthSearchAgainstRescan:

@@ -286,6 +286,16 @@ class TestRank2Cli:
         assert main(["rank2", "automorphism", "--input", rank2_file]) == 0
 
 
+    @pytest.mark.parametrize(
+        "a", [[[1, 1], [0, 0]], [[1, 0], [1, 0]]], ids=["zero-row", "zero-column"]
+    )
+    def test_build_rejects_an_improper_matrix(self, a, tmp_path, capsys):
+        source = tmp_path / "data.json"
+        source.write_text(json.dumps({"A": [a], "B": [a], "T": [[1, 1], [1, 1]]}))
+        assert main(["rank2", "build", "--input", str(source), "--levels", "2"]) == 2
+        assert "must be proper" in capsys.readouterr().err
+
+
 def _materialized_rank2_output(action, data, levels):
     """What the rank-2 tools print when they walk the diagram of build_rank2."""
     diagram = build_rank2(data, levels)

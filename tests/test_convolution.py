@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from groupoid_forge.convolution_algebra import (
+    FULL_UNIT_BISECTION,
     FiniteConvElement,
     SymbolicConvElement,
     comp2_identity_sides,
@@ -15,7 +16,6 @@ from groupoid_forge.convolution_algebra import (
     compose_with_automorphism_inverse,
     convolve,
     delta,
-    full_unit_bisection,
     generator_times,
     involution,
     iota_embed,
@@ -34,7 +34,7 @@ from families import (
     seeded_groupoids_for_representation,
 )
 from groupoid_forge.gaussian import gauss
-from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
+from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet, unit_bisection
 from groupoid_forge.groupoid_core import (
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
@@ -134,8 +134,8 @@ class TestEmbedding:
         model = swap_model()
         f = delta(model.g, (0, 1))
         emb = iota_embed(f, model)
-        unit = full_unit_bisection(model)
-        assert all(b == unit for (b, g) in emb.coeffs)
+        assert FULL_UNIT_BISECTION == unit_bisection(InfiniteBouquet().unit())
+        assert all(b is FULL_UNIT_BISECTION for (b, g) in emb.coeffs)
 
     def test_multiplicative_and_star_seeded(self):
         model = swap_model()

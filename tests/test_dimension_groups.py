@@ -20,7 +20,7 @@ from groupoid_forge.dimension_groups import (
     rank2_k_matrices,
 )
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, telescope
-from groupoid_forge.matrices import as_matrix, transpose
+from groupoid_forge.matrices import as_matrix, repeat_index, transpose
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, build_rank2, canonical_rank2
 from groupoid_forge.validation import StructuralError
 
@@ -73,14 +73,18 @@ class TestPush:
         up = tuple(transpose(m) for m in mult)
         data = Rank2Data(up, up, ((1,), (1, 1), (1, 1, 1), (1, 1)), repeat_from=1)
         expected_sizes = [1, 2, 3, 2] + [3, 2] * 3
+
+        def b_at(n):
+            return data.B[repeat_index(n, len(data.B), len(data.A), data.repeat_from)]
+
         for n, size in enumerate(expected_sizes):
             assert d.level_size(n) == spec.size(n) == len(data.t_at(n)) == size
             stored = n if n < 3 else 1 + (n - 1) % 2
             assert d.multiplicity_matrix(n) == mult[stored]
-            assert spec.matrix(n) == data.a_at(n) == data.b_at(n) == up[stored]
+            assert spec.matrix(n) == data.a_at(n) == b_at(n) == up[stored]
         for level_of in (
             d.level_size, d.multiplicity_matrix, spec.size, spec.matrix,
-            data.a_at, data.b_at, data.t_at,
+            data.a_at, b_at, data.t_at,
         ):
             with pytest.raises(StructuralError):
                 level_of(-1)

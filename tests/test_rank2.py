@@ -6,7 +6,6 @@ import math
 import pytest
 
 from families import rng_for
-from groupoid_forge.matrices import min_entry
 from groupoid_forge.rank2_diagrams import (
     Rank2Data,
     Rank2Diagram,
@@ -33,6 +32,7 @@ from helpers import (
     brute_orbit_length,
     materialized_orders,
     materialized_validation,
+    rank2_path_image,
 )
 
 FIGURE = Rank2Data(
@@ -104,6 +104,15 @@ class TestBuild:
     def test_compatibility_violation_rejected(self):
         with pytest.raises(StructuralError):
             Rank2Data(A=(((4,),),), B=(((2,),),), T=((1,), (3,)))
+
+    @pytest.mark.parametrize(
+        "a", [((1, 1), (0, 0)), ((1, 0), (1, 0))], ids=["zero-row", "zero-column"]
+    )
+    def test_improper_matrix_rejected(self, a):
+        # T = 1 everywhere, so compatibility makes B = A
+        data = Rank2Data(A=(a,), B=(a,), T=((1, 1), (1, 1)))
+        with pytest.raises(StructuralError, match="matrices at level 0 must be proper"):
+            canonical_rank2(data, 2)
 
     def test_validate_catches_broken_factorization(self):
         # the materialized oracle must notice a scrambled F: no canonical
@@ -271,29 +280,36 @@ class TestAutomorphism:
         mat = build_rank2(result.telescoped, 6)
         auto = rank2_automorphism(canonical_rank2(result.telescoped, 6))
         by_label = blue_by_label(mat)
+
+        def rotated(v):
+            return rank2_path_image(auto, Rank2Path((), 0, v)).anchor
+
         for e in mat.blue:
             img = by_label[auto.blue_image(e.label)]
-            assert img.range_vertex == auto.vertex_image(e.range_vertex)
+            assert img.range_vertex == rotated(e.range_vertex)
+            assert img.source_vertex == rotated(e.source_vertex)
 
     def test_path_image_preserves_composition(self):
-        diagram, mat = canonical_rank2(FIGURE, 3), build_rank2(FIGURE, 3)
-        orders = compute_orders(diagram)
-        auto = rank2_automorphism(diagram, orders)
-        e0 = blue_edges_at(mat, 0)[0]
-        p = Rank2Path((e0.label,), 1)
-        f = next(
-            x for x in blue_edges_at(mat, 1)
-            if x.range_vertex == path_source(diagram, p)
-        )
-        q = Rank2Path((f.label,), 0)
-        lhs = auto.path_image(compose_paths(diagram, orders, p, q))
-        rhs = compose_paths(diagram, orders, auto.path_image(p), auto.path_image(q))
-        assert lhs == rhs
-
-    def test_preimage_inverts(self):
-        auto = rank2_automorphism(canonical_rank2(FIGURE, 3))
-        for e in build_rank2(FIGURE, 3).blue:
-            assert auto.blue_preimage(auto.blue_image(e.label)) == e.label
+        # levels 0-1 of the figure, where m_n = 0, and levels 2-3 of the
+        # telescoped constant data, where F^{m_n} moves every edge
+        tele = telescope_rank2(CONSTANT2, 6).telescoped
+        for data, levels, n in ((FIGURE, 3, 0), (tele, 6, 2)):
+            diagram, mat = canonical_rank2(data, levels), build_rank2(data, levels)
+            orders = compute_orders(diagram)
+            auto = rank2_automorphism(diagram, orders)
+            e0 = blue_edges_at(mat, n)[0]
+            p = Rank2Path((e0.label,), 1)
+            f = next(
+                x for x in blue_edges_at(mat, n + 1)
+                if x.range_vertex == path_source(diagram, p)
+            )
+            q = Rank2Path((f.label,), 0)
+            lhs = rank2_path_image(auto, compose_paths(diagram, orders, p, q))
+            rhs = compose_paths(
+                diagram, orders, rank2_path_image(auto, p), rank2_path_image(auto, q)
+            )
+            assert lhs == rhs
+        assert rank2_path_image(auto, p) != p
 
 
 class TestSkeleton:

