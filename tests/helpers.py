@@ -20,6 +20,7 @@ from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     Edge,
+    EdgeCycleAutomorphism,
     PathWord,
     path_count_matrix,
     path_from_edges,
@@ -663,6 +664,30 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
 # same under alpha as under its inverse.  ``twisted_product.check_lc`` reads
 # it off the cycle lengths and is tested against these walks.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SteppedEdgeCycle(EdgeCycleAutomorphism):
+    """The class-cycling automorphism raised to the power ``step``: copy t of
+    a class of k copies maps to copy (t + step) mod k, so the class splits
+    into gcd(k, step) cycles of length k / gcd(k, step).  ``check_wfc`` reads
+    only the cycle lengths, so the powers give its certificate every cycle
+    structure (step 0 fixes every edge)."""
+
+    step: int = 1
+
+    def edge_image(self, e: Edge) -> Edge:
+        n, i, j, t = e.label
+        t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
+        return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
+
+    def cycle_lengths(self, level: int) -> set[int]:
+        m = self.diagram.multiplicity_matrix(level)
+        return {k // math.gcd(k, self.step) for row in m for k in row if k}
+
+    def orbit_length(self, p: PathWord) -> int:
+        sizes = (self.diagram.multiplicity_matrix(n)[i][j] for n, i, j, _ in (e.label for e in p.edges))
+        return math.lcm(*(k // math.gcd(k, self.step) for k in sizes))
 
 
 def af_path_image(alpha, p: PathWord) -> PathWord:

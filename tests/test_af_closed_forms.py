@@ -21,7 +21,12 @@ from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import _growth_subsequence
 from groupoid_forge.twisted_product import check_lc, check_wfc
 
-from helpers import rescanned_growth_subsequence, walked_af_lc_lengths, walked_wfc_certificate
+from helpers import (
+    SteppedEdgeCycle,
+    rescanned_growth_subsequence,
+    walked_af_lc_lengths,
+    walked_wfc_certificate,
+)
 
 
 def seeded_diagram(seed: int, size: int, levels: int, repeat_from, low: int = 1, high: int = 3):
@@ -61,11 +66,18 @@ def _growth_telescope(d, levels):
     return d if failure else telescope(d, sub)
 
 
+def stepped(d, step):
+    """The class-cycling automorphism to the power ``step``; step 1 is the
+    library's own."""
+    return edge_cycle_automorphism(d) if step == 1 else SteppedEdgeCycle(d, step)
+
+
 class TestWfcAgainstEdgeWalk:
     @pytest.mark.parametrize("name", sorted(DIAGRAMS))
-    def test_depths_and_shift_bounds(self, name):
+    @pytest.mark.parametrize("step", range(-3, 4))
+    def test_steps_and_horizons(self, name, step):
         d = DIAGRAMS[name]
-        alpha = edge_cycle_automorphism(d)
+        alpha = stepped(d, step)
         for depth in (1, 3, 7):
             for L in (1, 2, 5, 12):
                 expected = walked_wfc_certificate(d, alpha, depth, L).to_json()
@@ -77,10 +89,11 @@ class TestWfcAgainstEdgeWalk:
     @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
     def test_telescoped_along_the_growth_condition(self, name):
         tele = _growth_telescope(DIAGRAMS[name], 14)
-        alpha = edge_cycle_automorphism(tele)
-        for L in (6, 12):
-            expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
-            assert check_wfc(tele, alpha, 13, L).to_json() == expected
+        for step in (1, 2, -3):
+            alpha = stepped(tele, step)
+            for L in (6, 12):
+                expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
+                assert check_wfc(tele, alpha, 13, L).to_json() == expected
 
     def test_constant_one_counterexample(self):
         d = constant_diagram(1)
