@@ -49,9 +49,9 @@ from .groupoid_core import (
 from .pipeline import (
     PipelineInputError,
     _lc_sample,
+    first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
-    verify_report_json,
 )
 from .rank2_diagrams import (
     canonical_rank2,
@@ -315,9 +315,9 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify_report(args) -> int:
-    ok = verify_report_json(_load_json(args.file))
-    print("report re-verifies" if ok else "report FAILED re-verification")
-    return 0 if ok else 1
+    wrong = first_wrong_field(_load_json(args.file))
+    print("report re-verifies" if wrong is None else f"report FAILED re-verification at {wrong}")
+    return 0 if wrong is None else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -76,6 +76,27 @@ def first_level_above(
     return None
 
 
+def growth_levels(
+    matrix_at: Callable[[int], IntMatrix], count: int, cap: int, horizon: int
+) -> tuple[list[int], list[IntMatrix], str | None]:
+    """Levels 0 = t_0 < t_1 < ... < t_{count-1}, each t_{n+1} the first level
+    whose chain from t_n has every entry above n, with those chains; when
+    the search stops short, the levels found and the failure naming the cap
+    or, where ``matrix_at`` ends, the data ``horizon``."""
+    levels: list[int] = [0]
+    chains: list[IntMatrix] = []
+    for n in range(count - 1):
+        try:
+            found = first_level_above(matrix_at, levels[-1], n, cap)
+        except StructuralError:
+            return levels, chains, growth_failure(levels[-1], f"> {n}", cap, horizon)
+        if found is None:
+            return levels, chains, growth_failure(levels[-1], f"> {n}", cap)
+        levels.append(found[0])
+        chains.append(found[1])
+    return levels, chains, None
+
+
 def growth_failure(start: int, relation: str, cap: int, horizon: int | None = None) -> str:
     """Why a ``first_level_above`` search from ``start`` stopped: the level
     cap, or the data horizon when one is given; ``relation`` is the entry

@@ -10,8 +10,9 @@ are listed as hypotheses, flagged NOT COMPUTED.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Sequence
 
 from .dimension_groups import (
@@ -30,10 +31,9 @@ from .graph_model import (
     diagram_from_json,
     edge_cycle_automorphism,
     iter_paths,
-    telescope,
     validate_bratteli,
 )
-from .matrices import first_level_above, growth_failure, min_entry
+from .matrices import growth_levels, min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -46,8 +46,15 @@ from .rank2_diagrams import (
     telescope_rank2,
     validate_rank2,
 )
-from .twisted_product import LcWitness, WfcCertificate, check_lc, check_wfc, minimality_verdict
-from .validation import StructuralError, ValidationReport
+from .twisted_product import (
+    LcEntry,
+    LcWitness,
+    WfcCertificate,
+    check_lc,
+    check_wfc,
+    minimality_verdict,
+)
+from .validation import ValidationReport
 
 SCHEMA_VERSION = 1
 
@@ -181,31 +188,77 @@ class RealizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _growth_subsequence(
-    spec: DimensionGroupSpec, levels_out: int, cap: int
-) -> tuple[list[int], str | None]:
-    """Levels 0 = t_0 < t_1 < ... with every collapsed multiplicity entry at
-    new level n strictly above n, searched over the K0 connecting matrices
-    (the transposed multiplicities); the levels found and, when the search
-    stops short, the failure naming the cap or the data horizon."""
-    chosen = [0]
-    for n in range(levels_out - 1):
-        try:
-            found = first_level_above(spec.matrix, chosen[-1], n, cap)
-        except StructuralError:
-            # a diagram without a repetition rule ends at its horizon
-            return chosen, growth_failure(chosen[-1], f"> {n}", cap, spec.horizon)
-        if found is None:
-            return chosen, growth_failure(chosen[-1], f"> {n}", cap)
-        chosen.append(found[0])
-    return chosen, None
-
-
 def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
     """The first ``count`` paths over the level-0 vertices and the lengths
     0, 1, 2, each length in label order, built no further than needed."""
     every = (p for v in d.vertices_at(0) for length in range(3) for p in iter_paths(d, v, length))
     return list(islice(every, count))
+
+
+def _telescoped(d: BratteliDiagram, levels: Sequence[int], chains: Sequence) -> BratteliDiagram:
+    """The diagram telescoped to ``levels``, from the K0 chain of each gap
+    (the path counts between the levels, transposed)."""
+    return BratteliDiagram(tuple(d.level_size(t) for t in levels), tuple(map(transpose, chains)))
+
+
+def _af_walk(d: BratteliDiagram, unit_class, depth: int, lbound: int, source_cap: int):
+    """Reject what no AF plan takes, then run the growth search: the corner,
+    the parameters as reported, and the levels, chains and failure of
+    ``growth_levels`` over the K0 connecting matrices (the transposed
+    multiplicities), up to levels_out = max(depth, lbound + 1) + 1."""
+    _check_bounds(depth, lbound)
+    check = validate_bratteli(d)
+    if not check.passed:
+        raise PipelineInputError(
+            f"input diagram fails validation:\n{check.describe()}", check
+        )
+    corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
+    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
+    spec = dimension_group_of(d)
+    levels_out = max(depth, lbound + 1) + 1
+    return corner, params, *growth_levels(spec.matrix, levels_out, source_cap, spec.horizon)
+
+
+def _af_report(
+    d, params, corner, levels, chains, failure, status="unknown", wfc=None, lc=None,
+    minimality=None, ktheory=None,
+) -> RealizationReport:
+    """An AF report around its growth search; a complete one also carries
+    the status and the wfc, lc, minimality and K-theory certificates."""
+    complete = failure is None
+    telescoping = {"complete": False, "failure": failure}
+    if complete:
+        telescoping = {
+            "complete": True,
+            "subsequence": levels,
+            "min_multiplicity_per_level": {str(n): min_entry(c) for n, c in enumerate(chains)},
+            "growth_condition": "every entry at level n exceeds n",
+        }
+    automorphism = {
+        "kind": "parallel-class cycling",
+        "description": "fixes every vertex; cycles the edges of each "
+        "parallel class in label order",
+    }
+    stabilization = {
+        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
+        "note": "product with the complete relation on {-N..N}; certificates "
+        "transfer because the extra factor is principal, minimal and carries "
+        "the identity automorphism",
+    }
+    return RealizationReport(
+        kind="af",
+        status=status,
+        input_echo=d.to_json(),
+        parameters=params,
+        telescoping=telescoping,
+        automorphism=automorphism if complete else {},
+        wfc=wfc,
+        lc=lc,
+        minimality=minimality,
+        stabilization=stabilization if complete else {},
+        corner=corner,
+        ktheory=ktheory or {},
+    )
 
 
 def plan_af_realization(
@@ -218,47 +271,19 @@ def plan_af_realization(
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
     contraction, stabilize, and cut the requested unit corner."""
-    _check_bounds(depth, lbound)
-    check = validate_bratteli(d)
-    if not check.passed:
-        raise PipelineInputError(
-            f"input diagram fails validation:\n{check.describe()}", check
-        )
-    corner = None
-    if unit_class is not None:
-        level, vec = unit_class
-        corner = unit_corner_spec(d, level, vec)
-
-    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
-    levels_out = max(depth, lbound + 1) + 1
-    original_spec = dimension_group_of(d)
-    subseq, failure = _growth_subsequence(original_spec, levels_out, source_cap)
+    corner, params, subseq, chains, failure = _af_walk(d, unit_class, depth, lbound, source_cap)
     if failure is not None:
-        return RealizationReport(
-            kind="af",
-            status="unknown",
-            input_echo=d.to_json(),
-            parameters=params,
-            telescoping={"complete": False, "failure": failure},
-            automorphism={},
-            wfc=None,
-            lc=None,
-            minimality=None,
-            stabilization={},
-            corner=corner,
-            ktheory={},
-        )
-    tele = telescope(d, subseq)
-    condition_levels = {
-        str(n): min_entry(tele.multiplicity_matrix(n)) for n in range(levels_out - 1)
-    }
+        return _af_report(d, params, corner, subseq, chains, failure)
+    tele = _telescoped(d, subseq, chains)
     alpha = edge_cycle_automorphism(tele)
-    wfc = check_wfc(tele, alpha, depth=levels_out - 1, shift_bound=lbound)
+    wfc = check_wfc(tele, alpha, depth=len(chains), shift_bound=lbound)
 
     lc = check_lc(tele, alpha, _lc_sample(tele, 40))
 
-    minimality = minimality_verdict(tele, min(depth, levels_out - 1))
+    # depth <= levels_out - 1, the last level of the telescoped diagram
+    minimality = minimality_verdict(tele, depth)
 
+    original_spec = dimension_group_of(d)
     consistency_checks = 0
     consistent = True
     for m in range(len(subseq) - 1):
@@ -280,38 +305,11 @@ def plan_af_realization(
         positivity = dg_is_positive(original_spec, corner.k_class, horizon=subseq[-1])
         ktheory["corner_class_positive"] = positivity.to_json()
 
-    stabilization = {
-        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
-        "note": "product with the complete relation on {-N..N}; certificates "
-        "transfer because the extra factor is principal, minimal and carries "
-        "the identity automorphism",
-    }
-
     status = "ok"
     if not (wfc.is_certificate and minimality.is_yes and consistent):
         status = "unknown" if wfc.status != "counterexample" else "failed"
-    return RealizationReport(
-        kind="af",
-        status=status,
-        input_echo=d.to_json(),
-        parameters=params,
-        telescoping={
-            "complete": True,
-            "subsequence": subseq,
-            "min_multiplicity_per_level": condition_levels,
-            "growth_condition": "every entry at level n exceeds n",
-        },
-        automorphism={
-            "kind": "parallel-class cycling",
-            "description": "fixes every vertex; cycles the edges of each "
-            "parallel class in label order",
-        },
-        wfc=wfc,
-        lc=lc,
-        minimality=minimality,
-        stabilization=stabilization,
-        corner=corner,
-        ktheory=ktheory,
+    return _af_report(
+        d, params, corner, subseq, chains, None, status, wfc, lc, minimality, ktheory
     )
 
 
@@ -463,21 +461,112 @@ def plan_rank2_realization(
 # ---------------------------------------------------------------------------
 
 
-# Report parameters the planners take back as keywords; ``levels_out`` is
+# Report parameters the checks take back as keywords; ``levels_out`` is
 # derived from ``depth`` and is checked only through the report comparison.
 PLAN_PARAMETERS = ("depth", "lbound", "source_cap")
 
+_MISSING = object()
 
-def verify_report_json(report_json: dict) -> bool:
-    """Re-run the plan from the input echoed inside a report and require the
-    certificates to reproduce exactly (reports are deterministic).
 
-    The recorded parameters go back to the planner as keywords, so a
-    parameter the report leaves out takes the planner's default; the
-    stabilization truncation is derived from the unit class.  A report
-    of unknown kind, one missing a field the plan needs, or one recording a
-    parameter the planner does not take or a non-integer one raises
-    ``PipelineInputError``.
+def _first_difference(fresh, given, path: str) -> str | None:
+    """The path of the first field, in the key order of ``fresh`` and then
+    of ``given``, where two JSON values differ; None when they are equal.
+    Equal values are compared whole, so only a difference is descended."""
+    if fresh == given:
+        return None
+    if type(fresh) is not type(given) or not isinstance(fresh, (dict, list)):
+        return path
+    if isinstance(fresh, dict):
+        keys = [*fresh, *(k for k in given if k not in fresh)]
+        pairs = ((k, fresh.get(k, _MISSING), given.get(k, _MISSING)) for k in keys)
+    else:
+        pairs = enumerate(zip_longest(fresh, given, fillvalue=_MISSING))
+        pairs = ((i, a, b) for i, (a, b) in pairs)
+    return next(
+        _first_difference(a, b, f"{path}.{key}" if path else str(key))
+        for key, a, b in pairs
+        if a != b
+    )
+
+
+def _checked_af_report(
+    d: BratteliDiagram, unit_class, depth: int, lbound: int, source_cap: int
+) -> RealizationReport:
+    """The AF report that the input and parameters call for, read off the
+    chains of one growth walk, without the planner's certificate checks.
+
+    Each gap runs ``first_level_above`` once: t_{m+1} is the first level
+    whose chain from t_m has every entry above m, which proves the growth
+    condition there and that no earlier level meets it.  The chains are the
+    telescoped multiplicities, transposed, and every one is positive.  So,
+    in closed form:
+
+    * with step-1 class cycling a level's shortest cycle is its least
+      multiplicity, and shift l is witnessed at the first level whose least
+      entry exceeds l (the growth condition puts it at or below l);
+    * an LC entry's l is the lcm of the class sizes along its path;
+    * positive chains make the telescoped diagram cofinal;
+    * the rows of a gap's chain are its pushed basis vectors, so every
+      telescope consistency check is yes;
+    * the corner vector is nonnegative, so it is positive at its own level.
+
+    A complete plan is therefore ``ok``; an incomplete one names the
+    failure at which the same walk stops.
+    """
+    corner, params, levels, chains, failure = _af_walk(d, unit_class, depth, lbound, source_cap)
+    if failure is not None:
+        return _af_report(d, params, corner, levels, chains, failure)
+    least = [min_entry(c) for c in chains]
+    witness, t = {}, 0
+    for l in range(1, lbound + 1):
+        while least[t] <= l:
+            t += 1
+        witness[str(l)] = t
+    wfc = WfcCertificate(
+        "certificate",
+        "bratteli",
+        len(chains),
+        lbound,
+        {
+            "kind": "class-cycle-lengths",
+            "min_cycle_length_per_level": {str(n): k for n, k in enumerate(least)},
+            "witness_level_per_shift": witness,
+        },
+    )
+    top = _telescoped(d, levels[:3], chains[:2])  # the levels the LC sample reaches
+    lc = LcWitness(
+        tuple(
+            LcEntry(p, math.lcm(*(top.mult[n][i][j] for n, i, j, _ in (e.label for e in p.edges))))
+            for p in _lc_sample(top, 40)
+        )
+    )
+    ktheory = {
+        "telescope_class_consistency": "yes",
+        "checks": sum(d.level_size(t) for t in levels[:-1]),
+    }
+    if corner is not None:
+        ktheory["corner_class_positive"] = Verdict("yes", level=corner.level).to_json()
+    minimality = Verdict("yes", justification=f"cofinal at depth {depth}")
+    return _af_report(d, params, corner, levels, chains, None, "ok", wfc, lc, minimality, ktheory)
+
+
+def first_wrong_field(report_json: dict) -> str | None:
+    """The path of the first report field that does not check, such as
+    ``wfc.details.witness_level_per_shift.7`` or ``lc.entries.3.l``; None
+    when every field checks.
+
+    An AF report is checked from its witnesses (``_checked_af_report``): one
+    growth walk over the echoed input, with every other field read off its
+    chains in closed form.  A rank-2 report is re-planned and compared; its
+    path is the first field, in key order, where the two differ.
+
+    The recorded parameters go back as keywords, so a rank-2 parameter the
+    report leaves out takes the planner's default, and an AF report must
+    record all of them; the stabilization truncation is derived from the
+    unit class.  A report of unknown kind, one missing a field the check
+    needs, or one recording a parameter no plan takes or a non-integer one
+    raises ``PipelineInputError``; input no plan accepts raises as planning
+    it would.
     """
     kind = report_json.get("kind") if isinstance(report_json, dict) else None
     if kind not in ("af", "rank2"):
@@ -497,8 +586,17 @@ def verify_report_json(report_json: dict) -> bool:
         if key in params and type(params[key]) is not int:
             raise PipelineInputError(f"report parameter {key!r} must be an integer")
     if kind == "af":
-        fresh = plan_af_realization(diagram_from_json(source), **options)
+        missing = [key for key in PLAN_PARAMETERS if key not in params]
+        if missing:
+            return f"parameters.{missing[0]}"
+        fresh = _checked_af_report(diagram_from_json(source), **options)
     else:
         data, _ = rank2_data_from_json(source)
         fresh = plan_rank2_realization(data, **options)
-    return fresh.to_json() == report_json
+    return _first_difference(fresh.to_json(), report_json, "")
+
+
+def verify_report_json(report_json: dict) -> bool:
+    """True exactly when every field of the report checks; see
+    ``first_wrong_field``, which names the first one that does not."""
+    return first_wrong_field(report_json) is None

@@ -7,11 +7,13 @@ paths under test.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 from typing import Mapping
 
 from groupoid_forge.convolution_algebra import RegRepMatrix
@@ -22,6 +24,7 @@ from groupoid_forge.graph_model import (
     Edge,
     EdgeCycleAutomorphism,
     PathWord,
+    diagram_from_json,
     path_count_matrix,
     path_from_edges,
 )
@@ -40,6 +43,7 @@ from groupoid_forge.matrices import (
     min_entry,
     repeat_index,
 )
+from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, Rank2Path, TelescopeResult
 from groupoid_forge.twisted_product import WfcCertificate
 from groupoid_forge.validation import (
@@ -463,8 +467,8 @@ def materialized_compose_paths(d: Rank2Diagram, orders: OrderData, p, q) -> Rank
 # through the automorphism and collected the cycles of each parallel class,
 # and the growth search that rebuilt the path-count matrix from scratch for
 # every candidate level.  ``twisted_product.check_wfc`` reads the class-cycle
-# lengths off the multiplicities and ``pipeline._growth_subsequence`` keeps
-# one running product per gap; both are tested against these.
+# lengths off the multiplicities and ``matrices.growth_levels`` keeps one
+# running product per gap; both are tested against these.
 # ---------------------------------------------------------------------------
 
 _NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
@@ -542,7 +546,7 @@ def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> Wfc
 
 def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
     """The growth search with one fresh ``path_count_matrix`` per candidate
-    level (the oracle for ``pipeline._growth_subsequence``): the levels found
+    level (the oracle for ``matrices.growth_levels``): the levels found
     and the failure text, None when the search completes."""
     chosen = [0]
     for n in range(levels_out - 1):
@@ -932,3 +936,34 @@ def is_psd_hermitian(m: RegRepMatrix) -> bool:
             if d.im != 0 or d.re < 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# AF report replay
+#
+# The AF report check by replay: plan again from the echoed input, the
+# recorded parameters and the corner's unit class, and require the JSON to
+# match exactly.  ``pipeline.first_wrong_field``, which reads an AF report
+# off its witnesses, is tested against it.
+# ---------------------------------------------------------------------------
+
+
+def replayed_report_verdict(report_json: dict) -> bool:
+    """True when re-planning an AF report reproduces it exactly."""
+    corner = report_json["corner"]
+    fresh = plan_af_realization(
+        diagram_from_json(report_json["input"]),
+        unit_class=(corner["level"], corner["vector"]) if corner else None,
+        **report_json["parameters"],
+    )
+    return fresh.to_json() == report_json
+
+
+def bench_inputs():
+    """``bench/inputs.py`` as a module; executing it only defines its
+    generators and constants."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -14,11 +14,11 @@ from groupoid_forge.graph_model import (
     constant_diagram,
     edge_cycle_automorphism,
     iter_paths,
+    path_count_matrix,
     telescope,
 )
 from groupoid_forge.groupoid_core import full_relation, relation_automorphism
-from groupoid_forge.matrices import as_matrix
-from groupoid_forge.pipeline import _growth_subsequence
+from groupoid_forge.matrices import as_matrix, growth_levels, transpose
 from groupoid_forge.twisted_product import check_lc, check_wfc
 
 from helpers import (
@@ -58,7 +58,12 @@ DIAGRAMS = {
 
 
 def growth(d, levels, cap):
-    return _growth_subsequence(dimension_group_of(d), levels, cap)
+    """The growth search's levels and failure; the chain it returns for each
+    gap must be the path counts between the gap's levels, transposed."""
+    spec = dimension_group_of(d)
+    found, chains, failure = growth_levels(spec.matrix, levels, cap, spec.horizon)
+    assert chains == [transpose(path_count_matrix(d, a, b)) for a, b in zip(found, found[1:])]
+    return found, failure
 
 
 def _growth_telescope(d, levels):

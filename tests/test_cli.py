@@ -484,7 +484,21 @@ class TestVerifyReport:
         out.write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["verify-report", str(out)]) == 1
-        assert capsys.readouterr().out == "report FAILED re-verification\n"
+        assert capsys.readouterr().out == (
+            "report FAILED re-verification at stabilization.full_relation_truncation\n"
+        )
+
+    def test_edited_witness_level_names_its_field(self, diagram_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["realize", "af", diagram_file, "--out", str(out)])
+        report = json.loads(out.read_text())
+        report["wfc"]["details"]["witness_level_per_shift"]["7"] += 1
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify-report", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "report FAILED re-verification at wfc.details.witness_level_per_shift.7\n"
+        )
 
     @pytest.mark.parametrize("depth", [0, -2])
     def test_report_with_nonpositive_depth_exit_two(self, depth, diagram_file, tmp_path, capsys):

@@ -15,7 +15,7 @@ from groupoid_forge.graph_model import (
     enumerate_paths,
     telescope,
 )
-from groupoid_forge.matrices import as_matrix
+from groupoid_forge.matrices import as_matrix, growth_levels
 from groupoid_forge.pipeline import (
     ANALYTIC_HYPOTHESES,
     PipelineInputError,
@@ -122,7 +122,8 @@ def seeded_square(seed: int, size: int) -> BratteliDiagram:
 
 
 def growth_telescope(d, levels):
-    return telescope(d, pipeline._growth_subsequence(dimension_group_of(d), levels, 4096)[0])
+    spec = dimension_group_of(d)
+    return telescope(d, growth_levels(spec.matrix, levels, 4096, spec.horizon)[0])
 
 
 class TestAfLcSample:

@@ -4,21 +4,14 @@ ladders of ``bench/inputs.py`` and compare each report's sha256 with
 ``reference_digests_seed0`` in ``bench/rationale.json``."""
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 
+from helpers import bench_inputs
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _inputs():
-    # executing the module only defines its generators and constants
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _digest(report_json: dict) -> str:
@@ -28,7 +21,7 @@ def _digest(report_json: dict) -> str:
 
 
 def test_seed0_report_digests_match_reference():
-    inputs = _inputs()
+    inputs = bench_inputs()
     reference = json.loads((BENCH / "rationale.json").read_text())["reference_digests_seed0"]
     found = {
         "af_realize": {

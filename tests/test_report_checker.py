@@ -1,0 +1,231 @@
+"""The AF report checker against the replay oracle.
+
+``pipeline.first_wrong_field`` reads an AF report off the chains of one
+growth walk; ``helpers.replayed_report_verdict`` plans the report again and
+compares.  Every planned report passes both, and a tamper corpus (one field
+of each certificate block changed) is rejected by both, the checker naming
+the changed field."""
+
+import importlib
+import json
+import random
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupoid_forge import dimension_groups, graph_model, pipeline
+from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, validate_bratteli
+from groupoid_forge.matrices import as_matrix
+from groupoid_forge.pipeline import (
+    first_wrong_field,
+    plan_af_realization,
+    plan_rank2_realization,
+    verify_report_json,
+)
+from groupoid_forge.rank2_diagrams import Rank2Data
+
+from helpers import bench_inputs, replayed_report_verdict
+
+
+def _json(report) -> dict:
+    return json.loads(json.dumps(report.to_json()))
+
+
+def _random_square(seed: int, size: int) -> BratteliDiagram:
+    rng = random.Random(seed)
+    m = as_matrix([[rng.randint(1, 3) for _ in range(size)] for _ in range(size)])
+    return BratteliDiagram((size, size), (m,), 0)
+
+
+@cache
+def corpus() -> dict:
+    """AF reports: the benchmark ladder at seeds 0-4, the random 3x3 rung at
+    lbound 40, and one report whose growth search runs out of its cap."""
+    inputs = bench_inputs()
+    reports = {
+        f"seed{seed}:{rung['name']}": _json(
+            plan_af_realization(
+                rung["diagram"],
+                unit_class=rung["unit_class"],
+                depth=rung["depth"],
+                lbound=rung["lbound"],
+            )
+        )
+        for seed in range(5)
+        for rung in inputs.af_ladder(seed)
+    }
+    reports["random3x3_lb40"] = _json(
+        plan_af_realization(_random_square(0, 3), unit_class=(0, [1, 0, 2]), lbound=40)
+    )
+    reports["capped"] = _json(
+        plan_af_realization(constant_diagram(2), unit_class=(0, [3]), lbound=8, source_cap=3)
+    )
+    return reports
+
+
+def mutations(report: dict) -> list[tuple[str, object]]:
+    """(path, new value) pairs, one field of each block of the report."""
+    if not report["telescoping"]["complete"]:
+        failure = report["telescoping"]["failure"]
+        return [
+            ("status", "ok"),
+            ("telescoping.failure", failure.replace("cap 3", "cap 4")),
+            ("corner.k_class.level", 1),
+            ("analytic_hypotheses.4.note", "cited"),
+        ]
+    tele, details = report["telescoping"], report["wfc"]["details"]
+    subseq = tele["subsequence"]
+    mid, last = len(subseq) // 2, len(subseq) - 1
+    entries = report["lc"]["entries"]
+    shifts = sorted(details["witness_level_per_shift"], key=int)
+    out = [
+        (f"telescoping.subsequence.{mid}", subseq[mid] + 1),
+        (f"telescoping.subsequence.{last}", subseq[last] - 1),
+        ("telescoping.min_multiplicity_per_level.3", tele["min_multiplicity_per_level"]["3"] - 1),
+        ("wfc.details.min_cycle_length_per_level.2", details["min_cycle_length_per_level"]["2"] + 1),
+    ]
+    witness = details["witness_level_per_shift"]
+    mid_shift, last_shift = shifts[len(shifts) // 2], shifts[-1]
+    out += [
+        (f"wfc.details.witness_level_per_shift.{mid_shift}", (witness[mid_shift] or 2) - 1),
+        (f"wfc.details.witness_level_per_shift.{last_shift}", witness[last_shift] + 1),
+        (f"lc.entries.{len(entries) - 1}.l", 2 * entries[-1]["l"]),
+        ("lc.entries.5.element", entries[6]["element"]),
+        ("minimality.justification", "cofinal at depth 99"),
+        ("ktheory.checks", report["ktheory"]["checks"] + 1),
+        ("ktheory.corner_class_positive.level", 1),
+        ("status", "unknown"),
+        ("stabilization.note", "product with the complete relation"),
+        ("analytic_hypotheses.2.note", "cited"),
+    ]
+    return out
+
+
+def _mutated(report: dict, path: str, value) -> dict:
+    out = json.loads(json.dumps(report))
+    *parents, leaf = path.split(".")
+    node = out
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    if isinstance(node, list):
+        node[int(leaf)] = value
+    else:
+        node[leaf] = value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_planned_report_passes_checker_and_replay(name):
+    report = corpus()[name]
+    assert first_wrong_field(report) is None
+    assert replayed_report_verdict(report) is True
+
+
+@pytest.mark.parametrize("name", sorted(corpus()))
+def test_tampered_reports_rejected_at_the_changed_field(name):
+    report = corpus()[name]
+    for path, value in mutations(report):
+        tampered = _mutated(report, path, value)
+        assert tampered != report, path
+        assert first_wrong_field(tampered) == path
+        assert verify_report_json(tampered) is replayed_report_verdict(tampered) is False, path
+
+
+def test_corpus_covers_both_outcomes():
+    statuses = [r["status"] for r in corpus().values()]
+    assert statuses.count("unknown") == 1 and len(statuses) == 32
+
+
+def test_checker_runs_no_planner_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the AF checker called the planner")
+
+    # the package's function twisted_product shadows the submodule
+    twisted_product = importlib.import_module("groupoid_forge.twisted_product")
+    for module, name in [
+        (pipeline, "plan_af_realization"),
+        (pipeline, "check_wfc"),
+        (pipeline, "check_lc"),
+        (pipeline, "minimality_verdict"),
+        (pipeline, "dg_equal"),
+        (twisted_product, "check_wfc"),
+        (twisted_product, "check_lc"),
+        (twisted_product, "minimality_verdict"),
+        (dimension_groups, "dg_equal"),
+        (graph_model, "telescope"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for report in corpus().values():
+        assert verify_report_json(report) is True
+
+
+class TestFirstWrongField:
+    def test_missing_and_extra_keys_are_named(self):
+        report = corpus()["seed0:const2_lb20"]
+        missing = json.loads(json.dumps(report))
+        del missing["lc"]["entries"][3]["l"]
+        assert first_wrong_field(missing) == "lc.entries.3.l"
+        extra = _mutated(report, "wfc.details.witness_level_per_shift.21", 9)
+        assert first_wrong_field(extra) == "wfc.details.witness_level_per_shift.21"
+        short = json.loads(json.dumps(report))
+        short["lc"]["entries"].pop()
+        assert first_wrong_field(short) == f"lc.entries.{len(short['lc']['entries'])}"
+
+    def test_the_first_of_two_changes_in_key_order(self):
+        report = corpus()["seed1:ones2x2_lb20"]
+        tampered = _mutated(report, "ktheory.checks", 0)
+        tampered = _mutated(tampered, "wfc.details.witness_level_per_shift.7", 0)
+        assert first_wrong_field(tampered) == "wfc.details.witness_level_per_shift.7"
+
+    def test_af_report_without_a_parameter(self):
+        report = json.loads(json.dumps(corpus()["seed0:const2_lb20"]))
+        del report["parameters"]["source_cap"]
+        assert first_wrong_field(report) == "parameters.source_cap"
+        assert replayed_report_verdict(report) is False
+
+    def test_rank2_path_is_the_first_field_the_replay_changes(self):
+        data = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+        report = _json(plan_rank2_realization(data, unit_class=(0, [2]), depth=3, lbound=6))
+        assert first_wrong_field(report) is None
+        witness = "wfc.details.witness_level_per_shift_and_red_offset"
+        tampered = _mutated(report, "stabilization.full_relation_truncation", 9)
+        assert first_wrong_field(tampered) == "stabilization.full_relation_truncation"
+        key = next(iter(report["wfc"]["details"]["witness_level_per_shift_and_red_offset"]))
+        tampered["wfc"]["details"]["witness_level_per_shift_and_red_offset"][key] += 1
+        assert first_wrong_field(tampered) == f"{witness}.{key}"
+        assert verify_report_json(tampered) is False
+
+
+@st.composite
+def stationary_plans(draw):
+    size = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    d = BratteliDiagram((size, size), (as_matrix(rows),), 0)
+    vec = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    unit = (0, vec) if any(vec) else None
+    options = {
+        "depth": draw(st.integers(1, 6)),
+        "lbound": draw(st.integers(1, 24)),
+        "source_cap": draw(st.sampled_from([8, 64, 4096])),
+    }
+    return d, unit, options
+
+
+@settings(max_examples=60, deadline=None)
+@given(stationary_plans())
+def test_every_stationary_plan_passes_the_checker(plan):
+    d, unit, options = plan
+    if not validate_bratteli(d).passed:
+        return
+    report = _json(plan_af_realization(d, unit_class=unit, **options))
+    assert first_wrong_field(report) is None
+    # every complete plan is ok, and only a complete one
+    assert (report["status"] == "ok") is report["telescoping"]["complete"]

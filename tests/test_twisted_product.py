@@ -289,10 +289,11 @@ class TestWfc:
     def test_certificate_at_depth_one_past_shift_bound(self):
         # L = 20 with one extra level: every shift finds a witness level
         from groupoid_forge.dimension_groups import dimension_group_of
-        from groupoid_forge.pipeline import _growth_subsequence
+        from groupoid_forge.matrices import growth_levels
 
         d = constant_diagram(2)
-        sub, _ = _growth_subsequence(dimension_group_of(d), 22, 4096)
+        spec = dimension_group_of(d)
+        sub, _, _ = growth_levels(spec.matrix, 22, 4096, spec.horizon)
         tele = telescope(d, sub)
         alpha = edge_cycle_automorphism(tele)
         cert = check_wfc(tele, alpha, depth=21, shift_bound=20)
