@@ -31,7 +31,7 @@ from .matrices import (
     repeat_index,
     shape,
 )
-from .validation import StructuralError, ValidationReport, Violation, report_from
+from .validation import StructuralError, ValidationReport, Violation, optional_int, report_from
 
 Vertex = Hashable
 
@@ -220,8 +220,11 @@ def diagram_from_json(data: dict | str) -> BratteliDiagram:
     tables = [
         [[0] * sizes[n + 1] for _ in range(sizes[n])] for n in range(n_levels - 1)
     ]
+    edges = data.get("edges", [])
+    if not isinstance(edges, (list, tuple)):
+        raise StructuralError(f"edges must be a list of edge entries, got {edges!r}")
     seen = set()
-    for entry in data.get("edges", ()):
+    for entry in edges:
         try:
             n = int(entry["level"])
             i = int(entry["range"])
@@ -245,11 +248,8 @@ def diagram_from_json(data: dict | str) -> BratteliDiagram:
             raise StructuralError(f"duplicate edge entry for {(n, i, j)}")
         seen.add((n, i, j))
         tables[n][i][j] = k
-    repeat = data.get("repeat_from")
     return BratteliDiagram(
-        sizes,
-        tuple(as_matrix(t) for t in tables),
-        None if repeat is None else int(repeat),
+        sizes, tuple(as_matrix(t) for t in tables), optional_int(data, "repeat_from")
     )
 
 

@@ -3,14 +3,17 @@
 Given diagram data for a target K-theory, these orchestrate telescoping,
 automorphism construction, freeness/contraction certificates, stabilization
 parameters and the unit-corner computation, and emit a self-contained,
-machine-readable report.  The pipeline never claims to output an operator
-algebra: it outputs the groupoid data plus certificates; the analytic steps
-are listed as hypotheses, flagged NOT COMPUTED.
+machine-readable report.  The AF planner reads every certificate off the
+chains of one growth search in closed form; the rank-2 planner runs the
+certificate functions of ``twisted_product``.  A report is checked by
+planning its echoed input again and naming the first field that differs.
+The pipeline never claims to output an operator algebra: it outputs the
+groupoid data plus certificates; the analytic steps are listed as
+hypotheses, flagged NOT COMPUTED.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from typing import Sequence
@@ -19,7 +22,6 @@ from .dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
     Verdict,
-    dg_equal,
     dg_is_positive,
     dimension_group_of,
     k0_corner_class,
@@ -27,9 +29,9 @@ from .dimension_groups import (
 )
 from .graph_model import (
     BratteliDiagram,
+    EdgeCycleAutomorphism,
     PathWord,
     diagram_from_json,
-    edge_cycle_automorphism,
     iter_paths,
     validate_bratteli,
 )
@@ -53,6 +55,7 @@ from .twisted_product import (
     check_lc,
     check_wfc,
     minimality_verdict,
+    shift_witness_levels,
 )
 from .validation import ValidationReport
 
@@ -127,13 +130,22 @@ class CornerSpec:
         }
 
 
-def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
-    """Corner data for a unit class: a(v) cylinder copies per level vertex."""
-    vec = tuple(int(x) for x in a)
+def _corner_vector(vec) -> tuple[int, ...]:
+    """A unit class's vector as integers, entrywise nonnegative and nonzero."""
+    try:
+        vec = tuple(int(x) for x in vec)
+    except (TypeError, ValueError) as exc:
+        raise PipelineInputError(f"corner vector must be a list of integers, got {vec!r}") from exc
     if any(x < 0 for x in vec):
         raise ValueError("corner vector must be entrywise nonnegative")
     if not any(vec):
         raise ValueError("corner must be nonzero (full-corner hypothesis)")
+    return vec
+
+
+def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
+    """Corner data for a unit class: a(v) cylinder copies per level vertex."""
+    vec = _corner_vector(a)
     k_class = k0_corner_class(d, level, vec)
     cylinders = tuple(
         {"vertex": [level, i], "copies": list(range(1, vec[i] + 1))}
@@ -195,36 +207,11 @@ def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
     return list(islice(every, count))
 
 
-def _telescoped(d: BratteliDiagram, levels: Sequence[int], chains: Sequence) -> BratteliDiagram:
-    """The diagram telescoped to ``levels``, from the K0 chain of each gap
-    (the path counts between the levels, transposed)."""
-    return BratteliDiagram(tuple(d.level_size(t) for t in levels), tuple(map(transpose, chains)))
-
-
-def _af_walk(d: BratteliDiagram, unit_class, depth: int, lbound: int, source_cap: int):
-    """Reject what no AF plan takes, then run the growth search: the corner,
-    the parameters as reported, and the levels, chains and failure of
-    ``growth_levels`` over the K0 connecting matrices (the transposed
-    multiplicities), up to levels_out = max(depth, lbound + 1) + 1."""
-    _check_bounds(depth, lbound)
-    check = validate_bratteli(d)
-    if not check.passed:
-        raise PipelineInputError(
-            f"input diagram fails validation:\n{check.describe()}", check
-        )
-    corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
-    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
-    spec = dimension_group_of(d)
-    levels_out = max(depth, lbound + 1) + 1
-    return corner, params, *growth_levels(spec.matrix, levels_out, source_cap, spec.horizon)
-
-
 def _af_report(
-    d, params, corner, levels, chains, failure, status="unknown", wfc=None, lc=None,
-    minimality=None, ktheory=None,
+    d, params, corner, levels, chains, failure, wfc=None, lc=None, minimality=None, ktheory=None
 ) -> RealizationReport:
-    """An AF report around its growth search; a complete one also carries
-    the status and the wfc, lc, minimality and K-theory certificates."""
+    """An AF report around its growth search; a complete one is ``ok`` and
+    carries the wfc, lc, minimality and K-theory certificates."""
     complete = failure is None
     telescoping = {"complete": False, "failure": failure}
     if complete:
@@ -247,7 +234,7 @@ def _af_report(
     }
     return RealizationReport(
         kind="af",
-        status=status,
+        status="ok" if complete else "unknown",
         input_echo=d.to_json(),
         parameters=params,
         telescoping=telescoping,
@@ -270,47 +257,63 @@ def plan_af_realization(
 ) -> RealizationReport:
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
-    contraction, stabilize, and cut the requested unit corner."""
-    corner, params, subseq, chains, failure = _af_walk(d, unit_class, depth, lbound, source_cap)
+    contraction, stabilize, and cut the requested unit corner.
+
+    One growth search over the K0 connecting matrices (the transposed
+    multiplicities) picks the levels t_0 = 0 < t_1 < ... up to
+    levels_out = max(depth, lbound + 1) + 1: t_{m+1} is the first level
+    whose chain from t_m has every entry above m.  The chains are the
+    telescoped multiplicities, transposed, and every one is positive.  The
+    certificates are read off them in closed form:
+
+    * with step-1 class cycling a level's shortest cycle is its least
+      multiplicity, and shift l is witnessed at the first level whose least
+      entry exceeds l (the growth condition puts it at or below l);
+    * an LC entry's l is the lcm of the class sizes along its path;
+    * positive chains make the telescoped diagram cofinal;
+    * the rows of a gap's chain are its pushed basis vectors, so every
+      telescope consistency check is yes;
+    * the corner vector is nonnegative, so it is positive at its own level.
+
+    A complete plan is therefore ``ok``; an incomplete one is ``unknown``
+    and names the cap or data horizon at which the search stopped.
+    """
+    _check_bounds(depth, lbound)
+    check = validate_bratteli(d)
+    if not check.passed:
+        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}", check)
+    corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
+    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
+    spec = dimension_group_of(d)
+    levels_out = max(depth, lbound + 1) + 1
+    levels, chains, failure = growth_levels(spec.matrix, levels_out, source_cap, spec.horizon)
     if failure is not None:
-        return _af_report(d, params, corner, subseq, chains, failure)
-    tele = _telescoped(d, subseq, chains)
-    alpha = edge_cycle_automorphism(tele)
-    wfc = check_wfc(tele, alpha, depth=len(chains), shift_bound=lbound)
-
-    lc = check_lc(tele, alpha, _lc_sample(tele, 40))
-
-    # depth <= levels_out - 1, the last level of the telescoped diagram
-    minimality = minimality_verdict(tele, depth)
-
-    original_spec = dimension_group_of(d)
-    consistency_checks = 0
-    consistent = True
-    for m in range(len(subseq) - 1):
-        for i in range(tele.level_size(m)):
-            before = DimGroupElement(
-                subseq[m],
-                tuple(1 if k == i else 0 for k in range(tele.level_size(m))),
-            )
-            after = DimGroupElement(subseq[m + 1], tuple(tele.mult[m][i]))
-            verdict = dg_equal(original_spec, before, after, horizon=subseq[-1])
-            consistency_checks += 1
-            if not verdict.is_yes:
-                consistent = False
+        return _af_report(d, params, corner, levels, chains, failure)
+    least = [min_entry(c) for c in chains]
+    witness = shift_witness_levels(dict(enumerate(least)), lbound)
+    wfc = WfcCertificate(
+        "certificate",
+        "bratteli",
+        len(chains),
+        lbound,
+        {
+            "kind": "class-cycle-lengths",
+            "min_cycle_length_per_level": {str(n): k for n, k in enumerate(least)},
+            "witness_level_per_shift": {str(l): t for l, t in witness.items()},
+        },
+    )
+    # the LC sample reaches levels 0..2 of the telescoped diagram
+    top = BratteliDiagram(tuple(map(d.level_size, levels[:3])), tuple(map(transpose, chains[:2])))
+    alpha = EdgeCycleAutomorphism(top)
+    lc = LcWitness(tuple(LcEntry(p, alpha.orbit_length(p)) for p in _lc_sample(top, 40)))
     ktheory = {
-        "telescope_class_consistency": "yes" if consistent else "FAIL",
-        "checks": consistency_checks,
+        "telescope_class_consistency": "yes",
+        "checks": sum(d.level_size(t) for t in levels[:-1]),
     }
     if corner is not None:
-        positivity = dg_is_positive(original_spec, corner.k_class, horizon=subseq[-1])
-        ktheory["corner_class_positive"] = positivity.to_json()
-
-    status = "ok"
-    if not (wfc.is_certificate and minimality.is_yes and consistent):
-        status = "unknown" if wfc.status != "counterexample" else "failed"
-    return _af_report(
-        d, params, corner, subseq, chains, None, status, wfc, lc, minimality, ktheory
-    )
+        ktheory["corner_class_positive"] = Verdict("yes", level=corner.level).to_json()
+    minimality = Verdict("yes", justification=f"cofinal at depth {depth}")
+    return _af_report(d, params, corner, levels, chains, None, wfc, lc, minimality, ktheory)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +322,7 @@ def plan_af_realization(
 
 
 def rank2_corner_spec(level: int, vec: Sequence[int]) -> CornerSpec:
-    vec = tuple(int(x) for x in vec)
-    if any(x < 0 for x in vec):
-        raise ValueError("corner vector must be entrywise nonnegative")
-    if not any(vec):
-        raise ValueError("corner must be nonzero (full-corner hypothesis)")
+    vec = _corner_vector(vec)
     cylinders = tuple(
         {
             "vertex": [level, j, 0],
@@ -489,76 +488,17 @@ def _first_difference(fresh, given, path: str) -> str | None:
     )
 
 
-def _checked_af_report(
-    d: BratteliDiagram, unit_class, depth: int, lbound: int, source_cap: int
-) -> RealizationReport:
-    """The AF report that the input and parameters call for, read off the
-    chains of one growth walk, without the planner's certificate checks.
-
-    Each gap runs ``first_level_above`` once: t_{m+1} is the first level
-    whose chain from t_m has every entry above m, which proves the growth
-    condition there and that no earlier level meets it.  The chains are the
-    telescoped multiplicities, transposed, and every one is positive.  So,
-    in closed form:
-
-    * with step-1 class cycling a level's shortest cycle is its least
-      multiplicity, and shift l is witnessed at the first level whose least
-      entry exceeds l (the growth condition puts it at or below l);
-    * an LC entry's l is the lcm of the class sizes along its path;
-    * positive chains make the telescoped diagram cofinal;
-    * the rows of a gap's chain are its pushed basis vectors, so every
-      telescope consistency check is yes;
-    * the corner vector is nonnegative, so it is positive at its own level.
-
-    A complete plan is therefore ``ok``; an incomplete one names the
-    failure at which the same walk stops.
-    """
-    corner, params, levels, chains, failure = _af_walk(d, unit_class, depth, lbound, source_cap)
-    if failure is not None:
-        return _af_report(d, params, corner, levels, chains, failure)
-    least = [min_entry(c) for c in chains]
-    witness, t = {}, 0
-    for l in range(1, lbound + 1):
-        while least[t] <= l:
-            t += 1
-        witness[str(l)] = t
-    wfc = WfcCertificate(
-        "certificate",
-        "bratteli",
-        len(chains),
-        lbound,
-        {
-            "kind": "class-cycle-lengths",
-            "min_cycle_length_per_level": {str(n): k for n, k in enumerate(least)},
-            "witness_level_per_shift": witness,
-        },
-    )
-    top = _telescoped(d, levels[:3], chains[:2])  # the levels the LC sample reaches
-    lc = LcWitness(
-        tuple(
-            LcEntry(p, math.lcm(*(top.mult[n][i][j] for n, i, j, _ in (e.label for e in p.edges))))
-            for p in _lc_sample(top, 40)
-        )
-    )
-    ktheory = {
-        "telescope_class_consistency": "yes",
-        "checks": sum(d.level_size(t) for t in levels[:-1]),
-    }
-    if corner is not None:
-        ktheory["corner_class_positive"] = Verdict("yes", level=corner.level).to_json()
-    minimality = Verdict("yes", justification=f"cofinal at depth {depth}")
-    return _af_report(d, params, corner, levels, chains, None, "ok", wfc, lc, minimality, ktheory)
-
-
 def first_wrong_field(report_json: dict) -> str | None:
     """The path of the first report field that does not check, such as
     ``wfc.details.witness_level_per_shift.7`` or ``lc.entries.3.l``; None
     when every field checks.
 
-    An AF report is checked from its witnesses (``_checked_af_report``): one
-    growth walk over the echoed input, with every other field read off its
-    chains in closed form.  A rank-2 report is re-planned and compared; its
-    path is the first field, in key order, where the two differ.
+    Both kinds take one path: read the echoed input, plan it with the
+    recorded parameters, and name the first field, in key order, where the
+    fresh report and the given one differ.  An AF plan is one growth search
+    with every other field read off its chains in closed form (see
+    ``plan_af_realization``), so an AF report is checked from its witnesses;
+    a rank-2 report is re-planned in full.
 
     The recorded parameters go back as keywords, so a rank-2 parameter the
     report leaves out takes the planner's default, and an AF report must
@@ -589,10 +529,9 @@ def first_wrong_field(report_json: dict) -> str | None:
         missing = [key for key in PLAN_PARAMETERS if key not in params]
         if missing:
             return f"parameters.{missing[0]}"
-        fresh = _checked_af_report(diagram_from_json(source), **options)
+        fresh = plan_af_realization(diagram_from_json(source), **options)
     else:
-        data, _ = rank2_data_from_json(source)
-        fresh = plan_rank2_realization(data, **options)
+        fresh = plan_rank2_realization(rank2_data_from_json(source)[0], **options)
     return _first_difference(fresh.to_json(), report_json, "")
 
 

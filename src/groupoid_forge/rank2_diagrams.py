@@ -40,7 +40,7 @@ from .matrices import (
     repeat_index,
     shape,
 )
-from .validation import StructuralError, ValidationReport, Violation, report_from
+from .validation import StructuralError, ValidationReport, Violation, optional_int, report_from
 
 Vertex = tuple[int, int, int]
 BlueLabel = tuple[int, int, int, int]  # (level, range cycle, source cycle, index)
@@ -274,11 +274,9 @@ def rank2_data_from_json(data: dict | str) -> tuple[Rank2Data, int | None]:
     orientation = {"+1": 1, "-1": -1}.get(str(data.get("orientation", "+1")))
     if orientation is None:
         raise StructuralError("orientation must be '+1' or '-1'")
-    repeat = data.get("repeat_from")
-    horizon = data.get("horizon")
     return (
-        Rank2Data(A, B, T, None if repeat is None else int(repeat), orientation),
-        None if horizon is None else int(horizon),
+        Rank2Data(A, B, T, optional_int(data, "repeat_from"), orientation),
+        optional_int(data, "horizon"),
     )
 
 

@@ -16,14 +16,12 @@ claims are decided by the basic-bisection calculus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .dimension_groups import Verdict
 from .graph_model import (
     BratteliDiagram,
-    EdgeCycleAutomorphism,
     PathWord,
     path_count_matrix,
     path_from_edges,
@@ -219,7 +217,7 @@ def product_unit_proper_subset(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Freeness on the orbit space: certificates and counterexamples
+# Freeness on the orbit space
 # ---------------------------------------------------------------------------
 
 
@@ -227,9 +225,9 @@ def product_unit_proper_subset(a, b) -> bool:
 class WfcCertificate:
     """Outcome of the bounded orbit-freeness check.
 
-    status is one of "certificate", "counterexample", "unknown".  The details
-    are JSON-ready and re-verifiable: per-shift witness levels with the bound
-    they certify, or the exhibited collision (x, l).
+    status is "certificate" or "unknown".  The details are JSON-ready and
+    re-verifiable: per-shift witness levels with the bound they certify, or
+    the shifts left undecided.
     """
 
     status: str
@@ -252,99 +250,40 @@ class WfcCertificate:
         }
 
 
-def check_wfc(backend, alpha, depth: int, shift_bound: int) -> WfcCertificate:
-    """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0.
+def shift_witness_levels(shortest_cycle: Mapping[int, int], shift_bound: int) -> dict[int, int]:
+    """The witness level of each shift 1..shift_bound of a class-cycling
+    automorphism, from the shortest cycle at each level: shift l is witnessed
+    by the first level whose shortest cycle exceeds l.  Shifts that no level
+    exceeds are left out.  The witness never moves back to an earlier level
+    as l grows, so one sweep over the levels assigns every shift."""
+    witnesses: dict[int, int] = {}
+    l = 1
+    for level, shortest in sorted(shortest_cycle.items()):
+        while l < shortest and l <= shift_bound:
+            witnesses[l] = level
+            l += 1
+    return witnesses
 
-    Dispatches on the diagram: Bratteli diagrams are certified through
-    parallel-class cycle lengths; rank-2 diagrams through the order
-    inequality and bounded congruences, with red offsets up to the shift
-    bound.  Any other backend raises ``TypeError``.  A shift bound below 1
-    certifies nothing and raises ``ValueError``.
+
+def check_wfc(diagram, alpha, depth: int, shift_bound: int) -> WfcCertificate:
+    """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
+    on a rank-2 diagram, through the order inequality and bounded
+    congruences, with red offsets up to the shift bound.  (The AF planner
+    reads its certificate off the growth chains in closed form.)  Any other
+    backend raises ``TypeError``.  A shift bound below 1 certifies nothing
+    and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    if isinstance(backend, BratteliDiagram):
-        return _check_wfc_bratteli(backend, alpha, depth, shift_bound)
-    if isinstance(backend, CanonicalRank2Diagram):
-        return _check_wfc_rank2(backend, alpha, depth, shift_bound)
-    raise TypeError(f"unsupported backend {type(backend).__name__}")
-
-
-def _check_wfc_bratteli(d: BratteliDiagram, alpha: EdgeCycleAutomorphism, depth, L):
-    if not isinstance(alpha, EdgeCycleAutomorphism):
-        raise TypeError(
-            "bratteli orbit-freeness check needs an EdgeCycleAutomorphism, "
-            f"got {type(alpha).__name__}"
-        )
-    if alpha.diagram != d:
-        raise ValueError("the automorphism cycles the classes of a different diagram")
-    min_cycle: dict[int, int] = {}
-    order = 1
-    for p in range(depth):
-        try:
-            lengths = alpha.cycle_lengths(p)
-        except StructuralError:
-            break
-        if lengths:
-            min_cycle[p] = min(lengths)
-            order = math.lcm(order, *lengths)
-    # shift l is witnessed by the first level whose shortest cycle exceeds l;
-    # that level never moves up as l grows, so one sweep assigns every shift
-    witnesses: dict[int, int] = {}
-    l = 1
-    for p, shortest in min_cycle.items():
-        while l < shortest and l <= L:
-            witnesses[l] = p
-            l += 1
-    missing = list(range(l, L + 1))
-    if not missing:
-        return WfcCertificate(
-            "certificate",
-            "bratteli",
-            depth,
-            L,
-            {
-                "kind": "class-cycle-lengths",
-                "min_cycle_length_per_level": {str(k): v for k, v in min_cycle.items()},
-                "witness_level_per_shift": {str(l): p for l, p in witnesses.items()},
-            },
-        )
-    # A shift that is a multiple of the automorphism's global order fixes
-    # every edge, so every orbit collides; with a repetition rule this is a
-    # genuine counterexample.
-    if d.repeat_from is not None and min_cycle:
-        for l in missing:
-            if l % order == 0:
-                return WfcCertificate(
-                    "counterexample",
-                    "bratteli",
-                    depth,
-                    L,
-                    {
-                        "l": l,
-                        "note": "automorphism power acts as the identity on all "
-                        "edges within the horizon and the diagram repeats",
-                    },
-                )
-    return WfcCertificate(
-        "unknown",
-        "bratteli",
-        depth,
-        L,
-        {
-            "undecided_shifts": missing,
-            "min_cycle_length_per_level": {str(k): v for k, v in min_cycle.items()},
-        },
-    )
-
-
-def _check_wfc_rank2(diagram: CanonicalRank2Diagram, alpha: Rank2Automorphism, depth, L):
+    if not isinstance(diagram, CanonicalRank2Diagram):
+        raise TypeError(f"unsupported backend {type(diagram).__name__}")
     if not isinstance(alpha, Rank2Automorphism):
         raise TypeError(
             f"rank-2 orbit-freeness check needs a Rank2Automorphism, got {type(alpha).__name__}"
         )
     if alpha.diagram != diagram:
         raise ValueError("the automorphism acts on a different rank-2 diagram")
+    L = shift_bound
     orders = alpha.orders
     max_level = min(depth, orders.max_edge_level())
     inequality = {}

@@ -14,6 +14,16 @@ class StructuralError(ValueError):
     """Input is malformed beyond invariant checking (bad shapes, bad indices)."""
 
 
+def optional_int(data: dict, key: str) -> int | None:
+    """The integer an input record holds at ``key``, None when it holds none;
+    a value ``int`` cannot read raises ``StructuralError`` naming the key."""
+    value = data.get(key)
+    try:
+        return None if value is None else int(value)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{key} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class Violation:
     invariant: str

@@ -7,6 +7,7 @@ paths under test.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -17,6 +18,12 @@ from pathlib import Path
 from typing import Mapping
 
 from groupoid_forge.convolution_algebra import RegRepMatrix
+from groupoid_forge.dimension_groups import (
+    DimGroupElement,
+    dg_equal,
+    dg_is_positive,
+    dimension_group_of,
+)
 from groupoid_forge.gaussian import ONE, ZERO, GaussianRational
 from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
 from groupoid_forge.graph_model import (
@@ -25,8 +32,12 @@ from groupoid_forge.graph_model import (
     EdgeCycleAutomorphism,
     PathWord,
     diagram_from_json,
+    edge_cycle_automorphism,
+    iter_paths,
     path_count_matrix,
     path_from_edges,
+    telescope,
+    validate_bratteli,
 )
 from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
@@ -43,9 +54,14 @@ from groupoid_forge.matrices import (
     min_entry,
     repeat_index,
 )
-from groupoid_forge.pipeline import plan_af_realization
+from groupoid_forge.pipeline import PipelineInputError, _af_report, unit_corner_spec
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, Rank2Path, TelescopeResult
-from groupoid_forge.twisted_product import WfcCertificate
+from groupoid_forge.twisted_product import (
+    LcEntry,
+    LcWitness,
+    WfcCertificate,
+    minimality_verdict,
+)
 from groupoid_forge.validation import (
     StructuralError,
     ValidationReport,
@@ -466,12 +482,33 @@ def materialized_compose_paths(d: Rank2Diagram, orders: OrderData, p, q) -> Rank
 # The Bratteli orbit-freeness check as it walked every edge of a level
 # through the automorphism and collected the cycles of each parallel class,
 # and the growth search that rebuilt the path-count matrix from scratch for
-# every candidate level.  ``twisted_product.check_wfc`` reads the class-cycle
-# lengths off the multiplicities and ``matrices.growth_levels`` keeps one
-# running product per gap; both are tested against these.
+# every candidate level.  ``pipeline.plan_af_realization`` reads the class-cycle
+# lengths off the growth chains and assigns the witness levels with
+# ``twisted_product.shift_witness_levels``, and ``matrices.growth_levels``
+# keeps one running product per gap; all are tested against these.
 # ---------------------------------------------------------------------------
 
 _NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
+
+
+@dataclass(frozen=True)
+class SteppedEdgeCycle(EdgeCycleAutomorphism):
+    """The class-cycling automorphism raised to the power ``step``: copy t of
+    a class of k copies maps to copy (t + step) mod k, so the class splits
+    into gcd(k, step) cycles of length k / gcd(k, step).  The witness sweep
+    reads only the shortest cycles, so the powers give it every cycle
+    structure (step 0 fixes every edge)."""
+
+    step: int = 1
+
+    def edge_image(self, e: Edge) -> Edge:
+        n, i, j, t = e.label
+        t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
+        return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
+
+    def cycle_lengths(self, level: int) -> set[int]:
+        m = self.diagram.multiplicity_matrix(level)
+        return {k // math.gcd(k, self.step) for row in m for k in row if k}
 
 
 def walked_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[int]:
@@ -486,8 +523,9 @@ def walked_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[in
     return lengths
 
 
-def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> WfcCertificate:
-    """The Bratteli orbit-freeness certificate from the per-edge cycle walk."""
+def walked_cycle_lengths_to_depth(d: BratteliDiagram, alpha, depth: int) -> dict[int, list[int]]:
+    """The walked cycle lengths of each level below ``depth`` that has
+    edges, up to the data horizon."""
     lengths_at: dict[int, list[int]] = {}
     for p in range(depth):
         try:
@@ -496,15 +534,26 @@ def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> Wfc
             break
         if lengths:
             lengths_at[p] = lengths
-    min_cycle = {p: min(lengths) for p, lengths in lengths_at.items()}
-    witnesses: dict[int, int] = {}
-    missing = []
+    return lengths_at
+
+
+def searched_shift_witnesses(min_cycle: Mapping[int, int], L: int) -> dict[int, int]:
+    """Each shift 1..L that some level's shortest cycle exceeds, mapped to the
+    first such level, found by a fresh search per shift."""
+    witnesses = {}
     for l in range(1, L + 1):
         p = next((p for p in sorted(min_cycle) if min_cycle[p] > l), None)
-        if p is None:
-            missing.append(l)
-        else:
+        if p is not None:
             witnesses[l] = p
+    return witnesses
+
+
+def walked_wfc_certificate(d: BratteliDiagram, alpha, depth: int, L: int) -> WfcCertificate:
+    """The Bratteli orbit-freeness certificate from the per-edge cycle walk."""
+    lengths_at = walked_cycle_lengths_to_depth(d, alpha, depth)
+    min_cycle = {p: min(lengths) for p, lengths in lengths_at.items()}
+    witnesses = searched_shift_witnesses(min_cycle, L)
+    missing = [l for l in range(1, L + 1) if l not in witnesses]
     if not missing:
         return WfcCertificate(
             "certificate",
@@ -668,30 +717,6 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
 # same under alpha as under its inverse.  ``twisted_product.check_lc`` reads
 # it off the cycle lengths and is tested against these walks.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SteppedEdgeCycle(EdgeCycleAutomorphism):
-    """The class-cycling automorphism raised to the power ``step``: copy t of
-    a class of k copies maps to copy (t + step) mod k, so the class splits
-    into gcd(k, step) cycles of length k / gcd(k, step).  ``check_wfc`` reads
-    only the cycle lengths, so the powers give its certificate every cycle
-    structure (step 0 fixes every edge)."""
-
-    step: int = 1
-
-    def edge_image(self, e: Edge) -> Edge:
-        n, i, j, t = e.label
-        t2 = (t + self.step) % self.diagram.multiplicity_matrix(n)[i][j]
-        return Edge((n, i, j, t2), e.range_vertex, e.source_vertex)
-
-    def cycle_lengths(self, level: int) -> set[int]:
-        m = self.diagram.multiplicity_matrix(level)
-        return {k // math.gcd(k, self.step) for row in m for k in row if k}
-
-    def orbit_length(self, p: PathWord) -> int:
-        sizes = (self.diagram.multiplicity_matrix(n)[i][j] for n, i, j, _ in (e.label for e in p.edges))
-        return math.lcm(*(k // math.gcd(k, self.step) for k in sizes))
 
 
 def af_path_image(alpha, p: PathWord) -> PathWord:
@@ -939,19 +964,65 @@ def is_psd_hermitian(m: RegRepMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# AF report replay
+# Generic AF report
 #
-# The AF report check by replay: plan again from the echoed input, the
-# recorded parameters and the corner's unit class, and require the JSON to
-# match exactly.  ``pipeline.first_wrong_field``, which reads an AF report
-# off its witnesses, is tested against it.
+# The AF report as the planner derived it before its closed form: rescan the
+# growth levels, telescope along them, walk the class-cycling automorphism's
+# cycles for the wfc certificate and its orbits for the LC entries, check
+# cofinality, push every telescoped basis vector through ``dg_equal`` and ask
+# ``dg_is_positive`` about the corner class.  ``pipeline.plan_af_realization``
+# reads every field off its growth chains instead, and both it and
+# ``pipeline.first_wrong_field`` are tested against this derivation.  Only
+# the report layout (``pipeline._af_report``) is shared.
 # ---------------------------------------------------------------------------
 
 
+def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, source_cap=4096):
+    """The AF report from the generic certificate functions, with the
+    planner's signature and its input errors."""
+    check = validate_bratteli(d)
+    if not check.passed:
+        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}", check)
+    corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
+    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
+    levels, failure = rescanned_growth_subsequence(d, max(depth, lbound + 1) + 1, source_cap)
+    if failure is not None:
+        return _af_report(d, params, corner, levels, (), failure)
+    tele = telescope(d, levels)
+    alpha = edge_cycle_automorphism(tele)
+    wfc = walked_wfc_certificate(tele, alpha, tele.horizon, lbound)
+    paths = (p for v in tele.vertices_at(0) for n in range(3) for p in iter_paths(tele, v, n))
+    sample = list(itertools.islice(paths, 40))
+    lc = LcWitness(tuple(map(LcEntry, sample, walked_af_lc_lengths(alpha, sample))))
+    minimality = minimality_verdict(tele, depth)
+    spec = dimension_group_of(d)
+    checks = [
+        dg_equal(
+            spec,
+            DimGroupElement(levels[m], tuple(int(k == i) for k in range(tele.level_size(m)))),
+            DimGroupElement(levels[m + 1], tele.mult[m][i]),
+            horizon=levels[-1],
+        )
+        for m in range(tele.horizon)
+        for i in range(tele.level_size(m))
+    ]
+    consistent = all(v.is_yes for v in checks)
+    ktheory = {"telescope_class_consistency": "yes" if consistent else "FAIL", "checks": len(checks)}
+    if corner is not None:
+        positive = dg_is_positive(spec, corner.k_class, horizon=levels[-1])
+        ktheory["corner_class_positive"] = positive.to_json()
+    status = "ok"
+    if not (wfc.is_certificate and minimality.is_yes and consistent):
+        status = "unknown" if wfc.status != "counterexample" else "failed"
+    report = _af_report(d, params, corner, levels, tele.mult, None, wfc, lc, minimality, ktheory)
+    return dataclasses.replace(report, status=status)
+
+
 def replayed_report_verdict(report_json: dict) -> bool:
-    """True when re-planning an AF report reproduces it exactly."""
+    """True when the generic derivation, from the echoed input, the recorded
+    parameters and the corner's unit class, reproduces an AF report exactly."""
     corner = report_json["corner"]
-    fresh = plan_af_realization(
+    fresh = generic_af_report(
         diagram_from_json(report_json["input"]),
         unit_class=(corner["level"], corner["vector"]) if corner else None,
         **report_json["parameters"],

@@ -1,7 +1,8 @@
-"""The AF realization route in closed form, against the edge-walk oracles of
-``tests/helpers.py``: the orbit-freeness certificate read off the
-multiplicities, the local-contraction entries read off the class sizes, and
-the growth search with one running product per gap."""
+"""The AF realization route in closed form, against the generic derivation
+and the edge-walk oracles of ``tests/helpers.py``: whole plans against
+``generic_af_report``, the orbit-freeness certificate read off the growth
+chains, the local-contraction entries read off the class sizes, and the
+growth search with one running product per gap."""
 
 import random
 
@@ -17,14 +18,18 @@ from groupoid_forge.graph_model import (
     path_count_matrix,
     telescope,
 )
-from groupoid_forge.groupoid_core import full_relation, relation_automorphism
 from groupoid_forge.matrices import as_matrix, growth_levels, transpose
-from groupoid_forge.twisted_product import check_lc, check_wfc
+from groupoid_forge.pipeline import PipelineInputError, plan_af_realization
+from groupoid_forge.twisted_product import check_lc, check_wfc, shift_witness_levels
+from groupoid_forge.validation import StructuralError
 
 from helpers import (
     SteppedEdgeCycle,
+    generic_af_report,
     rescanned_growth_subsequence,
+    searched_shift_witnesses,
     walked_af_lc_lengths,
+    walked_cycle_lengths_to_depth,
     walked_wfc_certificate,
 )
 
@@ -38,7 +43,7 @@ def seeded_diagram(seed: int, size: int, levels: int, repeat_from, low: int = 1,
     return BratteliDiagram((size,) * levels, mats, repeat_from)
 
 
-# an all-zero level between two nonzero ones; the check skips it
+# an all-zero level between two nonzero ones; validation rejects it
 ZERO_LEVEL = BratteliDiagram(
     (1, 1, 1, 1), (as_matrix([[2]]), as_matrix([[0]]), as_matrix([[3]])), 0
 )
@@ -71,22 +76,75 @@ def _growth_telescope(d, levels):
     return d if failure else telescope(d, sub)
 
 
+def _outcome(plan, d, **options):
+    """The report JSON, or the message of the input error that refuses it."""
+    try:
+        return plan(d, **options).to_json()
+    except PipelineInputError as exc:
+        return str(exc)
+
+
+class TestReportsAgainstGenericDerivation:
+    """Complete, incomplete (``constant1``, ``finite``) and refused
+    (``zero_level``, ``finite2x2_1``) plans, with and without a unit class."""
+
+    @pytest.mark.parametrize("lbound", [1, 2, 5, 12])
+    @pytest.mark.parametrize("depth", [1, 3, 7])
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    def test_grid(self, name, depth, lbound):
+        d = DIAGRAMS[name]
+        for unit in (None, (0, (1,) * d.level_size(0))):
+            options = {"unit_class": unit, "depth": depth, "lbound": lbound, "source_cap": 64}
+            planned = _outcome(plan_af_realization, d, **options)
+            assert planned == _outcome(generic_af_report, d, **options)
+
+    def test_grid_covers_every_outcome(self):
+        def outcome(d):
+            planned = _outcome(plan_af_realization, d, depth=7, lbound=12, source_cap=64)
+            return "refused" if isinstance(planned, str) else planned["status"]
+
+        seen = {name: outcome(d) for name, d in DIAGRAMS.items()}
+        assert seen["constant1"] == seen["finite"] == "unknown"
+        assert seen["zero_level"] == seen["finite2x2_1"] == "refused"
+        assert seen["constant2"] == seen["seeded3x3_0"] == "ok"
+
+
 def stepped(d, step):
     """The class-cycling automorphism to the power ``step``; step 1 is the
     library's own."""
     return edge_cycle_automorphism(d) if step == 1 else SteppedEdgeCycle(d, step)
 
 
+def shortest_cycles(alpha, depth):
+    """The shortest cycle of each level below ``depth`` that has edges, read
+    off the closed-form cycle lengths up to the data horizon."""
+    shortest = {}
+    for p in range(depth):
+        try:
+            lengths = alpha.cycle_lengths(p)
+        except StructuralError:
+            break
+        if lengths:
+            shortest[p] = min(lengths)
+    return shortest
+
+
 class TestWfcAgainstEdgeWalk:
+    """The planner's wfc block against the cycle walk: the witness sweep on
+    every power of the class cycling, and whole certificates over the
+    diagram telescoped along the growth condition."""
+
     @pytest.mark.parametrize("name", sorted(DIAGRAMS))
     @pytest.mark.parametrize("step", range(-3, 4))
     def test_steps_and_horizons(self, name, step):
         d = DIAGRAMS[name]
         alpha = stepped(d, step)
         for depth in (1, 3, 7):
+            walked = walked_cycle_lengths_to_depth(d, alpha, depth)
+            shortest = shortest_cycles(alpha, depth)
+            assert shortest == {p: min(lengths) for p, lengths in walked.items()}
             for L in (1, 2, 5, 12):
-                expected = walked_wfc_certificate(d, alpha, depth, L).to_json()
-                assert check_wfc(d, alpha, depth, L).to_json() == expected
+                assert shift_witness_levels(shortest, L) == searched_shift_witnesses(shortest, L)
             # a shift bound below 1 leaves no shift to certify
             with pytest.raises(ValueError, match="shift bound must be at least 1"):
                 check_wfc(d, alpha, depth, 0)
@@ -94,51 +152,22 @@ class TestWfcAgainstEdgeWalk:
     @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
     def test_telescoped_along_the_growth_condition(self, name):
         tele = _growth_telescope(DIAGRAMS[name], 14)
-        for step in (1, 2, -3):
-            alpha = stepped(tele, step)
-            for L in (6, 12):
-                expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
-                assert check_wfc(tele, alpha, 13, L).to_json() == expected
-
-    def test_constant_one_counterexample(self):
-        d = constant_diagram(1)
-        alpha = edge_cycle_automorphism(d)
-        cert = check_wfc(d, alpha, depth=3, shift_bound=2)
-        assert cert.status == "counterexample" and cert.details["l"] == 1
-        assert cert.to_json() == walked_wfc_certificate(d, alpha, 3, 2).to_json()
-
-    def test_finite_horizon_stays_unknown(self):
-        # no repetition rule: the missing shifts are never a counterexample
-        mult = tuple(as_matrix([[k]]) for k in (1, 1, 2, 1, 5))
-        d = BratteliDiagram((1,) * 6, mult, None)
-        alpha = edge_cycle_automorphism(d)
-        cert = check_wfc(d, alpha, depth=9, shift_bound=6)
-        assert cert.status == "unknown" and cert.details["undecided_shifts"] == [5, 6]
-        assert cert.details["min_cycle_length_per_level"] == {"0": 1, "1": 1, "2": 2, "3": 1, "4": 5}
-        assert cert.to_json() == walked_wfc_certificate(d, alpha, 9, 6).to_json()
+        alpha = edge_cycle_automorphism(tele)
+        for L in (6, 12):
+            expected = walked_wfc_certificate(tele, alpha, 13, L).to_json()
+            assert plan_af_realization(DIAGRAMS[name], depth=13, lbound=L).wfc.to_json() == expected
 
     def test_walks_no_edge(self, monkeypatch):
         tele = _growth_telescope(constant_diagram(2), 22)
-        alpha = edge_cycle_automorphism(tele)
-        expected = walked_wfc_certificate(tele, alpha, 21, 20).to_json()
+        expected = walked_wfc_certificate(tele, edge_cycle_automorphism(tele), 21, 20).to_json()
 
         def refuse(self, e):
-            raise AssertionError("check_wfc walked an edge")
+            raise AssertionError("the planner walked an edge")
 
         monkeypatch.setattr(EdgeCycleAutomorphism, "edge_image", refuse)
-        cert = check_wfc(tele, alpha, depth=21, shift_bound=20)
-        assert cert.status == "certificate"
-        assert cert.to_json() == expected
-
-    def test_rejects_other_automorphisms(self):
-        d = constant_diagram(2)
-        swap = relation_automorphism(full_relation(range(2)), {0: 1, 1: 0})
-        with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
-            check_wfc(d, swap, 3, 2)
-        with pytest.raises(TypeError, match="EdgeCycleAutomorphism"):
-            check_wfc(d, None, 3, 2)
-        with pytest.raises(ValueError, match="different diagram"):
-            check_wfc(d, edge_cycle_automorphism(constant_diagram(3)), 3, 2)
+        report = plan_af_realization(constant_diagram(2), lbound=20)
+        assert report.status == "ok"
+        assert report.wfc.to_json() == expected
 
 
 class TestLcAgainstOrbitWalk:

@@ -447,6 +447,20 @@ class TestMalformedCommandLine:
     """Run as the console script does, so an uncaught exception would show
     as a traceback on stderr."""
 
+    @staticmethod
+    def assert_exit_two(argv, message):
+        src = str(Path(groupoid_forge.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "groupoid_forge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
+
     @pytest.mark.parametrize(
         "command, message",
         [
@@ -458,18 +472,37 @@ class TestMalformedCommandLine:
         ids=["ktheory-no-class", "ktheory-empty-class", "certify-wfc-no-input", "certify-lc-no-input"],
     )
     def test_exit_two_with_a_message(self, command, message, diagram_file):
-        src = str(Path(groupoid_forge.__file__).resolve().parents[1])
-        argv = [arg.format(af=diagram_file) for arg in command]
-        run = subprocess.run(
-            [sys.executable, "-m", "groupoid_forge.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=60,
-        )
-        assert run.returncode == 2
-        assert message in run.stderr
-        assert "Traceback" not in run.stderr
+        self.assert_exit_two([arg.format(af=diagram_file) for arg in command], message)
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            (["validate"], "edges", None, "edges must be a list of edge entries, got None"),
+            (["realize", "af"], "edges", 3, "edges must be a list of edge entries, got 3"),
+            (["validate"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
+            (["realize", "af"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
+            (["realize", "rank2"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
+            (["verify-report"], "vector", 1, "corner vector must be a list of integers, got 1"),
+        ],
+        ids=[
+            "validate-edges-null",
+            "realize-af-edges-int",
+            "validate-repeat-list",
+            "realize-af-repeat-list",
+            "realize-rank2-repeat-list",
+            "verify-report-corner-vector-int",
+        ],
+    )
+    def test_malformed_input_exit_two(self, command, field, value, message, tmp_path):
+        if command[0] == "verify-report":
+            data = plan_af_realization(constant_diagram(2), unit_class=(0, [2])).to_json()
+            data["corner"][field] = value
+        else:
+            source = CONSTANT2 if command[-1] == "rank2" else constant_diagram(2)
+            data = source.to_json() | {field: value}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        self.assert_exit_two([*command, str(path)], message)
 
 
 class TestVerifyReport:

@@ -1,10 +1,10 @@
-"""The AF report checker against the replay oracle.
+"""The AF report checker against the generic derivation.
 
-``pipeline.first_wrong_field`` reads an AF report off the chains of one
-growth walk; ``helpers.replayed_report_verdict`` plans the report again and
-compares.  Every planned report passes both, and a tamper corpus (one field
-of each certificate block changed) is rejected by both, the checker naming
-the changed field."""
+``pipeline.first_wrong_field`` plans an AF report again in closed form, off
+the chains of one growth search; ``helpers.replayed_report_verdict`` derives
+it with the generic certificate functions and compares.  Every planned
+report passes both, and a tamper corpus (one field of each certificate
+block changed) is rejected by both, the checker naming the changed field."""
 
 import importlib
 import json
@@ -26,7 +26,7 @@ from groupoid_forge.pipeline import (
 )
 from groupoid_forge.rank2_diagrams import Rank2Data
 
-from helpers import bench_inputs, replayed_report_verdict
+from helpers import bench_inputs, generic_af_report, replayed_report_verdict
 
 
 def _json(report) -> dict:
@@ -39,8 +39,7 @@ def _random_square(seed: int, size: int) -> BratteliDiagram:
     return BratteliDiagram((size, size), (m,), 0)
 
 
-@cache
-def corpus() -> dict:
+def planned_corpus() -> dict:
     """AF reports: the benchmark ladder at seeds 0-4, the random 3x3 rung at
     lbound 40, and one report whose growth search runs out of its cap."""
     inputs = bench_inputs()
@@ -63,6 +62,9 @@ def corpus() -> dict:
         plan_af_realization(constant_diagram(2), unit_class=(0, [3]), lbound=8, source_cap=3)
     )
     return reports
+
+
+corpus = cache(planned_corpus)
 
 
 def mutations(report: dict) -> list[tuple[str, object]]:
@@ -140,23 +142,25 @@ def test_corpus_covers_both_outcomes():
 
 def test_checker_runs_no_planner_certificate(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the AF checker called the planner")
+        raise AssertionError("the AF planner called a generic certificate function")
 
     # the package's function twisted_product shadows the submodule
     twisted_product = importlib.import_module("groupoid_forge.twisted_product")
     for module, name in [
-        (pipeline, "plan_af_realization"),
         (pipeline, "check_wfc"),
         (pipeline, "check_lc"),
         (pipeline, "minimality_verdict"),
-        (pipeline, "dg_equal"),
+        (pipeline, "dg_is_positive"),
         (twisted_product, "check_wfc"),
         (twisted_product, "check_lc"),
         (twisted_product, "minimality_verdict"),
         (dimension_groups, "dg_equal"),
+        (dimension_groups, "dg_is_positive"),
         (graph_model, "telescope"),
+        (graph_model.EdgeCycleAutomorphism, "edge_image"),
     ]:
         monkeypatch.setattr(module, name, refuse)
+    assert planned_corpus() == corpus()
     for report in corpus().values():
         assert verify_report_json(report) is True
 
@@ -227,5 +231,9 @@ def test_every_stationary_plan_passes_the_checker(plan):
         return
     report = _json(plan_af_realization(d, unit_class=unit, **options))
     assert first_wrong_field(report) is None
+    # the generic derivation rescans every candidate level, so an unknown
+    # plan is derived again only under the small caps
+    if report["telescoping"]["complete"] or options["source_cap"] <= 64:
+        assert report == _json(generic_af_report(d, unit_class=unit, **options))
     # every complete plan is ok, and only a complete one
     assert (report["status"] == "ok") is report["telescoping"]["complete"]

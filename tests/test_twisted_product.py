@@ -13,7 +13,7 @@ from groupoid_forge.graph_groupoid import (
     basic_subset,
     unit_bisection,
 )
-from groupoid_forge.graph_model import constant_diagram, edge_cycle_automorphism, telescope
+from groupoid_forge.graph_model import constant_diagram, edge_cycle_automorphism
 from groupoid_forge.groupoid_core import (
     Cocycle,
     FiniteGroupoid,
@@ -33,6 +33,7 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
+from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.rank2_diagrams import (
     Rank2Automorphism,
     Rank2Data,
@@ -275,11 +276,15 @@ class TestWfc:
         G = full_relation(range(2))
         with pytest.raises(TypeError, match="unsupported backend FiniteGroupoid"):
             check_wfc(G, identity_automorphism(G), depth=1, shift_bound=3)
+        # the AF planner reads its certificate off the growth chains
+        d = constant_diagram(2)
+        with pytest.raises(TypeError, match="unsupported backend BratteliDiagram"):
+            check_wfc(d, edge_cycle_automorphism(d), depth=1, shift_bound=3)
 
     def test_telescoped_diagram_certificate(self):
-        d = telescope(constant_diagram(2), (0, 1, 2, 4, 6, 9, 12, 15, 18, 22, 26))
-        alpha = edge_cycle_automorphism(d)
-        cert = check_wfc(d, alpha, depth=10, shift_bound=8)
+        report = plan_af_realization(constant_diagram(2), depth=10, lbound=8)
+        assert report.telescoping["subsequence"] == [0, 1, 2, 4, 6, 9, 12, 15, 18, 22, 26]
+        cert = report.wfc
         assert cert.status == "certificate"
         witness = cert.details["witness_level_per_shift"]
         table = cert.details["min_cycle_length_per_level"]
@@ -288,31 +293,11 @@ class TestWfc:
 
     def test_certificate_at_depth_one_past_shift_bound(self):
         # L = 20 with one extra level: every shift finds a witness level
-        from groupoid_forge.dimension_groups import dimension_group_of
-        from groupoid_forge.matrices import growth_levels
-
-        d = constant_diagram(2)
-        spec = dimension_group_of(d)
-        sub, _, _ = growth_levels(spec.matrix, 22, 4096, spec.horizon)
-        tele = telescope(d, sub)
-        alpha = edge_cycle_automorphism(tele)
-        cert = check_wfc(tele, alpha, depth=21, shift_bound=20)
-        assert cert.status == "certificate"
+        cert = plan_af_realization(constant_diagram(2), lbound=20).wfc
+        assert cert.status == "certificate" and cert.depth == 21
         assert set(cert.details["witness_level_per_shift"]) == {
             str(l) for l in range(1, 21)
         }
-
-    def test_bratteli_unknown_when_depth_insufficient(self):
-        d = telescope(constant_diagram(2), (0, 1, 2))
-        alpha = edge_cycle_automorphism(d)
-        cert = check_wfc(d, alpha, depth=2, shift_bound=10)
-        assert cert.status == "unknown"
-
-    def test_bratteli_identity_counterexample_with_repetition(self):
-        d = constant_diagram(1)
-        alpha = edge_cycle_automorphism(d)
-        cert = check_wfc(d, alpha, depth=3, shift_bound=2)
-        assert cert.status == "counterexample"
 
     def test_rank2_certificate(self):
         const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
