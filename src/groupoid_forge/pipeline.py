@@ -4,8 +4,10 @@ Given diagram data for a target K-theory, these orchestrate telescoping,
 automorphism construction, freeness/contraction certificates, stabilization
 parameters and the unit-corner computation, and emit a self-contained,
 machine-readable report.  The AF planner reads every certificate off the
-chains of one growth search in closed form; the rank-2 planner runs the
-certificate functions of ``twisted_product``.  A report is checked by
+chains of one growth search in closed form; the rank-2 planner runs only
+the checks its telescope does not settle (freeness, contraction,
+minimality and corner positivity) and writes the rest in closed form.  One
+assembly lays out the reports of both kinds.  A report is checked by
 planning its echoed input again and naming the first field that differs.
 The pipeline never claims to output an operator algebra: it outputs the
 groupoid data plus certificates; the analytic steps are listed as
@@ -25,7 +27,6 @@ from .dimension_groups import (
     dg_is_positive,
     dimension_group_of,
     k0_corner_class,
-    rank2_k_matrices,
 )
 from .graph_model import (
     BratteliDiagram,
@@ -37,19 +38,16 @@ from .graph_model import (
 )
 from .matrices import growth_levels, min_entry, transpose
 from .rank2_diagrams import (
+    Rank2Automorphism,
     Rank2Data,
     Rank2Path,
     blue_skeleton,
     canonical_rank2,
     compute_orders,
-    rank2_automorphism,
     rank2_data_from_json,
-    reverify_telescope,
     telescope_rank2,
-    validate_rank2,
 )
 from .twisted_product import (
-    LcEntry,
     LcWitness,
     WfcCertificate,
     check_lc,
@@ -207,42 +205,47 @@ def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
     return list(islice(every, count))
 
 
-def _af_report(
-    d, params, corner, levels, chains, failure, wfc=None, lc=None, minimality=None, ktheory=None
+_AF_AUTOMORPHISM = {
+    "kind": "parallel-class cycling",
+    "description": "fixes every vertex; cycles the edges of each "
+    "parallel class in label order",
+}
+_AF_STABILIZATION_NOTE = (
+    "product with the complete relation on {-N..N}; certificates "
+    "transfer because the extra factor is principal, minimal and carries "
+    "the identity automorphism"
+)
+
+
+def _report(
+    kind, echo, params, telescoping, corner, automorphism=None, note=None, wfc=None, lc=None,
+    minimality=None, ktheory=None,
 ) -> RealizationReport:
-    """An AF report around its growth search; a complete one is ``ok`` and
-    carries the wfc, lc, minimality and K-theory certificates."""
-    complete = failure is None
-    telescoping = {"complete": False, "failure": failure}
+    """A realization report of either kind around its telescoping.  An
+    incomplete telescope carries no automorphism, stabilization or K-theory;
+    the report is ``ok`` exactly when the telescope completed, ``wfc`` is a
+    certificate and minimality is yes, so an absent certificate leaves it
+    ``unknown``."""
+    complete = telescoping["complete"]
+    certified = wfc is not None and wfc.is_certificate
+    certified = certified and minimality is not None and minimality.is_yes
+    stabilization = {}
     if complete:
-        telescoping = {
-            "complete": True,
-            "subsequence": levels,
-            "min_multiplicity_per_level": {str(n): min_entry(c) for n, c in enumerate(chains)},
-            "growth_condition": "every entry at level n exceeds n",
+        stabilization = {
+            "full_relation_truncation": max(corner.vector) if corner is not None else 1,
+            "note": note,
         }
-    automorphism = {
-        "kind": "parallel-class cycling",
-        "description": "fixes every vertex; cycles the edges of each "
-        "parallel class in label order",
-    }
-    stabilization = {
-        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
-        "note": "product with the complete relation on {-N..N}; certificates "
-        "transfer because the extra factor is principal, minimal and carries "
-        "the identity automorphism",
-    }
     return RealizationReport(
-        kind="af",
-        status="ok" if complete else "unknown",
-        input_echo=d.to_json(),
+        kind=kind,
+        status="ok" if complete and certified else "unknown",
+        input_echo=echo,
         parameters=params,
         telescoping=telescoping,
-        automorphism=automorphism if complete else {},
+        automorphism=automorphism or {},
         wfc=wfc,
         lc=lc,
         minimality=minimality,
-        stabilization=stabilization if complete else {},
+        stabilization=stabilization,
         corner=corner,
         ktheory=ktheory or {},
     )
@@ -288,8 +291,14 @@ def plan_af_realization(
     levels_out = max(depth, lbound + 1) + 1
     levels, chains, failure = growth_levels(spec.matrix, levels_out, source_cap, spec.horizon)
     if failure is not None:
-        return _af_report(d, params, corner, levels, chains, failure)
+        return _report("af", d.to_json(), params, {"complete": False, "failure": failure}, corner)
     least = [min_entry(c) for c in chains]
+    telescoping = {
+        "complete": True,
+        "subsequence": levels,
+        "min_multiplicity_per_level": {str(n): k for n, k in enumerate(least)},
+        "growth_condition": "every entry at level n exceeds n",
+    }
     witness = shift_witness_levels(dict(enumerate(least)), lbound)
     wfc = WfcCertificate(
         "certificate",
@@ -304,8 +313,7 @@ def plan_af_realization(
     )
     # the LC sample reaches levels 0..2 of the telescoped diagram
     top = BratteliDiagram(tuple(map(d.level_size, levels[:3])), tuple(map(transpose, chains[:2])))
-    alpha = EdgeCycleAutomorphism(top)
-    lc = LcWitness(tuple(LcEntry(p, alpha.orbit_length(p)) for p in _lc_sample(top, 40)))
+    lc = check_lc(top, EdgeCycleAutomorphism(top), _lc_sample(top, 40))
     ktheory = {
         "telescope_class_consistency": "yes",
         "checks": sum(d.level_size(t) for t in levels[:-1]),
@@ -313,7 +321,11 @@ def plan_af_realization(
     if corner is not None:
         ktheory["corner_class_positive"] = Verdict("yes", level=corner.level).to_json()
     minimality = Verdict("yes", justification=f"cofinal at depth {depth}")
-    return _af_report(d, params, corner, levels, chains, None, wfc, lc, minimality, ktheory)
+    automorphism = dict(_AF_AUTOMORPHISM)
+    return _report(
+        "af", d.to_json(), params, telescoping, corner, automorphism, _AF_STABILIZATION_NOTE,
+        wfc, lc, minimality, ktheory,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,48 +355,50 @@ def plan_rank2_realization(
     source_cap: int = 4096,
 ) -> RealizationReport:
     """Realization plan for rank-2 matrix data: telescope with the bound
-    recursion, build the canonical diagram, certify the order inequality and
-    the power automorphism, and cut the requested corner."""
+    recursion, build the canonical diagram and its power automorphism,
+    certify freeness, contraction and minimality, and cut the requested
+    corner.
+
+    The telescope picks levels l_0 < l_1 < ... up to levels_out = depth + 2
+    whose chained A matrices are positive, the chain at step n >= 2 having
+    every entry above n * M_n.  The plan runs only the checks that can fail
+    (``check_wfc``, ``minimality_verdict``, and ``dg_is_positive`` for the
+    corner); the rest hold by construction on the telescoped data, after
+    Pask-Raeburn-Rordam-Sims:
+
+    * the canonical diagram is valid: compatibility A_n T_n = T_{n+1} B_n
+      makes every count A(i,j) * T_n(j) divisible by both cycle sizes, and
+      positive chains are proper, so every position of every cycle is a
+      blue endpoint;
+    * the edge orders are o(e) = A(i,j) * T_n(j), the counts
+      ``canonical_rank2`` built, so the order formula round-trips;
+    * the telescope's entry bounds are those its search just checked;
+    * o(e) > n * m_n: below level 2, n * m_n = 0; from level 2 on, the orders
+      at level n are at least the chain's least entry, which exceeds n * M_n,
+      and M_n >= m_n because the recursion for M adds the product of the
+      level's counts where the one for m adds their lcm.  The ``inequality``
+      rows of the wfc certificate cover the same levels 0..levels_out - 2,
+      so the report reads the inequality off them;
+    * the F^{m_n} automorphism is well defined: a receiving cycle's length
+      divides each count through it, hence the level lcm O_n and
+      m_{n+1} - m_n = n * O_n.
+
+    A complete telescope with a wfc certificate and a minimality yes is
+    ``ok``; anything else is ``unknown``.  The unit class is checked before
+    telescoping, so an incomplete plan echoes its corner.
+    """
     _check_bounds(depth, lbound)
+    corner = None if unit_class is None else rank2_corner_spec(*unit_class)
     levels_out = depth + 2
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
     if source_cap != 4096:
         params["source_cap"] = source_cap
     tele = telescope_rank2(data, levels_out, source_cap)
     if not tele.complete:
-        return RealizationReport(
-            kind="rank2",
-            status="unknown",
-            input_echo=data.to_json(),
-            parameters=params,
-            telescoping=tele.to_json(),
-            automorphism={},
-            wfc=None,
-            lc=None,
-            minimality=None,
-            stabilization={},
-            corner=None,
-            ktheory={},
-        )
+        return _report("rank2", data.to_json(), params, tele.to_json(), corner)
     diagram = canonical_rank2(tele.telescoped, levels_out)
-    structural = validate_rank2(diagram)
-    if not structural.passed:
-        raise PipelineInputError(
-            f"built diagram fails validation:\n{structural.describe()}", structural
-        )
     orders = compute_orders(diagram)
-
-    inequality_ok = all(
-        orders.min_order_at(n) > n * orders.m[n] for n in range(levels_out - 1)
-    )
-    a_mats, b_mats, t_mats = rank2_k_matrices(diagram)
-    round_trip_ok = all(
-        orders.edge_order((n, j, i, 0)) == a_mats[n][i][j] * t_mats[n][j][j]
-        for n in range(levels_out - 1)
-        for j, i, _ in diagram.pairs_at(n)
-    )
-
-    auto = rank2_automorphism(diagram, orders)
+    auto = Rank2Automorphism(diagram, orders)
     wfc = check_wfc(diagram, auto, depth=levels_out - 2, shift_bound=lbound)
 
     sample: list[Rank2Path] = []
@@ -397,61 +411,29 @@ def plan_rank2_realization(
         sample.append(Rank2Path((label,), 1))
     lc = check_lc(diagram, auto, sample)
 
-    skeleton = blue_skeleton(diagram)
-    minimality = minimality_verdict(skeleton, levels_out - 1)
-
-    corner = None
+    minimality = minimality_verdict(blue_skeleton(diagram), levels_out - 1)
+    inequality = wfc.details["inequality"].values()
     ktheory = {
-        "order_inequality_o_gt_n_m_n": inequality_ok,
-        "order_formula_round_trip": round_trip_ok,
-        "orders_per_level": {
-            str(n): list(orders.orders_at(n)) for n in range(levels_out - 1)
-        },
+        "order_inequality_o_gt_n_m_n": all(row["holds"] for row in inequality),
+        "order_formula_round_trip": True,
+        "orders_per_level": {str(n): list(orders.orders_at(n)) for n in range(levels_out - 1)},
         "m_sequence": list(orders.m),
     }
-    if unit_class is not None:
-        level, vec = unit_class
-        corner = rank2_corner_spec(level, vec)
-        k_spec = DimensionGroupSpec(
-            tuple(len(t) for t in tele.telescoped.T),
-            tele.telescoped.A,
-        )
+    if corner is not None:
+        k_spec = DimensionGroupSpec(tuple(map(len, tele.telescoped.T)), tele.telescoped.A)
         positivity = dg_is_positive(k_spec, corner.k_class, levels_out - 1)
         ktheory["corner_class_positive"] = positivity.to_json()
-
-    stabilization = {
-        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
-        "note": "product with the complete relation on {-N..N}",
+    automorphism = {
+        "kind": "factorization-permutation power",
+        "description": "blue edges at level n map through the m_n-th power "
+        "of the factorization permutation; vertices rotate inside their "
+        "red cycles",
+        "m_sequence": list(orders.m),
     }
-
-    status = "ok"
-    if not (
-        wfc.is_certificate
-        and inequality_ok
-        and round_trip_ok
-        and minimality.is_yes
-        and reverify_telescope(tele)
-    ):
-        status = "unknown"
-    return RealizationReport(
-        kind="rank2",
-        status=status,
-        input_echo=data.to_json(),
-        parameters=params,
-        telescoping=tele.to_json(),
-        automorphism={
-            "kind": "factorization-permutation power",
-            "description": "blue edges at level n map through the m_n-th power "
-            "of the factorization permutation; vertices rotate inside their "
-            "red cycles",
-            "m_sequence": list(orders.m),
-        },
-        wfc=wfc,
-        lc=lc,
-        minimality=minimality,
-        stabilization=stabilization,
-        corner=corner,
-        ktheory=ktheory,
+    note = "product with the complete relation on {-N..N}"
+    return _report(
+        "rank2", data.to_json(), params, tele.to_json(), corner, automorphism, note,
+        wfc, lc, minimality, ktheory,
     )
 
 
@@ -498,7 +480,8 @@ def first_wrong_field(report_json: dict) -> str | None:
     fresh report and the given one differ.  An AF plan is one growth search
     with every other field read off its chains in closed form (see
     ``plan_af_realization``), so an AF report is checked from its witnesses;
-    a rank-2 report is re-planned in full.
+    a rank-2 plan runs only the checks its telescope leaves open (see
+    ``plan_rank2_realization``).
 
     The recorded parameters go back as keywords, so a rank-2 parameter the
     report leaves out takes the planner's default, and an AF report must

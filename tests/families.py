@@ -1,5 +1,5 @@
-"""Deterministic seeded families of small groupoids, cocycles and
-automorphisms, shared by the test suite."""
+"""Deterministic seeded families of small groupoids, cocycles,
+automorphisms and rank-2 matrix data, shared by the test suite."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
     zero_cocycle,
 )
+from groupoid_forge.rank2_diagrams import Rank2Data
 
 
 def rng_for(seed: int) -> random.Random:
@@ -131,3 +132,45 @@ def seeded_bouquet_windows(count: int, seed: int, max_index: int = 9, max_len: i
         excluded = {bouquet.edge(i) for i in rng.sample(range(max_index + 1), k=f_size)}
         out.append(unit_bisection(u, excluded))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rank-2 matrix data
+# ---------------------------------------------------------------------------
+
+FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
+CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+CONSTANT3 = Rank2Data(A=(((3,),),), B=(((3,),),), T=((1,), (1,)), repeat_from=0)
+FIGURE_TAIL = Rank2Data(
+    A=(((3,),), ((4,),), ((2,),)),
+    B=(((1,),), ((2,),), ((2,),)),
+    T=((1,), (3,), (6,), (6,)),
+    repeat_from=2,
+)
+TWO_CYCLE_ONES = Rank2Data(
+    A=(((1, 1), (1, 1)),), B=(((1, 1), (1, 1)),), T=((1, 1), (1, 1)), repeat_from=0
+)
+# two cycles per level whose T entries differ: A(i,j) T0(j) = B(i,j) T1(i)
+TWO_CYCLE_MIXED = Rank2Data(
+    A=(((2, 1), (1, 1)), ((1, 1), (1, 2))),
+    B=(((1, 1), (1, 2)), ((2, 1), (1, 1))),
+    T=((1, 2), (2, 1), (1, 2)),
+)
+
+
+def seeded_compatible_data(seed: int, repeat: bool, orientation: int) -> Rank2Data:
+    """Random data with 1-2 cycles per level and T entries in {1, 2, 3}; each
+    A entry is a multiple of T_{n+1}(i) / gcd(T_n(j), T_{n+1}(i)), so B_n =
+    T_{n+1}^{-1} A_n T_n is integral."""
+    rng = random.Random(seed)
+    stored = rng.randint(1, 4)
+    T = [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2))) for _ in range(stored + 1)]
+    repeat_from = rng.randrange(stored) if repeat else None
+    if repeat:
+        T[-1] = T[repeat_from]
+    A, B = [], []
+    for low, high in zip(T, T[1:]):
+        a = [[rng.randint(1, 2) * ti // math.gcd(ti, tj) for tj in low] for ti in high]
+        A.append(tuple(map(tuple, a)))
+        B.append(tuple(tuple(x * tj // ti for x, tj in zip(row, low)) for row, ti in zip(a, high)))
+    return Rank2Data(tuple(A), tuple(B), tuple(T), repeat_from, orientation)

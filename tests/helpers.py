@@ -19,10 +19,12 @@ from typing import Mapping
 
 from groupoid_forge.convolution_algebra import RegRepMatrix
 from groupoid_forge.dimension_groups import (
+    DimensionGroupSpec,
     DimGroupElement,
     dg_equal,
     dg_is_positive,
     dimension_group_of,
+    rank2_k_matrices,
 )
 from groupoid_forge.gaussian import ONE, ZERO, GaussianRational
 from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
@@ -54,12 +56,36 @@ from groupoid_forge.matrices import (
     min_entry,
     repeat_index,
 )
-from groupoid_forge.pipeline import PipelineInputError, _af_report, unit_corner_spec
-from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, Rank2Path, TelescopeResult
+from groupoid_forge.pipeline import (
+    _AF_AUTOMORPHISM,
+    _AF_STABILIZATION_NOTE,
+    PipelineInputError,
+    RealizationReport,
+    _check_bounds,
+    _report,
+    rank2_corner_spec,
+    unit_corner_spec,
+)
+from groupoid_forge.rank2_diagrams import (
+    Rank2Data,
+    Rank2Diagram,
+    Rank2Path,
+    TelescopeResult,
+    blue_skeleton,
+    canonical_rank2,
+    compute_orders,
+    rank2_automorphism,
+    rank2_data_from_json,
+    reverify_telescope,
+    telescope_rank2,
+    validate_rank2,
+)
 from groupoid_forge.twisted_product import (
     LcEntry,
     LcWitness,
     WfcCertificate,
+    check_lc,
+    check_wfc,
     minimality_verdict,
 )
 from groupoid_forge.validation import (
@@ -973,7 +999,8 @@ def is_psd_hermitian(m: RegRepMatrix) -> bool:
 # ``dg_is_positive`` about the corner class.  ``pipeline.plan_af_realization``
 # reads every field off its growth chains instead, and both it and
 # ``pipeline.first_wrong_field`` are tested against this derivation.  Only
-# the report layout (``pipeline._af_report``) is shared.
+# the report assembly (``pipeline._report``) and the AF automorphism and
+# stabilization texts are shared.
 # ---------------------------------------------------------------------------
 
 
@@ -987,7 +1014,7 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
     params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
     levels, failure = rescanned_growth_subsequence(d, max(depth, lbound + 1) + 1, source_cap)
     if failure is not None:
-        return _af_report(d, params, corner, levels, (), failure)
+        return _report("af", d.to_json(), params, {"complete": False, "failure": failure}, corner)
     tele = telescope(d, levels)
     alpha = edge_cycle_automorphism(tele)
     wfc = walked_wfc_certificate(tele, alpha, tele.horizon, lbound)
@@ -1014,19 +1041,158 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
     status = "ok"
     if not (wfc.is_certificate and minimality.is_yes and consistent):
         status = "unknown" if wfc.status != "counterexample" else "failed"
-    report = _af_report(d, params, corner, levels, tele.mult, None, wfc, lc, minimality, ktheory)
+    telescoping = {
+        "complete": True,
+        "subsequence": levels,
+        "min_multiplicity_per_level": {str(n): min_entry(m) for n, m in enumerate(tele.mult)},
+        "growth_condition": "every entry at level n exceeds n",
+    }
+    report = _report(
+        "af", d.to_json(), params, telescoping, corner, dict(_AF_AUTOMORPHISM),
+        _AF_STABILIZATION_NOTE, wfc, lc, minimality, ktheory,
+    )
     return dataclasses.replace(report, status=status)
 
 
-def replayed_report_verdict(report_json: dict) -> bool:
-    """True when the generic derivation, from the echoed input, the recorded
-    parameters and the corner's unit class, reproduces an AF report exactly."""
-    corner = report_json["corner"]
-    fresh = generic_af_report(
-        diagram_from_json(report_json["input"]),
-        unit_class=(corner["level"], corner["vector"]) if corner else None,
-        **report_json["parameters"],
+# ---------------------------------------------------------------------------
+# Generic rank-2 report
+#
+# The rank-2 report as the planner derived it before it dropped the checks
+# its telescope settles: validate the canonical diagram, round-trip the
+# edge orders through ``rank2_k_matrices``, check the order inequality level
+# by level, build the automorphism through ``rank2_automorphism`` and
+# re-multiply the telescope's chains in ``reverify_telescope``.  The unit
+# class is checked before telescoping, as in the planner.  The report is
+# laid out here, not through ``pipeline._report``.
+# ---------------------------------------------------------------------------
+
+
+def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, source_cap=4096):
+    """The rank-2 report from every check, with the planner's signature and
+    its input errors."""
+    _check_bounds(depth, lbound)
+    corner = None if unit_class is None else rank2_corner_spec(*unit_class)
+    levels_out = depth + 2
+    params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
+    if source_cap != 4096:
+        params["source_cap"] = source_cap
+    tele = telescope_rank2(data, levels_out, source_cap)
+    if not tele.complete:
+        return RealizationReport(
+            kind="rank2",
+            status="unknown",
+            input_echo=data.to_json(),
+            parameters=params,
+            telescoping=tele.to_json(),
+            automorphism={},
+            wfc=None,
+            lc=None,
+            minimality=None,
+            stabilization={},
+            corner=corner,
+            ktheory={},
+        )
+    diagram = canonical_rank2(tele.telescoped, levels_out)
+    structural = validate_rank2(diagram)
+    if not structural.passed:
+        raise PipelineInputError(
+            f"built diagram fails validation:\n{structural.describe()}", structural
+        )
+    orders = compute_orders(diagram)
+
+    inequality_ok = all(
+        orders.min_order_at(n) > n * orders.m[n] for n in range(levels_out - 1)
     )
+    a_mats, b_mats, t_mats = rank2_k_matrices(diagram)
+    round_trip_ok = all(
+        orders.edge_order((n, j, i, 0)) == a_mats[n][i][j] * t_mats[n][j][j]
+        for n in range(levels_out - 1)
+        for j, i, _ in diagram.pairs_at(n)
+    )
+
+    auto = rank2_automorphism(diagram, orders)
+    wfc = check_wfc(diagram, auto, depth=levels_out - 2, shift_bound=lbound)
+
+    sample: list[Rank2Path] = []
+    for j in range(diagram.cycle_count(0)):
+        sample.append(Rank2Path((), 0, (0, j, 0)))
+        sample.append(Rank2Path((), 1, (0, j, 0)))
+    for label in itertools.islice(diagram.blue_labels_at(0), 4):
+        sample.append(Rank2Path((label,), 0))
+    for label in itertools.islice(diagram.blue_labels_at(1), 4):
+        sample.append(Rank2Path((label,), 1))
+    lc = check_lc(diagram, auto, sample)
+
+    skeleton = blue_skeleton(diagram)
+    minimality = minimality_verdict(skeleton, levels_out - 1)
+
+    ktheory = {
+        "order_inequality_o_gt_n_m_n": inequality_ok,
+        "order_formula_round_trip": round_trip_ok,
+        "orders_per_level": {
+            str(n): list(orders.orders_at(n)) for n in range(levels_out - 1)
+        },
+        "m_sequence": list(orders.m),
+    }
+    if unit_class is not None:
+        k_spec = DimensionGroupSpec(
+            tuple(len(t) for t in tele.telescoped.T),
+            tele.telescoped.A,
+        )
+        positivity = dg_is_positive(k_spec, corner.k_class, levels_out - 1)
+        ktheory["corner_class_positive"] = positivity.to_json()
+
+    stabilization = {
+        "full_relation_truncation": max(corner.vector) if corner is not None else 1,
+        "note": "product with the complete relation on {-N..N}",
+    }
+
+    status = "ok"
+    if not (
+        wfc.is_certificate
+        and inequality_ok
+        and round_trip_ok
+        and minimality.is_yes
+        and reverify_telescope(tele)
+    ):
+        status = "unknown"
+    return RealizationReport(
+        kind="rank2",
+        status=status,
+        input_echo=data.to_json(),
+        parameters=params,
+        telescoping=tele.to_json(),
+        automorphism={
+            "kind": "factorization-permutation power",
+            "description": "blue edges at level n map through the m_n-th power "
+            "of the factorization permutation; vertices rotate inside their "
+            "red cycles",
+            "m_sequence": list(orders.m),
+        },
+        wfc=wfc,
+        lc=lc,
+        minimality=minimality,
+        stabilization=stabilization,
+        corner=corner,
+        ktheory=ktheory,
+    )
+
+
+def replayed_report_verdict(report_json: dict) -> bool:
+    """True when the generic derivation of the report's kind, from the echoed
+    input, the recorded parameters and the corner's unit class, reproduces
+    the report exactly."""
+    corner = report_json["corner"]
+    unit_class = (corner["level"], corner["vector"]) if corner else None
+    params = dict(report_json["parameters"])
+    if report_json["kind"] == "rank2":
+        params.pop("levels_out", None)
+        data = rank2_data_from_json(report_json["input"])[0]
+        fresh = generic_rank2_report(data, unit_class=unit_class, **params)
+    else:
+        fresh = generic_af_report(
+            diagram_from_json(report_json["input"]), unit_class=unit_class, **params
+        )
     return fresh.to_json() == report_json
 
 

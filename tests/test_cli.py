@@ -390,6 +390,19 @@ class TestRealize:
         assert main(["verify-report", str(out)]) == 0
         assert capsys.readouterr().out == "report re-verifies\n"
 
+    def test_rank2_unit_class_checked_when_telescoping_stops_short(self, tmp_path, capsys):
+        # FIGURE has no repetition rule and ends at level 2, short of depth 5
+        source, out = tmp_path / "figure.json", tmp_path / "report.json"
+        source.write_text(json.dumps(FIGURE.to_json()))
+        argv = ["realize", "rank2", str(source), "--depth", "5", "--out", str(out)]
+        assert main(argv + ["--unit", "0:-5"]) == 2
+        assert "corner vector must be entrywise nonnegative" in capsys.readouterr().err
+        assert main(argv + ["--unit", "0:1"]) == 1
+        report = json.loads(out.read_text())
+        assert report["telescoping"]["complete"] is False
+        assert report["corner"]["vector"] == [1]
+        assert main(["verify-report", str(out)]) == 0
+
     @pytest.mark.parametrize("target", ["af", "rank2"])
     def test_without_lbound_the_planner_default_applies(
         self, target, diagram_file, rank2_file, tmp_path

@@ -26,7 +26,7 @@ from groupoid_forge.pipeline import (
 )
 from groupoid_forge.rank2_diagrams import Rank2Data, compute_orders
 
-CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+from families import CONSTANT2, FIGURE
 
 
 class TestAfPlan:
@@ -282,6 +282,30 @@ class TestRank2Plan:
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10, source_cap=4)
         assert report.status == "unknown"
         assert report.telescoping["failure"]
+
+    @pytest.mark.parametrize(
+        "vector, error, message",
+        [
+            ([-5], ValueError, "corner vector must be entrywise nonnegative"),
+            ([0], ValueError, "corner must be nonzero"),
+            ([-5, "x"], PipelineInputError, "corner vector must be a list of integers"),
+        ],
+        ids=["negative", "zero", "not-integers"],
+    )
+    def test_unit_class_checked_when_telescoping_stops_short(self, vector, error, message):
+        # FIGURE has no repetition rule and ends at level 2, short of depth 5;
+        # the AF planner refuses the same vectors
+        with pytest.raises(error, match=message):
+            plan_rank2_realization(FIGURE, unit_class=(0, vector), depth=5)
+        with pytest.raises(error, match=message):
+            plan_af_realization(constant_diagram(2), unit_class=(0, vector))
+
+    def test_incomplete_plan_echoes_its_corner(self):
+        report = plan_rank2_realization(FIGURE, unit_class=(0, [2]), depth=5)
+        assert report.status == "unknown" and not report.telescoping["complete"]
+        assert report.corner.vector == (2,)
+        assert report.ktheory == {} and report.stabilization == {}
+        assert verify_report_json(json.loads(json.dumps(report.to_json())))
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_finite_data_past_its_last_level_is_unknown(self, depth):

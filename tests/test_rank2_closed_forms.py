@@ -35,6 +35,15 @@ from groupoid_forge.rank2_diagrams import (
 from groupoid_forge.twisted_product import check_lc, check_wfc
 from groupoid_forge.validation import StructuralError
 
+from families import (
+    CONSTANT2,
+    CONSTANT3,
+    FIGURE,
+    FIGURE_TAIL,
+    TWO_CYCLE_MIXED,
+    TWO_CYCLE_ONES,
+    seeded_compatible_data,
+)
 from helpers import (
     OrderData,
     blue_edges_at,
@@ -51,25 +60,6 @@ from helpers import (
     rescanned_telescope_rank2,
     scanned_rank2_wfc_certificate,
     walked_rank2_lc_lengths,
-)
-
-FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
-CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
-CONSTANT3 = Rank2Data(A=(((3,),),), B=(((3,),),), T=((1,), (1,)), repeat_from=0)
-FIGURE_TAIL = Rank2Data(
-    A=(((3,),), ((4,),), ((2,),)),
-    B=(((1,),), ((2,),), ((2,),)),
-    T=((1,), (3,), (6,), (6,)),
-    repeat_from=2,
-)
-TWO_CYCLE_ONES = Rank2Data(
-    A=(((1, 1), (1, 1)),), B=(((1, 1), (1, 1)),), T=((1, 1), (1, 1)), repeat_from=0
-)
-# two cycles per level whose T entries differ: A(i,j) T0(j) = B(i,j) T1(i)
-TWO_CYCLE_MIXED = Rank2Data(
-    A=(((2, 1), (1, 1)), ((1, 1), (1, 2))),
-    B=(((1, 1), (1, 2)), ((2, 1), (1, 1))),
-    T=((1, 2), (2, 1), (1, 2)),
 )
 
 
@@ -437,24 +427,6 @@ class TestWfcAgainstPairScan:
             check_wfc(diagram, None, 3, 5)
         with pytest.raises(ValueError, match="different rank-2 diagram"):
             check_wfc(diagram, Rank2Automorphism(other, compute_orders(other)), 3, 5)
-
-
-def seeded_compatible_data(seed: int, repeat: bool, orientation: int) -> Rank2Data:
-    """Random data with 1-2 cycles per level and T entries in {1, 2, 3}; each
-    A entry is a multiple of T_{n+1}(i) / gcd(T_n(j), T_{n+1}(i)), so B_n =
-    T_{n+1}^{-1} A_n T_n is integral."""
-    rng = random.Random(seed)
-    stored = rng.randint(1, 4)
-    T = [tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2))) for _ in range(stored + 1)]
-    repeat_from = rng.randrange(stored) if repeat else None
-    if repeat:
-        T[-1] = T[repeat_from]
-    A, B = [], []
-    for low, high in zip(T, T[1:]):
-        a = [[rng.randint(1, 2) * ti // math.gcd(ti, tj) for tj in low] for ti in high]
-        A.append(tuple(map(tuple, a)))
-        B.append(tuple(tuple(x * tj // ti for x, tj in zip(row, low)) for row, ti in zip(a, high)))
-    return Rank2Data(tuple(A), tuple(B), tuple(T), repeat_from, orientation)
 
 
 def test_telescope_matches_the_rescanned_chains():

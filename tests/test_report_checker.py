@@ -1,11 +1,13 @@
-"""The AF report checker against the generic derivation.
+"""The report checker against the generic derivations.
 
 ``pipeline.first_wrong_field`` plans an AF report again in closed form, off
-the chains of one growth search; ``helpers.replayed_report_verdict`` derives
-it with the generic certificate functions and compares.  Every planned
-report passes both, and a tamper corpus (one field of each certificate
-block changed) is rejected by both, the checker naming the changed field."""
+the chains of one growth search, and a rank-2 report with only the checks
+its telescope leaves open; ``helpers.replayed_report_verdict`` derives
+either kind with every generic check and compares.  Every planned report
+passes both, and a tamper corpus (one field of each certificate block
+changed) is rejected by both, the checker naming the changed field."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_forge import dimension_groups, graph_model, pipeline
+from groupoid_forge import dimension_groups, graph_model, pipeline, rank2_diagrams
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, validate_bratteli
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
@@ -26,7 +28,16 @@ from groupoid_forge.pipeline import (
 )
 from groupoid_forge.rank2_diagrams import Rank2Data
 
-from helpers import bench_inputs, generic_af_report, replayed_report_verdict
+from families import (
+    CONSTANT2,
+    CONSTANT3,
+    FIGURE,
+    FIGURE_TAIL,
+    TWO_CYCLE_MIXED,
+    TWO_CYCLE_ONES,
+    seeded_compatible_data,
+)
+from helpers import bench_inputs, generic_af_report, generic_rank2_report, replayed_report_verdict
 
 
 def _json(report) -> dict:
@@ -142,27 +153,48 @@ def test_corpus_covers_both_outcomes():
 
 def test_checker_runs_no_planner_certificate(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the AF planner called a generic certificate function")
+        raise AssertionError("a planner called a check its derivation settles")
 
     # the package's function twisted_product shadows the submodule
     twisted_product = importlib.import_module("groupoid_forge.twisted_product")
-    for module, name in [
-        (pipeline, "check_wfc"),
-        (pipeline, "check_lc"),
-        (pipeline, "minimality_verdict"),
-        (pipeline, "dg_is_positive"),
-        (twisted_product, "check_wfc"),
-        (twisted_product, "check_lc"),
-        (twisted_product, "minimality_verdict"),
-        (dimension_groups, "dg_equal"),
-        (dimension_groups, "dg_is_positive"),
-        (graph_model, "telescope"),
-        (graph_model.EdgeCycleAutomorphism, "edge_image"),
-    ]:
-        monkeypatch.setattr(module, name, refuse)
-    assert planned_corpus() == corpus()
-    for report in corpus().values():
-        assert verify_report_json(report) is True
+    # the AF LC witness is check_lc's closed form, as ``forge certify lc``
+    # writes it, so only check_lc stays callable
+    with monkeypatch.context() as patch:
+        for module, name in [
+            (pipeline, "check_wfc"),
+            (pipeline, "minimality_verdict"),
+            (pipeline, "dg_is_positive"),
+            (twisted_product, "check_wfc"),
+            (twisted_product, "minimality_verdict"),
+            (dimension_groups, "dg_equal"),
+            (dimension_groups, "dg_is_positive"),
+            (graph_model, "telescope"),
+            (graph_model.EdgeCycleAutomorphism, "edge_image"),
+        ]:
+            patch.setattr(module, name, refuse)
+        assert planned_corpus() == corpus()
+        for report in corpus().values():
+            assert verify_report_json(report) is True
+    # a rank-2 plan runs only the checks that can fail; the pipeline module
+    # is patched too, so that importing one of these back into it fails here
+    with monkeypatch.context() as patch:
+        for module, name in [
+            (rank2_diagrams, "validate_rank2"),
+            (rank2_diagrams, "reverify_telescope"),
+            (rank2_diagrams, "rank2_automorphism"),
+            (dimension_groups, "rank2_k_matrices"),
+        ]:
+            patch.setattr(module, name, refuse)
+            patch.setattr(pipeline, name, refuse, raising=False)
+        for seed in range(5):
+            for rung in bench_inputs().rank2_ladder(seed):
+                report = _json(
+                    plan_rank2_realization(
+                        rung["data"], unit_class=rung["unit_class"], depth=rung["depth"]
+                    )
+                )
+                assert report["status"] == rung["expect"]
+                assert verify_report_json(report) is True
 
 
 class TestFirstWrongField:
@@ -237,3 +269,107 @@ def test_every_stationary_plan_passes_the_checker(plan):
         assert report == _json(generic_af_report(d, unit_class=unit, **options))
     # every complete plan is ok, and only a complete one
     assert (report["status"] == "ok") is report["telescoping"]["complete"]
+
+
+# ---------------------------------------------------------------------------
+# Rank-2 plans against the generic derivation
+# ---------------------------------------------------------------------------
+
+NAMED_RANK2 = {
+    "figure": FIGURE,
+    "const2": CONSTANT2,
+    "const3": CONSTANT3,
+    "figure_tail": FIGURE_TAIL,
+    "two_cycle_ones": TWO_CYCLE_ONES,
+    "two_cycle_mixed": TWO_CYCLE_MIXED,
+}
+
+
+def rank2_grid():
+    """(name, data, options): the named data and seeds 0-19 of the seeded
+    compatible data, both orientations, with and without a repetition rule,
+    each planned with six seeded draws of the unit class (valid, negative,
+    too long, or at a level the data lacks), depth 1-4, lbound and cap."""
+    inputs = {
+        f"{name}{o:+d}": dataclasses.replace(data, orientation=o)
+        for name, data in NAMED_RANK2.items()
+        for o in (1, -1)
+    }
+    inputs.update(
+        (f"seed{seed}{'r' if repeat else ''}{o:+d}", seeded_compatible_data(seed, repeat, o))
+        for seed in range(20)
+        for repeat in (False, True)
+        for o in (1, -1)
+    )
+    rng = random.Random(0)
+    for name, data in inputs.items():
+        w = len(data.T[0])
+        units = [None, (0, [1] * w), (0, [2] + [0] * (w - 1)), (0, [-5] * w), (0, [1] * (w + 1))]
+        units.append((9, [1] * w))
+        for draw in range(6):
+            options = {
+                "unit_class": rng.choice(units),
+                "depth": rng.randint(1, 4),
+                "lbound": rng.choice((1, 7, 30, 50)),
+                "source_cap": rng.choice((3, 10, 4096)),
+            }
+            yield f"{name}#{draw}", data, options
+
+
+def _outcome(plan, data, options):
+    """The plan's report JSON, or the type and message of what it raised."""
+    try:
+        return _json(plan(data, **options))
+    except Exception as exc:  # either derivation may refuse the input; compare how
+        return type(exc), str(exc)
+
+
+@cache
+def rank2_outcomes() -> dict:
+    plans = (plan_rank2_realization, generic_rank2_report)
+    return {
+        name: tuple(_outcome(plan, data, options) for plan in plans)
+        for name, data, options in rank2_grid()
+    }
+
+
+def _rank2_label(outcome) -> str:
+    if not isinstance(outcome, dict):
+        return "refused"
+    tele = outcome["telescoping"]
+    if not tele["complete"]:
+        return "cap" if "within cap" in tele["failure"] else "data horizon"
+    if outcome["status"] == "ok":
+        return "ok"
+    return "wfc unknown" if outcome["wfc"]["status"] != "certificate" else "minimality unknown"
+
+
+def test_rank2_plans_match_the_generic_derivation():
+    for name, (planned, generic) in rank2_outcomes().items():
+        assert planned == generic, name
+
+
+def test_rank2_grid_covers_every_outcome():
+    reports = [r for r, _ in rank2_outcomes().values() if isinstance(r, dict)]
+    labels = {_rank2_label(r) for r, _ in rank2_outcomes().values()}
+    assert labels == {"ok", "wfc unknown", "minimality unknown", "cap", "data horizon", "refused"}
+    # a report carries its corner whether or not its telescope completes
+    corners = {(r["telescoping"]["complete"], r["corner"] is not None) for r in reports}
+    assert corners == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rank2_checker_agrees_with_the_replay():
+    for name, (report, _) in rank2_outcomes().items():
+        if not isinstance(report, dict):
+            continue
+        assert first_wrong_field(report) is None, name
+        assert replayed_report_verdict(report) is True, name
+        if report["telescoping"]["complete"]:
+            tamper = ("ktheory.order_formula_round_trip", False)
+        else:
+            tamper = ("telescoping.failure", report["telescoping"]["failure"] + ".")
+        flipped = "unknown" if report["status"] == "ok" else "ok"
+        for path, value in [("status", flipped), tamper]:
+            tampered = _mutated(report, path, value)
+            assert first_wrong_field(tampered) == path, name
+            assert replayed_report_verdict(tampered) is False, name
