@@ -16,8 +16,8 @@ from groupoid_forge import (
     dg_is_positive,
     dg_push_to_level,
     dimension_group_of,
-    k0_corner_class,
     k0_vertex_class,
+    unit_corner_spec,
 )
 from groupoid_forge.matrices import as_matrix
 
@@ -47,6 +47,6 @@ d = constant_diagram(2)
 dspec = dimension_group_of(d)
 cls = k0_vertex_class(d, (0, 0))
 print("\nvertex class:", cls, "positive:", dg_is_positive(dspec, cls, 8).value)
-corner = k0_corner_class(d, 0, [2])
+corner = unit_corner_spec(d, 0, [2]).k_class
 print("corner class [2] equals [4] one level down:",
       dg_equal(dspec, corner, DimGroupElement(1, (4,)), 8).value)

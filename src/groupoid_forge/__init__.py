@@ -74,7 +74,6 @@ from .dimension_groups import (
     dg_is_positive,
     dg_push_to_level,
     dimension_group_of,
-    k0_corner_class,
     k0_vertex_class,
     rank2_k_matrices,
 )

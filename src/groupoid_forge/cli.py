@@ -25,7 +25,6 @@ from .dimension_groups import (
     dg_equal,
     dg_is_positive,
     dimension_group_of,
-    k0_corner_class,
     k0_vertex_class,
 )
 from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
@@ -36,8 +35,8 @@ from .graph_model import (
     validate_bratteli,
 )
 from .groupoid_core import (
-    Cocycle,
     GroupoidAutomorphism,
+    cocycle_from_json,
     cyclic_multiplier_automorphism,
     full_relation,
     groupoid_from_json,
@@ -52,6 +51,7 @@ from .pipeline import (
     first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
+    unit_corner_spec,
 )
 from .rank2_diagrams import (
     canonical_rank2,
@@ -141,8 +141,17 @@ def cmd_check_groupoid(args) -> int:
     return 0 if report.passed else 1
 
 
+def _axiomatic_groupoid(path: str):
+    """The groupoid of a dump; one failing an axiom is refused with its report."""
+    G = groupoid_from_json(_load_json(path))
+    report = verify_groupoid_axioms(G)
+    if not report.passed:
+        raise StructuralError(f"{path} is not a groupoid: {report.describe()}")
+    return G
+
+
 def cmd_twist(args) -> int:
-    G = groupoid_from_json(_load_json(args.G))
+    G = _axiomatic_groupoid(args.G)
     alpha = _alpha_for(args.alpha, G)
     if args.H == "hinf":
         model = bouquet_twisted_product(G, alpha)
@@ -151,12 +160,11 @@ def cmd_twist(args) -> int:
             f"|G| = {len(G)}, degree cocycle, automorphism of order {alpha.order()}"
         )
         return 0
-    H = groupoid_from_json(_load_json(args.H))
+    H = _axiomatic_groupoid(args.H)
     if args.cocycle == "zero":
         c = zero_cocycle(H)
     else:
-        values = _load_json(args.cocycle)
-        c = Cocycle(H, {ast.literal_eval(k): int(v) for k, v in values["values"].items()})
+        c = cocycle_from_json(H, _load_json(args.cocycle))
     tw = twisted_product(H, c, G, alpha)
     report = verify_groupoid_axioms(tw.finite_form)
     print(f"twisted product with {len(tw.finite_form)} elements: {report.describe()}")
@@ -241,7 +249,7 @@ def cmd_ktheory(args) -> int:
         element = k0_vertex_class(d, (level, vec[0]))
     elif args.corner:
         level, vec = _parse_levels_vector(args.corner)
-        element = k0_corner_class(d, level, vec)
+        element = unit_corner_spec(d, level, vec).k_class
     else:
         raise ValueError("ktheory needs --class level:index or --corner level:vector")
     if args.op == "positive":

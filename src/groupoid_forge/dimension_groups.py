@@ -10,7 +10,6 @@ without a decision is an explicit Unknown, never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graph_model import BratteliDiagram
 from .matrices import (
@@ -96,9 +95,6 @@ class DimensionGroupSpec:
 class DimGroupElement:
     level: int
     vector: IntVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
 
 
 def dg_push_to_level(
@@ -202,16 +198,6 @@ def k0_vertex_class(d: BratteliDiagram, v) -> DimGroupElement:
     if not 0 <= i < size:
         raise ValueError(f"unknown vertex {v!r}")
     return DimGroupElement(n, tuple(1 if j == i else 0 for j in range(size)))
-
-
-def k0_corner_class(d: BratteliDiagram, level: int, a: Sequence[int]) -> DimGroupElement:
-    """Class of a corner built from `a(v)` copies of each vertex cylinder."""
-    a = tuple(int(x) for x in a)
-    if len(a) != d.level_size(level):
-        raise ValueError("corner vector length must match the level size")
-    if any(x < 0 for x in a):
-        raise ValueError("corner vector must be entrywise nonnegative")
-    return DimGroupElement(level, a)
 
 
 # ---------------------------------------------------------------------------

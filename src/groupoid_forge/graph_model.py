@@ -17,7 +17,6 @@ anything beyond the horizon without that rule is an error, never a guess.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence
@@ -31,7 +30,7 @@ from .matrices import (
     repeat_index,
     shape,
 )
-from .validation import StructuralError, ValidationReport, Violation, optional_int, report_from
+from .validation import StructuralError, ValidationReport, Violation, json_int, report_from
 
 Vertex = Hashable
 
@@ -207,50 +206,41 @@ def constant_diagram(k: int, levels: int = 2) -> BratteliDiagram:
     )
 
 
-def diagram_from_json(data: dict | str) -> BratteliDiagram:
-    if isinstance(data, str):
-        data = json.loads(data)
+def diagram_from_json(data: dict) -> BratteliDiagram:
     try:
-        sizes = tuple(int(entry["size"]) for entry in data["levels"])
+        levels = enumerate(data["levels"])
+        sizes = tuple(json_int(entry["size"], f"levels.{n}.size") for n, entry in levels)
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed levels: {exc}") from exc
-    n_levels = len(sizes)
-    if n_levels < 1:
-        raise StructuralError("diagram needs at least one level")
-    tables = [
-        [[0] * sizes[n + 1] for _ in range(sizes[n])] for n in range(n_levels - 1)
-    ]
+    tables = [[[0] * b for _ in range(a)] for a, b in zip(sizes, sizes[1:])]
     edges = data.get("edges", [])
     if not isinstance(edges, (list, tuple)):
         raise StructuralError(f"edges must be a list of edge entries, got {edges!r}")
-    seen = set()
-    for entry in edges:
+    seen, keys = set(), ("level", "range", "source", "mult")
+    for e, entry in enumerate(edges):
         try:
-            n = int(entry["level"])
-            i = int(entry["range"])
-            j = int(entry["source"])
-            k = int(entry["mult"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, i, j, k = (json_int(entry[key], f"edges.{e}.{key}") for key in keys)
+            source_level = json_int(entry.get("source_level", n + 1), f"edges.{e}.source_level")
+        except (KeyError, TypeError) as exc:
             raise StructuralError(f"malformed edge entry {entry}") from exc
-        if "source_level" in entry and int(entry["source_level"]) != n + 1:
+        if source_level != n + 1:
             raise StructuralError(
                 f"edge at level {n} must have its source at level {n + 1}"
             )
-        if not 0 <= n < n_levels - 1:
+        if not 0 <= n < len(tables):
             raise StructuralError(f"edge level {n} out of range")
         if not 0 <= i < sizes[n]:
             raise StructuralError(f"range index {i} out of range at level {n}")
         if not 0 <= j < sizes[n + 1]:
             raise StructuralError(f"source index {j} out of range at level {n + 1}")
-        if k < 0:
-            raise StructuralError("negative multiplicity")
         if (n, i, j) in seen:
             raise StructuralError(f"duplicate edge entry for {(n, i, j)}")
         seen.add((n, i, j))
         tables[n][i][j] = k
-    return BratteliDiagram(
-        sizes, tuple(as_matrix(t) for t in tables), optional_int(data, "repeat_from")
-    )
+    repeat_from = data.get("repeat_from")
+    if repeat_from is not None:
+        repeat_from = json_int(repeat_from, "repeat_from")
+    return BratteliDiagram(sizes, tuple(as_matrix(t) for t in tables), repeat_from)
 
 
 def validate_bratteli(d: BratteliDiagram) -> ValidationReport:
@@ -295,7 +285,6 @@ def validate_bratteli(d: BratteliDiagram) -> ValidationReport:
 def telescope(d: BratteliDiagram, subsequence: Sequence[int]) -> BratteliDiagram:
     """Collapse levels along ``subsequence``; new multiplicities count paths
     between the chosen levels (product of the intermediate matrices)."""
-    subsequence = tuple(int(x) for x in subsequence)
     if len(subsequence) < 2:
         raise ValueError("subsequence needs at least two levels")
     if subsequence[0] != 0:

@@ -10,7 +10,6 @@ Everything is immutable and every check is exhaustive.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Hashable, Iterable, NamedTuple
 
-from .validation import StructuralError, ValidationReport, Violation, report_from
+from .validation import StructuralError, ValidationReport, Violation, json_int, report_from
 
 El = Hashable
 
@@ -163,20 +162,24 @@ def build_groupoid(
 
 
 def _revive(name: str):
-    """Element names in dumps are reprs; structured literals come back as
-    their Python values so rebuilt groupoids support structured tooling."""
+    """Element names in dumps are strings, the elements' reprs; hashable
+    literals come back as their Python values so rebuilt groupoids support
+    structured tooling."""
     import ast
 
+    if not isinstance(name, str):
+        raise StructuralError(f"element names must be strings, got {name!r}")
     try:
-        return ast.literal_eval(name)
-    except (ValueError, SyntaxError):
+        value = ast.literal_eval(name)
+        hash(value)
+        return value
+    except (ValueError, SyntaxError, TypeError):
         return name
 
 
-def groupoid_from_json(data: dict | str) -> FiniteGroupoid:
-    """Inverse of ``FiniteGroupoid.to_json``."""
-    if isinstance(data, str):
-        data = json.loads(data)
+def groupoid_from_json(data: dict) -> FiniteGroupoid:
+    """Inverse of ``FiniteGroupoid.to_json``; a dump whose maps are not
+    objects or whose names are not strings is refused."""
     try:
         elements = tuple(_revive(g) for g in data["elements"])
         units = frozenset(_revive(u) for u in data["units"])
@@ -184,7 +187,7 @@ def groupoid_from_json(data: dict | str) -> FiniteGroupoid:
         src = {_revive(g): _revive(u) for g, u in data["source"].items()}
         inv = {_revive(g): _revive(u) for g, u in data["inverse"].items()}
         comp = {(_revive(g), _revive(h)): _revive(k) for g, h, k in data["compose"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StructuralError(f"malformed groupoid dump: {exc}") from exc
     return build_groupoid(elements, units, rng, src, comp, inv)
 
@@ -499,6 +502,15 @@ class Cocycle:
         return frozenset(
             self.values[g] for g in G.elements if G.r(g) == G.s(g)
         )
+
+
+def cocycle_from_json(G: FiniteGroupoid, data: dict) -> Cocycle:
+    """The cocycle on ``G`` of a file ``{"values": {element name: integer}}``."""
+    try:
+        values = data["values"].items()
+        return Cocycle(G, {_revive(g): json_int(c, f"values.{g}") for g, c in values})
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise StructuralError(f"malformed cocycle: {exc}") from exc
 
 
 def zero_cocycle(G: FiniteGroupoid) -> Cocycle:

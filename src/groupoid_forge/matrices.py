@@ -17,7 +17,7 @@ IntVector = tuple[int, ...]
 
 
 def as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple(map(tuple, rows))
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     return mat

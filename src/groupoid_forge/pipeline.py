@@ -26,7 +26,6 @@ from .dimension_groups import (
     Verdict,
     dg_is_positive,
     dimension_group_of,
-    k0_corner_class,
 )
 from .graph_model import (
     BratteliDiagram,
@@ -41,6 +40,7 @@ from .rank2_diagrams import (
     Rank2Automorphism,
     Rank2Data,
     Rank2Path,
+    TelescopeResult,
     blue_skeleton,
     canonical_rank2,
     compute_orders,
@@ -55,7 +55,7 @@ from .twisted_product import (
     minimality_verdict,
     shift_witness_levels,
 )
-from .validation import ValidationReport
+from .validation import StructuralError, json_int, json_ints
 
 SCHEMA_VERSION = 1
 
@@ -93,9 +93,7 @@ ANALYTIC_HYPOTHESES = (
 
 
 class PipelineInputError(ValueError):
-    def __init__(self, message: str, report: ValidationReport | None = None):
-        super().__init__(message)
-        self.report = report
+    """Input a planner, or the report checker, refuses."""
 
 
 def _check_bounds(depth: int, lbound: int) -> None:
@@ -128,29 +126,28 @@ class CornerSpec:
         }
 
 
-def _corner_vector(vec) -> tuple[int, ...]:
-    """A unit class's vector as integers, entrywise nonnegative and nonzero."""
-    try:
-        vec = tuple(int(x) for x in vec)
-    except (TypeError, ValueError) as exc:
-        raise PipelineInputError(f"corner vector must be a list of integers, got {vec!r}") from exc
+def _corner_vector(vec, size: int | None) -> tuple[int, ...]:
+    """A unit class's vector of JSON integers: entrywise nonnegative, nonzero
+    and, when its level's ``size`` is known, one entry per vertex."""
+    vec = json_ints(vec, "corner.vector")
     if any(x < 0 for x in vec):
         raise ValueError("corner vector must be entrywise nonnegative")
     if not any(vec):
         raise ValueError("corner must be nonzero (full-corner hypothesis)")
+    if size is not None and len(vec) != size:
+        raise ValueError("corner vector length must match the level size")
     return vec
 
 
 def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
     """Corner data for a unit class: a(v) cylinder copies per level vertex."""
-    vec = _corner_vector(a)
-    k_class = k0_corner_class(d, level, vec)
+    vec = _corner_vector(a, d.level_size(level))
     cylinders = tuple(
         {"vertex": [level, i], "copies": list(range(1, vec[i] + 1))}
         for i in range(len(vec))
         if vec[i]
     )
-    return CornerSpec(level, vec, cylinders, k_class)
+    return CornerSpec(level, vec, cylinders, DimGroupElement(level, vec))
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ def plan_af_realization(
     _check_bounds(depth, lbound)
     check = validate_bratteli(d)
     if not check.passed:
-        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}", check)
+        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
     corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
     params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
     spec = dimension_group_of(d)
@@ -333,8 +330,10 @@ def plan_af_realization(
 # ---------------------------------------------------------------------------
 
 
-def rank2_corner_spec(level: int, vec: Sequence[int]) -> CornerSpec:
-    vec = _corner_vector(vec)
+def rank2_corner_spec(tele: TelescopeResult, level: int, vec: Sequence[int]) -> CornerSpec:
+    """Corner data at a telescoped level, its length checked if it was reached."""
+    reached = level < len(tele.l)
+    vec = _corner_vector(vec, len(tele.source.t_at(tele.l[level])) if reached else None)
     cylinders = tuple(
         {
             "vertex": [level, j, 0],
@@ -384,16 +383,18 @@ def plan_rank2_realization(
       m_{n+1} - m_n = n * O_n.
 
     A complete telescope with a wfc certificate and a minimality yes is
-    ``ok``; anything else is ``unknown``.  The unit class is checked before
-    telescoping, so an incomplete plan echoes its corner.
+    ``ok``; anything else is ``unknown``.  The unit class is checked whether
+    or not the telescope completes, so an incomplete plan echoes its corner.
     """
     _check_bounds(depth, lbound)
-    corner = None if unit_class is None else rank2_corner_spec(*unit_class)
     levels_out = depth + 2
+    if unit_class is not None and not 0 <= unit_class[0] < levels_out:
+        raise StructuralError(f"corner level {unit_class[0]} outside levels 0..{levels_out - 1}")
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
     if source_cap != 4096:
         params["source_cap"] = source_cap
     tele = telescope_rank2(data, levels_out, source_cap)
+    corner = None if unit_class is None else rank2_corner_spec(tele, *unit_class)
     if not tele.complete:
         return _report("rank2", data.to_json(), params, tele.to_json(), corner)
     diagram = canonical_rank2(tele.telescoped, levels_out)
@@ -443,7 +444,7 @@ def plan_rank2_realization(
 
 
 # Report parameters the checks take back as keywords; ``levels_out`` is
-# derived from ``depth`` and is checked only through the report comparison.
+# derived from ``depth`` and is checked through the report comparison.
 PLAN_PARAMETERS = ("depth", "lbound", "source_cap")
 
 _MISSING = object()
@@ -487,9 +488,9 @@ def first_wrong_field(report_json: dict) -> str | None:
     report leaves out takes the planner's default, and an AF report must
     record all of them; the stabilization truncation is derived from the
     unit class.  A report of unknown kind, one missing a field the check
-    needs, or one recording a parameter no plan takes or a non-integer one
-    raises ``PipelineInputError``; input no plan accepts raises as planning
-    it would.
+    needs, or one recording a parameter no plan takes raises
+    ``PipelineInputError``; a parameter or corner entry that is not a JSON
+    integer, or input no plan accepts, raises as reading or planning would.
     """
     kind = report_json.get("kind") if isinstance(report_json, dict) else None
     if kind not in ("af", "rank2"):
@@ -497,17 +498,16 @@ def first_wrong_field(report_json: dict) -> str | None:
     try:
         source = report_json["input"]
         params = report_json.get("parameters", {})
-        corner = report_json.get("corner")
-        options = {"unit_class": (corner["level"], corner["vector"]) if corner else None}
         unknown = sorted(set(params) - {"levels_out", *PLAN_PARAMETERS})
+        if unknown:
+            raise PipelineInputError(f"report parameter {unknown[0]!r} is not a plan parameter")
+        params = {k: json_int(v, f"parameters.{k}") for k, v in params.items()}
+        corner = report_json.get("corner")
+        level = json_int(corner["level"], "corner.level") if corner else None
+        options = {"unit_class": (level, corner["vector"]) if corner else None}
         options.update((k, v) for k, v in params.items() if k != "levels_out")
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
-    if unknown:
-        raise PipelineInputError(f"report parameter {unknown[0]!r} is not a plan parameter")
-    for key in PLAN_PARAMETERS:
-        if key in params and type(params[key]) is not int:
-            raise PipelineInputError(f"report parameter {key!r} must be an integer")
     if kind == "af":
         missing = [key for key in PLAN_PARAMETERS if key not in params]
         if missing:

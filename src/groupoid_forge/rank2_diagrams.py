@@ -20,7 +20,6 @@ no function here accepts that record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +39,8 @@ from .matrices import (
     repeat_index,
     shape,
 )
-from .validation import StructuralError, ValidationReport, Violation, optional_int, report_from
+from .validation import StructuralError, ValidationReport, Violation, report_from
+from .validation import json_int, json_ints
 
 Vertex = tuple[int, int, int]
 BlueLabel = tuple[int, int, int, int]  # (level, range cycle, source cycle, index)
@@ -261,23 +261,21 @@ class Rank2Data:
         return out
 
 
-def rank2_data_from_json(data: dict | str) -> tuple[Rank2Data, int | None]:
+def rank2_data_from_json(data: dict) -> tuple[Rank2Data, int | None]:
     """Parse the rank-2 schema; returns the data and the optional horizon hint."""
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
-        A = tuple(as_matrix(m) for m in data["A"])
-        B = tuple(as_matrix(m) for m in data["B"])
-        T = tuple(tuple(int(x) for x in v) for v in data["T"])
+        A, B = (tuple(map(as_matrix, json_ints(data[key], key, 3))) for key in "AB")
+        T = json_ints(data["T"], "T", 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed rank-2 data: {exc}") from exc
     orientation = {"+1": 1, "-1": -1}.get(str(data.get("orientation", "+1")))
     if orientation is None:
         raise StructuralError("orientation must be '+1' or '-1'")
-    return (
-        Rank2Data(A, B, T, optional_int(data, "repeat_from"), orientation),
-        optional_int(data, "horizon"),
+    repeat_from, horizon = (
+        None if data.get(key) is None else json_int(data[key], key)
+        for key in ("repeat_from", "horizon")
     )
+    return Rank2Data(A, B, T, repeat_from, orientation), horizon
 
 
 def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:

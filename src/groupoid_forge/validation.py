@@ -14,14 +14,22 @@ class StructuralError(ValueError):
     """Input is malformed beyond invariant checking (bad shapes, bad indices)."""
 
 
-def optional_int(data: dict, key: str) -> int | None:
-    """The integer an input record holds at ``key``, None when it holds none;
-    a value ``int`` cannot read raises ``StructuralError`` naming the key."""
-    value = data.get(key)
-    try:
-        return None if value is None else int(value)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{key} must be an integer, got {value!r}") from exc
+def json_int(value, path: str) -> int:
+    """``value`` when it is a JSON integer, read from an input file at the
+    field ``path`` (``edges.0.mult``); a bool, float or string is refused."""
+    if type(value) is not int:
+        raise StructuralError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(values, path: str, depth: int = 1) -> tuple:
+    """The list ``values`` of JSON integers nested ``depth`` lists deep (a
+    list of matrices is 3 deep), each integer read by ``json_int``."""
+    if not isinstance(values, (list, tuple)):
+        raise StructuralError(f"{path} must be a list, got {values!r}")
+    if depth == 1:
+        return tuple(json_int(x, f"{path}.{i}") for i, x in enumerate(values))
+    return tuple(json_ints(x, f"{path}.{i}", depth - 1) for i, x in enumerate(values))
 
 
 @dataclass(frozen=True)

@@ -1009,7 +1009,7 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
     planner's signature and its input errors."""
     check = validate_bratteli(d)
     if not check.passed:
-        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}", check)
+        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
     corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
     params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
     levels, failure = rescanned_growth_subsequence(d, max(depth, lbound + 1) + 1, source_cap)
@@ -1062,8 +1062,9 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
 # edge orders through ``rank2_k_matrices``, check the order inequality level
 # by level, build the automorphism through ``rank2_automorphism`` and
 # re-multiply the telescope's chains in ``reverify_telescope``.  The unit
-# class is checked before telescoping, as in the planner.  The report is
-# laid out here, not through ``pipeline._report``.
+# class is checked as in the planner: its level before telescoping, its
+# vector against the levels the telescope reached.  The report is laid out
+# here, not through ``pipeline._report``.
 # ---------------------------------------------------------------------------
 
 
@@ -1071,12 +1072,14 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
     """The rank-2 report from every check, with the planner's signature and
     its input errors."""
     _check_bounds(depth, lbound)
-    corner = None if unit_class is None else rank2_corner_spec(*unit_class)
     levels_out = depth + 2
+    if unit_class is not None and not 0 <= unit_class[0] < levels_out:
+        raise StructuralError(f"corner level {unit_class[0]} outside levels 0..{levels_out - 1}")
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
     if source_cap != 4096:
         params["source_cap"] = source_cap
     tele = telescope_rank2(data, levels_out, source_cap)
+    corner = None if unit_class is None else rank2_corner_spec(tele, *unit_class)
     if not tele.complete:
         return RealizationReport(
             kind="rank2",
@@ -1095,9 +1098,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
     diagram = canonical_rank2(tele.telescoped, levels_out)
     structural = validate_rank2(diagram)
     if not structural.passed:
-        raise PipelineInputError(
-            f"built diagram fails validation:\n{structural.describe()}", structural
-        )
+        raise PipelineInputError(f"built diagram fails validation:\n{structural.describe()}")
     orders = compute_orders(diagram)
 
     inequality_ok = all(

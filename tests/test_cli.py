@@ -163,6 +163,47 @@ class TestGroupoid:
         assert main(["twist", "--H", "hinf", "--G", groupoid_file, "--alpha", "identity"]) == 0
         assert "bouquet" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dump", ["H", "G"])
+    def test_twist_refuses_a_dump_that_fails_an_axiom(self, dump, groupoid_file, tmp_path, capsys):
+        # a product outside the elements used to raise KeyError in the
+        # cocycle or automorphism check
+        data = full_relation(range(2)).to_json()
+        data["compose"][0][2] = "(5, 5)"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        files = {"H": groupoid_file, "G": groupoid_file} | {dump: str(bad)}
+        argv = ["twist", "--H", files["H"], "--G", files["G"], "--alpha", "identity"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} is not a groupoid: fail" in err
+        assert "composition closed" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("range", [["(0, 0)", "(0, 0)"]], "'list' object has no attribute 'items'"),
+            ("elements", [[0, 0], "(0, 1)"], "element names must be strings, got [0, 0]"),
+            ("units", [1], "element names must be strings, got 1"),
+        ],
+        ids=["range-list", "element-list", "unit-int"],
+    )
+    def test_malformed_dump_exit_two(self, field, value, message, tmp_path, capsys):
+        data = full_relation(range(2)).to_json() | {field: value}
+        path = tmp_path / "groupoid.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-groupoid", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_dump_name_that_revives_unhashable_stays_a_string(self, tmp_path, capsys):
+        # "[0]" is the repr of a list, which cannot name an element; it is
+        # kept as the string, so the axiom check runs and reports
+        data = full_relation(range(2)).to_json()
+        data["range"]["(0, 1)"] = "[0]"
+        path = tmp_path / "groupoid.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-groupoid", str(path)]) == 1
+        assert "r,s land in units: element (0, 1)" in capsys.readouterr().out
+
 
 class TestCertify:
     def test_wfc_af(self, diagram_file, tmp_path):
@@ -397,6 +438,12 @@ class TestRealize:
         argv = ["realize", "rank2", str(source), "--depth", "5", "--out", str(out)]
         assert main(argv + ["--unit", "0:-5"]) == 2
         assert "corner vector must be entrywise nonnegative" in capsys.readouterr().err
+        # a vector that does not fit level 0, or a level past the K-theory
+        # levels 0..6, is refused although the telescope stops short
+        assert main(argv + ["--unit", "0:1,1"]) == 2
+        assert "corner vector length must match the level size" in capsys.readouterr().err
+        assert main(argv + ["--unit", "9:1"]) == 2
+        assert "corner level 9 outside levels 0..6" in capsys.readouterr().err
         assert main(argv + ["--unit", "0:1"]) == 1
         report = json.loads(out.read_text())
         assert report["telescoping"]["complete"] is False
@@ -495,7 +542,7 @@ class TestMalformedCommandLine:
             (["validate"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
             (["realize", "af"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
             (["realize", "rank2"], "repeat_from", [0], "repeat_from must be an integer, got [0]"),
-            (["verify-report"], "vector", 1, "corner vector must be a list of integers, got 1"),
+            (["verify-report"], "vector", 1, "corner.vector must be a list, got 1"),
         ],
         ids=[
             "validate-edges-null",

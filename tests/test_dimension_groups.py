@@ -15,12 +15,12 @@ from groupoid_forge.dimension_groups import (
     dg_is_positive,
     dg_push_to_level,
     dimension_group_of,
-    k0_corner_class,
     k0_vertex_class,
     rank2_k_matrices,
 )
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, telescope
 from groupoid_forge.matrices import as_matrix, repeat_index, transpose
+from groupoid_forge.pipeline import unit_corner_spec
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, build_rank2, canonical_rank2
 from groupoid_forge.validation import StructuralError
 
@@ -183,14 +183,15 @@ class TestVertexClasses:
 
     def test_corner_vector(self):
         d = constant_diagram(2)
-        assert k0_corner_class(d, 0, [2]) == DimGroupElement(0, (2,))
+        # the planners' corner check gives the class of a corner vector
+        assert unit_corner_spec(d, 0, [2]).k_class == DimGroupElement(0, (2,))
         with pytest.raises(ValueError):
-            k0_corner_class(d, 0, [-1])
+            unit_corner_spec(d, 0, [-1])
 
     def test_corner_class_equals_pushed_value(self):
         d = constant_diagram(2)
         spec = dimension_group_of(d)
-        v = dg_equal(spec, k0_corner_class(d, 0, [2]), DimGroupElement(1, (4,)), 6)
+        v = dg_equal(spec, unit_corner_spec(d, 0, [2]).k_class, DimGroupElement(1, (4,)), 6)
         assert v.is_yes
 
     def test_telescoping_consistency(self):

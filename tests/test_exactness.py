@@ -1,6 +1,8 @@
 """The engine is exact: no module of ``src/`` writes a float literal, calls
 ``float``, ``math.sqrt`` or ``math.log``, or imports ``decimal`` or
-``numpy``."""
+``numpy``.  Nor does any module but ``cli.py``, which parses command-line
+text, call ``int``: every integer read from a file passes the strict
+reader ``validation.json_int``, which refuses what ``int`` would coerce."""
 
 import ast
 from pathlib import Path
@@ -43,6 +45,31 @@ def inexact_uses(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_is_exact(path):
     assert inexact_uses(path.read_text(encoding="utf-8")) == []
+
+
+def int_calls(source: str) -> list[str]:
+    """One "line: call to int" entry per ``int`` call in a module's source."""
+    return [
+        f"{node.lineno}: call to int"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _dotted(node.func) == "int"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"],
+    ids=lambda p: p.name,
+)
+def test_module_coerces_no_integer(path):
+    assert int_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source", ["x = int('3')", "x = int(2.5)", "xs = [int(v) for v in row]", "f(int(x) + 1)"]
+)
+def test_guard_sees_each_int_call(source):
+    assert len(int_calls(source)) == 1
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from groupoid_forge.pipeline import (
     verify_report_json,
 )
 from groupoid_forge.rank2_diagrams import Rank2Data, compute_orders
+from groupoid_forge.validation import StructuralError
 
 from families import CONSTANT2, FIGURE
 
@@ -288,7 +289,7 @@ class TestRank2Plan:
         [
             ([-5], ValueError, "corner vector must be entrywise nonnegative"),
             ([0], ValueError, "corner must be nonzero"),
-            ([-5, "x"], PipelineInputError, "corner vector must be a list of integers"),
+            ([-5, "x"], StructuralError, "corner.vector.1 must be an integer, got 'x'"),
         ],
         ids=["negative", "zero", "not-integers"],
     )
@@ -299,6 +300,21 @@ class TestRank2Plan:
             plan_rank2_realization(FIGURE, unit_class=(0, vector), depth=5)
         with pytest.raises(error, match=message):
             plan_af_realization(constant_diagram(2), unit_class=(0, vector))
+
+    @pytest.mark.parametrize(
+        "unit_class, message",
+        [
+            ((0, [1, 1]), "corner vector length must match the level size"),
+            ((9, [1]), "corner level 9 outside levels 0"),
+        ],
+        ids=["vector-length", "level"],
+    )
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_unit_class_that_does_not_fit_is_refused(self, unit_class, message, depth):
+        # FIGURE telescopes completely at depth 1 and stops short at depth 5;
+        # level 0, the one this vector names, is reached either way
+        with pytest.raises(ValueError, match=message):
+            plan_rank2_realization(FIGURE, unit_class=unit_class, depth=depth)
 
     def test_incomplete_plan_echoes_its_corner(self):
         report = plan_rank2_realization(FIGURE, unit_class=(0, [2]), depth=5)
