@@ -10,7 +10,6 @@ edges up -- so the two blue orders are 3 and 12.
 from groupoid_forge import (
     Rank2Data,
     canonical_rank2,
-    compute_orders,
     rank2_automorphism,
     rank2_k_matrices,
     validate_rank2,
@@ -27,7 +26,9 @@ print("levels (cycle sizes):", diagram.cycle_sizes)
 print("blue edges:", diagram.blue_count())
 print("validation:", validate_rank2(diagram).describe())
 
-orders = compute_orders(diagram)
+# The orders are the power automorphism too; rank2_automorphism checks
+# that it is well defined.
+orders = rank2_automorphism(diagram)
 print("\nblue-edge orders at level 0:", orders.orders_at(0))
 print("blue-edge orders at level 1:", orders.orders_at(1))
 print("level lcms:", orders.level_lcm)
@@ -46,10 +47,9 @@ for k in [1, 3, 12]:
     moved = orders.f_power(e, k)
     print(f"  F^{k}: {moved}, range {diagram.blue_ends(moved)[0]}")
 
-auto = rank2_automorphism(diagram, orders)
-print("\nautomorphism powers per level (m_n):", auto.orders.m)
+print("\nautomorphism powers per level (m_n):", orders.m)
 print("level-0 and level-1 blue edges are fixed (m = 0):",
-      all(auto.blue_image(x) == x for x in diagram.blue_labels_at(0)))
+      all(orders.blue_image(x) == x for x in diagram.blue_labels_at(0)))
 
 # Blue-red normal form: a red segment crossing a blue edge twists it by F.
 # Anchor the degree-1 red segment so its source meets the blue edge's range.

@@ -9,7 +9,6 @@ or a verdict was not reached, 2 structural input errors.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from itertools import chain, islice
@@ -35,7 +34,7 @@ from .graph_model import (
     validate_bratteli,
 )
 from .groupoid_core import (
-    GroupoidAutomorphism,
+    automorphism_from_json,
     cocycle_from_json,
     cyclic_multiplier_automorphism,
     full_relation,
@@ -113,10 +112,7 @@ def _alpha_for(spec: str, G):
         return relation_automorphism(G, {p: points[(points.index(p) + shift) % n] for p in points})
     if spec.startswith("multiplier"):
         return cyclic_multiplier_automorphism(G, int(spec.partition(":")[2]))
-    mapping = _load_json(spec)
-    return GroupoidAutomorphism(
-        G, {ast.literal_eval(k): ast.literal_eval(v) for k, v in mapping["map"].items()}
-    )
+    return automorphism_from_json(G, _load_json(spec))
 
 
 def cmd_validate(args) -> int:
@@ -296,12 +292,12 @@ def cmd_rank2(args) -> int:
         _dump(result.to_json(), args.out)
         return 0 if result.complete else 1
     diagram = canonical_rank2(data, levels)
-    auto = rank2_automorphism(diagram)
+    orders = rank2_automorphism(diagram)
     labels = chain.from_iterable(diagram.blue_labels_at(n) for n in range(levels - 1))
     _dump(
         {
-            "m_sequence": list(auto.orders.m),
-            "sample": {str(label): str(auto.blue_image(label)) for label in islice(labels, 8)},
+            "m_sequence": list(orders.m),
+            "sample": {str(label): str(orders.blue_image(label)) for label in islice(labels, 8)},
         },
         args.out,
     )

@@ -67,20 +67,6 @@ class FiniteConvElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def add(self, other: "FiniteConvElement") -> "FiniteConvElement":
-        _same_backend(self, other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, ZERO) + c
-        return FiniteConvElement(self.groupoid, out)
-
-    def scale(self, c) -> "FiniteConvElement":
-        c = _coeff(c)
-        return FiniteConvElement(self.groupoid, {g: c * x for g, x in self.coeffs.items()})
-
-    def sub(self, other: "FiniteConvElement") -> "FiniteConvElement":
-        return self.add(other.scale(-1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteConvElement):
             return NotImplemented
@@ -156,23 +142,6 @@ class SymbolicConvElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def add(self, other: "SymbolicConvElement") -> "SymbolicConvElement":
-        _same_backend(self, other)
-        pieces = list(self.coeffs.items()) + list(other.coeffs.items())
-        merged: dict[tuple[BasicBisection, object], Coeff] = {}
-        for key, c in pieces:
-            merged[key] = merged.get(key, ZERO) + c
-        return SymbolicConvElement(self.model, merged)
-
-    def scale(self, c) -> "SymbolicConvElement":
-        c = _coeff(c)
-        return SymbolicConvElement(
-            self.model, {k: c * x for k, x in self.coeffs.items()}
-        )
-
-    def sub(self, other: "SymbolicConvElement") -> "SymbolicConvElement":
-        return self.add(other.scale(-1))
 
     def __eq__(self, other) -> bool:
         """Equal as functions: ``self - other`` merged by key, then one

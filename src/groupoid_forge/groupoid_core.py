@@ -513,6 +513,17 @@ def cocycle_from_json(G: FiniteGroupoid, data: dict) -> Cocycle:
         raise StructuralError(f"malformed cocycle: {exc}") from exc
 
 
+def automorphism_from_json(G: FiniteGroupoid, data: dict) -> GroupoidAutomorphism:
+    """The automorphism of ``G`` of a file ``{"map": {element name: element
+    name}}``; a map that is not an object, or not a bijection of G's
+    elements, is refused."""
+    try:
+        pairs = data["map"].items()
+        return GroupoidAutomorphism(G, {_revive(g): _revive(h) for g, h in pairs})
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise StructuralError(f"malformed automorphism: {exc}") from exc
+
+
 def zero_cocycle(G: FiniteGroupoid) -> Cocycle:
     return Cocycle(G, {g: 0 for g in G.elements})
 

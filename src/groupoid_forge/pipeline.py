@@ -5,10 +5,10 @@ automorphism construction, freeness/contraction certificates, stabilization
 parameters and the unit-corner computation, and emit a self-contained,
 machine-readable report.  The AF planner reads every certificate off the
 chains of one growth search in closed form; the rank-2 planner runs only
-the checks its telescope does not settle (freeness, contraction,
-minimality and corner positivity) and writes the rest in closed form.  One
-assembly lays out the reports of both kinds.  A report is checked by
-planning its echoed input again and naming the first field that differs.
+the checks its telescope does not settle (freeness, contraction and
+minimality) and writes the rest in closed form.  One assembly lays out the
+reports of both kinds.  A report is checked by planning its echoed input
+again and naming the first field that differs.
 The pipeline never claims to output an operator algebra: it outputs the
 groupoid data plus certificates; the analytic steps are listed as
 hypotheses, flagged NOT COMPUTED.
@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from itertools import islice, zip_longest
 from typing import Sequence
 
-from .dimension_groups import (
-    DimensionGroupSpec,
-    DimGroupElement,
-    Verdict,
-    dg_is_positive,
-    dimension_group_of,
-)
+from .dimension_groups import DimGroupElement, Verdict, dimension_group_of
 from .graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
@@ -37,7 +31,6 @@ from .graph_model import (
 )
 from .matrices import growth_levels, min_entry, transpose
 from .rank2_diagrams import (
-    Rank2Automorphism,
     Rank2Data,
     Rank2Path,
     TelescopeResult,
@@ -222,7 +215,9 @@ def _report(
     incomplete telescope carries no automorphism, stabilization or K-theory;
     the report is ``ok`` exactly when the telescope completed, ``wfc`` is a
     certificate and minimality is yes, so an absent certificate leaves it
-    ``unknown``."""
+    ``unknown``.  A complete telescope's corner is positive at its own
+    level, its vector being nonnegative and checked against that level's
+    length, so its verdict is written as yes, the last K-theory key."""
     complete = telescoping["complete"]
     certified = wfc is not None and wfc.is_certificate
     certified = certified and minimality is not None and minimality.is_yes
@@ -232,6 +227,9 @@ def _report(
             "full_relation_truncation": max(corner.vector) if corner is not None else 1,
             "note": note,
         }
+        if corner is not None:
+            yes = Verdict("yes", level=corner.level).to_json()
+            ktheory = {**ktheory, "corner_class_positive": yes}
     return RealizationReport(
         kind=kind,
         status="ok" if complete and certified else "unknown",
@@ -315,8 +313,6 @@ def plan_af_realization(
         "telescope_class_consistency": "yes",
         "checks": sum(d.level_size(t) for t in levels[:-1]),
     }
-    if corner is not None:
-        ktheory["corner_class_positive"] = Verdict("yes", level=corner.level).to_json()
     minimality = Verdict("yes", justification=f"cofinal at depth {depth}")
     automorphism = dict(_AF_AUTOMORPHISM)
     return _report(
@@ -361,9 +357,8 @@ def plan_rank2_realization(
     The telescope picks levels l_0 < l_1 < ... up to levels_out = depth + 2
     whose chained A matrices are positive, the chain at step n >= 2 having
     every entry above n * M_n.  The plan runs only the checks that can fail
-    (``check_wfc``, ``minimality_verdict``, and ``dg_is_positive`` for the
-    corner); the rest hold by construction on the telescoped data, after
-    Pask-Raeburn-Rordam-Sims:
+    (``check_wfc`` and ``minimality_verdict``); the rest hold by
+    construction on the telescoped data, after Pask-Raeburn-Rordam-Sims:
 
     * the canonical diagram is valid: compatibility A_n T_n = T_{n+1} B_n
       makes every count A(i,j) * T_n(j) divisible by both cycle sizes, and
@@ -380,7 +375,9 @@ def plan_rank2_realization(
       so the report reads the inequality off them;
     * the F^{m_n} automorphism is well defined: a receiving cycle's length
       divides each count through it, hence the level lcm O_n and
-      m_{n+1} - m_n = n * O_n.
+      m_{n+1} - m_n = n * O_n;
+    * the corner vector is nonnegative and one entry per cycle of its
+      telescoped level, so it is positive at its own level.
 
     A complete telescope with a wfc certificate and a minimality yes is
     ``ok``; anything else is ``unknown``.  The unit class is checked whether
@@ -399,8 +396,7 @@ def plan_rank2_realization(
         return _report("rank2", data.to_json(), params, tele.to_json(), corner)
     diagram = canonical_rank2(tele.telescoped, levels_out)
     orders = compute_orders(diagram)
-    auto = Rank2Automorphism(diagram, orders)
-    wfc = check_wfc(diagram, auto, depth=levels_out - 2, shift_bound=lbound)
+    wfc = check_wfc(orders, depth=levels_out - 2, shift_bound=lbound)
 
     sample: list[Rank2Path] = []
     for j in range(diagram.cycle_count(0)):
@@ -410,7 +406,7 @@ def plan_rank2_realization(
         sample.append(Rank2Path((label,), 0))
     for label in islice(diagram.blue_labels_at(1), 4):
         sample.append(Rank2Path((label,), 1))
-    lc = check_lc(diagram, auto, sample)
+    lc = check_lc(diagram, orders, sample)
 
     minimality = minimality_verdict(blue_skeleton(diagram), levels_out - 1)
     inequality = wfc.details["inequality"].values()
@@ -420,10 +416,6 @@ def plan_rank2_realization(
         "orders_per_level": {str(n): list(orders.orders_at(n)) for n in range(levels_out - 1)},
         "m_sequence": list(orders.m),
     }
-    if corner is not None:
-        k_spec = DimensionGroupSpec(tuple(map(len, tele.telescoped.T)), tele.telescoped.A)
-        positivity = dg_is_positive(k_spec, corner.k_class, levels_out - 1)
-        ktheory["corner_class_positive"] = positivity.to_json()
     automorphism = {
         "kind": "factorization-permutation power",
         "description": "blue edges at level n map through the m_n-th power "

@@ -98,23 +98,13 @@ class CanonicalRank2Diagram:
     They are the labels (n, j, i, k), 0 <= k < count: edge k ranges at
     (n, j, k mod T_n(j)), sources at (n+1, i, k mod T_{n+1}(i)), and F sends
     k to k + orientation mod count -- the diagram ``build_rank2``
-    materializes, with no edge stored.
+    materializes, with no edge stored.  It checks nothing itself:
+    ``canonical_rank2`` builds it from checked ``Rank2Data``.
     """
 
     cycle_sizes: tuple[tuple[int, ...], ...]
     counts: tuple[IntMatrix, ...]
     orientation: int = 1
-
-    def __post_init__(self):
-        _check_red_cycles(self.cycle_sizes, self.orientation)
-        if len(self.counts) != self.levels() - 1:
-            raise StructuralError("need one count matrix per pair of adjacent levels")
-        for n, counts in enumerate(self.counts):
-            want = (self.cycle_count(n + 1), self.cycle_count(n))
-            if shape(counts) != want or any(c < 0 for row in counts for c in row):
-                raise StructuralError(
-                    f"blue-edge counts at level {n} must be nonnegative of shape {want}"
-                )
 
     def levels(self) -> int:
         return len(self.cycle_sizes)
@@ -209,7 +199,14 @@ def validate_rank2(d: CanonicalRank2Diagram) -> ValidationReport:
 @dataclass(frozen=True)
 class Rank2Data:
     """Input sequences: A_n, B_n of shape (c_{n+1}, c_n) and diagonal vectors
-    T_n; an optional repetition rule extends them periodically."""
+    T_n; an optional repetition rule extends them periodically.
+
+    This is the one check of rank-2 input: T is positive, A_n T_n =
+    T_{n+1} B_n holds, every stored A_n is nonnegative and proper (so B_n,
+    with the signs and zero pattern compatibility gives it, is too, and a
+    repetition rule only repeats stored matrices), and the orientation is
+    +1 or -1.  Every diagram built from the data may rely on these.
+    """
 
     A: tuple[IntMatrix, ...]
     B: tuple[IntMatrix, ...]
@@ -234,6 +231,13 @@ class Rank2Data:
                             f"level {n}, entry ({i},{j})"
                         )
         check_repeat_rule(self.T, self.repeat_from)
+        for n, a in enumerate(self.A):
+            if any(x < 0 for row in a for x in row):
+                raise StructuralError(f"A_{n} must be nonnegative")
+            if not is_proper(a):
+                raise StructuralError(f"matrices at level {n} must be proper")
+        if self.orientation not in (1, -1):
+            raise StructuralError("orientation must be +1 or -1")
 
     def a_at(self, n: int) -> IntMatrix:
         return self.A[repeat_index(n, len(self.A), len(self.A), self.repeat_from)]
@@ -279,25 +283,19 @@ def rank2_data_from_json(data: dict) -> tuple[Rank2Data, int | None]:
 
 
 def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:
-    """The red cycle lengths of the canonical layout, after checking that
-    its matrices are proper.  Compatibility with the positive diagonal T
-    gives B_n the zero pattern of A_n, so checking A_n suffices."""
+    """The red cycle lengths of the canonical layout."""
     if levels < 1:
         raise ValueError("need at least one level")
-    for n in range(levels - 1):
-        if not is_proper(data.a_at(n)):
-            raise StructuralError(f"matrices at level {n} must be proper")
     return tuple(tuple(data.t_at(n)) for n in range(levels))
 
 
 def canonical_rank2(data: Rank2Data, levels: int) -> CanonicalRank2Diagram:
     """The canonical diagram for the matrix data, kept per cycle pair."""
-    sizes = _cycle_sizes(data, levels)
     counts = tuple(
         tuple(tuple(a * t for a, t in zip(row, data.t_at(n))) for row in data.a_at(n))
         for n in range(levels - 1)
     )
-    return CanonicalRank2Diagram(sizes, counts, data.orientation)
+    return CanonicalRank2Diagram(_cycle_sizes(data, levels), counts, data.orientation)
 
 
 def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
@@ -308,7 +306,6 @@ def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
     sources at position k mod T_{n+1}(i), and F advances k by the
     orientation, cyclically.
     """
-    sizes = _cycle_sizes(data, levels)
     blue: list[Edge] = []
     f_map: dict[BlueLabel, BlueLabel] = {}
     for n in range(levels - 1):
@@ -323,7 +320,7 @@ def build_rank2(data: Rank2Data, levels: int) -> Rank2Diagram:
                         Edge(label, (n, j, k % t_low[j]), (n + 1, i, k % t_high[i]))
                     )
                     f_map[label] = (n, j, i, (k + data.orientation) % count)
-    return Rank2Diagram(sizes, tuple(blue), f_map, data.orientation)
+    return Rank2Diagram(_cycle_sizes(data, levels), tuple(blue), f_map, data.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,12 @@ class CanonicalOrders:
     """The order data of a canonical diagram in closed form: the edges of a
     cycle pair form one F-orbit, so each has the pair's count as its order.
     ``level_lcm`` holds the level lcms O_n and ``m`` the recursion m_0 = 0,
-    m_{n+1} = m_n + n * O_n."""
+    m_{n+1} = m_n + n * O_n.
+
+    The orders are also the order automorphism: blue edges at level n map
+    through F^{m_n}, vertices rotate inside their red cycles accordingly,
+    and red segments re-anchor by degree.  ``rank2_automorphism`` checks
+    that it is well defined."""
 
     diagram: CanonicalRank2Diagram
     level_lcm: tuple[int, ...]
@@ -364,6 +366,20 @@ class CanonicalOrders:
     def f_power(self, label: BlueLabel, k: int) -> BlueLabel:
         n, j, i, e = label
         return (n, j, i, (e + self.diagram.orientation * k) % self.edge_order(label))
+
+    def blue_image(self, label: BlueLabel) -> BlueLabel:
+        return self.f_power(label, self.m[label[0]])
+
+    def orbit_length(self, p: Rank2Path) -> int:
+        """The orbit length of a path under F^{m_n}.  It splits the o edges
+        of a cycle pair into cycles of length o / gcd(o, m_n), so a path's
+        orbit is the lcm of those over its blue edges; a blueless path
+        rotates its anchor inside a red cycle of length t, with orbit
+        t / gcd(t, m_n).  The red degree is fixed."""
+        if not p.blue:
+            n, j, _ = p.anchor
+            return _cycle_length(self.diagram.cycle_size(n, j), self.m[n])
+        return math.lcm(*(_cycle_length(self.edge_order(b), self.m[b[0]]) for b in p.blue))
 
 
 def compute_orders(d: CanonicalRank2Diagram) -> CanonicalOrders:
@@ -570,49 +586,20 @@ def blue_skeleton(d: CanonicalRank2Diagram):
     return BratteliDiagram(tuple(sizes), tuple(tables), None)
 
 
-@dataclass(frozen=True)
-class Rank2Automorphism:
-    """Blue edges at level n map through F^{m_n}; vertices rotate inside
-    their red cycles accordingly, and red segments re-anchor by degree."""
-
-    diagram: CanonicalRank2Diagram
-    orders: CanonicalOrders
-
-    def blue_image(self, label: BlueLabel) -> BlueLabel:
-        return self.orders.f_power(label, self.m_at(label[0]))
-
-    def m_at(self, n: int) -> int:
-        return self.orders.m[n]
-
-    def orbit_length(self, p: Rank2Path) -> int:
-        """The orbit length of a path.  F^{m_n} splits the o edges of a cycle
-        pair into cycles of length o / gcd(o, m_n), so a path's orbit is the
-        lcm of those over its blue edges; a blueless path rotates its anchor
-        inside a red cycle of length t, with orbit t / gcd(t, m_n).  The red
-        degree is fixed."""
-        if not p.blue:
-            n, j, _ = p.anchor
-            return _cycle_length(self.diagram.cycle_size(n, j), self.m_at(n))
-        return math.lcm(
-            *(_cycle_length(self.orders.edge_order(b), self.m_at(b[0])) for b in p.blue)
-        )
-
-
 def _cycle_length(size: int, shift: int) -> int:
     """The cycle length of a rotation by ``shift`` on a cycle of ``size``."""
     return size // math.gcd(size, shift)
 
 
-def rank2_automorphism(
-    d: CanonicalRank2Diagram, orders: CanonicalOrders | None = None
-) -> Rank2Automorphism:
-    """Build and verify the F^{m_n} automorphism.
+def rank2_automorphism(d: CanonicalRank2Diagram) -> CanonicalOrders:
+    """The orders of ``d``, after checking that their F^{m_n} automorphism
+    is well defined.
 
     Well-definedness needs the image of a blue edge's source to match the
     rotation applied at the next level, i.e. every receiving red cycle's
     length must divide n * O_n; a violation signals an inconsistent F.
     """
-    orders = orders or compute_orders(d)
+    orders = compute_orders(d)
     # F^{m_n} sends edge k of a pair to k + a, a = orientation * m_n mod
     # count, wrapping past the count for k >= count - a; the source of edge k
     # must move as level n+1 rotates, by orientation * m_{n+1}.  So edge 0
@@ -627,7 +614,7 @@ def rank2_automorphism(
                 raise StructuralError(_ill_defined_at((n, j, i, 0)))
             if a and c % u:
                 raise StructuralError(_ill_defined_at((n, j, i, c - a)))
-    return Rank2Automorphism(d, orders)
+    return orders
 
 
 def _ill_defined_at(label: BlueLabel) -> str:

@@ -45,11 +45,7 @@ from .groupoid_core import (
     is_principal,
     orbits,
 )
-from .rank2_diagrams import (
-    CanonicalRank2Diagram,
-    Rank2Automorphism,
-    Rank2Path,
-)
+from .rank2_diagrams import CanonicalOrders, Rank2Path
 from .validation import StructuralError
 
 # ---------------------------------------------------------------------------
@@ -265,26 +261,17 @@ def shift_witness_levels(shortest_cycle: Mapping[int, int], shift_bound: int) ->
     return witnesses
 
 
-def check_wfc(diagram, alpha, depth: int, shift_bound: int) -> WfcCertificate:
+def check_wfc(orders: CanonicalOrders, depth: int, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
-    on a rank-2 diagram, through the order inequality and bounded
-    congruences, with red offsets up to the shift bound.  (The AF planner
-    reads its certificate off the growth chains in closed form.)  Any other
-    backend raises ``TypeError``.  A shift bound below 1 certifies nothing
+    on a rank-2 diagram, for the F^{m_n} automorphism its ``orders`` are,
+    through the order inequality and bounded congruences, with red offsets
+    up to the shift bound.  (The AF planner reads its certificate off the
+    growth chains in closed form.)  A shift bound below 1 certifies nothing
     and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    if not isinstance(diagram, CanonicalRank2Diagram):
-        raise TypeError(f"unsupported backend {type(diagram).__name__}")
-    if not isinstance(alpha, Rank2Automorphism):
-        raise TypeError(
-            f"rank-2 orbit-freeness check needs a Rank2Automorphism, got {type(alpha).__name__}"
-        )
-    if alpha.diagram != diagram:
-        raise ValueError("the automorphism acts on a different rank-2 diagram")
     L = shift_bound
-    orders = alpha.orders
     max_level = min(depth, orders.max_edge_level())
     inequality = {}
     for n in range(max_level + 1):

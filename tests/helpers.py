@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from groupoid_forge.convolution_algebra import RegRepMatrix
+from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
@@ -73,7 +73,6 @@ from groupoid_forge.rank2_diagrams import (
     TelescopeResult,
     blue_skeleton,
     canonical_rank2,
-    compute_orders,
     rank2_automorphism,
     rank2_data_from_json,
     reverify_telescope,
@@ -143,6 +142,16 @@ def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bo
 def sum_contains(piece: BasicBisection | None, candidate) -> bool:
     """Germ membership in a product result; None is the empty set."""
     return piece is not None and contains_germ(piece, candidate)
+
+
+def symbolic_difference(a: SymbolicConvElement, b: SymbolicConvElement) -> SymbolicConvElement:
+    """a - b with the coefficients merged by key and then canonicalized by
+    the constructor (the oracle for ``SymbolicConvElement.__eq__``: a == b
+    exactly when this is zero)."""
+    merged = dict(a.coeffs)
+    for key, c in b.coeffs.items():
+        merged[key] = merged.get(key, ZERO) - c
+    return SymbolicConvElement(a.model, merged)
 
 
 def brute_orbit(apply_fn, start) -> list:
@@ -752,14 +761,14 @@ def af_path_image(alpha, p: PathWord) -> PathWord:
     return PathWord(tuple(alpha.edge_image(e) for e in p.edges))
 
 
-def rank2_path_image(auto, p: Rank2Path) -> Rank2Path:
+def rank2_path_image(orders, p: Rank2Path) -> Rank2Path:
     """The image of a blue-red path under the order automorphism: a blue edge
     at level n moves by F^{m_n}, a blueless anchor at level n moves m_n steps
     along its red cycle, and the red degree is kept."""
-    m = auto.orders.m
+    m = orders.m
     if p.blue:
-        return Rank2Path(tuple(auto.orders.f_power(b, m[b[0]]) for b in p.blue), p.red_degree)
-    return Rank2Path((), p.red_degree, auto.diagram.red_walk(p.anchor, m[p.anchor[0]]))
+        return Rank2Path(tuple(orders.f_power(b, m[b[0]]) for b in p.blue), p.red_degree)
+    return Rank2Path((), p.red_degree, orders.diagram.red_walk(p.anchor, m[p.anchor[0]]))
 
 
 def walked_lc_lengths(image, paths) -> list[int]:
@@ -778,8 +787,8 @@ def walked_af_lc_lengths(alpha, paths) -> list[int]:
     return walked_lc_lengths(lambda p: af_path_image(alpha, p), paths)
 
 
-def walked_rank2_lc_lengths(auto, paths) -> list[int]:
-    return walked_lc_lengths(lambda p: rank2_path_image(auto, p), paths)
+def walked_rank2_lc_lengths(orders, paths) -> list[int]:
+    return walked_lc_lengths(lambda p: rank2_path_image(orders, p), paths)
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +801,9 @@ def walked_rank2_lc_lengths(auto, paths) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def scanned_rank2_wfc_certificate(diagram, alpha, depth: int, L: int) -> WfcCertificate:
+def scanned_rank2_wfc_certificate(orders, depth: int, L: int) -> WfcCertificate:
     """The rank-2 orbit-freeness certificate from the per-pair scan, red
-    offsets 0..L, over the orders ``alpha`` carries."""
-    orders = alpha.orders
+    offsets 0..L, over the given orders."""
     max_level = min(depth, orders.max_edge_level())
     inequality = {}
     for n in range(max_level + 1):
@@ -1060,8 +1068,9 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
 # The rank-2 report as the planner derived it before it dropped the checks
 # its telescope settles: validate the canonical diagram, round-trip the
 # edge orders through ``rank2_k_matrices``, check the order inequality level
-# by level, build the automorphism through ``rank2_automorphism`` and
-# re-multiply the telescope's chains in ``reverify_telescope``.  The unit
+# by level, build the automorphism through ``rank2_automorphism``,
+# re-multiply the telescope's chains in ``reverify_telescope`` and push the
+# corner class through ``dg_is_positive``.  The unit
 # class is checked as in the planner: its level before telescoping, its
 # vector against the levels the telescope reached.  The report is laid out
 # here, not through ``pipeline._report``.
@@ -1099,7 +1108,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
     structural = validate_rank2(diagram)
     if not structural.passed:
         raise PipelineInputError(f"built diagram fails validation:\n{structural.describe()}")
-    orders = compute_orders(diagram)
+    orders = rank2_automorphism(diagram)
 
     inequality_ok = all(
         orders.min_order_at(n) > n * orders.m[n] for n in range(levels_out - 1)
@@ -1111,8 +1120,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
         for j, i, _ in diagram.pairs_at(n)
     )
 
-    auto = rank2_automorphism(diagram, orders)
-    wfc = check_wfc(diagram, auto, depth=levels_out - 2, shift_bound=lbound)
+    wfc = check_wfc(orders, depth=levels_out - 2, shift_bound=lbound)
 
     sample: list[Rank2Path] = []
     for j in range(diagram.cycle_count(0)):
@@ -1122,7 +1130,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
         sample.append(Rank2Path((label,), 0))
     for label in itertools.islice(diagram.blue_labels_at(1), 4):
         sample.append(Rank2Path((label,), 1))
-    lc = check_lc(diagram, auto, sample)
+    lc = check_lc(diagram, orders, sample)
 
     skeleton = blue_skeleton(diagram)
     minimality = minimality_verdict(skeleton, levels_out - 1)

@@ -19,13 +19,7 @@ from groupoid_forge.graph_model import (
 )
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
-from groupoid_forge.rank2_diagrams import (
-    Rank2Automorphism,
-    Rank2Data,
-    build_rank2,
-    canonical_rank2,
-    telescope_rank2,
-)
+from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, telescope_rank2
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.twisted_product import check_lc, check_wfc
 
@@ -33,6 +27,9 @@ from helpers import materialized_automorphism, materialized_orders
 
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
+# compatible data whose matrices are negative
+NEGATIVE_A = {"A": [[[-2]]], "B": [[[-2]]], "T": [[1], [1]], "repeat_from": 0}
+DATA = Path(__file__).resolve().parent / "data"
 FIGURE_TAIL = Rank2Data(
     A=(((3,),), ((4,),), ((2,),)),
     B=(((1,),), ((2,),), ((2,),)),
@@ -194,6 +191,26 @@ class TestGroupoid:
         assert main(["check-groupoid", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ([], "malformed automorphism: 'list' object has no attribute 'items'"),
+            (
+                {"(0, 0": "(1, 1)", "(0, 1)": "(1, 0)", "(1, 0)": "(0, 1)", "(1, 1)": "(0, 0)"},
+                "automorphism mapping is not a bijection",
+            ),
+        ],
+        ids=["map-list", "unparsable-name"],
+    )
+    def test_twist_alpha_file_is_checked(self, mapping, message, groupoid_file, tmp_path, capsys):
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps({"map": mapping}))
+        argv = ["twist", "--H", groupoid_file, "--G", groupoid_file, "--alpha", str(alpha)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_dump_name_that_revives_unhashable_stays_a_string(self, tmp_path, capsys):
         # "[0]" is the repr of a list, which cannot name an element; it is
         # kept as the string, so the axiom check runs and reports
@@ -336,6 +353,31 @@ class TestRank2Cli:
         assert main(["rank2", "build", "--input", str(source), "--levels", "2"]) == 2
         assert "must be proper" in capsys.readouterr().err
 
+    def test_negative_a_is_refused_alike(self, tmp_path, capsys):
+        # compatibility holds with A = B = -2, so only the sign refuses it
+        source = tmp_path / "negative.json"
+        source.write_text(json.dumps(NEGATIVE_A))
+        flags = ["--depth", "2", "--lbound", "3"]
+        commands = [
+            ["realize", "rank2", str(source), *flags],
+            ["certify", "wfc", "--rank2", "--input", str(source), *flags],
+            ["rank2", "build", "--input", str(source)],
+        ]
+        errors = []
+        for argv in commands:
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["structural error: A_0 must be nonnegative\n"] * 3
+
+    def test_ok_report_of_negative_a_is_refused(self, capsys):
+        # the ok report an earlier planner wrote for NEGATIVE_A at depth 2, lbound 3
+        report = DATA / "negative_a_report.json"
+        written = json.loads(report.read_text())
+        assert written["status"] == "ok"
+        assert written["input"] == NEGATIVE_A | {"orientation": "+1"}
+        assert main(["verify-report", str(report)]) == 2
+        assert "A_0 must be nonnegative" in capsys.readouterr().err
+
 
 def _materialized_rank2_output(action, data, levels):
     """What the rank-2 tools print when they walk the diagram of build_rank2."""
@@ -380,12 +422,9 @@ class TestRank2CliMatchesMaterialized:
         argv = ["certify", "wfc", "--rank2", "--input", str(source), "--depth", str(depth)]
         code = main(argv + ["--lbound", str(lbound), "--out", str(out)])
         tele = telescope_rank2(data, depth + 2)
-        # the certificate computed from the orbit walk over the materialized F:
-        # check_wfc reads the orders of an automorphism on the same diagram
-        levels = depth + 2
-        canon = canonical_rank2(tele.telescoped, levels)
-        orders = materialized_orders(build_rank2(tele.telescoped, levels))
-        expected = check_wfc(canon, Rank2Automorphism(canon, orders), depth, lbound)
+        # the certificate computed from the orbit walk over the materialized F
+        orders = materialized_orders(build_rank2(tele.telescoped, depth + 2))
+        expected = check_wfc(orders, depth, lbound)
         assert code == (0 if expected.is_certificate else 1)
         assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
 

@@ -347,9 +347,8 @@ class TestCanonicalization:
         g = (0, 0)
         z_all = BasicBisection(BQ.unit(), BQ.unit())
         z_e0 = BasicBisection(BQ.path([0]), BQ.path([0]))
-        x = SymbolicConvElement(model, {(z_all, g): gauss(1)})
-        y = SymbolicConvElement(model, {(z_e0, g): gauss(1)})
-        s = x.add(y)
+        # the constructor canonicalizes the overlapping sum
+        s = SymbolicConvElement(model, {(z_all, g): gauss(1), (z_e0, g): gauss(1)})
 
         for germ in bouquet_germs(3, 2):
             expect = gauss(0)

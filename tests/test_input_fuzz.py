@@ -9,8 +9,8 @@ integer must return 2 with the field's path on stderr, in every file whose
 integers the command reads: diagrams, rank-2 data, cocycles, and the
 ``input``, ``parameters``, ``corner.level`` and ``corner.vector`` of a
 report.  The other report fields are derived and compared by value, so
-there a planted ``2.0`` may still check.  Groupoid dumps hold names, not
-integers.  Planted values stay at magnitude 3 or less: a planted level size
+there a planted ``2.0`` may still check.  Groupoid dumps and automorphism
+files hold names, not integers.  Planted values stay at magnitude 3 or less: a planted level size
 allocates a table of its square.
 """
 
@@ -62,6 +62,10 @@ FILES = {
     "G": full_relation(range(2)).to_json(),
     # the coboundary of the unit weights (0, 0) -> 0, (1, 1) -> 1
     "cocycle": {"values": {"(0, 0)": 0, "(0, 1)": -1, "(1, 0)": 1, "(1, 1)": 0}},
+    # the swap of the two points
+    "alpha": {
+        "map": {"(0, 0)": "(1, 1)", "(0, 1)": "(1, 0)", "(1, 0)": "(0, 1)", "(1, 1)": "(0, 0)"}
+    },
 }
 
 FLAGS = ["--depth", "2", "--lbound", "3"]
@@ -82,6 +86,7 @@ FORMS = {
     "verify-report-rank2": ["verify-report", "{rank2_report}"],
     "check-groupoid": ["check-groupoid", "{G}"],
     "twist": ["twist", "--H", "{H}", "--G", "{G}", "--alpha", "cycle:1", "--cocycle", "{cocycle}"],
+    "twist-alpha-file": ["twist", "--H", "{H}", "--G", "{G}", "--alpha", "{alpha}"],
 }
 
 

@@ -110,9 +110,24 @@ class TestBuild:
     )
     def test_improper_matrix_rejected(self, a):
         # T = 1 everywhere, so compatibility makes B = A
-        data = Rank2Data(A=(a,), B=(a,), T=((1, 1), (1, 1)))
         with pytest.raises(StructuralError, match="matrices at level 0 must be proper"):
-            canonical_rank2(data, 2)
+            Rank2Data(A=(a,), B=(a,), T=((1, 1), (1, 1)))
+
+    def test_negative_matrices_rejected(self):
+        # compatibility holds, and the telescope keeps only even-length
+        # chains, whose products are positive
+        with pytest.raises(StructuralError, match="A_0 must be nonnegative"):
+            Rank2Data(A=(((-2,),),), B=(((-2,),),), T=((1,), (1,)), repeat_from=0)
+
+    def test_improper_matrix_rejected_at_any_stored_level(self):
+        # no diagram of fewer than five levels reaches A_3
+        one, zero = ((2,),), ((0,),)
+        with pytest.raises(StructuralError, match="matrices at level 3 must be proper"):
+            Rank2Data(A=(one, one, one, zero), B=(one, one, one, zero), T=((1,),) * 5)
+
+    def test_orientation_other_than_plus_or_minus_one_rejected(self):
+        with pytest.raises(StructuralError, match="orientation must be \\+1 or -1"):
+            Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), orientation=2)
 
     def test_validate_catches_broken_factorization(self):
         # the materialized oracle must notice a scrambled F: no canonical
@@ -248,10 +263,10 @@ class TestAutomorphism:
     ``build_rank2`` materializes."""
 
     def test_levels_zero_one_fixed(self):
-        auto = rank2_automorphism(canonical_rank2(FIGURE, 3))
-        assert auto.orders.m[:2] == (0, 0)
+        orders = rank2_automorphism(canonical_rank2(FIGURE, 3))
+        assert orders.m[:2] == (0, 0)
         for e in blue_edges_at(build_rank2(FIGURE, 3), 0):
-            assert auto.blue_image(e.label) == e.label
+            assert orders.blue_image(e.label) == e.label
 
     def test_level_two_moves_through_power_twelve(self):
         data = Rank2Data(
@@ -260,32 +275,31 @@ class TestAutomorphism:
             T=((1,), (3,), (6,), (6,)),
         )
         diagram, mat = canonical_rank2(data, 4), build_rank2(data, 4)
-        orders = compute_orders(diagram)
-        auto = rank2_automorphism(diagram, orders)
+        orders = rank2_automorphism(diagram)
         assert orders.m[2] == 12
         for e in blue_edges_at(mat, 2):
-            assert auto.blue_image(e.label) == orders.f_power(e.label, 12)
+            assert orders.blue_image(e.label) == orders.f_power(e.label, 12)
         # exhaustive source/range compatibility on composable blue pairs
         by_label = blue_by_label(mat)
         for e in blue_edges_at(mat, 1):
             for f in blue_edges_at(mat, 2):
                 if e.source_vertex != f.range_vertex:
                     continue
-                img_e = by_label[auto.blue_image(e.label)]
-                img_f = by_label[auto.blue_image(f.label)]
+                img_e = by_label[orders.blue_image(e.label)]
+                img_f = by_label[orders.blue_image(f.label)]
                 assert img_e.source_vertex == img_f.range_vertex
 
     def test_vertex_rotation_consistent(self):
         result = telescope_rank2(CONSTANT2, 6)
         mat = build_rank2(result.telescoped, 6)
-        auto = rank2_automorphism(canonical_rank2(result.telescoped, 6))
+        orders = rank2_automorphism(canonical_rank2(result.telescoped, 6))
         by_label = blue_by_label(mat)
 
         def rotated(v):
-            return rank2_path_image(auto, Rank2Path((), 0, v)).anchor
+            return rank2_path_image(orders, Rank2Path((), 0, v)).anchor
 
         for e in mat.blue:
-            img = by_label[auto.blue_image(e.label)]
+            img = by_label[orders.blue_image(e.label)]
             assert img.range_vertex == rotated(e.range_vertex)
             assert img.source_vertex == rotated(e.source_vertex)
 
@@ -295,8 +309,7 @@ class TestAutomorphism:
         tele = telescope_rank2(CONSTANT2, 6).telescoped
         for data, levels, n in ((FIGURE, 3, 0), (tele, 6, 2)):
             diagram, mat = canonical_rank2(data, levels), build_rank2(data, levels)
-            orders = compute_orders(diagram)
-            auto = rank2_automorphism(diagram, orders)
+            orders = rank2_automorphism(diagram)
             e0 = blue_edges_at(mat, n)[0]
             p = Rank2Path((e0.label,), 1)
             f = next(
@@ -304,12 +317,12 @@ class TestAutomorphism:
                 if x.range_vertex == path_source(diagram, p)
             )
             q = Rank2Path((f.label,), 0)
-            lhs = rank2_path_image(auto, compose_paths(diagram, orders, p, q))
+            lhs = rank2_path_image(orders, compose_paths(diagram, orders, p, q))
             rhs = compose_paths(
-                diagram, orders, rank2_path_image(auto, p), rank2_path_image(auto, q)
+                diagram, orders, rank2_path_image(orders, p), rank2_path_image(orders, q)
             )
             assert lhs == rhs
-        assert rank2_path_image(auto, p) != p
+        assert rank2_path_image(orders, p) != p
 
 
 class TestSkeleton:

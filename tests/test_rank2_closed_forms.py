@@ -17,7 +17,6 @@ from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
 from groupoid_forge.rank2_diagrams import (
     CanonicalRank2Diagram,
-    Rank2Automorphism,
     Rank2Data,
     Rank2Path,
     blue_skeleton,
@@ -169,15 +168,15 @@ def _lc_sample(diagram):
 class TestLcAgainstOrbitWalk:
     def test_entries(self, pair):
         canon, _ = pair
-        auto = rank2_automorphism(canon)
+        orders = rank2_automorphism(canon)
         sample = _lc_sample(canon)
-        got = [e.l for e in check_lc(canon, auto, sample).entries]
-        assert got == walked_rank2_lc_lengths(auto, sample)
+        got = [e.l for e in check_lc(canon, orders, sample).entries]
+        assert got == walked_rank2_lc_lengths(orders, sample)
 
         def level(p):
             return p.blue[0][0] if p.blue else p.anchor[0]
 
-        moved = [l for p, l in zip(sample, got) if auto.orders.m[level(p)] > 0]
+        moved = [l for p, l in zip(sample, got) if orders.m[level(p)] > 0]
         if canon.levels() > 3:
             assert max(moved) > 1
         else:
@@ -302,12 +301,9 @@ def test_broken_layouts_match_the_materialized_diagram(name, orientation):
 
 
 def test_non_proper_matrices_rejected_alike():
-    data = Rank2Data(A=(((0,),),), B=(((0,),),), T=((1,), (1,)))
-    with pytest.raises(StructuralError) as fast:
-        canonical_rank2(data, 2)
-    with pytest.raises(StructuralError) as ref:
-        build_rank2(data, 2)
-    assert str(fast.value) == str(ref.value)
+    # improper data never reaches either builder: Rank2Data refuses it
+    with pytest.raises(StructuralError, match="matrices at level 0 must be proper"):
+        Rank2Data(A=(((0,),),), B=(((0,),),), T=((1,), (1,)))
 
 
 def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
@@ -327,12 +323,10 @@ def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _same_certificate(diagram, alpha, depth, L):
-    """``check_wfc`` equals the pair scan, key order included; returns it.
-    Without ``alpha`` both read the closed-form orders of the diagram."""
-    alpha = alpha or Rank2Automorphism(diagram, compute_orders(diagram))
-    cert = check_wfc(diagram, alpha, depth, L)
-    expected = scanned_rank2_wfc_certificate(diagram, alpha, depth, L)
+def _same_certificate(orders, depth, L):
+    """``check_wfc`` equals the pair scan, key order included; returns it."""
+    cert = check_wfc(orders, depth, L)
+    expected = scanned_rank2_wfc_certificate(orders, depth, L)
     assert json.dumps(cert.to_json()) == json.dumps(expected.to_json())
     return cert
 
@@ -359,11 +353,11 @@ class TestWfcAgainstPairScan:
     @pytest.mark.parametrize("seed", range(3))
     def test_canonical_cases(self, name, seed):
         data, levels = CASES[name]
-        diagram = canonical_rank2(data, levels)
+        orders = compute_orders(canonical_rank2(data, levels))
         rng = random.Random(f"{name}:{seed}")
         for depth in range(levels):
             for L in (1, rng.randint(2, 30), 12, rng.randint(1, 20)):
-                _same_certificate(diagram, None, depth, L)
+                _same_certificate(orders, depth, L)
 
     @pytest.mark.parametrize(
         "data, depth, lbound",
@@ -378,7 +372,7 @@ class TestWfcAgainstPairScan:
     def test_benchmark_depths(self, data, depth, lbound):
         levels = depth + 2
         diagram = canonical_rank2(telescope_rank2(data, levels).telescoped, levels)
-        cert = _same_certificate(diagram, None, depth, lbound)
+        cert = _same_certificate(compute_orders(diagram), depth, lbound)
         if lbound == 200:
             # one pair (l, s) survives every level
             assert cert.details["undecided_pairs"] == [[137, 98]]
@@ -387,46 +381,34 @@ class TestWfcAgainstPairScan:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_orders(self, seed):
-        # several distinct orders per level, on the levels of any diagram:
-        # check_wfc reads the orders of an automorphism of the same diagram
-        diagram = canonical_rank2(CONSTANT2, 2)
+        # several distinct orders per level: check_wfc reads nothing else
         orders = seeded_orders(seed)
-        alpha = Rank2Automorphism(diagram, orders)
         rng = random.Random(seed)
         top = orders.max_edge_level()
         for depth in {top, rng.randint(0, top)}:
             for L in (rng.randint(1, 40), rng.randint(1, 40)):
-                _same_certificate(diagram, alpha, depth, L)
+                _same_certificate(orders, depth, L)
 
     def test_outcomes_the_cases_cover(self):
         # the sweep meets all three outcomes on these diagrams
-        tail = canonical_rank2(*CASES["figure_tail_d3"])
-        undecided = _same_certificate(tail, None, 2, 30)
+        tail = compute_orders(canonical_rank2(*CASES["figure_tail_d3"]))
+        undecided = _same_certificate(tail, 2, 30)
         assert undecided.status == "unknown"
         assert len(undecided.details["undecided_pairs"]) == 5
-        certified = _same_certificate(tail, None, 3, 30)
+        certified = _same_certificate(tail, 3, 30)
         assert certified.status == "certificate" and certified.details["s_bound"] == 30
         assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 31
         # untelescoped constant data: o = 2 at level 2, but 2 * m_2 = 4
-        failing = _same_certificate(canonical_rank2(CONSTANT2, 5), None, 3, 10)
+        failing = _same_certificate(compute_orders(canonical_rank2(CONSTANT2, 5)), 3, 10)
         assert failing.details["note"] == "order inequality o(e) > n*m_n fails"
         mixed = canonical_rank2(TWO_CYCLE_MIXED, 3)
         assert any(len(compute_orders(mixed).orders_at(n)) > 1 for n in range(2))
 
     @pytest.mark.parametrize("shift_bound", [0, -3])
     def test_bounds_that_certify_nothing_are_rejected(self, shift_bound):
-        diagram = canonical_rank2(*CASES["const2_d3"])
-        alpha = Rank2Automorphism(diagram, compute_orders(diagram))
+        orders = compute_orders(canonical_rank2(*CASES["const2_d3"]))
         with pytest.raises(ValueError, match="shift bound must be at least 1"):
-            check_wfc(diagram, alpha, 3, shift_bound)
-
-    def test_orders_come_from_the_automorphism_of_the_same_diagram(self):
-        diagram = canonical_rank2(*CASES["const2_d3"])
-        other = canonical_rank2(*CASES["const3_d3"])
-        with pytest.raises(TypeError, match="Rank2Automorphism"):
-            check_wfc(diagram, None, 3, 5)
-        with pytest.raises(ValueError, match="different rank-2 diagram"):
-            check_wfc(diagram, Rank2Automorphism(other, compute_orders(other)), 3, 5)
+            check_wfc(orders, 3, shift_bound)
 
 
 def test_telescope_matches_the_rescanned_chains():

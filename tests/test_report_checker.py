@@ -163,7 +163,6 @@ def test_checker_runs_no_planner_certificate(monkeypatch):
         for module, name in [
             (pipeline, "check_wfc"),
             (pipeline, "minimality_verdict"),
-            (pipeline, "dg_is_positive"),
             (twisted_product, "check_wfc"),
             (twisted_product, "minimality_verdict"),
             (dimension_groups, "dg_equal"),
@@ -183,6 +182,7 @@ def test_checker_runs_no_planner_certificate(monkeypatch):
             (rank2_diagrams, "reverify_telescope"),
             (rank2_diagrams, "rank2_automorphism"),
             (dimension_groups, "rank2_k_matrices"),
+            (dimension_groups, "dg_is_positive"),
         ]:
             patch.setattr(module, name, refuse)
             patch.setattr(pipeline, name, refuse, raising=False)
@@ -345,8 +345,16 @@ def _rank2_label(outcome) -> str:
 
 
 def test_rank2_plans_match_the_generic_derivation():
+    corners = 0
     for name, (planned, generic) in rank2_outcomes().items():
         assert planned == generic, name
+        if isinstance(planned, dict) and planned["telescoping"]["complete"] and planned["corner"]:
+            # the closed-form corner verdict against the push of dg_is_positive
+            verdict = generic["ktheory"]["corner_class_positive"]
+            assert planned["ktheory"]["corner_class_positive"] == verdict, name
+            assert verdict == {"value": "yes", "level": planned["corner"]["level"], "justification": None}
+            corners += 1
+    assert corners
 
 
 def test_rank2_grid_covers_every_outcome():
