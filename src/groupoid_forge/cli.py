@@ -262,7 +262,9 @@ def cmd_ktheory(args) -> int:
 
 def cmd_rank2(args) -> int:
     data, horizon = rank2_data_from_json(_load_json(args.input))
-    levels = args.levels or horizon or len(data.T)
+    levels = args.levels
+    if levels is None:
+        levels = horizon or len(data.T)
     if args.action == "build":
         diagram = canonical_rank2(data, levels)
         _dump(

@@ -173,7 +173,8 @@ def _revive(name: str):
         value = ast.literal_eval(name)
         hash(value)
         return value
-    except (ValueError, SyntaxError, TypeError):
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+        # a name too deeply nested for the parser is a name, not a literal
         return name
 
 

@@ -46,7 +46,6 @@ from .groupoid_core import (
     orbits,
 )
 from .rank2_diagrams import CanonicalOrders, Rank2Path
-from .validation import StructuralError
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -141,75 +140,6 @@ def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> B
     if not report.passed:
         raise ValueError(f"invalid automorphism:\n{report.describe()}")
     return BouquetTwistedProduct(G, alpha)
-
-
-# ---------------------------------------------------------------------------
-# Product bisections (bouquet bisection x finite set of G-elements)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductBisection:
-    h_part: BasicBisection
-    g_part: frozenset
-
-
-def check_product_bisection(model: BouquetTwistedProduct, b: ProductBisection) -> None:
-    """The G-part must itself be a bisection of G (r and s injective)."""
-    rs = [model.g.r(g) for g in b.g_part]
-    ss = [model.g.s(g) for g in b.g_part]
-    if len(set(rs)) != len(rs) or len(set(ss)) != len(ss):
-        raise StructuralError("G-part of a product bisection must be a G-bisection")
-
-
-def product_range(model: BouquetTwistedProduct, b: ProductBisection):
-    return (b.h_part.range_set(), frozenset(model.g.r(g) for g in b.g_part))
-
-
-def product_source(model: BouquetTwistedProduct, b: ProductBisection):
-    d = b.h_part.degree
-    back = model.alpha.power(d)
-    return (b.h_part.source_set(), frozenset(back(model.g.s(g)) for g in b.g_part))
-
-
-def product_inverse(model: BouquetTwistedProduct, b: ProductBisection) -> ProductBisection:
-    d = b.h_part.degree
-    fwd = model.alpha.power(d)
-    return ProductBisection(
-        b.h_part.inverse(), frozenset(fwd(model.g.inv(g)) for g in b.g_part)
-    )
-
-
-def product_multiply(
-    model: BouquetTwistedProduct, b1: ProductBisection, b2: ProductBisection
-) -> ProductBisection | None:
-    """Set product of two product bisections; the H- and G-sides factor.
-    The product is one product bisection or empty (None)."""
-    h_part = bisection_product(b1.h_part, b2.h_part)
-    if h_part is None:
-        return None
-    d1 = b1.h_part.degree
-    fwd = model.alpha.power(d1)
-    back = model.alpha.power(-d1)
-    g_set = set()
-    for g1 in b1.g_part:
-        for g2 in b2.g_part:
-            if fwd(model.g.s(g1)) == model.g.r(g2):
-                g_set.add(model.g.mul(g1, back(g2)))
-    if not g_set:
-        return None
-    return ProductBisection(h_part, frozenset(g_set))
-
-
-def product_unit_subset(
-    a: tuple[BasicBisection, frozenset], b: tuple[BasicBisection, frozenset]
-) -> bool:
-    """Containment of product unit sets (H unit bisection x G unit set)."""
-    return basic_subset(a[0], b[0]) and a[1] <= b[1]
-
-
-def product_unit_proper_subset(a, b) -> bool:
-    return product_unit_subset(a, b) and not product_unit_subset(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +334,13 @@ def _lc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, V: frozenset) -> 
 
 @dataclass(frozen=True)
 class ContractingWitness:
-    """B = Z(lam^{2l}, lam^l) x alpha^{-Nl}(V_G) with N = |lam|; the witness
-    satisfies r(B) properly inside s(B) inside W."""
+    """B = U x S with U = Z(lam^{2l}, lam^l), S = alpha^{-Nl}(V_G) and
+    N = |lam|, inside the unit window W = V_H x V_G; the witness satisfies
+    r(B) properly inside s(B) inside W.  The sets r_set and s_set are
+    (H-side unit set, set of units of G) pairs."""
 
-    bisection: ProductBisection
+    bisection: BasicBisection
+    g_part: frozenset
     lam: PathWord
     l: int
     window_h: BasicBisection
@@ -419,11 +352,24 @@ class ContractingWitness:
         return {
             "lambda": render_path(self.lam),
             "l": self.l,
-            "bisection_h": render_bisection(self.bisection.h_part),
-            "bisection_g": sorted(map(str, self.bisection.g_part)),
+            "bisection_h": render_bisection(self.bisection),
+            "bisection_g": sorted(map(str, self.g_part)),
             "window_h": render_bisection(self.window_h),
             "window_g": sorted(map(str, self.window_g)),
         }
+
+
+def _twist_units(model: BouquetTwistedProduct, k: int, units: frozenset) -> frozenset:
+    """alpha^k of a set of units of G."""
+    a = model.alpha.power(k)
+    return frozenset(a(u) for u in units)
+
+
+def _properly_inside(r_set, s_set) -> bool:
+    """r_set properly inside s_set as product unit sets.  The H-sides of a
+    witness differ (their words lam^{2l} and lam^l do), so the H-side
+    inclusion must be proper and the G-side one need not."""
+    return basic_proper_subset(r_set[0], s_set[0]) and r_set[1] <= s_set[1]
 
 
 def contracting_bisection_witness(
@@ -432,44 +378,47 @@ def contracting_bisection_witness(
     window_g: frozenset,
     l: int | None,
 ) -> ContractingWitness:
-    """Build and verify the contracting bisection inside W = V_H x V_G."""
+    """Build and verify the contracting bisection inside W = V_H x V_G,
+    where V_G is a set of units of G."""
     if l is None:
         raise ValueError("V_G carries no inclusion witness: run check_lc first")
     if l < 1:
         raise ValueError("the inclusion witness must satisfy l >= 1")
     if not window_h.is_unit_set():
         raise ValueError("the H-window must be a unit-space basic open")
+    if not window_g <= model.g.units:
+        raise ValueError("the G-window must be a set of units of G")
     lam = find_cylinder_inside(window_h)
     if len(lam) == 0:
         # every Z(lam.e) refines Z(lam), so a length-one extension is free
         one = InfiniteBouquet().edge(1)
         lam = lam.concat(path_from_edges((one,)))
     N = len(lam)
-    back = model.alpha.power(-N * l)
-    g_piece = frozenset(back(u) for u in window_g)
     U = BasicBisection(repeat_word(lam, 2 * l), repeat_word(lam, l))
-    B = ProductBisection(U, g_piece)
-    check_product_bisection(model, B)
-    r_set = product_range(model, B)
-    s_set = product_source(model, B)
-    if not product_unit_proper_subset(r_set, s_set):
+    S = _twist_units(model, -N * l, window_g)
+    r_set = (U.range_set(), S)
+    s_set = (U.source_set(), _twist_units(model, U.degree, S))
+    if not _properly_inside(r_set, s_set):
         raise AssertionError("witness failed: r(B) is not properly inside s(B)")
     if not (basic_subset(s_set[0], window_h) and s_set[1] <= window_g):
         raise AssertionError("witness failed: s(B) escapes the window")
-    return ContractingWitness(B, lam, l, window_h, window_g, r_set, s_set)
+    return ContractingWitness(U, S, lam, l, window_h, window_g, r_set, s_set)
 
 
 def reverify_contracting_witness(
     model: BouquetTwistedProduct, w: ContractingWitness
 ) -> bool:
-    """Independent re-check: r(B) must equal B B^{-1} as a unit set."""
-    piece = product_multiply(model, w.bisection, product_inverse(model, w.bisection))
-    if piece is None or not piece.h_part.is_unit_set():
-        return False
+    """Independent re-check: on the H-side r(B) and s(B) must be U U^{-1}
+    and U^{-1} U through the bisection product; on the G-side S, re-derived
+    from the window as alpha^{-Nl}(V_G), must be the recorded units."""
+    U, S = w.bisection, w.g_part
     return (
-        piece.h_part == w.r_set[0]
-        and frozenset(model.g.r(g) for g in piece.g_part) == w.r_set[1]
-        and basic_proper_subset(w.r_set[0], w.s_set[0])
+        bisection_product(U, U.inverse()) == w.r_set[0]
+        and bisection_product(U.inverse(), U) == w.s_set[0]
+        and S <= model.g.units
+        and _twist_units(model, -len(w.lam) * w.l, w.window_g) == S == w.r_set[1]
+        and _twist_units(model, U.degree, S) == w.s_set[1]
+        and _properly_inside(w.r_set, w.s_set)
         and basic_subset(w.s_set[0], w.window_h)
         and w.s_set[1] <= w.window_g
     )

@@ -56,14 +56,6 @@ class ValidationReport:
         lines += [f"  - {v}" for v in self.violations]
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": "pass" if self.passed else "fail",
-            "violations": [
-                {"invariant": v.invariant, "subject": v.subject} for v in self.violations
-            ],
-        }
-
 
 def report_from(violations: list[Violation]) -> ValidationReport:
     return ValidationReport(tuple(violations))

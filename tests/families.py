@@ -24,6 +24,11 @@ from groupoid_forge.groupoid_core import (
     zero_cocycle,
 )
 from groupoid_forge.rank2_diagrams import Rank2Data
+from groupoid_forge.twisted_product import (
+    bouquet_twisted_product,
+    check_lc,
+    contracting_bisection_witness,
+)
 
 
 def rng_for(seed: int) -> random.Random:
@@ -131,6 +136,33 @@ def seeded_bouquet_windows(count: int, seed: int, max_index: int = 9, max_len: i
         f_size = rng.choice([0, 1, 1, 2, 3])
         excluded = {bouquet.edge(i) for i in rng.sample(range(max_index + 1), k=f_size)}
         out.append(unit_bisection(u, excluded))
+    return out
+
+
+def seeded_contracting_witnesses(
+    count: int, seed: int, edges: int, max_len: int, max_excluded: int
+):
+    """(model, witness) pairs: the bouquet twisted with a cyclic shift of
+    the full relation on 1-3 points, each witness built on a unit window
+    Z(u \\ F) x G^0 with the inclusion witness of check_lc."""
+    rng = rng_for(seed)
+    bouquet = InfiniteBouquet()
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        G = full_relation(range(m))
+        points = list(range(m))
+        alpha = relation_automorphism(G, dict(zip(points, points[1:] + points[:1])))
+        model = bouquet_twisted_product(G, alpha)
+        u = bouquet.path([rng.randint(0, edges - 1) for _ in range(rng.randint(0, max_len))])
+        excluded = frozenset(
+            bouquet.edge(i)
+            for i in rng.sample(range(edges), k=rng.choice(range(max_excluded + 1)))
+        )
+        window_g = frozenset(G.units)
+        l = check_lc(G, alpha, [window_g]).entries[0].l
+        w = contracting_bisection_witness(model, unit_bisection(u, excluded), window_g, l)
+        out.append((model, w))
     return out
 
 

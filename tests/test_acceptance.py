@@ -30,6 +30,7 @@ from groupoid_forge.dimension_groups import (
 from families import (
     rng_for,
     seeded_bouquet_windows,
+    seeded_contracting_witnesses,
     seeded_groupoids_for_representation,
     seeded_twisted_instances,
 )
@@ -62,7 +63,6 @@ from groupoid_forge.rank2_diagrams import (
 )
 from groupoid_forge.twisted_product import (
     bouquet_twisted_product,
-    check_lc,
     contracting_bisection_witness,
     principality_criterion,
     reverify_contracting_witness,
@@ -224,27 +224,10 @@ def test_criterion_07_contracting_witnesses():
     """50 seeded windows produce witnesses with r(B) properly inside s(B)
     inside W, each re-verified through the bisection product; plus the
     trivial-G special case."""
-    rng = rng_for(424242)
-    produced = 0
-    while produced < 50:
-        m = rng.randint(1, 3)
-        G = full_relation(range(m))
-        points = list(range(m))
-        shifted = points[1:] + points[:1]
-        alpha = relation_automorphism(G, dict(zip(points, shifted)))
-        model = bouquet_twisted_product(G, alpha)
-        u = BQ.path([rng.randint(0, 8) for _ in range(rng.randint(0, 4))])
-        excl = frozenset(
-            BQ.edge(i) for i in rng.sample(range(9), k=rng.choice([0, 1, 2, 3]))
-        )
-        window_h = unit_bisection(u, excl)
-        window_g = frozenset(G.units)
-        l = check_lc(G, alpha, [window_g]).entries[0].l
-        w = contracting_bisection_witness(model, window_h, window_g, l)
+    for model, w in seeded_contracting_witnesses(50, 424242, 9, 4, 3):
         assert basic_proper_subset(w.r_set[0], w.s_set[0]) or w.r_set[1] < w.s_set[1]
-        assert basic_subset(w.s_set[0], window_h) and w.s_set[1] <= window_g
+        assert basic_subset(w.s_set[0], w.window_h) and w.s_set[1] <= w.window_g
         assert reverify_contracting_witness(model, w)
-        produced += 1
     # special case, trivial G: the appended-edge pair Z(lam.e1, lam) contracts
     # Z(lam) and its range recomputes as B B^{-1} through the bisection product
     lam = BQ.path([3])
@@ -256,8 +239,8 @@ def test_criterion_07_contracting_witnesses():
     G = full_relation([0])
     model = bouquet_twisted_product(G, identity_automorphism(G))
     w = contracting_bisection_witness(model, unit_bisection(lam), frozenset(G.units), l=1)
-    assert w.bisection.h_part.range_word == BQ.path([3, 3])
-    assert w.bisection.h_part.source_word == lam
+    assert w.bisection.range_word == BQ.path([3, 3])
+    assert w.bisection.source_word == lam
     assert reverify_contracting_witness(model, w)
     _report(7, "contracting witnesses", "(50 seeded + special case)")
 

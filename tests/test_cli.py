@@ -1,6 +1,7 @@
 """The forge command line surface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -295,7 +296,13 @@ class TestCertify:
         assert json.loads(out.read_text()) == expected.to_json()
 
     def test_contract(self, capsys):
+        # the witness over the fixed window, byte for byte
         assert main(["certify", "contract"]) == 0
+        out = capsys.readouterr().out
+        assert '"bisection_h": "Z((e6.e0.e4.e8.e6.e0.e4.e8, e6.e0.e4.e8))"' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d1d5a86ad4092573fe6d0918f4e9341dff7150ddf726bb07ce2d9ecf8e3b8cc9"
+        )
 
 
 class TestConvolveDemo:
@@ -343,6 +350,19 @@ class TestRank2Cli:
         assert main(["rank2", "telescope", "--input", rank2_file, "--levels", "5"]) == 0
         assert main(["rank2", "automorphism", "--input", rank2_file]) == 0
 
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ("build", "need at least one level"),
+            ("orders", "need at least one level"),
+            ("telescope", "telescoping needs at least three output levels"),
+            ("automorphism", "need at least one level"),
+        ],
+    )
+    def test_zero_levels_exit_two(self, action, message, rank2_file, capsys):
+        # 0 is a requested level count, not a missing one
+        assert main(["rank2", action, "--input", rank2_file, "--levels", "0"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "a", [[[1, 1], [0, 0]], [[1, 0], [1, 0]]], ids=["zero-row", "zero-column"]
@@ -547,18 +567,41 @@ class TestMalformedCommandLine:
     as a traceback on stderr."""
 
     @staticmethod
-    def assert_exit_two(argv, message):
+    def run(argv):
         src = str(Path(groupoid_forge.__file__).resolve().parents[1])
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "groupoid_forge.cli", *argv],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=src),
             timeout=60,
         )
+
+    def assert_exit_two(self, argv, message):
+        run = self.run(argv)
         assert run.returncode == 2
         assert message in run.stderr
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize(
+        "name",
+        ["1" + "+1" * 100000, "-" * 100000 + "1"],
+        ids=["recursion-error", "memory-error"],
+    )
+    def test_overlong_name_stays_a_string(self, name, groupoid_file, tmp_path):
+        # the literal parser gives up on these names with RecursionError and
+        # MemoryError; they name no element, like any name that does not parse
+        data = full_relation(range(2)).to_json()
+        data["range"]["(0, 1)"] = name
+        dump = tmp_path / "groupoid.json"
+        dump.write_text(json.dumps(data))
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps({"map": {name: name}}))
+        twist = ["twist", "--H", groupoid_file, "--G", groupoid_file, "--alpha", str(alpha)]
+        for argv in (["check-groupoid", str(dump)], twist):
+            run = self.run(argv)
+            assert run.returncode in (1, 2)
+            assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize(
         "command, message",

@@ -2,10 +2,11 @@
 finite principality oracle."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from families import rng_for, seeded_twisted_instances
+from families import rng_for, seeded_contracting_witnesses, seeded_twisted_instances
 from helpers import cartesian_product, dict_twisted_product
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
@@ -47,8 +48,6 @@ from groupoid_forge.twisted_product import (
     contracting_bisection_witness,
     minimality_verdict,
     principality_criterion,
-    product_inverse,
-    product_multiply,
     reverify_contracting_witness,
     twisted_product,
 )
@@ -387,8 +386,8 @@ class TestContractingWitness:
         model = self._trivial_model()
         lam = BQ.path([4])
         w = contracting_bisection_witness(model, unit_bisection(lam), frozenset(model.g.units), l=1)
-        assert w.bisection.h_part.range_word == BQ.path([4, 4])
-        assert w.bisection.h_part.source_word == lam
+        assert w.bisection.range_word == BQ.path([4, 4])
+        assert w.bisection.source_word == lam
         assert basic_proper_subset(w.r_set[0], w.s_set[0])
 
     def test_whole_space_window_extends_by_edge_one(self):
@@ -397,7 +396,7 @@ class TestContractingWitness:
             model, unit_bisection(BQ.unit()), frozenset(model.g.units), l=1
         )
         assert w.lam == BQ.path([1])
-        assert w.bisection.h_part.range_word == BQ.path([1, 1])
+        assert w.bisection.range_word == BQ.path([1, 1])
 
     def test_nontrivial_g_window(self):
         G = full_relation(range(3))
@@ -416,32 +415,58 @@ class TestContractingWitness:
             )
 
     def test_fifty_seeded_instances(self):
-        rng = rng_for(20250809)
-        count = 0
-        while count < 50:
-            G = full_relation(range(rng.randint(1, 3)))
-            points = sorted({u[0] for u in G.units})
-            shifted = points[1:] + points[:1]
-            alpha = relation_automorphism(G, dict(zip(points, shifted)))
-            model = bouquet_twisted_product(G, alpha)
-            u = BQ.path([rng.randint(0, 6) for _ in range(rng.randint(0, 3))])
-            excl = frozenset(BQ.edge(i) for i in rng.sample(range(7), k=rng.choice([0, 1, 2])))
-            window_h = unit_bisection(u, excl)
-            window_g = frozenset(G.units)
-            l = check_lc(G, alpha, [window_g]).entries[0].l
-            w = contracting_bisection_witness(model, window_h, window_g, l)
+        for model, w in seeded_contracting_witnesses(50, 20250809, 7, 3, 2):
             assert reverify_contracting_witness(model, w)
-            assert basic_subset(w.s_set[0], window_h)
-            count += 1
+            assert basic_subset(w.s_set[0], w.window_h)
 
-    def test_product_calculus_inverse(self):
-        model = self._trivial_model()
-        w = contracting_bisection_witness(
-            model, unit_bisection(BQ.path([2])), frozenset(model.g.units), l=1
-        )
-        inv = product_inverse(model, w.bisection)
-        double = product_multiply(model, w.bisection, inv)
-        assert double is not None and double.h_part.is_unit_set()
+    def test_non_unit_g_window_rejected(self):
+        G = full_relation(range(2))
+        model = bouquet_twisted_product(G, identity_automorphism(G))
+        window_g = frozenset(G.units | {(0, 1)})
+        with pytest.raises(ValueError, match="G-window"):
+            contracting_bisection_witness(model, unit_bisection(BQ.path([1])), window_g, l=1)
+
+    @staticmethod
+    def _tampers(model, w):
+        """One-field rewrites of a witness, each a false claim about B."""
+        r0, r1 = w.r_set
+        s0, s1 = w.s_set
+        U = w.bisection
+        unit = min(r1)
+        non_units = frozenset(model.g.elements) - model.g.units
+        first = w.lam.edges[0]
+        shrunk = unit_bisection(r0.range_word.concat(BQ.path([0])))
+        off = unit_bisection(BQ.path([first.label + 1]))
+        out = {
+            "r_set[0] = s(B)": replace(w, r_set=(s0, r1)),
+            "r_set[0] shrunk": replace(w, r_set=(shrunk, r1)),
+            "r_set[1] less a unit": replace(w, r_set=(r0, r1 - {unit})),
+            "s_set[0] = r(B)": replace(w, s_set=(r0, s1)),
+            "s_set[0] = whole space": replace(w, s_set=(unit_bisection(BQ.unit()), s1)),
+            "s_set[0] off the word": replace(w, s_set=(off, s1)),
+            "s_set[1] less a unit": replace(w, s_set=(s0, s1 - {min(s1)})),
+            "bisection inverted": replace(w, bisection=U.inverse()),
+            "bisection = r(B)": replace(w, bisection=U.range_set()),
+            "bisection = s(B)": replace(w, bisection=U.source_set()),
+            "g_part less a unit": replace(w, g_part=w.g_part - {unit}),
+            "window_h = r(B)": replace(w, window_h=r0),
+            "window_h misses lam": replace(w, window_h=unit_bisection(BQ.unit(), {first})),
+        }
+        if non_units:
+            out["r_set[1] plus a non-unit"] = replace(w, r_set=(r0, r1 | non_units))
+            out["s_set[1] plus a non-unit"] = replace(w, s_set=(s0, s1 | non_units))
+            out["g_part plus a non-unit"] = replace(w, g_part=w.g_part | non_units)
+        return out
+
+    def test_tampered_witnesses_rejected(self):
+        # the witnesses of the seeded loops here and in test_acceptance
+        witnesses = seeded_contracting_witnesses(50, 20250809, 7, 3, 2)
+        witnesses += seeded_contracting_witnesses(50, 424242, 9, 4, 3)
+        for model, w in witnesses:
+            assert reverify_contracting_witness(model, w)
+            for name, tampered in self._tampers(model, w).items():
+                assert tampered != w, name
+                assert not reverify_contracting_witness(model, tampered), name
 
 
 class TestMinimality:
