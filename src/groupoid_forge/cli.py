@@ -29,7 +29,6 @@ from .dimension_groups import (
 from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
 from .graph_model import (
     diagram_from_json,
-    edge_cycle_automorphism,
     telescope,
     validate_bratteli,
 )
@@ -46,7 +45,7 @@ from .groupoid_core import (
 )
 from .pipeline import (
     PipelineInputError,
-    _lc_sample,
+    af_lc_witness,
     first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
@@ -61,7 +60,6 @@ from .rank2_diagrams import (
 )
 from .twisted_product import (
     bouquet_twisted_product,
-    check_lc,
     contracting_bisection_witness,
     twisted_product,
 )
@@ -189,7 +187,7 @@ def cmd_certify(args) -> int:
         return 0 if report.wfc.is_certificate else 1
     if args.what == "lc":
         d = diagram_from_json(_load_json(args.input))
-        witness = check_lc(d, edge_cycle_automorphism(d), _lc_sample(d, 40))
+        witness = af_lc_witness(d)
         _dump(witness.to_json(), args.out)
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G

@@ -10,7 +10,6 @@ nothing is ever approximated.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -20,7 +19,8 @@ from .graph_groupoid import (
     BasicBisection,
     InfiniteBouquet,
     bisection_product,
-    disjointify,
+    difference_basic,
+    intersect_basic,
     render_bisection,
 )
 from .graph_model import vertex_path
@@ -36,10 +36,6 @@ class InternalConsistencyError(RuntimeError):
 Coeff = GaussianRational
 
 
-def _coeff(x) -> Coeff:
-    return GaussianRational.of(x)
-
-
 # ---------------------------------------------------------------------------
 # Finite backend
 # ---------------------------------------------------------------------------
@@ -51,11 +47,8 @@ class FiniteConvElement:
     coeffs: Mapping[object, Coeff]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            {g: _coeff(c) for g, c in self.coeffs.items() if _coeff(c)},
-        )
+        coeffs = {g: GaussianRational.of(c) for g, c in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {g: c for g, c in coeffs.items() if c})
         members = self.groupoid._index.position
         for g in self.coeffs:
             if g not in members:
@@ -72,12 +65,9 @@ class FiniteConvElement:
             return NotImplemented
         return self.groupoid is other.groupoid and dict(self.coeffs) == dict(other.coeffs)
 
-    def __hash__(self):
-        return hash((id(self.groupoid), frozenset(self.coeffs.items())))
-
 
 def delta(G: FiniteGroupoid, g, c=1) -> FiniteConvElement:
-    return FiniteConvElement(G, {g: _coeff(c)})
+    return FiniteConvElement(G, {g: c})
 
 
 def unit_indicator(G: FiniteGroupoid) -> FiniteConvElement:
@@ -106,16 +96,57 @@ def _same_backend(x, y) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Splitting steps canonical_pieces may take before it gives up.
+DISJOINTIFY_FUEL = 20000
+
+
+class DisjointifyFuelExhausted(RuntimeError):
+    """The splitting loop took DISJOINTIFY_FUEL steps without finishing."""
+
+
 def canonical_pieces(
     pieces: Iterable[tuple[BasicBisection, Coeff]]
 ) -> dict[BasicBisection, Coeff]:
     """Rewrite a coefficiented family of bisections in disjoint form.
 
-    Overlaps are split with the exact intersection/difference calculus and
-    coefficients added on the common part; zero pieces are dropped.
+    Each piece is checked against the disjoint pieces kept so far; on the
+    first overlap both sides are cut by the exact intersection/difference
+    calculus, the common part carries the sum of both coefficients and the
+    rest of each side keeps its own.  Zero pieces are dropped at the end.
     """
-    split = disjointify(((b, _coeff(c)) for b, c in pieces), operator.add)
-    return {b: c for b, c in split if c}
+    result: list[tuple[BasicBisection, Coeff]] = []
+    queue = [(b, GaussianRational.of(c)) for b, c in pieces]
+    fuel = DISJOINTIFY_FUEL
+    while queue:
+        if fuel == 0:
+            raise DisjointifyFuelExhausted(
+                f"disjointification did not terminate within DISJOINTIFY_FUEL = "
+                f"{DISJOINTIFY_FUEL} steps"
+            )
+        fuel -= 1
+        p, c = queue.pop()
+        for idx, (q, kept) in enumerate(result):
+            inter = intersect_basic(p, q)
+            if inter is not None:
+                break
+        else:
+            result.append((p, c))
+            continue
+        replacement = [(piece, kept) for piece in difference_basic(q, inter)]
+        replacement.append((inter, kept + c))
+        result[idx:idx + 1] = replacement
+        queue.extend((piece, c) for piece in difference_basic(p, inter))
+    return {b: c for b, c in result if c}
+
+
+def _pieces_by_g(
+    coeffs: Iterable[tuple[tuple[BasicBisection, object], Coeff]]
+) -> dict[object, list[tuple[BasicBisection, Coeff]]]:
+    """The (bisection, coefficient) pieces of each G-element."""
+    by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
+    for (b, g), c in coeffs:
+        by_g.setdefault(g, []).append((b, c))
+    return by_g
 
 
 @dataclass(frozen=True)
@@ -128,12 +159,11 @@ class SymbolicConvElement:
     coeffs: Mapping[tuple[BasicBisection, object], Coeff]
 
     def __post_init__(self):
-        by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
-        for (b, g), c in self.coeffs.items():
-            by_g.setdefault(g, []).append((b, _coeff(c)))
+        # zero pieces are split with the rest and dropped after: they cut
+        # the other pieces, so dropping them first changes the canonical form
         flat: dict[tuple[BasicBisection, object], Coeff] = {}
         members = self.model.g._index.position
-        for g, pieces in by_g.items():
+        for g, pieces in _pieces_by_g(self.coeffs.items()).items():
             if g not in members:
                 raise StructuralError(f"support element {g!r} outside the groupoid")
             for b, c in canonical_pieces(pieces).items():
@@ -153,14 +183,8 @@ class SymbolicConvElement:
         diff = dict(self.coeffs)
         for key, c in other.coeffs.items():
             diff[key] = diff[key] - c if key in diff else -c
-        by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
-        for (b, g), c in diff.items():
-            if c:
-                by_g.setdefault(g, []).append((b, c))
+        by_g = _pieces_by_g((key, c) for key, c in diff.items() if c)
         return not any(canonical_pieces(pieces) for pieces in by_g.values())
-
-    def __hash__(self):
-        return hash(id(self.model))
 
     def describe(self) -> str:
         if self.is_zero():

@@ -15,7 +15,7 @@ empty tail, which is exact for the bouquet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .graph_model import Edge, PathWord, path_from_edges, vertex_path
 from .validation import StructuralError
@@ -218,51 +218,6 @@ def difference_basic(a: BasicBisection, b: BasicBisection) -> tuple[BasicBisecti
             )
         )
     return tuple(out)
-
-
-# Splitting steps disjointify may take before it gives up.
-DISJOINTIFY_FUEL = 20000
-
-Tag = TypeVar("Tag")
-
-
-class DisjointifyFuelExhausted(RuntimeError):
-    """The splitting loop took DISJOINTIFY_FUEL steps without finishing."""
-
-
-def disjointify(
-    pieces: Iterable[tuple[BasicBisection, Tag]],
-    merge: Callable[[Tag, Tag], Tag],
-) -> list[tuple[BasicBisection, Tag]]:
-    """Split a family of tagged basic bisections into disjoint basics.
-
-    Each piece is checked against the disjoint pieces kept so far; on the
-    first overlap both sides are cut by the exact intersection/difference
-    calculus, the common part is tagged ``merge(kept, new)`` and the rest
-    of each side keeps its own tag.
-    """
-    result: list[tuple[BasicBisection, Tag]] = []
-    queue = list(pieces)
-    fuel = DISJOINTIFY_FUEL
-    while queue:
-        fuel -= 1
-        if fuel <= 0:
-            raise DisjointifyFuelExhausted(
-                f"disjointification did not terminate within {DISJOINTIFY_FUEL} steps"
-            )
-        p, tag = queue.pop()
-        for idx, (q, kept) in enumerate(result):
-            inter = intersect_basic(p, q)
-            if inter is not None:
-                break
-        else:
-            result.append((p, tag))
-            continue
-        replacement = [(piece, kept) for piece in difference_basic(q, inter)]
-        replacement.append((inter, merge(kept, tag)))
-        result[idx:idx + 1] = replacement
-        queue.extend((piece, tag) for piece in difference_basic(p, inter))
-    return result
 
 
 # ---------------------------------------------------------------------------

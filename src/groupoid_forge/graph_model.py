@@ -251,7 +251,6 @@ def validate_bratteli(d: BratteliDiagram) -> ValidationReport:
     truncated final level is not a violation.
     """
     violations = []
-    n_matrices = len(d.mult) + (1 if d.repeat_from is not None else 0)
     for n in range(len(d.level_sizes)):
         try:
             m = d.multiplicity_matrix(n)

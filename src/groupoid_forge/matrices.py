@@ -58,6 +58,10 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
     return acc
 
 
+# The level the growth searches stop at unless a caller names another cap.
+DEFAULT_LEVEL_CAP = 4096
+
+
 def first_level_above(
     matrix_at: Callable[[int], IntMatrix], start: int, bound: int, cap: int
 ) -> tuple[int, IntMatrix] | None:

@@ -29,7 +29,7 @@ from .graph_model import (
     iter_paths,
     validate_bratteli,
 )
-from .matrices import growth_levels, min_entry, transpose
+from .matrices import DEFAULT_LEVEL_CAP, growth_levels, min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -119,9 +119,11 @@ class CornerSpec:
         }
 
 
-def _corner_vector(vec, size: int | None) -> tuple[int, ...]:
-    """A unit class's vector of JSON integers: entrywise nonnegative, nonzero
-    and, when its level's ``size`` is known, one entry per vertex."""
+def _corner_spec(level: int, vec, size: int | None, vertex, **extra) -> CornerSpec:
+    """Corner data for a unit class: ``vec[i]`` cylinder copies at the
+    vertex laid out as ``vertex(i)``, each entry carrying ``extra``.  The
+    vector is of JSON integers, entrywise nonnegative, nonzero and, when its
+    level's ``size`` is known, one entry per vertex."""
     vec = json_ints(vec, "corner.vector")
     if any(x < 0 for x in vec):
         raise ValueError("corner vector must be entrywise nonnegative")
@@ -129,18 +131,17 @@ def _corner_vector(vec, size: int | None) -> tuple[int, ...]:
         raise ValueError("corner must be nonzero (full-corner hypothesis)")
     if size is not None and len(vec) != size:
         raise ValueError("corner vector length must match the level size")
-    return vec
-
-
-def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
-    """Corner data for a unit class: a(v) cylinder copies per level vertex."""
-    vec = _corner_vector(a, d.level_size(level))
     cylinders = tuple(
-        {"vertex": [level, i], "copies": list(range(1, vec[i] + 1))}
+        {"vertex": vertex(i), "copies": list(range(1, vec[i] + 1)), **extra}
         for i in range(len(vec))
         if vec[i]
     )
     return CornerSpec(level, vec, cylinders, DimGroupElement(level, vec))
+
+
+def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
+    """Corner data for a unit class: a(v) cylinder copies per level vertex."""
+    return _corner_spec(level, a, d.level_size(level), lambda i: [level, i])
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,13 @@ def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
     0, 1, 2, each length in label order, built no further than needed."""
     every = (p for v in d.vertices_at(0) for length in range(3) for p in iter_paths(d, v, length))
     return list(islice(every, count))
+
+
+def af_lc_witness(d: BratteliDiagram) -> LcWitness:
+    """The LC witness of a diagram under parallel-class cycling, on the
+    first 40 paths of length at most 2 from level 0: the AF plan's ``lc``
+    block (of its telescoped diagram) and ``forge certify lc``."""
+    return check_lc(d, EdgeCycleAutomorphism(d), _lc_sample(d, 40))
 
 
 _AF_AUTOMORPHISM = {
@@ -251,7 +259,7 @@ def plan_af_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 20,
-    source_cap: int = 4096,
+    source_cap: int = DEFAULT_LEVEL_CAP,
 ) -> RealizationReport:
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
@@ -308,7 +316,7 @@ def plan_af_realization(
     )
     # the LC sample reaches levels 0..2 of the telescoped diagram
     top = BratteliDiagram(tuple(map(d.level_size, levels[:3])), tuple(map(transpose, chains[:2])))
-    lc = check_lc(top, EdgeCycleAutomorphism(top), _lc_sample(top, 40))
+    lc = af_lc_witness(top)
     ktheory = {
         "telescope_class_consistency": "yes",
         "checks": sum(d.level_size(t) for t in levels[:-1]),
@@ -328,18 +336,11 @@ def plan_af_realization(
 
 def rank2_corner_spec(tele: TelescopeResult, level: int, vec: Sequence[int]) -> CornerSpec:
     """Corner data at a telescoped level, its length checked if it was reached."""
-    reached = level < len(tele.l)
-    vec = _corner_vector(vec, len(tele.source.t_at(tele.l[level])) if reached else None)
-    cylinders = tuple(
-        {
-            "vertex": [level, j, 0],
-            "copies": list(range(1, vec[j] + 1)),
-            "note": "first vertex of the cycle chosen as representative",
-        }
-        for j in range(len(vec))
-        if vec[j]
+    size = len(tele.source.t_at(tele.l[level])) if level < len(tele.l) else None
+    return _corner_spec(
+        level, vec, size, lambda j: [level, j, 0],
+        note="first vertex of the cycle chosen as representative",
     )
-    return CornerSpec(level, vec, cylinders, DimGroupElement(level, vec))
 
 
 def plan_rank2_realization(
@@ -347,7 +348,7 @@ def plan_rank2_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 50,
-    source_cap: int = 4096,
+    source_cap: int = DEFAULT_LEVEL_CAP,
 ) -> RealizationReport:
     """Realization plan for rank-2 matrix data: telescope with the bound
     recursion, build the canonical diagram and its power automorphism,
@@ -388,7 +389,7 @@ def plan_rank2_realization(
     if unit_class is not None and not 0 <= unit_class[0] < levels_out:
         raise StructuralError(f"corner level {unit_class[0]} outside levels 0..{levels_out - 1}")
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
-    if source_cap != 4096:
+    if source_cap != DEFAULT_LEVEL_CAP:
         params["source_cap"] = source_cap
     tele = telescope_rank2(data, levels_out, source_cap)
     corner = None if unit_class is None else rank2_corner_spec(tele, *unit_class)

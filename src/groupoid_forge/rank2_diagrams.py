@@ -27,6 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .graph_model import BratteliDiagram, Edge
 from .matrices import (
+    DEFAULT_LEVEL_CAP,
     IntMatrix,
     as_matrix,
     chain_product,
@@ -421,7 +422,9 @@ class TelescopeResult:
         }
 
 
-def telescope_rank2(data: Rank2Data, levels_out: int, horizon_cap: int = 4096) -> TelescopeResult:
+def telescope_rank2(
+    data: Rank2Data, levels_out: int, horizon_cap: int = DEFAULT_LEVEL_CAP
+) -> TelescopeResult:
     """Choose the level subsequence making edge orders outrun the m-recursion.
 
     Seed levels come from a subsequence along which every entry of the

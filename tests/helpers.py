@@ -67,6 +67,7 @@ from groupoid_forge.pipeline import (
     unit_corner_spec,
 )
 from groupoid_forge.rank2_diagrams import (
+    CanonicalRank2Diagram,
     Rank2Data,
     Rank2Diagram,
     Rank2Path,
@@ -509,6 +510,28 @@ def materialized_compose_paths(d: Rank2Diagram, orders: OrderData, p, q) -> Rank
         p.red_degree + q.red_degree,
         anchor=materialized_path_range(d, p) if not (p.blue or shifted) else None,
     )
+
+
+def red_blue_cofinal(d: CanonicalRank2Diagram, depth: int) -> bool:
+    """Cofinality of the 2-graph to ``depth`` with red and blue edges both
+    walked: every vertex of levels 0..depth-1 reaches every level-``depth``
+    vertex.  Red edges join every position of a cycle, so the walk runs on
+    cycle pairs: a cycle reaches each cycle of the next level it shares a
+    nonzero count with (the oracle for rank-2 minimality; ``blue_skeleton``
+    forgets the red edges)."""
+    for start in range(depth):
+        for cycle in range(d.cycle_count(start)):
+            reached = {cycle}
+            for n in range(start, depth):
+                counts = d.counts[n]
+                reached = {
+                    i
+                    for i in range(d.cycle_count(n + 1))
+                    if any(counts[i][j] for j in reached)
+                }
+            if len(reached) < d.cycle_count(depth):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

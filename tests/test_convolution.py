@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from groupoid_forge import convolution_algebra
 from groupoid_forge.convolution_algebra import (
     FULL_UNIT_BISECTION,
+    DisjointifyFuelExhausted,
     FiniteConvElement,
     SymbolicConvElement,
+    canonical_pieces,
     comp2_identity_sides,
     comp_identity_sides,
     compose_with_automorphism_inverse,
@@ -91,6 +94,19 @@ class TestFiniteBackend:
                 assert prod == delta(G, (i, l))
             else:
                 assert prod.is_zero()
+
+    def test_evaluation_reads_the_support(self):
+        G = full_relation(range(2))
+        x = FiniteConvElement(G, {(0, 1): gauss(1, 2), (1, 0): 0})
+        assert x((0, 1)) == gauss(1, 2)
+        assert x((1, 0)) == gauss(0) and x((0, 0)) == gauss(0)
+
+    def test_elements_are_not_hashable(self):
+        G = full_relation(range(2))
+        model = swap_model()
+        for x in (delta(G, (0, 1)), iota_embed(delta(model.g, (0, 0)), model)):
+            with pytest.raises(TypeError):
+                hash(x)
 
     def test_mixed_backends_rejected(self):
         G = full_relation(range(2))
@@ -371,6 +387,17 @@ class TestCanonicalization:
         whole = SymbolicConvElement(model, {(z_all, g): gauss(5)})
         split = SymbolicConvElement(model, {(z_e0, g): gauss(5), (z_not_e0, g): gauss(5)})
         assert whole == split
+
+    def test_fuel_exhaustion_names_the_cap(self, monkeypatch):
+        # Z(e0), Z(e1), Z(e2) take a step each, and Z(v) four more: one per
+        # overlap it is cut at, and one for the rest Z(v \ {e0, e1, e2})
+        pieces = [(BasicBisection(BQ.unit(), BQ.unit()), gauss(1))]
+        pieces += [(BasicBisection(BQ.path([i]), BQ.path([i])), gauss(1)) for i in range(3)]
+        monkeypatch.setattr(convolution_algebra, "DISJOINTIFY_FUEL", 7)
+        assert len(canonical_pieces(pieces)) == 4
+        monkeypatch.setattr(convolution_algebra, "DISJOINTIFY_FUEL", 6)
+        with pytest.raises(DisjointifyFuelExhausted, match="DISJOINTIFY_FUEL = 6"):
+            canonical_pieces(pieces)
 
     def test_determinant_exact(self):
         rows = (

@@ -18,13 +18,13 @@ from groupoid_forge.graph_groupoid import (
     basic_subset,
     bisection_product,
     difference_basic,
-    disjointify,
     find_cylinder_inside,
     intersect_basic,
     render_bisection,
     repeat_word,
     unit_bisection,
 )
+from groupoid_forge.convolution_algebra import canonical_pieces
 from groupoid_forge.graph_model import vertex_path
 
 from helpers import (
@@ -145,11 +145,12 @@ class TestIntersectionDifference:
         assert basic_subset(bq_bis([1, 3], [1, 3]), withf)
 
     def test_disjoint_sum_preserves_membership(self):
-        # disjointify with trivial tags rewrites a family as a disjoint sum
+        # canonical_pieces with coefficient-1 pieces rewrites a family as a
+        # disjoint sum; no coefficient cancels, so no piece is dropped
         n = 2
         word = bouquet_words(n, 1)[1]
         pieces = [unit_bisection(vertex_path("v")), unit_bisection(word)]
-        s = [piece for piece, _ in disjointify(((p, None) for p in pieces), lambda old, new: None)]
+        s = list(canonical_pieces((p, 1) for p in pieces))
         for p1, p2 in itertools.combinations(s, 2):
             assert intersect_basic(p1, p2) is None
         for cand in bouquet_germs(n, 3):

@@ -96,6 +96,11 @@ class TestTelescope:
             assert t.mult[n][0][0] > n
             assert t.mult[n][0][0] == 2 ** ((0, 1, 2, 4, 6, 9, 12)[n + 1] - (0, 1, 2, 4, 6, 9, 12)[n])
 
+    def test_path_counts_within_a_level_are_the_identity(self):
+        d = BratteliDiagram((1, 2, 1), (as_matrix([[1, 2]]), as_matrix([[3], [1]])))
+        assert path_count_matrix(d, 1, 1) == ((1, 0), (0, 1))
+        assert path_count_matrix(d, 0, 1) == d.mult[0]
+
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             telescope(constant_diagram(2), (0, 2, 1))

@@ -151,6 +151,12 @@ class TestBuild:
         assert all(orders.edge_order(label) == 1 for label in ref.edge_orders)
         assert orders.m == ref.m == (0, 0, 1, 3)
 
+    def test_a_chain_within_a_level_is_the_identity(self):
+        one = ((1, 1), (1, 1))
+        data = Rank2Data(A=(one,), B=(one,), T=((1, 1), (1, 1)), repeat_from=0)
+        assert data.a_chain(1, 1) == ((1, 0), (0, 1))
+        assert data.a_chain(2, 0) == ((2, 2), (2, 2))
+
     def test_json_round_trip(self):
         data, horizon = rank2_data_from_json(FIGURE.to_json() | {"horizon": 3})
         assert data == FIGURE and horizon == 3

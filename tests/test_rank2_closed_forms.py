@@ -45,6 +45,7 @@ from families import (
 )
 from helpers import (
     OrderData,
+    bench_inputs,
     blue_edges_at,
     materialize_rank2,
     materialized_automorphism,
@@ -56,6 +57,7 @@ from helpers import (
     materialized_path_source,
     materialized_skeleton,
     materialized_validation,
+    red_blue_cofinal,
     rescanned_telescope_rank2,
     scanned_rank2_wfc_certificate,
     walked_rank2_lc_lengths,
@@ -428,3 +430,45 @@ def test_telescope_matches_the_rescanned_chains():
                             outcomes.add(result.failure.split(" ", 2)[1])
     # "level" starts the cap failure, "horizon" the data-horizon failure
     assert outcomes == {"complete", "level", "horizon"}
+
+
+class TestRedBlueCofinality:
+    """The planner decides rank-2 minimality on the blue skeleton alone; the
+    red+blue reachability oracle walks both colours."""
+
+    @staticmethod
+    def _diagram(data, depth):
+        levels_out = depth + 2
+        return canonical_rank2(telescope_rank2(data, levels_out).telescoped, levels_out)
+
+    def test_planner_yes_is_cofinal(self):
+        cases = [
+            (rung["data"], rung["depth"], 50)
+            for seed in range(5)
+            for rung in bench_inputs().rank2_ladder(seed)
+        ]
+        cases += [
+            (seeded_compatible_data(seed, repeat, orientation), depth, 7)
+            for seed in range(20)
+            for repeat in (False, True)
+            for orientation in (1, -1)
+            for depth in (1, 2, 3)
+        ]
+        certified = 0
+        for data, depth, lbound in cases:
+            minimality = plan_rank2_realization(data, depth=depth, lbound=lbound).minimality
+            if minimality is not None and minimality.is_yes:
+                certified += 1
+                assert red_blue_cofinal(self._diagram(data, depth), depth + 1)
+        assert certified >= 50
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_figure_tail_is_cofinal_at_depth_three(self, orientation):
+        rung = next(r for r in bench_inputs().rank2_ladder(0) if r["name"] == "figure_tail_d3")
+        data = dataclasses.replace(rung["data"], orientation=orientation)
+        assert red_blue_cofinal(self._diagram(data, 3), 4)
+
+    def test_disjoint_cycles_are_not_cofinal(self):
+        identity2 = ((1, 0), (0, 1))
+        data = Rank2Data((identity2,), (identity2,), ((1, 1), (1, 1)), repeat_from=0)
+        assert not red_blue_cofinal(canonical_rank2(data, 4), 3)
