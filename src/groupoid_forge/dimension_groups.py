@@ -85,10 +85,13 @@ class DimensionGroupSpec:
             repeat_index(n, len(self.matrices), self.horizon, self.repeat_from)
         ]
 
-    def repeating_block(self) -> tuple[IntMatrix, ...]:
+    def tail_matrices(self, level: int) -> tuple[IntMatrix, ...] | None:
+        """The matrices acting from ``level`` on: the stored ones from there
+        while ``level`` is stored, then the repeating block; None without a
+        repetition rule, when the tail is not known."""
         if self.repeat_from is None:
-            return ()
-        return self.matrices[self.repeat_from:]
+            return None
+        return self.matrices[min(level, self.repeat_from):]
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,8 @@ def dg_equal(
     spec: DimensionGroupSpec, a: DimGroupElement, b: DimGroupElement, horizon: int
 ) -> Verdict:
     """Yes when the pushed images coincide at some level within the horizon;
-    No when they differ there and every tail matrix is injective over Q."""
+    No when they differ there and every matrix acting from there on is
+    injective over Q."""
     start = max(a.level, b.level)
     va = dg_push_to_level(spec, a, start).vector
     vb = dg_push_to_level(spec, b, start).vector
@@ -128,15 +132,15 @@ def dg_equal(
         va = mat_vec(spec.matrix(level), va)
         vb = mat_vec(spec.matrix(level), vb)
         level += 1
-    block = spec.repeating_block()
-    if block and all(is_injective(m) for m in block):
+    tail = spec.tail_matrices(level)
+    if tail is not None and all(is_injective(m) for m in tail):
         return Verdict(
             "no",
             level=horizon,
             justification={
                 "reason": "images differ at the horizon and every repeating tail "
                 "matrix has full column rank over Q",
-                "tail_matrices": [list(map(list, m)) for m in block],
+                "tail_matrices": [list(map(list, m)) for m in tail],
             },
         )
     return Verdict("unknown", level=horizon, justification="horizon reached")
@@ -154,12 +158,8 @@ def dg_is_positive(
         if all(x >= 0 for x in v):
             return Verdict("yes", level=level)
         if all(x < 0 for x in v):
-            stored_tail = spec.matrices[level:]
-            block = spec.repeating_block()
-            tail_proper = all(is_proper(m) for m in stored_tail) and (
-                block == () or all(is_proper(m) for m in block)
-            )
-            if tail_proper and block:
+            tail = spec.tail_matrices(level)
+            if tail is not None and all(is_proper(m) for m in tail):
                 return Verdict(
                     "no",
                     level=level,

@@ -58,59 +58,56 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
     return acc
 
 
-# The level the growth searches stop at unless a caller names another cap.
-DEFAULT_LEVEL_CAP = 4096
+# The level every growth search stops at; read at each call, so patching it
+# moves the search and the AF report's echo together.
+LEVEL_CAP = 4096
 
 
 def first_level_above(
-    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, cap: int
-) -> tuple[int, IntMatrix] | None:
-    """The first level m in start+1..cap whose chain
+    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, relation: str, horizon: int
+) -> tuple[int, IntMatrix] | str:
+    """The first level m in start+1..LEVEL_CAP whose chain
     ``matrix_at(m-1) @ ... @ matrix_at(start)`` has every entry above
-    ``bound``, with that chain; None once ``cap`` is passed.
-
-    One running product serves the whole walk.  A data horizon shows up as
-    the ``StructuralError`` that ``matrix_at`` raises."""
+    ``bound``, with that chain; otherwise why the search stopped: the level
+    cap, or the data ``horizon`` where ``matrix_at`` raises
+    ``StructuralError``.  ``relation`` is the entry condition as text, such
+    as ``"> 5"``.  One running product serves the whole walk."""
     chain = None
-    for m in range(start + 1, cap + 1):
-        step = matrix_at(m - 1)
-        chain = step if chain is None else mat_mul(step, chain)
-        if min_entry(chain) > bound:
-            return m, chain
-    return None
-
-
-def growth_levels(
-    matrix_at: Callable[[int], IntMatrix], count: int, cap: int, horizon: int
-) -> tuple[list[int], list[IntMatrix], str | None]:
-    """Levels 0 = t_0 < t_1 < ... < t_{count-1}, each t_{n+1} the first level
-    whose chain from t_n has every entry above n, with those chains; when
-    the search stops short, the levels found and the failure naming the cap
-    or, where ``matrix_at`` ends, the data ``horizon``."""
-    levels: list[int] = [0]
-    chains: list[IntMatrix] = []
-    for n in range(count - 1):
-        try:
-            found = first_level_above(matrix_at, levels[-1], n, cap)
-        except StructuralError:
-            return levels, chains, growth_failure(levels[-1], f"> {n}", cap, horizon)
-        if found is None:
-            return levels, chains, growth_failure(levels[-1], f"> {n}", cap)
-        levels.append(found[0])
-        chains.append(found[1])
-    return levels, chains, None
-
-
-def growth_failure(start: int, relation: str, cap: int, horizon: int | None = None) -> str:
-    """Why a ``first_level_above`` search from ``start`` stopped: the level
-    cap, or the data horizon when one is given; ``relation`` is the entry
-    condition searched for, such as ``"> 5"``."""
-    if horizon is not None:
+    try:
+        for m in range(start + 1, LEVEL_CAP + 1):
+            step = matrix_at(m - 1)
+            chain = step if chain is None else mat_mul(step, chain)
+            if min_entry(chain) > bound:
+                return m, chain
+    except StructuralError:
         return (
             f"data horizon {horizon} reached (no repetition rule) before a level "
             f"with entries {relation} from level {start}"
         )
-    return f"no level within cap {cap} has entries {relation} from level {start}"
+    return f"no level within cap {LEVEL_CAP} has entries {relation} from level {start}"
+
+
+def growth_levels(
+    matrix_at: Callable[[int], IntMatrix],
+    count: int,
+    horizon: int,
+    bound: Callable[[int, list[int], list[IntMatrix]], tuple[int, str]],
+) -> tuple[list[int], list[IntMatrix], str | None]:
+    """Levels 0 = t_0 < t_1 < ... < t_{count-1}, each t_{n+1} the first level
+    whose chain from t_n has every entry above the bound that
+    ``bound(n, levels, chains)`` gives, with its relation text, from the
+    levels and chains found so far; returns those levels and chains, and when
+    the search stops short the failure naming the cap or the data
+    ``horizon``."""
+    levels: list[int] = [0]
+    chains: list[IntMatrix] = []
+    for n in range(count - 1):
+        found = first_level_above(matrix_at, levels[-1], *bound(n, levels, chains), horizon)
+        if isinstance(found, str):
+            return levels, chains, found
+        levels.append(found[0])
+        chains.append(found[1])
+    return levels, chains, None
 
 
 def repeat_index(n: int, stored: int, horizon: int, repeat_from: int | None) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import islice, zip_longest
 from typing import Sequence
 
+from . import matrices
 from .dimension_groups import DimGroupElement, Verdict, dimension_group_of
 from .graph_model import (
     BratteliDiagram,
@@ -29,7 +30,7 @@ from .graph_model import (
     iter_paths,
     validate_bratteli,
 )
-from .matrices import DEFAULT_LEVEL_CAP, growth_levels, min_entry, transpose
+from .matrices import growth_levels, min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
     Rank2Path,
@@ -259,7 +260,6 @@ def plan_af_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 20,
-    source_cap: int = DEFAULT_LEVEL_CAP,
 ) -> RealizationReport:
     """Realization plan for a diagram target: telescope until multiplicities
     outgrow the level index, cycle the parallel edges, certify freeness and
@@ -282,17 +282,20 @@ def plan_af_realization(
     * the corner vector is nonnegative, so it is positive at its own level.
 
     A complete plan is therefore ``ok``; an incomplete one is ``unknown``
-    and names the cap or data horizon at which the search stopped.
+    and names the cap or data horizon at which the search stopped.  The
+    report echoes the cap, ``matrices.LEVEL_CAP``, as ``source_cap``.
     """
     _check_bounds(depth, lbound)
     check = validate_bratteli(d)
     if not check.passed:
         raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
     corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
-    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
+    params = {"depth": depth, "lbound": lbound, "source_cap": matrices.LEVEL_CAP}
     spec = dimension_group_of(d)
     levels_out = max(depth, lbound + 1) + 1
-    levels, chains, failure = growth_levels(spec.matrix, levels_out, source_cap, spec.horizon)
+    levels, chains, failure = growth_levels(
+        spec.matrix, levels_out, spec.horizon, lambda n, *_: (n, f"> {n}")
+    )
     if failure is not None:
         return _report("af", d.to_json(), params, {"complete": False, "failure": failure}, corner)
     least = [min_entry(c) for c in chains]
@@ -348,7 +351,6 @@ def plan_rank2_realization(
     unit_class: tuple[int, Sequence[int]] | None = None,
     depth: int = 5,
     lbound: int = 50,
-    source_cap: int = DEFAULT_LEVEL_CAP,
 ) -> RealizationReport:
     """Realization plan for rank-2 matrix data: telescope with the bound
     recursion, build the canonical diagram and its power automorphism,
@@ -389,9 +391,7 @@ def plan_rank2_realization(
     if unit_class is not None and not 0 <= unit_class[0] < levels_out:
         raise StructuralError(f"corner level {unit_class[0]} outside levels 0..{levels_out - 1}")
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
-    if source_cap != DEFAULT_LEVEL_CAP:
-        params["source_cap"] = source_cap
-    tele = telescope_rank2(data, levels_out, source_cap)
+    tele = telescope_rank2(data, levels_out)
     corner = None if unit_class is None else rank2_corner_spec(tele, *unit_class)
     if not tele.complete:
         return _report("rank2", data.to_json(), params, tele.to_json(), corner)
@@ -437,8 +437,9 @@ def plan_rank2_realization(
 
 
 # Report parameters the checks take back as keywords; ``levels_out`` is
-# derived from ``depth`` and is checked through the report comparison.
-PLAN_PARAMETERS = ("depth", "lbound", "source_cap")
+# derived from ``depth`` and the AF ``source_cap`` echoes ``matrices.LEVEL_CAP``,
+# so both are checked through the report comparison.
+PLAN_PARAMETERS = ("depth", "lbound")
 
 _MISSING = object()
 
@@ -477,10 +478,10 @@ def first_wrong_field(report_json: dict) -> str | None:
     a rank-2 plan runs only the checks its telescope leaves open (see
     ``plan_rank2_realization``).
 
-    The recorded parameters go back as keywords, so a rank-2 parameter the
-    report leaves out takes the planner's default, and an AF report must
-    record all of them; the stabilization truncation is derived from the
-    unit class.  A report of unknown kind, one missing a field the check
+    The recorded ``depth`` and ``lbound`` go back as keywords, so one the
+    report leaves out takes the planner's default and the comparison names
+    the first field that moves; the stabilization truncation is derived from
+    the unit class.  A report of unknown kind, one missing a field the check
     needs, or one recording a parameter no plan takes raises
     ``PipelineInputError``; a parameter or corner entry that is not a JSON
     integer, or input no plan accepts, raises as reading or planning would.
@@ -491,20 +492,17 @@ def first_wrong_field(report_json: dict) -> str | None:
     try:
         source = report_json["input"]
         params = report_json.get("parameters", {})
-        unknown = sorted(set(params) - {"levels_out", *PLAN_PARAMETERS})
+        unknown = sorted(set(params) - {"levels_out", "source_cap", *PLAN_PARAMETERS})
         if unknown:
             raise PipelineInputError(f"report parameter {unknown[0]!r} is not a plan parameter")
         params = {k: json_int(v, f"parameters.{k}") for k, v in params.items()}
         corner = report_json.get("corner")
         level = json_int(corner["level"], "corner.level") if corner else None
         options = {"unit_class": (level, corner["vector"]) if corner else None}
-        options.update((k, v) for k, v in params.items() if k != "levels_out")
+        options.update((k, params[k]) for k in PLAN_PARAMETERS if k in params)
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
     if kind == "af":
-        missing = [key for key in PLAN_PARAMETERS if key not in params]
-        if missing:
-            return f"parameters.{missing[0]}"
         fresh = plan_af_realization(diagram_from_json(source), **options)
     else:
         fresh = plan_rank2_realization(rank2_data_from_json(source)[0], **options)

@@ -27,13 +27,11 @@ from typing import Iterator, Mapping, Sequence
 
 from .graph_model import BratteliDiagram, Edge
 from .matrices import (
-    DEFAULT_LEVEL_CAP,
     IntMatrix,
     as_matrix,
     chain_product,
     check_repeat_rule,
-    first_level_above,
-    growth_failure,
+    growth_levels,
     identity,
     is_proper,
     min_entry,
@@ -273,14 +271,14 @@ def rank2_data_from_json(data: dict) -> tuple[Rank2Data, int | None]:
         T = json_ints(data["T"], "T", 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed rank-2 data: {exc}") from exc
-    orientation = {"+1": 1, "-1": -1}.get(str(data.get("orientation", "+1")))
-    if orientation is None:
-        raise StructuralError("orientation must be '+1' or '-1'")
+    sign = data.get("orientation", "+1")
+    if sign not in ("+1", "-1"):
+        raise StructuralError(f"orientation must be '+1' or '-1', got {sign!r}")
     repeat_from, horizon = (
         None if data.get(key) is None else json_int(data[key], key)
         for key in ("repeat_from", "horizon")
     )
-    return Rank2Data(A, B, T, repeat_from, orientation), horizon
+    return Rank2Data(A, B, T, repeat_from, 1 if sign == "+1" else -1), horizon
 
 
 def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:
@@ -422,50 +420,39 @@ class TelescopeResult:
         }
 
 
-def telescope_rank2(
-    data: Rank2Data, levels_out: int, horizon_cap: int = DEFAULT_LEVEL_CAP
-) -> TelescopeResult:
+def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
     """Choose the level subsequence making edge orders outrun the m-recursion.
 
     Seed levels come from a subsequence along which every entry of the
     chained matrices reaches n; then M_0 = M_1 = 0 and each further level is
     the first whose chained matrix has every entry above (n+1) * M_{n+1},
-    where M_{n+1} = M_n + n * prod(A_chain(i,j) * T(j)).  Each chain is
-    multiplied once, by the search that finds its top level; the B chains
-    follow from A_n T_n = T_{n+1} B_n.
+    where M_{n+1} = M_n + n * prod(A_chain(i,j) * T(j)).  The levels come
+    from one ``growth_levels`` search with these bounds, which multiplies
+    each chain once; the B chains follow from A_n T_n = T_{n+1} B_n.
     """
     if levels_out < 3:
         raise ValueError("telescoping needs at least three output levels")
-    l = [0]
     M = [0, 0]
-    chains: list[IntMatrix] = []
-    certificate: list[dict] = []
-    for step in range(levels_out - 1):
+
+    def bound(step: int, l: list[int], chains: list[IntMatrix]) -> tuple[int, str]:
         if step < 2:
-            bound, relation = step, f">= {step + 1}"
-        else:
-            t_vec = data.t_at(l[step - 1])
-            prod = math.prod(a * t for row in chains[-1] for a, t in zip(row, t_vec))
-            M.append(M[-1] + (step - 1) * prod)
-            bound = step * M[step]
-            relation = f"> {bound}"
-        try:
-            found = first_level_above(data.a_at, l[step], bound, horizon_cap)
-            failure = None if found else growth_failure(l[step], relation, horizon_cap)
-        except StructuralError:
-            # data without a repetition rule ends at level len(data.A)
-            failure = growth_failure(l[step], relation, horizon_cap, len(data.A))
-        if failure:
-            return TelescopeResult(
-                False, tuple(l[:3]), tuple(l), tuple(M), None, tuple(certificate), data, failure
-            )
-        nxt, chain = found
-        if step >= 2:
-            certificate.append(
-                {"step": step, "level": nxt, "min_entry": min_entry(chain), "strict_bound": bound}
-            )
-        l.append(nxt)
-        chains.append(chain)
+            return step, f">= {step + 1}"
+        t_vec = data.t_at(l[step - 1])
+        prod = math.prod(a * t for row in chains[-1] for a, t in zip(row, t_vec))
+        M.append(M[-1] + (step - 1) * prod)
+        return step * M[step], f"> {step * M[step]}"
+
+    # data without a repetition rule ends at level len(data.A)
+    l, chains, failure = growth_levels(data.a_at, levels_out, len(data.A), bound)
+    certificate = tuple(
+        {"step": n, "level": l[n + 1], "min_entry": min_entry(chain), "strict_bound": n * M[n]}
+        for n, chain in enumerate(chains)
+        if n >= 2
+    )
+    if failure:
+        return TelescopeResult(
+            False, tuple(l[:3]), tuple(l), tuple(M), None, certificate, data, failure
+        )
     T_out = tuple(tuple(data.t_at(n)) for n in l)
     # A_chain T_low = T_high B_chain with T diagonal, entry by entry
     B_out = tuple(
@@ -473,9 +460,7 @@ def telescope_rank2(
         for chain, low, high in zip(chains, T_out, T_out[1:])
     )
     telescoped = Rank2Data(tuple(chains), B_out, T_out, None, data.orientation)
-    return TelescopeResult(
-        True, tuple(l[:3]), tuple(l), tuple(M), telescoped, tuple(certificate), data
-    )
+    return TelescopeResult(True, tuple(l[:3]), tuple(l), tuple(M), telescoped, certificate, data)
 
 
 def reverify_telescope(result: TelescopeResult) -> bool:

@@ -16,7 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
+from unittest.mock import patch
 
+from groupoid_forge import matrices
 from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
@@ -52,6 +54,7 @@ from groupoid_forge.matrices import (
     as_matrix,
     chain_product,
     diagonal,
+    growth_levels,
     mat_mul,
     min_entry,
     repeat_index,
@@ -677,6 +680,18 @@ def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
     return chosen, None
 
 
+def level_cap(cap: int):
+    """Patch ``matrices.LEVEL_CAP``, the cap every growth search reads."""
+    return patch.object(matrices, "LEVEL_CAP", cap)
+
+
+def af_growth_levels(d: BratteliDiagram, count: int):
+    """``matrices.growth_levels`` over the K0 matrices of ``d`` with the AF
+    planner's bound: every entry of step n's chain above n."""
+    spec = dimension_group_of(d)
+    return growth_levels(spec.matrix, count, spec.horizon, lambda n, *_: (n, f"> {n}"))
+
+
 # ---------------------------------------------------------------------------
 # Rescanned rank-2 telescope
 #
@@ -1035,15 +1050,17 @@ def is_psd_hermitian(m: RegRepMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, source_cap=4096):
+def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20):
     """The AF report from the generic certificate functions, with the
-    planner's signature and its input errors."""
+    planner's signature and its input errors, searching up to
+    ``matrices.LEVEL_CAP``."""
     check = validate_bratteli(d)
     if not check.passed:
         raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
     corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
-    params = {"depth": depth, "lbound": lbound, "source_cap": source_cap}
-    levels, failure = rescanned_growth_subsequence(d, max(depth, lbound + 1) + 1, source_cap)
+    params = {"depth": depth, "lbound": lbound, "source_cap": matrices.LEVEL_CAP}
+    levels_out = max(depth, lbound + 1) + 1
+    levels, failure = rescanned_growth_subsequence(d, levels_out, matrices.LEVEL_CAP)
     if failure is not None:
         return _report("af", d.to_json(), params, {"complete": False, "failure": failure}, corner)
     tele = telescope(d, levels)
@@ -1100,7 +1117,7 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20, s
 # ---------------------------------------------------------------------------
 
 
-def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, source_cap=4096):
+def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50):
     """The rank-2 report from every check, with the planner's signature and
     its input errors."""
     _check_bounds(depth, lbound)
@@ -1108,9 +1125,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
     if unit_class is not None and not 0 <= unit_class[0] < levels_out:
         raise StructuralError(f"corner level {unit_class[0]} outside levels 0..{levels_out - 1}")
     params = {"depth": depth, "lbound": lbound, "levels_out": levels_out}
-    if source_cap != 4096:
-        params["source_cap"] = source_cap
-    tele = telescope_rank2(data, levels_out, source_cap)
+    tele = telescope_rank2(data, levels_out)
     corner = None if unit_class is None else rank2_corner_spec(tele, *unit_class)
     if not tele.complete:
         return RealizationReport(
@@ -1212,11 +1227,13 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50, s
 
 def replayed_report_verdict(report_json: dict) -> bool:
     """True when the generic derivation of the report's kind, from the echoed
-    input, the recorded parameters and the corner's unit class, reproduces
-    the report exactly."""
+    input, the recorded parameters and the corner's unit class, under the
+    current level cap, reproduces the report exactly."""
     corner = report_json["corner"]
     unit_class = (corner["level"], corner["vector"]) if corner else None
     params = dict(report_json["parameters"])
+    # the cap is matrices.LEVEL_CAP, which an AF report echoes
+    params.pop("source_cap", None)
     if report_json["kind"] == "rank2":
         params.pop("levels_out", None)
         data = rank2_data_from_json(report_json["input"])[0]

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from groupoid_forge.dimension_groups import dimension_group_of
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
@@ -18,14 +17,16 @@ from groupoid_forge.graph_model import (
     path_count_matrix,
     telescope,
 )
-from groupoid_forge.matrices import as_matrix, growth_levels, transpose
-from groupoid_forge.pipeline import PipelineInputError, plan_af_realization
+from groupoid_forge.matrices import as_matrix, transpose
+from groupoid_forge.pipeline import PipelineInputError, first_wrong_field, plan_af_realization
 from groupoid_forge.twisted_product import check_lc, shift_witness_levels
 from groupoid_forge.validation import StructuralError
 
 from helpers import (
     SteppedEdgeCycle,
+    af_growth_levels,
     generic_af_report,
+    level_cap,
     rescanned_growth_subsequence,
     searched_shift_witnesses,
     walked_af_lc_lengths,
@@ -63,10 +64,11 @@ DIAGRAMS = {
 
 
 def growth(d, levels, cap):
-    """The growth search's levels and failure; the chain it returns for each
-    gap must be the path counts between the gap's levels, transposed."""
-    spec = dimension_group_of(d)
-    found, chains, failure = growth_levels(spec.matrix, levels, cap, spec.horizon)
+    """The growth search's levels and failure under the level cap ``cap``;
+    the chain it returns for each gap must be the path counts between the
+    gap's levels, transposed."""
+    with level_cap(cap):
+        found, chains, failure = af_growth_levels(d, levels)
     assert chains == [transpose(path_count_matrix(d, a, b)) for a, b in zip(found, found[1:])]
     return found, failure
 
@@ -94,13 +96,16 @@ class TestReportsAgainstGenericDerivation:
     def test_grid(self, name, depth, lbound):
         d = DIAGRAMS[name]
         for unit in (None, (0, (1,) * d.level_size(0))):
-            options = {"unit_class": unit, "depth": depth, "lbound": lbound, "source_cap": 64}
-            planned = _outcome(plan_af_realization, d, **options)
-            assert planned == _outcome(generic_af_report, d, **options)
+            options = {"unit_class": unit, "depth": depth, "lbound": lbound}
+            with level_cap(64):
+                planned = _outcome(plan_af_realization, d, **options)
+                assert planned == _outcome(generic_af_report, d, **options)
+                assert isinstance(planned, str) or first_wrong_field(planned) is None
 
     def test_grid_covers_every_outcome(self):
         def outcome(d):
-            planned = _outcome(plan_af_realization, d, depth=7, lbound=12, source_cap=64)
+            with level_cap(64):
+                planned = _outcome(plan_af_realization, d, depth=7, lbound=12)
             return "refused" if isinstance(planned, str) else planned["status"]
 
         seen = {name: outcome(d) for name, d in DIAGRAMS.items()}

@@ -31,6 +31,18 @@ FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6
 # compatible data whose matrices are negative
 NEGATIVE_A = {"A": [[[-2]]], "B": [[[-2]]], "T": [[1], [1]], "repeat_from": 0}
 DATA = Path(__file__).resolve().parent / "data"
+# level 1 merges the two level-0 vertices; the repeating block is [[1]]
+MERGING = {
+    "levels": [{"size": 2}, {"size": 2}, {"size": 1}, {"size": 1}],
+    "edges": [
+        {"level": 0, "range": 0, "source": 0, "mult": 1},
+        {"level": 0, "range": 1, "source": 1, "mult": 1},
+        {"level": 1, "range": 0, "source": 0, "mult": 1},
+        {"level": 1, "range": 1, "source": 0, "mult": 1},
+        {"level": 2, "range": 0, "source": 0, "mult": 1},
+    ],
+    "repeat_from": 2,
+}
 FIGURE_TAIL = Rank2Data(
     A=(((3,),), ((4,),), ((2,),)),
     B=(((1,),), ((2,),), ((2,),)),
@@ -340,7 +352,25 @@ class TestKtheory:
         )
 
 
+    @pytest.mark.parametrize("horizon, value", [(0, "unknown"), (1, "unknown"), (2, "yes")])
+    def test_equal_reads_the_matrices_before_the_block(self, horizon, value, tmp_path, capsys):
+        # two classes merged by the stored matrix at level 1, ahead of the
+        # injective repeating block: never a "no"
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps(MERGING))
+        argv = ["ktheory", str(path), "--class", "0:0", "--op", "equal", "--other", "0:0,1"]
+        assert main(argv + ["--horizon", str(horizon)]) == (0 if value == "yes" else 1)
+        assert json.loads(capsys.readouterr().out)["value"] == value
+
+
 class TestRank2Cli:
+    @pytest.mark.parametrize("orientation", [-1, 1])
+    def test_integer_orientation_is_refused(self, orientation, tmp_path, capsys):
+        path = tmp_path / "int_orientation.json"
+        path.write_text(json.dumps(CONSTANT2.to_json() | {"orientation": orientation}))
+        assert main(["realize", "rank2", str(path)]) == 2
+        assert f"orientation must be '+1' or '-1', got {orientation}" in capsys.readouterr().err
+
     def test_build_orders_telescope_automorphism(self, rank2_file, tmp_path):
         assert main(["rank2", "build", "--input", rank2_file]) == 0
         out = tmp_path / "orders.json"

@@ -110,6 +110,26 @@ class TestEqual:
         v = dg_equal(spec, a, b, 2)
         assert v.is_yes and v.level == 1
 
+    def test_no_needs_the_stored_matrices_before_the_block(self):
+        # [[1, 1]] at level 1 merges two classes that differ at levels 0
+        # and 1; only the block [[1]] after it is injective
+        spec = DimensionGroupSpec(
+            (2, 2, 1, 1),
+            (as_matrix([[1, 0], [0, 1]]), as_matrix([[1, 1]]), as_matrix([[1]])),
+            repeat_from=2,
+        )
+        a, b = DimGroupElement(0, (1, 0)), DimGroupElement(0, (0, 1))
+        for horizon in (0, 1):
+            assert dg_equal(spec, a, b, horizon).value == "unknown"
+        assert dg_equal(spec, a, b, 2) == Verdict("yes", level=2)
+
+    def test_no_lists_every_matrix_acting_from_where_it_stopped(self):
+        spec = DimensionGroupSpec((1, 1, 1), (as_matrix([[3]]), as_matrix([[2]])), repeat_from=1)
+        a, b = DimGroupElement(0, (1,)), DimGroupElement(0, (2,))
+        assert dg_equal(spec, a, b, 0).justification["tail_matrices"] == [[[3]], [[2]]]
+        assert dg_equal(spec, a, b, 1).justification["tail_matrices"] == [[[2]]]
+        assert dg_equal(spec, a, b, 5).justification["tail_matrices"] == [[[2]]]
+
     def test_unknown_without_repetition(self):
         spec = DimensionGroupSpec((1, 1), (as_matrix([[2]]),))
         v = dg_equal(spec, DimGroupElement(0, (1,)), DimGroupElement(0, (3,)), 1)

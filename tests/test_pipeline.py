@@ -7,7 +7,6 @@ import random
 import pytest
 
 from groupoid_forge import pipeline, rank2_diagrams
-from groupoid_forge.dimension_groups import dimension_group_of
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     PathWord,
@@ -15,10 +14,11 @@ from groupoid_forge.graph_model import (
     enumerate_paths,
     telescope,
 )
-from groupoid_forge.matrices import as_matrix, growth_levels
+from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
     ANALYTIC_HYPOTHESES,
     PipelineInputError,
+    first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
     unit_corner_spec,
@@ -28,6 +28,7 @@ from groupoid_forge.rank2_diagrams import Rank2Data, compute_orders
 from groupoid_forge.validation import StructuralError
 
 from families import CONSTANT2, FIGURE
+from helpers import af_growth_levels, level_cap
 
 
 class TestAfPlan:
@@ -74,10 +75,10 @@ class TestAfPlan:
         assert spec.k_class == k0_vertex_class(d, (0, 0))
 
     def test_horizon_exhaustion_gives_unknown(self):
-        report = plan_af_realization(
-            constant_diagram(2), depth=5, lbound=8, source_cap=3
-        )
+        with level_cap(3):
+            report = plan_af_realization(constant_diagram(2), depth=5, lbound=8)
         assert report.status == "unknown"
+        assert report.parameters["source_cap"] == 3
         assert report.telescoping == {
             "complete": False,
             "failure": "no level within cap 3 has entries > 2 from level 2",
@@ -123,8 +124,7 @@ def seeded_square(seed: int, size: int) -> BratteliDiagram:
 
 
 def growth_telescope(d, levels):
-    spec = dimension_group_of(d)
-    return telescope(d, growth_levels(spec.matrix, levels, 4096, spec.horizon)[0])
+    return telescope(d, af_growth_levels(d, levels)[0])
 
 
 class TestAfLcSample:
@@ -205,6 +205,37 @@ class TestReportParameters:
             verify_report_json(blob)
 
 
+class TestLevelCap:
+    """The growth searches stop at ``matrices.LEVEL_CAP``, read at each
+    call; an AF report echoes it as ``source_cap``, a rank-2 report does
+    not record it."""
+
+    def test_both_kinds_stop_at_the_patched_cap_and_name_it(self):
+        with level_cap(3):
+            af = plan_af_realization(constant_diagram(2), depth=5, lbound=8)
+            rank2 = plan_rank2_realization(CONSTANT2, depth=5, lbound=10)
+        assert af.telescoping["failure"].startswith("no level within cap 3 ")
+        assert rank2.telescoping["failure"].startswith("no level within cap 3 ")
+        assert af.parameters["source_cap"] == 3
+        assert "source_cap" not in rank2.parameters
+
+    def test_af_echo_reverifies_only_under_its_cap(self):
+        with level_cap(64):
+            report = plan_af_realization(constant_diagram(2), depth=5, lbound=8)
+            blob = json.loads(json.dumps(report.to_json()))
+            assert blob["status"] == "ok" and blob["parameters"]["source_cap"] == 64
+            assert first_wrong_field(blob) is None
+        assert first_wrong_field(blob) == "parameters.source_cap"
+        blob["parameters"]["source_cap"] = 4096
+        assert first_wrong_field(blob) is None
+
+    def test_rank2_report_recording_a_cap_fails_there(self):
+        blob = json.loads(json.dumps(plan_rank2_realization(CONSTANT2, depth=3).to_json()))
+        assert first_wrong_field(blob) is None
+        blob["parameters"]["source_cap"] = 4096
+        assert first_wrong_field(blob) == "parameters.source_cap"
+
+
 class TestRank2Plan:
     def test_full_report(self):
         report = plan_rank2_realization(CONSTANT2, depth=5, lbound=50)
@@ -249,14 +280,6 @@ class TestRank2Plan:
         blob["stabilization"]["full_relation_truncation"] = 9
         assert not verify_report_json(blob)
 
-    def test_source_cap_reverifies(self):
-        report = plan_rank2_realization(CONSTANT2, depth=3, lbound=6, source_cap=4)
-        blob = json.loads(json.dumps(report.to_json()))
-        assert blob["parameters"]["source_cap"] == 4
-        assert verify_report_json(blob)
-        default = plan_rank2_realization(CONSTANT2, depth=3, lbound=6).to_json()
-        assert "source_cap" not in default["parameters"]
-
     def test_one_plan_computes_the_orders_once(self, monkeypatch):
         calls = []
 
@@ -280,9 +303,10 @@ class TestRank2Plan:
         assert verify_report_json(json.loads(text))
 
     def test_horizon_exhaustion(self):
-        report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10, source_cap=4)
+        with level_cap(4):
+            report = plan_rank2_realization(CONSTANT2, depth=5, lbound=10)
         assert report.status == "unknown"
-        assert report.telescoping["failure"]
+        assert "no level within cap 4 has entries" in report.telescoping["failure"]
 
     @pytest.mark.parametrize(
         "vector, error, message",

@@ -30,6 +30,7 @@ from helpers import (
     blue_by_label,
     blue_edges_at,
     brute_orbit_length,
+    level_cap,
     materialized_orders,
     materialized_validation,
     rank2_path_image,
@@ -161,6 +162,14 @@ class TestBuild:
         data, horizon = rank2_data_from_json(FIGURE.to_json() | {"horizon": 3})
         assert data == FIGURE and horizon == 3
 
+    def test_orientation_is_read_as_given(self):
+        base = {k: v for k, v in FIGURE.to_json().items() if k != "orientation"}
+        assert rank2_data_from_json(base)[0].orientation == 1
+        assert rank2_data_from_json(base | {"orientation": "-1"})[0].orientation == -1
+        for value in (1, -1, -1.0, True, "1"):
+            with pytest.raises(StructuralError, match=f"orientation must be .*got {value!r}"):
+                rank2_data_from_json(base | {"orientation": value})
+
 
 class TestFigureCaption:
     def test_range_returns_after_level_lcm_powers(self):
@@ -205,7 +214,8 @@ class TestTelescope:
             assert orders.min_order_at(n) > n * orders.m[n]
 
     def test_horizon_exhaustion_reports_partial(self):
-        result = telescope_rank2(CONSTANT2, 7, horizon_cap=4)
+        with level_cap(4):
+            result = telescope_rank2(CONSTANT2, 7)
         assert not result.complete
         assert result.failure and result.telescoped is None
 

@@ -37,7 +37,13 @@ from families import (
     TWO_CYCLE_ONES,
     seeded_compatible_data,
 )
-from helpers import bench_inputs, generic_af_report, generic_rank2_report, replayed_report_verdict
+from helpers import (
+    bench_inputs,
+    generic_af_report,
+    generic_rank2_report,
+    level_cap,
+    replayed_report_verdict,
+)
 
 
 def _json(report) -> dict:
@@ -69,10 +75,16 @@ def planned_corpus() -> dict:
     reports["random3x3_lb40"] = _json(
         plan_af_realization(_random_square(0, 3), unit_class=(0, [1, 0, 2]), lbound=40)
     )
-    reports["capped"] = _json(
-        plan_af_realization(constant_diagram(2), unit_class=(0, [3]), lbound=8, source_cap=3)
-    )
+    with level_cap(3):
+        reports["capped"] = _json(
+            plan_af_realization(constant_diagram(2), unit_class=(0, [3]), lbound=8)
+        )
     return reports
+
+
+def recorded_cap(report: dict):
+    """The level cap an AF report echoes, patched in for checking it."""
+    return level_cap(report["parameters"]["source_cap"])
 
 
 corpus = cache(planned_corpus)
@@ -132,8 +144,9 @@ def _mutated(report: dict, path: str, value) -> dict:
 @pytest.mark.parametrize("name", sorted(corpus()))
 def test_planned_report_passes_checker_and_replay(name):
     report = corpus()[name]
-    assert first_wrong_field(report) is None
-    assert replayed_report_verdict(report) is True
+    with recorded_cap(report):
+        assert first_wrong_field(report) is None
+        assert replayed_report_verdict(report) is True
 
 
 @pytest.mark.parametrize("name", sorted(corpus()))
@@ -142,8 +155,9 @@ def test_tampered_reports_rejected_at_the_changed_field(name):
     for path, value in mutations(report):
         tampered = _mutated(report, path, value)
         assert tampered != report, path
-        assert first_wrong_field(tampered) == path
-        assert verify_report_json(tampered) is replayed_report_verdict(tampered) is False, path
+        with recorded_cap(report):
+            assert first_wrong_field(tampered) == path
+            assert verify_report_json(tampered) is replayed_report_verdict(tampered) is False, path
 
 
 def test_corpus_covers_both_outcomes():
@@ -173,7 +187,8 @@ def test_checker_runs_no_planner_certificate(monkeypatch):
             patch.setattr(module, name, refuse)
         assert planned_corpus() == corpus()
         for report in corpus().values():
-            assert verify_report_json(report) is True
+            with recorded_cap(report):
+                assert verify_report_json(report) is True
     # a rank-2 plan runs only the checks that can fail; the pipeline module
     # is patched too, so that importing one of these back into it fails here
     with monkeypatch.context() as patch:
@@ -247,26 +262,24 @@ def stationary_plans(draw):
     d = BratteliDiagram((size, size), (as_matrix(rows),), 0)
     vec = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
     unit = (0, vec) if any(vec) else None
-    options = {
-        "depth": draw(st.integers(1, 6)),
-        "lbound": draw(st.integers(1, 24)),
-        "source_cap": draw(st.sampled_from([8, 64, 4096])),
-    }
-    return d, unit, options
+    options = {"depth": draw(st.integers(1, 6)), "lbound": draw(st.integers(1, 24))}
+    cap = draw(st.sampled_from([8, 64, 4096]))
+    return d, unit, cap, options
 
 
 @settings(max_examples=60, deadline=None)
 @given(stationary_plans())
 def test_every_stationary_plan_passes_the_checker(plan):
-    d, unit, options = plan
+    d, unit, cap, options = plan
     if not validate_bratteli(d).passed:
         return
-    report = _json(plan_af_realization(d, unit_class=unit, **options))
-    assert first_wrong_field(report) is None
-    # the generic derivation rescans every candidate level, so an unknown
-    # plan is derived again only under the small caps
-    if report["telescoping"]["complete"] or options["source_cap"] <= 64:
-        assert report == _json(generic_af_report(d, unit_class=unit, **options))
+    with level_cap(cap):
+        report = _json(plan_af_realization(d, unit_class=unit, **options))
+        assert first_wrong_field(report) is None
+        # the generic derivation rescans every candidate level, so an unknown
+        # plan is derived again only under the small caps
+        if report["telescoping"]["complete"] or cap <= 64:
+            assert report == _json(generic_af_report(d, unit_class=unit, **options))
     # every complete plan is ok, and only a complete one
     assert (report["status"] == "ok") is report["telescoping"]["complete"]
 
@@ -286,10 +299,11 @@ NAMED_RANK2 = {
 
 
 def rank2_grid():
-    """(name, data, options): the named data and seeds 0-19 of the seeded
-    compatible data, both orientations, with and without a repetition rule,
-    each planned with six seeded draws of the unit class (valid, negative,
-    too long, or at a level the data lacks), depth 1-4, lbound and cap."""
+    """(name, data, cap, options): the named data and seeds 0-19 of the
+    seeded compatible data, both orientations, with and without a repetition
+    rule, each planned with six seeded draws of the unit class (valid,
+    negative, too long, or at a level the data lacks), depth 1-4, lbound and
+    level cap."""
     inputs = {
         f"{name}{o:+d}": dataclasses.replace(data, orientation=o)
         for name, data in NAMED_RANK2.items()
@@ -311,9 +325,8 @@ def rank2_grid():
                 "unit_class": rng.choice(units),
                 "depth": rng.randint(1, 4),
                 "lbound": rng.choice((1, 7, 30, 50)),
-                "source_cap": rng.choice((3, 10, 4096)),
             }
-            yield f"{name}#{draw}", data, options
+            yield f"{name}#{draw}", data, rng.choice((3, 10, 4096)), options
 
 
 def _outcome(plan, data, options):
@@ -326,11 +339,13 @@ def _outcome(plan, data, options):
 
 @cache
 def rank2_outcomes() -> dict:
+    """Each grid case's level cap, planned report and generic report."""
     plans = (plan_rank2_realization, generic_rank2_report)
-    return {
-        name: tuple(_outcome(plan, data, options) for plan in plans)
-        for name, data, options in rank2_grid()
-    }
+    outcomes = {}
+    for name, data, cap, options in rank2_grid():
+        with level_cap(cap):
+            outcomes[name] = (cap, *(_outcome(plan, data, options) for plan in plans))
+    return outcomes
 
 
 def _rank2_label(outcome) -> str:
@@ -346,7 +361,7 @@ def _rank2_label(outcome) -> str:
 
 def test_rank2_plans_match_the_generic_derivation():
     corners = 0
-    for name, (planned, generic) in rank2_outcomes().items():
+    for name, (_, planned, generic) in rank2_outcomes().items():
         assert planned == generic, name
         if isinstance(planned, dict) and planned["telescoping"]["complete"] and planned["corner"]:
             # the closed-form corner verdict against the push of dg_is_positive
@@ -358,8 +373,8 @@ def test_rank2_plans_match_the_generic_derivation():
 
 
 def test_rank2_grid_covers_every_outcome():
-    reports = [r for r, _ in rank2_outcomes().values() if isinstance(r, dict)]
-    labels = {_rank2_label(r) for r, _ in rank2_outcomes().values()}
+    reports = [r for _, r, _ in rank2_outcomes().values() if isinstance(r, dict)]
+    labels = {_rank2_label(r) for _, r, _ in rank2_outcomes().values()}
     assert labels == {"ok", "wfc unknown", "minimality unknown", "cap", "data horizon", "refused"}
     # a report carries its corner whether or not its telescope completes
     corners = {(r["telescoping"]["complete"], r["corner"] is not None) for r in reports}
@@ -367,17 +382,18 @@ def test_rank2_grid_covers_every_outcome():
 
 
 def test_rank2_checker_agrees_with_the_replay():
-    for name, (report, _) in rank2_outcomes().items():
+    for name, (cap, report, _) in rank2_outcomes().items():
         if not isinstance(report, dict):
             continue
-        assert first_wrong_field(report) is None, name
-        assert replayed_report_verdict(report) is True, name
-        if report["telescoping"]["complete"]:
-            tamper = ("ktheory.order_formula_round_trip", False)
-        else:
-            tamper = ("telescoping.failure", report["telescoping"]["failure"] + ".")
-        flipped = "unknown" if report["status"] == "ok" else "ok"
-        for path, value in [("status", flipped), tamper]:
-            tampered = _mutated(report, path, value)
-            assert first_wrong_field(tampered) == path, name
-            assert replayed_report_verdict(tampered) is False, name
+        with level_cap(cap):
+            assert first_wrong_field(report) is None, name
+            assert replayed_report_verdict(report) is True, name
+            if report["telescoping"]["complete"]:
+                tamper = ("ktheory.order_formula_round_trip", False)
+            else:
+                tamper = ("telescoping.failure", report["telescoping"]["failure"] + ".")
+            flipped = "unknown" if report["status"] == "ok" else "ok"
+            for path, value in [("status", flipped), tamper]:
+                tampered = _mutated(report, path, value)
+                assert first_wrong_field(tampered) == path, name
+                assert replayed_report_verdict(tampered) is False, name
