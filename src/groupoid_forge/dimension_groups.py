@@ -10,6 +10,7 @@ without a decision is an explicit Unknown, never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_model import BratteliDiagram
 from .matrices import (
@@ -94,8 +95,7 @@ class DimensionGroupSpec:
         return self.matrices[min(level, self.repeat_from):]
 
 
-@dataclass(frozen=True)
-class DimGroupElement:
+class DimGroupElement(NamedTuple):
     level: int
     vector: IntVector
 
@@ -114,20 +114,38 @@ def dg_push_to_level(
     return DimGroupElement(m, v)
 
 
+def _last_level(spec: DimensionGroupSpec, horizon: int) -> int:
+    """The deepest level a push may reach: the horizon, or the last stored
+    level of data that has no repetition rule, whichever comes first."""
+    return horizon if spec.repeat_from is not None else min(horizon, spec.horizon)
+
+
+def _unknown(spec: DimensionGroupSpec, level: int, horizon: int) -> Verdict:
+    """Unknown at ``level``, naming the horizon the push stopped at."""
+    if level >= horizon:
+        return Verdict("unknown", level=level, justification="horizon reached")
+    return Verdict(
+        "unknown",
+        level=level,
+        justification=f"data horizon reached: no repetition rule past level {spec.horizon}",
+    )
+
+
 def dg_equal(
     spec: DimensionGroupSpec, a: DimGroupElement, b: DimGroupElement, horizon: int
 ) -> Verdict:
     """Yes when the pushed images coincide at some level within the horizon;
     No when they differ there and every matrix acting from there on is
-    injective over Q."""
+    injective over Q.  Each verdict carries the level last compared."""
     start = max(a.level, b.level)
     va = dg_push_to_level(spec, a, start).vector
     vb = dg_push_to_level(spec, b, start).vector
     level = start
+    end = _last_level(spec, horizon)
     while True:
         if va == vb:
             return Verdict("yes", level=level)
-        if level >= horizon:
+        if level >= end:
             break
         va = mat_vec(spec.matrix(level), va)
         vb = mat_vec(spec.matrix(level), vb)
@@ -136,14 +154,14 @@ def dg_equal(
     if tail is not None and all(is_injective(m) for m in tail):
         return Verdict(
             "no",
-            level=horizon,
+            level=level,
             justification={
                 "reason": "images differ at the horizon and every repeating tail "
                 "matrix has full column rank over Q",
                 "tail_matrices": [list(map(list, m)) for m in tail],
             },
         )
-    return Verdict("unknown", level=horizon, justification="horizon reached")
+    return _unknown(spec, level, horizon)
 
 
 def dg_is_positive(
@@ -154,6 +172,7 @@ def dg_is_positive(
     entrywise negative forever)."""
     v = dg_push_to_level(spec, a, a.level).vector
     level = a.level
+    end = _last_level(spec, horizon)
     while True:
         if all(x >= 0 for x in v):
             return Verdict("yes", level=level)
@@ -169,8 +188,8 @@ def dg_is_positive(
                         "vector": list(v),
                     },
                 )
-        if level >= horizon:
-            return Verdict("unknown", level=horizon, justification="horizon reached")
+        if level >= end:
+            return _unknown(spec, level, horizon)
         v = mat_vec(spec.matrix(level), v)
         level += 1
 

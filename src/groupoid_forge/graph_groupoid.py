@@ -27,7 +27,6 @@ from .validation import StructuralError
 BOUQUET_VERTEX = "v"
 
 
-@dataclass(frozen=True)
 class InfiniteBouquet:
     """The vertex BOUQUET_VERTEX with lazily indexed loop edges e_i, i in N.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, NamedTuple, Sequence
 
 from .matrices import (
     IntMatrix,
@@ -35,8 +35,7 @@ from .validation import StructuralError, ValidationReport, Violation, json_int, 
 Vertex = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     label: Hashable
     range_vertex: Vertex
     source_vertex: Vertex

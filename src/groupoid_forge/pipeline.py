@@ -16,9 +16,8 @@ hypotheses, flagged NOT COMPUTED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import matrices
 from .dimension_groups import DimGroupElement, Verdict, dimension_group_of
@@ -99,8 +98,7 @@ def _check_bounds(depth: int, lbound: int) -> None:
         raise PipelineInputError(f"lbound must be at least 1, got {lbound}")
 
 
-@dataclass(frozen=True)
-class CornerSpec:
+class CornerSpec(NamedTuple):
     """The compact open corner cut out by a nonnegative vertex vector."""
 
     level: int
@@ -145,8 +143,7 @@ def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> Corner
     return _corner_spec(level, a, d.level_size(level), lambda i: [level, i])
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(NamedTuple):
     kind: str
     status: str
     input_echo: dict

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graph_model import BratteliDiagram, Edge
 from .matrices import (
@@ -396,8 +396,7 @@ def compute_orders(d: CanonicalRank2Diagram) -> CanonicalOrders:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TelescopeResult:
+class TelescopeResult(NamedTuple):
     complete: bool
     l_prime: tuple[int, ...]
     l: tuple[int, ...]

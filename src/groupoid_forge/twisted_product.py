@@ -16,8 +16,7 @@ claims are decided by the basic-bisection calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
 from .graph_model import (
@@ -52,8 +51,7 @@ from .rank2_diagrams import CanonicalOrders, Rank2Path
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedProduct:
+class TwistedProduct(NamedTuple):
     h: FiniteGroupoid
     cocycle: Cocycle
     g: FiniteGroupoid
@@ -126,8 +124,7 @@ def twisted_product(
     return TwistedProduct(H, c, G, alpha, finite)
 
 
-@dataclass(frozen=True)
-class BouquetTwistedProduct:
+class BouquetTwistedProduct(NamedTuple):
     """The twisted product of the bouquet groupoid (degree cocycle) with a
     finite G; elements are (germ, g) pairs, never materialized as a table."""
 
@@ -147,8 +144,7 @@ def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> B
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WfcCertificate:
+class WfcCertificate(NamedTuple):
     """Outcome of the bounded orbit-freeness check.
 
     status is "certificate" or "unknown".  The details are JSON-ready and
@@ -284,14 +280,12 @@ def check_wfc(orders: CanonicalOrders, depth: int, shift_bound: int) -> WfcCerti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LcEntry:
+class LcEntry(NamedTuple):
     element: object
     l: int
 
 
-@dataclass(frozen=True)
-class LcWitness:
+class LcWitness(NamedTuple):
     entries: tuple[LcEntry, ...]
 
     def to_json(self) -> dict:
@@ -332,8 +326,7 @@ def _lc_finite(G: FiniteGroupoid, alpha: GroupoidAutomorphism, V: frozenset) -> 
     raise AssertionError("orbit search exceeded the automorphism order")
 
 
-@dataclass(frozen=True)
-class ContractingWitness:
+class ContractingWitness(NamedTuple):
     """B = U x S with U = Z(lam^{2l}, lam^l), S = alpha^{-Nl}(V_G) and
     N = |lam|, inside the unit window W = V_H x V_G; the witness satisfies
     r(B) properly inside s(B) inside W.  The sets r_set and s_set are

@@ -7,7 +7,7 @@ check; structural problems (data that cannot even be interpreted) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class StructuralError(ValueError):
@@ -32,8 +32,7 @@ def json_ints(values, path: str, depth: int = 1) -> tuple:
     return tuple(json_ints(x, f"{path}.{i}", depth - 1) for i, x in enumerate(values))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     invariant: str
     subject: str
 
@@ -41,9 +40,8 @@ class Violation:
         return f"{self.invariant}: {self.subject}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+class ValidationReport(NamedTuple):
+    violations: tuple[Violation, ...] = ()
 
     @property
     def passed(self) -> bool:

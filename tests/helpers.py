@@ -7,7 +7,6 @@ paths under test.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import itertools
 import math
@@ -1099,7 +1098,7 @@ def generic_af_report(d: BratteliDiagram, unit_class=None, depth=5, lbound=20):
         "af", d.to_json(), params, telescoping, corner, dict(_AF_AUTOMORPHISM),
         _AF_STABILIZATION_NOTE, wfc, lc, minimality, ktheory,
     )
-    return dataclasses.replace(report, status=status)
+    return report._replace(status=status)
 
 
 # ---------------------------------------------------------------------------

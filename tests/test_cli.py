@@ -43,6 +43,11 @@ MERGING = {
     ],
     "repeat_from": 2,
 }
+# one stored doubling step and no repetition rule
+ONE_STEP = {
+    "levels": [{"size": 1}, {"size": 1}],
+    "edges": [{"level": 0, "range": 0, "source": 0, "mult": 2}],
+}
 FIGURE_TAIL = Rank2Data(
     A=(((3,),), ((4,),), ((2,),)),
     B=(((1,),), ((2,),), ((2,),)),
@@ -351,6 +356,17 @@ class TestKtheory:
             == 1
         )
 
+
+    def test_equal_past_the_data_horizon_is_unknown(self, tmp_path, capsys):
+        # one stored step and no repetition rule: the default horizon 12
+        # runs past the data, which is unknown (exit 1), not an error
+        path = tmp_path / "one_step.json"
+        path.write_text(json.dumps(ONE_STEP))
+        argv = ["ktheory", str(path), "--corner", "0:1", "--op", "equal", "--other", "0:3"]
+        assert main(argv) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["value"] == "unknown" and verdict["level"] == 1
+        assert "data horizon" in verdict["justification"]
 
     @pytest.mark.parametrize("horizon, value", [(0, "unknown"), (1, "unknown"), (2, "yes")])
     def test_equal_reads_the_matrices_before_the_block(self, horizon, value, tmp_path, capsys):

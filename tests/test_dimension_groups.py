@@ -135,6 +135,26 @@ class TestEqual:
         v = dg_equal(spec, DimGroupElement(0, (1,)), DimGroupElement(0, (3,)), 1)
         assert v.value == "unknown"
 
+    @pytest.mark.parametrize("horizon", [2, 12])
+    def test_unknown_at_the_data_horizon(self, horizon):
+        # the push stops at the last stored level instead of raising
+        spec = DimensionGroupSpec((1, 1), (as_matrix([[2]]),))
+        a, b = DimGroupElement(0, (1,)), DimGroupElement(0, (3,))
+        for v in (dg_equal(spec, a, b, horizon), dg_is_positive(spec, DimGroupElement(0, (-1,)), horizon)):
+            assert v == Verdict(
+                "unknown", level=1, justification="data horizon reached: no repetition rule past level 1"
+            )
+
+    def test_verdicts_carry_the_level_compared(self):
+        # both classes sit above the horizon: nothing is pushed, and level 3
+        # is the level compared
+        a, b = DimGroupElement(3, (1,)), DimGroupElement(3, (3,))
+        v = dg_equal(DOUBLING, a, b, 1)
+        assert (v.value, v.level) == ("no", 3)
+        assert dg_is_positive(DOUBLING, DimGroupElement(3, (-1,)), 1).level == 3
+        spec = DimensionGroupSpec((1, 1, 1), (as_matrix([[1]]), as_matrix([[0]])), repeat_from=1)
+        assert dg_equal(spec, a, b, 1) == Verdict("unknown", level=3, justification="horizon reached")
+
     def test_equivalence_on_decided(self):
         a, b, c = DimGroupElement(0, (1,)), DimGroupElement(1, (2,)), DimGroupElement(2, (4,))
         assert dg_equal(DOUBLING, a, b, 6).is_yes

@@ -2,7 +2,6 @@
 finite principality oracle."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -438,24 +437,24 @@ class TestContractingWitness:
         shrunk = unit_bisection(r0.range_word.concat(BQ.path([0])))
         off = unit_bisection(BQ.path([first.label + 1]))
         out = {
-            "r_set[0] = s(B)": replace(w, r_set=(s0, r1)),
-            "r_set[0] shrunk": replace(w, r_set=(shrunk, r1)),
-            "r_set[1] less a unit": replace(w, r_set=(r0, r1 - {unit})),
-            "s_set[0] = r(B)": replace(w, s_set=(r0, s1)),
-            "s_set[0] = whole space": replace(w, s_set=(unit_bisection(BQ.unit()), s1)),
-            "s_set[0] off the word": replace(w, s_set=(off, s1)),
-            "s_set[1] less a unit": replace(w, s_set=(s0, s1 - {min(s1)})),
-            "bisection inverted": replace(w, bisection=U.inverse()),
-            "bisection = r(B)": replace(w, bisection=U.range_set()),
-            "bisection = s(B)": replace(w, bisection=U.source_set()),
-            "g_part less a unit": replace(w, g_part=w.g_part - {unit}),
-            "window_h = r(B)": replace(w, window_h=r0),
-            "window_h misses lam": replace(w, window_h=unit_bisection(BQ.unit(), {first})),
+            "r_set[0] = s(B)": w._replace(r_set=(s0, r1)),
+            "r_set[0] shrunk": w._replace(r_set=(shrunk, r1)),
+            "r_set[1] less a unit": w._replace(r_set=(r0, r1 - {unit})),
+            "s_set[0] = r(B)": w._replace(s_set=(r0, s1)),
+            "s_set[0] = whole space": w._replace(s_set=(unit_bisection(BQ.unit()), s1)),
+            "s_set[0] off the word": w._replace(s_set=(off, s1)),
+            "s_set[1] less a unit": w._replace(s_set=(s0, s1 - {min(s1)})),
+            "bisection inverted": w._replace(bisection=U.inverse()),
+            "bisection = r(B)": w._replace(bisection=U.range_set()),
+            "bisection = s(B)": w._replace(bisection=U.source_set()),
+            "g_part less a unit": w._replace(g_part=w.g_part - {unit}),
+            "window_h = r(B)": w._replace(window_h=r0),
+            "window_h misses lam": w._replace(window_h=unit_bisection(BQ.unit(), {first})),
         }
         if non_units:
-            out["r_set[1] plus a non-unit"] = replace(w, r_set=(r0, r1 | non_units))
-            out["s_set[1] plus a non-unit"] = replace(w, s_set=(s0, s1 | non_units))
-            out["g_part plus a non-unit"] = replace(w, g_part=w.g_part | non_units)
+            out["r_set[1] plus a non-unit"] = w._replace(r_set=(r0, r1 | non_units))
+            out["s_set[1] plus a non-unit"] = w._replace(s_set=(s0, s1 | non_units))
+            out["g_part plus a non-unit"] = w._replace(g_part=w.g_part | non_units)
         return out
 
     def test_tampered_witnesses_rejected(self):
