@@ -26,8 +26,8 @@ print("levels (cycle sizes):", diagram.cycle_sizes)
 print("blue edges:", diagram.blue_count())
 print("validation:", validate_rank2(diagram).describe())
 
-# The orders are the power automorphism too; rank2_automorphism checks
-# that it is well defined.
+# The orders are the power automorphism too; rank2_automorphism returns
+# them once validate_rank2 passes the layout, which makes it well defined.
 orders = rank2_automorphism(diagram)
 print("\nblue-edge orders at level 0:", orders.orders_at(0))
 print("blue-edge orders at level 1:", orders.orders_at(1))

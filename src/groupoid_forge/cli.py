@@ -262,7 +262,7 @@ def cmd_rank2(args) -> int:
     data, horizon = rank2_data_from_json(_load_json(args.input))
     levels = args.levels
     if levels is None:
-        levels = horizon or len(data.T)
+        levels = len(data.T) if horizon is None else horizon
     if args.action == "build":
         diagram = canonical_rank2(data, levels)
         _dump(

@@ -21,13 +21,12 @@ from .matrices import (
     diagonal,
     is_injective,
     is_proper,
-    mat_mul,
     mat_vec,
     repeat_index,
     shape,
     transpose,
 )
-from .rank2_diagrams import CanonicalRank2Diagram
+from .rank2_diagrams import CanonicalRank2Diagram, require_valid
 from .validation import StructuralError
 
 
@@ -227,33 +226,20 @@ def k0_vertex_class(d: BratteliDiagram, v) -> DimGroupElement:
 def rank2_k_matrices(
     diagram: CanonicalRank2Diagram,
 ) -> tuple[tuple[IntMatrix, ...], tuple[IntMatrix, ...], tuple[IntMatrix, ...]]:
-    """Read the (A_n, B_n, T_n) matrix data off a rank-2 diagram.
+    """Read the (A_n, B_n, T_n) matrix data off a rank-2 diagram that
+    ``validate_rank2`` passes.
 
     The count c of a cycle pair gives A(i,j) = c / T_n(j) and B(i,j) =
-    c / T_{n+1}(i); the blue-edge counts are independent of the
-    representative vertex chosen in each cycle exactly when both divisions
-    are exact, and the compatibility A_n T_n = T_{n+1} B_n must hold
-    exactly; both failures reject the diagram.
+    c / T_{n+1}(i).  A valid layout makes both divisions exact, so the
+    counts do not depend on the representative vertex, and A(i,j) T_n(j) =
+    c = T_{n+1}(i) B(i,j) is the compatibility A_n T_n = T_{n+1} B_n.
     """
+    require_valid(diagram)
     T_list = [diagonal(sizes) for sizes in diagram.cycle_sizes]
     A_list, B_list = [], []
     for n, counts in enumerate(diagram.counts):
-        for i, row in enumerate(counts):
-            for j, c in enumerate(row):
-                if c % diagram.cycle_size(n, j) or c % diagram.cycle_size(n + 1, i):
-                    raise StructuralError(
-                        f"blue-edge count between cycles ({n},{j}) and ({n + 1},{i}) "
-                        "depends on the representative vertex"
-                    )
         A = [[c // diagram.cycle_size(n, j) for j, c in enumerate(row)] for row in counts]
         B = [[c // diagram.cycle_size(n + 1, i) for c in row] for i, row in enumerate(counts)]
         A_list.append(as_matrix(A))
         B_list.append(as_matrix(B))
-    for n in range(len(A_list)):
-        left = mat_mul(A_list[n], T_list[n])
-        right = mat_mul(T_list[n + 1], B_list[n])
-        if left != right:
-            raise StructuralError(
-                f"compatibility A_n T_n = T_(n+1) B_n fails at level {n}"
-            )
     return tuple(A_list), tuple(B_list), tuple(T_list)

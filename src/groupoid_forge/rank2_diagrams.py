@@ -45,46 +45,16 @@ Vertex = tuple[int, int, int]
 BlueLabel = tuple[int, int, int, int]  # (level, range cycle, source cycle, index)
 
 
-def _check_red_cycles(cycle_sizes: tuple[tuple[int, ...], ...], orientation: int) -> None:
-    if orientation not in (1, -1):
-        raise StructuralError("orientation must be +1 or -1")
-    if any(s <= 0 for level in cycle_sizes for s in level):
-        raise StructuralError("cycle sizes must be positive")
-
-
-@dataclass(frozen=True)
-class Rank2Diagram:
+class Rank2Diagram(NamedTuple):
     """The canonical layout with every blue edge stored, as ``build_rank2``
     returns it: ``cycle_sizes`` per level, the blue edges and F as a map
-    on their labels."""
+    on their labels.  It checks nothing itself: ``build_rank2`` builds it
+    from checked ``Rank2Data``."""
 
     cycle_sizes: tuple[tuple[int, ...], ...]
     blue: tuple[Edge, ...]
     f_map: Mapping[BlueLabel, BlueLabel]
     orientation: int = 1
-
-    def __post_init__(self):
-        _check_red_cycles(self.cycle_sizes, self.orientation)
-        labels = [e.label for e in self.blue]
-        if len(set(labels)) != len(labels):
-            raise StructuralError("duplicate blue edge labels")
-        if set(self.f_map) != set(labels) or set(self.f_map.values()) != set(labels):
-            raise StructuralError("factorization permutation must biject the blue edges")
-        for e in self.blue:
-            n, j, p = e.range_vertex
-            n2, i, q = e.source_vertex
-            if n2 != n + 1:
-                raise StructuralError(f"blue edge {e.label} skips a level")
-            if not self._vertex_ok(e.range_vertex) or not self._vertex_ok(e.source_vertex):
-                raise StructuralError(f"blue edge {e.label} references a bad vertex")
-
-    def _vertex_ok(self, v: Vertex) -> bool:
-        n, j, p = v
-        return (
-            0 <= n < len(self.cycle_sizes)
-            and 0 <= j < len(self.cycle_sizes[n])
-            and 0 <= p < self.cycle_sizes[n][j]
-        )
 
 
 @dataclass(frozen=True)
@@ -188,6 +158,15 @@ def validate_rank2(d: CanonicalRank2Diagram) -> ValidationReport:
             if vertex[2] >= reach[vertex[1]]:
                 v.append(Violation("blue sinks only at level 0", f"vertex {vertex}"))
     return report_from(v)
+
+
+def require_valid(d: CanonicalRank2Diagram) -> CanonicalRank2Diagram:
+    """``d`` when ``validate_rank2`` passes it; otherwise a StructuralError
+    listing the violations."""
+    report = validate_rank2(d)
+    if not report.passed:
+        raise StructuralError(f"rank-2 layout fails validation:\n{report.describe()}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +315,8 @@ class CanonicalOrders:
 
     The orders are also the order automorphism: blue edges at level n map
     through F^{m_n}, vertices rotate inside their red cycles accordingly,
-    and red segments re-anchor by degree.  ``rank2_automorphism`` checks
-    that it is well defined."""
+    and red segments re-anchor by degree.  It is well defined on every
+    layout ``validate_rank2`` passes; ``rank2_automorphism`` checks that."""
 
     diagram: CanonicalRank2Diagram
     level_lcm: tuple[int, ...]
@@ -579,33 +558,11 @@ def _cycle_length(size: int, shift: int) -> int:
 
 
 def rank2_automorphism(d: CanonicalRank2Diagram) -> CanonicalOrders:
-    """The orders of ``d``, after checking that their F^{m_n} automorphism
-    is well defined.
+    """The orders of ``d``, which are its F^{m_n} automorphism, once
+    ``validate_rank2`` passes the layout.
 
-    Well-definedness needs the image of a blue edge's source to match the
-    rotation applied at the next level, i.e. every receiving red cycle's
-    length must divide n * O_n; a violation signals an inconsistent F.
+    Well-definedness needs every receiving red cycle's length to divide
+    n * O_n, and a valid layout gives it: that length divides the count of
+    each pair it receives, and the count divides the level lcm O_n.
     """
-    orders = compute_orders(d)
-    # F^{m_n} sends edge k of a pair to k + a, a = orientation * m_n mod
-    # count, wrapping past the count for k >= count - a; the source of edge k
-    # must move as level n+1 rotates, by orientation * m_{n+1}.  So edge 0
-    # fails unless a matches that rotation mod the upper cycle length, and
-    # else edge count - a fails unless that length divides the count (which
-    # holds on every layout matrix data gives).
-    o = d.orientation
-    for n in range(d.levels() - 1):
-        for j, i, c in d.pairs_at(n):
-            u, a = d.cycle_size(n + 1, i), o * orders.m[n] % c
-            if (a - o * orders.m[n + 1]) % u:
-                raise StructuralError(_ill_defined_at((n, j, i, 0)))
-            if a and c % u:
-                raise StructuralError(_ill_defined_at((n, j, i, c - a)))
-    return orders
-
-
-def _ill_defined_at(label: BlueLabel) -> str:
-    return (
-        f"order automorphism ill-defined at edge {label}: source "
-        f"rotation mismatch (F inconsistency)"
-    )
+    return compute_orders(require_valid(d))

@@ -410,6 +410,16 @@ class TestRank2Cli:
         assert main(["rank2", action, "--input", rank2_file, "--levels", "0"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["build", "orders", "telescope", "automorphism"])
+    def test_zero_horizon_hint_exits_two_as_zero_levels_do(self, action, tmp_path, capsys):
+        # the file's hint is read whenever it is present, so 0 is not missing
+        path = tmp_path / "zero_horizon.json"
+        path.write_text(json.dumps(CONSTANT2.to_json() | {"horizon": 0}))
+        assert main(["rank2", action, "--input", str(path), "--levels", "0"]) == 2
+        from_option = capsys.readouterr().err
+        assert main(["rank2", action, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == from_option
+
     @pytest.mark.parametrize(
         "a", [[[1, 1], [0, 0]], [[1, 0], [1, 0]]], ids=["zero-row", "zero-column"]
     )

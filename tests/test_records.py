@@ -10,7 +10,7 @@ from groupoid_forge.dimension_groups import DimGroupElement
 from groupoid_forge.graph_groupoid import InfiniteBouquet
 from groupoid_forge.graph_model import Edge, constant_diagram
 from groupoid_forge.pipeline import CornerSpec, RealizationReport
-from groupoid_forge.rank2_diagrams import TelescopeResult
+from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, TelescopeResult, build_rank2
 from groupoid_forge.twisted_product import (
     BouquetTwistedProduct,
     ContractingWitness,
@@ -27,6 +27,7 @@ RECORDS = (
     ValidationReport,
     DimGroupElement,
     TelescopeResult,
+    Rank2Diagram,
     TwistedProduct,
     BouquetTwistedProduct,
     WfcCertificate,
@@ -73,3 +74,11 @@ def test_fields_refuse_assignment(record):
 def test_the_bouquet_is_truthy():
     # a class with no fields, not a zero-field tuple, which would be falsy
     assert InfiniteBouquet()
+
+
+def test_a_materialized_diagram_is_unhashable():
+    # F is stored as a dict, so the record hashes no more than the frozen
+    # dataclass did
+    diagram = build_rank2(Rank2Data(A=(((2,),),), B=(((1,),),), T=((1,), (2,))), 2)
+    with pytest.raises(TypeError):
+        hash(diagram)
