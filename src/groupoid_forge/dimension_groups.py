@@ -113,10 +113,17 @@ def dg_push_to_level(
     return DimGroupElement(m, v)
 
 
-def _last_level(spec: DimensionGroupSpec, horizon: int) -> int:
-    """The deepest level a push may reach: the horizon, or the last stored
-    level of data that has no repetition rule, whichever comes first."""
-    return horizon if spec.repeat_from is not None else min(horizon, spec.horizon)
+def _pushes(spec: DimensionGroupSpec, a: DimGroupElement, horizon: int):
+    """(level, vector) for ``a`` and for each push of it, down to the horizon
+    or the last stored level of data that has no repetition rule, whichever
+    comes first."""
+    level, v = dg_push_to_level(spec, a, a.level)
+    yield level, v
+    end = horizon if spec.repeat_from is not None else min(horizon, spec.horizon)
+    while level < end:
+        v = mat_vec(spec.matrix(level), v)
+        level += 1
+        yield level, v
 
 
 def _unknown(spec: DimensionGroupSpec, level: int, horizon: int) -> Verdict:
@@ -135,20 +142,16 @@ def dg_equal(
 ) -> Verdict:
     """Yes when the pushed images coincide at some level within the horizon;
     No when they differ there and every matrix acting from there on is
-    injective over Q.  Each verdict carries the level last compared."""
+    injective over Q.  Pushes are linear, so the images coincide exactly
+    where the pushed difference a - b is zero.  Each verdict carries the
+    level last compared."""
     start = max(a.level, b.level)
     va = dg_push_to_level(spec, a, start).vector
     vb = dg_push_to_level(spec, b, start).vector
-    level = start
-    end = _last_level(spec, horizon)
-    while True:
-        if va == vb:
+    diff = DimGroupElement(start, tuple(x - y for x, y in zip(va, vb)))
+    for level, v in _pushes(spec, diff, horizon):
+        if not any(v):
             return Verdict("yes", level=level)
-        if level >= end:
-            break
-        va = mat_vec(spec.matrix(level), va)
-        vb = mat_vec(spec.matrix(level), vb)
-        level += 1
     tail = spec.tail_matrices(level)
     if tail is not None and all(is_injective(m) for m in tail):
         return Verdict(
@@ -169,10 +172,7 @@ def dg_is_positive(
     """Yes when some push is entrywise nonnegative; No when a push is
     entrywise negative and all tail matrices are proper (the image then stays
     entrywise negative forever)."""
-    v = dg_push_to_level(spec, a, a.level).vector
-    level = a.level
-    end = _last_level(spec, horizon)
-    while True:
+    for level, v in _pushes(spec, a, horizon):
         if all(x >= 0 for x in v):
             return Verdict("yes", level=level)
         if all(x < 0 for x in v):
@@ -187,10 +187,7 @@ def dg_is_positive(
                         "vector": list(v),
                     },
                 )
-        if level >= end:
-            return _unknown(spec, level, horizon)
-        v = mat_vec(spec.matrix(level), v)
-        level += 1
+    return _unknown(spec, level, horizon)
 
 
 # ---------------------------------------------------------------------------

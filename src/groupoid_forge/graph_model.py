@@ -147,7 +147,7 @@ class BratteliDiagram:
         return len(self.level_sizes) - 1
 
     def has_level(self, n: int) -> bool:
-        return 0 <= n <= self.horizon or self.repeat_from is not None
+        return 0 <= n and (n <= self.horizon or self.repeat_from is not None)
 
     def level_size(self, n: int) -> int:
         return self.level_sizes[
@@ -162,14 +162,7 @@ class BratteliDiagram:
         return tuple((n, i) for i in range(self.level_size(n)))
 
     def edges_between(self, n: int) -> tuple[Edge, ...]:
-        m = self.multiplicity_matrix(n)
-        out = []
-        for i, row in enumerate(m):
-            for j, k in enumerate(row):
-                out.extend(
-                    Edge((n, i, j, t), (n, i), (n + 1, j)) for t in range(k)
-                )
-        return tuple(out)
+        return tuple(e for v in self.vertices_at(n) for e in self.edges_with_range(v))
 
     def edges_with_range(self, v: Vertex) -> tuple[Edge, ...]:
         n, i = v
@@ -246,16 +239,13 @@ def validate_bratteli(d: BratteliDiagram) -> ValidationReport:
     """Check the leveled-graph invariants on the stored data.
 
     The receiver condition ``r^{-1}(v) != empty`` is checked wherever the
-    next-level matrix is available (stored or via the repetition rule); a
+    diagram has the next level (stored or via the repetition rule); a
     truncated final level is not a violation.
     """
     violations = []
     for n in range(len(d.level_sizes)):
-        try:
+        if d.has_level(n + 1):
             m = d.multiplicity_matrix(n)
-        except StructuralError:
-            m = None
-        if m is not None:
             for i in range(d.level_size(n)):
                 if not any(m[i]):
                     violations.append(
@@ -275,8 +265,6 @@ def validate_bratteli(d: BratteliDiagram) -> ValidationReport:
                             f"vertex ({n}, {j})",
                         )
                     )
-        if d.repeat_from is None and n >= len(d.mult):
-            break
     return report_from(violations)
 
 
@@ -289,7 +277,7 @@ def telescope(d: BratteliDiagram, subsequence: Sequence[int]) -> BratteliDiagram
         raise ValueError("subsequence must start at level 0")
     if any(a >= b for a, b in zip(subsequence, subsequence[1:])):
         raise ValueError("subsequence must be strictly increasing")
-    if d.repeat_from is None and subsequence[-1] > d.horizon:
+    if not d.has_level(subsequence[-1]):
         raise ValueError("subsequence exceeds the diagram horizon")
     sizes = tuple(d.level_size(t) for t in subsequence)
     mats = tuple(path_count_matrix(d, a, b) for a, b in zip(subsequence, subsequence[1:]))

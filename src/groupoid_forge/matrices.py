@@ -64,14 +64,15 @@ LEVEL_CAP = 4096
 
 
 def first_level_above(
-    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, relation: str, horizon: int
+    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, relation: str
 ) -> tuple[int, IntMatrix] | str:
     """The first level m in start+1..LEVEL_CAP whose chain
     ``matrix_at(m-1) @ ... @ matrix_at(start)`` has every entry above
     ``bound``, with that chain; otherwise why the search stopped: the level
-    cap, or the data ``horizon`` where ``matrix_at`` raises
-    ``StructuralError``.  ``relation`` is the entry condition as text, such
-    as ``"> 5"``.  One running product serves the whole walk."""
+    cap, or the data horizon, the first level m - 1 whose matrix
+    ``matrix_at`` cannot give (it raises ``StructuralError``).  ``relation``
+    is the entry condition as text, such as ``"> 5"``.  One running product
+    serves the whole walk."""
     chain = None
     try:
         for m in range(start + 1, LEVEL_CAP + 1):
@@ -81,7 +82,7 @@ def first_level_above(
                 return m, chain
     except StructuralError:
         return (
-            f"data horizon {horizon} reached (no repetition rule) before a level "
+            f"data horizon {m - 1} reached (no repetition rule) before a level "
             f"with entries {relation} from level {start}"
         )
     return f"no level within cap {LEVEL_CAP} has entries {relation} from level {start}"
@@ -90,19 +91,17 @@ def first_level_above(
 def growth_levels(
     matrix_at: Callable[[int], IntMatrix],
     count: int,
-    horizon: int,
     bound: Callable[[int, list[int], list[IntMatrix]], tuple[int, str]],
 ) -> tuple[list[int], list[IntMatrix], str | None]:
     """Levels 0 = t_0 < t_1 < ... < t_{count-1}, each t_{n+1} the first level
     whose chain from t_n has every entry above the bound that
     ``bound(n, levels, chains)`` gives, with its relation text, from the
     levels and chains found so far; returns those levels and chains, and when
-    the search stops short the failure naming the cap or the data
-    ``horizon``."""
+    the search stops short the failure naming the cap or the data horizon."""
     levels: list[int] = [0]
     chains: list[IntMatrix] = []
     for n in range(count - 1):
-        found = first_level_above(matrix_at, levels[-1], *bound(n, levels, chains), horizon)
+        found = first_level_above(matrix_at, levels[-1], *bound(n, levels, chains))
         if isinstance(found, str):
             return levels, chains, found
         levels.append(found[0])

@@ -420,8 +420,7 @@ def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
         M.append(M[-1] + (step - 1) * prod)
         return step * M[step], f"> {step * M[step]}"
 
-    # data without a repetition rule ends at level len(data.A)
-    l, chains, failure = growth_levels(data.a_at, levels_out, len(data.A), bound)
+    l, chains, failure = growth_levels(data.a_at, levels_out, bound)
     certificate = tuple(
         {"step": n, "level": l[n + 1], "min_entry": min_entry(chain), "strict_bound": n * M[n]}
         for n, chain in enumerate(chains)

@@ -688,7 +688,7 @@ def af_growth_levels(d: BratteliDiagram, count: int):
     """``matrices.growth_levels`` over the K0 matrices of ``d`` with the AF
     planner's bound: every entry of step n's chain above n."""
     spec = dimension_group_of(d)
-    return growth_levels(spec.matrix, count, spec.horizon, lambda n, *_: (n, f"> {n}"))
+    return growth_levels(spec.matrix, count, lambda n, *_: (n, f"> {n}"))
 
 
 # ---------------------------------------------------------------------------

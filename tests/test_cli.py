@@ -279,6 +279,27 @@ class TestCertify:
         assert "input rejected" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, data, horizon, relation",
+        [
+            (["--rank2"], FIGURE.to_json(), 2, "> 24"),
+            ([], ONE_STEP, 1, "> 1"),
+        ],
+        ids=["rank2-figure", "af-one-step"],
+    )
+    def test_wfc_on_data_that_ends_first_exits_one_naming_its_horizon(
+        self, flags, data, horizon, relation, tmp_path, capsys
+    ):
+        # the horizon named is the first level with no matrix, read off the data
+        source = tmp_path / "data.json"
+        source.write_text(json.dumps(data))
+        assert main(["certify", "wfc", *flags, "--input", str(source)]) == 1
+        reason = (
+            f"data horizon {horizon} reached (no repetition rule) before a level "
+            f"with entries {relation} from level {horizon}"
+        )
+        assert json.loads(capsys.readouterr().out) == {"status": "unknown", "reason": reason}
+
     def test_lc(self, diagram_file, capsys):
         assert main(["certify", "lc", "--input", diagram_file]) == 0
 

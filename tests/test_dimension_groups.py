@@ -1,6 +1,9 @@
 """Direct-limit element arithmetic, verdict oracles, vertex classes and the
 rank-2 matrix counts."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,14 @@ from groupoid_forge.dimension_groups import (
     rank2_k_matrices,
 )
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, telescope
-from groupoid_forge.matrices import as_matrix, repeat_index, transpose
+from groupoid_forge.matrices import (
+    as_matrix,
+    column_rank,
+    is_injective,
+    mat_mul,
+    repeat_index,
+    transpose,
+)
 from groupoid_forge.pipeline import unit_corner_spec
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, build_rank2, canonical_rank2
 from groupoid_forge.validation import StructuralError
@@ -155,6 +165,17 @@ class TestEqual:
         spec = DimensionGroupSpec((1, 1, 1), (as_matrix([[1]]), as_matrix([[0]])), repeat_from=1)
         assert dg_equal(spec, a, b, 1) == Verdict("unknown", level=3, justification="horizon reached")
 
+    def test_two_by_two_tail_decides_by_its_rank(self):
+        a, b = DimGroupElement(0, (1, 0)), DimGroupElement(0, (0, 1))
+        full = DimensionGroupSpec((2, 2), (as_matrix([[1, 2], [3, 4]]),), repeat_from=0)
+        v = dg_equal(full, a, b, 3)
+        assert (v.value, v.level, v.justification["tail_matrices"]) == ("no", 3, [[[1, 2], [3, 4]]])
+        # rank 1: a - b = (1, -1) stays outside the kernel, spanned by
+        # (2, -1), but injectivity fails, so nothing is decided
+        deficient = DimensionGroupSpec((2, 2), (as_matrix([[1, 2], [2, 4]]),), repeat_from=0)
+        assert dg_equal(deficient, a, b, 3) == Verdict("unknown", level=3, justification="horizon reached")
+        assert dg_equal(deficient, DimGroupElement(0, (2, 0)), b, 3) == Verdict("yes", level=1)
+
     def test_equivalence_on_decided(self):
         a, b, c = DimGroupElement(0, (1,)), DimGroupElement(1, (2,)), DimGroupElement(2, (4,))
         assert dg_equal(DOUBLING, a, b, 6).is_yes
@@ -166,6 +187,48 @@ class TestEqual:
         pushed = dg_push_to_level(DOUBLING, a, 3)
         assert dg_equal(DOUBLING, a, pushed, 6).is_yes
         assert dg_is_positive(DOUBLING, pushed, 6).value == dg_is_positive(DOUBLING, a, 6).value
+
+
+def leibniz_det(m) -> int:
+    """Determinant as the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def minor_rank(a) -> int:
+    """The largest k with a nonzero k x k minor."""
+    rows, cols = len(a), len(a[0])
+    return max(
+        (
+            k
+            for k in range(1, min(rows, cols) + 1)
+            for r in itertools.combinations(range(rows), k)
+            for c in itertools.combinations(range(cols), k)
+            if leibniz_det([[a[i][j] for j in c] for i in r])
+        ),
+        default=0,
+    )
+
+
+class TestColumnRank:
+    def test_elimination_matches_the_largest_nonzero_minor(self):
+        deficient = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            rows, cols, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            # a product through `inner` dimensions has rank at most `inner`
+            left = as_matrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)])
+            right = as_matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)])
+            a = mat_mul(left, right)
+            rank = minor_rank(a)
+            assert column_rank(a) == rank, (seed, a)
+            assert is_injective(a) == (rank == cols), (seed, a)
+            deficient += rank < min(rows, cols)
+        assert deficient >= 20
 
 
 class TestPositive:

@@ -25,7 +25,7 @@ from groupoid_forge.graph_groupoid import (
     unit_bisection,
 )
 from groupoid_forge.convolution_algebra import canonical_pieces
-from groupoid_forge.graph_model import vertex_path
+from groupoid_forge.graph_model import path_from_edges, vertex_path
 
 from helpers import (
     bouquet_germs,
@@ -115,17 +115,26 @@ class TestIntersectionDifference:
         return contains_germ(b, cand)
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_against_membership(self, data):
         n = 2
-        words = bouquet_words(n, 2)
-        word = st.sampled_from(words)
-        excl = st.frozensets(st.sampled_from([BQ.edge(i) for i in range(n)]), max_size=1)
+        edge = st.sampled_from([BQ.edge(i) for i in range(n)])
+        excl = st.frozensets(edge, max_size=1)
+        extend = data.draw(st.booleans())
+        word = st.sampled_from(bouquet_words(n, 1 if extend else 2))
         a = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
-        b = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
+        if extend:
+            # b extends both of a's words by the same one or two edges and
+            # excludes an edge, so a - b has tails through b's excluded set,
+            # words of up to four edges that the longer germs reach
+            mu = path_from_edges(data.draw(st.lists(edge, min_size=1, max_size=2)))
+            b_excl = data.draw(st.frozensets(edge, min_size=1, max_size=1))
+            b = BasicBisection(a.range_word.concat(mu), a.source_word.concat(mu), b_excl)
+        else:
+            b = BasicBisection(data.draw(word), data.draw(word), data.draw(excl))
         inter = intersect_basic(a, b)
         diff = difference_basic(a, b)
-        for cand in bouquet_germs(n, 3):
+        for cand in bouquet_germs(n, 4 if extend else 3):
             in_a, in_b = self._member(a, cand), self._member(b, cand)
             got_inter = inter is not None and self._member(inter, cand)
             assert got_inter == (in_a and in_b)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from groupoid_forge.graph_groupoid import InfiniteBouquet
 from groupoid_forge.graph_model import (
     BratteliDiagram,
+    Edge,
     constant_diagram,
     diagram_from_json,
     edge_cycle_automorphism,
@@ -174,9 +175,26 @@ class TestEnumeratePaths:
             enumerate_paths(constant_diagram(2), (0, 1), 1)
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_paths(constant_diagram(2), (0, 0), -1)
+        # a repetition rule extends a diagram below its last level, never
+        # above level 0
+        for repeat_from in (0, None):
+            d = BratteliDiagram((1, 1), (as_matrix([[2]]),), repeat_from)
+            assert not d.has_level(-1)
+            with pytest.raises(ValueError, match=r"anchor \(-1, 0\) not in diagram"):
+                enumerate_paths(d, (-1, 0), 1)
 
 
 class TestEdgeCycle:
+    def test_edges_between_lists_ranges_then_sources_then_copies(self):
+        d = BratteliDiagram((2, 3), (as_matrix([[2, 0, 1], [1, 3, 0]]),))
+        expected = [
+            Edge((0, i, j, t), (0, i), (1, j))
+            for i, row in enumerate(d.multiplicity_matrix(0))
+            for j, k in enumerate(row)
+            for t in range(k)
+        ]
+        assert d.edges_between(0) == tuple(expected)
+
     def test_multiplicity_one_is_identity(self):
         d = BratteliDiagram((1, 1), (as_matrix([[1]]),))
         a = edge_cycle_automorphism(d)

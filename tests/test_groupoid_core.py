@@ -28,6 +28,7 @@ from groupoid_forge.groupoid_core import (
     weight_cocycle,
 )
 from groupoid_forge.twisted_product import twisted_product
+from groupoid_forge.validation import Violation
 
 from families import rng_for, seeded_twisted_instances
 from helpers import (
@@ -343,6 +344,27 @@ class TestCocyclesAutomorphisms:
         mapping[(0, 1)], mapping[(1, 0)] = (1, 0), (0, 1)
         bad = GroupoidAutomorphism(G, mapping)
         assert not bad.validate().passed
+
+    def test_cocycle_nonzero_on_a_unit_names_the_unit(self):
+        G = full_relation(range(2))
+        c = Cocycle(G, {g: (1 if g == (0, 0) else 0) for g in G.elements})
+        on_units = [v for v in c.validate().violations if v.invariant == "c vanishes on units"]
+        assert on_units == [Violation("c vanishes on units", "unit (0, 0)")]
+
+    def test_unit_moved_off_the_units_fails_units_and_inverses(self):
+        # swapping the unit (0, 0) with the arrow (0, 1) keeps a bijection
+        G = full_relation(range(2))
+        mapping = {g: g for g in G.elements}
+        mapping[(0, 0)], mapping[(0, 1)] = (0, 1), (0, 0)
+        violations = GroupoidAutomorphism(G, mapping).validate().violations
+        found = {
+            name: [v.subject for v in violations if v.invariant == name]
+            for name in ("units preserved", "inverse equivariance")
+        }
+        assert found == {
+            "units preserved": ["unit (0, 0)"],
+            "inverse equivariance": ["element (0, 0)", "element (0, 1)", "element (1, 0)"],
+        }
 
     def test_identity(self):
         G = cyclic_group_groupoid(3)

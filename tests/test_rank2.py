@@ -218,9 +218,11 @@ class TestTelescope:
             result = telescope_rank2(CONSTANT2, 7)
         assert not result.complete
         assert result.failure and result.telescoped is None
+        assert not reverify_telescope(result)
 
     def test_reverify_rejects_tampering(self):
         result = telescope_rank2(CONSTANT2, 6)
+        assert reverify_telescope(result)
         tampered = result.__class__(
             complete=result.complete,
             l_prime=result.l_prime,
@@ -231,6 +233,13 @@ class TestTelescope:
             source=result.source,
         )
         assert not reverify_telescope(tampered)
+        assert not reverify_telescope(result._replace(complete=False))
+        # each recorded level is the first whose chain beats its bound, so the
+        # level above it does not
+        for k, entry in enumerate(result.certificate):
+            certificate = list(result.certificate)
+            certificate[k] = {**entry, "level": entry["level"] - 1}
+            assert not reverify_telescope(result._replace(certificate=tuple(certificate)))
 
 
 class TestPaths:

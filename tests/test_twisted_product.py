@@ -103,6 +103,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             twisted_product(H, bad, G, identity_automorphism(G))
 
+    def test_invalid_automorphism_rejected(self):
+        # moves the unit (0, 0) onto the arrow (0, 1)
+        G = full_relation(range(2))
+        mapping = {g: g for g in G.elements}
+        mapping[(0, 0)], mapping[(0, 1)] = (0, 1), (0, 0)
+        bad = GroupoidAutomorphism(G, mapping)
+        H = full_relation(range(2))
+        with pytest.raises(ValueError, match="(?s)invalid automorphism:.*units preserved: unit"):
+            twisted_product(H, zero_cocycle(H), G, bad)
+        with pytest.raises(ValueError, match="(?s)invalid automorphism:.*units preserved: unit"):
+            bouquet_twisted_product(G, bad)
+
     def test_nontrivial_isotropy_from_bundle_component(self):
         # mixed H: a 2-torsion fiber plus a relation carrying the cocycle
         H = disjoint_union(group_bundle({0: 2}), full_relation(range(2)))
