@@ -61,6 +61,7 @@ from .rank2_diagrams import (
 from .twisted_product import (
     bouquet_twisted_product,
     contracting_bisection_witness,
+    reverify_contracting_witness,
     twisted_product,
 )
 from .validation import StructuralError
@@ -191,12 +192,15 @@ def cmd_certify(args) -> int:
         _dump(witness.to_json(), args.out)
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G
-    # inside the fixed window Z(e6.e0.e4 \ {e4, e6, e7})
+    # inside the fixed window Z(e6.e0.e4 \ {e4, e6, e7}), and re-check it
     G = full_relation([0])
     model = bouquet_twisted_product(G, identity_automorphism(G))
     bouquet = InfiniteBouquet()
     window = unit_bisection(bouquet.path([6, 0, 4]), {bouquet.edge(i) for i in (4, 6, 7)})
     witness = contracting_bisection_witness(model, window, frozenset(G.units), l=1)
+    if not reverify_contracting_witness(model, witness):
+        print("contracting witness FAILED re-verification", file=sys.stderr)
+        return 1
     _dump(
         {
             "window": render_bisection(window),

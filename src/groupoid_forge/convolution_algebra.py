@@ -57,9 +57,6 @@ class FiniteConvElement:
     def __call__(self, g) -> Coeff:
         return self.coeffs.get(g, ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteConvElement):
             return NotImplemented

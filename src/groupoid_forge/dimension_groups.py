@@ -105,11 +105,9 @@ def dg_push_to_level(
     """Representative of the same limit element at a deeper level."""
     if m < a.level:
         raise ValueError("cannot push to a shallower level")
-    if len(a.vector) != spec.size(a.level):
-        raise ValueError("vector length does not match its level")
-    v = a.vector
-    for n in range(a.level, m):
-        v = mat_vec(spec.matrix(n), v)
+    *_, (level, v) = _pushes(spec, a, m)
+    if level < m:
+        spec.matrix(level)  # past the stored data with no repetition rule: raises
     return DimGroupElement(m, v)
 
 
@@ -117,7 +115,9 @@ def _pushes(spec: DimensionGroupSpec, a: DimGroupElement, horizon: int):
     """(level, vector) for ``a`` and for each push of it, down to the horizon
     or the last stored level of data that has no repetition rule, whichever
     comes first."""
-    level, v = dg_push_to_level(spec, a, a.level)
+    if len(a.vector) != spec.size(a.level):
+        raise ValueError("vector length does not match its level")
+    level, v = a
     yield level, v
     end = horizon if spec.repeat_from is not None else min(horizon, spec.horizon)
     while level < end:

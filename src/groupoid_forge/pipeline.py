@@ -50,40 +50,6 @@ from .twisted_product import (
 )
 from .validation import StructuralError, json_int, json_ints
 
-SCHEMA_VERSION = 1
-
-# The analytic steps the combinatorial certificates feed into; cited, never
-# computed here.
-ANALYTIC_HYPOTHESES = (
-    {
-        "name": "amenability",
-        "status": "NOT COMPUTED",
-        "note": "the twisted product is amenable exactly when the input groupoid is",
-    },
-    {
-        "name": "simplicity via minimal + principal",
-        "status": "NOT COMPUTED",
-        "note": "minimal, principal, amenable groupoids have simple algebras (Renault; "
-        "Brown-Clark-Farthing-Sims)",
-    },
-    {
-        "name": "pure infiniteness",
-        "status": "NOT COMPUTED",
-        "note": "locally contracting groupoids have purely infinite algebras "
-        "(Anantharaman-Delaroche)",
-    },
-    {
-        "name": "K-theory transfer",
-        "status": "NOT COMPUTED",
-        "note": "the canonical embedding induces a KK-equivalence (Pimsner)",
-    },
-    {
-        "name": "classification",
-        "status": "NOT COMPUTED",
-        "note": "Kirchberg-Phillips classification identifies the target algebra",
-    },
-)
-
 
 class PipelineInputError(ValueError):
     """Input a planner, or the report checker, refuses."""
@@ -104,7 +70,11 @@ class CornerSpec(NamedTuple):
     level: int
     vector: tuple[int, ...]
     cylinders: tuple[dict, ...]
-    k_class: DimGroupElement
+
+    @property
+    def k_class(self) -> DimGroupElement:
+        """The corner's class in K_0: its vector at its level."""
+        return DimGroupElement(self.level, self.vector)
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +105,7 @@ def _corner_spec(level: int, vec, size: int | None, vertex, **extra) -> CornerSp
         for i in range(len(vec))
         if vec[i]
     )
-    return CornerSpec(level, vec, cylinders, DimGroupElement(level, vec))
+    return CornerSpec(level, vec, cylinders)
 
 
 def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
@@ -156,8 +126,38 @@ class RealizationReport(NamedTuple):
     stabilization: dict
     corner: CornerSpec | None
     ktheory: dict
-    analytic_hypotheses: tuple = ANALYTIC_HYPOTHESES
-    schema_version: int = SCHEMA_VERSION
+
+    # The analytic steps the certificates feed into: cited, never computed here.
+    analytic_hypotheses = (
+        {
+            "name": "amenability",
+            "status": "NOT COMPUTED",
+            "note": "the twisted product is amenable exactly when the input groupoid is",
+        },
+        {
+            "name": "simplicity via minimal + principal",
+            "status": "NOT COMPUTED",
+            "note": "minimal, principal, amenable groupoids have simple algebras (Renault; "
+            "Brown-Clark-Farthing-Sims)",
+        },
+        {
+            "name": "pure infiniteness",
+            "status": "NOT COMPUTED",
+            "note": "locally contracting groupoids have purely infinite algebras "
+            "(Anantharaman-Delaroche)",
+        },
+        {
+            "name": "K-theory transfer",
+            "status": "NOT COMPUTED",
+            "note": "the canonical embedding induces a KK-equivalence (Pimsner)",
+        },
+        {
+            "name": "classification",
+            "status": "NOT COMPUTED",
+            "note": "Kirchberg-Phillips classification identifies the target algebra",
+        },
+    )
+    schema_version = 1
 
     def to_json(self) -> dict:
         return {
@@ -392,7 +392,7 @@ def plan_rank2_realization(
         return _report("rank2", data.to_json(), params, tele.to_json(), corner)
     diagram = canonical_rank2(tele.telescoped, levels_out)
     orders = compute_orders(diagram)
-    wfc = check_wfc(orders, depth=levels_out - 2, shift_bound=lbound)
+    wfc = check_wfc(orders, shift_bound=lbound)
 
     sample: list[Rank2Path] = []
     for j in range(diagram.cycle_count(0)):
@@ -437,8 +437,6 @@ def plan_rank2_realization(
 PLAN_PARAMETERS = ("depth", "lbound")
 
 _MISSING = object()
-
-
 def _first_difference(fresh, given, path: str) -> str | None:
     """The path of the first field, in the key order of ``fresh`` and then
     of ``given``, where two JSON values differ; None when they are equal.

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graph_model import BratteliDiagram, Edge
@@ -32,7 +33,6 @@ from .matrices import (
     chain_product,
     check_repeat_rule,
     growth_levels,
-    identity,
     is_proper,
     min_entry,
     repeat_index,
@@ -223,14 +223,6 @@ class Rank2Data:
     def t_at(self, n: int) -> tuple[int, ...]:
         return self.T[repeat_index(n, len(self.T), len(self.A), self.repeat_from)]
 
-    def a_chain(self, top: int, bottom: int) -> IntMatrix:
-        """A_{top-1} ... A_{bottom} mapping level ``bottom`` to ``top``."""
-        if top < bottom:
-            raise ValueError("top must be >= bottom")
-        if top == bottom:
-            return identity(len(self.t_at(bottom)))
-        return chain_product([self.a_at(n) for n in range(bottom, top)])
-
     def to_json(self) -> dict:
         out = {
             "A": [list(map(list, m)) for m in self.A],
@@ -311,7 +303,7 @@ class CanonicalOrders:
     """The order data of a canonical diagram in closed form: the edges of a
     cycle pair form one F-orbit, so each has the pair's count as its order.
     ``level_lcm`` holds the level lcms O_n and ``m`` the recursion m_0 = 0,
-    m_{n+1} = m_n + n * O_n.
+    m_{n+1} = m_n + n * O_n, both read off the diagram when first asked for.
 
     The orders are also the order automorphism: blue edges at level n map
     through F^{m_n}, vertices rotate inside their red cycles accordingly,
@@ -319,8 +311,14 @@ class CanonicalOrders:
     layout ``validate_rank2`` passes; ``rank2_automorphism`` checks that."""
 
     diagram: CanonicalRank2Diagram
-    level_lcm: tuple[int, ...]
-    m: tuple[int, ...]
+
+    @cached_property
+    def level_lcm(self) -> tuple[int, ...]:
+        return tuple(math.lcm(1, *self.orders_at(n)) for n in range(self.diagram.levels() - 1))
+
+    @cached_property
+    def m(self) -> tuple[int, ...]:
+        return tuple(accumulate((n * o for n, o in enumerate(self.level_lcm)), initial=0))
 
     @cached_property
     def _level_orders(self) -> Mapping[int, tuple[int, ...]]:
@@ -361,13 +359,7 @@ class CanonicalOrders:
 
 
 def compute_orders(d: CanonicalRank2Diagram) -> CanonicalOrders:
-    level_lcm = tuple(
-        math.lcm(1, *(c for _, _, c in d.pairs_at(n))) for n in range(d.levels() - 1)
-    )
-    m = [0]
-    for n, o in enumerate(level_lcm):
-        m.append(m[-1] + n * o)
-    return CanonicalOrders(d, level_lcm, tuple(m))
+    return CanonicalOrders(d)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +368,24 @@ def compute_orders(d: CanonicalRank2Diagram) -> CanonicalOrders:
 
 
 class TelescopeResult(NamedTuple):
-    complete: bool
-    l_prime: tuple[int, ...]
+    """A rank-2 telescope: its levels, bounds and entry certificate, with
+    the telescoped data or the ``failure`` that stopped the search."""
+
     l: tuple[int, ...]
     M: tuple[int, ...]
     telescoped: Rank2Data | None
     certificate: tuple[dict, ...]
     source: Rank2Data
     failure: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.failure is None
+
+    @property
+    def l_prime(self) -> tuple[int, ...]:
+        """The seed levels l_0, l_1, l_2."""
+        return self.l[:3]
 
     def to_json(self) -> dict:
         return {
@@ -427,9 +429,7 @@ def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
         if n >= 2
     )
     if failure:
-        return TelescopeResult(
-            False, tuple(l[:3]), tuple(l), tuple(M), None, certificate, data, failure
-        )
+        return TelescopeResult(tuple(l), tuple(M), None, certificate, data, failure)
     T_out = tuple(tuple(data.t_at(n)) for n in l)
     # A_chain T_low = T_high B_chain with T diagonal, entry by entry
     B_out = tuple(
@@ -437,7 +437,7 @@ def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
         for chain, low, high in zip(chains, T_out, T_out[1:])
     )
     telescoped = Rank2Data(tuple(chains), B_out, T_out, None, data.orientation)
-    return TelescopeResult(True, tuple(l[:3]), tuple(l), tuple(M), telescoped, certificate, data)
+    return TelescopeResult(tuple(l), tuple(M), telescoped, certificate, data)
 
 
 def reverify_telescope(result: TelescopeResult) -> bool:
@@ -447,10 +447,10 @@ def reverify_telescope(result: TelescopeResult) -> bool:
     data = result.source
     for entry in result.certificate:
         step, nxt, bound = entry["step"], entry["level"], entry["strict_bound"]
-        chained = data.a_chain(nxt, result.l[step])
-        if min_entry(chained) <= bound:
+        low = result.l[step]
+        if nxt <= low or bound != step * result.M[step]:
             return False
-        if bound != step * result.M[step]:
+        if min_entry(chain_product([data.a_at(n) for n in range(low, nxt)])) <= bound:
             return False
     return True
 

@@ -187,20 +187,25 @@ def shift_witness_levels(shortest_cycle: Mapping[int, int], shift_bound: int) ->
     return witnesses
 
 
-def check_wfc(orders: CanonicalOrders, depth: int, shift_bound: int) -> WfcCertificate:
+def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
     on a rank-2 diagram, for the F^{m_n} automorphism its ``orders`` are,
-    through the order inequality and bounded congruences, with red offsets
-    up to the shift bound.  (The AF planner reads its certificate off the
-    growth chains in closed form.)  A shift bound below 1 certifies nothing
-    and raises ``ValueError``.
+    through the order inequality and bounded congruences at every edge
+    level, with red offsets up to the shift bound.  The certificate's depth
+    is the last edge level, ``orders.max_edge_level()``.  (The AF planner
+    reads its certificate off the growth chains in closed form.)  A shift
+    bound below 1 certifies nothing and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    L = shift_bound
-    max_level = min(depth, orders.max_edge_level())
+    L = S = shift_bound  # red offsets 0..S are checked for every shift 1..L
+    depth = orders.max_edge_level()
+
+    def certificate(status: str, details: dict) -> WfcCertificate:
+        return WfcCertificate(status, "rank2", depth, L, details)
+
     inequality = {}
-    for n in range(max_level + 1):
+    for n in range(depth + 1):
         o_min = orders.min_order_at(n)
         bound = n * orders.m[n]
         inequality[str(n)] = {
@@ -209,21 +214,16 @@ def check_wfc(orders: CanonicalOrders, depth: int, shift_bound: int) -> WfcCerti
             "holds": o_min > bound,
         }
     if not all(row["holds"] for row in inequality.values()):
-        return WfcCertificate(
-            "unknown",
-            "rank2",
-            depth,
-            L,
-            {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality},
+        return certificate(
+            "unknown", {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality}
         )
-    S = L  # red offsets 0..L are checked for every shift
     # Level t witnesses (l, s) unless s = l*m_t (mod o) for an order o at t,
     # so the offsets a level misses are one arithmetic progression per order.
     # Offsets 0..S are the bits of an int: combs[o] holds the bits 0, o, 2o,
     # ... up to S (a geometric series in 2^o), and shifted to the start
     # l*m_t mod o it is one progression.  open_ holds the offsets no level
     # has witnessed yet; each level takes the open offsets it does not miss.
-    levels = [(orders.m[t], orders.orders_at(t)) for t in range(max_level + 1)]
+    levels = [(orders.m[t], orders.orders_at(t)) for t in range(depth + 1)]
     combs = {
         o: ((1 << (o * (S // o + 1))) - 1) // ((1 << o) - 1) if o <= S else 1
         for _, level_orders in levels
@@ -254,18 +254,9 @@ def check_wfc(orders: CanonicalOrders, depth: int, shift_bound: int) -> WfcCerti
         elif not undecided:  # the witness map is reported only if none is undecided
             witness.update(zip(map(f"{l},".__add__, offsets), level_of))
     if undecided:
-        return WfcCertificate(
-            "unknown",
-            "rank2",
-            depth,
-            L,
-            {"inequality": inequality, "undecided_pairs": undecided},
-        )
-    return WfcCertificate(
+        return certificate("unknown", {"inequality": inequality, "undecided_pairs": undecided})
+    return certificate(
         "certificate",
-        "rank2",
-        depth,
-        L,
         {
             "kind": "order-inequality+bounded-congruences",
             "inequality": inequality,

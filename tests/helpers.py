@@ -694,8 +694,8 @@ def af_growth_levels(d: BratteliDiagram, count: int):
 # ---------------------------------------------------------------------------
 # Rescanned rank-2 telescope
 #
-# The rank-2 telescope as it recomputed every chain it needed with
-# ``a_chain`` (for M, for each certificate entry and for the output A) and
+# The rank-2 telescope as it recomputed every chain it needed from the
+# stored A's (for M, for each certificate entry and for the output A) and
 # built each output B as the chain product of the stored B matrices, with
 # separate seed and bound searches.  ``rank2_diagrams.telescope_rank2``
 # multiplies each chain once and reads B off A_n T_n = T_{n+1} B_n; it is
@@ -707,12 +707,17 @@ class _SearchStopped(Exception):
     pass
 
 
+def _a_chain(data: Rank2Data, top: int, bottom: int):
+    """A_{top-1} ... A_{bottom}, mapping level ``bottom`` to ``top``."""
+    return chain_product([data.a_at(n) for n in range(bottom, top)])
+
+
 def _rescanned_level(data: Rank2Data, start: int, bound: int, cap: int, strict: bool) -> int:
     relation = ">" if strict else ">="
     acc = None
     for m in range(start + 1, cap + 1):
         try:
-            acc = data.a_chain(m, start) if acc is None else mat_mul(data.a_at(m - 1), acc)
+            acc = data.a_at(m - 1) if acc is None else mat_mul(data.a_at(m - 1), acc)
         except StructuralError as exc:
             raise _SearchStopped(
                 f"data horizon {len(data.A)} reached (no repetition rule) before a "
@@ -734,14 +739,12 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
         for i in range(1, 3):
             l_prime.append(_rescanned_level(data, l_prime[-1], i, cap, strict=False))
     except _SearchStopped as exc:
-        return TelescopeResult(
-            False, tuple(l_prime), tuple(l_prime), (0, 0), None, (), data, str(exc)
-        )
+        return TelescopeResult(tuple(l_prime), (0, 0), None, (), data, str(exc))
     l = list(l_prime)
     M = [0, 0]
     certificate = []
     for step in range(2, levels_out - 1):
-        chained = data.a_chain(l[step], l[step - 1])
+        chained = _a_chain(data, l[step], l[step - 1])
         t_vec = data.t_at(l[step - 1])
         prod = 1
         for i in range(len(chained)):
@@ -752,19 +755,17 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
         try:
             nxt = _rescanned_level(data, l[step], bound, cap, strict=True)
         except _SearchStopped as exc:
-            return TelescopeResult(
-                False, tuple(l_prime), tuple(l), tuple(M), None, tuple(certificate), data, str(exc)
-            )
+            return TelescopeResult(tuple(l), tuple(M), None, tuple(certificate), data, str(exc))
         l.append(nxt)
         certificate.append(
             {
                 "step": step,
                 "level": nxt,
-                "min_entry": min_entry(data.a_chain(nxt, l[step])),
+                "min_entry": min_entry(_a_chain(data, nxt, l[step])),
                 "strict_bound": bound,
             }
         )
-    A_out = tuple(data.a_chain(l[n + 1], l[n]) for n in range(levels_out - 1))
+    A_out = tuple(_a_chain(data, l[n + 1], l[n]) for n in range(levels_out - 1))
 
     def b_at(k):
         return data.B[repeat_index(k, len(data.B), len(data.A), data.repeat_from)]
@@ -774,9 +775,7 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
     )
     T_out = tuple(tuple(data.t_at(l[n])) for n in range(levels_out))
     telescoped = Rank2Data(A_out, B_out, T_out, None, data.orientation)
-    return TelescopeResult(
-        True, tuple(l_prime), tuple(l), tuple(M), telescoped, tuple(certificate), data
-    )
+    return TelescopeResult(tuple(l), tuple(M), telescoped, tuple(certificate), data)
 
 
 # ---------------------------------------------------------------------------
@@ -838,12 +837,12 @@ def walked_rank2_lc_lengths(orders, paths) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def scanned_rank2_wfc_certificate(orders, depth: int, L: int) -> WfcCertificate:
+def scanned_rank2_wfc_certificate(orders, L: int) -> WfcCertificate:
     """The rank-2 orbit-freeness certificate from the per-pair scan, red
-    offsets 0..L, over the given orders."""
-    max_level = min(depth, orders.max_edge_level())
+    offsets 0..L, over the given orders at every edge level."""
+    depth = orders.max_edge_level()
     inequality = {}
-    for n in range(max_level + 1):
+    for n in range(depth + 1):
         o_min = orders.min_order_at(n)
         bound = n * orders.m[n]
         inequality[str(n)] = {
@@ -867,7 +866,7 @@ def scanned_rank2_wfc_certificate(orders, depth: int, L: int) -> WfcCertificate:
             t = next(
                 (
                     t
-                    for t in range(max_level + 1)
+                    for t in range(depth + 1)
                     if all((l * orders.m[t] - s) % o != 0 for o in orders.orders_at(t))
                 ),
                 None,
@@ -1157,7 +1156,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50):
         for j, i, _ in diagram.pairs_at(n)
     )
 
-    wfc = check_wfc(orders, depth=levels_out - 2, shift_bound=lbound)
+    wfc = check_wfc(orders, shift_bound=lbound)
 
     sample: list[Rank2Path] = []
     for j in range(diagram.cycle_count(0)):

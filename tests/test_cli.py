@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_forge
+from groupoid_forge import cli
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
     BratteliDiagram,
@@ -22,7 +23,7 @@ from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, telescope_rank2
 from groupoid_forge.matrices import as_matrix
-from groupoid_forge.twisted_product import check_lc, check_wfc
+from groupoid_forge.twisted_product import check_lc, check_wfc, reverify_contracting_witness
 
 from helpers import materialized_automorphism, materialized_orders
 
@@ -342,6 +343,24 @@ class TestCertify:
             "d1d5a86ad4092573fe6d0918f4e9341dff7150ddf726bb07ce2d9ecf8e3b8cc9"
         )
 
+    @pytest.mark.parametrize("rechecks", [True, False], ids=["rechecks", "fails"])
+    def test_contract_rechecks_its_witness(self, rechecks, monkeypatch, capsys):
+        verdicts = []
+
+        def recheck(model, witness):
+            verdicts.append(reverify_contracting_witness(model, witness))
+            return rechecks
+
+        monkeypatch.setattr(cli, "reverify_contracting_witness", recheck)
+        code = main(["certify", "contract"])
+        out, err = capsys.readouterr()
+        assert verdicts == [True]
+        if rechecks:
+            assert code == 0 and err == "" and '"witness"' in out
+        else:
+            assert code == 1 and out == ""
+            assert err == "contracting witness FAILED re-verification\n"
+
 
 class TestConvolveDemo:
     @pytest.mark.parametrize("identity", ["comp", "comp2", "right-action"])
@@ -521,7 +540,7 @@ class TestRank2CliMatchesMaterialized:
         tele = telescope_rank2(data, depth + 2)
         # the certificate computed from the orbit walk over the materialized F
         orders = materialized_orders(build_rank2(tele.telescoped, depth + 2))
-        expected = check_wfc(orders, depth, lbound)
+        expected = check_wfc(orders, lbound)
         assert code == (0 if expected.is_certificate else 1)
         assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
 

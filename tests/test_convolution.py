@@ -69,7 +69,8 @@ class TestFiniteBackend:
     def test_matrix_unit_law(self):
         G = full_relation(range(3))
         assert convolve(delta(G, (0, 1)), delta(G, (1, 2))) == delta(G, (0, 2))
-        assert convolve(delta(G, (0, 1)), delta(G, (2, 0))).is_zero()
+        # a finite element keeps only its nonzero coefficients
+        assert not convolve(delta(G, (0, 1)), delta(G, (2, 0))).coeffs
 
     def test_involution_of_point_mass(self):
         G = full_relation(range(2))
@@ -93,7 +94,7 @@ class TestFiniteBackend:
             if j == k:
                 assert prod == delta(G, (i, l))
             else:
-                assert prod.is_zero()
+                assert not prod.coeffs
 
     def test_evaluation_reads_the_support(self):
         G = full_relation(range(2))
@@ -247,7 +248,7 @@ class TestInnerProduct:
         f = delta(model.g, (0, 1))
         x = generator_times(model, 1, f)
         y = generator_times(model, 2, f)
-        assert module_inner_product(x, y).is_zero()
+        assert not module_inner_product(x, y).coeffs
 
     def test_unit_indicator_case(self):
         model = swap_model()
@@ -260,7 +261,7 @@ class TestInnerProduct:
         f = FiniteConvElement(model.g, {(0, 1): gauss(1, 1), (0, 0): gauss(2)})
         vectors = [generator_times(model, 1, f), generator_times(model, 2, f)]
         gram = [[module_inner_product(a, b) for b in vectors] for a in vectors]
-        assert gram[0][1].is_zero() and gram[1][0].is_zero()
+        assert not gram[0][1].coeffs and not gram[1][0].coeffs
         for k in range(2):
             m = regular_representation(model.g, (0, 0), gram[k][k])
             assert is_psd_hermitian(m)

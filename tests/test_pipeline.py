@@ -16,8 +16,8 @@ from groupoid_forge.graph_model import (
 )
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
-    ANALYTIC_HYPOTHESES,
     PipelineInputError,
+    RealizationReport,
     first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
@@ -87,7 +87,7 @@ class TestAfPlan:
     def test_hypothesis_list_is_fixed(self):
         report = plan_af_realization(constant_diagram(2), depth=3, lbound=4)
         names = [h["name"] for h in report.analytic_hypotheses]
-        assert names == [h["name"] for h in ANALYTIC_HYPOTHESES]
+        assert names == [h["name"] for h in RealizationReport.analytic_hypotheses]
         assert all(h["status"] == "NOT COMPUTED" for h in report.analytic_hypotheses)
         assert len(names) == 5
 

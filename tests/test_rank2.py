@@ -152,12 +152,6 @@ class TestBuild:
         assert all(orders.edge_order(label) == 1 for label in ref.edge_orders)
         assert orders.m == ref.m == (0, 0, 1, 3)
 
-    def test_a_chain_within_a_level_is_the_identity(self):
-        one = ((1, 1), (1, 1))
-        data = Rank2Data(A=(one,), B=(one,), T=((1, 1), (1, 1)), repeat_from=0)
-        assert data.a_chain(1, 1) == ((1, 0), (0, 1))
-        assert data.a_chain(2, 0) == ((2, 2), (2, 2))
-
     def test_json_round_trip(self):
         data, horizon = rank2_data_from_json(FIGURE.to_json() | {"horizon": 3})
         assert data == FIGURE and horizon == 3
@@ -223,17 +217,11 @@ class TestTelescope:
     def test_reverify_rejects_tampering(self):
         result = telescope_rank2(CONSTANT2, 6)
         assert reverify_telescope(result)
-        tampered = result.__class__(
-            complete=result.complete,
-            l_prime=result.l_prime,
-            l=result.l,
-            M=tuple(list(result.M[:-1]) + [result.M[-1] + 1]),
-            telescoped=result.telescoped,
-            certificate=result.certificate,
-            source=result.source,
-        )
+        tampered = result._replace(M=tuple(list(result.M[:-1]) + [result.M[-1] + 1]))
         assert not reverify_telescope(tampered)
-        assert not reverify_telescope(result._replace(complete=False))
+        # a failure makes the result incomplete, whatever else it records
+        failed = result._replace(failure="data horizon 3 reached")
+        assert not failed.complete and not reverify_telescope(failed)
         # each recorded level is the first whose chain beats its bound, so the
         # level above it does not
         for k, entry in enumerate(result.certificate):

@@ -16,6 +16,7 @@ from groupoid_forge import graph_model, rank2_diagrams
 from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
 from groupoid_forge.rank2_diagrams import (
+    CanonicalOrders,
     CanonicalRank2Diagram,
     Rank2Data,
     Rank2Path,
@@ -112,7 +113,9 @@ class TestAgainstMaterialized:
 
     def test_orders_and_f_powers(self, pair):
         canon, mat = pair
-        fast, ref = compute_orders(canon), materialized_orders(mat)
+        # the orders are the diagram's alone: its level lcms and m are read off it
+        fast, ref = CanonicalOrders(canon), materialized_orders(mat)
+        assert compute_orders(canon) == fast
         assert fast.level_lcm == ref.level_lcm
         assert fast.m == ref.m
         for n in range(canon.levels() - 1):
@@ -330,10 +333,10 @@ def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _same_certificate(orders, depth, L):
+def _same_certificate(orders, L):
     """``check_wfc`` equals the pair scan, key order included; returns it."""
-    cert = check_wfc(orders, depth, L)
-    expected = scanned_rank2_wfc_certificate(orders, depth, L)
+    cert = check_wfc(orders, L)
+    expected = scanned_rank2_wfc_certificate(orders, L)
     assert json.dumps(cert.to_json()) == json.dumps(expected.to_json())
     return cert
 
@@ -355,16 +358,23 @@ def seeded_orders(seed: int) -> OrderData:
     return OrderData(edge_orders, tuple(level_lcm), tuple(m), {})
 
 
+def _orders_to_depth(orders: OrderData, depth: int) -> OrderData:
+    """The orders of the diagram cut after edge level ``depth``."""
+    edge_orders = {k: o for k, o in orders.edge_orders.items() if k[0] <= depth}
+    return OrderData(edge_orders, orders.level_lcm[: depth + 1], orders.m[: depth + 2], {})
+
+
 class TestWfcAgainstPairScan:
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_canonical_cases(self, name, seed):
         data, levels = CASES[name]
-        orders = compute_orders(canonical_rank2(data, levels))
         rng = random.Random(f"{name}:{seed}")
-        for depth in range(levels):
+        for depth in range(levels - 1):
+            # the certificate reaches the last edge level of its diagram
+            orders = compute_orders(canonical_rank2(data, depth + 2))
             for L in (1, rng.randint(2, 30), 12, rng.randint(1, 20)):
-                _same_certificate(orders, depth, L)
+                assert _same_certificate(orders, L).depth == depth
 
     @pytest.mark.parametrize(
         "data, depth, lbound",
@@ -379,7 +389,7 @@ class TestWfcAgainstPairScan:
     def test_benchmark_depths(self, data, depth, lbound):
         levels = depth + 2
         diagram = canonical_rank2(telescope_rank2(data, levels).telescoped, levels)
-        cert = _same_certificate(compute_orders(diagram), depth, lbound)
+        cert = _same_certificate(compute_orders(diagram), lbound)
         if lbound == 200:
             # one pair (l, s) survives every level
             assert cert.details["undecided_pairs"] == [[137, 98]]
@@ -393,20 +403,21 @@ class TestWfcAgainstPairScan:
         rng = random.Random(seed)
         top = orders.max_edge_level()
         for depth in {top, rng.randint(0, top)}:
+            cut = _orders_to_depth(orders, depth)
             for L in (rng.randint(1, 40), rng.randint(1, 40)):
-                _same_certificate(orders, depth, L)
+                assert _same_certificate(cut, L).depth == depth
 
     def test_outcomes_the_cases_cover(self):
         # the sweep meets all three outcomes on these diagrams
-        tail = compute_orders(canonical_rank2(*CASES["figure_tail_d3"]))
-        undecided = _same_certificate(tail, 2, 30)
+        tail, levels = CASES["figure_tail_d3"]
+        undecided = _same_certificate(compute_orders(canonical_rank2(tail, levels - 1)), 30)
         assert undecided.status == "unknown"
         assert len(undecided.details["undecided_pairs"]) == 5
-        certified = _same_certificate(tail, 3, 30)
+        certified = _same_certificate(compute_orders(canonical_rank2(tail, levels)), 30)
         assert certified.status == "certificate" and certified.details["s_bound"] == 30
         assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 31
         # untelescoped constant data: o = 2 at level 2, but 2 * m_2 = 4
-        failing = _same_certificate(compute_orders(canonical_rank2(CONSTANT2, 5)), 3, 10)
+        failing = _same_certificate(compute_orders(canonical_rank2(CONSTANT2, 5)), 10)
         assert failing.details["note"] == "order inequality o(e) > n*m_n fails"
         mixed = canonical_rank2(TWO_CYCLE_MIXED, 3)
         assert any(len(compute_orders(mixed).orders_at(n)) > 1 for n in range(2))
@@ -415,7 +426,7 @@ class TestWfcAgainstPairScan:
     def test_bounds_that_certify_nothing_are_rejected(self, shift_bound):
         orders = compute_orders(canonical_rank2(*CASES["const2_d3"]))
         with pytest.raises(ValueError, match="shift bound must be at least 1"):
-            check_wfc(orders, 3, shift_bound)
+            check_wfc(orders, shift_bound)
 
 
 def test_telescope_matches_the_rescanned_chains():

@@ -9,8 +9,21 @@ import pytest
 from groupoid_forge.dimension_groups import DimGroupElement
 from groupoid_forge.graph_groupoid import InfiniteBouquet
 from groupoid_forge.graph_model import Edge, constant_diagram
-from groupoid_forge.pipeline import CornerSpec, RealizationReport
-from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, TelescopeResult, build_rank2
+from groupoid_forge.pipeline import (
+    CornerSpec,
+    RealizationReport,
+    plan_af_realization,
+    unit_corner_spec,
+)
+from groupoid_forge.rank2_diagrams import (
+    CanonicalOrders,
+    Rank2Data,
+    Rank2Diagram,
+    TelescopeResult,
+    build_rank2,
+    canonical_rank2,
+    telescope_rank2,
+)
 from groupoid_forge.twisted_product import (
     BouquetTwistedProduct,
     ContractingWitness,
@@ -82,3 +95,57 @@ def test_a_materialized_diagram_is_unhashable():
     diagram = build_rank2(Rank2Data(A=(((2,),),), B=(((1,),),), T=((1,), (2,))), 2)
     with pytest.raises(TypeError):
         hash(diagram)
+
+
+CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
+
+
+def _telescope():
+    return telescope_rank2(CONSTANT2, 5)
+
+
+def _corner():
+    return unit_corner_spec(constant_diagram(2), 0, [2])
+
+
+def _report():
+    return plan_af_realization(constant_diagram(2), depth=2, lbound=3)
+
+
+@pytest.mark.parametrize(
+    "make, derived",
+    [
+        (_telescope, "complete"),
+        (_telescope, "l_prime"),
+        (_corner, "k_class"),
+        (_report, "schema_version"),
+        (_report, "analytic_hypotheses"),
+    ],
+)
+def test_a_derived_value_is_no_field(make, derived):
+    # it can be neither passed nor replaced, so it cannot disagree with the
+    # fields it is read off
+    value = make()
+    assert derived not in value._fields
+    with pytest.raises(TypeError):
+        type(value)(**value._asdict(), **{derived: getattr(value, derived)})
+    with pytest.raises(ValueError):
+        value._replace(**{derived: getattr(value, derived)})
+
+
+def test_derived_values_follow_their_source_fields():
+    tele = _telescope()
+    assert tele.complete and tele.l_prime == tele.l[:3]
+    stopped = tele._replace(failure="no level within cap 8")
+    assert not stopped.complete
+    assert tele._replace(l=(0, 2, 5, 9)).l_prime == (0, 2, 5)
+    assert _corner()._replace(level=3).k_class == DimGroupElement(3, (2,))
+    assert _report().to_json()["schema_version"] == RealizationReport.schema_version == 1
+
+
+def test_orders_hold_only_their_diagram():
+    diagram = canonical_rank2(CONSTANT2, 4)
+    with pytest.raises(TypeError):
+        CanonicalOrders(diagram, (2, 2, 2), (0, 0, 2, 6))
+    orders = CanonicalOrders(diagram)
+    assert (orders.level_lcm, orders.m) == ((2, 2, 2), (0, 0, 2, 6))

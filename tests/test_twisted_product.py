@@ -303,7 +303,7 @@ class TestWfc:
         const = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
         tele = telescope_rank2(const, 7)
         diagram = canonical_rank2(tele.telescoped, 7)
-        cert = check_wfc(compute_orders(diagram), depth=5, shift_bound=50)
+        cert = check_wfc(compute_orders(diagram), shift_bound=50)
         assert cert.status == "certificate"
         for n, row in cert.details["inequality"].items():
             assert row["holds"] and row["min_order"] > row["n_times_m_n"]
