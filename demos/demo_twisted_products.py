@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Twisted products of finite groupoids: structure maps, exhaustive axiom
+"""Twisted products of finite groupoids: structure maps, complete axiom
 verification, isotropy, and the principality criterion.
 
 The cocycle on the first factor twists how the second factor's sources

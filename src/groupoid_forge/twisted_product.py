@@ -16,13 +16,13 @@ claims are decided by the basic-bisection calculus.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
 from .graph_model import (
     BratteliDiagram,
     PathWord,
-    path_count_matrix,
     path_from_edges,
 )
 from .graph_groupoid import (
@@ -44,6 +44,7 @@ from .groupoid_core import (
     is_principal,
     orbits,
 )
+from .matrices import mat_mul
 from .rank2_diagrams import CanonicalOrders, Rank2Path
 
 # ---------------------------------------------------------------------------
@@ -419,13 +420,17 @@ def minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
     or unknown, never no; any other backend raises ``TypeError``."""
     if not isinstance(d, BratteliDiagram):
         raise TypeError(f"unsupported backend {type(d).__name__}")
-    for t in range(depth):
-        counts = path_count_matrix(d, t, depth)
-        if any(not all(row) for row in counts):
-            return Verdict(
-                "unknown",
-                justification=f"level {t} does not reach every level-{depth} vertex",
-            )
+    # The path counts from level t to ``depth`` are M_t times those from
+    # t + 1: one running product from the top, and the lowest short level
+    # is named.
+    levels = range(depth - 1, -1, -1)
+    tops = accumulate(map(d.multiplicity_matrix, levels), lambda above, m: mat_mul(m, above))
+    short = [t for t, counts in zip(levels, tops) if not all(map(all, counts))]
+    if short:
+        return Verdict(
+            "unknown",
+            justification=f"level {short[-1]} does not reach every level-{depth} vertex",
+        )
     return Verdict("yes", justification=f"cofinal at depth {depth}")
 
 

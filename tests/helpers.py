@@ -22,6 +22,7 @@ from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
+    Verdict,
     dg_equal,
     dg_is_positive,
     dimension_group_of,
@@ -534,6 +535,21 @@ def red_blue_cofinal(d: CanonicalRank2Diagram, depth: int) -> bool:
             if len(reached) < d.cycle_count(depth):
                 return False
     return True
+
+
+def per_level_minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
+    """Cofinality to ``depth`` with a fresh ``path_count_matrix`` for every
+    level, stopping at the first level that misses a level-``depth`` vertex
+    (the oracle for ``twisted_product.minimality_verdict``, which keeps one
+    running product from the top)."""
+    for t in range(depth):
+        counts = path_count_matrix(d, t, depth)
+        if any(not all(row) for row in counts):
+            return Verdict(
+                "unknown",
+                justification=f"level {t} does not reach every level-{depth} vertex",
+            )
+    return Verdict("yes", justification=f"cofinal at depth {depth}")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def _report(n, name, detail=""):
 
 
 def test_criterion_01_twisted_product_axioms():
-    """100 seeded twisted products of size <= 24 x 24 verify exhaustively in
+    """100 seeded twisted products of size <= 24 x 24 verify completely in
     under ten seconds."""
     start = time.perf_counter()
     instances = seeded_twisted_instances(100, seed=20250809, max_size=24)

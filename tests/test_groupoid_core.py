@@ -26,12 +26,14 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
     verify_groupoid_axioms,
     weight_cocycle,
+    _generators,
 )
 from groupoid_forge.twisted_product import twisted_product
 from groupoid_forge.validation import Violation
 
 from families import rng_for, seeded_twisted_instances
 from helpers import (
+    bench_inputs,
     brute_groupoid_axioms,
     brute_orbit_length,
     cartesian_product,
@@ -139,25 +141,66 @@ def _corruptions(G: FiniteGroupoid, rng):
     yield "inverse outside", rebuild(inverse_map=(g, "ghost"))
     yield "range outside", rebuild(range_map=(g, "nowhere"))
     yield "source outside", rebuild(source_map=(g, "nowhere"))
-    # two products of one row traded, r and s kept: with x a non-unit and
-    # h1, h2 neither s(x) nor x^{-1}, only associativity can break
-    swappable = [
+    swappable = _swappable(G)
+    if swappable:
+        yield "swapped products", _swapped(G, *rng.choice(swappable))
+    # one product replaced by another element of its range and source: with
+    # neither factor a unit and h not g^{-1}, only associativity can break
+    misplaced = [
+        ((g, h), x)
+        for (g, h), gh in sorted(G.composition.items(), key=repr)
+        if not {g, h} & G.units and h != G.inv(g)
+        for x in G.elements_with_range(G.r(gh))
+        if x != gh and G.s(x) == G.s(gh)
+    ]
+    if misplaced:
+        yield "wrong product, r and s kept", rebuild(composition=rng.choice(misplaced))
+
+
+def _swappable(G: FiniteGroupoid) -> list[tuple]:
+    """(x, h1, h2) whose products x·h1 and x·h2 can be traded keeping r and
+    s: with x a non-unit and h1, h2 neither s(x) nor x^{-1}, only
+    associativity can break."""
+    return [
         (x, h1, h2)
-        for x in els
+        for x in G.elements
         if x not in G.units
         for h1, h2 in combinations(G.elements_with_range(G.s(x)), 2)
         if G.s(h1) == G.s(h2) and not {h1, h2} & {G.s(x), G.inv(x)}
     ]
-    if swappable:
-        x, h1, h2 = rng.choice(swappable)
-        swapped = {
-            **G.composition,
-            (x, h1): G.composition[(x, h2)],
-            (x, h2): G.composition[(x, h1)],
-        }
-        yield "swapped products", build_groupoid(
-            G.elements, G.units, G.range_map, G.source_map, swapped, G.inverse_map
-        )
+
+
+def _swapped(G: FiniteGroupoid, x, h1, h2) -> FiniteGroupoid:
+    """G with the products x·h1 and x·h2 traded."""
+    comp = G.composition
+    swapped = {**comp, (x, h1): comp[(x, h2)], (x, h2): comp[(x, h1)]}
+    return build_groupoid(G.elements, G.units, G.range_map, G.source_map, swapped, G.inverse_map)
+
+
+def _generators_of(G: FiniteGroupoid) -> list:
+    """The elements ``groupoid_core._generators`` picks for a groupoid whose
+    products all exist with the right range and source."""
+    position = {g: i for i, g in enumerate(G.elements)}
+    rows = [{} for _ in G.elements]
+    for (g, h), k in G.composition.items():
+        rows[position[g]][position[h]] = position[k]
+    rng = [position[G.r(g)] for g in G.elements]
+    src = [position[G.s(g)] for g in G.elements]
+    return [G.elements[i] for i in _generators(rows, rng, src)]
+
+
+def _word_products(G: FiniteGroupoid, gens) -> set:
+    """Every product g1·g2·...·gm of ``gens``, multiplied left to right
+    through the composition table."""
+    words = set(gens)
+    todo = list(gens)
+    while todo:
+        w = todo.pop()
+        for g in gens:
+            if G.composable(w, g) and (wg := G.mul(w, g)) not in words:
+                words.add(wg)
+                todo.append(wg)
+    return words
 
 
 def _violations(report):
@@ -181,10 +224,43 @@ class TestAxiomOracle:
                 expected = brute_groupoid_axioms(bad)
                 assert not expected.passed, name
                 assert _violations(verify_groupoid_axioms(bad)) == _violations(expected), name
-                if name == "swapped products":
+                if name in ("swapped products", "wrong product, r and s kept"):
                     assert {v.invariant for v in expected.violations} == {"associativity"}
                 seen[name] += 1
-        assert len(seen) == 10
+        assert len(seen) == 11
+
+    def test_defect_outside_the_generator_rows_is_found(self):
+        # the generator rows decide associativity only because every other
+        # row is a product of them: a defect in another row makes one fail
+        rng = rng_for(408)
+        swapped = 0
+        for G in _factory_groupoids(twisted=4):
+            gens = set(_generators_of(G))
+            choices = [t for t in _swappable(G) if t[0] not in gens]
+            if not choices:
+                continue
+            bad = _swapped(G, *rng.choice(choices))
+            expected = brute_groupoid_axioms(bad)
+            assert {v.invariant for v in expected.violations} == {"associativity"}
+            assert _violations(verify_groupoid_axioms(bad)) == _violations(expected)
+            swapped += 1
+        assert swapped >= 5
+
+    def test_generators_reach_every_element(self):
+        for G in _factory_groupoids(twisted=12):
+            gens = _generators_of(G)
+            assert _word_products(G, gens) == set(G.elements)
+            # each generator is one that the generators before it miss
+            for i, g in enumerate(gens):
+                assert g not in _word_products(G, gens[:i])
+
+    def test_generators_are_few_on_the_benchmark_products(self):
+        items = bench_inputs().twisted_instances(0)
+        products = [twisted_product(*item).finite_form for item in items]
+        elements = sum(map(len, products))
+        picked = sum(len(_generators_of(G)) for G in products)
+        assert elements == 10066
+        assert 4 * picked <= elements
 
     def test_inverse_composable_with_neither_side_is_reported(self):
         G = full_relation(range(3))

@@ -5,8 +5,18 @@ import json
 
 import pytest
 
-from families import rng_for, seeded_contracting_witnesses, seeded_twisted_instances
-from helpers import cartesian_product, dict_twisted_product
+from families import (
+    rng_for,
+    seeded_compatible_data,
+    seeded_contracting_witnesses,
+    seeded_twisted_instances,
+)
+from helpers import (
+    bench_inputs,
+    cartesian_product,
+    dict_twisted_product,
+    per_level_minimality_verdict,
+)
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
@@ -36,6 +46,7 @@ from groupoid_forge.groupoid_core import (
 from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.rank2_diagrams import (
     Rank2Data,
+    blue_skeleton,
     canonical_rank2,
     compute_orders,
     telescope_rank2,
@@ -497,6 +508,34 @@ class TestMinimality:
     def test_finite_backend_rejected(self):
         with pytest.raises(TypeError, match="unsupported backend FiniteGroupoid"):
             minimality_verdict(full_relation(range(3)), 3)
+
+    def test_running_product_matches_per_level_chains(self):
+        ladder = bench_inputs().rank2_ladder
+        cases = [(rung["data"], rung["depth"]) for seed in range(5) for rung in ladder(seed)]
+        cases += [
+            (seeded_compatible_data(seed, repeat, orientation), depth)
+            for seed in range(20)
+            for repeat in (False, True)
+            for orientation in (1, -1)
+            for depth in (1, 2, 3, 4)
+        ]
+        seen = set()
+        for data, depth in cases:
+            levels_out = depth + 2
+            tele = telescope_rank2(data, levels_out)
+            if not tele.complete:
+                continue
+            skeleton = blue_skeleton(canonical_rank2(tele.telescoped, levels_out))
+            for top in range(levels_out):
+                verdict = minimality_verdict(skeleton, top)
+                assert verdict == per_level_minimality_verdict(skeleton, top), (data, top)
+                if verdict.is_yes:
+                    seen.add("yes")
+                elif verdict.justification.startswith(f"level {top - 1} "):
+                    seen.add("top")
+                else:
+                    seen.add("below")
+        assert seen == {"yes", "top", "below"}
 
 
 class TestPrincipalityOracle:
