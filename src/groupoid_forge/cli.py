@@ -47,8 +47,7 @@ from .pipeline import (
     PipelineInputError,
     af_lc_witness,
     first_wrong_field,
-    plan_af_realization,
-    plan_rank2_realization,
+    plan_report,
     unit_corner_spec,
 )
 from .rank2_diagrams import (
@@ -168,18 +167,21 @@ def cmd_twist(args) -> int:
     return 0 if report.passed else 1
 
 
+# The options a certificate does not read, in the parser's order; each is refused.
+_UNREAD = {"lc": ("depth", "lbound", "rank2"), "contract": ("input", "depth", "lbound", "rank2")}
+
+
 def cmd_certify(args) -> int:
+    unread = [k for k in _UNREAD.get(args.what, ()) if getattr(args, k) not in (None, False)]
+    if unread:
+        raise ValueError(f"certify {args.what} does not read --{unread[0]}")
     if args.what != "contract" and args.input is None:
         raise ValueError(f"certify {args.what} needs --input")
     if args.what == "wfc":
         # certify along the realization route: the planner telescopes until
         # its growth condition holds, builds the automorphism and checks wfc
-        if args.rank2:
-            data, _ = rank2_data_from_json(_load_json(args.input))
-            report = plan_rank2_realization(data, **_plan_options(args))
-        else:
-            d = diagram_from_json(_load_json(args.input))
-            report = plan_af_realization(d, **_plan_options(args))
+        kind = "rank2" if args.rank2 else "af"
+        report = plan_report(kind, _load_json(args.input), **_plan_options(args))
         if report.wfc is None:
             reason = report.telescoping["failure"]
             print(json.dumps({"status": "unknown", "reason": reason}))
@@ -309,15 +311,9 @@ def cmd_rank2(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    unit = None
-    if args.unit:
-        unit = _parse_levels_vector(args.unit)
-    if args.target == "af":
-        d = diagram_from_json(_load_json(args.input))
-        report = plan_af_realization(d, unit_class=unit, **_plan_options(args))
-    else:
-        data, _ = rank2_data_from_json(_load_json(args.input))
-        report = plan_rank2_realization(data, unit_class=unit, **_plan_options(args))
+    unit = _parse_levels_vector(args.unit) if args.unit else None
+    source = _load_json(args.input)
+    report = plan_report(args.target, source, unit_class=unit, **_plan_options(args))
     _dump(report.to_json(), args.out)
     return 0 if report.ok else 1
 

@@ -25,6 +25,7 @@ from .graph_groupoid import (
 )
 from .graph_model import vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
+from .matrices import mat_mul, transpose
 from .twisted_product import BouquetTwistedProduct
 from .validation import StructuralError
 
@@ -306,23 +307,11 @@ class RegRepMatrix:
     def matmul(self, other: "RegRepMatrix") -> "RegRepMatrix":
         if self.basis != other.basis:
             raise ValueError("matrices over different bases")
-        n = len(self.basis)
-        rows = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), ZERO)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return RegRepMatrix(self.basis, rows)
+        return RegRepMatrix(self.basis, mat_mul(self.entries, other.entries))
 
     def dagger(self) -> "RegRepMatrix":
-        n = len(self.basis)
         return RegRepMatrix(
-            self.basis,
-            tuple(
-                tuple(self.entries[j][i].conjugate() for j in range(n)) for i in range(n)
-            ),
+            self.basis, tuple(tuple(x.conjugate() for x in row) for row in transpose(self.entries))
         )
 
 
@@ -336,12 +325,11 @@ def regular_representation(G: FiniteGroupoid, u, xi: FiniteConvElement) -> RegRe
         raise ValueError(f"{u!r} is not a unit")
     basis = G.elements_with_source(u)
     index = {g: k for k, g in enumerate(basis)}
-    n = len(basis)
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * len(basis) for _ in basis]
     for j, g in enumerate(basis):
         for h, c in xi.coeffs.items():
             if G.s(h) == G.r(g):
-                rows[index[G.mul(h, g)]][j] = rows[index[G.mul(h, g)]][j] + c
+                rows[index[G.mul(h, g)]][j] += c
     return RegRepMatrix(tuple(basis), tuple(tuple(r) for r in rows))
 
 

@@ -146,9 +146,7 @@ def intersect_basic(a: BasicBisection, b: BasicBisection) -> BasicBisection | No
         if mu_r is None or mu_s is None or mu_r != mu_s:
             continue
         if len(mu_r) == 0:
-            return BasicBisection(
-                a.range_word, a.source_word, a.excluded | b.excluded
-            )
+            return BasicBisection(a.range_word, a.source_word, a.excluded | b.excluded)
         if mu_r[0] in shallow.excluded:
             return None
         return deep
@@ -156,16 +154,8 @@ def intersect_basic(a: BasicBisection, b: BasicBisection) -> BasicBisection | No
 
 
 def basic_subset(a: BasicBisection, b: BasicBisection) -> bool:
-    """Decide a <= b by the prefix criterion."""
-    if a.degree != b.degree:
-        return False
-    mu_r = _suffix(a.range_word, b.range_word)
-    mu_s = _suffix(a.source_word, b.source_word)
-    if mu_r is None or mu_s is None or mu_r != mu_s:
-        return False
-    if len(mu_r) == 0:
-        return b.excluded <= a.excluded
-    return mu_r[0] not in b.excluded
+    """Decide a <= b: exactly when a meets b in all of a."""
+    return intersect_basic(a, b) == a
 
 
 def basic_proper_subset(a: BasicBisection, b: BasicBisection) -> bool:
@@ -177,7 +167,7 @@ def difference_basic(a: BasicBisection, b: BasicBisection) -> tuple[BasicBisecti
     inter = intersect_basic(a, b)
     if inter is None:
         return (a,)
-    if basic_subset(a, inter):
+    if inter == a:
         return ()
     mu = _suffix(inter.range_word, a.range_word)
     out: list[BasicBisection] = []
@@ -194,9 +184,7 @@ def difference_basic(a: BasicBisection, b: BasicBisection) -> tuple[BasicBisecti
         return tuple(out)
     # Tails losing the mu-prefix at each position.
     first = mu[0]
-    out.append(
-        BasicBisection(a.range_word, a.source_word, a.excluded | {first})
-    )
+    out.append(BasicBisection(a.range_word, a.source_word, a.excluded | {first}))
     for r in range(1, len(mu)):
         pre = path_from_edges(mu[:r])
         out.append(

@@ -601,21 +601,6 @@ def cycles(mapping: Mapping[El, El]) -> list[tuple[El, ...]]:
     return out
 
 
-def cycle_positions(
-    mapping: Mapping[El, El], keys: Iterable[El]
-) -> dict[El, tuple[tuple[El, ...], int]]:
-    """Each key's cycle under the permutation ``mapping`` and its position
-    in that cycle, in ``keys`` order."""
-    where = {x: (cycle, pos) for cycle in cycles(mapping) for pos, x in enumerate(cycle)}
-    return {x: where[x] for x in keys}
-
-
-def rotate(positions: Mapping[El, tuple[tuple[El, ...], int]], k: int) -> dict:
-    """The permutation behind ``positions`` applied ``k`` times (``k`` may
-    be negative): every key moves ``k`` steps along its cycle."""
-    return {x: cycle[(pos + k) % len(cycle)] for x, (cycle, pos) in positions.items()}
-
-
 @dataclass(frozen=True)
 class GroupoidAutomorphism:
     groupoid: FiniteGroupoid
@@ -650,7 +635,9 @@ class GroupoidAutomorphism:
 
     @cached_property
     def _positions(self) -> dict:
-        return cycle_positions(self.mapping, self.groupoid.elements)
+        """Each element's cycle and its position there, in element order."""
+        where = {x: (cycle, pos) for cycle in cycles(self.mapping) for pos, x in enumerate(cycle)}
+        return {x: where[x] for x in self.groupoid.elements}
 
     @cached_property
     def _powers(self) -> dict[int, "GroupoidAutomorphism"]:
@@ -658,7 +645,7 @@ class GroupoidAutomorphism:
 
     @cached_property
     def _order(self) -> int:
-        return math.lcm(*map(len, cycles(self.mapping)))
+        return math.lcm(*{len(cycle) for cycle, _ in self._positions.values()})
 
     def power(self, k: int) -> "GroupoidAutomorphism":
         """alpha^k, built once per residue of ``k`` modulo the order and
@@ -666,8 +653,8 @@ class GroupoidAutomorphism:
         k %= self._order
         power = self._powers.get(k)
         if power is None:
-            power = GroupoidAutomorphism(self.groupoid, rotate(self._positions, k))
-            self._powers[k] = power
+            rotated = {x: c[(pos + k) % len(c)] for x, (c, pos) in self._positions.items()}
+            power = self._powers[k] = GroupoidAutomorphism(self.groupoid, rotated)
         return power
 
     def order(self) -> int:

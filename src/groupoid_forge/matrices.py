@@ -1,7 +1,9 @@
 """Small exact linear algebra over the integers and rationals.
 
 Matrices are immutable tuples of tuples of Python ints (arbitrary precision),
-so telescoped products never overflow.  Rank computations run over the
+so telescoped products never overflow.  The products and the transpose take
+any exact entries that add and multiply with ints, such as the Gaussian
+rationals of the regular representation.  Rank computations run over the
 rationals with ``fractions.Fraction``; nothing here ever touches a float.
 """
 

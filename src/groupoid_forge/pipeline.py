@@ -426,6 +426,16 @@ def plan_rank2_realization(
     )
 
 
+def plan_report(kind: str, source: dict, **options) -> RealizationReport:
+    """Read the JSON input of an ``"af"`` or ``"rank2"`` report and plan it
+    with the planner's keyword ``options``; another kind is refused."""
+    if kind == "af":
+        return plan_af_realization(diagram_from_json(source), **options)
+    if kind == "rank2":
+        return plan_rank2_realization(rank2_data_from_json(source)[0], **options)
+    raise PipelineInputError(f"unknown report kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # Report re-verification
 # ---------------------------------------------------------------------------
@@ -463,9 +473,9 @@ def first_wrong_field(report_json: dict) -> str | None:
     ``wfc.details.witness_level_per_shift.7`` or ``lc.entries.3.l``; None
     when every field checks.
 
-    Both kinds take one path: read the echoed input, plan it with the
-    recorded parameters, and name the first field, in key order, where the
-    fresh report and the given one differ.  An AF plan is one growth search
+    Both kinds take one path: ``plan_report`` reads and plans the echoed
+    input with the recorded parameters, and the first field, in key order,
+    where the fresh report and the given one differ is named.  An AF plan is one growth search
     with every other field read off its chains in closed form (see
     ``plan_af_realization``), so an AF report is checked from its witnesses;
     a rank-2 plan runs only the checks its telescope leaves open (see
@@ -495,11 +505,7 @@ def first_wrong_field(report_json: dict) -> str | None:
         options.update((k, params[k]) for k in PLAN_PARAMETERS if k in params)
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
-    if kind == "af":
-        fresh = plan_af_realization(diagram_from_json(source), **options)
-    else:
-        fresh = plan_rank2_realization(rank2_data_from_json(source)[0], **options)
-    return _first_difference(fresh.to_json(), report_json, "")
+    return _first_difference(plan_report(kind, source, **options).to_json(), report_json, "")
 
 
 def verify_report_json(report_json: dict) -> bool:

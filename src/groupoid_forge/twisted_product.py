@@ -192,10 +192,12 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
     on a rank-2 diagram, for the F^{m_n} automorphism its ``orders`` are,
     through the order inequality and bounded congruences at every edge
-    level, with red offsets up to the shift bound.  The certificate's depth
-    is the last edge level, ``orders.max_edge_level()``.  (The AF planner
-    reads its certificate off the growth chains in closed form.)  A shift
-    bound below 1 certifies nothing and raises ``ValueError``.
+    level.  It covers shifts 1 <= l <= L and red offsets 0 <= s <= L, L the
+    shift bound; negative offsets and offsets past L, such as (23, 734) on
+    constant-2 at depth 5, are not checked.  The certificate's depth is the
+    last edge level, ``orders.max_edge_level()``.  (The AF planner reads its
+    certificate off the growth chains in closed form.)  A shift bound below
+    1 certifies nothing and raises ``ValueError``.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")

@@ -128,6 +128,24 @@ def contains_germ(b: BasicBisection, triple: tuple[PathWord, int, PathWord]) -> 
     return not tx or tx[0] not in b.excluded
 
 
+def prefix_basic_subset(a: BasicBisection, b: BasicBisection) -> bool:
+    """a <= b by the prefix criterion ``basic_subset`` used before it became
+    an intersection test: equal degrees, one common suffix mu taking b's
+    words to a's, and mu's first edge outside b's excluded set (for mu
+    empty, b's excluded set inside a's)."""
+    if a.degree != b.degree:
+        return False
+    if not (b.range_word.is_prefix_of(a.range_word) and b.source_word.is_prefix_of(a.source_word)):
+        return False
+    mu_r = a.range_word.edges[len(b.range_word.edges):]
+    mu_s = a.source_word.edges[len(b.source_word.edges):]
+    if mu_r != mu_s:
+        return False
+    if not mu_r:
+        return b.excluded <= a.excluded
+    return mu_r[0] not in b.excluded
+
+
 def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bool:
     """Membership of a germ in the set product a.b, decided by factoring
     through a (unique since a is a bisection)."""
@@ -156,6 +174,15 @@ def symbolic_difference(a: SymbolicConvElement, b: SymbolicConvElement) -> Symbo
     for key, c in b.coeffs.items():
         merged[key] = merged.get(key, ZERO) - c
     return SymbolicConvElement(a.model, merged)
+
+
+def rotated_power_mapping(alpha, k: int) -> dict:
+    """alpha^k as ``GroupoidAutomorphism.power`` built it from two cycle
+    walks: each element's cycle and position, keyed in element order, moved
+    ``k`` steps along its cycle."""
+    where = {x: (cycle, pos) for cycle in cycles(alpha.mapping) for pos, x in enumerate(cycle)}
+    positions = {x: where[x] for x in alpha.groupoid.elements}
+    return {x: cycle[(pos + k) % len(cycle)] for x, (cycle, pos) in positions.items()}
 
 
 def brute_orbit(apply_fn, start) -> list:
@@ -1031,6 +1058,21 @@ def determinant(entries):
                 factor = rows[r][col] / inv
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
+
+
+def looped_matmul(m: RegRepMatrix, other: RegRepMatrix) -> tuple:
+    """The entries of m @ other by the triple loop ``RegRepMatrix.matmul``
+    ran before it called ``matrices.mat_mul``: each sum starts at ZERO."""
+    a, b, n = m.entries, other.entries, len(m.basis)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)) for i in range(n)
+    )
+
+
+def looped_dagger(m: RegRepMatrix) -> tuple:
+    """The entries of the conjugate transpose, by index."""
+    n = len(m.basis)
+    return tuple(tuple(m.entries[j][i].conjugate() for j in range(n)) for i in range(n))
 
 
 def is_psd_hermitian(m: RegRepMatrix) -> bool:

@@ -334,6 +334,30 @@ class TestCertify:
         assert main(argv + ["--out", str(out)]) == 0
         assert json.loads(out.read_text()) == expected.to_json()
 
+    @pytest.mark.parametrize(
+        "what, flags, named",
+        [
+            ("lc", ["--input", "{af}", "--depth", "9", "--rank2"], "--depth"),
+            ("lc", ["--input", "{af}", "--lbound", "3"], "--lbound"),
+            ("lc", ["--input", "{af}", "--rank2"], "--rank2"),
+            ("contract", ["--input", "x.json", "--lbound", "3"], "--input"),
+            ("contract", ["--depth", "2"], "--depth"),
+            ("contract", ["--lbound", "3"], "--lbound"),
+            ("contract", ["--rank2"], "--rank2"),
+        ],
+        ids=[
+            "lc-depth", "lc-lbound", "lc-rank2",
+            "contract-input", "contract-depth", "contract-lbound", "contract-rank2",
+        ],
+    )
+    def test_an_option_the_certificate_does_not_read_exits_two(
+        self, what, flags, named, diagram_file, capsys
+    ):
+        argv = ["certify", what, *(flag.format(af=diagram_file) for flag in flags)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"certify {what} does not read {named}" in err
+
     def test_contract(self, capsys):
         # the witness over the fixed window, byte for byte
         assert main(["certify", "contract"]) == 0
@@ -706,8 +730,15 @@ class TestMalformedCommandLine:
             (["ktheory", "{af}", "--class", "0:", "--op", "positive"], "expected level:"),
             (["certify", "wfc"], "certify wfc needs --input"),
             (["certify", "lc"], "certify lc needs --input"),
+            (["certify", "lc", "--input", "{af}", "--depth", "3"], "does not read --depth"),
         ],
-        ids=["ktheory-no-class", "ktheory-empty-class", "certify-wfc-no-input", "certify-lc-no-input"],
+        ids=[
+            "ktheory-no-class",
+            "ktheory-empty-class",
+            "certify-wfc-no-input",
+            "certify-lc-no-input",
+            "certify-lc-depth",
+        ],
     )
     def test_exit_two_with_a_message(self, command, message, diagram_file):
         self.assert_exit_two([arg.format(af=diagram_file) for arg in command], message)

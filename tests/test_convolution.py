@@ -46,7 +46,15 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
 )
 from groupoid_forge.twisted_product import bouquet_twisted_product
-from helpers import bouquet_germs, contains_germ, determinant, is_psd_hermitian
+from helpers import (
+    bench_inputs,
+    bouquet_germs,
+    contains_germ,
+    determinant,
+    is_psd_hermitian,
+    looped_dagger,
+    looped_matmul,
+)
 
 BQ = InfiniteBouquet()
 
@@ -138,6 +146,33 @@ class TestRegularRepresentation:
             assert left.entries == right.entries
             star = regular_representation(G, u, involution(xi))
             assert star.entries == regular_representation(G, u, xi).dagger().entries
+
+    def test_product_and_adjoint_match_the_index_loops(self):
+        # the regular-representation pairs of the finite_twist benchmark at
+        # seed 0; entries compared by value and by type
+        def typed(entries):
+            return [[(type(x), x) for x in row] for row in entries]
+
+        for G, u, xi, eta in bench_inputs().representation_pairs(0):
+            m_x = regular_representation(G, u, FiniteConvElement(G, xi))
+            m_y = regular_representation(G, u, FiniteConvElement(G, eta))
+            assert typed(m_x.matmul(m_y).entries) == typed(looped_matmul(m_x, m_y))
+            assert typed(m_x.dagger().entries) == typed(looped_dagger(m_x))
+
+    def test_each_composable_pair_is_multiplied_once(self, monkeypatch):
+        G = full_relation(range(3))
+        xi = FiniteConvElement(G, {g: gauss(1) for g in G.elements})
+        products = []
+        mul = type(G).mul
+
+        def counted(self, g, h):
+            products.append((g, h))
+            return mul(self, g, h)
+
+        monkeypatch.setattr(type(G), "mul", counted)
+        regular_representation(G, (0, 0), xi)
+        # three basis elements, each composable with the three elements ending at its range
+        assert len(products) == len(set(products)) == 9
 
     def test_symbolic_backend_rejected(self):
         model = swap_model()

@@ -31,6 +31,7 @@ from helpers import (
     bouquet_germs,
     bouquet_words,
     contains_germ,
+    prefix_basic_subset,
     product_member_oracle,
     sum_contains,
 )
@@ -152,6 +153,42 @@ class TestIntersectionDifference:
         withf = bq_bis([1], [1], excl=(2,))
         assert not basic_subset(a, withf)
         assert basic_subset(bq_bis([1, 3], [1, 3]), withf)
+
+    def test_subset_is_the_prefix_criterion_on_a_grid(self):
+        # every ordered pair of bisections with words of length 0-2 over
+        # e0..e2, excluded sets of size 0-2 and degree 0 or 1; a germ of a
+        # outside b has a tail of at most one edge, so germs over words of
+        # length 3 decide inclusion
+        edges = [BQ.edge(i) for i in range(3)]
+        excluded = [frozenset(f) for k in range(3) for f in itertools.combinations(edges, k)]
+        words = bouquet_words(3, 2)
+        grid = [
+            BasicBisection(x, y, f)
+            for x in words
+            for y in words
+            if len(x) - len(y) in (0, 1)
+            for f in excluded
+        ]
+        germs = bouquet_germs(3, 3)
+        members = {
+            b: sum(1 << i for i, germ in enumerate(germs) if contains_germ(b, germ)) for b in grid
+        }
+        included = 0
+        for a in grid:
+            for b in grid:
+                expected = members[a] & ~members[b] == 0
+                assert basic_subset(a, b) == prefix_basic_subset(a, b) == expected, (a, b)
+                included += expected
+        assert {b.degree for b in grid} == {0, 1} and 0 < included < len(grid) ** 2
+
+    def test_difference_is_empty_exactly_on_inclusion(self):
+        words = bouquet_words(2, 2)
+        edges = [BQ.edge(i) for i in range(2)]
+        excluded = [frozenset(), frozenset(edges[:1]), frozenset(edges)]
+        grid = [BasicBisection(x, y, f) for x in words for y in words for f in excluded]
+        for a in grid:
+            for b in grid:
+                assert (difference_basic(a, b) == ()) == prefix_basic_subset(a, b), (a, b)
 
     def test_disjoint_sum_preserves_membership(self):
         # canonical_pieces with coefficient-1 pieces rewrites a family as a

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from groupoid_forge import groupoid_core
 from groupoid_forge.groupoid_core import (
     Cocycle,
     FiniteGroupoid,
@@ -39,6 +40,7 @@ from helpers import (
     cartesian_product,
     is_minimal,
     product_with_full_relation,
+    rotated_power_mapping,
 )
 
 
@@ -488,3 +490,24 @@ class TestCycles:
             assert a.order() == math.lcm(
                 *(brute_orbit_length(a, g) for g in G.elements)
             )
+
+    def test_power_matches_the_rotated_cycle_positions(self):
+        # the seed-0 automorphisms of the finite_twist benchmark, key order included
+        for _, _, _, alpha in bench_inputs().twisted_instances(0):
+            assert alpha.order() == math.lcm(*map(len, cycles(alpha.mapping)))
+            for k in range(alpha.order() + 1):
+                expected = rotated_power_mapping(alpha, k)
+                assert list(alpha.power(k).mapping.items()) == list(expected.items())
+
+    def test_one_cycle_walk_per_automorphism(self, monkeypatch):
+        walks = []
+
+        def counted(mapping):
+            walks.append(mapping)
+            return cycles(mapping)
+
+        monkeypatch.setattr(groupoid_core, "cycles", counted)
+        G = full_relation(range(4))
+        a = relation_automorphism(G, {0: 1, 1: 0, 2: 3, 3: 2})
+        assert [a.order(), a.power(1).mapping, a.power(-1).mapping] == [2, a.mapping, a.mapping]
+        assert walks == [a.mapping]

@@ -21,6 +21,7 @@ from groupoid_forge.pipeline import (
     first_wrong_field,
     plan_af_realization,
     plan_rank2_realization,
+    plan_report,
     unit_corner_spec,
     verify_report_json,
 )
@@ -203,6 +204,31 @@ class TestReportParameters:
         blob["parameters"]["unit_class"] = [0, [1]]
         with pytest.raises(PipelineInputError, match="unit_class"):
             verify_report_json(blob)
+
+
+class TestPlanReport:
+    @pytest.mark.parametrize(
+        "kind, plan, data",
+        [
+            ("af", plan_af_realization, constant_diagram(2)),
+            ("rank2", plan_rank2_realization, CONSTANT2),
+        ],
+        ids=["af", "rank2"],
+    )
+    def test_reads_and_plans_each_kind(self, kind, plan, data):
+        options = {"unit_class": (0, [1]), "depth": 4, "lbound": 6}
+        expected = plan(data, **options).to_json()
+        assert plan_report(kind, data.to_json(), **options).to_json() == expected
+
+    @pytest.mark.parametrize("kind", ["AF", "rank-2", "", None, 2])
+    def test_refuses_an_unknown_kind_as_the_checker_does(self, kind):
+        # no other kind is planned as rank-2 data
+        report = plan_af_realization(constant_diagram(2)).to_json() | {"kind": kind}
+        with pytest.raises(PipelineInputError) as checked:
+            first_wrong_field(report)
+        with pytest.raises(PipelineInputError) as planned:
+            plan_report(kind, report["input"])
+        assert str(planned.value) == str(checked.value) == f"unknown report kind {kind!r}"
 
 
 class TestLevelCap:
