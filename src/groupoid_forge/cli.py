@@ -144,7 +144,23 @@ def _axiomatic_groupoid(path: str):
     return G
 
 
+# The options a command does not read, in the parser's order; each is refused.
+_UNREAD = {
+    "twist --H hinf": ("cocycle", "out"),
+    "certify lc": ("depth", "lbound", "rank2"),
+    "certify contract": ("input", "depth", "lbound", "rank2"),
+}
+
+
+def _refuse_unread(args, command: str) -> None:
+    unread = [k for k in _UNREAD.get(command, ()) if getattr(args, k) not in (None, False)]
+    if unread:
+        raise ValueError(f"{command} does not read --{unread[0]}")
+
+
 def cmd_twist(args) -> int:
+    if args.H == "hinf":
+        _refuse_unread(args, "twist --H hinf")
     G = _axiomatic_groupoid(args.G)
     alpha = _alpha_for(args.alpha, G)
     if args.H == "hinf":
@@ -155,7 +171,7 @@ def cmd_twist(args) -> int:
         )
         return 0
     H = _axiomatic_groupoid(args.H)
-    if args.cocycle == "zero":
+    if args.cocycle in (None, "zero"):
         c = zero_cocycle(H)
     else:
         c = cocycle_from_json(H, _load_json(args.cocycle))
@@ -167,14 +183,8 @@ def cmd_twist(args) -> int:
     return 0 if report.passed else 1
 
 
-# The options a certificate does not read, in the parser's order; each is refused.
-_UNREAD = {"lc": ("depth", "lbound", "rank2"), "contract": ("input", "depth", "lbound", "rank2")}
-
-
 def cmd_certify(args) -> int:
-    unread = [k for k in _UNREAD.get(args.what, ()) if getattr(args, k) not in (None, False)]
-    if unread:
-        raise ValueError(f"certify {args.what} does not read --{unread[0]}")
+    _refuse_unread(args, f"certify {args.what}")
     if args.what != "contract" and args.input is None:
         raise ValueError(f"certify {args.what} needs --input")
     if args.what == "wfc":
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--H", required=True, help="groupoid file or the literal 'hinf'")
     tw.add_argument("--G", required=True)
     tw.add_argument("--alpha", required=True, help="identity | cycle[:k] | multiplier:a | file")
-    tw.add_argument("--cocycle", default="zero")
+    tw.add_argument("--cocycle", help="zero (the default) | file")
     tw.add_argument("--out")
     tw.set_defaults(fn=cmd_twist)
 

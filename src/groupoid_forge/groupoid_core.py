@@ -3,8 +3,8 @@
 Elements are opaque hashable ids and composition is a table, not a formula;
 twisted products, restrictions and stabilizations all reuse this single
 backend.  The table is any mapping (g, h) -> gh: factories hand over dicts,
-and twisted products are born as a ``RowTable`` of integer rows over their
-element positions, which the axiom check reads without re-encoding.
+and twisted products, built on element positions, hand over a ``RowTable``
+of integer rows, which the axiom check reads without re-encoding.
 Everything is immutable and every check is complete: each axiom is decided
 for every element, pair and triple.  Associativity of a table whose products
 all exist with the right range and source is decided on the rows of a
@@ -126,9 +126,6 @@ class FiniteGroupoid:
 
     def elements_with_source(self, u: El) -> tuple[El, ...]:
         return tuple(self.elements[i] for i in self._index.by_source.get(u, ()))
-
-    def elements_with_range(self, u: El) -> tuple[El, ...]:
-        return tuple(self.elements[i] for i in self._index.by_range.get(u, ()))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -676,8 +673,11 @@ def relation_automorphism(
 
 
 def cyclic_multiplier_automorphism(G: FiniteGroupoid, a: int) -> GroupoidAutomorphism:
-    """k -> a*k mod n on a cyclic group groupoid; needs gcd(a, n) = 1."""
+    """k -> a*k mod n on a cyclic group groupoid; needs gcd(a, n) = 1 and
+    the elements 0..n-1."""
     n = len(G.elements)
+    if set(G.elements) != set(range(n)):
+        raise ValueError("a multiplier automorphism needs G's elements to be 0..n-1")
     if math.gcd(a, n) != 1:
         raise ValueError("multiplier must be invertible mod n")
     return GroupoidAutomorphism(G, {k: (a * k) % n for k in G.elements})

@@ -7,16 +7,16 @@ groupoid G carrying an automorphism a has elements (h, g),
     (h1, g1)(h2, g2) = (h1 h2, g1 a^{-c(h1)}(g2)),
     (h, g)^{-1} = (h^{-1}, a^{c(h)}(g^{-1})).
 
-Finite x finite instances are born as integer composition rows over their
-element positions (a ``groupoid_core.RowTable``).  The twisted product of
-the infinite bouquet groupoid (with its degree cocycle) and a finite G is
-never materialized: elements are (germ, element) pairs, and set-level
-claims are decided by the basic-bisection calculus.
+Finite x finite instances are computed on element positions: integer
+structure maps, and integer composition rows (a ``groupoid_core.RowTable``).
+The twisted product of the infinite bouquet groupoid (with its degree
+cocycle) and a finite G is never materialized: elements are (germ, element)
+pairs, and set-level claims are decided by the basic-bisection calculus.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
@@ -46,6 +46,7 @@ from .groupoid_core import (
 )
 from .matrices import mat_mul
 from .rank2_diagrams import CanonicalOrders, Rank2Path
+from .validation import StructuralError
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -60,20 +61,20 @@ class TwistedProduct(NamedTuple):
     finite_form: FiniteGroupoid
 
 
-def _g_part_rows(
-    G: FiniteGroupoid, position: dict, back: GroupoidAutomorphism
-) -> list[tuple[list[int], list[int]]]:
-    """For each position p1 of G, the positions p2 of the g2 composable with
-    g1 = G.elements[p1] after ``back`` (r(back(g2)) = s(g1)) and the positions
-    of g1·back(g2), as two lists in increasing p2."""
-    rows: list[tuple[list[int], list[int]]] = [([], []) for _ in G.elements]
-    for p2, g2 in enumerate(G.elements):
-        g2_back = back(g2)
-        for g1 in G.elements_with_source(G.r(g2_back)):
-            keys, values = rows[position[g1]]
-            keys.append(p2)
-            values.append(position[G.mul(g1, g2_back)])
-    return rows
+def _on_positions(X: FiniteGroupoid, name: str):
+    """X's range, source and inverse maps as position lists, and each x's
+    products {pos(y): pos(xy)} over the y with r(y) = s(x).  A value outside
+    X's elements or a missing product raises ``StructuralError`` naming X."""
+    els, (pos, by_range, _) = X.elements, X._index
+    try:
+        r, s, inv = ([pos[f[x]] for x in els] for f in (X.range_map, X.source_map, X.inverse_map))
+        comp = X.composition
+        products = [
+            {j: pos[comp[x, els[j]]] for j in by_range.get(els[t], ())} for x, t in zip(els, s)
+        ]
+    except KeyError as exc:
+        raise StructuralError(f"factor {name} has no element or product {exc.args[0]!r}") from None
+    return r, s, inv, products
 
 
 def twisted_product(
@@ -81,48 +82,46 @@ def twisted_product(
 ) -> TwistedProduct:
     """Materialize the twisted product of two finite groupoids.
 
-    The product is born as integer rows: (h, g) sits at position
-    pos_H(h)·|G| + pos_G(g), in the order of ``elements``.  The G-part
-    g1·alpha^{-k}(g2) of a product depends on h1 only through k = c(h1), so
-    it is tabulated once per exponent, and each composable pair (h1, h2)
-    of H then fills its block of the composition rows from that table.
+    It is built on element positions: (h, g) sits at pos_H(h)·|G| + pos_G(g).
+    The factors' maps, and alpha^k for each distinct exponent k = c(h), are
+    position lists; the product's range, source and inverse are sums of
+    them, such as pos_H(s(h))·|G| + pos_G(alpha^k(s(g))), read off as its own
+    elements.  The G-part g1·alpha^{-k}(g2) of a product is tabulated once
+    per k as position pairs, and each composition row is one comprehension
+    over its h1's (h2, h1h2) offsets and those pairs, columns in increasing
+    position.  A factor whose maps leave its elements raises
+    ``StructuralError`` naming it.
     """
-    c_report = c.validate()
-    if not c_report.passed:
-        raise ValueError(f"invalid cocycle:\n{c_report.describe()}")
-    a_report = alpha.validate()
-    if not a_report.passed:
-        raise ValueError(f"invalid automorphism:\n{a_report.describe()}")
+    hr, hs, hinv, h_products = _on_positions(H, "H")
+    gr, gs, ginv, g_products = _on_positions(G, "G")
+    for what, check in (("cocycle", c.validate), ("automorphism", alpha.validate)):
+        report = check()
+        if not report.passed:
+            raise ValueError(f"invalid {what}:\n{report.describe()}")
 
-    elements = tuple((h, g) for h in H.elements for g in G.elements)
-    units = frozenset((u, w) for u in H.units for w in G.units)
-    rng = {(h, g): (H.r(h), G.r(g)) for (h, g) in elements}
-    exponent = {h: c(h) for h in H.elements}
-    powers = {k: alpha.power(k).mapping for k in set(exponent.values())}
-    twist = {h: powers[k] for h, k in exponent.items()}
-    src = {(h, g): (H.s(h), twist[h][G.s(g)]) for (h, g) in elements}
-    inv = {(h, g): (H.inv(h), twist[h][G.inv(g)]) for (h, g) in elements}
+    m, at = len(G.elements), G._index.position
+    exponents = list(map(c, H.elements))
+    s_twist, inv_twist, g_part = {}, {}, {}  # by exponent k
+    for k in set(exponents):
+        maps = alpha.power(k).mapping, alpha.power(-k).mapping
+        power, back = ([at[a[g]] for g in G.elements] for a in maps)
+        s_twist[k], inv_twist[k] = [power[q] for q in gs], [power[q] for q in ginv]
+        g_part[k] = [[(p2, row[q]) for p2, q in enumerate(back) if q in row] for row in g_products]
 
-    m = len(G.elements)
-    h_position, g_position = H._index.position, G._index.position
-    g_part: dict[int, list[tuple[list[int], list[int]]]] = {}
-    rows: list[dict[int, int]] = [{} for _ in elements]
-    for i1, h1 in enumerate(H.elements):
-        k = exponent[h1]
-        table = g_part.get(k)
-        if table is None:
-            table = g_part[k] = _g_part_rows(G, g_position, alpha.power(-k))
-        block = rows[i1 * m : (i1 + 1) * m]
-        for h2 in H.elements_with_range(H.s(h1)):
-            o2 = h_position[h2] * m
-            o12 = h_position[H.mul(h1, h2)] * m
-            for row, (keys, values) in zip(block, table):
-                row.update(zip(map(o2.__add__, keys), map(o12.__add__, values)))
-
-    position = {x: i for i, x in enumerate(elements)}
-    composition = RowTable(elements, position, rows)
-    finite = FiniteGroupoid(elements, units, rng, src, composition, inv)
-    return TwistedProduct(H, c, G, alpha, finite)
+    elements = tuple(product(H.elements, G.elements))
+    rng = [i * m + p for i in hr for p in gr]
+    src = [i * m + p for i, k in zip(hs, exponents) for p in s_twist[k]]
+    inv = [i * m + p for i, k in zip(hinv, exponents) for p in inv_twist[k]]
+    rng, src, inv = (dict(zip(elements, map(elements.__getitem__, pos))) for pos in (rng, src, inv))
+    offsets = [[(j * m, k * m) for j, k in row.items()] for row in h_products]
+    rows = [
+        {o2 + p2: o12 + p12 for o2, o12 in offs for p2, p12 in pairs}
+        for offs, k in zip(offsets, exponents)
+        for pairs in g_part[k]
+    ]
+    composition = RowTable(elements, dict(zip(elements, range(len(elements)))), rows)
+    units = frozenset(product(H.units, G.units))
+    return TwistedProduct(H, c, G, alpha, FiniteGroupoid(elements, units, rng, src, composition, inv))
 
 
 class BouquetTwistedProduct(NamedTuple):

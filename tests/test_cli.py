@@ -175,9 +175,47 @@ class TestGroupoid:
         assert "--alpha cycle needs G to be a relation" in err
         assert "Traceback" not in err
 
+    def test_twist_multiplier_needs_cyclic_elements(self, groupoid_file, capsys):
+        # the elements of the full relation on two points are pairs, not 0..3;
+        # multiplying them used to raise TypeError
+        argv = ["twist", "--H", groupoid_file, "--G", groupoid_file, "--alpha", "multiplier:3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "multiplier automorphism needs G's elements to be 0..n-1" in err
+        assert "Traceback" not in err
+
     def test_twist_bouquet(self, groupoid_file, capsys):
         assert main(["twist", "--H", "hinf", "--G", groupoid_file, "--alpha", "identity"]) == 0
         assert "bouquet" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--cocycle", "missing.json"], "--cocycle"),
+            (["--cocycle", "zero"], "--cocycle"),
+            (["--out", "{out}"], "--out"),
+            (["--out", "{out}", "--cocycle", "missing.json"], "--cocycle"),
+        ],
+        ids=["cocycle-file", "cocycle-zero", "out", "out-and-cocycle"],
+    )
+    def test_twist_bouquet_refuses_an_option_it_does_not_read(
+        self, flags, named, groupoid_file, tmp_path, capsys
+    ):
+        out = tmp_path / "product.json"
+        argv = ["twist", "--H", "hinf", "--G", groupoid_file, "--alpha", "identity"]
+        assert main(argv + [flag.format(out=out) for flag in flags]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"twist --H hinf does not read {named}" in err
+        assert not out.exists()
+
+    def test_twist_cocycle_defaults_to_zero(self, groupoid_file, tmp_path):
+        dumps = []
+        for extra in ([], ["--cocycle", "zero"]):
+            out = tmp_path / f"product{len(extra)}.json"
+            argv = ["twist", "--H", groupoid_file, "--G", groupoid_file, "--alpha", "cycle"]
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            dumps.append(out.read_text())
+        assert dumps[0] == dumps[1]
 
     @pytest.mark.parametrize("dump", ["H", "G"])
     def test_twist_refuses_a_dump_that_fails_an_axiom(self, dump, groupoid_file, tmp_path, capsys):

@@ -61,6 +61,7 @@ from groupoid_forge.twisted_product import (
     reverify_contracting_witness,
     twisted_product,
 )
+from groupoid_forge.validation import StructuralError
 
 BQ = InfiniteBouquet()
 
@@ -227,6 +228,40 @@ class TestBornIndexedProduct:
             # the positions the dict build indexes afresh
             assert F._index.position is F.composition.position
             assert F._index == D._index
+
+    def test_table_and_map_order_match_dict_build(self):
+        # list(F.composition) runs row by row, each row's columns in
+        # increasing position: the order in which Cocycle.validate,
+        # GroupoidAutomorphism.validate and the axiom check report pairs
+        items = bench_inputs().twisted_instances(0)
+        assert len(items) == 100
+        for H, c, G, alpha in [*_oracle_instances(), *items]:
+            F = twisted_product(H, c, G, alpha).finite_form
+            D = dict_twisted_product(H, c, G, alpha)
+            pos = F.composition.position
+            pairs = sorted(D.composition, key=lambda pair: (pos[pair[0]], pos[pair[1]]))
+            assert list(F.composition.items()) == [(p, D.composition[p]) for p in pairs]
+            for name in ("range_map", "source_map", "inverse_map"):
+                assert list(getattr(F, name).items()) == list(getattr(D, name).items())
+
+    @pytest.mark.parametrize("factor", ["H", "G"])
+    @pytest.mark.parametrize("defect", ["range", "inverse", "product-outside", "product-missing"])
+    def test_a_factor_leaving_its_elements_is_refused(self, factor, defect):
+        X = full_relation(range(2))
+        maps = {"range": dict(X.range_map), "inverse": dict(X.inverse_map)}
+        comp = dict(X.composition)
+        if defect in maps:
+            maps[defect][(0, 1)] = (5, 5)
+        elif defect == "product-outside":
+            comp[(0, 0), (0, 1)] = (5, 5)
+        else:
+            del comp[(0, 0), (0, 1)]
+        bad = build_groupoid(
+            X.elements, X.units, maps["range"], X.source_map, comp, maps["inverse"]
+        )
+        H, G = (bad, X) if factor == "H" else (X, bad)
+        with pytest.raises(StructuralError, match=f"^factor {factor} has no element or product"):
+            twisted_product(H, zero_cocycle(H), G, identity_automorphism(G))
 
     def test_one_power_per_distinct_exponent(self, monkeypatch):
         # alpha^k for the source and inverse maps, alpha^-k for the G-part
