@@ -111,6 +111,10 @@ def canonical_pieces(
     first overlap both sides are cut by the exact intersection/difference
     calculus, the common part carries the sum of both coefficients and the
     rest of each side keeps its own.  Zero pieces are dropped at the end.
+
+    The scan passes over kept pieces of another degree with one int compare:
+    ``intersect_basic`` answers None for them at once, so the first overlap
+    found, and with it every split, is the one a full scan finds.
     """
     result: list[tuple[BasicBisection, Coeff]] = []
     queue = [(b, GaussianRational.of(c)) for b, c in pieces]
@@ -123,10 +127,12 @@ def canonical_pieces(
             )
         fuel -= 1
         p, c = queue.pop()
+        degree = p.degree
         for idx, (q, kept) in enumerate(result):
-            inter = intersect_basic(p, q)
-            if inter is not None:
-                break
+            if q.degree == degree:
+                inter = intersect_basic(p, q)
+                if inter is not None:
+                    break
         else:
             result.append((p, c))
             continue
@@ -173,11 +179,17 @@ class SymbolicConvElement:
 
     def __eq__(self, other) -> bool:
         """Equal as functions: ``self - other`` merged by key, then one
-        disjointification pass per G-element finds no nonzero piece."""
+        disjointification pass per G-element finds no nonzero piece.
+
+        Equal coefficient maps answer True at once: they are the same
+        function, so the difference walk could only find it zero.  Unequal
+        maps may still be one function cut two ways, and take the walk."""
         if not isinstance(other, SymbolicConvElement):
             return NotImplemented
         if self.model is not other.model:
             return False
+        if self.coeffs == other.coeffs:
+            return True
         diff = dict(self.coeffs)
         for key, c in other.coeffs.items():
             diff[key] = diff[key] - c if key in diff else -c
@@ -201,7 +213,13 @@ class SymbolicConvElement:
 
 
 def convolve(x, y):
-    """Exact convolution (xi * eta)(g) = sum over hk = g of xi(h) eta(k)."""
+    """Exact convolution (xi * eta)(g) = sum over hk = g of xi(h) eta(k).
+
+    On the symbolic backend a pair of pieces (b1, g1), (b2, g2) has a
+    product only when alpha^{deg b1}(s(g1)) = r(g2), so each piece of x
+    walks only the pieces of y with that range, in y's order: the products
+    made, and the order of the keys they land on, are those of the full
+    double loop."""
     _same_backend(x, y)
     if isinstance(x, FiniteConvElement):
         G = x.groupoid
@@ -214,17 +232,22 @@ def convolve(x, y):
         return FiniteConvElement(G, out)
     model = x.model
     G, power = model.g, model.alpha.power
+    source, composition = G.source_map, G.composition
+    by_range: dict[object, list[tuple[BasicBisection, object, Coeff]]] = {}
+    for (b2, g2), c2 in y.coeffs.items():
+        by_range.setdefault(G.range_map[g2], []).append((b2, g2, c2))
     pieces: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b1, g1), c1 in x.coeffs.items():
-        back = power(-b1.degree)
-        meets = power(b1.degree)(G.s(g1))
-        for (b2, g2), c2 in y.coeffs.items():
-            if meets != G.r(g2):
-                continue
+        partners = by_range.get(power(b1.degree).mapping[source[g1]])
+        if partners is None:
+            continue
+        back = power(-b1.degree).mapping
+        for b2, g2, c2 in partners:
             piece = bisection_product(b1, b2)
             if piece is not None:
-                key = (piece, G.mul(g1, back(g2)))
-                pieces[key] = pieces.get(key, ZERO) + c1 * c2
+                key = (piece, composition[g1, back[g2]])
+                c, earlier = c1 * c2, pieces.get(key)
+                pieces[key] = c if earlier is None else earlier + c
     return SymbolicConvElement(model, pieces)
 
 
@@ -237,11 +260,15 @@ def involution(x):
         )
     model = x.model
     power = model.alpha.power
-    out: dict[tuple[BasicBisection, object], Coeff] = {}
-    for (b, g), c in x.coeffs.items():
-        key = (b.inverse(), power(b.degree)(model.g.inv(g)))
-        out[key] = out.get(key, ZERO) + c.conjugate()
-    return SymbolicConvElement(model, out)
+    inv = model.g.inverse_map
+    # (b, g) -> (b^{-1}, alpha^{deg b}(g^{-1})) is one-to-one, so no key repeats
+    return SymbolicConvElement(
+        model,
+        {
+            (b.inverse(), power(b.degree).mapping[inv[g]]): c.conjugate()
+            for (b, g), c in x.coeffs.items()
+        },
+    )
 
 
 # Z(v, v) for the bouquet vertex v: the whole unit space, where the embedded
@@ -259,15 +286,21 @@ def iota_embed(f: FiniteConvElement, model: BouquetTwistedProduct) -> SymbolicCo
 
 
 def iota_inverse(x: SymbolicConvElement) -> FiniteConvElement:
-    """Invert the embedding; support escaping its image is a bug signal."""
-    out: dict[object, Coeff] = {}
+    """Invert the embedding; support escaping its image is a bug signal.
+
+    A canonical form may cut the unit space into several pieces, so the
+    keys alone do not decide membership: x is in the image exactly when it
+    equals iota of the coefficient of each G-element's first piece."""
+    f: dict[object, Coeff] = {}
     for (b, g), c in x.coeffs.items():
-        if b != FULL_UNIT_BISECTION:
-            raise InternalConsistencyError(
-                f"support escapes the embedded copy of the G-algebra: {render_bisection(b)}"
-            )
-        out[g] = out.get(g, ZERO) + c
-    return FiniteConvElement(x.model.g, out)
+        f.setdefault(g, c)
+    out = FiniteConvElement(x.model.g, f)
+    if iota_embed(out, x.model) != x:
+        escaping = next(b for b, _ in x.coeffs if b != FULL_UNIT_BISECTION)
+        raise InternalConsistencyError(
+            f"support escapes the embedded copy of the G-algebra: {render_bisection(escaping)}"
+        )
+    return out
 
 
 def generator_times(model: BouquetTwistedProduct, i: int, f: FiniteConvElement) -> SymbolicConvElement:

@@ -115,7 +115,10 @@ def bisection_product(a: BasicBisection, b: BasicBisection) -> BasicBisection | 
     """The exact set product {gh : g in a, h in b, s(g) = r(h)}.
 
     Decided by prefix comparison of b's range word against a's source word;
-    the result is a single basic bisection or empty (None).
+    the result is a single basic bisection or empty (None).  The extended
+    word is one ``PathWord`` on the joined edges, which checks every
+    consecutive pair; the prefix test has already made the suffix start
+    where the word it extends ends.
     """
     mu = _suffix(b.range_word, a.source_word)
     if mu is not None:
@@ -123,16 +126,12 @@ def bisection_product(a: BasicBisection, b: BasicBisection) -> BasicBisection | 
             return BasicBisection(a.range_word, b.source_word, a.excluded | b.excluded)
         if mu[0] in a.excluded:
             return None
-        return BasicBisection(
-            a.range_word.concat(path_from_edges(mu)), b.source_word, b.excluded
-        )
+        return BasicBisection(PathWord(a.range_word.edges + mu), b.source_word, b.excluded)
     nu = _suffix(a.source_word, b.range_word)
     if nu is not None and len(nu) >= 1:
         if nu[0] in b.excluded:
             return None
-        return BasicBisection(
-            a.range_word, b.source_word.concat(path_from_edges(nu)), a.excluded
-        )
+        return BasicBisection(a.range_word, PathWord(b.source_word.edges + nu), a.excluded)
     return None
 
 

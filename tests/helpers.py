@@ -18,7 +18,12 @@ from typing import Mapping
 from unittest.mock import patch
 
 from groupoid_forge import matrices
-from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
+from groupoid_forge.convolution_algebra import (
+    DISJOINTIFY_FUEL,
+    DisjointifyFuelExhausted,
+    RegRepMatrix,
+    SymbolicConvElement,
+)
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
@@ -29,7 +34,13 @@ from groupoid_forge.dimension_groups import (
     rank2_k_matrices,
 )
 from groupoid_forge.gaussian import ONE, ZERO, GaussianRational
-from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet
+from groupoid_forge.graph_groupoid import (
+    BasicBisection,
+    InfiniteBouquet,
+    bisection_product,
+    difference_basic,
+    intersect_basic,
+)
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     Edge,
@@ -174,6 +185,57 @@ def symbolic_difference(a: SymbolicConvElement, b: SymbolicConvElement) -> Symbo
     for key, c in b.coeffs.items():
         merged[key] = merged.get(key, ZERO) - c
     return SymbolicConvElement(a.model, merged)
+
+
+def scanned_canonical_pieces(pieces) -> dict:
+    """``canonical_pieces`` as a full scan: each piece is offered to
+    ``intersect_basic`` against every kept piece, whatever its degree."""
+    result = []
+    queue = [(b, GaussianRational.of(c)) for b, c in pieces]
+    fuel = DISJOINTIFY_FUEL
+    while queue:
+        if fuel == 0:
+            raise DisjointifyFuelExhausted(f"DISJOINTIFY_FUEL = {DISJOINTIFY_FUEL}")
+        fuel -= 1
+        p, c = queue.pop()
+        for idx, (q, kept) in enumerate(result):
+            inter = intersect_basic(p, q)
+            if inter is not None:
+                break
+        else:
+            result.append((p, c))
+            continue
+        replacement = [(piece, kept) for piece in difference_basic(q, inter)]
+        replacement.append((inter, kept + c))
+        result[idx:idx + 1] = replacement
+        queue.extend((piece, c) for piece in difference_basic(p, inter))
+    return {b: c for b, c in result if c}
+
+
+def paired_symbolic_convolve(x: SymbolicConvElement, y: SymbolicConvElement) -> dict:
+    """The coefficient map of the symbolic convolution x * y by the double
+    loop over every pair of pieces, each key's sum started at ZERO, then
+    each G-element's pieces put in disjoint form by
+    ``scanned_canonical_pieces``."""
+    model = x.model
+    G, power = model.g, model.alpha.power
+    pieces = {}
+    for (b1, g1), c1 in x.coeffs.items():
+        back = power(-b1.degree)
+        meets = power(b1.degree)(G.s(g1))
+        for (b2, g2), c2 in y.coeffs.items():
+            if meets != G.r(g2):
+                continue
+            piece = bisection_product(b1, b2)
+            if piece is not None:
+                key = (piece, G.mul(g1, back(g2)))
+                pieces[key] = pieces.get(key, ZERO) + c1 * c2
+    by_g = {}
+    for (b, g), c in pieces.items():
+        by_g.setdefault(g, []).append((b, c))
+    return {
+        (b, g): c for g, family in by_g.items() for b, c in scanned_canonical_pieces(family).items()
+    }
 
 
 def rotated_power_mapping(alpha, k: int) -> dict:

@@ -424,12 +424,22 @@ class TestCertify:
             assert err == "contracting witness FAILED re-verification\n"
 
 
+# sha256 of each identity's stdout: both sides' canonical forms through
+# ``describe()`` and the verdicts
+CONVOLVE_DEMO_SHA256 = {
+    "comp": "93d33e375f49c33bdad34584043715116b5284eb3c038f1764655815114d5748",
+    "comp2": "ac52877b679aa2fa03b9dc375b8c275fd955a38f3cf88ba16bd2b3115f6df931",
+    "right-action": "cd9ce86326c3168e3f36d17ea2baa992720461d0d74112998e73bae4b124eede",
+}
+
+
 class TestConvolveDemo:
     @pytest.mark.parametrize("identity", ["comp", "comp2", "right-action"])
     def test_identities_print_and_pass(self, identity, capsys):
         assert main(["convolve-demo", "--identity", identity]) == 0
         out = capsys.readouterr().out
         assert "lhs" in out and "rhs" in out and "True" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == CONVOLVE_DEMO_SHA256[identity]
 
 
 class TestKtheory:

@@ -36,7 +36,7 @@ from families import (
     rng_for,
     seeded_groupoids_for_representation,
 )
-from groupoid_forge.gaussian import gauss
+from groupoid_forge.gaussian import GaussianRational, gauss
 from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet, unit_bisection
 from groupoid_forge.groupoid_core import (
     cyclic_group_groupoid,
@@ -54,6 +54,8 @@ from helpers import (
     is_psd_hermitian,
     looped_dagger,
     looped_matmul,
+    paired_symbolic_convolve,
+    scanned_canonical_pieces,
 )
 
 BQ = InfiniteBouquet()
@@ -62,6 +64,28 @@ BQ = InfiniteBouquet()
 def swap_model():
     G = full_relation(range(2))
     return bouquet_twisted_product(G, relation_automorphism(G, {0: 1, 1: 0}))
+
+
+def pointwise_pairs(model) -> list[tuple[SymbolicConvElement, SymbolicConvElement]]:
+    """The twelve (x, y) pairs of two random pieces each whose product
+    ``test_convolution_pointwise`` evaluates germ by germ."""
+    rng = rng_for(31)
+    out = []
+    for _ in range(12):
+        pieces_x = {}
+        pieces_y = {}
+        for _ in range(2):
+            r = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
+            s = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
+            g = rng.choice(model.g.elements)
+            pieces_x[(BasicBisection(r, s), g)] = gauss(rng.randint(-2, 2), rng.randint(-1, 1))
+            r2 = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
+            s2 = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
+            pieces_y[(BasicBisection(r2, s2), rng.choice(model.g.elements))] = gauss(
+                rng.randint(-2, 2)
+            )
+        out.append((SymbolicConvElement(model, pieces_x), SymbolicConvElement(model, pieces_y)))
+    return out
 
 
 class TestGaussian:
@@ -211,6 +235,35 @@ class TestEmbedding:
         with pytest.raises(InternalConsistencyError):
             iota_inverse(x)
 
+    def test_a_unit_space_cut_in_two_is_in_the_image(self):
+        # 1[Z(v minus e0)] + 1[Z(e0)] is iota(delta(0, 0)) cut at e0
+        model = swap_model()
+        g = (0, 0)
+        x = SymbolicConvElement(
+            model,
+            {
+                (unit_bisection(BQ.unit(), {BQ.edge(0)}), g): gauss(1),
+                (unit_bisection(BQ.path([0])), g): gauss(1),
+            },
+        )
+        f = delta(model.g, g)
+        assert len(x.coeffs) == 2 and x == iota_embed(f, model)
+        assert iota_inverse(x) == f
+        assert module_inner_product(x, x) == f
+
+    @pytest.mark.parametrize("rest", [None, gauss(2)], ids=["partial", "uneven"])
+    def test_a_cover_that_misses_or_differs_escapes(self, rest):
+        model = swap_model()
+        g = (0, 0)
+        pieces = {(unit_bisection(BQ.unit(), {BQ.edge(0)}), g): gauss(1)}
+        if rest is not None:
+            pieces[(unit_bisection(BQ.path([0])), g)] = rest
+        x = SymbolicConvElement(model, pieces)
+        with pytest.raises(InternalConsistencyError, match="G-algebra: Z\\("):
+            iota_inverse(x)
+        with pytest.raises(InternalConsistencyError):
+            module_inner_product(iota_embed(delta(model.g, g), model), x)
+
 
 class TestModuleIdentities:
     """The three closed-form identities, exhaustive over i,j <= 3 and all
@@ -346,26 +399,9 @@ class TestSymbolicOracle:
         return total
 
     def test_convolution_pointwise(self):
-
         model = swap_model()
-        rng = rng_for(31)
         universe = bouquet_germs(3, 2)
-        words = None
-        for trial in range(12):
-            pieces_x = {}
-            pieces_y = {}
-            for _ in range(2):
-                r = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
-                s = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
-                g = rng.choice(model.g.elements)
-                pieces_x[(BasicBisection(r, s), g)] = gauss(rng.randint(-2, 2), rng.randint(-1, 1))
-                r2 = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
-                s2 = BQ.path([rng.randint(0, 2) for _ in range(rng.randint(0, 2))])
-                pieces_y[(BasicBisection(r2, s2), rng.choice(model.g.elements))] = gauss(
-                    rng.randint(-2, 2)
-                )
-            x = SymbolicConvElement(model, pieces_x)
-            y = SymbolicConvElement(model, pieces_y)
+        for trial, (x, y) in enumerate(pointwise_pairs(model)):
             z = convolve(x, y)
             for point_germ in universe[:60]:
                 for g in model.g.elements:
@@ -424,6 +460,31 @@ class TestCanonicalization:
         split = SymbolicConvElement(model, {(z_e0, g): gauss(5), (z_not_e0, g): gauss(5)})
         assert whole == split
 
+    def test_equal_maps_compare_without_splitting(self, monkeypatch):
+        model = swap_model()
+        x, y = pointwise_pairs(model)[0]
+        xy, again = convolve(x, y), convolve(x, y)
+        key = next(iter(xy.coeffs))
+        moved = SymbolicConvElement(model, {**xy.coeffs, key: xy.coeffs[key] + gauss(0, 1)})
+        calls = []
+        real_pieces, real_sub = convolution_algebra.canonical_pieces, GaussianRational.__sub__
+
+        def counted_pieces(pieces):
+            calls.append("canonical_pieces")
+            return real_pieces(pieces)
+
+        def counted_sub(a, b):
+            calls.append("__sub__")
+            return real_sub(a, b)
+
+        monkeypatch.setattr(convolution_algebra, "canonical_pieces", counted_pieces)
+        monkeypatch.setattr(GaussianRational, "__sub__", counted_sub)
+        # equal maps: no difference is formed and nothing is split
+        assert xy.coeffs and xy == again and not calls
+        # one coefficient apart: unequal maps take the difference walk
+        assert not (xy == moved)
+        assert "canonical_pieces" in calls and "__sub__" in calls
+
     def test_fuel_exhaustion_names_the_cap(self, monkeypatch):
         # Z(e0), Z(e1), Z(e2) take a step each, and Z(v) four more: one per
         # overlap it is cut at, and one for the rest Z(v \ {e0, e1, e2})
@@ -441,3 +502,35 @@ class TestCanonicalization:
             (gauss(0, -1), gauss(2)),
         )
         assert determinant(rows) == gauss(1)
+
+
+class TestPairOrderOracles:
+    """The range-bucketed pair loop and the same-degree overlap scan give
+    the coefficient maps of the full double loop and the full scan: the
+    same keys and values, in the same order."""
+
+    @staticmethod
+    def _check(x, y):
+        assert list(convolve(x, y).coeffs.items()) == list(paired_symbolic_convolve(x, y).items())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_triples(self, seed):
+        inputs = bench_inputs()
+        models = {m: bouquet_twisted_product(*inputs.shift_model_parts(m)) for m in (2, 3)}
+        for m, element_pieces in inputs.symbolic_triples(seed):
+            for pieces in element_pieces:
+                by_g = {}
+                for (b, g), c in pieces.items():
+                    by_g.setdefault(g, []).append((b, c))
+                for family in by_g.values():
+                    want = scanned_canonical_pieces(family)
+                    assert list(canonical_pieces(family).items()) == list(want.items())
+            x, y, z = (SymbolicConvElement(models[m], pieces) for pieces in element_pieces)
+            xy, yz = convolve(x, y), convolve(y, z)
+            for left, right in ((x, y), (xy, z), (y, z), (x, yz), (involution(y), involution(x))):
+                self._check(left, right)
+
+    def test_pointwise_grid(self):
+        for x, y in pointwise_pairs(swap_model()):
+            self._check(x, y)
+            self._check(y, x)
