@@ -50,10 +50,7 @@ class FiniteConvElement:
     def __post_init__(self):
         coeffs = {g: GaussianRational.of(c) for g, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {g: c for g, c in coeffs.items() if c})
-        members = self.groupoid._index.position
-        for g in self.coeffs:
-            if g not in members:
-                raise StructuralError(f"support element {g!r} outside the groupoid")
+        _check_support(self.groupoid, self.coeffs)
 
     def __call__(self, g) -> Coeff:
         return self.coeffs.get(g, ZERO)
@@ -62,6 +59,14 @@ class FiniteConvElement:
         if not isinstance(other, FiniteConvElement):
             return NotImplemented
         return self.groupoid is other.groupoid and dict(self.coeffs) == dict(other.coeffs)
+
+
+def _check_support(G: FiniteGroupoid, support: Iterable) -> None:
+    """Refuse any id that is not an element of G (stray ids: codes >= |G|)."""
+    code, n = G._code, len(G)
+    for g in support:
+        if code.get(g, n) >= n:
+            raise StructuralError(f"support element {g!r} outside the groupoid")
 
 
 def delta(G: FiniteGroupoid, g, c=1) -> FiniteConvElement:
@@ -166,10 +171,9 @@ class SymbolicConvElement:
         # zero pieces are split with the rest and dropped after: they cut
         # the other pieces, so dropping them first changes the canonical form
         flat: dict[tuple[BasicBisection, object], Coeff] = {}
-        members = self.model.g._index.position
-        for g, pieces in _pieces_by_g(self.coeffs.items()).items():
-            if g not in members:
-                raise StructuralError(f"support element {g!r} outside the groupoid")
+        by_g = _pieces_by_g(self.coeffs.items())
+        _check_support(self.model.g, by_g)
+        for g, pieces in by_g.items():
             for b, c in canonical_pieces(pieces).items():
                 flat[(b, g)] = c
         object.__setattr__(self, "coeffs", flat)
@@ -232,20 +236,21 @@ def convolve(x, y):
         return FiniteConvElement(G, out)
     model = x.model
     G, power = model.g, model.alpha.power
-    source, composition = G.source_map, G.composition
-    by_range: dict[object, list[tuple[BasicBisection, object, Coeff]]] = {}
+    at, ids = G._code, G._ids
+    by_range: dict[int, list[tuple[BasicBisection, object, Coeff]]] = {}
     for (b2, g2), c2 in y.coeffs.items():
-        by_range.setdefault(G.range_map[g2], []).append((b2, g2, c2))
+        by_range.setdefault(G.range_of[at[g2]], []).append((b2, g2, c2))
     pieces: dict[tuple[BasicBisection, object], Coeff] = {}
     for (b1, g1), c1 in x.coeffs.items():
-        partners = by_range.get(power(b1.degree).mapping[source[g1]])
+        i = at[g1]
+        partners = by_range.get(at[power(b1.degree).mapping[ids[G.source_of[i]]]])
         if partners is None:
             continue
-        back = power(-b1.degree).mapping
+        back, row = power(-b1.degree).mapping, G.rows[i]
         for b2, g2, c2 in partners:
             piece = bisection_product(b1, b2)
             if piece is not None:
-                key = (piece, composition[g1, back[g2]])
+                key = (piece, ids[row[at[back[g2]]]])
                 c, earlier = c1 * c2, pieces.get(key)
                 pieces[key] = c if earlier is None else earlier + c
     return SymbolicConvElement(model, pieces)
@@ -260,12 +265,12 @@ def involution(x):
         )
     model = x.model
     power = model.alpha.power
-    inv = model.g.inverse_map
+    at, ids, inv = model.g._code, model.g._ids, model.g.inverse_of
     # (b, g) -> (b^{-1}, alpha^{deg b}(g^{-1})) is one-to-one, so no key repeats
     return SymbolicConvElement(
         model,
         {
-            (b.inverse(), power(b.degree).mapping[inv[g]]): c.conjugate()
+            (b.inverse(), power(b.degree).mapping[ids[inv[at[g]]]]): c.conjugate()
             for (b, g), c in x.coeffs.items()
         },
     )
@@ -357,13 +362,16 @@ def regular_representation(G: FiniteGroupoid, u, xi: FiniteConvElement) -> RegRe
     if u not in G.units:
         raise ValueError(f"{u!r} is not a unit")
     basis = G.elements_with_source(u)
-    index = {g: k for k, g in enumerate(basis)}
+    code = G._code
+    index = {code[g]: k for k, g in enumerate(basis)}  # position -> basis index
+    terms = [(G.rows[code[h]], c) for h, c in xi.coeffs.items()]
     rows = [[ZERO] * len(basis) for _ in basis]
-    for j, g in enumerate(basis):
-        for h, c in xi.coeffs.items():
-            if G.s(h) == G.r(g):
-                rows[index[G.mul(h, g)]][j] += c
-    return RegRepMatrix(tuple(basis), tuple(tuple(r) for r in rows))
+    for j, g in enumerate(index):
+        for row, c in terms:
+            hg = row.get(g)
+            if hg is not None:
+                rows[index[hg]][j] += c
+    return RegRepMatrix(basis, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

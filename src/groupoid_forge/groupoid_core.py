@@ -2,9 +2,13 @@
 
 Elements are opaque hashable ids and composition is a table, not a formula;
 twisted products, restrictions and stabilizations all reuse this single
-backend.  The table is any mapping (g, h) -> gh: factories hand over dicts,
-and twisted products, built on element positions, hand over a ``RowTable``
-of integer rows, which the axiom check reads without re-encoding.
+backend.  A ``FiniteGroupoid`` holds one representation: the element labels,
+and on element positions the range, source and inverse lists and the
+composition rows.  Label maps are encoded once, by ``build_groupoid`` and
+``groupoid_from_json``; twisted products fill the lists straight from their
+factors' positions.  Labels come back only in dumps, in messages and through
+the accessors ``r``, ``s``, ``inv``, ``mul``, ``composable`` and
+``elements_with_source``.
 Everything is immutable and every check is complete: each axiom is decided
 for every element, pair and triple.  Associativity of a table whose products
 all exist with the right range and source is decided on the rows of a
@@ -15,11 +19,10 @@ table is walked triple by triple.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .validation import StructuralError, ValidationReport, Violation, json_int, report_from
 
@@ -27,121 +30,131 @@ El = Hashable
 
 
 class _Index(NamedTuple):
-    """Integer index of a finite groupoid: each element's position in
-    ``elements``, and for each range (source) value the positions of the
-    elements with that range (source), in element order.  Values outside the
-    elements get buckets like any other, so lookups never raise."""
+    """For each code, the positions of the elements with that range (source),
+    in element order."""
 
-    position: dict[El, int]
-    by_range: dict[El, list[int]]
-    by_source: dict[El, list[int]]
-
-
-class RowTable(Mapping):
-    """A read-only composition table on element positions: ``rows[i][j] = k``
-    means ``elements[i]·elements[j] = elements[k]``, and ``position`` maps
-    each element to its index.  It reads like the dict {(g, h): gh} it
-    replaces; iteration runs row by row, each row in insertion order."""
-
-    __slots__ = ("elements", "position", "rows")
-
-    def __init__(
-        self, elements: tuple[El, ...], position: Mapping[El, int], rows: list[dict[int, int]]
-    ):
-        self.elements = elements
-        self.position = position
-        self.rows = rows
-
-    def __getitem__(self, pair):
-        if isinstance(pair, tuple) and len(pair) == 2:
-            pos = self.position
-            try:
-                return self.elements[self.rows[pos[pair[0]]][pos[pair[1]]]]
-            except (KeyError, TypeError):  # a missing pair or an unhashable id
-                pass
-        raise KeyError(pair)
-
-    def __iter__(self):
-        els = self.elements
-        for g, row in zip(els, self.rows):
-            for j in row:
-                yield (g, els[j])
-
-    def __len__(self) -> int:
-        return sum(map(len, self.rows))
+    by_range: dict[int, list[int]]
+    by_source: dict[int, list[int]]
 
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
+    """A finite groupoid on element positions: ``elements[i]`` is the label
+    at position i, ``range_of[i]``, ``source_of[i]`` and ``inverse_of[i]``
+    are the codes of its range, source and inverse, and ``rows[i][j] = k``
+    says that elements[i]·elements[j] is the id of code k.  An element's code
+    is its position; an id outside the elements, which only malformed input
+    holds, is ``strays[c - len(elements)]`` at code c and has a row too, so
+    the axiom check can name it."""
+
     elements: tuple[El, ...]
     units: frozenset
-    range_map: Mapping[El, El]
-    source_map: Mapping[El, El]
-    composition: Mapping[tuple[El, El], El]
-    inverse_map: Mapping[El, El]
+    range_of: list[int]
+    source_of: list[int]
+    inverse_of: list[int]
+    rows: list[dict[int, int]]
+    strays: tuple[El, ...] = ()
 
-    def __post_init__(self):
-        eset = set(self.elements)
-        if len(eset) != len(self.elements):
-            raise StructuralError("duplicate elements")
-        if not self.units <= eset:
-            raise StructuralError("units not contained in elements")
-        for m, name in (
-            (self.range_map, "range"),
-            (self.source_map, "source"),
-            (self.inverse_map, "inverse"),
-        ):
-            if set(m) != eset:
-                raise StructuralError(f"{name} map not total on elements")
+    @cached_property
+    def _ids(self) -> tuple[El, ...]:
+        """The label of each code."""
+        return self.elements + self.strays
+
+    @cached_property
+    def _code(self) -> dict[El, int]:
+        return dict(zip(self._ids, range(len(self._ids))))
 
     def r(self, g: El) -> El:
-        return self.range_map[g]
+        return self._ids[self.range_of[self._code[g]]]
 
     def s(self, g: El) -> El:
-        return self.source_map[g]
+        return self._ids[self.source_of[self._code[g]]]
 
     def inv(self, g: El) -> El:
-        return self.inverse_map[g]
+        return self._ids[self.inverse_of[self._code[g]]]
 
     def mul(self, g: El, h: El) -> El:
-        return self.composition[(g, h)]
+        code = self._code
+        return self._ids[self.rows[code[g]][code[h]]]
 
     def composable(self, g: El, h: El) -> bool:
-        return self.s(g) == self.r(h)
+        code = self._code
+        return self.source_of[code[g]] == self.range_of[code[h]]
 
     @cached_property
     def _index(self) -> _Index:
         """Built on first use: a groupoid that is only constructed and
         serialized never pays for it."""
-        by_range: dict[El, list[int]] = {}
-        by_source: dict[El, list[int]] = {}
-        for i, g in enumerate(self.elements):
-            by_range.setdefault(self.range_map[g], []).append(i)
-            by_source.setdefault(self.source_map[g], []).append(i)
-        if _row_table_over(self.composition, self.elements):
-            position = self.composition.position
-        else:
-            position = {g: i for i, g in enumerate(self.elements)}
-        return _Index(position, by_range, by_source)
+        by_range: dict[int, list[int]] = {}
+        by_source: dict[int, list[int]] = {}
+        for i, (r, s) in enumerate(zip(self.range_of, self.source_of)):
+            by_range.setdefault(r, []).append(i)
+            by_source.setdefault(s, []).append(i)
+        return _Index(by_range, by_source)
 
     def elements_with_source(self, u: El) -> tuple[El, ...]:
-        return tuple(self.elements[i] for i in self._index.by_source.get(u, ()))
+        bucket = self._index.by_source.get(self._code.get(u), ())
+        return tuple(map(self.elements.__getitem__, bucket))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def to_json(self) -> dict:
-        key = {g: repr(g) for g in self.elements}
+        name = list(map(repr, self._ids))
+        own = name[: len(self.elements)]
         return {
-            "elements": [key[g] for g in self.elements],
-            "units": sorted(key[u] for u in self.units),
-            "range": {key[g]: key[self.r(g)] for g in self.elements},
-            "source": {key[g]: key[self.s(g)] for g in self.elements},
-            "inverse": {key[g]: key[self.inv(g)] for g in self.elements},
+            "elements": own,
+            "units": sorted(map(repr, self.units)),
+            "range": dict(zip(own, map(name.__getitem__, self.range_of))),
+            "source": dict(zip(own, map(name.__getitem__, self.source_of))),
+            "inverse": dict(zip(own, map(name.__getitem__, self.inverse_of))),
             "compose": sorted(
-                [key[g], key[h], key[k]] for (g, h), k in self.composition.items()
+                [name[i], name[j], name[k]]
+                for i, row in enumerate(self.rows)
+                for j, k in row.items()
             ),
         }
+
+
+def _encoded(
+    elements: Iterable[El],
+    units: Iterable[El],
+    range_map: Mapping[El, El],
+    source_map: Mapping[El, El],
+    inverse_map: Mapping[El, El],
+    table: Iterable[tuple[tuple[El, El], El]],
+) -> FiniteGroupoid:
+    """The groupoid of label maps and a table of ((g, h), gh) items.  Each
+    element is coded by its position, and every other id by the next code
+    from ``len(elements)`` on, in order of first appearance: in the range,
+    source and inverse maps, then in the table.  A pair the table lists
+    twice raises ``StructuralError`` naming it."""
+    elements = tuple(elements)
+    code = dict(zip(elements, range(len(elements))))
+    if len(code) != len(elements):
+        raise StructuralError("duplicate elements")
+    units = frozenset(units)
+    if not units <= code.keys():
+        raise StructuralError("units not contained in elements")
+    for m, name in ((range_map, "range"), (source_map, "source"), (inverse_map, "inverse")):
+        if code.keys() != set(m):
+            raise StructuralError(f"{name} map not total on elements")
+    n = len(elements)
+    maps = [
+        [code.setdefault(m[g], len(code)) for g in elements]
+        for m in (range_map, source_map, inverse_map)
+    ]
+    rows: list[dict[int, int]] = [{} for _ in elements]
+    stray_rows: dict[int, dict[int, int]] = {}
+    for (g, h), k in table:
+        gc = code.setdefault(g, len(code))
+        hc = code.setdefault(h, len(code))
+        row = rows[gc] if gc < n else stray_rows.setdefault(gc, {})
+        if hc in row:
+            raise StructuralError(f"pair {(g, h)!r} listed twice")
+        row[hc] = code.setdefault(k, len(code))
+    rows += [stray_rows.get(c, {}) for c in range(n, len(code))]
+    return FiniteGroupoid(elements, units, *maps, rows, tuple(code)[n:])
 
 
 def build_groupoid(
@@ -152,14 +165,7 @@ def build_groupoid(
     composition: Mapping[tuple[El, El], El],
     inverse_map: Mapping[El, El],
 ) -> FiniteGroupoid:
-    return FiniteGroupoid(
-        tuple(elements),
-        frozenset(units),
-        dict(range_map),
-        dict(source_map),
-        dict(composition),
-        dict(inverse_map),
-    )
+    return _encoded(elements, units, range_map, source_map, inverse_map, composition.items())
 
 
 def _revive(name: str):
@@ -181,58 +187,19 @@ def _revive(name: str):
 
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     """Inverse of ``FiniteGroupoid.to_json``; a dump whose maps are not
-    objects or whose names are not strings is refused."""
+    objects or whose names are not strings, or whose table lists a pair
+    twice, is refused."""
     try:
         elements = tuple(_revive(g) for g in data["elements"])
         units = frozenset(_revive(u) for u in data["units"])
-        rng = {_revive(g): _revive(u) for g, u in data["range"].items()}
-        src = {_revive(g): _revive(u) for g, u in data["source"].items()}
-        inv = {_revive(g): _revive(u) for g, u in data["inverse"].items()}
-        comp = {(_revive(g), _revive(h)): _revive(k) for g, h, k in data["compose"]}
+        rng, src, inv = (
+            {_revive(g): _revive(u) for g, u in data[key].items()}
+            for key in ("range", "source", "inverse")
+        )
+        table = [((_revive(g), _revive(h)), _revive(k)) for g, h, k in data["compose"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StructuralError(f"malformed groupoid dump: {exc}") from exc
-    return build_groupoid(elements, units, rng, src, comp, inv)
-
-
-def _row_table_over(comp: Mapping, elements: tuple[El, ...]) -> bool:
-    """Whether ``comp`` is a ``RowTable`` over exactly ``elements``, so that
-    its positions and rows can be used as they are."""
-    return isinstance(comp, RowTable) and comp.elements == elements
-
-
-def _table_rows(
-    G: FiniteGroupoid, code: dict, rng: list[int], src: list[int], partners: list
-) -> tuple[list[dict[int, int]], list[tuple[El, El]]]:
-    """The composition table as integer rows, ``rows[c][d] = e``, with one
-    row for every code in ``code``, and the pairs it holds that are not
-    composable, in table order.  A ``RowTable`` over the same elements hands
-    its rows over; any other mapping is encoded in one pass, in which ids
-    outside the elements get new codes."""
-    els = G.elements
-    n = len(els)
-    comp = G.composition
-    loose: list[tuple[El, El]] = []
-    if _row_table_over(comp, els):
-        rows = comp.rows
-        allowed: dict[int, set[int]] = {}
-        for i, row in enumerate(rows):
-            ok = allowed.get(src[i])
-            if ok is None:
-                ok = allowed[src[i]] = set(partners[i])
-            if not ok.issuperset(row):
-                loose += [(els[i], els[j]) for j in row if j not in ok]
-        return rows + [{}] * (len(code) - n), loose
-    rows = [{} for _ in els]
-    stray: dict[int, dict[int, int]] = {}
-    for (g, h), k in comp.items():
-        gc = code.setdefault(g, len(code))
-        hc = code.setdefault(h, len(code))
-        row = rows[gc] if gc < n else stray.setdefault(gc, {})
-        row[hc] = code.setdefault(k, len(code))
-        if gc >= n or hc >= n or src[gc] != rng[hc]:
-            loose.append((g, h))
-    rows += [stray.get(c, {}) for c in range(n, len(code))]
-    return rows, loose
+    return _encoded(elements, units, rng, src, inv, table)
 
 
 def _generators(rows: list[dict[int, int]], rng: list[int], src: list[int]) -> list[int]:
@@ -262,13 +229,12 @@ def _generators(rows: list[dict[int, int]], rng: list[int], src: list[int]) -> l
 def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom completely; name each offender.
 
-    Every id is coded as an integer first: elements by their position, and
-    ids outside the elements (a stray range, inverse or product) by codes
-    from ``len(G.elements)`` on.  The composition table becomes integer rows
-    and composable pairs come from the range buckets.  The order of the
-    violations does not depend on hashing: products on pairs that are not
-    composable come in composition-table order, every other kind in
-    element order.
+    It reads G's codes: elements by their position, and ids outside the
+    elements (a stray range, inverse, factor or product) from
+    ``len(G.elements)`` on.  Composable pairs come from the range buckets.
+    The order of the violations does not depend on hashing: products on
+    pairs that are not composable come row by row in code order, each row in
+    table order, and every other kind in element order.
 
     Closure and associativity are decided a row at a time.  For each
     element g, ``lam[g]`` lists the codes of gk for k in the range bucket of
@@ -294,15 +260,10 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     v: list[Violation] = []
     els = G.elements
     n = len(els)
-    index = G._index
-    code = dict(index.position)
-    rng = [code.setdefault(G.range_map[g], len(code)) for g in els]
-    src = [code.setdefault(G.source_map[g], len(code)) for g in els]
-    inv = [code.setdefault(G.inverse_map[g], len(code)) for g in els]
-    units = {code[u] for u in G.units}
-    bucket = {code[u]: b for u, b in index.by_range.items()}
+    ids, rng, src, inv, rows = G._ids, G.range_of, G.source_of, G.inverse_of, G.rows
+    units = set(map(G._code.__getitem__, G.units))
+    bucket = G._index.by_range
     partners = [bucket.get(s, ()) for s in src]
-    rows, loose = _table_rows(G, code, rng, src, partners)
 
     for i, g in enumerate(els):
         if i in units and (rng[i] != i or src[i] != i):
@@ -316,8 +277,14 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
             # the inverse laws below only test products the table holds
             v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
-    for pair in loose:
-        v.append(Violation("composition only on s(g)=r(h)", f"pair {pair!r}"))
+    allowed = {c: set(b) for c, b in bucket.items()}
+    for i, row in enumerate(rows):
+        ok = allowed.get(src[i], ()) if i < n else ()  # a stray's row is all loose
+        if not ok or not ok.issuperset(row):
+            for j in row:
+                if j not in ok:
+                    pair = f"pair {(ids[i], ids[j])!r}"
+                    v.append(Violation("composition only on s(g)=r(h)", pair))
 
     # Ids outside the elements have range and source -1, which no element's
     # range equals, so a product outside fails the row comparison.
@@ -408,18 +375,23 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     return report_from(v)
 
 
-def isotropy_group(G: FiniteGroupoid, u: El) -> frozenset:
-    """All g with r(g) = s(g) = u; trivial for principal groupoids."""
+def _unit_code(G: FiniteGroupoid, u: El) -> int:
     if u not in G.units:
         raise ValueError(f"{u!r} is not a unit")
-    return frozenset(g for g in G.elements_with_source(u) if G.r(g) == u)
+    return G._code[u]
+
+
+def isotropy_group(G: FiniteGroupoid, u: El) -> frozenset:
+    """All g with r(g) = s(g) = u; trivial for principal groupoids."""
+    c = _unit_code(G, u)
+    rng = G.range_of
+    return frozenset(G.elements[i] for i in G._index.by_source.get(c, ()) if rng[i] == c)
 
 
 def orbit(G: FiniteGroupoid, u: El) -> frozenset:
     """The orbit r(G_u) of a unit."""
-    if u not in G.units:
-        raise ValueError(f"{u!r} is not a unit")
-    return frozenset(map(G.r, G.elements_with_source(u)))
+    ids, rng = G._ids, G.range_of
+    return frozenset(ids[rng[i]] for i in G._index.by_source.get(_unit_code(G, u), ()))
 
 
 def orbits(G: FiniteGroupoid) -> tuple[frozenset, ...]:
@@ -492,17 +464,26 @@ def group_bundle(fibers: Mapping[Hashable, int]) -> FiniteGroupoid:
 
 
 def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
-    elements = tuple((0, g) for g in G1.elements) + tuple((1, g) for g in G2.elements)
-    units = frozenset({(0, u) for u in G1.units} | {(1, u) for u in G2.units})
-    rng = {(t, g): (t, (G1 if t == 0 else G2).r(g)) for (t, g) in elements}
-    src = {(t, g): (t, (G1 if t == 0 else G2).s(g)) for (t, g) in elements}
-    comp = {}
-    for (g, h), k in G1.composition.items():
-        comp[((0, g), (0, h))] = (0, k)
-    for (g, h), k in G2.composition.items():
-        comp[((1, g), (1, h))] = (1, k)
-    inv = {(t, g): (t, (G1 if t == 0 else G2).inv(g)) for (t, g) in elements}
-    return build_groupoid(elements, units, rng, src, comp, inv)
+    """Elements (0, g) for g in G1, then (1, g) for g in G2.  Each side's
+    codes move by one list lookup: its elements to theirs, and its stray
+    ids, if any, past all elements, G1's first."""
+    sides, n1, s1 = (G1, G2), len(G1.elements), len(G1.strays)
+    n, end = n1 + len(G2.elements), n1 + len(G2.elements) + s1 + len(G2.strays)
+    moves = ([*range(n1), *range(n, n + s1)], [*range(n1, n), *range(n + s1, end)])
+    rows: list = [None] * end
+    for G, move in zip(sides, moves):
+        for c, row in zip(move, G.rows):
+            rows[c] = {move[j]: move[k] for j, k in row.items()}
+    return FiniteGroupoid(
+        tuple((t, g) for t, G in enumerate(sides) for g in G.elements),
+        frozenset({(0, u) for u in G1.units} | {(1, u) for u in G2.units}),
+        *(
+            [move[c] for G, move in zip(sides, moves) for c in getattr(G, field)]
+            for field in ("range_of", "source_of", "inverse_of")
+        ),
+        rows,
+        tuple((t, x) for t, G in enumerate(sides) for x in G.strays),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +504,15 @@ class Cocycle:
         return self.values[g]
 
     def validate(self) -> ValidationReport:
-        v = []
         G = self.groupoid
-        for (g, h), k in G.composition.items():
-            if self.values[k] != self.values[g] + self.values[h]:
-                v.append(Violation("c(gh) = c(g) + c(h)", f"pair {(g, h)!r}"))
+        els = G.elements
+        c = list(map(self.values.__getitem__, els))
+        v = [
+            Violation("c(gh) = c(g) + c(h)", f"pair {(els[i], els[j])!r}")
+            for i, row in enumerate(G.rows)
+            for j, k in row.items()
+            if c[k] != c[i] + c[j]
+        ]
         for u in G.units:
             if self.values[u] != 0:
                 v.append(Violation("c vanishes on units", f"unit {u!r}"))
@@ -618,16 +603,18 @@ class GroupoidAutomorphism:
         for u in G.units:
             if a[u] not in G.units:
                 v.append(Violation("units preserved", f"unit {u!r}"))
-        for g in G.elements:
-            if a[G.r(g)] != G.r(a[g]):
-                v.append(Violation("r equivariance", f"element {g!r}"))
-            if a[G.s(g)] != G.s(a[g]):
-                v.append(Violation("s equivariance", f"element {g!r}"))
-            if a[G.inv(g)] != G.inv(a[g]):
-                v.append(Violation("inverse equivariance", f"element {g!r}"))
-        for (g, h), k in G.composition.items():
-            if G.composition.get((a[g], a[h])) != a[k]:
-                v.append(Violation("multiplicativity", f"pair {(g, h)!r}"))
+        # at[i] is the position of alpha(elements[i])
+        els, code, rows = G.elements, G._code, G.rows
+        at = [code[a[g]] for g in els]
+        for i, g in enumerate(els):
+            for name, m in (("r", G.range_of), ("s", G.source_of), ("inverse", G.inverse_of)):
+                if at[m[i]] != m[at[i]]:
+                    v.append(Violation(f"{name} equivariance", f"element {g!r}"))
+        for i, ai in enumerate(at):
+            image = rows[ai]
+            for j, k in rows[i].items():
+                if image.get(at[j]) != at[k]:
+                    v.append(Violation("multiplicativity", f"pair {(els[i], els[j])!r}"))
         return report_from(v)
 
     @cached_property

@@ -7,8 +7,9 @@ groupoid G carrying an automorphism a has elements (h, g),
     (h1, g1)(h2, g2) = (h1 h2, g1 a^{-c(h1)}(g2)),
     (h, g)^{-1} = (h^{-1}, a^{c(h)}(g^{-1})).
 
-Finite x finite instances are computed on element positions: integer
-structure maps, and integer composition rows (a ``groupoid_core.RowTable``).
+Finite x finite instances are computed on element positions, from the
+factors' integer structure maps and composition rows straight into the
+product's.
 The twisted product of the infinite bouquet groupoid (with its degree
 cocycle) and a finite G is never materialized: elements are (germ, element)
 pairs, and set-level claims are decided by the basic-bisection calculus.
@@ -40,7 +41,6 @@ from .groupoid_core import (
     Cocycle,
     FiniteGroupoid,
     GroupoidAutomorphism,
-    RowTable,
     is_principal,
     orbits,
 )
@@ -61,20 +61,20 @@ class TwistedProduct(NamedTuple):
     finite_form: FiniteGroupoid
 
 
-def _on_positions(X: FiniteGroupoid, name: str):
-    """X's range, source and inverse maps as position lists, and each x's
-    products {pos(y): pos(xy)} over the y with r(y) = s(x).  A value outside
-    X's elements or a missing product raises ``StructuralError`` naming X."""
-    els, (pos, by_range, _) = X.elements, X._index
-    try:
-        r, s, inv = ([pos[f[x]] for x in els] for f in (X.range_map, X.source_map, X.inverse_map))
-        comp = X.composition
-        products = [
-            {j: pos[comp[x, els[j]]] for j in by_range.get(els[t], ())} for x, t in zip(els, s)
-        ]
-    except KeyError as exc:
-        raise StructuralError(f"factor {name} has no element or product {exc.args[0]!r}") from None
-    return r, s, inv, products
+def _on_positions(X: FiniteGroupoid, name: str) -> list[dict[int, int]]:
+    """X's products on positions: for each x, {pos(y): pos(xy)} over the y
+    with r(y) = s(x).  An id outside X's elements, in a map or the table, or
+    a missing product raises ``StructuralError`` naming X."""
+    els, by_range = X.elements, X._index.by_range
+    if X.strays:
+        raise StructuralError(f"factor {name} has no element or product {X.strays[0]!r}")
+    products = [
+        {j: row.get(j, -1) for j in by_range.get(t, ())} for row, t in zip(X.rows, X.source_of)
+    ]
+    missing = [(els[i], els[j]) for i, row in enumerate(products) for j, k in row.items() if k < 0]
+    if missing:
+        raise StructuralError(f"factor {name} has no element or product {missing[0]!r}")
+    return products
 
 
 def twisted_product(
@@ -85,21 +85,21 @@ def twisted_product(
     It is built on element positions: (h, g) sits at pos_H(h)·|G| + pos_G(g).
     The factors' maps, and alpha^k for each distinct exponent k = c(h), are
     position lists; the product's range, source and inverse are sums of
-    them, such as pos_H(s(h))·|G| + pos_G(alpha^k(s(g))), read off as its own
-    elements.  The G-part g1·alpha^{-k}(g2) of a product is tabulated once
-    per k as position pairs, and each composition row is one comprehension
-    over its h1's (h2, h1h2) offsets and those pairs, columns in increasing
-    position.  A factor whose maps leave its elements raises
-    ``StructuralError`` naming it.
+    them, such as pos_H(s(h))·|G| + pos_G(alpha^k(s(g))).  The G-part
+    g1·alpha^{-k}(g2) of a product is tabulated once per k as position
+    pairs, and each composition row is one comprehension over its h1's
+    (h2, h1h2) offsets and those pairs, columns in increasing position.  A
+    factor whose maps leave its elements raises ``StructuralError`` naming
+    it.
     """
-    hr, hs, hinv, h_products = _on_positions(H, "H")
-    gr, gs, ginv, g_products = _on_positions(G, "G")
+    h_products = _on_positions(H, "H")
+    g_products = _on_positions(G, "G")
     for what, check in (("cocycle", c.validate), ("automorphism", alpha.validate)):
         report = check()
         if not report.passed:
             raise ValueError(f"invalid {what}:\n{report.describe()}")
 
-    m, at = len(G.elements), G._index.position
+    m, at, gs, ginv = len(G.elements), G._code, G.source_of, G.inverse_of
     exponents = list(map(c, H.elements))
     s_twist, inv_twist, g_part = {}, {}, {}  # by exponent k
     for k in set(exponents):
@@ -108,20 +108,18 @@ def twisted_product(
         s_twist[k], inv_twist[k] = [power[q] for q in gs], [power[q] for q in ginv]
         g_part[k] = [[(p2, row[q]) for p2, q in enumerate(back) if q in row] for row in g_products]
 
-    elements = tuple(product(H.elements, G.elements))
-    rng = [i * m + p for i in hr for p in gr]
-    src = [i * m + p for i, k in zip(hs, exponents) for p in s_twist[k]]
-    inv = [i * m + p for i, k in zip(hinv, exponents) for p in inv_twist[k]]
-    rng, src, inv = (dict(zip(elements, map(elements.__getitem__, pos))) for pos in (rng, src, inv))
+    rng = [i * m + p for i in H.range_of for p in G.range_of]
+    src = [i * m + p for i, k in zip(H.source_of, exponents) for p in s_twist[k]]
+    inv = [i * m + p for i, k in zip(H.inverse_of, exponents) for p in inv_twist[k]]
     offsets = [[(j * m, k * m) for j, k in row.items()] for row in h_products]
     rows = [
         {o2 + p2: o12 + p12 for o2, o12 in offs for p2, p12 in pairs}
         for offs, k in zip(offsets, exponents)
         for pairs in g_part[k]
     ]
-    composition = RowTable(elements, dict(zip(elements, range(len(elements)))), rows)
+    elements = tuple(product(H.elements, G.elements))
     units = frozenset(product(H.units, G.units))
-    return TwistedProduct(H, c, G, alpha, FiniteGroupoid(elements, units, rng, src, composition, inv))
+    return TwistedProduct(H, c, G, alpha, FiniteGroupoid(elements, units, rng, src, inv, rows))
 
 
 class BouquetTwistedProduct(NamedTuple):

@@ -262,66 +262,86 @@ def brute_orbit_length(apply_fn, start) -> int:
     return len(brute_orbit(apply_fn, start))
 
 
+def label_tables(G: FiniteGroupoid) -> dict:
+    """G's range, source and inverse maps and its composition table as label
+    dicts, under the keywords ``build_groupoid`` takes: the dict tables, read
+    back from G's codes.  Corrupted copies start from them, and the label
+    accessors and the axiom oracle read G through them."""
+    ids = G.elements + G.strays
+    label = ids.__getitem__
+    return {
+        "range_map": dict(zip(G.elements, map(label, G.range_of))),
+        "source_map": dict(zip(G.elements, map(label, G.source_of))),
+        "composition": {
+            (ids[i], ids[j]): ids[k] for i, row in enumerate(G.rows) for j, k in row.items()
+        },
+        "inverse_map": dict(zip(G.elements, map(label, G.inverse_of))),
+    }
+
+
 def brute_groupoid_axioms(G) -> ValidationReport:
     """The groupoid axioms checked by an n^2 scan over all element pairs and
-    tuple-keyed lookups in the composition table (the oracle for
-    ``verify_groupoid_axioms``)."""
+    tuple-keyed lookups in the dict tables of ``label_tables`` (the oracle
+    for ``verify_groupoid_axioms``)."""
     v = []
     eset = set(G.elements)
+    tables = label_tables(G)
+    r, s = tables["range_map"].__getitem__, tables["source_map"].__getitem__
+    inv, comp = tables["inverse_map"].__getitem__, tables["composition"]
 
     for u in G.units:
-        if G.r(u) != u or G.s(u) != u:
+        if r(u) != u or s(u) != u:
             v.append(Violation("unit fixed by r and s", f"unit {u!r}"))
     for g in G.elements:
-        if G.r(g) not in G.units or G.s(g) not in G.units:
+        if r(g) not in G.units or s(g) not in G.units:
             v.append(Violation("r,s land in units", f"element {g!r}"))
-        if G.inv(g) not in eset:
+        if inv(g) not in eset:
             v.append(Violation("inverse closed", f"element {g!r}"))
-        elif G.r(G.inv(g)) != G.s(g) or G.s(G.inv(g)) != G.r(g):
+        elif r(inv(g)) != s(g) or s(inv(g)) != r(g):
             v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
-    composable = {(g, h) for g in G.elements for h in G.elements if G.composable(g, h)}
-    defined = set(G.composition)
+    composable = {(g, h) for g in G.elements for h in G.elements if s(g) == r(h)}
+    defined = set(comp)
     for pair in defined - composable:
         v.append(Violation("composition only on s(g)=r(h)", f"pair {pair!r}"))
     for pair in composable - defined:
         v.append(Violation("composition total on composable pairs", f"pair {pair!r}"))
 
     for g, h in composable & defined:
-        gh = G.mul(g, h)
+        gh = comp[g, h]
         if gh not in eset:
             v.append(Violation("composition closed", f"pair {(g, h)!r}"))
             continue
-        if G.r(gh) != G.r(g):
+        if r(gh) != r(g):
             v.append(Violation("r(gh) = r(g)", f"pair {(g, h)!r}"))
-        if G.s(gh) != G.s(h):
+        if s(gh) != s(h):
             v.append(Violation("s(gh) = s(h)", f"pair {(g, h)!r}"))
 
     for g in G.elements:
-        ru, su = G.r(g), G.s(g)
-        if (ru, g) in defined and G.mul(ru, g) != g:
+        ru, su = r(g), s(g)
+        if (ru, g) in defined and comp[ru, g] != g:
             v.append(Violation("r(g)g = g", f"element {g!r}"))
-        if (g, su) in defined and G.mul(g, su) != g:
+        if (g, su) in defined and comp[g, su] != g:
             v.append(Violation("gs(g) = g", f"element {g!r}"))
-        gi = G.inv(g)
-        if (gi, g) in defined and G.mul(gi, g) != su:
+        gi = inv(g)
+        if (gi, g) in defined and comp[gi, g] != su:
             v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
-        if (g, gi) in defined and G.mul(g, gi) != ru:
+        if (g, gi) in defined and comp[g, gi] != ru:
             v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
 
     # Associativity over all composable triples.
     by_range: dict = {}
     for h in G.elements:
-        by_range.setdefault(G.r(h), []).append(h)
+        by_range.setdefault(r(h), []).append(h)
     for g in G.elements:
-        for h in by_range.get(G.s(g), ()):
-            gh = G.composition.get((g, h))
+        for h in by_range.get(s(g), ()):
+            gh = comp.get((g, h))
             if gh is None:
                 continue
-            for k in by_range.get(G.s(h), ()):
-                hk = G.composition.get((h, k))
-                left = G.composition.get((gh, k))
-                right = G.composition.get((g, hk)) if hk is not None else None
+            for k in by_range.get(s(h), ()):
+                hk = comp.get((h, k))
+                left = comp.get((gh, k))
+                right = comp.get((g, hk)) if hk is not None else None
                 if left != right or left is None:
                     v.append(Violation("associativity", f"triple {(g, h, k)!r}"))
 
@@ -1086,8 +1106,9 @@ def cartesian_product(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     rng = {(g, k): (G1.r(g), G2.r(k)) for (g, k) in elements}
     src = {(g, k): (G1.s(g), G2.s(k)) for (g, k) in elements}
     comp = {}
-    for (g1, g2), gp in G1.composition.items():
-        for (k1, k2), kp in G2.composition.items():
+    table2 = label_tables(G2)["composition"]
+    for (g1, g2), gp in label_tables(G1)["composition"].items():
+        for (k1, k2), kp in table2.items():
             comp[((g1, k1), (g2, k2))] = (gp, kp)
     inv = {(g, k): (G1.inv(g), G2.inv(k)) for (g, k) in elements}
     return build_groupoid(elements, units, rng, src, comp, inv)

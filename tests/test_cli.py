@@ -268,6 +268,18 @@ class TestGroupoid:
         assert message in err
         assert "Traceback" not in err
 
+    def test_a_pair_listed_twice_exits_two(self, tmp_path, capsys):
+        # the wrong product first and the right one after it: the dump is
+        # refused, not checked with the later entry
+        data = full_relation(range(2)).to_json()
+        data["compose"].insert(0, ["(0, 1)", "(1, 0)", "(1, 1)"])
+        path = tmp_path / "groupoid.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-groupoid", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "structural error: pair ((0, 1), (1, 0)) listed twice" in captured.err
+
     def test_dump_name_that_revives_unhashable_stays_a_string(self, tmp_path, capsys):
         # "[0]" is the repr of a list, which cannot name an element; it is
         # kept as the string, so the axiom check runs and reports

@@ -1,6 +1,7 @@
 """Finite groupoid backend: axioms, isotropy, orbits, stabilization."""
 
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -30,7 +31,7 @@ from groupoid_forge.groupoid_core import (
     _generators,
 )
 from groupoid_forge.twisted_product import twisted_product
-from groupoid_forge.validation import Violation
+from groupoid_forge.validation import StructuralError, Violation
 
 from families import rng_for, seeded_twisted_instances
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
     brute_orbit_length,
     cartesian_product,
     is_minimal,
+    label_tables,
     product_with_full_relation,
     rotated_power_mapping,
 )
@@ -50,11 +52,9 @@ class TestAxioms:
 
     def test_corrupted_associativity_names_the_triple(self):
         G = full_relation(range(2))
-        comp = dict(G.composition)
-        comp[((0, 1), (1, 0))] = (1, 1)  # should be (0, 0)
-        bad = build_groupoid(
-            G.elements, G.units, G.range_map, G.source_map, comp, G.inverse_map
-        )
+        tables = label_tables(G)
+        tables["composition"][((0, 1), (1, 0))] = (1, 1)  # should be (0, 0)
+        bad = build_groupoid(G.elements, G.units, **tables)
         report = verify_groupoid_axioms(bad)
         assert not report.passed
         assert any("associativity" == v.invariant for v in report.violations) or any(
@@ -85,6 +85,40 @@ class TestAxioms:
         assert ["(0, 1)", "(1, 0)", "(0, 0)"] in dump["compose"]
         assert dump == full_relation(range(2)).to_json()
 
+    @pytest.mark.parametrize("product", ["(1, 1)", "(0, 0)"], ids=["wrong-first", "same-twice"])
+    def test_a_pair_listed_twice_is_refused(self, product):
+        # a second entry for a pair would overwrite the first one silently
+        dump = full_relation(range(2)).to_json()
+        dump["compose"].insert(0, ["(0, 1)", "(1, 0)", product])
+        with pytest.raises(StructuralError, match=re.escape("pair ((0, 1), (1, 0)) listed twice")):
+            groupoid_from_json(dump)
+
+    def test_ids_outside_the_elements_are_coded_after_them(self):
+        # in order of first appearance: range, source and inverse maps, then
+        # the table; each has a row
+        G = full_relation(range(2))
+        tables = label_tables(G)
+        tables["inverse_map"][(0, 1)] = "late"
+        tables["range_map"][(1, 0)] = "early"
+        tables["composition"][("ghost", (0, 0))] = "ghost"
+        bad = build_groupoid(G.elements, G.units, **tables)
+        assert bad.strays == ("early", "late", "ghost")
+        assert (bad.range_of[2], bad.inverse_of[1]) == (4, 5)
+        assert bad.rows[4:] == [{}, {}, {0: 6}]
+        assert (bad.r((1, 0)), bad.inv((0, 1))) == ("early", "late")
+        assert bad.mul("ghost", (0, 0)) == "ghost"
+
+    def test_encoding_reads_back_its_label_tables(self):
+        # every factory groupoid and corrupted copy is the record its own
+        # label tables encode to
+        rng = rng_for(409)
+        for G in _factory_groupoids(twisted=4):
+            for X in [G, *(bad for _, bad in _corruptions(G, rng))]:
+                tables = label_tables(X)
+                again = build_groupoid(X.elements, X.units, **tables)
+                assert again == X
+                assert label_tables(again) == tables
+
 
 def _factory_groupoids(twisted: int):
     """One groupoid from each factory, then ``twisted`` seeded twisted products."""
@@ -107,28 +141,23 @@ def _corruptions(G: FiniteGroupoid, rng):
     """(name, G with that one defect at a seeded place) for each defect of
     the corpus."""
     els = list(G.elements)
-    pair = rng.choice(sorted(G.composition, key=repr))
+    tables = label_tables(G)
+    table = tables["composition"]
+    pair = rng.choice(sorted(table, key=repr))
     g = rng.choice(els)
     loose = [(x, y) for x in els for y in els if not G.composable(x, y)]
 
-    def rebuild(**changed):
-        parts = {
-            "range_map": G.range_map,
-            "source_map": G.source_map,
-            "composition": G.composition,
-            "inverse_map": G.inverse_map,
-        }
-        for key, (x, value) in changed.items():
-            parts[key] = {**parts[key], x: value}
-        return build_groupoid(G.elements, G.units, **parts)
+    def rebuild_all(**replaced):
+        return build_groupoid(G.elements, G.units, **{**tables, **replaced})
 
-    dropped = {k: v for k, v in G.composition.items() if k != pair}
-    yield "dropped product", build_groupoid(
-        G.elements, G.units, G.range_map, G.source_map, dropped, G.inverse_map
-    )
+    def rebuild(**changed):
+        return rebuild_all(**{key: {**tables[key], x: y} for key, (x, y) in changed.items()})
+
+    dropped = {k: v for k, v in table.items() if k != pair}
+    yield "dropped product", rebuild_all(composition=dropped)
     if loose:
         yield "non-composable product", rebuild(composition=(rng.choice(loose), g))
-    others = [x for x in els if x != G.composition[pair]]
+    others = [x for x in els if x != table[pair]]
     if others:
         yield "wrong product", rebuild(composition=(pair, rng.choice(others)))
     yield "product outside", rebuild(composition=(pair, "ghost"))
@@ -150,13 +179,16 @@ def _corruptions(G: FiniteGroupoid, rng):
     # neither factor a unit and h not g^{-1}, only associativity can break
     misplaced = [
         ((g, h), x)
-        for (g, h), gh in sorted(G.composition.items(), key=repr)
+        for (g, h), gh in sorted(table.items(), key=repr)
         if not {g, h} & G.units and h != G.inv(g)
         for x in G.elements
         if G.r(x) == G.r(gh) and x != gh and G.s(x) == G.s(gh)
     ]
     if misplaced:
         yield "wrong product, r and s kept", rebuild(composition=rng.choice(misplaced))
+    # a table key whose left factor is no element: a row of its own, past
+    # the elements' rows
+    yield "factor outside", rebuild(composition=(("ghost", g), g))
 
 
 def _swappable(G: FiniteGroupoid) -> list[tuple]:
@@ -174,21 +206,16 @@ def _swappable(G: FiniteGroupoid) -> list[tuple]:
 
 def _swapped(G: FiniteGroupoid, x, h1, h2) -> FiniteGroupoid:
     """G with the products x·h1 and x·h2 traded."""
-    comp = G.composition
-    swapped = {**comp, (x, h1): comp[(x, h2)], (x, h2): comp[(x, h1)]}
-    return build_groupoid(G.elements, G.units, G.range_map, G.source_map, swapped, G.inverse_map)
+    tables = label_tables(G)
+    comp = tables["composition"]
+    tables["composition"] = {**comp, (x, h1): comp[(x, h2)], (x, h2): comp[(x, h1)]}
+    return build_groupoid(G.elements, G.units, **tables)
 
 
 def _generators_of(G: FiniteGroupoid) -> list:
     """The elements ``groupoid_core._generators`` picks for a groupoid whose
     products all exist with the right range and source."""
-    position = {g: i for i, g in enumerate(G.elements)}
-    rows = [{} for _ in G.elements]
-    for (g, h), k in G.composition.items():
-        rows[position[g]][position[h]] = position[k]
-    rng = [position[G.r(g)] for g in G.elements]
-    src = [position[G.s(g)] for g in G.elements]
-    return [G.elements[i] for i in _generators(rows, rng, src)]
+    return [G.elements[i] for i in _generators(G.rows, G.range_of, G.source_of)]
 
 
 def _word_products(G: FiniteGroupoid, gens) -> set:
@@ -229,7 +256,7 @@ class TestAxiomOracle:
                 if name in ("swapped products", "wrong product, r and s kept"):
                     assert {v.invariant for v in expected.violations} == {"associativity"}
                 seen[name] += 1
-        assert len(seen) == 11
+        assert len(seen) == 12
 
     def test_defect_outside_the_generator_rows_is_found(self):
         # the generator rows decide associativity only because every other
@@ -266,31 +293,53 @@ class TestAxiomOracle:
 
     def test_inverse_composable_with_neither_side_is_reported(self):
         G = full_relation(range(3))
-        bad = build_groupoid(
-            G.elements,
-            G.units,
-            G.range_map,
-            G.source_map,
-            G.composition,
-            {**G.inverse_map, (0, 1): (2, 2)},
-        )
+        tables = label_tables(G)
+        tables["inverse_map"][(0, 1)] = (2, 2)
+        bad = build_groupoid(G.elements, G.units, **tables)
         expected = [("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", "element (0, 1)")]
         for report in (verify_groupoid_axioms(bad), brute_groupoid_axioms(bad)):
             assert [(v.invariant, v.subject) for v in report.violations] == expected
 
     def test_order_is_element_then_table_order(self):
         G = full_relation(range(2))
-        comp = dict(G.composition)
+        tables = label_tables(G)
+        comp = tables["composition"]
         del comp[((0, 1), (1, 0))]
         comp[((0, 1), (0, 1))] = (0, 0)
         comp[((1, 0), (1, 0))] = (1, 1)
-        bad = build_groupoid(G.elements, G.units, G.range_map, G.source_map, comp, G.inverse_map)
+        bad = build_groupoid(G.elements, G.units, **tables)
         pairs = [v for v in verify_groupoid_axioms(bad).violations if v.subject.startswith("pair")]
         assert [str(v) for v in pairs] == [
             "composition only on s(g)=r(h): pair ((0, 1), (0, 1))",
             "composition only on s(g)=r(h): pair ((1, 0), (1, 0))",
             "composition total on composable pairs: pair ((0, 1), (1, 0))",
         ]
+
+    def test_disjoint_union_matches_the_label_build(self):
+        # both sides tagged and their tables joined, malformed sides included
+        rng = rng_for(410)
+        sides = [full_relation(range(2)), cyclic_group_groupoid(3)]
+        sides += [bad for G in sides for _, bad in _corruptions(G, rng)]
+        for G1, G2 in zip(sides, sides[::-1]):
+            t1, t2 = label_tables(G1), label_tables(G2)
+            tagged = {
+                key: {
+                    **{(0, g): (0, x) for g, x in t1[key].items()},
+                    **{(1, g): (1, x) for g, x in t2[key].items()},
+                }
+                for key in ("range_map", "source_map", "inverse_map")
+            }
+            tagged["composition"] = {
+                ((t, g), (t, h)): (t, k)
+                for t, table in enumerate((t1["composition"], t2["composition"]))
+                for (g, h), k in table.items()
+            }
+            union = disjoint_union(G1, G2)
+            assert label_tables(union) == tagged
+            expected = build_groupoid(union.elements, union.units, **tagged)
+            assert _violations(verify_groupoid_axioms(union)) == _violations(
+                verify_groupoid_axioms(expected)
+            )
 
     def test_index_is_built_on_first_query(self):
         G = full_relation(range(3))

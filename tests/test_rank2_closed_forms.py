@@ -407,6 +407,15 @@ class TestWfcAgainstPairScan:
             for L in (rng.randint(1, 40), rng.randint(1, 40)):
                 assert _same_certificate(cut, L).depth == depth
 
+    def test_a_least_order_equal_to_n_m_n_fails_the_inequality(self):
+        # m_2 = m_1 + 1 * O_1 = 3, so the one order 6 at level 2 ties with
+        # 2 * m_2: the inequality o(e) > n * m_n is strict, and fails there
+        orders = OrderData({(0, 0): 2, (1, 0): 3, (2, 0): 6}, (2, 3, 6), (0, 0, 3, 15), {})
+        cert = _same_certificate(orders, 5)
+        row = cert.details["inequality"]["2"]
+        assert (row["min_order"], row["n_times_m_n"], row["holds"]) == (6, 6, False)
+        assert cert.status == "unknown"
+
     def test_outcomes_the_cases_cover(self):
         # the sweep meets all three outcomes on these diagrams
         tail, levels = CASES["figure_tail_d3"]

@@ -1,6 +1,7 @@
 """Twisted products, freeness/contraction certificates, minimality and the
 finite principality oracle."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     bench_inputs,
     cartesian_product,
     dict_twisted_product,
+    label_tables,
     per_level_minimality_verdict,
 )
 from groupoid_forge.graph_groupoid import (
@@ -26,9 +28,7 @@ from groupoid_forge.graph_groupoid import (
 from groupoid_forge.graph_model import constant_diagram, edge_cycle_automorphism
 from groupoid_forge.groupoid_core import (
     Cocycle,
-    FiniteGroupoid,
     GroupoidAutomorphism,
-    RowTable,
     build_groupoid,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
@@ -77,16 +77,13 @@ class TestConstruction:
         G = cyclic_group_groupoid(3)
         alpha = cyclic_multiplier_automorphism(G, 2)
         tw = twisted_product(H, zero_cocycle(H), G, alpha)
-        direct = cartesian_product(H, G)
-        assert tw.finite_form.composition == direct.composition
-        assert tw.finite_form.source_map == direct.source_map
+        assert tw.finite_form == cartesian_product(H, G)
 
     def test_identity_automorphism_gives_direct_product(self):
         H, c = three_point_relation_with_cocycle()
         G = cyclic_group_groupoid(3)
         tw = twisted_product(H, c, G, identity_automorphism(G))
-        direct = cartesian_product(H, G)
-        assert tw.finite_form.composition == direct.composition
+        assert tw.finite_form == cartesian_product(H, G)
 
     def test_seeded_instance_passes_axioms(self):
         H, c = three_point_relation_with_cocycle()
@@ -105,7 +102,7 @@ class TestConstruction:
             assert F.r((h, g)) == (H.r(h), G.r(g))
             assert F.s((h, g)) == (H.s(h), alpha.power(c(h))(G.s(g)))
             assert F.inv((h, g)) == (H.inv(h), alpha.power(c(h))(G.inv(g)))
-        for ((x, y), z) in F.composition.items():
+        for ((x, y), z) in label_tables(F)["composition"].items():
             assert F.s(z) == F.s(y) and F.r(z) == F.r(x)
 
     def test_invalid_cocycle_rejected(self):
@@ -167,19 +164,10 @@ def _oracle_instances():
 
 
 def _with_rows(F, edit):
-    """F with its composition rows copied and changed by ``edit``, still a
-    ``RowTable`` over F's elements."""
-    table = F.composition
-    rows = [dict(row) for row in table.rows]
+    """F with its composition rows copied and changed by ``edit``."""
+    rows = [dict(row) for row in F.rows]
     edit(rows)
-    return FiniteGroupoid(
-        F.elements,
-        F.units,
-        F.range_map,
-        F.source_map,
-        RowTable(F.elements, table.position, rows),
-        F.inverse_map,
-    )
+    return dataclasses.replace(F, rows=rows)
 
 
 def _row_edits(F, rng):
@@ -187,9 +175,9 @@ def _row_edits(F, rng):
     of a row swapped, a product dropped, a product on a pair that is not
     composable, a wrong product."""
     n = len(F.elements)
-    i = rng.choice([i for i, row in enumerate(F.composition.rows) if len(row) > 1])
-    j1, j2 = rng.sample(sorted(F.composition.rows[i]), 2)
-    loose = [j for j in range(n) if j not in F.composition.rows[i]]
+    i = rng.choice([i for i, row in enumerate(F.rows) if len(row) > 1])
+    j1, j2 = rng.sample(sorted(F.rows[i]), 2)
+    loose = [j for j in range(n) if j not in F.rows[i]]
 
     def swap(rows):
         rows[i][j1], rows[i][j2] = rows[i][j2], rows[i][j1]
@@ -212,56 +200,59 @@ def _report(G):
 
 
 class TestBornIndexedProduct:
-    """The integer-row twisted product against the tuple-keyed dict build."""
+    """The twisted product built on positions against the tuple-keyed dict
+    build, encoded by ``build_groupoid``."""
 
     def test_matches_dict_build(self):
         for H, c, G, alpha in _oracle_instances():
             F = twisted_product(H, c, G, alpha).finite_form
             D = dict_twisted_product(H, c, G, alpha)
-            assert isinstance(F.composition, RowTable)
-            assert F.elements == D.elements and F.units == D.units
-            for name in ("range_map", "source_map", "inverse_map"):
-                assert list(getattr(F, name).items()) == list(getattr(D, name).items())
-            assert dict(F.composition) == D.composition
+            # the same record: elements, units, codes and rows, no strays
+            assert F == D and F.strays == ()
             assert json.dumps(F.to_json()) == json.dumps(D.to_json())
-            # the index reuses the table's positions, and they agree with
-            # the positions the dict build indexes afresh
-            assert F._index.position is F.composition.position
             assert F._index == D._index
 
-    def test_table_and_map_order_match_dict_build(self):
-        # list(F.composition) runs row by row, each row's columns in
-        # increasing position: the order in which Cocycle.validate,
+    def test_rows_and_maps_match_dict_build_in_order(self):
+        # each row's columns in increasing position, as the encoded dict
+        # build has them: the order in which Cocycle.validate,
         # GroupoidAutomorphism.validate and the axiom check report pairs
         items = bench_inputs().twisted_instances(0)
         assert len(items) == 100
         for H, c, G, alpha in [*_oracle_instances(), *items]:
             F = twisted_product(H, c, G, alpha).finite_form
             D = dict_twisted_product(H, c, G, alpha)
-            pos = F.composition.position
-            pairs = sorted(D.composition, key=lambda pair: (pos[pair[0]], pos[pair[1]]))
-            assert list(F.composition.items()) == [(p, D.composition[p]) for p in pairs]
-            for name in ("range_map", "source_map", "inverse_map"):
-                assert list(getattr(F, name).items()) == list(getattr(D, name).items())
+            assert [list(row.items()) for row in F.rows] == [list(row.items()) for row in D.rows]
+            assert all(list(row) == sorted(row) for row in F.rows)
+            for name in ("range_of", "source_of", "inverse_of"):
+                assert getattr(F, name) == getattr(D, name)
+            tables, oracle = label_tables(F), label_tables(D)
+            for name in ("range_map", "source_map", "inverse_map", "composition"):
+                assert list(tables[name].items()) == list(oracle[name].items())
 
     @pytest.mark.parametrize("factor", ["H", "G"])
-    @pytest.mark.parametrize("defect", ["range", "inverse", "product-outside", "product-missing"])
+    @pytest.mark.parametrize(
+        "defect", ["range", "inverse", "product-outside", "product-missing", "factor-outside"]
+    )
     def test_a_factor_leaving_its_elements_is_refused(self, factor, defect):
         X = full_relation(range(2))
-        maps = {"range": dict(X.range_map), "inverse": dict(X.inverse_map)}
-        comp = dict(X.composition)
-        if defect in maps:
-            maps[defect][(0, 1)] = (5, 5)
+        tables = label_tables(X)
+        if defect == "range":
+            tables["range_map"][(0, 1)] = (5, 5)
+        elif defect == "inverse":
+            tables["inverse_map"][(0, 1)] = (5, 5)
         elif defect == "product-outside":
-            comp[(0, 0), (0, 1)] = (5, 5)
+            tables["composition"][(0, 0), (0, 1)] = (5, 5)
+        elif defect == "factor-outside":
+            tables["composition"][(5, 5), (0, 1)] = (0, 1)
         else:
-            del comp[(0, 0), (0, 1)]
-        bad = build_groupoid(
-            X.elements, X.units, maps["range"], X.source_map, comp, maps["inverse"]
-        )
+            del tables["composition"][(0, 0), (0, 1)]
+        bad = build_groupoid(X.elements, X.units, **tables)
         H, G = (bad, X) if factor == "H" else (X, bad)
-        with pytest.raises(StructuralError, match=f"^factor {factor} has no element or product"):
+        named = "((0, 0), (0, 1))" if defect == "product-missing" else "(5, 5)"
+        refusal = f"^factor {factor} has no element or product"
+        with pytest.raises(StructuralError, match=refusal) as info:
             twisted_product(H, zero_cocycle(H), G, identity_automorphism(G))
+        assert str(info.value).endswith(named)
 
     def test_one_power_per_distinct_exponent(self, monkeypatch):
         # alpha^k for the source and inverse maps, alpha^-k for the G-part
@@ -286,42 +277,36 @@ class TestBornIndexedProduct:
         D = dict_twisted_product(H, c, G, alpha)
         assert json.dumps(F.to_json()) == json.dumps(D.to_json())
 
-    def test_row_table_reads_like_a_dict(self):
+    def test_label_accessors_read_like_the_dict_table(self):
         for H, c, G, alpha in _oracle_instances():
             F = twisted_product(H, c, G, alpha).finite_form
-            table, oracle = F.composition, dict_twisted_product(H, c, G, alpha).composition
-            assert len(table) == len(oracle)
-            assert set(table) == set(oracle)
+            oracle = label_tables(dict_twisted_product(H, c, G, alpha))
+            table = oracle["composition"]
             for x in F.elements:
+                assert (F.r(x), F.s(x), F.inv(x)) == tuple(
+                    oracle[name][x] for name in ("range_map", "source_map", "inverse_map")
+                )
+                assert F.elements_with_source(x) == tuple(
+                    y for y in F.elements if oracle["source_map"][y] == x
+                )
                 for y in F.elements:
-                    pair = (x, y)
-                    if F.composable(x, y):
-                        assert pair in table
-                        assert table[pair] == table.get(pair) == oracle[pair]
+                    assert F.composable(x, y) == ((x, y) in table)
+                    if (x, y) in table:
+                        assert F.mul(x, y) == table[x, y]
                     else:
-                        assert pair not in table
-                        assert table.get(pair) is None and table.get(pair, "-") == "-"
                         with pytest.raises(KeyError):
-                            table[pair]
+                            F.mul(x, y)
             g = F.elements[0]
-            for bad in (("ghost", g), (g, "ghost"), (g,), (g, g, g), [g, g], None, (["x"], g)):
-                assert bad not in table and table.get(bad) is None
+            for bad in (("ghost", g), (g, "ghost")):
                 with pytest.raises(KeyError):
-                    table[bad]
+                    F.mul(*bad)
 
     def test_axiom_report_matches_dict_copy(self):
         rng = rng_for(408)
         for H, c, G, alpha in _oracle_instances():
             F = twisted_product(H, c, G, alpha).finite_form
             for X in [F, *_row_edits(F, rng)]:
-                copy = build_groupoid(
-                    X.elements,
-                    X.units,
-                    X.range_map,
-                    X.source_map,
-                    dict(X.composition),
-                    X.inverse_map,
-                )
+                copy = build_groupoid(X.elements, X.units, **label_tables(X))
                 assert _report(X) == _report(copy)
             assert _report(F) == []
 
