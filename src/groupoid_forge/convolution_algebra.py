@@ -3,14 +3,20 @@
 Finitely supported functions with Gaussian-rational coefficients, over
 either a finite groupoid (support: elements) or the twisted product of the
 bouquet groupoid with a finite G (support: pairs of a basic bisection and a
-G-element, kept in disjoint canonical form).  Convolution on the symbolic
-backend routes through the bisection product with coefficient bookkeeping;
-nothing is ever approximated.
+G-element).  Convolution on the symbolic backend routes through the
+bisection product with coefficient bookkeeping; nothing is ever
+approximated.
+
+A symbolic element keeps each G-element's pieces in the normal form of
+``canonical_pieces``, read off the function's values at finite germs.  So
+equal functions have equal coefficient maps, keyed in one order: G-elements
+by position, then pieces by their words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 from typing import Iterable, Mapping
 
 from .gaussian import ONE, ZERO, GaussianRational
@@ -19,11 +25,9 @@ from .graph_groupoid import (
     BasicBisection,
     InfiniteBouquet,
     bisection_product,
-    difference_basic,
-    intersect_basic,
     render_bisection,
 )
-from .graph_model import vertex_path
+from .graph_model import PathWord, vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
 from .matrices import mat_mul, transpose
 from .twisted_product import BouquetTwistedProduct
@@ -99,106 +103,107 @@ def _same_backend(x, y) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Splitting steps canonical_pieces may take before it gives up.
-DISJOINTIFY_FUEL = 20000
-
-
-class DisjointifyFuelExhausted(RuntimeError):
-    """The splitting loop took DISJOINTIFY_FUEL steps without finishing."""
-
-
 def canonical_pieces(
     pieces: Iterable[tuple[BasicBisection, Coeff]]
 ) -> dict[BasicBisection, Coeff]:
-    """Rewrite a coefficiented family of bisections in disjoint form.
+    """The normal form of a coefficiented family of bisections: the one
+    disjoint family that the function it sums to determines.
 
-    Each piece is checked against the disjoint pieces kept so far; on the
-    first overlap both sides are cut by the exact intersection/difference
-    calculus, the common part carries the sum of both coefficients and the
-    rest of each side keeps its own.  Zero pieces are dropped at the end.
-
-    The scan passes over kept pieces of another degree with one int compare:
-    ``intersect_basic`` answers None for them at once, so the first overlap
-    found, and with it every split, is the one a full scan finds.
+    Each piece Z((a, b) \\ F) contains the finite germ (a, b), so a
+    function is fixed by its values at finite germs.  These form a forest
+    under (xe, ye) -> (x, y), rooted where the two words end in different
+    edges; below a root (a0, b0), the germ (a0.t, b0.t) is read by its tail
+    t.  The value jumps only at a piece's germ, by its coefficient c, and at
+    each excluded child (ae, be), by -c.  The jumps and the germs between
+    two of them are kept; each kept germ n of nonzero value is the piece
+    Z(n \\ E(n)), E(n) the edges to n's kept children, so a tree with one
+    piece holds just that piece.  Pieces come out ordered by their words,
+    and a piece that comes out unchanged is the input's own object.
     """
-    result: list[tuple[BasicBisection, Coeff]] = []
-    queue = [(b, GaussianRational.of(c)) for b, c in pieces]
-    fuel = DISJOINTIFY_FUEL
-    while queue:
-        if fuel == 0:
-            raise DisjointifyFuelExhausted(
-                f"disjointification did not terminate within DISJOINTIFY_FUEL = "
-                f"{DISJOINTIFY_FUEL} steps"
-            )
-        fuel -= 1
-        p, c = queue.pop()
-        degree = p.degree
-        for idx, (q, kept) in enumerate(result):
-            if q.degree == degree:
-                inter = intersect_basic(p, q)
-                if inter is not None:
-                    break
-        else:
-            result.append((p, c))
+    pieces = list(pieces)
+    if len(pieces) == 1:
+        b, c = pieces[0][0], GaussianRational.of(pieces[0][1])
+        return {b: c} if c else {}
+    trees: dict[tuple, list] = {}
+    for b, c in pieces:
+        r, s = b.range_word.edges, b.source_word.edges
+        top = r, s
+        if r and s and r[-1] == s[-1]:  # (a, b) lies below a root: strip the common tail
+            i, j = len(r), len(s)
+            while i and j and r[i - 1] == s[j - 1]:
+                i -= 1
+                j -= 1
+            top = r[:i], s[:j]
+        trees.setdefault(top, []).append((r, s, b, GaussianRational.of(c)))
+    out = []  # (words, piece, value): the words are distinct, so they sort the list
+    for (r0, s0), family in trees.items():
+        if len(family) == 1:
+            r, s, b, c = family[0]
+            if c:
+                out.append(((r, s), b, c))
             continue
-        replacement = [(piece, kept) for piece in difference_basic(q, inter)]
-        replacement.append((inter, kept + c))
-        result[idx:idx + 1] = replacement
-        queue.extend((piece, c) for piece in difference_basic(p, inter))
-    return {b: c for b, c in result if c}
-
-
-def _pieces_by_g(
-    coeffs: Iterable[tuple[tuple[BasicBisection, object], Coeff]]
-) -> dict[object, list[tuple[BasicBisection, Coeff]]]:
-    """The (bisection, coefficient) pieces of each G-element."""
-    by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
-    for (b, g), c in coeffs:
-        by_g.setdefault(g, []).append((b, c))
-    return by_g
+        jumps, given = {}, {}
+        for r, _, b, c in family:
+            t = r[len(r0):]
+            given[t] = b
+            jumps[t] = jumps[t] + c if t in jumps else c
+            for e in b.excluded:
+                u = t + (e,)
+                jumps[u] = jumps[u] - c if u in jumps else -c
+        tails = [t for t, c in jumps.items() if c]
+        d = len(commonprefix(tails))  # the depth of the highest kept node
+        value, cut = {}, {}
+        for t in sorted({t[:i] for t in tails for i in range(d, len(t) + 1)}, key=len):
+            c = jumps.get(t, ZERO)
+            if len(t) > d:
+                c = c + value[t[:-1]]
+                cut.setdefault(t[:-1], set()).add(t[-1])
+            value[t] = c
+        for t, c in value.items():
+            if c:
+                excluded = frozenset(cut.get(t, ()))
+                b = given.get(t)
+                if b is None:
+                    b = BasicBisection(PathWord(r0 + t), PathWord(s0 + t), excluded)
+                elif b.excluded != excluded:
+                    b = BasicBisection(b.range_word, b.source_word, excluded)
+                out.append(((r0 + t, s0 + t), b, c))
+    return {b: c for _, b, c in sorted(out)}
 
 
 @dataclass(frozen=True)
 class SymbolicConvElement:
     """Finitely supported function on the bouquet twisted product, stored as
-    coefficients on (bisection, G-element) pairs with disjoint bisections per
-    G-element."""
+    coefficients on (bisection, G-element) pairs: each G-element's pieces in
+    normal form, the G-elements in position order."""
 
     model: BouquetTwistedProduct
     coeffs: Mapping[tuple[BasicBisection, object], Coeff]
 
     def __post_init__(self):
-        # zero pieces are split with the rest and dropped after: they cut
-        # the other pieces, so dropping them first changes the canonical form
-        flat: dict[tuple[BasicBisection, object], Coeff] = {}
-        by_g = _pieces_by_g(self.coeffs.items())
-        _check_support(self.model.g, by_g)
-        for g, pieces in by_g.items():
-            for b, c in canonical_pieces(pieces).items():
-                flat[(b, g)] = c
+        G = self.model.g
+        at, els, n = G._code, G.elements, len(G)
+        by_at: dict[int, list[tuple[BasicBisection, Coeff]]] = {}
+        for (b, g), c in self.coeffs.items():
+            i = at.get(g, n)
+            if i >= n:
+                raise StructuralError(f"support element {g!r} outside the groupoid")
+            by_at.setdefault(i, []).append((b, c))
+        flat = {}
+        for i in sorted(by_at):
+            for b, c in canonical_pieces(by_at[i]).items():
+                flat[(b, els[i])] = c
         object.__setattr__(self, "coeffs", flat)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other) -> bool:
-        """Equal as functions: ``self - other`` merged by key, then one
-        disjointification pass per G-element finds no nonzero piece.
-
-        Equal coefficient maps answer True at once: they are the same
-        function, so the difference walk could only find it zero.  Unequal
-        maps may still be one function cut two ways, and take the walk."""
+        """Equal as functions: a function has one normal form, so this is
+        equality of the coefficient maps."""
         if not isinstance(other, SymbolicConvElement):
             return NotImplemented
-        if self.model is not other.model:
-            return False
-        if self.coeffs == other.coeffs:
-            return True
-        diff = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            diff[key] = diff[key] - c if key in diff else -c
-        by_g = _pieces_by_g((key, c) for key, c in diff.items() if c)
-        return not any(canonical_pieces(pieces) for pieces in by_g.values())
+        return self.model is other.model and self.coeffs == other.coeffs
 
     def describe(self) -> str:
         if self.is_zero():
@@ -221,9 +226,8 @@ def convolve(x, y):
 
     On the symbolic backend a pair of pieces (b1, g1), (b2, g2) has a
     product only when alpha^{deg b1}(s(g1)) = r(g2), so each piece of x
-    walks only the pieces of y with that range, in y's order: the products
-    made, and the order of the keys they land on, are those of the full
-    double loop."""
+    walks only the pieces of y with that range: the products made are those
+    of the full double loop."""
     _same_backend(x, y)
     if isinstance(x, FiniteConvElement):
         G = x.groupoid
@@ -293,19 +297,14 @@ def iota_embed(f: FiniteConvElement, model: BouquetTwistedProduct) -> SymbolicCo
 def iota_inverse(x: SymbolicConvElement) -> FiniteConvElement:
     """Invert the embedding; support escaping its image is a bug signal.
 
-    A canonical form may cut the unit space into several pieces, so the
-    keys alone do not decide membership: x is in the image exactly when it
-    equals iota of the coefficient of each G-element's first piece."""
-    f: dict[object, Coeff] = {}
-    for (b, g), c in x.coeffs.items():
-        f.setdefault(g, c)
-    out = FiniteConvElement(x.model.g, f)
-    if iota_embed(out, x.model) != x:
-        escaping = next(b for b, _ in x.coeffs if b != FULL_UNIT_BISECTION)
-        raise InternalConsistencyError(
-            f"support escapes the embedded copy of the G-algebra: {render_bisection(escaping)}"
-        )
-    return out
+    The embedding of f is, in normal form, Z(v) under each G-element of f's
+    support: x is in the image exactly when every key is FULL_UNIT_BISECTION."""
+    for b, _ in x.coeffs:
+        if b != FULL_UNIT_BISECTION:
+            raise InternalConsistencyError(
+                f"support escapes the embedded copy of the G-algebra: {render_bisection(b)}"
+            )
+    return FiniteConvElement(x.model.g, {g: c for (_, g), c in x.coeffs.items()})
 
 
 def generator_times(model: BouquetTwistedProduct, i: int, f: FiniteConvElement) -> SymbolicConvElement:

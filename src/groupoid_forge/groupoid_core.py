@@ -513,8 +513,8 @@ class Cocycle:
             for j, k in row.items()
             if c[k] != c[i] + c[j]
         ]
-        for u in G.units:
-            if self.values[u] != 0:
+        for u in els:
+            if u in G.units and self.values[u] != 0:
                 v.append(Violation("c vanishes on units", f"unit {u!r}"))
         return report_from(v)
 
@@ -600,11 +600,11 @@ class GroupoidAutomorphism:
         v = []
         G = self.groupoid
         a = self.mapping
-        for u in G.units:
-            if a[u] not in G.units:
+        els, code, rows = G.elements, G._code, G.rows
+        for u in els:
+            if u in G.units and a[u] not in G.units:
                 v.append(Violation("units preserved", f"unit {u!r}"))
         # at[i] is the position of alpha(elements[i])
-        els, code, rows = G.elements, G._code, G.rows
         at = [code[a[g]] for g in els]
         for i, g in enumerate(els):
             for name, m in (("r", G.range_of), ("s", G.source_of), ("inverse", G.inverse_of)):

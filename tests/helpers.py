@@ -18,12 +18,7 @@ from typing import Mapping
 from unittest.mock import patch
 
 from groupoid_forge import matrices
-from groupoid_forge.convolution_algebra import (
-    DISJOINTIFY_FUEL,
-    DisjointifyFuelExhausted,
-    RegRepMatrix,
-    SymbolicConvElement,
-)
+from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
@@ -177,26 +172,39 @@ def sum_contains(piece: BasicBisection | None, candidate) -> bool:
     return piece is not None and contains_germ(piece, candidate)
 
 
-def symbolic_difference(a: SymbolicConvElement, b: SymbolicConvElement) -> SymbolicConvElement:
-    """a - b with the coefficients merged by key and then canonicalized by
-    the constructor (the oracle for ``SymbolicConvElement.__eq__``: a == b
-    exactly when this is zero)."""
+def scanned_difference_is_zero(a: SymbolicConvElement, b: SymbolicConvElement) -> bool:
+    """Whether a - b is the zero function: the coefficients merged by key,
+    then each G-element's pieces put in disjoint form by
+    ``scanned_canonical_pieces``, which leaves no nonzero piece exactly
+    when the difference vanishes (the oracle for
+    ``SymbolicConvElement.__eq__``)."""
     merged = dict(a.coeffs)
     for key, c in b.coeffs.items():
         merged[key] = merged.get(key, ZERO) - c
-    return SymbolicConvElement(a.model, merged)
+    by_g = {}
+    for (piece, g), c in merged.items():
+        by_g.setdefault(g, []).append((piece, c))
+    return not any(scanned_canonical_pieces(family) for family in by_g.values())
+
+
+# Splitting steps scanned_canonical_pieces takes before it gives up.
+SCAN_STEPS = 20000
 
 
 def scanned_canonical_pieces(pieces) -> dict:
-    """``canonical_pieces`` as a full scan: each piece is offered to
-    ``intersect_basic`` against every kept piece, whatever its degree."""
+    """A disjoint form by the splitting loop: each piece is offered to
+    ``intersect_basic`` against every kept piece, and on the first overlap
+    both are cut by ``difference_basic``, the common part carrying the sum
+    of both coefficients.  Zero pieces are dropped at the end.  The result
+    is disjoint and sums to the input's function, but how it is cut depends
+    on the input; ``canonical_pieces`` gives the normal form."""
     result = []
     queue = [(b, GaussianRational.of(c)) for b, c in pieces]
-    fuel = DISJOINTIFY_FUEL
+    steps = 0
     while queue:
-        if fuel == 0:
-            raise DisjointifyFuelExhausted(f"DISJOINTIFY_FUEL = {DISJOINTIFY_FUEL}")
-        fuel -= 1
+        steps += 1
+        if steps > SCAN_STEPS:
+            raise AssertionError(f"the splitting loop took more than SCAN_STEPS = {SCAN_STEPS} steps")
         p, c = queue.pop()
         for idx, (q, kept) in enumerate(result):
             inter = intersect_basic(p, q)

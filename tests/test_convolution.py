@@ -7,11 +7,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoid_forge import convolution_algebra
 from groupoid_forge.convolution_algebra import (
     FULL_UNIT_BISECTION,
-    DisjointifyFuelExhausted,
     FiniteConvElement,
     SymbolicConvElement,
     canonical_pieces,
@@ -38,7 +39,13 @@ from families import (
     seeded_groupoids_for_representation,
 )
 from groupoid_forge.gaussian import GaussianRational, gauss
-from groupoid_forge.graph_groupoid import BasicBisection, InfiniteBouquet, unit_bisection
+from groupoid_forge.graph_groupoid import (
+    BasicBisection,
+    InfiniteBouquet,
+    difference_basic,
+    intersect_basic,
+    unit_bisection,
+)
 from groupoid_forge.groupoid_core import (
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
@@ -57,6 +64,7 @@ from helpers import (
     looped_matmul,
     paired_symbolic_convolve,
     scanned_canonical_pieces,
+    scanned_difference_is_zero,
 )
 
 BQ = InfiniteBouquet()
@@ -240,7 +248,8 @@ class TestEmbedding:
             iota_inverse(x)
 
     def test_a_unit_space_cut_in_two_is_in_the_image(self):
-        # 1[Z(v minus e0)] + 1[Z(e0)] is iota(delta(0, 0)) cut at e0
+        # 1[Z(v minus e0)] + 1[Z(e0)] is iota(delta(0, 0)) cut at e0; its
+        # normal form is the one piece Z(v)
         model = swap_model()
         g = (0, 0)
         x = SymbolicConvElement(
@@ -251,7 +260,8 @@ class TestEmbedding:
             },
         )
         f = delta(model.g, g)
-        assert len(x.coeffs) == 2 and x == iota_embed(f, model)
+        assert list(x.coeffs.items()) == [((FULL_UNIT_BISECTION, g), gauss(1))]
+        assert x == iota_embed(f, model)
         assert iota_inverse(x) == f
         assert module_inner_product(x, x) == f
 
@@ -483,22 +493,9 @@ class TestCanonicalization:
 
         monkeypatch.setattr(convolution_algebra, "canonical_pieces", counted_pieces)
         monkeypatch.setattr(GaussianRational, "__sub__", counted_sub)
-        # equal maps: no difference is formed and nothing is split
-        assert xy.coeffs and xy == again and not calls
-        # one coefficient apart: unequal maps take the difference walk
-        assert not (xy == moved)
-        assert "canonical_pieces" in calls and "__sub__" in calls
-
-    def test_fuel_exhaustion_names_the_cap(self, monkeypatch):
-        # Z(e0), Z(e1), Z(e2) take a step each, and Z(v) four more: one per
-        # overlap it is cut at, and one for the rest Z(v \ {e0, e1, e2})
-        pieces = [(BasicBisection(BQ.unit(), BQ.unit()), gauss(1))]
-        pieces += [(BasicBisection(BQ.path([i]), BQ.path([i])), gauss(1)) for i in range(3)]
-        monkeypatch.setattr(convolution_algebra, "DISJOINTIFY_FUEL", 7)
-        assert len(canonical_pieces(pieces)) == 4
-        monkeypatch.setattr(convolution_algebra, "DISJOINTIFY_FUEL", 6)
-        with pytest.raises(DisjointifyFuelExhausted, match="DISJOINTIFY_FUEL = 6"):
-            canonical_pieces(pieces)
+        # normal forms compare as maps: no difference is formed and nothing
+        # is cut, whether the maps are equal or one coefficient apart
+        assert xy.coeffs and xy == again and not (xy == moved) and not calls
 
     def test_determinant_exact(self):
         rows = (
@@ -508,14 +505,166 @@ class TestCanonicalization:
         assert determinant(rows) == gauss(1)
 
 
+WORDS = st.lists(st.integers(0, 2), max_size=2)
+FAMILIES = st.lists(
+    st.tuples(WORDS, WORDS, st.sets(st.integers(0, 2)), st.integers(-2, 2)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def family_of(raw) -> list[tuple[BasicBisection, GaussianRational]]:
+    """(range letters, source letters, excluded letters, coefficient) rows
+    as bouquet pieces."""
+    return [
+        (BasicBisection(BQ.path(r), BQ.path(s), frozenset(map(BQ.edge, f))), gauss(c))
+        for r, s, f, c in raw
+    ]
+
+
+def value_at(pieces, germ) -> GaussianRational:
+    total = gauss(0)
+    for b, c in pieces:
+        if contains_germ(b, germ):
+            total = total + c
+    return total
+
+
+def recut(family, rng, cuts: int) -> list:
+    """The same function cut further: a piece is split along another piece
+    of the family, or along a one-edge cylinder of its own, into the
+    intersection and ``difference_basic``'s rest, each keeping its
+    coefficient."""
+    out = list(family)
+    for _ in range(cuts):
+        k = rng.randrange(len(out))
+        b, c = out[k]
+        if rng.random() < 0.5:
+            knife = rng.choice(family)[0]
+        else:
+            tail = BQ.path([rng.randrange(4)])
+            knife = BasicBisection(b.range_word.concat(tail), b.source_word.concat(tail))
+        inter = intersect_basic(b, knife)
+        if inter is not None:
+            out[k:k + 1] = [(inter, c)] + [(piece, c) for piece in difference_basic(b, knife)]
+    rng.shuffle(out)
+    return out
+
+
+class TestNormalForm:
+    """``canonical_pieces`` depends only on the function: not on how its
+    input is cut, nor on the input order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(FAMILIES, st.randoms(use_true_random=False))
+    def test_recut_and_shuffled_input_gives_the_same_form(self, raw, rng):
+        family = family_of(raw)
+        want = list(canonical_pieces(family).items())
+        assert list(canonical_pieces(recut(family, rng, 4)).items()) == want
+
+    def test_pointwise_against_the_splitting_loop(self):
+        # depth-1 words, so every jump sits at depth 2 or less and germs up
+        # to length 3 tell any two forms apart
+        rng = rng_for(41)
+        germs = bouquet_germs(3, 3)
+        for _ in range(25):
+            raw = [
+                (
+                    [rng.randint(0, 2) for _ in range(rng.randint(0, 1))],
+                    [rng.randint(0, 2) for _ in range(rng.randint(0, 1))],
+                    set(rng.sample(range(3), rng.randint(0, 2))),
+                    rng.randint(-2, 2),
+                )
+                for _ in range(rng.randint(1, 5))
+            ]
+            family = family_of(raw)
+            form = list(canonical_pieces(family).items())
+            scanned = list(scanned_canonical_pieces(family).items())
+            assert all(c for _, c in form) and len(form) <= len(scanned)
+            for (p, _), (q, _) in itertools.combinations(form, 2):
+                assert intersect_basic(p, q) is None
+            for germ in germs:
+                assert value_at(form, germ) == value_at(scanned, germ) == value_at(family, germ)
+
+    CUT_TWO_WAYS = {
+        "unit at e0": (
+            [(unit_bisection(BQ.unit(), {BQ.edge(0)}), 1), (unit_bisection(BQ.path([0])), 1)],
+            [(unit_bisection(BQ.unit()), 1)],
+        ),
+        "arrow at e0 and e2": (
+            [
+                (BasicBisection(BQ.path([1]), BQ.unit(), frozenset({BQ.edge(0), BQ.edge(2)})), 3),
+                (BasicBisection(BQ.path([1, 0]), BQ.path([0])), 3),
+                (BasicBisection(BQ.path([1, 2]), BQ.path([2])), 3),
+            ],
+            [(BasicBisection(BQ.path([1]), BQ.unit()), 3)],
+        ),
+        "a cylinder taken out": (
+            [(unit_bisection(BQ.unit()), 2), (unit_bisection(BQ.path([1, 1])), -2)],
+            [
+                (unit_bisection(BQ.unit(), {BQ.edge(1)}), 2),
+                (unit_bisection(BQ.path([1]), {BQ.edge(1)}), 2),
+            ],
+        ),
+        "overlap against its split": (
+            [(unit_bisection(BQ.unit()), 1), (unit_bisection(BQ.path([2])), 1)],
+            [(unit_bisection(BQ.unit(), {BQ.edge(2)}), 1), (unit_bisection(BQ.path([2])), 2)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CUT_TWO_WAYS))
+    def test_one_function_cut_two_ways(self, name):
+        model = swap_model()
+        g = (1, 0)
+        cut, form = self.CUT_TWO_WAYS[name]
+        x = SymbolicConvElement(model, {(b, g): gauss(c) for b, c in cut})
+        y = SymbolicConvElement(model, {(b, g): gauss(c) for b, c in form})
+        assert list(x.coeffs.items()) == list(y.coeffs.items())
+        assert list(y.coeffs) == [(b, g) for b, _ in form]
+        assert x == y and scanned_difference_is_zero(x, y)
+
+    def test_the_benchmark_pair_cut_two_ways_collapses(self):
+        # seed 3, triple 40: the splitting loop cuts (xy)z at (1, 0) into
+        # Z(e2) and Z(v minus e2), both with 5-5i; the normal form is Z(v)
+        inputs = bench_inputs()
+        m, element_pieces = inputs.symbolic_triples(3)[40]
+        model = bouquet_twisted_product(*inputs.shift_model_parts(m))
+        x, y, z = (SymbolicConvElement(model, pieces) for pieces in element_pieces)
+        left, right = convolve(convolve(x, y), z), convolve(x, convolve(y, z))
+        at = (1, 0)
+        scanned = paired_symbolic_convolve(convolve(x, y), z)
+        units = sorted(b.range_word.edges for b, g in scanned if g == at and b.is_unit_set())
+        assert units == [(), (BQ.edge(2),)]
+        assert left.coeffs[(FULL_UNIT_BISECTION, at)] == gauss(5, -5)
+        assert list(left.coeffs.items()) == list(right.coeffs.items())
+
+    def test_keys_by_g_position_then_words_whatever_the_input_order(self):
+        model = swap_model()
+        position = model.g._code
+        rng = rng_for(43)
+        for x, y in pointwise_pairs(model):
+            for element in (x, y, convolve(x, y), convolve(y, x), involution(x)):
+                items = list(element.coeffs.items())
+                rng.shuffle(items)
+                assert list(SymbolicConvElement(model, dict(items)).coeffs.items()) == list(
+                    element.coeffs.items()
+                )
+                assert list(element.coeffs) == sorted(
+                    element.coeffs,
+                    key=lambda k: (position[k[1]], k[0].range_word.edges, k[0].source_word.edges),
+                )
+
+
 class TestPairOrderOracles:
-    """The range-bucketed pair loop and the same-degree overlap scan give
-    the coefficient maps of the full double loop and the full scan: the
-    same keys and values, in the same order."""
+    """The range-bucketed pair loop gives the function of the full double
+    loop, and the normal form is that of the splitting loop's disjoint
+    form: once the oracles' output is normalized, the same keys and values,
+    in the same order."""
 
     @staticmethod
     def _check(x, y):
-        assert list(convolve(x, y).coeffs.items()) == list(paired_symbolic_convolve(x, y).items())
+        want = SymbolicConvElement(x.model, paired_symbolic_convolve(x, y))
+        assert list(convolve(x, y).coeffs.items()) == list(want.coeffs.items())
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_benchmark_triples(self, seed):
@@ -527,7 +676,7 @@ class TestPairOrderOracles:
                 for (b, g), c in pieces.items():
                     by_g.setdefault(g, []).append((b, c))
                 for family in by_g.values():
-                    want = scanned_canonical_pieces(family)
+                    want = canonical_pieces(scanned_canonical_pieces(family).items())
                     assert list(canonical_pieces(family).items()) == list(want.items())
             x, y, z = (SymbolicConvElement(models[m], pieces) for pieces in element_pieces)
             xy, yz = convolve(x, y), convolve(y, z)

@@ -481,6 +481,23 @@ class TestCocyclesAutomorphisms:
         on_units = [v for v in c.validate().violations if v.invariant == "c vanishes on units"]
         assert on_units == [Violation("c vanishes on units", "unit (0, 0)")]
 
+    def test_unit_violations_come_in_element_order(self):
+        # string labels: the units frozenset iterates in an order that
+        # follows PYTHONHASHSEED, the reports do not
+        G = full_relation("abc")
+        units = [("a", "a"), ("b", "b"), ("c", "c")]
+        c = Cocycle(G, {g: int(g in G.units) for g in G.elements})
+        on_units = [v.subject for v in c.validate().violations if v.invariant == "c vanishes on units"]
+        assert on_units == [f"unit {u!r}" for u in units]
+        # each unit swapped with the arrow after it in its row
+        mapping = {g: g for g in G.elements}
+        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
+            mapping[(a, a)], mapping[(a, b)] = (a, b), (a, a)
+        moved = GroupoidAutomorphism(G, mapping).validate().violations
+        assert [v.subject for v in moved if v.invariant == "units preserved"] == [
+            f"unit {u!r}" for u in units
+        ]
+
     def test_unit_moved_off_the_units_fails_units_and_inverses(self):
         # swapping the unit (0, 0) with the arrow (0, 1) keeps a bijection
         G = full_relation(range(2))
