@@ -119,22 +119,19 @@ def canonical_pieces(
     Z(n \\ E(n)), E(n) the edges to n's kept children, so a tree with one
     piece holds just that piece.  Pieces come out ordered by their words,
     and a piece that comes out unchanged is the input's own object.
+    Trees are keyed by edges, so a tree whose top words are empty must sit
+    at the bouquet vertex: empty words at two vertices would share its key.
     """
-    pieces = list(pieces)
-    if len(pieces) == 1:
-        b, c = pieces[0][0], GaussianRational.of(pieces[0][1])
-        return {b: c} if c else {}
     trees: dict[tuple, list] = {}
     for b, c in pieces:
         r, s = b.range_word.edges, b.source_word.edges
-        top = r, s
-        if r and s and r[-1] == s[-1]:  # (a, b) lies below a root: strip the common tail
-            i, j = len(r), len(s)
-            while i and j and r[i - 1] == s[j - 1]:
-                i -= 1
-                j -= 1
-            top = r[:i], s[:j]
-        trees.setdefault(top, []).append((r, s, b, GaussianRational.of(c)))
+        i, j = len(r), len(s)
+        while i and j and r[i - 1] == s[j - 1]:  # (a, b) lies below a root: strip the common tail
+            i -= 1
+            j -= 1
+        if not (i or j) and b.range_word.range_vertex != BOUQUET_VERTEX:
+            raise StructuralError(f"{render_bisection(b)} does not start at the bouquet vertex")
+        trees.setdefault((r[:i], s[:j]), []).append((r, s, b, GaussianRational.of(c)))
     out = []  # (words, piece, value): the words are distinct, so they sort the list
     for (r0, s0), family in trees.items():
         if len(family) == 1:
@@ -168,7 +165,8 @@ def canonical_pieces(
                 elif b.excluded != excluded:
                     b = BasicBisection(b.range_word, b.source_word, excluded)
                 out.append(((r0 + t, s0 + t), b, c))
-    return {b: c for _, b, c in sorted(out)}
+    out.sort()
+    return {b: c for _, b, c in out}
 
 
 @dataclass(frozen=True)
@@ -181,18 +179,15 @@ class SymbolicConvElement:
     coeffs: Mapping[tuple[BasicBisection, object], Coeff]
 
     def __post_init__(self):
-        G = self.model.g
-        at, els, n = G._code, G.elements, len(G)
-        by_at: dict[int, list[tuple[BasicBisection, Coeff]]] = {}
+        by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
         for (b, g), c in self.coeffs.items():
-            i = at.get(g, n)
-            if i >= n:
-                raise StructuralError(f"support element {g!r} outside the groupoid")
-            by_at.setdefault(i, []).append((b, c))
+            by_g.setdefault(g, []).append((b, c))
+        G = self.model.g
+        _check_support(G, by_g)
         flat = {}
-        for i in sorted(by_at):
-            for b, c in canonical_pieces(by_at[i]).items():
-                flat[(b, els[i])] = c
+        for g in sorted(by_g, key=G._code.__getitem__):
+            for b, c in canonical_pieces(by_g[g]).items():
+                flat[(b, g)] = c
         object.__setattr__(self, "coeffs", flat)
 
     def is_zero(self) -> bool:

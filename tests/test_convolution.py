@@ -46,7 +46,9 @@ from groupoid_forge.graph_groupoid import (
     intersect_basic,
     unit_bisection,
 )
+from groupoid_forge.graph_model import Edge, PathWord, vertex_path
 from groupoid_forge.groupoid_core import (
+    build_groupoid,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
     full_relation,
@@ -54,12 +56,14 @@ from groupoid_forge.groupoid_core import (
     relation_automorphism,
 )
 from groupoid_forge.twisted_product import bouquet_twisted_product
+from groupoid_forge.validation import StructuralError
 from helpers import (
     bench_inputs,
     bouquet_germs,
     contains_germ,
     determinant,
     is_psd_hermitian,
+    label_tables,
     looped_dagger,
     looped_matmul,
     paired_symbolic_convolve,
@@ -112,6 +116,22 @@ class TestFiniteBackend:
         assert convolve(delta(G, (0, 1)), delta(G, (1, 2))) == delta(G, (0, 2))
         # a finite element keeps only its nonzero coefficients
         assert not convolve(delta(G, (0, 1)), delta(G, (2, 0))).coeffs
+
+    def test_support_outside_the_groupoid_is_refused(self):
+        # a stray id (one the tables name but the elements do not) has a
+        # code of its own, past the elements; both backends refuse it
+        G = full_relation(range(2))
+        tables = label_tables(G)
+        tables["inverse_map"][(0, 1)] = "stray"
+        bad = build_groupoid(G.elements, G.units, **tables)
+        unit = FULL_UNIT_BISECTION
+        for build in (
+            lambda: FiniteConvElement(G, {(0, 0): 1, (5, 5): 1}),
+            lambda: FiniteConvElement(bad, {"stray": 1}),
+            lambda: SymbolicConvElement(swap_model(), {(unit, (0, 0)): 1, (unit, (5, 5)): 1}),
+        ):
+            with pytest.raises(StructuralError, match="outside the groupoid"):
+                build()
 
     def test_involution_of_point_mass(self):
         G = full_relation(range(2))
@@ -522,6 +542,10 @@ def family_of(raw) -> list[tuple[BasicBisection, GaussianRational]]:
     ]
 
 
+# Every germ of words with letters 0..2 and length 3 or less.
+GERMS = bouquet_germs(3, 3)
+
+
 def value_at(pieces, germ) -> GaussianRational:
     total = gauss(0)
     for b, c in pieces:
@@ -561,12 +585,18 @@ class TestNormalForm:
         family = family_of(raw)
         want = list(canonical_pieces(family).items())
         assert list(canonical_pieces(recut(family, rng, 4)).items()) == want
+        # the words have letters 0..2 and length 2 or less, so every jump
+        # of either function sits on a germ of GERMS
+        assert all(c for _, c in want)
+        for (p, _), (q, _) in itertools.combinations(want, 2):
+            assert intersect_basic(p, q) is None
+        for germ in GERMS:
+            assert value_at(want, germ) == value_at(family, germ)
 
     def test_pointwise_against_the_splitting_loop(self):
         # depth-1 words, so every jump sits at depth 2 or less and germs up
         # to length 3 tell any two forms apart
         rng = rng_for(41)
-        germs = bouquet_germs(3, 3)
         for _ in range(25):
             raw = [
                 (
@@ -583,7 +613,7 @@ class TestNormalForm:
             assert all(c for _, c in form) and len(form) <= len(scanned)
             for (p, _), (q, _) in itertools.combinations(form, 2):
                 assert intersect_basic(p, q) is None
-            for germ in germs:
+            for germ in GERMS:
                 assert value_at(form, germ) == value_at(scanned, germ) == value_at(family, germ)
 
     CUT_TWO_WAYS = {
@@ -637,6 +667,17 @@ class TestNormalForm:
         assert units == [(), (BQ.edge(2),)]
         assert left.coeffs[(FULL_UNIT_BISECTION, at)] == gauss(5, -5)
         assert list(left.coeffs.items()) == list(right.coeffs.items())
+
+    def test_pieces_off_the_bouquet_vertex_are_refused(self):
+        # keyed by edges alone, Z(v) and Z(w) would share a tree and come
+        # out as one piece Z(w) with coefficient 2; Z(v) and Z((f, f)), f a
+        # loop at w, would share one too
+        f = Edge(0, "w", "w")
+        for other in (vertex_path("w"), PathWord((f,))):
+            family = [(unit_bisection(BQ.unit()), gauss(1)), (unit_bisection(other), gauss(1))]
+            for pieces in (family, family[::-1], family[1:]):
+                with pytest.raises(StructuralError, match="bouquet vertex"):
+                    canonical_pieces(pieces)
 
     def test_keys_by_g_position_then_words_whatever_the_input_order(self):
         model = swap_model()
