@@ -13,7 +13,6 @@ from groupoid_forge import (
     isotropy_group,
     orbits,
     principality_criterion,
-    twisted_product,
     verify_groupoid_axioms,
     weight_cocycle,
 )
@@ -25,6 +24,7 @@ from groupoid_forge.groupoid_core import (
     identity_automorphism,
     zero_cocycle,
 )
+from groupoid_forge.twisted_product import twisted_product
 
 H = full_relation(range(3))
 c = weight_cocycle(H, {(i, i): i for i in range(3)})

@@ -13,12 +13,6 @@ import json
 import sys
 from itertools import chain, islice
 
-from .convolution_algebra import (
-    comp2_identity_sides,
-    comp_identity_sides,
-    right_action_identity_sides,
-    delta,
-)
 from .dimension_groups import (
     DimGroupElement,
     dg_equal,
@@ -26,22 +20,10 @@ from .dimension_groups import (
     dimension_group_of,
     k0_vertex_class,
 )
-from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
 from .graph_model import (
     diagram_from_json,
     telescope,
     validate_bratteli,
-)
-from .groupoid_core import (
-    automorphism_from_json,
-    cocycle_from_json,
-    cyclic_multiplier_automorphism,
-    full_relation,
-    groupoid_from_json,
-    identity_automorphism,
-    relation_automorphism,
-    verify_groupoid_axioms,
-    zero_cocycle,
 )
 from .pipeline import (
     PipelineInputError,
@@ -57,13 +39,11 @@ from .rank2_diagrams import (
     rank2_data_from_json,
     telescope_rank2,
 )
-from .twisted_product import (
-    bouquet_twisted_product,
-    contracting_bisection_witness,
-    reverify_contracting_witness,
-    twisted_product,
-)
 from .validation import StructuralError
+
+# The groupoid toolkit (groupoid_core, graph_groupoid, twisted_product and
+# convolution_algebra) is imported inside the commands that use it, so the
+# diagram and planner commands never load it.
 
 
 def _load_json(path: str) -> dict:
@@ -96,6 +76,13 @@ def _plan_options(args) -> dict:
 
 
 def _alpha_for(spec: str, G):
+    from .groupoid_core import (
+        automorphism_from_json,
+        cyclic_multiplier_automorphism,
+        identity_automorphism,
+        relation_automorphism,
+    )
+
     if spec == "identity":
         return identity_automorphism(G)
     if spec.startswith("cycle"):
@@ -129,6 +116,8 @@ def cmd_telescope(args) -> int:
 
 
 def cmd_check_groupoid(args) -> int:
+    from .groupoid_core import groupoid_from_json, verify_groupoid_axioms
+
     G = groupoid_from_json(_load_json(args.file))
     report = verify_groupoid_axioms(G)
     print(report.describe())
@@ -137,6 +126,8 @@ def cmd_check_groupoid(args) -> int:
 
 def _axiomatic_groupoid(path: str):
     """The groupoid of a dump; one failing an axiom is refused with its report."""
+    from .groupoid_core import groupoid_from_json, verify_groupoid_axioms
+
     G = groupoid_from_json(_load_json(path))
     report = verify_groupoid_axioms(G)
     if not report.passed:
@@ -159,6 +150,9 @@ def _refuse_unread(args, command: str) -> None:
 
 
 def cmd_twist(args) -> int:
+    from .groupoid_core import cocycle_from_json, verify_groupoid_axioms, zero_cocycle
+    from .twisted_product import bouquet_twisted_product, twisted_product
+
     if args.H == "hinf":
         _refuse_unread(args, "twist --H hinf")
     G = _axiomatic_groupoid(args.G)
@@ -205,6 +199,14 @@ def cmd_certify(args) -> int:
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G
     # inside the fixed window Z(e6.e0.e4 \ {e4, e6, e7}), and re-check it
+    from .graph_groupoid import InfiniteBouquet, render_bisection, unit_bisection
+    from .groupoid_core import full_relation, identity_automorphism
+    from .twisted_product import (
+        bouquet_twisted_product,
+        contracting_bisection_witness,
+        reverify_contracting_witness,
+    )
+
     G = full_relation([0])
     model = bouquet_twisted_product(G, identity_automorphism(G))
     bouquet = InfiniteBouquet()
@@ -224,6 +226,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_convolve_demo(args) -> int:
+    from .convolution_algebra import (
+        comp2_identity_sides,
+        comp_identity_sides,
+        delta,
+        right_action_identity_sides,
+    )
+    from .groupoid_core import full_relation, relation_automorphism
+    from .twisted_product import bouquet_twisted_product
+
     G = full_relation(range(2))
     alpha = relation_automorphism(G, {0: 1, 1: 0})
     model = bouquet_twisted_product(G, alpha)

@@ -20,6 +20,14 @@ from itertools import islice, zip_longest
 from typing import NamedTuple, Sequence
 
 from . import matrices
+from .certificates import (
+    LcWitness,
+    WfcCertificate,
+    check_path_lc,
+    check_wfc,
+    minimality_verdict,
+    shift_witness_levels,
+)
 from .dimension_groups import DimGroupElement, Verdict, dimension_group_of
 from .graph_model import (
     BratteliDiagram,
@@ -39,14 +47,6 @@ from .rank2_diagrams import (
     compute_orders,
     rank2_data_from_json,
     telescope_rank2,
-)
-from .twisted_product import (
-    LcWitness,
-    WfcCertificate,
-    check_lc,
-    check_wfc,
-    minimality_verdict,
-    shift_witness_levels,
 )
 from .validation import StructuralError, json_int, json_ints
 
@@ -198,7 +198,7 @@ def af_lc_witness(d: BratteliDiagram) -> LcWitness:
     """The LC witness of a diagram under parallel-class cycling, on the
     first 40 paths of length at most 2 from level 0: the AF plan's ``lc``
     block (of its telescoped diagram) and ``forge certify lc``."""
-    return check_lc(d, EdgeCycleAutomorphism(d), _lc_sample(d, 40))
+    return check_path_lc(EdgeCycleAutomorphism(d), _lc_sample(d, 40))
 
 
 _AF_AUTOMORPHISM = {
@@ -402,7 +402,7 @@ def plan_rank2_realization(
         sample.append(Rank2Path((label,), 0))
     for label in islice(diagram.blue_labels_at(1), 4):
         sample.append(Rank2Path((label,), 1))
-    lc = check_lc(diagram, orders, sample)
+    lc = check_path_lc(orders, sample)
 
     minimality = minimality_verdict(blue_skeleton(diagram), levels_out - 1)
     inequality = wfc.details["inequality"].values()

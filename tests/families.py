@@ -52,7 +52,9 @@ def random_h_with_cocycle(rng: random.Random, max_size: int = 24):
     else:
         H = cyclic_group_groupoid(rng.randint(2, 6))
         return H, zero_cocycle(H)
-    weights = {u: rng.randint(-3, 3) for u in H.units}
+    # drawn in element order, so the draws do not follow the unit set's
+    # iteration order
+    weights = {u: rng.randint(-3, 3) for u in H.elements if u in H.units}
     return H, weight_cocycle(H, weights)
 
 

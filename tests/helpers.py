@@ -18,6 +18,14 @@ from typing import Mapping
 from unittest.mock import patch
 
 from groupoid_forge import matrices
+from groupoid_forge.certificates import (
+    LcEntry,
+    LcWitness,
+    WfcCertificate,
+    check_path_lc,
+    check_wfc,
+    minimality_verdict,
+)
 from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
@@ -88,14 +96,6 @@ from groupoid_forge.rank2_diagrams import (
     reverify_telescope,
     telescope_rank2,
     validate_rank2,
-)
-from groupoid_forge.twisted_product import (
-    LcEntry,
-    LcWitness,
-    WfcCertificate,
-    check_lc,
-    check_wfc,
-    minimality_verdict,
 )
 from groupoid_forge.validation import (
     StructuralError,
@@ -657,7 +657,7 @@ def red_blue_cofinal(d: CanonicalRank2Diagram, depth: int) -> bool:
 def per_level_minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
     """Cofinality to ``depth`` with a fresh ``path_count_matrix`` for every
     level, stopping at the first level that misses a level-``depth`` vertex
-    (the oracle for ``twisted_product.minimality_verdict``, which keeps one
+    (the oracle for ``certificates.minimality_verdict``, which keeps one
     running product from the top)."""
     for t in range(depth):
         counts = path_count_matrix(d, t, depth)
@@ -677,7 +677,7 @@ def per_level_minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
 # and the growth search that rebuilt the path-count matrix from scratch for
 # every candidate level.  ``pipeline.plan_af_realization`` reads the class-cycle
 # lengths off the growth chains and assigns the witness levels with
-# ``twisted_product.shift_witness_levels``, and ``matrices.growth_levels``
+# ``certificates.shift_witness_levels``, and ``matrices.growth_levels``
 # keeps one running product per gap; all are tested against these.
 # ---------------------------------------------------------------------------
 
@@ -914,12 +914,13 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
 # ---------------------------------------------------------------------------
 # Walked LC oracles
 #
-# The local-contraction entries as ``check_lc`` found them by walking each
-# path through the automorphism until it closed.  On a cylinder Z(mu),
-# alpha^{-l}(Z(mu)) = Z(alpha^{-l}(mu)) lies inside Z(mu) exactly when
-# alpha^{-l}(mu) = mu, so the entry is the orbit length of mu, which is the
-# same under alpha as under its inverse.  ``twisted_product.check_lc`` reads
-# it off the cycle lengths and is tested against these walks.
+# The local-contraction entries of path cylinders as ``check_lc`` found them,
+# by walking each path through the automorphism until it closed.  On a
+# cylinder Z(mu), alpha^{-l}(Z(mu)) = Z(alpha^{-l}(mu)) lies inside Z(mu)
+# exactly when alpha^{-l}(mu) = mu, so the entry is the orbit length of mu,
+# which is the same under alpha as under its inverse.
+# ``certificates.check_path_lc`` reads it off the cycle lengths and is tested
+# against these walks.
 # ---------------------------------------------------------------------------
 
 
@@ -965,7 +966,7 @@ def walked_rank2_lc_lengths(orders, paths) -> list[int]:
 #
 # The rank-2 orbit-freeness check as it tested every shift and red offset
 # (l, s) on its own, level by level, with one congruence per edge order.
-# ``twisted_product.check_wfc`` sweeps one arithmetic progression per
+# ``certificates.check_wfc`` sweeps one arithmetic progression per
 # (shift, level, order) instead and is tested against this.
 # ---------------------------------------------------------------------------
 
@@ -1315,7 +1316,7 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50):
         sample.append(Rank2Path((label,), 0))
     for label in itertools.islice(diagram.blue_labels_at(1), 4):
         sample.append(Rank2Path((label,), 1))
-    lc = check_lc(diagram, orders, sample)
+    lc = check_path_lc(orders, sample)
 
     skeleton = blue_skeleton(diagram)
     minimality = minimality_verdict(skeleton, levels_out - 1)

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from groupoid_forge.certificates import check_path_lc, shift_witness_levels
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
@@ -19,7 +20,6 @@ from groupoid_forge.graph_model import (
 )
 from groupoid_forge.matrices import as_matrix, transpose
 from groupoid_forge.pipeline import PipelineInputError, first_wrong_field, plan_af_realization
-from groupoid_forge.twisted_product import check_lc, shift_witness_levels
 from groupoid_forge.validation import StructuralError
 
 from helpers import (
@@ -173,7 +173,7 @@ class TestWfcAgainstEdgeWalk:
 
 
 class TestLcAgainstOrbitWalk:
-    """Every path of length <= 3 from level 0: check_lc against the orbit
+    """Every path of length <= 3 from level 0: check_path_lc against the orbit
     walk of each path through the class-cycling automorphism."""
 
     def check(self, d):
@@ -184,7 +184,7 @@ class TestLcAgainstOrbitWalk:
                 if not d.has_level(length):
                     break
                 paths.extend(iter_paths(d, v, length))
-        got = [e.l for e in check_lc(d, alpha, paths).entries]
+        got = [e.l for e in check_path_lc(alpha, paths).entries]
         assert got == walked_af_lc_lengths(alpha, paths)
         return got
 

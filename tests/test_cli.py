@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import groupoid_forge
-from groupoid_forge import cli
+from groupoid_forge import cli, twisted_product
+from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
     BratteliDiagram,
@@ -23,7 +24,7 @@ from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, telescope_rank2
 from groupoid_forge.matrices import as_matrix
-from groupoid_forge.twisted_product import check_lc, check_wfc, reverify_contracting_witness
+from groupoid_forge.twisted_product import reverify_contracting_witness
 
 from helpers import materialized_automorphism, materialized_orders
 
@@ -367,7 +368,7 @@ class TestCertify:
         # the sample the command drew before it shared the planner's: every
         # path of length 0, 1, 2 below level 0, enumerated and cut at 40
         paths = [p for v in d.vertices_at(0) for n in range(3) for p in enumerate_paths(d, v, n)]
-        expected = check_lc(d, edge_cycle_automorphism(d), paths[:40])
+        expected = check_path_lc(edge_cycle_automorphism(d), paths[:40])
         assert json.loads(out.read_text()) == expected.to_json()
 
     @pytest.mark.parametrize("target", ["af", "rank2"])
@@ -425,7 +426,7 @@ class TestCertify:
             verdicts.append(reverify_contracting_witness(model, witness))
             return rechecks
 
-        monkeypatch.setattr(cli, "reverify_contracting_witness", recheck)
+        monkeypatch.setattr(twisted_product, "reverify_contracting_witness", recheck)
         code = main(["certify", "contract"])
         out, err = capsys.readouterr()
         assert verdicts == [True]

@@ -13,6 +13,7 @@ from itertools import islice
 import pytest
 
 from groupoid_forge import graph_model, rank2_diagrams
+from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
 from groupoid_forge.rank2_diagrams import (
@@ -32,7 +33,6 @@ from groupoid_forge.rank2_diagrams import (
     telescope_rank2,
     validate_rank2,
 )
-from groupoid_forge.twisted_product import check_lc, check_wfc
 from groupoid_forge.validation import StructuralError
 
 from families import (
@@ -176,7 +176,7 @@ class TestLcAgainstOrbitWalk:
         canon, _ = pair
         orders = rank2_automorphism(canon)
         sample = _lc_sample(canon)
-        got = [e.l for e in check_lc(canon, orders, sample).entries]
+        got = [e.l for e in check_path_lc(orders, sample).entries]
         assert got == walked_rank2_lc_lengths(orders, sample)
 
         def level(p):
@@ -344,14 +344,19 @@ def _same_certificate(orders, L):
 def seeded_orders(seed: int) -> OrderData:
     """One to three distinct orders per level, drawn above n * m_n so the
     order inequality holds, except that about one level in eight draws them
-    above a lower floor, where the inequality may fail."""
+    above a lower floor, where the inequality may fail, and about one in
+    eight has n * m_n itself as its least order, the tie where it fails."""
     rng = random.Random(seed)
     edge_orders, level_lcm, m = {}, [], [0]
     for n in range(rng.randint(1, 5)):
         floor = n * m[n]
-        if floor and rng.random() < 0.125:
+        draw = rng.random() if floor else 1.0
+        tie = floor and 0.125 <= draw < 0.25
+        if floor and draw < 0.125:
             floor = rng.randint(0, floor - 1)
         level = rng.sample(range(floor + 1, floor + 30), rng.randint(1, 3))
+        if tie:
+            level[0] = floor
         edge_orders.update(((n, k), o) for k, o in enumerate(level))
         level_lcm.append(math.lcm(*level))
         m.append(m[-1] + n * level_lcm[-1])

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from groupoid_forge.certificates import LcEntry, LcWitness, WfcCertificate
 from groupoid_forge.dimension_groups import DimGroupElement
 from groupoid_forge.graph_groupoid import InfiniteBouquet
 from groupoid_forge.graph_model import Edge, constant_diagram
@@ -24,14 +25,7 @@ from groupoid_forge.rank2_diagrams import (
     canonical_rank2,
     telescope_rank2,
 )
-from groupoid_forge.twisted_product import (
-    BouquetTwistedProduct,
-    ContractingWitness,
-    LcEntry,
-    LcWitness,
-    TwistedProduct,
-    WfcCertificate,
-)
+from groupoid_forge.twisted_product import BouquetTwistedProduct, ContractingWitness, TwistedProduct
 from groupoid_forge.validation import ValidationReport, Violation
 
 RECORDS = (

@@ -8,7 +8,6 @@ passes both, and a tamper corpus (one field of each certificate block
 changed) is rejected by both, the checker naming the changed field."""
 
 import dataclasses
-import importlib
 import json
 import random
 from functools import cache
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_forge import dimension_groups, graph_model, pipeline, rank2_diagrams
+from groupoid_forge import certificates, dimension_groups, graph_model, pipeline, rank2_diagrams
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, validate_bratteli
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
@@ -169,16 +168,14 @@ def test_checker_runs_no_planner_certificate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a planner called a check its derivation settles")
 
-    # the package's function twisted_product shadows the submodule
-    twisted_product = importlib.import_module("groupoid_forge.twisted_product")
-    # the AF LC witness is check_lc's closed form, as ``forge certify lc``
-    # writes it, so only check_lc stays callable
+    # the AF LC witness is check_path_lc's closed form, as ``forge certify
+    # lc`` writes it, so only check_path_lc stays callable
     with monkeypatch.context() as patch:
         for module, name in [
             (pipeline, "check_wfc"),
             (pipeline, "minimality_verdict"),
-            (twisted_product, "check_wfc"),
-            (twisted_product, "minimality_verdict"),
+            (certificates, "check_wfc"),
+            (certificates, "minimality_verdict"),
             (dimension_groups, "dg_equal"),
             (dimension_groups, "dg_is_positive"),
             (graph_model, "telescope"),

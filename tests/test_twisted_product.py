@@ -19,6 +19,7 @@ from helpers import (
     label_tables,
     per_level_minimality_verdict,
 )
+from groupoid_forge.certificates import check_path_lc, check_wfc, minimality_verdict
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
@@ -54,9 +55,7 @@ from groupoid_forge.rank2_diagrams import (
 from groupoid_forge.twisted_product import (
     bouquet_twisted_product,
     check_lc,
-    check_wfc,
     contracting_bisection_witness,
-    minimality_verdict,
     principality_criterion,
     reverify_contracting_witness,
     twisted_product,
@@ -353,7 +352,7 @@ class TestLc:
         d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
         alpha = edge_cycle_automorphism(d)
         mu = path_from_edges((d.edges_between(0)[0],))
-        w = check_lc(d, alpha, [mu])
+        w = check_path_lc(alpha, [mu])
         assert w.entries[0].l == 3
 
     def test_finite_subset_orbit(self):
@@ -385,12 +384,12 @@ class TestLc:
         import math
 
         expected = o // math.gcd(m2, o)
-        w = check_lc(diagram, orders, [Rank2Path((label,), 0)])
+        w = check_path_lc(orders, [Rank2Path((label,), 0)])
         assert w.entries[0].l == expected == 1
 
 
 class TestLcClosedForm:
-    """check_lc reads each orbit length off the cycle lengths; it walks no
+    """check_path_lc reads each orbit length off the cycle lengths; it walks no
     edge and needs no step cap."""
 
     def test_cylinder_orbit_length(self, monkeypatch):
@@ -402,10 +401,10 @@ class TestLcClosedForm:
         mu = path_from_edges((d.edges_between(0)[0],))
 
         def refuse(self, e):
-            raise AssertionError("check_lc walked an edge")
+            raise AssertionError("check_path_lc walked an edge")
 
         monkeypatch.setattr(EdgeCycleAutomorphism, "edge_image", refuse)
-        assert check_lc(d, alpha, [mu]).entries[0].l == 3
+        assert check_path_lc(alpha, [mu]).entries[0].l == 3
 
     def test_rank2_orbit_length(self):
         from groupoid_forge.rank2_diagrams import Rank2Path, canonical_rank2, rank2_automorphism
@@ -415,7 +414,7 @@ class TestLcClosedForm:
         orders = rank2_automorphism(diagram)
         # a level-2 edge of order 8 under F^{-m_2}, m_2 = 2, closes after 4 steps
         path = Rank2Path(((2, 0, 0, 0),), 0)
-        assert check_lc(diagram, orders, [path]).entries[0].l == 4
+        assert check_path_lc(orders, [path]).entries[0].l == 4
 
 
 class TestContractingWitness:
