@@ -3,19 +3,21 @@
 Finitely supported functions with Gaussian-rational coefficients, over
 either a finite groupoid (support: elements) or the twisted product of the
 bouquet groupoid with a finite G (support: pairs of a basic bisection and a
-G-element).  Convolution on the symbolic backend routes through the
-bisection product with coefficient bookkeeping; nothing is ever
-approximated.
+G-element).  Nothing is ever approximated.
 
-A symbolic element keeps each G-element's pieces in the normal form of
-``canonical_pieces``, read off the function's values at finite germs.  So
-equal functions have equal coefficient maps, keyed in one order: G-elements
-by position, then pieces by their words.
+A symbolic element computes on edge labels: it holds each G-element's
+pieces in the normal form of ``canonical_pieces``, read off the function's
+values at finite germs, keyed by (G position, range labels, source labels,
+excluded labels).  Convolution runs ``label_product``, the rule behind
+``bisection_product``, on those labels.  So equal functions have equal
+forms, ordered by G position, then by words; the (bisection, G-element)
+map ``coeffs`` is built from the form when it is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from os.path import commonprefix
 from typing import Iterable, Mapping
 
@@ -24,10 +26,13 @@ from .graph_groupoid import (
     BOUQUET_VERTEX,
     BasicBisection,
     InfiniteBouquet,
-    bisection_product,
+    Labels,
+    bouquet_bisection,
+    bouquet_labels,
+    label_product,
     render_bisection,
 )
-from .graph_model import PathWord, vertex_path
+from .graph_model import vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
 from .matrices import mat_mul, transpose
 from .twisted_product import BouquetTwistedProduct
@@ -103,10 +108,9 @@ def _same_backend(x, y) -> None:
 # ---------------------------------------------------------------------------
 
 
-def canonical_pieces(
-    pieces: Iterable[tuple[BasicBisection, Coeff]]
-) -> dict[BasicBisection, Coeff]:
-    """The normal form of a coefficiented family of bisections: the one
+def canonical_pieces(pieces: Iterable[tuple[Labels, Coeff]]) -> dict[Labels, Coeff]:
+    """The normal form of a coefficiented family of bouquet pieces, each
+    given by its labels (range word, source word, excluded edges): the one
     disjoint family that the function it sums to determines.
 
     Each piece Z((a, b) \\ F) contains the finite germ (a, b), so a
@@ -117,34 +121,30 @@ def canonical_pieces(
     each excluded child (ae, be), by -c.  The jumps and the germs between
     two of them are kept; each kept germ n of nonzero value is the piece
     Z(n \\ E(n)), E(n) the edges to n's kept children, so a tree with one
-    piece holds just that piece.  Pieces come out ordered by their words,
-    and a piece that comes out unchanged is the input's own object.
-    Trees are keyed by edges, so a tree whose top words are empty must sit
-    at the bouquet vertex: empty words at two vertices would share its key.
+    piece holds just that piece.  Pieces come out ordered by their words.
     """
     trees: dict[tuple, list] = {}
-    for b, c in pieces:
-        r, s = b.range_word.edges, b.source_word.edges
-        i, j = len(r), len(s)
-        while i and j and r[i - 1] == s[j - 1]:  # (a, b) lies below a root: strip the common tail
-            i -= 1
-            j -= 1
-        if not (i or j) and b.range_word.range_vertex != BOUQUET_VERTEX:
-            raise StructuralError(f"{render_bisection(b)} does not start at the bouquet vertex")
-        trees.setdefault((r[:i], s[:j]), []).append((r, s, b, GaussianRational.of(c)))
-    out = []  # (words, piece, value): the words are distinct, so they sort the list
+    for piece in pieces:
+        (r, s, _), _ = piece
+        root = (r, s)
+        if r and s and r[-1] == s[-1]:  # (a, b) lies below a root: strip the common tail
+            i, j = len(r) - 1, len(s) - 1
+            while i and j and r[i - 1] == s[j - 1]:
+                i -= 1
+                j -= 1
+            root = (r[:i], s[:j])
+        trees.setdefault(root, []).append(piece)
+    out = []  # (labels, value): the words are distinct, so they sort the list
     for (r0, s0), family in trees.items():
         if len(family) == 1:
-            r, s, b, c = family[0]
-            if c:
-                out.append(((r, s), b, c))
+            if family[0][1]:
+                out += family
             continue
-        jumps, given = {}, {}
-        for r, _, b, c in family:
-            t = r[len(r0):]
-            given[t] = b
+        k, jumps = len(r0), {}
+        for (r, _, f), c in family:
+            t = r[k:]
             jumps[t] = jumps[t] + c if t in jumps else c
-            for e in b.excluded:
+            for e in f:
                 u = t + (e,)
                 jumps[u] = jumps[u] - c if u in jumps else -c
         tails = [t for t, c in jumps.items() if c]
@@ -158,47 +158,65 @@ def canonical_pieces(
             value[t] = c
         for t, c in value.items():
             if c:
-                excluded = frozenset(cut.get(t, ()))
-                b = given.get(t)
-                if b is None:
-                    b = BasicBisection(PathWord(r0 + t), PathWord(s0 + t), excluded)
-                elif b.excluded != excluded:
-                    b = BasicBisection(b.range_word, b.source_word, excluded)
-                out.append(((r0 + t, s0 + t), b, c))
+                out.append(((r0 + t, s0 + t, frozenset(cut.get(t, ()))), c))
     out.sort()
-    return {b: c for _, b, c in out}
+    return dict(out)
+
+
+def _normal_form(families: Mapping[int, Iterable[tuple[Labels, Coeff]]]) -> dict:
+    """Each G position's nonzero normal form, the positions in order."""
+    return {i: form for i in sorted(families) if (form := canonical_pieces(families[i]))}
+
+
+def _element(model: BouquetTwistedProduct, form: dict) -> "SymbolicConvElement":
+    """The element that holds ``form``, which is already a normal form."""
+    x = object.__new__(SymbolicConvElement)
+    object.__setattr__(x, "model", model)
+    object.__setattr__(x, "form", form)
+    return x
 
 
 @dataclass(frozen=True)
 class SymbolicConvElement:
-    """Finitely supported function on the bouquet twisted product, stored as
-    coefficients on (bisection, G-element) pairs: each G-element's pieces in
-    normal form, the G-elements in position order."""
+    """Finitely supported function on the bouquet twisted product, built
+    from coefficients on (bisection, G-element) pairs; ``bouquet_labels``
+    reads each word once and refuses words off the bouquet.  ``form`` maps
+    G position -> (range, source, excluded labels) -> coefficient: each
+    G-element's pieces in normal form by their words, the positions in
+    order.  ``coeffs`` is that map on (bisection, G-element) keys, in that
+    order, built when it is first read."""
 
     model: BouquetTwistedProduct
-    coeffs: Mapping[tuple[BasicBisection, object], Coeff]
+    pieces: InitVar[Mapping[tuple[BasicBisection, object], Coeff]]
+    form: dict[int, dict[Labels, Coeff]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        by_g: dict[object, list[tuple[BasicBisection, Coeff]]] = {}
-        for (b, g), c in self.coeffs.items():
-            by_g.setdefault(g, []).append((b, c))
+    def __post_init__(self, pieces):
+        by_g: dict[object, list[tuple[Labels, Coeff]]] = {}
+        for (b, g), c in pieces.items():
+            c = c if type(c) is GaussianRational else GaussianRational.of(c)
+            by_g.setdefault(g, []).append((bouquet_labels(b), c))
         G = self.model.g
         _check_support(G, by_g)
-        flat = {}
-        for g in sorted(by_g, key=G._code.__getitem__):
-            for b, c in canonical_pieces(by_g[g]).items():
-                flat[(b, g)] = c
-        object.__setattr__(self, "coeffs", flat)
+        object.__setattr__(self, "form", _normal_form({G._code[g]: f for g, f in by_g.items()}))
+
+    @cached_property
+    def coeffs(self) -> dict[tuple[BasicBisection, object], Coeff]:
+        ids, unit = self.model.g._ids, _FULL_UNIT_LABELS
+        return {
+            (FULL_UNIT_BISECTION if b == unit else bouquet_bisection(b), ids[i]): c
+            for i, family in self.form.items()
+            for b, c in family.items()
+        }
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.form
 
     def __eq__(self, other) -> bool:
         """Equal as functions: a function has one normal form, so this is
-        equality of the coefficient maps."""
+        equality of the forms."""
         if not isinstance(other, SymbolicConvElement):
             return NotImplemented
-        return self.model is other.model and self.coeffs == other.coeffs
+        return self.model is other.model and self.form == other.form
 
     def describe(self) -> str:
         if self.is_zero():
@@ -222,7 +240,7 @@ def convolve(x, y):
     On the symbolic backend a pair of pieces (b1, g1), (b2, g2) has a
     product only when alpha^{deg b1}(s(g1)) = r(g2), so each piece of x
     walks only the pieces of y with that range: the products made are those
-    of the full double loop."""
+    of the full double loop, by ``label_product`` on the labels."""
     _same_backend(x, y)
     if isinstance(x, FiniteConvElement):
         G = x.groupoid
@@ -236,27 +254,32 @@ def convolve(x, y):
     model = x.model
     G, power = model.g, model.alpha.power
     at, ids = G._code, G._ids
-    by_range: dict[int, list[tuple[BasicBisection, object, Coeff]]] = {}
-    for (b2, g2), c2 in y.coeffs.items():
-        by_range.setdefault(G.range_of[at[g2]], []).append((b2, g2, c2))
-    pieces: dict[tuple[BasicBisection, object], Coeff] = {}
-    for (b1, g1), c1 in x.coeffs.items():
-        i = at[g1]
-        partners = by_range.get(at[power(b1.degree).mapping[ids[G.source_of[i]]]])
-        if partners is None:
-            continue
-        back, row = power(-b1.degree).mapping, G.rows[i]
-        for b2, g2, c2 in partners:
-            piece = bisection_product(b1, b2)
-            if piece is not None:
-                key = (piece, ids[row[at[back[g2]]]])
-                c, earlier = c1 * c2, pieces.get(key)
-                pieces[key] = c if earlier is None else earlier + c
-    return SymbolicConvElement(model, pieces)
+    by_range: dict[int, list[tuple[object, Labels, Coeff]]] = {}
+    for j, family in y.form.items():
+        by_range.setdefault(G.range_of[j], []).extend((ids[j], b, c) for b, c in family.items())
+    families: dict[int, dict[Labels, Coeff]] = {}
+    for i, family in x.form.items():
+        source, row = ids[G.source_of[i]], G.rows[i]
+        for b1, c1 in family.items():
+            degree = len(b1[0]) - len(b1[1])
+            partners = by_range.get(at[power(degree).mapping[source]])
+            if partners is None:
+                continue
+            back = power(-degree).mapping
+            for g2, b2, c2 in partners:
+                piece = label_product(b1, b2)
+                if piece is not None:
+                    out = families.setdefault(row[at[back[g2]]], {})
+                    c, earlier = c1 * c2, out.get(piece)
+                    out[piece] = c if earlier is None else earlier + c
+    return _element(model, _normal_form({k: f.items() for k, f in families.items()}))
 
 
 def involution(x):
-    """xi*(g) = conj(xi(g^{-1})); bisections invert by swapping their words."""
+    """xi*(g) = conj(xi(g^{-1})); bisections invert by swapping their words.
+
+    Swapping the words of every germ tree of a normal form gives the normal
+    form of the result, so its pieces are only re-keyed and sorted."""
     if isinstance(x, FiniteConvElement):
         G = x.groupoid
         return FiniteConvElement(
@@ -266,18 +289,19 @@ def involution(x):
     power = model.alpha.power
     at, ids, inv = model.g._code, model.g._ids, model.g.inverse_of
     # (b, g) -> (b^{-1}, alpha^{deg b}(g^{-1})) is one-to-one, so no key repeats
-    return SymbolicConvElement(
-        model,
-        {
-            (b.inverse(), power(b.degree).mapping[ids[inv[at[g]]]]): c.conjugate()
-            for (b, g), c in x.coeffs.items()
-        },
-    )
+    swapped: dict[int, list[tuple[Labels, Coeff]]] = {}
+    for i, family in x.form.items():
+        g_inv = ids[inv[i]]
+        for (r, s, f), c in family.items():
+            k = at[power(len(r) - len(s)).mapping[g_inv]]
+            swapped.setdefault(k, []).append(((s, r, f), c.conjugate()))
+    return _element(model, {k: dict(sorted(swapped[k])) for k in sorted(swapped)})
 
 
 # Z(v, v) for the bouquet vertex v: the whole unit space, where the embedded
 # G-algebra lives.
 FULL_UNIT_BISECTION = BasicBisection(vertex_path(BOUQUET_VERTEX), vertex_path(BOUQUET_VERTEX))
+_FULL_UNIT_LABELS = bouquet_labels(FULL_UNIT_BISECTION)
 
 
 def iota_embed(f: FiniteConvElement, model: BouquetTwistedProduct) -> SymbolicConvElement:
@@ -293,13 +317,18 @@ def iota_inverse(x: SymbolicConvElement) -> FiniteConvElement:
     """Invert the embedding; support escaping its image is a bug signal.
 
     The embedding of f is, in normal form, Z(v) under each G-element of f's
-    support: x is in the image exactly when every key is FULL_UNIT_BISECTION."""
-    for b, _ in x.coeffs:
-        if b != FULL_UNIT_BISECTION:
-            raise InternalConsistencyError(
-                f"support escapes the embedded copy of the G-algebra: {render_bisection(b)}"
-            )
-    return FiniteConvElement(x.model.g, {g: c for (_, g), c in x.coeffs.items()})
+    support: x is in the image exactly when every piece is Z(v)."""
+    ids = x.model.g._ids
+    out = {}
+    for i, family in x.form.items():
+        for b, c in family.items():
+            if b != _FULL_UNIT_LABELS:
+                raise InternalConsistencyError(
+                    "support escapes the embedded copy of the G-algebra: "
+                    + render_bisection(bouquet_bisection(b))
+                )
+            out[ids[i]] = c
+    return FiniteConvElement(x.model.g, out)
 
 
 def generator_times(model: BouquetTwistedProduct, i: int, f: FiniteConvElement) -> SymbolicConvElement:

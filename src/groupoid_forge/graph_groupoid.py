@@ -15,6 +15,7 @@ empty tail, which is exact for the bouquet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graph_model import Edge, PathWord, path_from_edges, vertex_path
@@ -55,17 +56,13 @@ class InfiniteBouquet:
 
 @dataclass(frozen=True)
 class BasicBisection:
-    """Z((range_word, source_word) \\ excluded).
-
-    The degree |range_word| - |source_word| is kept from construction and
-    the hash (the dataclass hash of the fields) from its first use."""
+    """Z((range_word, source_word) \\ excluded); the degree |range_word| -
+    |source_word| is kept from construction."""
 
     range_word: PathWord
     source_word: PathWord
     excluded: frozenset = frozenset()
     degree: int = field(init=False, repr=False, compare=False)
-
-    _hash = None
 
     def __post_init__(self):
         if self.range_word.source_vertex != self.source_word.source_vertex:
@@ -78,13 +75,6 @@ class BasicBisection:
         object.__setattr__(
             self, "degree", len(self.range_word.edges) - len(self.source_word.edges)
         )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.range_word, self.source_word, self.excluded))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def inverse(self) -> "BasicBisection":
         return BasicBisection(self.source_word, self.range_word, self.excluded)
@@ -104,51 +94,69 @@ def unit_bisection(word: PathWord, excluded: Iterable[Edge] = ()) -> BasicBisect
     return BasicBisection(word, word, frozenset(excluded))
 
 
-def _suffix(longer: PathWord, shorter: PathWord) -> tuple[Edge, ...] | None:
-    """Edges of ``longer`` past ``shorter`` if ``shorter`` is a prefix."""
-    if not shorter.is_prefix_of(longer):
-        return None
-    return longer.edges[len(shorter.edges):]
+# A bouquet piece as edge labels (range word, source word, excluded edges).
+Labels = tuple[tuple[int, ...], tuple[int, ...], frozenset]
+_LABEL = itemgetter(0)  # an edge's label
+
+
+def bouquet_labels(b: BasicBisection) -> Labels:
+    """The edge labels of a piece of the bouquet.  An edge that is not a
+    loop e_i at BOUQUET_VERTEX with i a nonnegative int, or an empty word
+    anchored elsewhere, raises StructuralError naming the piece."""
+    r, s, x = b.range_word.edges, b.source_word.edges, b.excluded
+    for label, head, tail in r + s + tuple(x) if x else r + s:
+        if head != BOUQUET_VERTEX or tail != BOUQUET_VERTEX or type(label) is not int or label < 0:
+            break
+    else:
+        if r or s or b.range_word.anchor == BOUQUET_VERTEX:  # two empty words share one anchor
+            r, s = r and tuple(map(_LABEL, r)), s and tuple(map(_LABEL, s))  # () passes as it is
+            return r, s, x and frozenset(map(_LABEL, x))
+    raise StructuralError(f"{render_bisection(b)} is not made of loops at the bouquet vertex")
+
+
+def bouquet_bisection(labels: Labels) -> BasicBisection:
+    """The basic bisection of the bouquet with these edge labels."""
+    r, s, f = labels
+    bouquet = InfiniteBouquet()
+    return BasicBisection(bouquet.path(r), bouquet.path(s), frozenset(map(bouquet.edge, f)))
+
+
+def label_product(a: Labels, b: Labels) -> Labels | None:
+    """The product rule Z((ar, as) \\ af) . Z((br, bs) \\ bf) on labels: equal
+    middle words join the exclusions; else one extends the other by a tail
+    mu, which must avoid the shorter side's exclusions and extends its outer word."""
+    (ar, a_s, af), (br, bs, bf) = a, b
+    n, m = len(a_s), len(br)
+    if n == m:
+        return (ar, bs, af | bf) if a_s == br else None
+    if n < m:
+        return (ar + br[n:], bs, bf) if br[:n] == a_s and br[n] not in af else None
+    return (ar, bs + a_s[m:], af) if a_s[:m] == br and a_s[m] not in bf else None
 
 
 def bisection_product(a: BasicBisection, b: BasicBisection) -> BasicBisection | None:
-    """The exact set product {gh : g in a, h in b, s(g) = r(h)}.
-
-    Decided by prefix comparison of b's range word against a's source word;
-    the result is a single basic bisection or empty (None).  The extended
-    word is one ``PathWord`` on the joined edges, which checks every
-    consecutive pair; the prefix test has already made the suffix start
-    where the word it extends ends.
-    """
-    mu = _suffix(b.range_word, a.source_word)
-    if mu is not None:
-        if len(mu) == 0:
-            return BasicBisection(a.range_word, b.source_word, a.excluded | b.excluded)
-        if mu[0] in a.excluded:
-            return None
-        return BasicBisection(PathWord(a.range_word.edges + mu), b.source_word, b.excluded)
-    nu = _suffix(a.source_word, b.range_word)
-    if nu is not None and len(nu) >= 1:
-        if nu[0] in b.excluded:
-            return None
-        return BasicBisection(a.range_word, PathWord(b.source_word.edges + nu), a.excluded)
-    return None
+    """The exact set product {gh : g in a, h in b, s(g) = r(h)}: a single
+    basic bisection or empty (None), by ``label_product``."""
+    piece = label_product(bouquet_labels(a), bouquet_labels(b))
+    return None if piece is None else bouquet_bisection(piece)
 
 
 def intersect_basic(a: BasicBisection, b: BasicBisection) -> BasicBisection | None:
-    """Intersection of two basic bisections: basic or empty (None)."""
+    """Intersection of two basic bisections: basic or empty (None).  One
+    must extend both words of the other by a tail mu; the meet is that
+    deeper one unless mu starts in the other's exclusions."""
     if a.degree != b.degree:
         return None
     for shallow, deep in ((a, b), (b, a)):
-        mu_r = _suffix(deep.range_word, shallow.range_word)
-        mu_s = _suffix(deep.source_word, shallow.source_word)
-        if mu_r is None or mu_s is None or mu_r != mu_s:
-            continue
-        if len(mu_r) == 0:
-            return BasicBisection(a.range_word, a.source_word, a.excluded | b.excluded)
-        if mu_r[0] in shallow.excluded:
-            return None
-        return deep
+        sr, ss = shallow.range_word.edges, shallow.source_word.edges
+        dr, ds = deep.range_word.edges, deep.source_word.edges
+        mu = dr[len(sr):]
+        # an empty range word sits at its anchor, which also places ss
+        at = sr or shallow.range_word.anchor == deep.range_word.range_vertex
+        if dr == sr + mu and ds == ss + mu and at:
+            if not mu:
+                return BasicBisection(a.range_word, a.source_word, a.excluded | b.excluded)
+            return None if mu[0] in shallow.excluded else deep
     return None
 
 
@@ -168,7 +176,7 @@ def difference_basic(a: BasicBisection, b: BasicBisection) -> tuple[BasicBisecti
         return (a,)
     if inter == a:
         return ()
-    mu = _suffix(inter.range_word, a.range_word)
+    mu = inter.range_word.edges[len(a.range_word.edges):]  # inter lies inside a
     out: list[BasicBisection] = []
     if len(mu) == 0:
         # Same words, excluded set grew: peel the newly excluded edges.

@@ -90,13 +90,6 @@ class PathWord:
             return self
         return PathWord(self.edges + other.edges, self.anchor)
 
-    def is_prefix_of(self, other: "PathWord") -> bool:
-        edges = self.edges
-        n = len(edges)
-        if n == 0:
-            return self.anchor == other.range_vertex
-        return other.edges[:n] == edges
-
     def __str__(self) -> str:
         if not self.edges:
             return str(self.anchor)

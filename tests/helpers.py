@@ -26,7 +26,7 @@ from groupoid_forge.certificates import (
     check_wfc,
     minimality_verdict,
 )
-from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement
+from groupoid_forge.convolution_algebra import RegRepMatrix, SymbolicConvElement, canonical_pieces
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
@@ -41,6 +41,8 @@ from groupoid_forge.graph_groupoid import (
     BasicBisection,
     InfiniteBouquet,
     bisection_product,
+    bouquet_bisection,
+    bouquet_labels,
     difference_basic,
     intersect_basic,
 )
@@ -120,12 +122,20 @@ def bouquet_germs(n: int, max_len: int):
     return [(x, len(x) - len(y), y) for x in words for y in words]
 
 
+def is_prefix(p: PathWord, q: PathWord) -> bool:
+    """Whether the word p starts the word q; an empty p starts every word
+    at its vertex."""
+    if not p.edges:
+        return p.anchor == q.range_vertex
+    return q.edges[:len(p.edges)] == p.edges
+
+
 def contains_germ(b: BasicBisection, triple: tuple[PathWord, int, PathWord]) -> bool:
     """Germ membership in a basic bisection, by prefix comparison."""
     x, p, y = triple
     if p != b.degree:
         return False
-    if not b.range_word.is_prefix_of(x) or not b.source_word.is_prefix_of(y):
+    if not is_prefix(b.range_word, x) or not is_prefix(b.source_word, y):
         return False
     tx = x.edges[len(b.range_word.edges):]
     ty = y.edges[len(b.source_word.edges):]
@@ -141,7 +151,7 @@ def prefix_basic_subset(a: BasicBisection, b: BasicBisection) -> bool:
     empty, b's excluded set inside a's)."""
     if a.degree != b.degree:
         return False
-    if not (b.range_word.is_prefix_of(a.range_word) and b.source_word.is_prefix_of(a.source_word)):
+    if not (is_prefix(b.range_word, a.range_word) and is_prefix(b.source_word, a.source_word)):
         return False
     mu_r = a.range_word.edges[len(b.range_word.edges):]
     mu_s = a.source_word.edges[len(b.source_word.edges):]
@@ -158,7 +168,7 @@ def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bo
     x, p, y = candidate
     if p != a.degree + b.degree:
         return False
-    if not a.range_word.is_prefix_of(x):
+    if not is_prefix(a.range_word, x):
         return False
     tail = x.edges[len(a.range_word):]
     if tail and tail[0] in a.excluded:
@@ -170,6 +180,19 @@ def product_member_oracle(a: BasicBisection, b: BasicBisection, candidate) -> bo
 def sum_contains(piece: BasicBisection | None, candidate) -> bool:
     """Germ membership in a product result; None is the empty set."""
     return piece is not None and contains_germ(piece, candidate)
+
+
+def label_family(pieces) -> list:
+    """(bisection, coefficient) pairs as the (labels, Gaussian rational)
+    pairs that ``canonical_pieces`` reads."""
+    return [(bouquet_labels(b), GaussianRational.of(c)) for b, c in pieces]
+
+
+def canonical_bisections(pieces) -> dict:
+    """``canonical_pieces`` on a family of (bisection, coefficient) pairs:
+    the normal form, in its order, with its pieces built back as
+    bisections."""
+    return {bouquet_bisection(p): c for p, c in canonical_pieces(label_family(pieces)).items()}
 
 
 def scanned_difference_is_zero(a: SymbolicConvElement, b: SymbolicConvElement) -> bool:
@@ -241,6 +264,21 @@ def paired_symbolic_convolve(x: SymbolicConvElement, y: SymbolicConvElement) -> 
     by_g = {}
     for (b, g), c in pieces.items():
         by_g.setdefault(g, []).append((b, c))
+    return {
+        (b, g): c for g, family in by_g.items() for b, c in scanned_canonical_pieces(family).items()
+    }
+
+
+def scanned_involution(x: SymbolicConvElement) -> dict:
+    """The coefficient map of x* on objects: each piece (b, g) goes to
+    (b.inverse(), alpha^{deg b}(g^{-1})) with the conjugate coefficient,
+    then each G-element's pieces are put in disjoint form by
+    ``scanned_canonical_pieces``."""
+    model = x.model
+    by_g = {}
+    for (b, g), c in x.coeffs.items():
+        key = model.alpha.power(b.degree)(model.g.inv(g))
+        by_g.setdefault(key, []).append((b.inverse(), c.conjugate()))
     return {
         (b, g): c for g, family in by_g.items() for b, c in scanned_canonical_pieces(family).items()
     }

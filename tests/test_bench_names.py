@@ -16,6 +16,8 @@ from groupoid_forge.groupoid_core import (
 )
 from groupoid_forge.rank2_diagrams import Rank2Data
 
+from helpers import label_family
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -62,7 +64,7 @@ def _hook_arguments():
             H, zero_cocycle(H), G, cyclic_multiplier_automorphism(G, 2)
         ),
         "convolution_algebra.canonical_pieces": (
-            [(BasicBisection(word, word), 1), (BasicBisection(unit, unit), 2)],
+            label_family([(BasicBisection(word, word), 1), (BasicBisection(unit, unit), 2)]),
         ),
     }
 

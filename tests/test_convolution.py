@@ -4,6 +4,7 @@ oracle."""
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from groupoid_forge.convolution_algebra import (
     FULL_UNIT_BISECTION,
     FiniteConvElement,
     SymbolicConvElement,
-    canonical_pieces,
     comp2_identity_sides,
     comp_identity_sides,
     compose_with_automorphism_inverse,
@@ -42,8 +42,10 @@ from groupoid_forge.gaussian import GaussianRational, gauss
 from groupoid_forge.graph_groupoid import (
     BasicBisection,
     InfiniteBouquet,
+    bisection_product,
     difference_basic,
     intersect_basic,
+    render_bisection,
     unit_bisection,
 )
 from groupoid_forge.graph_model import Edge, PathWord, vertex_path
@@ -60,6 +62,7 @@ from groupoid_forge.validation import StructuralError
 from helpers import (
     bench_inputs,
     bouquet_germs,
+    canonical_bisections,
     contains_germ,
     determinant,
     is_psd_hermitian,
@@ -69,7 +72,9 @@ from helpers import (
     paired_symbolic_convolve,
     scanned_canonical_pieces,
     scanned_difference_is_zero,
+    scanned_involution,
 )
+from test_bisection_parity import shift_model
 
 BQ = InfiniteBouquet()
 
@@ -575,6 +580,29 @@ def recut(family, rng, cuts: int) -> list:
     return out
 
 
+# Rows (range letters, source letters, excluded letters, g's two points,
+# coefficient's two parts) of a shift-model element.
+SHIFT_ROWS = st.lists(
+    st.tuples(
+        WORDS, WORDS, st.sets(st.integers(0, 2), max_size=2), st.integers(0, 2),
+        st.integers(0, 2), st.integers(-2, 2), st.integers(-1, 1),
+    ),
+    max_size=6,
+)
+
+
+def shift_element(model, rows) -> SymbolicConvElement:
+    m = len(model.g.units)
+    return SymbolicConvElement(
+        model,
+        {
+            (BasicBisection(BQ.path(r), BQ.path(s), frozenset(map(BQ.edge, f))), (a % m, b % m)):
+            gauss(re, im)
+            for r, s, f, a, b, re, im in rows
+        },
+    )
+
+
 class TestNormalForm:
     """``canonical_pieces`` depends only on the function: not on how its
     input is cut, nor on the input order."""
@@ -583,8 +611,8 @@ class TestNormalForm:
     @given(FAMILIES, st.randoms(use_true_random=False))
     def test_recut_and_shuffled_input_gives_the_same_form(self, raw, rng):
         family = family_of(raw)
-        want = list(canonical_pieces(family).items())
-        assert list(canonical_pieces(recut(family, rng, 4)).items()) == want
+        want = list(canonical_bisections(family).items())
+        assert list(canonical_bisections(recut(family, rng, 4)).items()) == want
         # the words have letters 0..2 and length 2 or less, so every jump
         # of either function sits on a germ of GERMS
         assert all(c for _, c in want)
@@ -608,7 +636,7 @@ class TestNormalForm:
                 for _ in range(rng.randint(1, 5))
             ]
             family = family_of(raw)
-            form = list(canonical_pieces(family).items())
+            form = list(canonical_bisections(family).items())
             scanned = list(scanned_canonical_pieces(family).items())
             assert all(c for _, c in form) and len(form) <= len(scanned)
             for (p, _), (q, _) in itertools.combinations(form, 2):
@@ -677,7 +705,32 @@ class TestNormalForm:
             family = [(unit_bisection(BQ.unit()), gauss(1)), (unit_bisection(other), gauss(1))]
             for pieces in (family, family[::-1], family[1:]):
                 with pytest.raises(StructuralError, match="bouquet vertex"):
-                    canonical_pieces(pieces)
+                    canonical_bisections(pieces)
+
+    def test_words_off_the_bouquet_are_refused(self):
+        # read as labels, e, f: v -> w would be the bouquet's Z((e0, e1)),
+        # and so would the loops a, b at w; a label that is not an int >= 0
+        # names no bouquet edge (1.0 and True equal 1 but are not ints), and
+        # Z(w) sits at another vertex
+        e, f = Edge(0, "v", "w"), Edge(1, "v", "w")
+        a, b = Edge(0, "w", "w"), Edge(1, "w", "w")
+        loop = BQ.path([0])
+        pieces = [
+            BasicBisection(PathWord((e,)), PathWord((f,))),
+            BasicBisection(PathWord((a,)), PathWord((b,))),
+            unit_bisection(vertex_path("w")),
+            BasicBisection(loop, loop, frozenset({Edge(-1, "v", "v")})),
+            BasicBisection(PathWord((Edge("x", "v", "v"),)), BQ.unit()),
+            BasicBisection(BQ.unit(), PathWord((Edge(1.0, "v", "v"),))),
+            BasicBisection(BQ.unit(), PathWord((Edge(True, "v", "v"),))),
+        ]
+        model = swap_model()
+        for piece in pieces:
+            named = re.escape(render_bisection(piece)) + ".*bouquet vertex"
+            with pytest.raises(StructuralError, match=named):
+                SymbolicConvElement(model, {(piece, (0, 0)): 1})
+            with pytest.raises(StructuralError, match=named):
+                bisection_product(piece, piece.inverse())
 
     def test_keys_by_g_position_then_words_whatever_the_input_order(self):
         model = swap_model()
@@ -697,17 +750,27 @@ class TestNormalForm:
 
 
 class TestPairOrderOracles:
-    """The range-bucketed pair loop gives the function of the full double
-    loop, and the normal form is that of the splitting loop's disjoint
-    form: once the oracles' output is normalized, the same keys and values,
-    in the same order."""
+    """The label kernel against the object-level oracles: ``convolve``
+    against the full double loop of ``bisection_product``, ``involution``
+    against the swap of each piece, each oracle's disjoint form put in
+    normal form by the constructor, and ``==`` against the scanned
+    difference.  Same keys and values, in the same order: G position, then
+    words."""
 
     @staticmethod
     def _check(x, y):
-        want = SymbolicConvElement(x.model, paired_symbolic_convolve(x, y))
-        assert list(convolve(x, y).coeffs.items()) == list(want.coeffs.items())
+        model = x.model
+        position = model.g._code
+        xy, yx = convolve(x, y), convolve(y, x)
+        for got, want in ((xy, paired_symbolic_convolve(x, y)), (involution(x), scanned_involution(x))):
+            assert list(got.coeffs.items()) == list(SymbolicConvElement(model, want).coeffs.items())
+            assert list(got.coeffs) == sorted(
+                got.coeffs,
+                key=lambda k: (position[k[1]], k[0].range_word.edges, k[0].source_word.edges),
+            )
+        assert (xy == yx) == scanned_difference_is_zero(xy, yx)
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_benchmark_triples(self, seed):
         inputs = bench_inputs()
         models = {m: bouquet_twisted_product(*inputs.shift_model_parts(m)) for m in (2, 3)}
@@ -717,14 +780,26 @@ class TestPairOrderOracles:
                 for (b, g), c in pieces.items():
                     by_g.setdefault(g, []).append((b, c))
                 for family in by_g.values():
-                    want = canonical_pieces(scanned_canonical_pieces(family).items())
-                    assert list(canonical_pieces(family).items()) == list(want.items())
+                    want = canonical_bisections(scanned_canonical_pieces(family).items())
+                    assert list(canonical_bisections(family).items()) == list(want.items())
             x, y, z = (SymbolicConvElement(models[m], pieces) for pieces in element_pieces)
             xy, yz = convolve(x, y), convolve(y, z)
             for left, right in ((x, y), (xy, z), (y, z), (x, yz), (involution(y), involution(x))):
                 self._check(left, right)
+            # the benchmark's two equalities
+            for left, right in (
+                (convolve(xy, z), convolve(x, yz)),
+                (involution(xy), convolve(involution(y), involution(x))),
+            ):
+                assert (left == right) == scanned_difference_is_zero(left, right)
 
     def test_pointwise_grid(self):
         for x, y in pointwise_pairs(swap_model()):
             self._check(x, y)
             self._check(y, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]), SHIFT_ROWS, SHIFT_ROWS)
+    def test_drawn_shift_model_elements(self, m, rows_x, rows_y):
+        model = shift_model(m)
+        self._check(shift_element(model, rows_x), shift_element(model, rows_y))

@@ -24,12 +24,12 @@ from groupoid_forge.graph_groupoid import (
     repeat_word,
     unit_bisection,
 )
-from groupoid_forge.convolution_algebra import canonical_pieces
 from groupoid_forge.graph_model import path_from_edges, vertex_path
 
 from helpers import (
     bouquet_germs,
     bouquet_words,
+    canonical_bisections,
     contains_germ,
     prefix_basic_subset,
     product_member_oracle,
@@ -196,7 +196,7 @@ class TestIntersectionDifference:
         n = 2
         word = bouquet_words(n, 1)[1]
         pieces = [unit_bisection(vertex_path("v")), unit_bisection(word)]
-        s = list(canonical_pieces((p, 1) for p in pieces))
+        s = list(canonical_bisections((p, 1) for p in pieces))
         for p1, p2 in itertools.combinations(s, 2):
             assert intersect_basic(p1, p2) is None
         for cand in bouquet_germs(n, 3):
