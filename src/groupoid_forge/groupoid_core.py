@@ -4,10 +4,10 @@ Elements are opaque hashable ids and composition is a table, not a formula;
 twisted products, restrictions and stabilizations all reuse this single
 backend.  A ``FiniteGroupoid`` holds one representation: the element labels,
 and on element positions the range, source and inverse lists and the
-composition rows.  Label maps are encoded once, by ``build_groupoid`` and
-``groupoid_from_json``; twisted products fill the lists straight from their
-factors' positions.  Labels come back only in dumps, in messages and through
-the accessors ``r``, ``s``, ``inv``, ``mul``, ``composable`` and
+composition rows.  Label maps are encoded once, by ``build_groupoid``, which
+``groupoid_from_json`` calls; the factories and twisted products fill the
+lists straight from positions.  Labels come back only in dumps, in messages
+and through the accessors ``r``, ``s``, ``inv``, ``mul``, ``composable`` and
 ``elements_with_source``.
 Everything is immutable and every check is complete: each axiom is decided
 for every element, pair and triple.  Associativity of a table whose products
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .validation import StructuralError, ValidationReport, Violation, json_int, report_from
@@ -116,19 +116,18 @@ class FiniteGroupoid:
         }
 
 
-def _encoded(
+def build_groupoid(
     elements: Iterable[El],
     units: Iterable[El],
     range_map: Mapping[El, El],
     source_map: Mapping[El, El],
+    composition: Mapping[tuple[El, El], El],
     inverse_map: Mapping[El, El],
-    table: Iterable[tuple[tuple[El, El], El]],
 ) -> FiniteGroupoid:
-    """The groupoid of label maps and a table of ((g, h), gh) items.  Each
-    element is coded by its position, and every other id by the next code
-    from ``len(elements)`` on, in order of first appearance: in the range,
-    source and inverse maps, then in the table.  A pair the table lists
-    twice raises ``StructuralError`` naming it."""
+    """The groupoid of label maps and a composition table.  Each element is
+    coded by its position, and every other id by the next code from
+    ``len(elements)`` on, in order of first appearance: in the range, source
+    and inverse maps, then in the table."""
     elements = tuple(elements)
     code = dict(zip(elements, range(len(elements))))
     if len(code) != len(elements):
@@ -146,26 +145,13 @@ def _encoded(
     ]
     rows: list[dict[int, int]] = [{} for _ in elements]
     stray_rows: dict[int, dict[int, int]] = {}
-    for (g, h), k in table:
+    for (g, h), k in composition.items():
         gc = code.setdefault(g, len(code))
         hc = code.setdefault(h, len(code))
         row = rows[gc] if gc < n else stray_rows.setdefault(gc, {})
-        if hc in row:
-            raise StructuralError(f"pair {(g, h)!r} listed twice")
         row[hc] = code.setdefault(k, len(code))
     rows += [stray_rows.get(c, {}) for c in range(n, len(code))]
     return FiniteGroupoid(elements, units, *maps, rows, tuple(code)[n:])
-
-
-def build_groupoid(
-    elements: Iterable[El],
-    units: Iterable[El],
-    range_map: Mapping[El, El],
-    source_map: Mapping[El, El],
-    composition: Mapping[tuple[El, El], El],
-    inverse_map: Mapping[El, El],
-) -> FiniteGroupoid:
-    return _encoded(elements, units, range_map, source_map, inverse_map, composition.items())
 
 
 def _revive(name: str):
@@ -199,7 +185,13 @@ def groupoid_from_json(data: dict) -> FiniteGroupoid:
         table = [((_revive(g), _revive(h)), _revive(k)) for g, h, k in data["compose"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StructuralError(f"malformed groupoid dump: {exc}") from exc
-    return _encoded(elements, units, rng, src, inv, table)
+    composition = dict(table)
+    G = build_groupoid(elements, units, rng, src, composition, inv)
+    if len(composition) < len(table):
+        seen: set = set()
+        twice = next(pair for pair, _ in table if pair in seen or seen.add(pair))
+        raise StructuralError(f"pair {twice!r} listed twice")
+    return G
 
 
 def _generators(rows: list[dict[int, int]], rng: list[int], src: list[int]) -> list[int]:
@@ -236,6 +228,17 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     pairs that are not composable come row by row in code order, each row in
     table order, and every other kind in element order.
 
+    Each family of laws is first decided on the whole table at once, by
+    comparing lists built with ``map`` and ``chain``: units fixed by r and
+    s; r and s landing in units, inverses inside the elements with swapped
+    range and source; every row's keys, in order, equal to the range bucket
+    of its source (the per-row lengths and the concatenation both agree,
+    and ids outside the elements have empty rows); the products' ranges and
+    sources; and the four identity laws.  A family that passes has no
+    violation.  A family that fails is walked element by element, or row by
+    row, to name its offenders, so the violations and their order are
+    exactly those of the element-wise definition.
+
     Closure and associativity are decided a row at a time.  For each
     element g, ``lam[g]`` lists the codes of gk for k in the range bucket of
     s(g) (``None`` if a product is missing).  Row g passes closure when the
@@ -253,85 +256,119 @@ def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     Semigroups* I, section 1.2).  When a row is not closed or a generator
     row fails, every row is compared, and a row that fails either comparison
     (a missing product, a product outside, a wrong range or source, a failed
-    equation) is checked pair by pair or triple by triple instead, so the
-    violations and their order are exactly those of the element-wise
-    definition.
+    equation) is checked pair by pair or triple by triple instead.
     """
     v: list[Violation] = []
     els = G.elements
     n = len(els)
     ids, rng, src, inv, rows = G._ids, G.range_of, G.source_of, G.inverse_of, G.rows
+    own = rows[:n]
+    positions = list(range(n))
     units = set(map(G._code.__getitem__, G.units))
+    unit_codes = sorted(units)
     bucket = G._index.by_range
     partners = [bucket.get(s, ()) for s in src]
+    lengths = list(map(len, partners))
+    partner_keys = list(chain.from_iterable(partners))
 
-    for i, g in enumerate(els):
-        if i in units and (rng[i] != i or src[i] != i):
-            v.append(Violation("unit fixed by r and s", f"unit {g!r}"))
-    for i, g in enumerate(els):
-        if rng[i] not in units or src[i] not in units:
-            v.append(Violation("r,s land in units", f"element {g!r}"))
-        if inv[i] >= n:
-            v.append(Violation("inverse closed", f"element {g!r}"))
-        elif rng[inv[i]] != src[i] or src[inv[i]] != rng[i]:
-            # the inverse laws below only test products the table holds
-            v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
+    if not list(map(rng.__getitem__, unit_codes)) == unit_codes == list(
+        map(src.__getitem__, unit_codes)
+    ):
+        for i, g in enumerate(els):
+            if i in units and (rng[i] != i or src[i] != i):
+                v.append(Violation("unit fixed by r and s", f"unit {g!r}"))
+    if not (
+        units.issuperset(rng)
+        and units.issuperset(src)
+        and max(inv, default=-1) < n
+        and list(map(rng.__getitem__, inv)) == src
+        and list(map(src.__getitem__, inv)) == rng
+    ):
+        for i, g in enumerate(els):
+            if rng[i] not in units or src[i] not in units:
+                v.append(Violation("r,s land in units", f"element {g!r}"))
+            if inv[i] >= n:
+                v.append(Violation("inverse closed", f"element {g!r}"))
+            elif rng[inv[i]] != src[i] or src[inv[i]] != rng[i]:
+                # the inverse laws below only test products the table holds
+                v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
 
-    allowed = {c: set(b) for c, b in bucket.items()}
-    for i, row in enumerate(rows):
-        ok = allowed.get(src[i], ()) if i < n else ()  # a stray's row is all loose
-        if not ok or not ok.issuperset(row):
-            for j in row:
-                if j not in ok:
-                    pair = f"pair {(ids[i], ids[j])!r}"
-                    v.append(Violation("composition only on s(g)=r(h)", pair))
+    # every row's keys are its partners, in order, and no stray has a row
+    keyed = (
+        not any(rows[n:])
+        and list(map(len, own)) == lengths
+        and list(chain.from_iterable(own)) == partner_keys
+    )
+    if not keyed:
+        allowed = {c: set(b) for c, b in bucket.items()}
+        for i, row in enumerate(rows):
+            ok = allowed.get(src[i], ()) if i < n else ()  # a stray's row is all loose
+            if not ok or not ok.issuperset(row):
+                for j in row:
+                    if j not in ok:
+                        pair = f"pair {(ids[i], ids[j])!r}"
+                        v.append(Violation("composition only on s(g)=r(h)", pair))
 
     # Ids outside the elements have range and source -1, which no element's
     # range equals, so a product outside fails the row comparison.
     pad = [-1] * (len(rows) - n)
     rng_of = (rng + pad).__getitem__
     src_of = (src + pad).__getitem__
-    bucket_src = {c: list(map(src.__getitem__, b)) for c, b in bucket.items()}
-    lam: list[list[int] | None] = []
+    lam: list = []  # each element's products in bucket order, None if one is missing
     closed: list[bool] = []
-    for i, g in enumerate(els):
-        row = rows[i]
-        prods = list(map(row.get, partners[i]))
-        ok = None not in prods
-        lam.append(prods if ok else None)
-        ok = ok and (
-            list(map(rng_of, prods)) == [rng[i]] * len(prods)
-            and list(map(src_of, prods)) == bucket_src.get(src[i], [])
-        )
-        closed.append(ok)
-        if ok:
-            continue
-        for j in partners[i]:
-            k = row.get(j)
-            if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
+    if keyed:
+        values = list(map(dict.values, own))
+        products = list(chain.from_iterable(values))
+        if list(map(rng_of, products)) == list(
+            chain.from_iterable(map(repeat, rng, lengths))
+        ) and list(map(src_of, products)) == list(map(src.__getitem__, partner_keys)):
+            lam, closed = values, [True] * n
+    if not closed:
+        bucket_src = {c: list(map(src.__getitem__, b)) for c, b in bucket.items()}
+        for i, g in enumerate(els):
+            row = rows[i]
+            prods = list(map(row.get, partners[i]))
+            ok = None not in prods
+            lam.append(prods if ok else None)
+            ok = ok and (
+                list(map(rng_of, prods)) == [rng[i]] * len(prods)
+                and list(map(src_of, prods)) == bucket_src.get(src[i], [])
+            )
+            closed.append(ok)
+            if ok:
                 continue
-            pair = f"pair {(g, els[j])!r}"
-            if k is None:
-                v.append(Violation("composition total on composable pairs", pair))
-            elif k >= n:
-                v.append(Violation("composition closed", pair))
-            else:
-                if rng[k] != rng[i]:
-                    v.append(Violation("r(gh) = r(g)", pair))
-                if src[k] != src[j]:
-                    v.append(Violation("s(gh) = s(h)", pair))
+            for j in partners[i]:
+                k = row.get(j)
+                if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
+                    continue
+                pair = f"pair {(g, els[j])!r}"
+                if k is None:
+                    v.append(Violation("composition total on composable pairs", pair))
+                elif k >= n:
+                    v.append(Violation("composition closed", pair))
+                else:
+                    if rng[k] != rng[i]:
+                        v.append(Violation("r(gh) = r(g)", pair))
+                    if src[k] != src[j]:
+                        v.append(Violation("s(gh) = s(h)", pair))
 
-    for i, g in enumerate(els):
-        ru, su, gi = rng[i], src[i], inv[i]
-        row = rows[i]
-        if rows[ru].get(i, i) != i:
-            v.append(Violation("r(g)g = g", f"element {g!r}"))
-        if row.get(su, i) != i:
-            v.append(Violation("gs(g) = g", f"element {g!r}"))
-        if rows[gi].get(i, su) != su:
-            v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
-        if row.get(gi, ru) != ru:
-            v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
+    if not (
+        list(map(dict.get, map(rows.__getitem__, rng), positions, positions)) == positions
+        and list(map(dict.get, rows, src, positions)) == positions
+        and list(map(dict.get, map(rows.__getitem__, inv), positions, src)) == src
+        and list(map(dict.get, rows, inv, rng)) == rng
+    ):
+        for i, g in enumerate(els):
+            ru, su, gi = rng[i], src[i], inv[i]
+            row = rows[i]
+            if rows[ru].get(i, i) != i:
+                v.append(Violation("r(g)g = g", f"element {g!r}"))
+            if row.get(su, i) != i:
+                v.append(Violation("gs(g) = g", f"element {g!r}"))
+            if rows[gi].get(i, su) != su:
+                v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
+            if row.get(gi, ru) != ru:
+                v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
 
     # Associativity.  joined[c] chains lam[h] over the bucket of range c;
     # for a closed g every gh has the source of its h, so chaining lam[gh]
@@ -416,20 +453,20 @@ def is_principal(G: FiniteGroupoid) -> bool:
 
 
 def full_relation(points: Iterable[Hashable]) -> FiniteGroupoid:
-    """The complete equivalence relation: elements (a, b), units (a, a)."""
+    """The complete equivalence relation: elements (a, b), units (a, a).
+    (a, b) sits at position a·m + b over the m points' positions."""
     pts = tuple(points)
-    elements = tuple((a, b) for a in pts for b in pts)
-    units = frozenset((a, a) for a in pts)
-    rng = {(a, b): (a, a) for a, b in elements}
-    src = {(a, b): (b, b) for a, b in elements}
-    comp = {
-        ((a, b), (b2, c)): (a, c)
-        for a, b in elements
-        for b2, c in elements
-        if b == b2
-    }
-    inv = {(a, b): (b, a) for a, b in elements}
-    return build_groupoid(elements, units, rng, src, comp, inv)
+    m = len(pts)
+    if len(set(pts)) != m:
+        raise StructuralError("duplicate elements")
+    return FiniteGroupoid(
+        tuple((a, b) for a in pts for b in pts),
+        frozenset((a, a) for a in pts),
+        [a * m + a for a in range(m) for _ in range(m)],
+        [b * m + b for _ in range(m) for b in range(m)],
+        [b * m + a for a in range(m) for b in range(m)],
+        [{b * m + c: a * m + c for c in range(m)} for a in range(m) for b in range(m)],
+    )
 
 
 def cyclic_group_groupoid(n: int) -> FiniteGroupoid:
@@ -437,30 +474,31 @@ def cyclic_group_groupoid(n: int) -> FiniteGroupoid:
     if n < 1:
         raise ValueError("n must be positive")
     elements = tuple(range(n))
-    comp = {(a, b): (a + b) % n for a in elements for b in elements}
-    return build_groupoid(
+    return FiniteGroupoid(
         elements,
-        {0},
-        {a: 0 for a in elements},
-        {a: 0 for a in elements},
-        comp,
-        {a: (-a) % n for a in elements},
+        frozenset({0}),
+        [0] * n,
+        [0] * n,
+        [(-a) % n for a in elements],
+        [{b: (a + b) % n for b in elements} for a in elements],
     )
 
 
 def group_bundle(fibers: Mapping[Hashable, int]) -> FiniteGroupoid:
-    """Disjoint union of cyclic groups: fiber Z/k at each base point."""
-    elements = tuple((u, t) for u, k in sorted(fibers.items(), key=repr) for t in range(k))
+    """Disjoint union of cyclic groups: fiber Z/k at each base point, the
+    fibers in order of their items' reprs and (u, t) at its fiber's offset
+    plus t."""
+    if any(k < 1 for k in fibers.values()):
+        raise StructuralError("units not contained in elements")
+    elements, rng, inv, rows = [], [], [], []
+    for u, k in sorted(fibers.items(), key=repr):
+        o = len(elements)
+        elements += [(u, t) for t in range(k)]
+        rng += [o] * k
+        inv += [o + (-t) % k for t in range(k)]
+        rows += [{o + b: o + (a + b) % k for b in range(k)} for a in range(k)]
     units = frozenset((u, 0) for u in fibers)
-    rng = {(u, t): (u, 0) for (u, t) in elements}
-    comp = {
-        ((u, a), (u2, b)): (u, (a + b) % fibers[u])
-        for (u, a) in elements
-        for (u2, b) in elements
-        if u == u2
-    }
-    inv = {(u, t): (u, (-t) % fibers[u]) for (u, t) in elements}
-    return build_groupoid(elements, units, rng, dict(rng), comp, inv)
+    return FiniteGroupoid(tuple(elements), units, rng, list(rng), inv, rows)
 
 
 def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:

@@ -3,8 +3,10 @@
 Matrices are immutable tuples of tuples of Python ints (arbitrary precision),
 so telescoped products never overflow.  The products and the transpose take
 any exact entries that add and multiply with ints, such as the Gaussian
-rationals of the regular representation.  Rank computations run over the
-rationals with ``fractions.Fraction``; nothing here ever touches a float.
+rationals of the regular representation.  ``mat_mul`` is the one matrix
+product: it skips the zero entries of its left factor, and each entry of
+the result is typed like the dense triple sum.  Rank computations run over
+the rationals with ``fractions.Fraction``; nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -34,13 +36,24 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product ``a @ b``, entry (i, j) the sum over k of
+    ``a[i][k] * b[k][j]``.  Each row of ``a`` lists its nonzero entries once
+    and only those are multiplied, so a sparse left factor costs its nonzeros.
+    Every sum starts at the zero of a product of the factors' entries, so
+    when each factor's entries share one type, each entry has the value and
+    type of the dense triple sum: an all-zero Gaussian entry is a Gaussian
+    zero, not the int 0."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch: {shape(a)} @ {shape(b)}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)) for i in range(ra)
-    )
+    cols = list(zip(*b))
+    zero = 0 * a[0][0] * cols[0][0] if ra and cols else 0
+    out = []
+    for row in a:
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        out.append(tuple([sum([x * col[k] for k, x in nonzero], zero) for col in cols]))
+    return tuple(out)
 
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoid_forge.convolution_algebra import RegRepMatrix
 from groupoid_forge.dimension_groups import (
     DimensionGroupSpec,
     DimGroupElement,
@@ -21,6 +22,7 @@ from groupoid_forge.dimension_groups import (
     k0_vertex_class,
     rank2_k_matrices,
 )
+from groupoid_forge.gaussian import ZERO, GaussianRational, gauss
 from groupoid_forge.graph_model import BratteliDiagram, constant_diagram, telescope
 from groupoid_forge.matrices import (
     as_matrix,
@@ -28,13 +30,14 @@ from groupoid_forge.matrices import (
     is_injective,
     mat_mul,
     repeat_index,
+    shape,
     transpose,
 )
 from groupoid_forge.pipeline import unit_corner_spec
 from groupoid_forge.rank2_diagrams import Rank2Data, Rank2Diagram, build_rank2, canonical_rank2
 from groupoid_forge.validation import StructuralError
 
-from helpers import materialized_k_matrices
+from helpers import looped_matmul, materialized_k_matrices
 
 DOUBLING = DimensionGroupSpec((1, 1), (as_matrix([[2]]),), repeat_from=0)
 
@@ -229,6 +232,91 @@ class TestColumnRank:
             assert is_injective(a) == (rank == cols), (seed, a)
             deficient += rank < min(rows, cols)
         assert deficient >= 20
+
+
+ENTRY_KINDS = {
+    "int": (0, st.integers(-9, 9)),
+    "fraction": (Fraction(0), st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    "gauss": (
+        ZERO,
+        st.builds(
+            gauss,
+            st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            st.integers(-4, 4),
+        ),
+    ),
+}
+KIND_PAIRS = [
+    ("int", "int"),
+    ("fraction", "fraction"),
+    ("gauss", "gauss"),
+    ("int", "gauss"),
+    ("gauss", "int"),
+    ("int", "fraction"),
+]
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b, kinds): a of shape (ra, ca) and b of shape (ca, cb), each with
+    entries of one kind, about half of them zero, some rows of a and some
+    columns of b all zero.  An empty matrix has no columns, so a with no
+    rows has none, and b with no rows has none."""
+    kinds = draw(st.sampled_from(KIND_PAIRS))
+    ra = draw(st.integers(0, 4))
+    ca = draw(st.integers(0, 4)) if ra else 0
+    cb = draw(st.integers(0, 4)) if ca else 0
+
+    def matrix(kind, rows, cols):
+        zero, values = ENTRY_KINDS[kind]
+        return [[draw(st.just(zero) | values) for _ in range(cols)] for _ in range(rows)]
+
+    a, b = matrix(kinds[0], ra, ca), matrix(kinds[1], ca, cb)
+    for i in draw(st.sets(st.integers(0, ra - 1))) if ra else ():
+        a[i] = [ENTRY_KINDS[kinds[0]][0]] * ca
+    for j in draw(st.sets(st.integers(0, cb - 1))) if cb else ():
+        for row in b:
+            row[j] = ENTRY_KINDS[kinds[1]][0]
+    return tuple(map(tuple, a)), tuple(map(tuple, b)), kinds
+
+
+def dense_product(a, b):
+    """a @ b by the triple loop over every entry, each sum from the int 0."""
+    (ra, ca), cb = shape(a), shape(b)[1]
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)) for i in range(ra)
+    )
+
+
+def typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+class TestMatMul:
+    """The one matrix product skips the zero entries of its left factor;
+    each entry keeps the value and the type of the dense triple sum, since
+    a Gaussian rational never equals an int."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_pairs())
+    def test_matches_the_dense_triple_sum(self, drawn):
+        a, b, kinds = drawn
+        product = mat_mul(a, b)
+        assert type(product) is tuple and all(type(row) is tuple for row in product)
+        assert typed(product) == typed(dense_product(a, b))
+        if kinds == ("gauss", "gauss") and len(a) == len(b) == len(b[0] if b else ()):
+            basis = tuple(range(len(a)))
+            looped = looped_matmul(RegRepMatrix(basis, a), RegRepMatrix(basis, b))
+            assert typed(product) == typed(looped)
+
+    def test_an_all_zero_gaussian_entry_is_a_gaussian_zero(self):
+        product = mat_mul(((0, 0), (0, 1)), ((gauss(1, 2), ZERO), (ZERO, ZERO)))
+        assert all(type(x) is GaussianRational and not x for row in product for x in row)
+        assert product == ((ZERO, ZERO), (ZERO, ZERO))
+
+    def test_shapes_that_do_not_chain_are_refused(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mat_mul(((1, 2),), ((1, 2),))
 
 
 class TestPositive:

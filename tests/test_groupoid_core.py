@@ -3,7 +3,7 @@
 import math
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -212,6 +212,19 @@ def _swapped(G: FiniteGroupoid, x, h1, h2) -> FiniteGroupoid:
     return build_groupoid(G.elements, G.units, **tables)
 
 
+def _moved_across(G: FiniteGroupoid, i: int) -> FiniteGroupoid:
+    """G with the last key of row i moved to the front of row i + 1, its
+    product kept."""
+    tables = label_tables(G)
+    g, after = G.elements[i], G.elements[i + 1]
+    last = G.elements[list(G.rows[i])[-1]]
+    tables["composition"] = {
+        ((after, h) if (x, h) == (g, last) else (x, h)): k
+        for (x, h), k in tables["composition"].items()
+    }
+    return build_groupoid(G.elements, G.units, **tables)
+
+
 def _generators_of(G: FiniteGroupoid) -> list:
     """The elements ``groupoid_core._generators`` picks for a groupoid whose
     products all exist with the right range and source."""
@@ -314,6 +327,131 @@ class TestAxiomOracle:
             "composition only on s(g)=r(h): pair ((1, 0), (1, 0))",
             "composition total on composable pairs: pair ((0, 1), (1, 0))",
         ]
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_factories_on_positions_match_the_label_build(self, size):
+        # each factory fills its lists straight from positions: its label
+        # tables are the ones its definition writes, the table in row order,
+        # and encoding them gives the same record, row key order included
+        pts = range(size)
+        fibers = {u: size - u for u in pts}
+        bundle = [(u, t) for u, k in sorted(fibers.items(), key=repr) for t in range(k)]
+        cases = [
+            (
+                full_relation(pts),
+                [(a, b) for a in pts for b in pts],
+                {(a, b): (a, a) for a in pts for b in pts},
+                {(a, b): (b, b) for a in pts for b in pts},
+                {((a, b), (b, c)): (a, c) for a in pts for b in pts for c in pts},
+                {(a, b): (b, a) for a in pts for b in pts},
+            ),
+            (
+                cyclic_group_groupoid(size),
+                list(pts),
+                {a: 0 for a in pts},
+                {a: 0 for a in pts},
+                {(a, b): (a + b) % size for a in pts for b in pts},
+                {a: -a % size for a in pts},
+            ),
+            (
+                group_bundle(fibers),
+                bundle,
+                {(u, t): (u, 0) for u, t in bundle},
+                {(u, t): (u, 0) for u, t in bundle},
+                {
+                    ((u, a), (u, b)): (u, (a + b) % fibers[u])
+                    for u, a in bundle
+                    for b in range(fibers[u])
+                },
+                {(u, t): (u, -t % fibers[u]) for u, t in bundle},
+            ),
+        ]
+        for G, elements, rng, src, comp, inv in cases:
+            assert G.elements == tuple(elements) and not G.strays
+            tables = label_tables(G)
+            assert tables == {
+                "range_map": rng,
+                "source_map": src,
+                "composition": comp,
+                "inverse_map": inv,
+            }
+            assert list(tables["composition"]) == list(comp)
+            again = build_groupoid(G.elements, G.units, **tables)
+            assert again == G
+            assert [list(row.items()) for row in again.rows] == [
+                list(row.items()) for row in G.rows
+            ]
+            assert verify_groupoid_axioms(G).passed
+
+    def test_factories_refuse_what_the_label_build_refuses(self):
+        with pytest.raises(StructuralError, match="duplicate elements"):
+            full_relation([0, 1, 0])
+        with pytest.raises(StructuralError, match="units not contained in elements"):
+            group_bundle({"u": 2, "w": 0})
+
+    def test_keys_moved_across_a_row_boundary_are_found(self):
+        # the last key of row i moved to the front of row i + 1: the rows'
+        # keys, concatenated, still run as the partner buckets do, and only
+        # the per-row lengths tell the table from a whole one
+        rng = rng_for(411)
+        traps = 0
+        for G in _factory_groupoids(twisted=4):
+            n = len(G.elements)
+            movable = [
+                i
+                for i in range(n - 1)
+                if G.rows[i] and G.source_of[i] != G.source_of[i + 1]
+            ]
+            for i in rng.sample(movable, min(3, len(movable))):
+                bad = _moved_across(G, i)
+                partners = [
+                    [h for h in range(n) if bad.range_of[h] == s] for s in bad.source_of
+                ]
+                assert list(chain.from_iterable(bad.rows)) == list(chain.from_iterable(partners))
+                assert list(map(len, bad.rows)) != list(map(len, partners))
+                expected = [(v.invariant, v.subject) for v in brute_groupoid_axioms(bad).violations]
+                found = [(v.invariant, v.subject) for v in verify_groupoid_axioms(bad).violations]
+                assert found == expected
+                assert expected[:2] == [
+                    (
+                        "composition only on s(g)=r(h)",
+                        f"pair {(G.elements[i + 1], G.elements[list(G.rows[i])[-1]])!r}",
+                    ),
+                    (
+                        "composition total on composable pairs",
+                        f"pair {(G.elements[i], G.elements[list(G.rows[i])[-1]])!r}",
+                    ),
+                ]
+                traps += 1
+        assert traps >= 20
+
+    def test_a_product_or_an_inverse_outside_is_named(self):
+        # each passes every whole-table decision but one, whose walk names it
+        G = full_relation(range(3))
+        tables = label_tables(G)
+        stray_product = build_groupoid(
+            G.elements,
+            G.units,
+            **{**tables, "composition": {**tables["composition"], ((0, 1), (1, 2)): "ghost"}},
+        )
+        stray_inverse = build_groupoid(
+            G.elements,
+            G.units,
+            **{**tables, "inverse_map": {**tables["inverse_map"], (2, 0): "ghost"}},
+        )
+        product_lines = [str(v) for v in verify_groupoid_axioms(stray_product).violations]
+        assert product_lines[:3] == [
+            "composition closed: pair ((0, 1), (1, 2))",
+            "associativity: triple ((0, 0), (0, 1), (1, 2))",
+            "associativity: triple ((0, 1), (1, 0), (0, 2))",
+        ]
+        assert [str(v) for v in verify_groupoid_axioms(stray_inverse).violations] == [
+            "inverse closed: element (2, 0)"
+        ]
+        for bad in (stray_product, stray_inverse):
+            assert [str(v) for v in verify_groupoid_axioms(bad).violations] == [
+                str(v) for v in brute_groupoid_axioms(bad).violations
+            ]
 
     def test_disjoint_union_matches_the_label_build(self):
         # both sides tagged and their tables joined, malformed sides included
