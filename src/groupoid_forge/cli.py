@@ -39,16 +39,16 @@ from .rank2_diagrams import (
     rank2_data_from_json,
     telescope_rank2,
 )
-from .validation import StructuralError
+from .validation import StructuralError, json_int
 
 # The groupoid toolkit (groupoid_core, graph_groupoid, twisted_product and
 # convolution_algebra) is imported inside the commands that use it, so the
 # diagram and planner commands never load it.
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, **options) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, **options)
 
 
 def _dump(data: dict, out: str | None) -> None:
@@ -339,8 +339,38 @@ def cmd_realize(args) -> int:
     return 0 if report.ok else 1
 
 
+def _refuse_floats(value, path: str = "") -> None:
+    """Raise ``StructuralError`` at the first float of a JSON value, in file
+    order, naming its field as the input readers do."""
+    if isinstance(value, float):
+        json_int(value, path)
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            _refuse_floats(child, f"{path}.{key}" if path else str(key))
+
+
+class _FloatMet(Exception):
+    """The text of a JSON float, met while a report is read."""
+
+
+def _stop_at_float(text: str):
+    raise _FloatMet(text)
+
+
+def _read_report(path: str) -> dict:
+    """A report file, every number in it a JSON integer.  A derived field is
+    compared by value, where 20.0 would pass for 20, so a float anywhere (or
+    NaN, or infinity) is refused.  The parser stops at the first one, and
+    the file is read again to name its field as the input readers do."""
+    try:
+        return _load_json(path, parse_float=_stop_at_float, parse_constant=_stop_at_float)
+    except _FloatMet as met:
+        _refuse_floats(_load_json(path))
+        raise StructuralError(f"report holds the float {met}") from None
+
+
 def cmd_verify_report(args) -> int:
-    wrong = first_wrong_field(_load_json(args.file))
+    wrong = first_wrong_field(_read_report(args.file))
     print("report re-verifies" if wrong is None else f"report FAILED re-verification at {wrong}")
     return 0 if wrong is None else 1
 

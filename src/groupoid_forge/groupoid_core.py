@@ -10,10 +10,9 @@ lists straight from positions.  Labels come back only in dumps, in messages
 and through the accessors ``r``, ``s``, ``inv``, ``mul``, ``composable`` and
 ``elements_with_source``.
 Everything is immutable and every check is complete: each axiom is decided
-for every element, pair and triple.  Associativity of a table whose products
-all exist with the right range and source is decided on the rows of a
-generating set (Light's test; see ``verify_groupoid_axioms``), and any other
-table is walked triple by triple.
+for every element, pair and triple.  The axiom check decides the whole table
+at once (associativity by Light's test on a generating set), and walks only
+a table that fails, element by element, to name every offender.
 """
 
 from __future__ import annotations
@@ -45,7 +44,10 @@ class FiniteGroupoid:
     says that elements[i]·elements[j] is the id of code k.  An element's code
     is its position; an id outside the elements, which only malformed input
     holds, is ``strays[c - len(elements)]`` at code c and has a row too, so
-    the axiom check can name it."""
+    the axiom check can name it.  Each row lists its keys in increasing code
+    order, as ``build_groupoid``, the factories, ``disjoint_union`` and
+    twisted products all build them; the axiom check's whole-table decision
+    reads that order, and walks a table that breaks it."""
 
     elements: tuple[El, ...]
     units: frozenset
@@ -127,7 +129,8 @@ def build_groupoid(
     """The groupoid of label maps and a composition table.  Each element is
     coded by its position, and every other id by the next code from
     ``len(elements)`` on, in order of first appearance: in the range, source
-    and inverse maps, then in the table."""
+    and inverse maps, then in the table.  Each row lists its keys in
+    increasing code order, whatever the order of the table."""
     elements = tuple(elements)
     code = dict(zip(elements, range(len(elements))))
     if len(code) != len(elements):
@@ -151,6 +154,7 @@ def build_groupoid(
         row = rows[gc] if gc < n else stray_rows.setdefault(gc, {})
         row[hc] = code.setdefault(k, len(code))
     rows += [stray_rows.get(c, {}) for c in range(n, len(code))]
+    rows = [dict(sorted(row.items())) for row in rows]
     return FiniteGroupoid(elements, units, *maps, rows, tuple(code)[n:])
 
 
@@ -221,195 +225,141 @@ def _generators(rows: list[dict[int, int]], rng: list[int], src: list[int]) -> l
 def verify_groupoid_axioms(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom completely; name each offender.
 
-    It reads G's codes: elements by their position, and ids outside the
-    elements (a stray range, inverse, factor or product) from
-    ``len(G.elements)`` on.  Composable pairs come from the range buckets.
-    The order of the violations does not depend on hashing: products on
-    pairs that are not composable come row by row in code order, each row in
-    table order, and every other kind in element order.
+    ``_satisfies_axioms`` decides the whole table at once, and passes it only
+    when the element-wise walk ``_axiom_violations`` would find nothing; any
+    table it refuses is walked, so the report is the walk's either way.
+    """
+    return report_from([] if _satisfies_axioms(G) else _axiom_violations(G))
 
-    Each family of laws is first decided on the whole table at once, by
-    comparing lists built with ``map`` and ``chain``: units fixed by r and
-    s; r and s landing in units, inverses inside the elements with swapped
-    range and source; every row's keys, in order, equal to the range bucket
-    of its source (the per-row lengths and the concatenation both agree,
-    and ids outside the elements have empty rows); the products' ranges and
-    sources; and the four identity laws.  A family that passes has no
-    violation.  A family that fails is walked element by element, or row by
-    row, to name its offenders, so the violations and their order are
-    exactly those of the element-wise definition.
 
-    Closure and associativity are decided a row at a time.  For each
-    element g, ``lam[g]`` lists the codes of gk for k in the range bucket of
-    s(g) (``None`` if a product is missing).  Row g passes closure when the
-    ranges of ``lam[g]`` all equal r(g) and its sources run as the bucket's.
-    It then passes associativity for every composable (h, k) at once when
-    ``lam[gh]``, chained over h, equals ``lam[h]``, chained over h and
-    translated by row g.
+def _satisfies_axioms(G: FiniteGroupoid) -> bool:
+    """Whether G passes every axiom, decided on whole lists built with
+    ``map`` and ``chain``: units fixed by r and s; r and s in the units,
+    inverses inside the elements with swapped range and source; each row's
+    keys, in order, the range bucket of its source (per-row lengths and the
+    concatenation), and empty rows for ids outside the elements; the
+    products' ranges and sources; the four identity laws.
 
-    Once every row is closed, the rows that pass associativity are closed
-    under products: for passing g1, g2 and composable h, k,
+    Associativity is decided on the rows of a generating set.  ``lam[g]``,
+    the values of row g, lists gk over the bucket of s(g); row g is
+    associative when ``lam[gh]`` chained over h equals ``lam[h]`` chained
+    over h and translated by row g.  In a closed table the associative rows
+    are closed under products: for associative g1, g2 and composable h, k,
     ((g1g2)h)k = (g1(g2h))k = g1((g2h)k) = g1(g2(hk)) = (g1g2)(hk).  Every
     element is a product of the generators ``_generators`` picks, so their
-    rows decide associativity for all rows (Light's associativity test:
-    F. W. Light, 1949; Clifford & Preston, *The Algebraic Theory of
-    Semigroups* I, section 1.2).  When a row is not closed or a generator
-    row fails, every row is compared, and a row that fails either comparison
-    (a missing product, a product outside, a wrong range or source, a failed
-    equation) is checked pair by pair or triple by triple instead.
-    """
-    v: list[Violation] = []
-    els = G.elements
-    n = len(els)
-    ids, rng, src, inv, rows = G._ids, G.range_of, G.source_of, G.inverse_of, G.rows
-    own = rows[:n]
-    positions = list(range(n))
+    rows decide all rows (Light's test: F. W. Light, 1949; Clifford &
+    Preston, *The Algebraic Theory of Semigroups* I, section 1.2)."""
+    n = len(G.elements)
+    rng, src, inv, rows = G.range_of, G.source_of, G.inverse_of, G.rows
+    own, positions, bucket = rows[:n], list(range(n)), G._index.by_range
     units = set(map(G._code.__getitem__, G.units))
     unit_codes = sorted(units)
-    bucket = G._index.by_range
     partners = [bucket.get(s, ()) for s in src]
     lengths = list(map(len, partners))
     partner_keys = list(chain.from_iterable(partners))
-
-    if not list(map(rng.__getitem__, unit_codes)) == unit_codes == list(
-        map(src.__getitem__, unit_codes)
-    ):
-        for i, g in enumerate(els):
-            if i in units and (rng[i] != i or src[i] != i):
-                v.append(Violation("unit fixed by r and s", f"unit {g!r}"))
     if not (
-        units.issuperset(rng)
+        list(map(rng.__getitem__, unit_codes)) == unit_codes
+        and list(map(src.__getitem__, unit_codes)) == unit_codes
+        and units.issuperset(rng)
         and units.issuperset(src)
         and max(inv, default=-1) < n
         and list(map(rng.__getitem__, inv)) == src
         and list(map(src.__getitem__, inv)) == rng
-    ):
-        for i, g in enumerate(els):
-            if rng[i] not in units or src[i] not in units:
-                v.append(Violation("r,s land in units", f"element {g!r}"))
-            if inv[i] >= n:
-                v.append(Violation("inverse closed", f"element {g!r}"))
-            elif rng[inv[i]] != src[i] or src[inv[i]] != rng[i]:
-                # the inverse laws below only test products the table holds
-                v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
-
-    # every row's keys are its partners, in order, and no stray has a row
-    keyed = (
-        not any(rows[n:])
+        and not any(rows[n:])
         and list(map(len, own)) == lengths
         and list(chain.from_iterable(own)) == partner_keys
-    )
-    if not keyed:
-        allowed = {c: set(b) for c, b in bucket.items()}
-        for i, row in enumerate(rows):
-            ok = allowed.get(src[i], ()) if i < n else ()  # a stray's row is all loose
-            if not ok or not ok.issuperset(row):
-                for j in row:
-                    if j not in ok:
-                        pair = f"pair {(ids[i], ids[j])!r}"
-                        v.append(Violation("composition only on s(g)=r(h)", pair))
-
-    # Ids outside the elements have range and source -1, which no element's
-    # range equals, so a product outside fails the row comparison.
+    ):
+        return False
+    # an id outside the elements reads range and source -1: no element's range
     pad = [-1] * (len(rows) - n)
-    rng_of = (rng + pad).__getitem__
-    src_of = (src + pad).__getitem__
-    lam: list = []  # each element's products in bucket order, None if one is missing
-    closed: list[bool] = []
-    if keyed:
-        values = list(map(dict.values, own))
-        products = list(chain.from_iterable(values))
-        if list(map(rng_of, products)) == list(
-            chain.from_iterable(map(repeat, rng, lengths))
-        ) and list(map(src_of, products)) == list(map(src.__getitem__, partner_keys)):
-            lam, closed = values, [True] * n
-    if not closed:
-        bucket_src = {c: list(map(src.__getitem__, b)) for c, b in bucket.items()}
-        for i, g in enumerate(els):
-            row = rows[i]
-            prods = list(map(row.get, partners[i]))
-            ok = None not in prods
-            lam.append(prods if ok else None)
-            ok = ok and (
-                list(map(rng_of, prods)) == [rng[i]] * len(prods)
-                and list(map(src_of, prods)) == bucket_src.get(src[i], [])
-            )
-            closed.append(ok)
-            if ok:
-                continue
-            for j in partners[i]:
-                k = row.get(j)
-                if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
-                    continue
-                pair = f"pair {(g, els[j])!r}"
-                if k is None:
-                    v.append(Violation("composition total on composable pairs", pair))
-                elif k >= n:
-                    v.append(Violation("composition closed", pair))
-                else:
-                    if rng[k] != rng[i]:
-                        v.append(Violation("r(gh) = r(g)", pair))
-                    if src[k] != src[j]:
-                        v.append(Violation("s(gh) = s(h)", pair))
-
+    lam = list(map(dict.values, own))
+    products = list(chain.from_iterable(lam))
     if not (
-        list(map(dict.get, map(rows.__getitem__, rng), positions, positions)) == positions
+        list(map((rng + pad).__getitem__, products))
+        == list(chain.from_iterable(map(repeat, rng, lengths)))
+        and list(map((src + pad).__getitem__, products))
+        == list(map(src.__getitem__, partner_keys))
+        and list(map(dict.get, map(rows.__getitem__, rng), positions, positions)) == positions
         and list(map(dict.get, rows, src, positions)) == positions
         and list(map(dict.get, map(rows.__getitem__, inv), positions, src)) == src
         and list(map(dict.get, rows, inv, rng)) == rng
     ):
-        for i, g in enumerate(els):
-            ru, su, gi = rng[i], src[i], inv[i]
-            row = rows[i]
-            if rows[ru].get(i, i) != i:
-                v.append(Violation("r(g)g = g", f"element {g!r}"))
-            if row.get(su, i) != i:
-                v.append(Violation("gs(g) = g", f"element {g!r}"))
-            if rows[gi].get(i, su) != su:
-                v.append(Violation("g^{-1}g = s(g)", f"element {g!r}"))
-            if row.get(gi, ru) != ru:
-                v.append(Violation("gg^{-1} = r(g)", f"element {g!r}"))
+        return False
+    joined = {c: list(chain.from_iterable(map(lam.__getitem__, b))) for c, b in bucket.items()}
+    return all(
+        list(chain.from_iterable(map(lam.__getitem__, lam[g])))
+        == list(map(rows[g].__getitem__, joined[src[g]]))
+        for g in _generators(rows, rng, src)
+    )
 
-    # Associativity.  joined[c] chains lam[h] over the bucket of range c;
-    # for a closed g every gh has the source of its h, so chaining lam[gh]
-    # over lam[g] lines up with it pair by pair.
-    joined: dict[int, list[int] | None] = {}
-    for c, b in bucket.items():
-        parts = list(map(lam.__getitem__, b))
-        joined[c] = None if None in parts else list(chain.from_iterable(parts))
 
-    def associative_row(i: int) -> bool:
-        right = joined.get(src[i]) if closed[i] else None
-        if right is None:
-            return False
-        parts = list(map(lam.__getitem__, lam[i]))
-        try:
-            return None not in parts and list(chain.from_iterable(parts)) == list(
-                map(rows[i].__getitem__, right)
-            )
-        except KeyError:
-            return False
-
-    if all(closed) and all(map(associative_row, _generators(rows, rng, src))):
-        return report_from(v)
+def _axiom_violations(G: FiniteGroupoid) -> list[Violation]:
+    """Every violation of the element-wise definition, in an order that does
+    not depend on hashing.  Elements are read by their codes, and ids outside
+    the elements (a stray range, inverse, factor or product) by the codes
+    from ``len(G.elements)`` on.  Products on pairs that are not composable
+    come row by row in code order, each row in its key order; every other
+    kind comes in element order, with pairs and triples over range buckets."""
+    v: list[Violation] = []
+    els = G.elements
+    n = len(els)
+    ids, rng, src, inv, rows = G._ids, G.range_of, G.source_of, G.inverse_of, G.rows
+    units = set(map(G._code.__getitem__, G.units))
+    bucket = G._index.by_range
+    partners = [bucket.get(s, ()) for s in src]
     for i, g in enumerate(els):
-        if associative_row(i):
-            continue
+        if i in units and (rng[i] != i or src[i] != i):
+            v.append(Violation("unit fixed by r and s", f"unit {g!r}"))
+    for i, g in enumerate(els):
+        if rng[i] not in units or src[i] not in units:
+            v.append(Violation("r,s land in units", f"element {g!r}"))
+        if inv[i] >= n:
+            v.append(Violation("inverse closed", f"element {g!r}"))
+        elif rng[inv[i]] != src[i] or src[inv[i]] != rng[i]:
+            # the inverse laws below only test products the table holds
+            v.append(Violation("r(g^{-1}) = s(g), s(g^{-1}) = r(g)", f"element {g!r}"))
+    allowed = {c: set(b) for c, b in bucket.items()}
+    for i, row in enumerate(rows):
+        ok = allowed.get(src[i], ()) if i < n else ()  # a stray's row is all loose
+        for j in row:
+            if j not in ok:
+                v.append(Violation("composition only on s(g)=r(h)", f"pair {(ids[i], ids[j])!r}"))
+    for i, g in enumerate(els):
+        for j in partners[i]:
+            k = rows[i].get(j)
+            if k is not None and k < n and rng[k] == rng[i] and src[k] == src[j]:
+                continue
+            pair = f"pair {(g, els[j])!r}"
+            if k is None:
+                v.append(Violation("composition total on composable pairs", pair))
+            elif k >= n:
+                v.append(Violation("composition closed", pair))
+            else:
+                if rng[k] != rng[i]:
+                    v.append(Violation("r(gh) = r(g)", pair))
+                if src[k] != src[j]:
+                    v.append(Violation("s(gh) = s(h)", pair))
+    for i, g in enumerate(els):
+        ru, su, gi, row = rng[i], src[i], inv[i], rows[i]
+        laws = (
+            ("r(g)g = g", rows[ru].get(i, i) != i),
+            ("gs(g) = g", row.get(su, i) != i),
+            ("g^{-1}g = s(g)", rows[gi].get(i, su) != su),
+            ("gg^{-1} = r(g)", row.get(gi, ru) != ru),
+        )
+        v += [Violation(law, f"element {g!r}") for law, broken in laws if broken]
+    for i, g in enumerate(els):
         row_g = rows[i]
         for j in partners[i]:
             gh = row_g.get(j)
             if gh is None:
                 continue
-            row_h = rows[j]
-            row_gh = rows[gh]
+            row_h, row_gh = rows[j], rows[gh]
             for k in partners[j]:
-                hk = row_h.get(k)
-                left = row_gh.get(k)
-                right = row_g.get(hk) if hk is not None else None
-                if left != right or left is None:
+                left = row_gh.get(k)  # a missing hk reads None, which no row holds
+                if left is None or left != row_g.get(row_h.get(k)):
                     v.append(Violation("associativity", f"triple {(g, els[j], els[k])!r}"))
-
-    return report_from(v)
+    return v
 
 
 def _unit_code(G: FiniteGroupoid, u: El) -> int:

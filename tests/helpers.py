@@ -61,6 +61,7 @@ from groupoid_forge.graph_model import (
 )
 from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
+    GroupoidAutomorphism,
     build_groupoid,
     cycles,
     full_relation,
@@ -997,6 +998,39 @@ def walked_af_lc_lengths(alpha, paths) -> list[int]:
 
 def walked_rank2_lc_lengths(orders, paths) -> list[int]:
     return walked_lc_lengths(lambda p: rank2_path_image(orders, p), paths)
+
+
+# ---------------------------------------------------------------------------
+# Finite truncations
+#
+# The AF groupoid of a Bratteli diagram is the increasing union of the finite
+# equivalence relations "x ~ y when the length-n paths x and y from level 0
+# share a source" (Renault, LNM 793).  Its level-n truncation is a finite
+# groupoid, so the groupoid toolkit checks the planner's claims on it.
+# ---------------------------------------------------------------------------
+
+
+def af_truncation(d: BratteliDiagram, n: int) -> tuple[FiniteGroupoid, GroupoidAutomorphism]:
+    """The level-n truncation of the AF groupoid of ``d``, built with
+    ``build_groupoid``: the pairs (x, y) of length-n paths from level 0 that
+    share a source, in the order of the paths, and the parallel-class
+    cycling acting on both paths edge by edge, as a ``GroupoidAutomorphism``."""
+    classes: dict = {}
+    for v in d.vertices_at(0):
+        for p in iter_paths(d, v, n):
+            classes.setdefault(p.source_vertex, []).append(p)
+    pairs = [(x, y) for c in classes.values() for x in c for y in c]
+    G = build_groupoid(
+        pairs,
+        [(x, x) for c in classes.values() for x in c],
+        {(x, y): (x, x) for x, y in pairs},
+        {(x, y): (y, y) for x, y in pairs},
+        {((x, y), (y, z)): (x, z) for c in classes.values() for x in c for y in c for z in c},
+        {(x, y): (y, x) for x, y in pairs},
+    )
+    cycling = EdgeCycleAutomorphism(d)
+    image = {p: af_path_image(cycling, p) for c in classes.values() for p in c}
+    return G, GroupoidAutomorphism(G, {(x, y): (image[x], image[y]) for x, y in pairs})
 
 
 # ---------------------------------------------------------------------------

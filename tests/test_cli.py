@@ -874,6 +874,26 @@ class TestVerifyReport:
         assert f"depth must be at least 1, got {depth}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("af", "wfc.shift_bound must be an integer, got 20.0"),
+            ("rank2", "ktheory.m_sequence.0 must be an integer, got 0.0"),
+        ],
+    )
+    def test_a_float_in_a_derived_field_exit_two(self, kind, message, tmp_path, capsys):
+        # derived fields are compared by value, where 20.0 == 20 would pass
+        if kind == "af":
+            report = plan_af_realization(constant_diagram(2)).to_json()
+            report["wfc"]["shift_bound"] = float(report["wfc"]["shift_bound"])
+        else:
+            report = plan_rank2_realization(CONSTANT2).to_json()
+            report["ktheory"]["m_sequence"] = list(map(float, report["ktheory"]["m_sequence"]))
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["verify-report", str(path)]) == 2
+        assert capsys.readouterr().err == f"structural error: {message}\n"
+
+    @pytest.mark.parametrize(
         "report, field",
         [
             ({"kind": "af"}, "input"),

@@ -1,5 +1,7 @@
 """Finite groupoid backend: axioms, isotropy, orbits, stabilization."""
 
+import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -214,15 +216,14 @@ def _swapped(G: FiniteGroupoid, x, h1, h2) -> FiniteGroupoid:
 
 def _moved_across(G: FiniteGroupoid, i: int) -> FiniteGroupoid:
     """G with the last key of row i moved to the front of row i + 1, its
-    product kept."""
-    tables = label_tables(G)
-    g, after = G.elements[i], G.elements[i + 1]
-    last = G.elements[list(G.rows[i])[-1]]
-    tables["composition"] = {
-        ((after, h) if (x, h) == (g, last) else (x, h)): k
-        for (x, h), k in tables["composition"].items()
-    }
-    return build_groupoid(G.elements, G.units, **tables)
+    product kept.  It is built on G's codes directly, since ``build_groupoid``
+    would sort the moved key back into code order."""
+    rows = [dict(row) for row in G.rows]
+    last, product = rows[i].popitem()
+    rows[i + 1] = {last: product, **rows[i + 1]}
+    return FiniteGroupoid(
+        G.elements, G.units, G.range_of, G.source_of, G.inverse_of, rows, G.strays
+    )
 
 
 def _generators_of(G: FiniteGroupoid) -> list:
@@ -506,6 +507,46 @@ class TestAxiomOracle:
                     {g for g in H.elements if H.r(g) == u and H.s(g) == u} == {u}
                     for u in H.units
                 )
+
+
+def _refuse_walk(G):
+    raise AssertionError(f"the naming walk ran on a groupoid of {len(G)} elements")
+
+
+# The corruption corpus of ``test_corruption_corpus_matches_oracle``, each
+# case as [name, [str(violation), ...]] in the order the checker lists them,
+# dumped with ``json.dumps``: 130 cases and 1,960 violations, as the row-wise
+# walk listed them before the decision and the naming walk were split.
+CORPUS_VIOLATIONS_SHA256 = "76899ab2ac9ebabe1fce08a5bbb2a3a4b62a0dbd7d8d93b9e8e30f0dead49f80"
+
+
+class TestAxiomDecision:
+    """The whole-table decision passes valid tables without the naming walk,
+    and refuses every corrupted one, whose violations keep their order."""
+
+    def test_valid_groupoids_skip_the_naming_walk(self, monkeypatch):
+        # a dump lists its products in name order, and build_groupoid puts
+        # each row back in code order, which the decision reads
+        factories = _factory_groupoids(twisted=12)
+        valid = [*factories, *(groupoid_from_json(G.to_json()) for G in factories)]
+        valid.append(groupoid_from_json(full_relation(range(12)).to_json()))
+        items = bench_inputs().twisted_instances(0)
+        valid += [twisted_product(*item).finite_form for item in items]
+        monkeypatch.setattr(groupoid_core, "_axiom_violations", _refuse_walk)
+        for G in valid:
+            assert verify_groupoid_axioms(G).passed
+        assert len(valid) == 2 * 20 + 1 + 100
+
+    def test_corruption_corpus_is_refused_and_named_in_order(self):
+        rng = rng_for(406)
+        named = []
+        for G in _factory_groupoids(twisted=4):
+            for name, bad in _corruptions(G, rng):
+                assert not groupoid_core._satisfies_axioms(bad), name
+                named.append([name, [str(v) for v in verify_groupoid_axioms(bad).violations]])
+        assert (len(named), sum(len(lines) for _, lines in named)) == (130, 1960)
+        digest = hashlib.sha256(json.dumps(named).encode()).hexdigest()
+        assert digest == CORPUS_VIOLATIONS_SHA256
 
 
 class TestIsotropyOrbits:

@@ -8,8 +8,10 @@ A float, a bool or a numeric string planted where the valid file held an
 integer must return 2 with the field's path on stderr, in every file whose
 integers the command reads: diagrams, rank-2 data, cocycles, and the
 ``input``, ``parameters``, ``corner.level`` and ``corner.vector`` of a
-report.  The other report fields are derived and compared by value, so
-there a planted ``2.0`` may still check.  Groupoid dumps and automorphism
+report.  The other report fields are derived and compared by value, so a
+planted ``2.0`` would check there: ``verify-report`` refuses a float
+anywhere in a report, naming its field the same way, and a planted bool or
+numeric string there may still check or fail.  Groupoid dumps and automorphism
 files hold names, not integers.  Planted values stay at magnitude 3 or less: a planted level size
 allocates a table of its square.
 """
@@ -175,9 +177,12 @@ def test_mutations_never_escape_main(form, tmp_path):
         case = f"{form}: {name} {'.'.join(map(str, path))} = {new!r}"
         assert code in (0, 1, 2), case
         field = integer_path(name, path)
-        if field is not None and is_planted_non_integer(old, new):
-            assert code == 2, case
-            assert f"{field} must be an integer, got {new!r}" in err, (case, err)
+        if name.endswith("report") and type(new) is float:
+            field = ".".join(map(str, path))
+        elif field is None or not is_planted_non_integer(old, new):
+            continue
+        assert code == 2, case
+        assert f"{field} must be an integer, got {new!r}" in err, (case, err)
 
 
 @pytest.mark.parametrize(
