@@ -178,15 +178,22 @@ def _revive(name: str):
 def groupoid_from_json(data: dict) -> FiniteGroupoid:
     """Inverse of ``FiniteGroupoid.to_json``; a dump whose maps are not
     objects or whose names are not strings, or whose table lists a pair
-    twice, is refused."""
+    twice, is refused.  Each distinct name is revived once."""
+    revived: dict[str, El] = {}
+
+    def revive(name):
+        if not isinstance(name, str) or name not in revived:
+            revived[name] = _revive(name)
+        return revived[name]
+
     try:
-        elements = tuple(_revive(g) for g in data["elements"])
-        units = frozenset(_revive(u) for u in data["units"])
+        elements = tuple(map(revive, data["elements"]))
+        units = frozenset(map(revive, data["units"]))
         rng, src, inv = (
-            {_revive(g): _revive(u) for g, u in data[key].items()}
+            {revive(g): revive(u) for g, u in data[key].items()}
             for key in ("range", "source", "inverse")
         )
-        table = [((_revive(g), _revive(h)), _revive(k)) for g, h, k in data["compose"]]
+        table = [((revive(g), revive(h)), revive(k)) for g, h, k in data["compose"]]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise StructuralError(f"malformed groupoid dump: {exc}") from exc
     composition = dict(table)

@@ -5,8 +5,11 @@ so telescoped products never overflow.  The products and the transpose take
 any exact entries that add and multiply with ints, such as the Gaussian
 rationals of the regular representation.  ``mat_mul`` is the one matrix
 product: it skips the zero entries of its left factor, and each entry of
-the result is typed like the dense triple sum.  Rank computations run over
-the rationals with ``fractions.Fraction``; nothing here ever touches a float.
+the result is typed like the dense triple sum.  ``growth_levels`` resumes one
+chain walk per stored position of a repetition rule, since levels at one
+position see the same matrices from there on, and a larger bound can only
+move the first level that meets it later.  Rank computations run over the
+rationals with ``fractions.Fraction``; nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -78,49 +81,61 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
 LEVEL_CAP = 4096
 
 
-def first_level_above(
-    matrix_at: Callable[[int], IntMatrix], start: int, bound: int, relation: str
-) -> tuple[int, IntMatrix] | str:
-    """The first level m in start+1..LEVEL_CAP whose chain
-    ``matrix_at(m-1) @ ... @ matrix_at(start)`` has every entry above
-    ``bound``, with that chain; otherwise why the search stopped: the level
-    cap, or the data horizon, the first level m - 1 whose matrix
-    ``matrix_at`` cannot give (it raises ``StructuralError``).  ``relation``
-    is the entry condition as text, such as ``"> 5"``.  One running product
-    serves the whole walk."""
-    chain = None
-    try:
-        for m in range(start + 1, LEVEL_CAP + 1):
-            step = matrix_at(m - 1)
-            chain = step if chain is None else mat_mul(step, chain)
-            if min_entry(chain) > bound:
-                return m, chain
-    except StructuralError:
-        return (
-            f"data horizon {m - 1} reached (no repetition rule) before a level "
-            f"with entries {relation} from level {start}"
-        )
-    return f"no level within cap {LEVEL_CAP} has entries {relation} from level {start}"
-
-
 def growth_levels(
-    matrix_at: Callable[[int], IntMatrix],
+    mats: Sequence[IntMatrix],
+    repeat_from: int | None,
     count: int,
     bound: Callable[[int, list[int], list[IntMatrix]], tuple[int, str]],
 ) -> tuple[list[int], list[IntMatrix], str | None]:
-    """Levels 0 = t_0 < t_1 < ... < t_{count-1}, each t_{n+1} the first level
-    whose chain from t_n has every entry above the bound that
-    ``bound(n, levels, chains)`` gives, with its relation text, from the
-    levels and chains found so far; returns those levels and chains, and when
-    the search stops short the failure naming the cap or the data horizon."""
+    """Levels 0 = t_0 < ... < t_{count-1} over the matrices ``mats`` and
+    their repetition rule (level k's matrix at ``repeat_index(k, ...)``),
+    each t_{n+1} the first level m <= LEVEL_CAP whose chain
+    ``matrix(m-1) @ ... @ matrix(t_n)`` has every entry above the bound that
+    ``bound(n, levels, chains)`` gives with its relation text, such as
+    ``"> 5"``.  Returns those levels and chains, and when the search stops
+    short why: the level cap, or the data horizon, the first level with no
+    matrix.
+
+    One walk (bound, length, chain) per stored position is kept and resumed,
+    and it finds what a fresh walk from each t_n finds:
+
+    * levels with one ``repeat_index`` see the same matrices from there on,
+      so the chain of length g from level t depends only on
+      (``repeat_index(t)``, g);
+    * at one position, the first length whose least entry exceeds the bound
+      can only move later as the bound grows, so a bound at least the walk's
+      last resumes at the walk's length, and a smaller one restarts at 1;
+    * the cap is checked before any test: a resumed walk whose start plus
+      length passes ``LEVEL_CAP`` is the cap failure;
+    * without a repetition rule each level is its own position, so nothing
+      resumes.
+    """
+    walks: dict[int, tuple[int, int, IntMatrix | None]] = {}
     levels: list[int] = [0]
     chains: list[IntMatrix] = []
     for n in range(count - 1):
-        found = first_level_above(matrix_at, levels[-1], *bound(n, levels, chains))
-        if isinstance(found, str):
-            return levels, chains, found
-        levels.append(found[0])
-        chains.append(found[1])
+        start = levels[-1]
+        low, relation = bound(n, levels, chains)
+        try:
+            key = repeat_index(start, len(mats), len(mats), repeat_from)
+            last, g, chain = walks.get(key, (low, 0, None))
+            if low < last:
+                g, chain = 0, None
+            while chain is None or start + g > LEVEL_CAP or min_entry(chain) <= low:
+                if start + g >= LEVEL_CAP:
+                    failure = f"no level within cap {LEVEL_CAP} has entries {relation}"
+                    return levels, chains, f"{failure} from level {start}"
+                step = mats[repeat_index(start + g, len(mats), len(mats), repeat_from)]
+                chain = step if chain is None else mat_mul(step, chain)
+                g += 1
+        except StructuralError:
+            return levels, chains, (
+                f"data horizon {len(mats)} reached (no repetition rule) before a "
+                f"level with entries {relation} from level {start}"
+            )
+        walks[key] = (low, g, chain)
+        levels.append(start + g)
+        chains.append(chain)
     return levels, chains, None
 
 

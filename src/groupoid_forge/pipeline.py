@@ -290,7 +290,9 @@ def plan_af_realization(
     params = {"depth": depth, "lbound": lbound, "source_cap": matrices.LEVEL_CAP}
     spec = dimension_group_of(d)
     levels_out = max(depth, lbound + 1) + 1
-    levels, chains, failure = growth_levels(spec.matrix, levels_out, lambda n, *_: (n, f"> {n}"))
+    levels, chains, failure = growth_levels(
+        spec.matrices, spec.repeat_from, levels_out, lambda n, *_: (n, f"> {n}")
+    )
     if failure is not None:
         return _report("af", d.to_json(), params, {"complete": False, "failure": failure}, corner)
     least = [min_entry(c) for c in chains]

@@ -407,8 +407,9 @@ def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
     chained matrices reaches n; then M_0 = M_1 = 0 and each further level is
     the first whose chained matrix has every entry above (n+1) * M_{n+1},
     where M_{n+1} = M_n + n * prod(A_chain(i,j) * T(j)).  The levels come
-    from one ``growth_levels`` search with these bounds, which multiplies
-    each chain once; the B chains follow from A_n T_n = T_{n+1} B_n.
+    from one ``growth_levels`` search with these bounds, which resumes its
+    walk at each repeated position; the B chains follow from
+    A_n T_n = T_{n+1} B_n.
     """
     if levels_out < 3:
         raise ValueError("telescoping needs at least three output levels")
@@ -422,7 +423,7 @@ def telescope_rank2(data: Rank2Data, levels_out: int) -> TelescopeResult:
         M.append(M[-1] + (step - 1) * prod)
         return step * M[step], f"> {step * M[step]}"
 
-    l, chains, failure = growth_levels(data.a_at, levels_out, bound)
+    l, chains, failure = growth_levels(data.A, data.repeat_from, levels_out, bound)
     certificate = tuple(
         {"step": n, "level": l[n + 1], "min_entry": min_entry(chain), "strict_bound": n * M[n]}
         for n, chain in enumerate(chains)

@@ -717,7 +717,7 @@ def per_level_minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:
 # every candidate level.  ``pipeline.plan_af_realization`` reads the class-cycle
 # lengths off the growth chains and assigns the witness levels with
 # ``certificates.shift_witness_levels``, and ``matrices.growth_levels``
-# keeps one running product per gap; all are tested against these.
+# resumes one chain walk per stored position; all are tested against these.
 # ---------------------------------------------------------------------------
 
 _NOT_VERTEX_FIXING = "bratteli orbit-freeness check needs a vertex-fixing automorphism"
@@ -856,11 +856,13 @@ def level_cap(cap: int):
     return patch.object(matrices, "LEVEL_CAP", cap)
 
 
-def af_growth_levels(d: BratteliDiagram, count: int):
+def af_growth_levels(d: BratteliDiagram, count: int, search=growth_levels):
     """``matrices.growth_levels`` over the K0 matrices of ``d`` with the AF
-    planner's bound: every entry of step n's chain above n."""
+    planner's bound, every entry of step n's chain above n, called exactly
+    as ``pipeline.plan_af_realization`` calls it; ``search`` stands in for
+    ``growth_levels``, as a mutant of it does."""
     spec = dimension_group_of(d)
-    return growth_levels(spec.matrix, count, lambda n, *_: (n, f"> {n}"))
+    return search(spec.matrices, spec.repeat_from, count, lambda n, *_: (n, f"> {n}"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 and the edge-walk oracles of ``tests/helpers.py``: whole plans against
 ``generic_af_report``, the orbit-freeness certificate read off the growth
 chains, the local-contraction entries read off the class sizes, and the
-growth search with one running product per gap."""
+growth search, whose resumed walks are checked against fresh products and
+against mutants of the walk."""
 
+import __future__
+import inspect
 import random
+import textwrap
+from unittest.mock import patch
 
 import pytest
 
@@ -18,7 +23,9 @@ from groupoid_forge.graph_model import (
     path_count_matrix,
     telescope,
 )
-from groupoid_forge.matrices import as_matrix, transpose
+from groupoid_forge import matrices
+from groupoid_forge.dimension_groups import dimension_group_of
+from groupoid_forge.matrices import as_matrix, chain_product, growth_levels, min_entry, transpose
 from groupoid_forge.pipeline import PipelineInputError, first_wrong_field, plan_af_realization
 from groupoid_forge.validation import StructuralError
 
@@ -63,12 +70,13 @@ DIAGRAMS = {
 }
 
 
-def growth(d, levels, cap):
+def growth(d, levels, cap, search=growth_levels):
     """The growth search's levels and failure under the level cap ``cap``;
     the chain it returns for each gap must be the path counts between the
-    gap's levels, transposed."""
-    with level_cap(cap):
-        found, chains, failure = af_growth_levels(d, levels)
+    gap's levels, transposed.  The cap is patched where ``search`` reads it:
+    ``matrices.LEVEL_CAP``, or a mutant's copy of the module namespace."""
+    with patch.dict(search.__globals__, LEVEL_CAP=cap):
+        found, chains, failure = af_growth_levels(d, levels, search)
     assert chains == [transpose(path_count_matrix(d, a, b)) for a, b in zip(found, found[1:])]
     return found, failure
 
@@ -232,3 +240,129 @@ class TestGrowthSearchAgainstRescan:
         )
         assert growth(FINITE, 7, 4096) == ([0, 1, 2, 3, 4, 5], failure)
         assert rescanned_growth_subsequence(FINITE, 7, 4096) == ([0, 1, 2, 3, 4, 5], failure)
+
+
+# Repeating families on which the walks resume: one stored position (the
+# constants) and a period-3 tail (four stored matrices from repeat_from 1).
+RESUMING = {
+    "constant2": constant_diagram(2),
+    "constant3": constant_diagram(3),
+    **{f"period3_{s}": seeded_diagram(30 + s, 2, 5, 1) for s in range(3)},
+}
+# bounds for a direct search; each fall restarts the walk at its position
+FALLING = (7, 1, 12, 0, 3, 30, 2, 2, 9, 1)
+
+
+def cap_sweep_disagreements(search=growth_levels) -> list:
+    """The (family, levels, cap) triples, caps 2 to 40, at which the search
+    disagrees with the rescan.  Over 30 output levels every one of these caps
+    stops the search, on constant-2 with a resumed walk that crosses it."""
+    wrong = []
+    for name, d in RESUMING.items():
+        for levels in (8, 30):
+            for cap in range(2, 41):
+                try:
+                    found = growth(d, levels, cap, search)
+                except AssertionError:
+                    found = None
+                if found != rescanned_growth_subsequence(d, levels, cap):
+                    wrong.append((name, levels, cap))
+    return wrong
+
+
+def rescanned_levels(spec, bounds, cap):
+    """The levels, chains and failure of a search whose step n has the bound
+    ``bounds[n]``, with one fresh chain product per candidate level."""
+    levels, chains = [0], []
+    for b in bounds:
+        start = levels[-1]
+        for m in range(start + 1, cap + 1):
+            chain = chain_product([spec.matrix(k) for k in range(start, m)])
+            if min_entry(chain) > b:
+                levels.append(m)
+                chains.append(chain)
+                break
+        else:
+            return levels, chains, f"no level within cap {cap} has entries > {b} from level {start}"
+    return levels, chains, None
+
+
+def falling_bound_disagreements(search=growth_levels) -> list:
+    """The (family, cap) pairs at which a direct search with the ``FALLING``
+    bounds disagrees with ``rescanned_levels``."""
+    wrong = []
+    for name, d in RESUMING.items():
+        spec = dimension_group_of(d)
+        for cap in (12, 64):
+            with patch.dict(search.__globals__, LEVEL_CAP=cap):
+                found = search(
+                    spec.matrices,
+                    spec.repeat_from,
+                    len(FALLING) + 1,
+                    lambda n, *_: (FALLING[n], f"> {FALLING[n]}"),
+                )
+            if found != rescanned_levels(spec, FALLING, cap):
+                wrong.append((name, cap))
+    return wrong
+
+
+class TestResumedWalks:
+    """The walks resume across the cap and restart when the bound falls."""
+
+    def test_every_cap_from_2_to_40_matches_the_rescan(self):
+        assert cap_sweep_disagreements() == []
+        # the walk of length 4 from level 38 crosses cap 40; 8 levels fit
+        assert growth(constant_diagram(2), 30, 40) == (
+            [0, 1, 2, 4, 6, 9, 12, 15, 18, 22, 26, 30, 34, 38],
+            "no level within cap 40 has entries > 13 from level 38",
+        )
+        assert growth(constant_diagram(2), 8, 40) == ([0, 1, 2, 4, 6, 9, 12, 15], None)
+
+    def test_a_falling_bound_restarts_the_walk(self):
+        assert FALLING != tuple(sorted(FALLING))
+        assert falling_bound_disagreements() == []
+        # constant-2: bound 7 needs length 3, the fall to 1 length 1
+        found = rescanned_levels(dimension_group_of(constant_diagram(2)), FALLING[:2], 64)
+        assert found[0] == [0, 3, 4]
+
+
+def walk_mutant(old: str, new: str):
+    """``growth_levels`` with one fixed textual edit of its source, run in a
+    copy of the ``matrices`` namespace."""
+    source = textwrap.dedent(inspect.getsource(matrices.growth_levels))
+    assert source.count(old) == 1
+    namespace = dict(vars(matrices))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), "<walk mutant>", "exec", flags, True), namespace)
+    return namespace["growth_levels"]
+
+
+WALK_MUTANTS = {
+    "resume whatever the bound": ("if low < last:", "if False:"),
+    "no cap check on a resumed walk": (
+        "chain is None or start + g > LEVEL_CAP or min_entry",
+        "chain is None or min_entry",
+    ),
+    "resume one length past the walk's": (
+        "g, chain = 0, None\n",
+        "g, chain = 0, None\n"
+        "            elif chain is not None:\n"
+        "                step = mats[repeat_index(start + g, len(mats), len(mats), repeat_from)]\n"
+        "                chain, g = mat_mul(step, chain), g + 1\n",
+    ),
+}
+
+
+class TestWalkMutants:
+    """A mutation gate for the resumed walk: each fixed mutant of
+    ``growth_levels`` fails the comparisons of ``TestResumedWalks``."""
+
+    def test_the_unmutated_source_passes(self):
+        search = walk_mutant("if low < last:", "if low < last:")
+        assert search is not growth_levels
+        assert cap_sweep_disagreements(search) == falling_bound_disagreements(search) == []
+
+    @pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
+    def test_each_mutant_is_killed(self, name):
+        search = walk_mutant(*WALK_MUTANTS[name])
+        assert cap_sweep_disagreements(search) + falling_bound_disagreements(search)

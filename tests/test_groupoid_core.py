@@ -78,6 +78,24 @@ class TestAxioms:
         assert verify_groupoid_axioms(G2).passed
         assert len(G2) == len(G)
 
+    def test_a_round_trip_revives_each_distinct_name_once(self, monkeypatch):
+        calls = Counter()
+        revive = groupoid_core._revive
+
+        def counted(name):
+            calls[name] += 1
+            return revive(name)
+
+        monkeypatch.setattr(groupoid_core, "_revive", counted)
+        G = full_relation(range(12))
+        dump = G.to_json()
+        assert groupoid_from_json(dump).to_json() == dump
+        assert set(calls) == set(dump["elements"]) and set(calls.values()) == {1}
+        # a name that is not a string is still refused, in the table too
+        dump["compose"][5][1] = 7
+        with pytest.raises(StructuralError, match="element names must be strings, got 7"):
+            groupoid_from_json(dump)
+
     def test_golden_dump_stable(self):
         # dumps feed golden files; the serialization must stay deterministic
         G = full_relation(range(2))

@@ -245,6 +245,17 @@ class TestLevelCap:
         assert af.parameters["source_cap"] == 3
         assert "source_cap" not in rank2.parameters
 
+    def test_constant2_crosses_the_cap_between_lbound_510_and_511(self):
+        # lbound 511 needs a level whose entries pass 511 from level 4089; the
+        # walk there has length 9 and would end past the cap at 4098
+        failure = "no level within cap 4096 has entries > 511 from level 4089"
+        for lbound, status in ((510, "ok"), (511, "unknown"), (640, "unknown")):
+            report = plan_af_realization(constant_diagram(2), lbound=lbound)
+            blob = json.loads(json.dumps(report.to_json()))
+            assert blob["status"] == status
+            assert blob["telescoping"].get("failure") == (None if status == "ok" else failure)
+            assert verify_report_json(blob)
+
     def test_af_echo_reverifies_only_under_its_cap(self):
         with level_cap(64):
             report = plan_af_realization(constant_diagram(2), depth=5, lbound=8)
