@@ -290,8 +290,12 @@ def cmd_rank2(args) -> int:
     levels = args.levels
     if levels is None:
         levels = len(data.T) if horizon is None else horizon
+    if args.action == "telescope":
+        result = telescope_rank2(data, levels)
+        _dump(result.to_json(), args.out)
+        return 0 if result.complete else 1
+    diagram = canonical_rank2(data, levels)
     if args.action == "build":
-        diagram = canonical_rank2(data, levels)
         _dump(
             {
                 "levels": [list(s) for s in diagram.cycle_sizes],
@@ -301,7 +305,6 @@ def cmd_rank2(args) -> int:
         )
         return 0
     if args.action == "orders":
-        diagram = canonical_rank2(data, levels)
         orders = compute_orders(diagram)
         _dump(
             {
@@ -314,11 +317,6 @@ def cmd_rank2(args) -> int:
             args.out,
         )
         return 0
-    if args.action == "telescope":
-        result = telescope_rank2(data, levels)
-        _dump(result.to_json(), args.out)
-        return 0 if result.complete else 1
-    diagram = canonical_rank2(data, levels)
     orders = rank2_automorphism(diagram)
     labels = chain.from_iterable(diagram.blue_labels_at(n) for n in range(levels - 1))
     _dump(

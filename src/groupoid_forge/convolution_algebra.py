@@ -36,7 +36,6 @@ from .graph_model import vertex_path
 from .groupoid_core import FiniteGroupoid, GroupoidAutomorphism
 from .matrices import mat_mul, transpose
 from .twisted_product import BouquetTwistedProduct
-from .validation import StructuralError
 
 
 class InternalConsistencyError(RuntimeError):
@@ -59,7 +58,8 @@ class FiniteConvElement:
     def __post_init__(self):
         coeffs = {g: GaussianRational.of(c) for g, c in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {g: c for g, c in coeffs.items() if c})
-        _check_support(self.groupoid, self.coeffs)
+        for g in self.coeffs:
+            self.groupoid.position(g)  # refuses an id outside the groupoid
 
     def __call__(self, g) -> Coeff:
         return self.coeffs.get(g, ZERO)
@@ -68,14 +68,6 @@ class FiniteConvElement:
         if not isinstance(other, FiniteConvElement):
             return NotImplemented
         return self.groupoid is other.groupoid and dict(self.coeffs) == dict(other.coeffs)
-
-
-def _check_support(G: FiniteGroupoid, support: Iterable) -> None:
-    """Refuse any id that is not an element of G (stray ids: codes >= |G|)."""
-    code, n = G._code, len(G)
-    for g in support:
-        if code.get(g, n) >= n:
-            raise StructuralError(f"support element {g!r} outside the groupoid")
 
 
 def delta(G: FiniteGroupoid, g, c=1) -> FiniteConvElement:
@@ -191,17 +183,15 @@ class SymbolicConvElement:
     form: dict[int, dict[Labels, Coeff]] = field(init=False, repr=False)
 
     def __post_init__(self, pieces):
-        by_g: dict[object, list[tuple[Labels, Coeff]]] = {}
+        by_g: dict[int, list[tuple[Labels, Coeff]]] = {}  # by G position
         for (b, g), c in pieces.items():
             c = c if type(c) is GaussianRational else GaussianRational.of(c)
-            by_g.setdefault(g, []).append((bouquet_labels(b), c))
-        G = self.model.g
-        _check_support(G, by_g)
-        object.__setattr__(self, "form", _normal_form({G._code[g]: f for g, f in by_g.items()}))
+            by_g.setdefault(self.model.g.position(g), []).append((bouquet_labels(b), c))
+        object.__setattr__(self, "form", _normal_form(by_g))
 
     @cached_property
     def coeffs(self) -> dict[tuple[BasicBisection, object], Coeff]:
-        ids, unit = self.model.g._ids, _FULL_UNIT_LABELS
+        ids, unit = self.model.g.elements, _FULL_UNIT_LABELS
         return {
             (FULL_UNIT_BISECTION if b == unit else bouquet_bisection(b), ids[i]): c
             for i, family in self.form.items()
@@ -253,23 +243,22 @@ def convolve(x, y):
         return FiniteConvElement(G, out)
     model = x.model
     G, power = model.g, model.alpha.power
-    at, ids = G._code, G._ids
-    by_range: dict[int, list[tuple[object, Labels, Coeff]]] = {}
+    by_range: dict[int, list[tuple[int, Labels, Coeff]]] = {}
     for j, family in y.form.items():
-        by_range.setdefault(G.range_of[j], []).extend((ids[j], b, c) for b, c in family.items())
+        by_range.setdefault(G.range_of[j], []).extend((j, b, c) for b, c in family.items())
     families: dict[int, dict[Labels, Coeff]] = {}
     for i, family in x.form.items():
-        source, row = ids[G.source_of[i]], G.rows[i]
+        source, row = G.source_of[i], G.rows[i]
         for b1, c1 in family.items():
             degree = len(b1[0]) - len(b1[1])
-            partners = by_range.get(at[power(degree).mapping[source]])
+            partners = by_range.get(power(degree).image_of[source])
             if partners is None:
                 continue
-            back = power(-degree).mapping
-            for g2, b2, c2 in partners:
+            back = power(-degree).image_of
+            for j, b2, c2 in partners:
                 piece = label_product(b1, b2)
                 if piece is not None:
-                    out = families.setdefault(row[at[back[g2]]], {})
+                    out = families.setdefault(row[back[j]], {})
                     c, earlier = c1 * c2, out.get(piece)
                     out[piece] = c if earlier is None else earlier + c
     return _element(model, _normal_form({k: f.items() for k, f in families.items()}))
@@ -285,17 +274,14 @@ def involution(x):
         return FiniteConvElement(
             G, {G.inv(g): c.conjugate() for g, c in x.coeffs.items()}
         )
-    model = x.model
-    power = model.alpha.power
-    at, ids, inv = model.g._code, model.g._ids, model.g.inverse_of
+    power, inv = x.model.alpha.power, x.model.g.inverse_of
     # (b, g) -> (b^{-1}, alpha^{deg b}(g^{-1})) is one-to-one, so no key repeats
     swapped: dict[int, list[tuple[Labels, Coeff]]] = {}
     for i, family in x.form.items():
-        g_inv = ids[inv[i]]
         for (r, s, f), c in family.items():
-            k = at[power(len(r) - len(s)).mapping[g_inv]]
+            k = power(len(r) - len(s)).image_of[inv[i]]
             swapped.setdefault(k, []).append(((s, r, f), c.conjugate()))
-    return _element(model, {k: dict(sorted(swapped[k])) for k in sorted(swapped)})
+    return _element(x.model, {k: dict(sorted(swapped[k])) for k in sorted(swapped)})
 
 
 # Z(v, v) for the bouquet vertex v: the whole unit space, where the embedded
@@ -318,7 +304,7 @@ def iota_inverse(x: SymbolicConvElement) -> FiniteConvElement:
 
     The embedding of f is, in normal form, Z(v) under each G-element of f's
     support: x is in the image exactly when every piece is Z(v)."""
-    ids = x.model.g._ids
+    ids = x.model.g.elements
     out = {}
     for i, family in x.form.items():
         for b, c in family.items():
@@ -385,9 +371,8 @@ def regular_representation(G: FiniteGroupoid, u, xi: FiniteConvElement) -> RegRe
     if u not in G.units:
         raise ValueError(f"{u!r} is not a unit")
     basis = G.elements_with_source(u)
-    code = G._code
-    index = {code[g]: k for k, g in enumerate(basis)}  # position -> basis index
-    terms = [(G.rows[code[h]], c) for h, c in xi.coeffs.items()]
+    index = {G.position(g): k for k, g in enumerate(basis)}  # position -> basis index
+    terms = [(G.rows[G.position(h)], c) for h, c in xi.coeffs.items()]
     rows = [[ZERO] * len(basis) for _ in basis]
     for j, g in enumerate(index):
         for row, c in terms:

@@ -17,6 +17,7 @@ from .matrices import (
     IntMatrix,
     IntVector,
     as_matrix,
+    capped_level,
     check_repeat_rule,
     diagonal,
     is_injective,
@@ -114,12 +115,12 @@ def dg_push_to_level(
 def _pushes(spec: DimensionGroupSpec, a: DimGroupElement, horizon: int):
     """(level, vector) for ``a`` and for each push of it, down to the horizon
     or the last stored level of data that has no repetition rule, whichever
-    comes first."""
+    comes first; a walk to a level past the cap is refused."""
     if len(a.vector) != spec.size(a.level):
         raise ValueError("vector length does not match its level")
+    end = capped_level(horizon if spec.repeat_from is not None else min(horizon, spec.horizon))
     level, v = a
     yield level, v
-    end = horizon if spec.repeat_from is not None else min(horizon, spec.horizon)
     while level < end:
         v = mat_vec(spec.matrix(level), v)
         level += 1

@@ -24,6 +24,7 @@ from typing import Hashable, Iterator, NamedTuple, Sequence
 from .matrices import (
     IntMatrix,
     as_matrix,
+    capped_level,
     chain_product,
     check_repeat_rule,
     identity,
@@ -278,8 +279,8 @@ def telescope(d: BratteliDiagram, subsequence: Sequence[int]) -> BratteliDiagram
 
 
 def path_count_matrix(d: BratteliDiagram, from_level: int, to_level: int) -> IntMatrix:
-    """Number of paths between two levels, as a matrix (adjacency power)."""
-    if to_level < from_level:
+    """Number of paths between two levels (an adjacency power), up to the cap."""
+    if capped_level(to_level) < from_level:
         raise ValueError("to_level must be >= from_level")
     if to_level == from_level:
         return identity(d.level_size(from_level))

@@ -18,7 +18,7 @@ a table that fails, element by element, to name every offender.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, NamedTuple
@@ -93,6 +93,13 @@ class FiniteGroupoid:
             by_range.setdefault(r, []).append(i)
             by_source.setdefault(s, []).append(i)
         return _Index(by_range, by_source)
+
+    def position(self, g: El) -> int:
+        """The position of element ``g``; any other id is refused."""
+        i = self._code.get(g, len(self.elements))
+        if i >= len(self.elements):
+            raise StructuralError(f"element {g!r} outside the groupoid")
+        return i
 
     def elements_with_source(self, u: El) -> tuple[El, ...]:
         bucket = self._index.by_source.get(self._code.get(u), ())
@@ -488,33 +495,37 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
 
 @dataclass(frozen=True)
 class Cocycle:
-    groupoid: FiniteGroupoid
-    values: Mapping[El, int]
+    """An integer cocycle, held as ``value_of[i]``, its value at
+    ``groupoid.elements[i]``; built from a label map onto the elements."""
 
-    def __post_init__(self):
-        if set(self.values) != set(self.groupoid.elements):
+    groupoid: FiniteGroupoid
+    values: InitVar[Mapping[El, int]]
+    value_of: list[int] = field(init=False)
+
+    def __post_init__(self, values):
+        if set(values) != set(self.groupoid.elements):
             raise StructuralError("cocycle not total on elements")
+        object.__setattr__(self, "value_of", list(map(values.__getitem__, self.groupoid.elements)))
 
     def __call__(self, g: El) -> int:
-        return self.values[g]
+        return self.value_of[self.groupoid.position(g)]
 
     def validate(self) -> ValidationReport:
-        G = self.groupoid
+        G, c = self.groupoid, self.value_of
         els = G.elements
-        c = list(map(self.values.__getitem__, els))
         v = [
             Violation("c(gh) = c(g) + c(h)", f"pair {(els[i], els[j])!r}")
             for i, row in enumerate(G.rows)
             for j, k in row.items()
             if c[k] != c[i] + c[j]
         ]
-        for u in els:
-            if u in G.units and self.values[u] != 0:
+        for u, cu in zip(els, c):
+            if cu and u in G.units:
                 v.append(Violation("c vanishes on units", f"unit {u!r}"))
         return report_from(v)
 
     def value_range(self) -> frozenset:
-        return frozenset(self.values.values())
+        return frozenset(self.value_of)
 
     def isotropy_value_range(self) -> frozenset:
         """Cocycle values attained on isotropy elements.
@@ -523,9 +534,7 @@ class Cocycle:
         vanishes on all isotropy: this is {0} whenever the cocycle validates.
         """
         G = self.groupoid
-        return frozenset(
-            self.values[g] for g in G.elements if G.r(g) == G.s(g)
-        )
+        return frozenset(c for c, r, s in zip(self.value_of, G.range_of, G.source_of) if r == s)
 
 
 def cocycle_from_json(G: FiniteGroupoid, data: dict) -> Cocycle:
@@ -559,48 +568,34 @@ def weight_cocycle(G: FiniteGroupoid, weights: Mapping[El, int]) -> Cocycle:
     return Cocycle(G, {g: weights[G.r(g)] - weights[G.s(g)] for g in G.elements})
 
 
-def cycles(mapping: Mapping[El, El]) -> list[tuple[El, ...]]:
-    """Cycle decomposition of a permutation given as a mapping onto its own
-    keys.  Cycles appear in the order of their first key, each starting at
-    that key and following the mapping."""
-    seen: set = set()
-    out = []
-    for start in mapping:
-        if start in seen:
-            continue
-        cycle = [start]
-        x = mapping[start]
-        while x != start:
-            cycle.append(x)
-            x = mapping[x]
-        seen.update(cycle)
-        out.append(tuple(cycle))
-    return out
-
-
 @dataclass(frozen=True)
 class GroupoidAutomorphism:
-    groupoid: FiniteGroupoid
-    mapping: Mapping[El, El]
+    """An automorphism, held as ``image_of[i]``, the position of the image
+    of ``groupoid.elements[i]``; built from a label bijection of the elements."""
 
-    def __post_init__(self):
-        eset = set(self.groupoid.elements)
-        if set(self.mapping) != eset or set(self.mapping.values()) != eset:
+    groupoid: FiniteGroupoid
+    mapping: InitVar[Mapping[El, El]]
+    image_of: list[int] = field(init=False)
+
+    def __post_init__(self, mapping):
+        els, code = self.groupoid.elements, self.groupoid._code
+        image_of = [code.get(mapping[g]) for g in els if g in mapping]
+        if len(mapping) != len(els) or set(image_of) != set(range(len(els))):
             raise StructuralError("automorphism mapping is not a bijection")
+        object.__setattr__(self, "image_of", image_of)
 
     def __call__(self, g: El) -> El:
-        return self.mapping[g]
+        G = self.groupoid
+        return G.elements[self.image_of[G.position(g)]]
 
     def validate(self) -> ValidationReport:
-        v = []
-        G = self.groupoid
-        a = self.mapping
-        els, code, rows = G.elements, G._code, G.rows
-        for u in els:
-            if u in G.units and a[u] not in G.units:
-                v.append(Violation("units preserved", f"unit {u!r}"))
-        # at[i] is the position of alpha(elements[i])
-        at = [code[a[g]] for g in els]
+        G, at = self.groupoid, self.image_of
+        els, rows, units = G.elements, G.rows, G.units
+        v = [
+            Violation("units preserved", f"unit {u!r}")
+            for u, ai in zip(els, at)
+            if u in units and els[ai] not in units
+        ]
         for i, g in enumerate(els):
             for name, m in (("r", G.range_of), ("s", G.source_of), ("inverse", G.inverse_of)):
                 if at[m[i]] != m[at[i]]:
@@ -613,31 +608,35 @@ class GroupoidAutomorphism:
         return report_from(v)
 
     @cached_property
-    def _positions(self) -> dict:
-        """Each element's cycle and its position there, in element order."""
-        where = {x: (cycle, pos) for cycle in cycles(self.mapping) for pos, x in enumerate(cycle)}
-        return {x: where[x] for x in self.groupoid.elements}
-
-    @cached_property
-    def _powers(self) -> dict[int, "GroupoidAutomorphism"]:
-        return {}
-
-    @cached_property
-    def _order(self) -> int:
-        return math.lcm(*{len(cycle) for cycle, _ in self._positions.values()})
+    def _walk(self) -> tuple[list, int, dict[int, "GroupoidAutomorphism"]]:
+        """One walk of the cycles of ``image_of``, each from its least
+        position: each position's cycle and its index there, the order (the
+        cycles' lcm), and the powers built so far, by residue."""
+        at, where = self.image_of, [None] * len(self.image_of)
+        for start, seen in enumerate(where):
+            if seen is None:
+                cycle = [start]
+                while at[cycle[-1]] != start:
+                    cycle.append(at[cycle[-1]])
+                for i, x in enumerate(cycle):
+                    where[x] = (cycle, i)
+        return where, math.lcm(*{len(cycle) for cycle, _ in where}), {}
 
     def power(self, k: int) -> "GroupoidAutomorphism":
-        """alpha^k, built once per residue of ``k`` modulo the order and
-        kept: ``power(k) is power(k + order())``."""
-        k %= self._order
-        power = self._powers.get(k)
+        """alpha^k, each cycle of the walk rotated k steps, built once per
+        residue of ``k`` modulo the order and kept: ``power(k) is power(k +
+        order())``."""
+        where, order, powers = self._walk
+        k %= order
+        power = powers.get(k)
         if power is None:
-            rotated = {x: c[(pos + k) % len(c)] for x, (c, pos) in self._positions.items()}
-            power = self._powers[k] = GroupoidAutomorphism(self.groupoid, rotated)
+            power = powers[k] = object.__new__(GroupoidAutomorphism)
+            image_of = [cycle[(i + k) % len(cycle)] for cycle, i in where]
+            vars(power).update(groupoid=self.groupoid, image_of=image_of)
         return power
 
     def order(self) -> int:
-        return self._order
+        return self._walk[1]
 
 
 def identity_automorphism(G: FiniteGroupoid) -> GroupoidAutomorphism:

@@ -81,6 +81,13 @@ def chain_product(mats: Sequence[IntMatrix]) -> IntMatrix:
 LEVEL_CAP = 4096
 
 
+def capped_level(level: int) -> int:
+    """``level``, refused past ``LEVEL_CAP`` before a walk to it is made."""
+    if level > LEVEL_CAP:
+        raise StructuralError(f"level {level} is past the level cap LEVEL_CAP = {LEVEL_CAP}")
+    return level
+
+
 def growth_levels(
     mats: Sequence[IntMatrix],
     repeat_from: int | None,

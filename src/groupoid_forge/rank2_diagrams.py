@@ -30,6 +30,7 @@ from .graph_model import BratteliDiagram, Edge
 from .matrices import (
     IntMatrix,
     as_matrix,
+    capped_level,
     chain_product,
     check_repeat_rule,
     growth_levels,
@@ -260,10 +261,10 @@ def _cycle_sizes(data: Rank2Data, levels: int) -> tuple[tuple[int, ...], ...]:
 
 
 def canonical_rank2(data: Rank2Data, levels: int) -> CanonicalRank2Diagram:
-    """The canonical diagram for the matrix data, kept per cycle pair."""
+    """The canonical diagram for the matrix data, kept per cycle pair, up to the cap."""
     counts = tuple(
         tuple(tuple(a * t for a, t in zip(row, data.t_at(n))) for row in data.a_at(n))
-        for n in range(levels - 1)
+        for n in range(capped_level(levels - 1))
     )
     return CanonicalRank2Diagram(_cycle_sizes(data, levels), counts, data.orientation)
 

@@ -65,7 +65,9 @@ def _on_positions(X: FiniteGroupoid, name: str) -> list[dict[int, int]]:
     """X's products on positions: for each x, {pos(y): pos(xy)} over the y
     with r(y) = s(x).  An id outside X's elements, in a map or the table, or
     a missing product raises ``StructuralError`` naming X."""
-    els, by_range = X.elements, X._index.by_range
+    els, by_range = X.elements, {}
+    for j, t in enumerate(X.range_of):
+        by_range.setdefault(t, []).append(j)
     if X.strays:
         raise StructuralError(f"factor {name} has no element or product {X.strays[0]!r}")
     products = [
@@ -77,34 +79,41 @@ def _on_positions(X: FiniteGroupoid, name: str) -> list[dict[int, int]]:
     return products
 
 
+def _check_on(what: str, x: Cocycle | GroupoidAutomorphism, X: FiniteGroupoid) -> None:
+    """Refuse a cocycle or automorphism that fails validation, or whose
+    groupoid lists other elements than X: its lists are read on X's positions."""
+    if x.groupoid.elements != X.elements:
+        raise ValueError(f"the {what} does not live on the elements of its groupoid")
+    report = x.validate()
+    if not report.passed:
+        raise ValueError(f"invalid {what}:\n{report.describe()}")
+
+
 def twisted_product(
     H: FiniteGroupoid, c: Cocycle, G: FiniteGroupoid, alpha: GroupoidAutomorphism
 ) -> TwistedProduct:
     """Materialize the twisted product of two finite groupoids.
 
     It is built on element positions: (h, g) sits at pos_H(h)·|G| + pos_G(g).
-    The factors' maps, and alpha^k for each distinct exponent k = c(h), are
-    position lists; the product's range, source and inverse are sums of
-    them, such as pos_H(s(h))·|G| + pos_G(alpha^k(s(g))).  The G-part
-    g1·alpha^{-k}(g2) of a product is tabulated once per k as position
-    pairs, and each composition row is one comprehension over its h1's
-    (h2, h1h2) offsets and those pairs, columns in increasing position.  A
-    factor whose maps leave its elements raises ``StructuralError`` naming
+    The factors' maps, the cocycle's values and alpha^k for each distinct
+    exponent k = c(h) are position lists; the product's range, source and
+    inverse are sums of them, such as pos_H(s(h))·|G| + pos_G(alpha^k(s(g))).
+    The G-part g1·alpha^{-k}(g2) of a product is tabulated once per k as
+    position pairs, and each composition row is one comprehension over its
+    h1's (h2, h1h2) offsets and those pairs, columns in increasing position.
+    A factor whose maps leave its elements raises ``StructuralError`` naming
     it.
     """
     h_products = _on_positions(H, "H")
     g_products = _on_positions(G, "G")
-    for what, check in (("cocycle", c.validate), ("automorphism", alpha.validate)):
-        report = check()
-        if not report.passed:
-            raise ValueError(f"invalid {what}:\n{report.describe()}")
+    _check_on("cocycle", c, H)
+    _check_on("automorphism", alpha, G)
 
-    m, at, gs, ginv = len(G.elements), G._code, G.source_of, G.inverse_of
-    exponents = list(map(c, H.elements))
+    m, gs, ginv = len(G.elements), G.source_of, G.inverse_of
+    exponents = c.value_of
     s_twist, inv_twist, g_part = {}, {}, {}  # by exponent k
     for k in set(exponents):
-        maps = alpha.power(k).mapping, alpha.power(-k).mapping
-        power, back = ([at[a[g]] for g in G.elements] for a in maps)
+        power, back = alpha.power(k).image_of, alpha.power(-k).image_of
         s_twist[k], inv_twist[k] = [power[q] for q in gs], [power[q] for q in ginv]
         g_part[k] = [[(p2, row[q]) for p2, q in enumerate(back) if q in row] for row in g_products]
 
@@ -131,9 +140,7 @@ class BouquetTwistedProduct(NamedTuple):
 
 
 def bouquet_twisted_product(G: FiniteGroupoid, alpha: GroupoidAutomorphism) -> BouquetTwistedProduct:
-    report = alpha.validate()
-    if not report.passed:
-        raise ValueError(f"invalid automorphism:\n{report.describe()}")
+    _check_on("automorphism", alpha, G)
     return BouquetTwistedProduct(G, alpha)
 
 

@@ -63,7 +63,6 @@ from groupoid_forge.groupoid_core import (
     FiniteGroupoid,
     GroupoidAutomorphism,
     build_groupoid,
-    cycles,
     full_relation,
     orbits,
 )
@@ -285,13 +284,18 @@ def scanned_involution(x: SymbolicConvElement) -> dict:
     }
 
 
-def rotated_power_mapping(alpha, k: int) -> dict:
-    """alpha^k as ``GroupoidAutomorphism.power`` built it from two cycle
-    walks: each element's cycle and position, keyed in element order, moved
-    ``k`` steps along its cycle."""
-    where = {x: (cycle, pos) for cycle in cycles(alpha.mapping) for pos, x in enumerate(cycle)}
-    positions = {x: where[x] for x in alpha.groupoid.elements}
-    return {x: cycle[(pos + k) % len(cycle)] for x, (cycle, pos) in positions.items()}
+def label_cycles(mapping: Mapping) -> list[tuple]:
+    """The cycles of a permutation given as a mapping onto its own keys, in
+    the order of their first key, each starting at that key and following
+    the mapping."""
+    seen: set = set()
+    out = []
+    for start in mapping:
+        if start not in seen:
+            cycle = brute_orbit(mapping.__getitem__, start)
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return out
 
 
 def brute_orbit(apply_fn, start) -> list:
@@ -509,7 +513,7 @@ def materialized_orders(d: Rank2Diagram) -> OrderData:
     orbit_position = {}
     edge_orders = {}
     level_lcm = [1] * (_levels(d) - 1)
-    for orbit in cycles(d.f_map):
+    for orbit in label_cycles(d.f_map):
         for pos, label in enumerate(orbit):
             orbit_position[label] = (orbit, pos)
             edge_orders[label] = len(orbit)
@@ -751,7 +755,7 @@ def walked_class_cycle_lengths(d: BratteliDiagram, alpha, level: int) -> list[in
         images = {e.label: alpha.edge_image(e).label for e in d.edges_with_range(v)}
         if set(images.values()) != images.keys():
             raise ValueError(_NOT_VERTEX_FIXING)
-        lengths.extend(map(len, cycles(images)))
+        lengths.extend(map(len, label_cycles(images)))
     return lengths
 
 

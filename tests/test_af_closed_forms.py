@@ -3,7 +3,7 @@ and the edge-walk oracles of ``tests/helpers.py``: whole plans against
 ``generic_af_report``, the orbit-freeness certificate read off the growth
 chains, the local-contraction entries read off the class sizes, and the
 growth search, whose resumed walks are checked against fresh products and
-against mutants of the walk."""
+against mutants of the walk and of the witness sweep."""
 
 import __future__
 import inspect
@@ -23,7 +23,6 @@ from groupoid_forge.graph_model import (
     path_count_matrix,
     telescope,
 )
-from groupoid_forge import matrices
 from groupoid_forge.dimension_groups import dimension_group_of
 from groupoid_forge.matrices import as_matrix, chain_product, growth_levels, min_entry, transpose
 from groupoid_forge.pipeline import PipelineInputError, first_wrong_field, plan_af_realization
@@ -142,22 +141,37 @@ def shortest_cycles(alpha, depth):
     return shortest
 
 
+STEPS = range(-3, 4)
+
+
+def witness_disagreements(name, step, sweep=shift_witness_levels) -> list:
+    """The (depth, shift bound) pairs at which ``sweep``, on the shortest
+    cycles of the ``step`` power of the class cycling of ``DIAGRAMS[name]``,
+    disagrees with the searched witnesses."""
+    alpha = stepped(DIAGRAMS[name], step)
+    wrong = []
+    for depth in (1, 3, 7):
+        shortest = shortest_cycles(alpha, depth)
+        for L in (1, 2, 5, 12):
+            if sweep(shortest, L) != searched_shift_witnesses(shortest, L):
+                wrong.append((depth, L))
+    return wrong
+
+
 class TestWfcAgainstEdgeWalk:
     """The planner's wfc block against the cycle walk: the witness sweep on
     every power of the class cycling, and whole certificates over the
     diagram telescoped along the growth condition."""
 
     @pytest.mark.parametrize("name", sorted(DIAGRAMS))
-    @pytest.mark.parametrize("step", range(-3, 4))
+    @pytest.mark.parametrize("step", STEPS)
     def test_steps_and_horizons(self, name, step):
         d = DIAGRAMS[name]
         alpha = stepped(d, step)
         for depth in (1, 3, 7):
             walked = walked_cycle_lengths_to_depth(d, alpha, depth)
-            shortest = shortest_cycles(alpha, depth)
-            assert shortest == {p: min(lengths) for p, lengths in walked.items()}
-            for L in (1, 2, 5, 12):
-                assert shift_witness_levels(shortest, L) == searched_shift_witnesses(shortest, L)
+            assert shortest_cycles(alpha, depth) == {p: min(ls) for p, ls in walked.items()}
+        assert witness_disagreements(name, step) == []
 
     @pytest.mark.parametrize("name", ["constant2", "constant3", "seeded2x2_0", "seeded3x3_1"])
     def test_telescoped_along_the_growth_condition(self, name):
@@ -326,15 +340,15 @@ class TestResumedWalks:
         assert found[0] == [0, 3, 4]
 
 
-def walk_mutant(old: str, new: str):
-    """``growth_levels`` with one fixed textual edit of its source, run in a
-    copy of the ``matrices`` namespace."""
-    source = textwrap.dedent(inspect.getsource(matrices.growth_levels))
+def mutant(function, old: str, new: str):
+    """``function`` with one fixed textual edit of its source, run in a copy
+    of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
-    namespace = dict(vars(matrices))
+    namespace = dict(function.__globals__)
     flags = __future__.annotations.compiler_flag
-    exec(compile(source.replace(old, new), "<walk mutant>", "exec", flags, True), namespace)
-    return namespace["growth_levels"]
+    exec(compile(source.replace(old, new), "<mutant>", "exec", flags, True), namespace)
+    return namespace[function.__name__]
 
 
 WALK_MUTANTS = {
@@ -358,11 +372,43 @@ class TestWalkMutants:
     ``growth_levels`` fails the comparisons of ``TestResumedWalks``."""
 
     def test_the_unmutated_source_passes(self):
-        search = walk_mutant("if low < last:", "if low < last:")
+        search = mutant(growth_levels, "if low < last:", "if low < last:")
         assert search is not growth_levels
         assert cap_sweep_disagreements(search) == falling_bound_disagreements(search) == []
 
     @pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
     def test_each_mutant_is_killed(self, name):
-        search = walk_mutant(*WALK_MUTANTS[name])
+        search = mutant(growth_levels, *WALK_MUTANTS[name])
         assert cap_sweep_disagreements(search) + falling_bound_disagreements(search)
+
+
+SWEEP_MUTANTS = {
+    "a tie witnesses the shift": ("l < shortest", "l <= shortest"),
+    "the shift bound is left out": ("l <= shift_bound", "l < shift_bound"),
+}
+
+
+def sweep_disagreements(sweep) -> list:
+    """The (diagram, step) pairs of ``test_steps_and_horizons`` at which
+    ``sweep`` disagrees with the searched witnesses."""
+    return [
+        (name, step)
+        for name in sorted(DIAGRAMS)
+        for step in STEPS
+        if witness_disagreements(name, step, sweep)
+    ]
+
+
+class TestWitnessSweepMutants:
+    """A mutation gate for the witness sweep: each fixed mutant of
+    ``certificates.shift_witness_levels`` fails the comparison of
+    ``TestWfcAgainstEdgeWalk.test_steps_and_horizons``."""
+
+    def test_the_unmutated_source_passes(self):
+        sweep = mutant(shift_witness_levels, "l < shortest", "l < shortest")
+        assert sweep is not shift_witness_levels
+        assert sweep_disagreements(sweep) == []
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_MUTANTS))
+    def test_each_mutant_is_killed(self, name):
+        assert sweep_disagreements(mutant(shift_witness_levels, *SWEEP_MUTANTS[name]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_forge
-from groupoid_forge import cli, twisted_product
+from groupoid_forge import cli, matrices, twisted_product
 from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
@@ -19,14 +19,17 @@ from groupoid_forge.graph_model import (
     constant_diagram,
     edge_cycle_automorphism,
     enumerate_paths,
+    path_count_matrix,
 )
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
-from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, telescope_rank2
+from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, canonical_rank2, telescope_rank2
+from groupoid_forge.dimension_groups import DimGroupElement, dg_equal, dimension_group_of
 from groupoid_forge.matrices import as_matrix
+from groupoid_forge.validation import StructuralError
 from groupoid_forge.twisted_product import reverify_contracting_witness
 
-from helpers import materialized_automorphism, materialized_orders
+from helpers import level_cap, materialized_automorphism, materialized_orders
 
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
@@ -628,6 +631,59 @@ class TestRank2CliMatchesMaterialized:
         expected = check_wfc(orders, lbound)
         assert code == (0 if expected.is_certificate else 1)
         assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+class TestLevelCap:
+    """A command that walks to a level it is given refuses a level past
+    ``matrices.LEVEL_CAP`` before any product, with exit 2 and the cap named,
+    and walks to the cap itself; the inputs past it are never walked."""
+
+    def _refused(self, argv, capsys) -> None:
+        assert main(argv) == 2
+        assert f"LEVEL_CAP = {matrices.LEVEL_CAP}" in capsys.readouterr().err
+
+    def test_telescope(self, diagram_file, tmp_path, capsys):
+        cap = matrices.LEVEL_CAP
+        self._refused(["telescope", diagram_file, "--subsequence", f"0,{cap + 1}"], capsys)
+        out = tmp_path / "cap.json"
+        argv = ["telescope", diagram_file, "--subsequence", f"0,{cap}", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["edges"][0]["mult"] == 2**cap
+
+    def test_ktheory(self, diagram_file, capsys):
+        cap = matrices.LEVEL_CAP
+        equal = ["ktheory", diagram_file, "--class", "0:0", "--op", "equal"]
+        self._refused(equal + ["--other", f"{cap + 1}:1"], capsys)
+        self._refused(equal + ["--other", "0:3", "--horizon", str(cap + 1)], capsys)
+        positive = ["ktheory", diagram_file, "--corner", "0:2", "--op", "positive"]
+        self._refused(positive + ["--horizon", str(cap + 1)], capsys)
+        # at the cap: 2^cap against 1, and 1 against 3 pushed to the cap
+        assert main(equal + ["--other", f"{cap}:1"]) == 1
+        assert json.loads(capsys.readouterr().out)["level"] == cap
+        assert main(equal + ["--other", "0:3", "--horizon", str(cap)]) == 1
+        assert main(positive + ["--horizon", str(cap)]) == 0
+
+    @pytest.mark.parametrize("action", ["build", "orders", "automorphism"])
+    def test_rank2(self, action, rank2_file, capsys):
+        # --levels N builds levels 0..N-1
+        cap = matrices.LEVEL_CAP
+        self._refused(["rank2", action, "--input", rank2_file, "--levels", str(cap + 2)], capsys)
+        assert main(["rank2", action, "--input", rank2_file, "--levels", str(cap + 1)]) == 0
+
+    def test_the_cap_is_read_at_each_call(self):
+        d = constant_diagram(2)
+        spec = dimension_group_of(d)
+        one = DimGroupElement(0, (1,))
+        refusal = "level 17 is past the level cap LEVEL_CAP = 16"
+        with level_cap(16):
+            for walk in (
+                lambda level: path_count_matrix(d, 0, level),
+                lambda level: dg_equal(spec, one, DimGroupElement(level, (2**level,)), 0),
+                lambda level: canonical_rank2(CONSTANT2, level + 1),
+            ):
+                with pytest.raises(StructuralError, match=refusal):
+                    walk(17)
+                walk(16)
 
 
 class TestRealize:

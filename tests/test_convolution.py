@@ -734,7 +734,7 @@ class TestNormalForm:
 
     def test_keys_by_g_position_then_words_whatever_the_input_order(self):
         model = swap_model()
-        position = model.g._code
+        position = model.g.position
         rng = rng_for(43)
         for x, y in pointwise_pairs(model):
             for element in (x, y, convolve(x, y), convolve(y, x), involution(x)):
@@ -745,7 +745,7 @@ class TestNormalForm:
                 )
                 assert list(element.coeffs) == sorted(
                     element.coeffs,
-                    key=lambda k: (position[k[1]], k[0].range_word.edges, k[0].source_word.edges),
+                    key=lambda k: (position(k[1]), k[0].range_word.edges, k[0].source_word.edges),
                 )
 
 
@@ -760,13 +760,13 @@ class TestPairOrderOracles:
     @staticmethod
     def _check(x, y):
         model = x.model
-        position = model.g._code
+        position = model.g.position
         xy, yx = convolve(x, y), convolve(y, x)
         for got, want in ((xy, paired_symbolic_convolve(x, y)), (involution(x), scanned_involution(x))):
             assert list(got.coeffs.items()) == list(SymbolicConvElement(model, want).coeffs.items())
             assert list(got.coeffs) == sorted(
                 got.coeffs,
-                key=lambda k: (position[k[1]], k[0].range_word.edges, k[0].source_word.edges),
+                key=lambda k: (position(k[1]), k[0].range_word.edges, k[0].source_word.edges),
             )
         assert (xy == yx) == scanned_difference_is_zero(xy, yx)
 

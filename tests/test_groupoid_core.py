@@ -17,7 +17,6 @@ from groupoid_forge.groupoid_core import (
     build_groupoid,
     cyclic_group_groupoid,
     cyclic_multiplier_automorphism,
-    cycles,
     disjoint_union,
     full_relation,
     group_bundle,
@@ -44,7 +43,6 @@ from helpers import (
     is_minimal,
     label_tables,
     product_with_full_relation,
-    rotated_power_mapping,
 )
 
 
@@ -719,7 +717,7 @@ class TestCocyclesAutomorphisms:
 def _seeded_permutation(rng, n):
     points = list(range(n))
     rng.shuffle(points)
-    return dict(zip(range(n), points))
+    return points
 
 
 def _compose_k_times(mapping, k):
@@ -733,47 +731,66 @@ def _compose_k_times(mapping, k):
 
 class TestCycles:
     def test_cycles_against_orbit_walk(self):
+        # the constructor takes any bijection of the elements, and the walk
+        # finds each cycle from its least position
         rng = rng_for(404)
-        for n in range(0, 12):
+        for n in range(1, 12):
             perm = _seeded_permutation(rng, n)
-            found = cycles(perm)
-            assert sorted(x for c in found for x in c) == list(range(n))
-            for c in found:
-                assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
-                assert len(c) == brute_orbit_length(perm.__getitem__, c[0])
+            a = GroupoidAutomorphism(cyclic_group_groupoid(n), dict(enumerate(perm)))
+            where, order, powers = a._walk
+            lengths = [brute_orbit_length(perm.__getitem__, i) for i in range(n)]
+            assert order == math.lcm(*lengths) and powers == {}
+            for i, (c, pos) in enumerate(where):
+                assert c[pos] == i and c[0] == min(c) and len(c) == lengths[i]
+                assert all(perm[c[j]] == c[(j + 1) % len(c)] for j in range(len(c)))
+        assert GroupoidAutomorphism(full_relation(()), {}).order() == 1
 
     def test_power_matches_k_fold_composition(self):
         rng = rng_for(405)
         for _ in range(20):
             m = rng.randint(1, 5)
             G = full_relation(range(m))
-            a = relation_automorphism(G, _seeded_permutation(rng, m))
+            a = relation_automorphism(G, dict(enumerate(_seeded_permutation(rng, m))))
+            labels = {g: a(g) for g in G.elements}
             for k in range(-7, 8):
                 power = a.power(k)
-                assert list(power.mapping) == list(G.elements)
-                assert power.mapping == _compose_k_times(a.mapping, k)
+                assert {g: power(g) for g in G.elements} == _compose_k_times(labels, k)
                 assert a.power(k + a.order()) is power
             assert a.order() == math.lcm(
                 *(brute_orbit_length(a, g) for g in G.elements)
             )
 
     def test_power_matches_the_rotated_cycle_positions(self):
-        # the seed-0 automorphisms of the finite_twist benchmark, key order included
+        # the seed-0 automorphisms of the finite_twist benchmark: alpha^k on
+        # positions is alpha's position list applied k times
         for _, _, _, alpha in bench_inputs().twisted_instances(0):
-            assert alpha.order() == math.lcm(*map(len, cycles(alpha.mapping)))
+            step = alpha.image_of
+            assert alpha.order() == math.lcm(
+                *(brute_orbit_length(step.__getitem__, i) for i in range(len(step)))
+            )
+            expected = list(range(len(step)))
             for k in range(alpha.order() + 1):
-                expected = rotated_power_mapping(alpha, k)
-                assert list(alpha.power(k).mapping.items()) == list(expected.items())
+                assert alpha.power(k).image_of == expected
+                expected = list(map(step.__getitem__, expected))
 
-    def test_one_cycle_walk_per_automorphism(self, monkeypatch):
-        walks = []
-
-        def counted(mapping):
-            walks.append(mapping)
-            return cycles(mapping)
-
-        monkeypatch.setattr(groupoid_core, "cycles", counted)
+    def test_one_cycle_walk_per_automorphism(self):
+        # the powers are rotated from the automorphism's walk and walk nothing
         G = full_relation(range(4))
         a = relation_automorphism(G, {0: 1, 1: 0, 2: 3, 3: 2})
-        assert [a.order(), a.power(1).mapping, a.power(-1).mapping] == [2, a.mapping, a.mapping]
-        assert walks == [a.mapping]
+        assert [a.order(), a.power(1).image_of, a.power(-1).image_of] == [2, a.image_of, a.image_of]
+        powers = [a.power(k) for k in range(-3, 4)]
+        assert "_walk" in vars(a) and not any("_walk" in vars(p) for p in powers)
+        assert list(a._walk[2]) == [1, 0]
+
+    def test_automorphisms_and_cocycles_hold_positions_only(self):
+        # no label dict is kept, by the maps or by a cached power
+        G = full_relation(range(3))
+        a = relation_automorphism(G, {0: 1, 1: 2, 2: 0})
+        c = weight_cocycle(G, {(0, 0): 0, (1, 1): 1, (2, 2): 5})
+        powers = [a.power(k) for k in range(-4, 5)]
+        held = {"groupoid", "image_of", "_walk"}
+        assert set().union(*map(vars, (a, *powers))) <= held
+        assert set(vars(c)) == {"groupoid", "value_of"}
+        assert not hasattr(a, "mapping") and not hasattr(c, "values")
+        assert a.image_of == [G.position(a(g)) for g in G.elements]
+        assert c.value_of == [c(g) for g in G.elements] == [0, -1, -5, 1, 0, -4, 5, 4, 0]

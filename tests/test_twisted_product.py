@@ -123,6 +123,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="(?s)invalid automorphism:.*units preserved: unit"):
             bouquet_twisted_product(G, bad)
 
+    def test_maps_on_a_reordered_groupoid_are_refused(self):
+        # a cocycle or automorphism is read on its own groupoid's positions,
+        # so one built on the same elements in another order is refused
+        G = full_relation(range(2))
+        flipped = build_groupoid(G.elements[::-1], G.units, **label_tables(G))
+        c, alpha = weight_cocycle(flipped, {(0, 0): 0, (1, 1): 1}), identity_automorphism(flipped)
+        refusal = "does not live on the elements of its groupoid"
+        with pytest.raises(ValueError, match=f"the cocycle {refusal}"):
+            twisted_product(G, c, G, identity_automorphism(G))
+        with pytest.raises(ValueError, match=f"the automorphism {refusal}"):
+            twisted_product(G, zero_cocycle(G), G, alpha)
+        with pytest.raises(ValueError, match=f"the automorphism {refusal}"):
+            bouquet_twisted_product(G, alpha)
+        assert verify_groupoid_axioms(twisted_product(flipped, c, flipped, alpha).finite_form).passed
+
     def test_nontrivial_isotropy_from_bundle_component(self):
         # mixed H: a 2-torsion fiber plus a relation carrying the cocycle
         H = disjoint_union(group_bundle({0: 2}), full_relation(range(2)))
