@@ -10,6 +10,7 @@ bisection, convolution or scalar code.
 from __future__ import annotations
 
 from itertools import accumulate
+from struct import unpack
 from typing import Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
@@ -55,6 +56,12 @@ def shift_witness_levels(shortest_cycle: Mapping[int, int], shift_bound: int) ->
     return witnesses
 
 
+def _digits(packed: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest 16-bit digits of ``packed``, lowest first: its
+    little-endian bytes read as little-endian shorts, whatever the host."""
+    return unpack(f"<{count}H", packed.to_bytes(2 * count, "little"))
+
+
 def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
     """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
     on a rank-2 diagram, for the F^{m_n} automorphism its ``orders`` are,
@@ -65,6 +72,11 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
     last edge level, ``orders.max_edge_level()``.  (The AF planner reads its
     certificate off the growth chains in closed form.)  A shift bound below
     1 certifies nothing and raises ``ValueError``.
+
+    A shift's offsets are the 16-bit digits of one int, read off its bytes
+    at once.  16 bits hold every witness level t: t is an edge level of a
+    ``canonical_rank2`` diagram, whose last level ``matrices.capped_level``
+    keeps within LEVEL_CAP = 4096.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
@@ -89,40 +101,34 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
         )
     # Level t witnesses (l, s) unless s = l*m_t (mod o) for an order o at t,
     # so the offsets a level misses are one arithmetic progression per order.
-    # Offsets 0..S are the bits of an int: combs[o] holds the bits 0, o, 2o,
-    # ... up to S (a geometric series in 2^o), and shifted to the start
-    # l*m_t mod o it is one progression.  open_ holds the offsets no level
-    # has witnessed yet; each level takes the open offsets it does not miss.
+    # combs[o] holds the digit 1 at 0, o, 2o, ... up to S (a geometric series
+    # in 2^(16o)), and shifted to the start l*m_t mod o it is one progression.
+    # open_ holds the digit 1 at each offset no level has witnessed yet (at
+    # first combs[1]); each level adds t at the open offsets it does not miss.
     levels = [(orders.m[t], orders.orders_at(t)) for t in range(depth + 1)]
     combs = {
-        o: ((1 << (o * (S // o + 1))) - 1) // ((1 << o) - 1) if o <= S else 1
-        for _, level_orders in levels
-        for o in level_orders
+        o: ((1 << (16 * o * (S // o + 1))) - 1) // ((1 << (16 * o)) - 1) if o <= S else 1
+        for o in {1}.union(*(level_orders for _, level_orders in levels))
     }
     offsets = [str(s) for s in range(S + 1)]
     witness: dict[str, int] = {}
     undecided = []
     for l in range(1, L + 1):
-        level_of = [None] * (S + 1)
-        open_ = (1 << (S + 1)) - 1
+        level_of, open_ = 0, combs[1]
         for t, (m_t, level_orders) in enumerate(levels):
             missed = 0
             for o in level_orders:
                 start = l * m_t % o
                 if start <= S:
-                    missed |= combs[o] << start
-            taken = open_ & ~missed
+                    missed |= combs[o] << (16 * start)
+            level_of += t * (open_ & ~missed)
             open_ &= missed
-            while taken:
-                low = taken & -taken
-                level_of[low.bit_length() - 1] = t
-                taken ^= low
             if not open_:
                 break
         if open_:
-            undecided.extend([l, s] for s, t in enumerate(level_of) if t is None)
+            undecided.extend([l, s] for s, digit in enumerate(_digits(open_, S + 1)) if digit)
         elif not undecided:  # the witness map is reported only if none is undecided
-            witness.update(zip(map(f"{l},".__add__, offsets), level_of))
+            witness.update(zip(map(f"{l},".__add__, offsets), _digits(level_of, S + 1)))
     if undecided:
         return certificate("unknown", {"inequality": inequality, "undecided_pairs": undecided})
     return certificate(

@@ -88,16 +88,27 @@ class CornerSpec(NamedTuple):
         }
 
 
+# The most cylinder copies a corner lists, summed over its vector; read at
+# each call.  A report lists every copy, so a vector past it is refused
+# before any list is built, by both planners and so by the report checker.
+CYLINDER_CAP = 1 << 16
+
+
 def _corner_spec(level: int, vec, size: int | None, vertex, **extra) -> CornerSpec:
     """Corner data for a unit class: ``vec[i]`` cylinder copies at the
     vertex laid out as ``vertex(i)``, each entry carrying ``extra``.  The
-    vector is of JSON integers, entrywise nonnegative, nonzero and, when its
-    level's ``size`` is known, one entry per vertex."""
+    vector is of JSON integers, entrywise nonnegative, nonzero, at most
+    ``CYLINDER_CAP`` copies in all and, when its level's ``size`` is known,
+    one entry per vertex."""
     vec = json_ints(vec, "corner.vector")
     if any(x < 0 for x in vec):
         raise ValueError("corner vector must be entrywise nonnegative")
     if not any(vec):
         raise ValueError("corner must be nonzero (full-corner hypothesis)")
+    if sum(vec) > CYLINDER_CAP:
+        raise PipelineInputError(
+            f"corner of {sum(vec)} cylinders is past the cylinder cap CYLINDER_CAP = {CYLINDER_CAP}"
+        )
     if size is not None and len(vec) != size:
         raise ValueError("corner vector length must match the level size")
     cylinders = tuple(

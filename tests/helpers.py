@@ -7,13 +7,16 @@ paths under test.
 
 from __future__ import annotations
 
+import __future__
 import importlib.util
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from textwrap import dedent
 from typing import Mapping
 from unittest.mock import patch
 
@@ -858,6 +861,17 @@ def rescanned_growth_subsequence(d: BratteliDiagram, levels_out: int, cap: int):
 def level_cap(cap: int):
     """Patch ``matrices.LEVEL_CAP``, the cap every growth search reads."""
     return patch.object(matrices, "LEVEL_CAP", cap)
+
+
+def mutant(function, old: str, new: str):
+    """``function`` with one fixed textual edit of its source, run in a copy
+    of its module's namespace: the mutation gates' mutants."""
+    source = dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), "<mutant>", "exec", flags, True), namespace)
+    return namespace[function.__name__]
 
 
 def af_growth_levels(d: BratteliDiagram, count: int, search=growth_levels):

@@ -5,10 +5,7 @@ chains, the local-contraction entries read off the class sizes, and the
 growth search, whose resumed walks are checked against fresh products and
 against mutants of the walk and of the witness sweep."""
 
-import __future__
-import inspect
 import random
-import textwrap
 from unittest.mock import patch
 
 import pytest
@@ -33,6 +30,7 @@ from helpers import (
     af_growth_levels,
     generic_af_report,
     level_cap,
+    mutant,
     rescanned_growth_subsequence,
     searched_shift_witnesses,
     walked_af_lc_lengths,
@@ -338,17 +336,6 @@ class TestResumedWalks:
         # constant-2: bound 7 needs length 3, the fall to 1 length 1
         found = rescanned_levels(dimension_group_of(constant_diagram(2)), FALLING[:2], 64)
         assert found[0] == [0, 3, 4]
-
-
-def mutant(function, old: str, new: str):
-    """``function`` with one fixed textual edit of its source, run in a copy
-    of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1
-    namespace = dict(function.__globals__)
-    flags = __future__.annotations.compiler_flag
-    exec(compile(source.replace(old, new), "<mutant>", "exec", flags, True), namespace)
-    return namespace[function.__name__]
 
 
 WALK_MUTANTS = {

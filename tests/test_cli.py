@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_forge
-from groupoid_forge import cli, matrices, twisted_product
+from groupoid_forge import cli, matrices, pipeline, twisted_product
 from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
@@ -22,7 +22,7 @@ from groupoid_forge.graph_model import (
     path_count_matrix,
 )
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
-from groupoid_forge.pipeline import plan_af_realization, plan_rank2_realization
+from groupoid_forge.pipeline import PipelineInputError, plan_af_realization, plan_rank2_realization
 from groupoid_forge.rank2_diagrams import Rank2Data, build_rank2, canonical_rank2, telescope_rank2
 from groupoid_forge.dimension_groups import DimGroupElement, dg_equal, dimension_group_of
 from groupoid_forge.matrices import as_matrix
@@ -684,6 +684,45 @@ class TestLevelCap:
                 with pytest.raises(StructuralError, match=refusal):
                     walk(17)
                 walk(16)
+
+
+class TestCylinderCap:
+    """A unit vector of more than ``pipeline.CYLINDER_CAP`` cylinder copies
+    is refused before any list is built, by both planners and the report
+    checker, with exit 2 and the cap named; the cap itself is planned."""
+
+    def test_af_at_the_cap_and_one_past(self, diagram_file, tmp_path, capsys):
+        cap = pipeline.CYLINDER_CAP
+        out = tmp_path / "report.json"
+        argv = ["realize", "af", diagram_file, "--depth", "2", "--lbound", "2", "--out", str(out)]
+        for past in (cap + 1, 10**9):
+            assert main(argv + ["--unit", f"0:{past}"]) == 2
+            err = capsys.readouterr().err
+            assert f"corner of {past} cylinders is past the cylinder cap CYLINDER_CAP = {cap}" in err
+        assert not out.exists()
+        assert main(argv + ["--unit", f"0:{cap}"]) == 0
+        report = json.loads(out.read_text())
+        assert report["corner"]["cylinders"][0]["copies"][-1] == cap
+        assert main(["verify-report", str(out)]) == 0
+        capsys.readouterr()
+        report["corner"]["vector"] = [cap + 1]
+        out.write_text(json.dumps(report))
+        assert main(["verify-report", str(out)]) == 2
+        assert f"CYLINDER_CAP = {cap}" in capsys.readouterr().err
+
+    def test_both_planners_read_the_cap_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "CYLINDER_CAP", 3)
+        refusal = "corner of 4 cylinders is past the cylinder cap CYLINDER_CAP = 3"
+        for plan, source in (
+            (plan_af_realization, constant_diagram(2)),
+            (plan_rank2_realization, CONSTANT2),
+        ):
+            with pytest.raises(PipelineInputError, match=refusal):
+                plan(source, unit_class=(0, [4]), depth=2, lbound=2)
+            report = json.loads(json.dumps(plan(source, (0, [3]), depth=2, lbound=2).to_json()))
+            report["corner"]["vector"] = [4]
+            with pytest.raises(PipelineInputError, match=refusal):
+                pipeline.first_wrong_field(report)
 
 
 class TestRealize:

@@ -1,18 +1,20 @@
 """The canonical rank-2 layout in closed form, against the per-edge
 algorithms of ``tests/helpers.py`` run on the materialized diagram of
-``build_rank2``, the orbit-freeness sweep against the per-pair scan, and
-the telescope against the one that recomputes every chain."""
+``build_rank2``, the orbit-freeness sweep against the per-pair scan (and
+mutants of the sweep against it), and the telescope against the one that
+recomputes every chain."""
 
 import dataclasses
 import itertools
 import json
 import math
 import random
+from functools import cache
 from itertools import islice
 
 import pytest
 
-from groupoid_forge import graph_model, rank2_diagrams
+from groupoid_forge import graph_model, matrices, rank2_diagrams
 from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
@@ -59,6 +61,7 @@ from helpers import (
     materialized_path_source,
     materialized_skeleton,
     materialized_validation,
+    mutant,
     red_blue_cofinal,
     rescanned_telescope_rank2,
     scanned_rank2_wfc_certificate,
@@ -369,32 +372,55 @@ def _orders_to_depth(orders: OrderData, depth: int) -> OrderData:
     return OrderData(edge_orders, orders.level_lcm[: depth + 1], orders.m[: depth + 2], {})
 
 
+def canonical_wfc_cases(name: str, seed: int):
+    """(depth, orders, L): the case's diagram cut after each edge level,
+    under four seeded shift bounds each."""
+    data, levels = CASES[name]
+    rng = random.Random(f"{name}:{seed}")
+    for depth in range(levels - 1):
+        orders = compute_orders(canonical_rank2(data, depth + 2))
+        for L in (1, rng.randint(2, 30), 12, rng.randint(1, 20)):
+            yield depth, orders, L
+
+
+def seeded_wfc_cases(seed: int):
+    """(depth, orders, L): the seeded orders, whole and cut at a seeded
+    level, under two seeded shift bounds each."""
+    orders = seeded_orders(seed)
+    rng = random.Random(seed)
+    top = orders.max_edge_level()
+    for depth in {top, rng.randint(0, top)}:
+        cut = _orders_to_depth(orders, depth)
+        for L in (rng.randint(1, 40), rng.randint(1, 40)):
+            yield depth, cut, L
+
+
+BENCHMARK_DEPTHS = {
+    "const2_d5": (CONSTANT2, 5, 50),
+    "const3_d5": (CONSTANT3, 5, 50),
+    "const2_d7_s11": (CONSTANT2, 7, 11),
+    "const2_d5_l200": (CONSTANT2, 5, 200),
+}
+
+
+def benchmark_orders(data, depth):
+    """The orders of the telescoped diagram a depth-``depth`` plan builds."""
+    levels = depth + 2
+    return compute_orders(canonical_rank2(telescope_rank2(data, levels).telescoped, levels))
+
+
 class TestWfcAgainstPairScan:
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_canonical_cases(self, name, seed):
-        data, levels = CASES[name]
-        rng = random.Random(f"{name}:{seed}")
-        for depth in range(levels - 1):
+        for depth, orders, L in canonical_wfc_cases(name, seed):
             # the certificate reaches the last edge level of its diagram
-            orders = compute_orders(canonical_rank2(data, depth + 2))
-            for L in (1, rng.randint(2, 30), 12, rng.randint(1, 20)):
-                assert _same_certificate(orders, L).depth == depth
+            assert _same_certificate(orders, L).depth == depth
 
-    @pytest.mark.parametrize(
-        "data, depth, lbound",
-        [
-            (CONSTANT2, 5, 50),
-            (CONSTANT3, 5, 50),
-            (CONSTANT2, 7, 11),
-            (CONSTANT2, 5, 200),
-        ],
-        ids=["const2_d5", "const3_d5", "const2_d7_s11", "const2_d5_l200"],
-    )
-    def test_benchmark_depths(self, data, depth, lbound):
-        levels = depth + 2
-        diagram = canonical_rank2(telescope_rank2(data, levels).telescoped, levels)
-        cert = _same_certificate(compute_orders(diagram), lbound)
+    @pytest.mark.parametrize("name", BENCHMARK_DEPTHS)
+    def test_benchmark_depths(self, name):
+        data, depth, lbound = BENCHMARK_DEPTHS[name]
+        cert = _same_certificate(benchmark_orders(data, depth), lbound)
         if lbound == 200:
             # one pair (l, s) survives every level
             assert cert.details["undecided_pairs"] == [[137, 98]]
@@ -404,13 +430,21 @@ class TestWfcAgainstPairScan:
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_orders(self, seed):
         # several distinct orders per level: check_wfc reads nothing else
-        orders = seeded_orders(seed)
-        rng = random.Random(seed)
-        top = orders.max_edge_level()
-        for depth in {top, rng.randint(0, top)}:
-            cut = _orders_to_depth(orders, depth)
-            for L in (rng.randint(1, 40), rng.randint(1, 40)):
-                assert _same_certificate(cut, L).depth == depth
+        for depth, cut, L in seeded_wfc_cases(seed):
+            assert _same_certificate(cut, L).depth == depth
+
+    def test_witness_levels_past_one_byte(self):
+        # levels 0..299 have the one order 1, which misses every offset; at
+        # level 300 (m = 1) the order 1000 misses only s = l, at 301 (m = 2)
+        # only s = 2l, so the high byte of a digit carries the witness level
+        top = 301
+        edge_orders = {(n, 0): 1 for n in range(top - 1)} | {(top - 1, 0): 1000, (top, 0): 1000}
+        lcms = (1,) * (top - 1) + (1000, 1000)
+        orders = OrderData(edge_orders, lcms, (0,) * (top - 1) + (1, 2), {})
+        cert = _same_certificate(orders, 30)
+        assert set(cert.details["witness_level_per_shift_and_red_offset"].values()) == {300, 301}
+        # a digit holds 16 bits, and every edge level is below the level cap
+        assert matrices.LEVEL_CAP < 1 << 16
 
     def test_a_least_order_equal_to_n_m_n_fails_the_inequality(self):
         # m_2 = m_1 + 1 * O_1 = 3, so the one order 6 at level 2 ties with
@@ -441,6 +475,54 @@ class TestWfcAgainstPairScan:
         orders = compute_orders(canonical_rank2(*CASES["const2_d3"]))
         with pytest.raises(ValueError, match="shift bound must be at least 1"):
             check_wfc(orders, shift_bound)
+
+
+@cache
+def scanned_pair_cases() -> tuple:
+    """(orders, L, the pair scan's certificate JSON) over the cases of
+    ``TestWfcAgainstPairScan``'s canonical, benchmark and seeded tests."""
+    cases = [
+        (orders, L)
+        for name in CASES
+        for seed in range(3)
+        for _, orders, L in canonical_wfc_cases(name, seed)
+    ]
+    cases += [(benchmark_orders(data, depth), L) for data, depth, L in BENCHMARK_DEPTHS.values()]
+    cases += [(orders, L) for seed in range(40) for _, orders, L in seeded_wfc_cases(seed)]
+    return tuple(
+        (orders, L, json.dumps(scanned_rank2_wfc_certificate(orders, L).to_json()))
+        for orders, L in cases
+    )
+
+
+def pair_scan_disagreements(check) -> int:
+    """How many pair-scan cases ``check`` answers otherwise, key order included."""
+    return sum(
+        json.dumps(check(orders, L).to_json()) != expected
+        for orders, L, expected in scanned_pair_cases()
+    )
+
+
+WFC_SWEEP_MUTANTS = {
+    "a progression starting at S is dropped": ("start <= S", "start < S"),
+    "each comb is one digit short": ("S // o + 1", "S // o"),
+    "a digit receives the next level": ("t * (open_", "(t + 1) * (open_"),
+}
+
+
+class TestWfcSweepMutants:
+    """A mutation gate for the packed sweep: each fixed mutant of
+    ``certificates.check_wfc`` disagrees with the pair scan on the cases of
+    ``TestWfcAgainstPairScan``, and the unmutated copy agrees on all."""
+
+    def test_the_unmutated_source_agrees(self):
+        check = mutant(check_wfc, "start <= S", "start <= S")
+        assert check is not check_wfc
+        assert pair_scan_disagreements(check) == 0
+
+    @pytest.mark.parametrize("name", sorted(WFC_SWEEP_MUTANTS))
+    def test_each_mutant_is_killed(self, name):
+        assert pair_scan_disagreements(mutant(check_wfc, *WFC_SWEEP_MUTANTS[name]))
 
 
 def test_telescope_matches_the_rescanned_chains():

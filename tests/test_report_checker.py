@@ -4,8 +4,9 @@
 the chains of one growth search, and a rank-2 report with only the checks
 its telescope leaves open; ``helpers.replayed_report_verdict`` derives
 either kind with every generic check and compares.  Every planned report
-passes both, and a tamper corpus (one field of each certificate block
-changed) is rejected by both, the checker naming the changed field."""
+passes both, and an AF and a rank-2 tamper corpus (one field of each
+certificate block changed) are rejected by both, the checker naming the
+changed field."""
 
 import dataclasses
 import json
@@ -394,3 +395,95 @@ def test_rank2_checker_agrees_with_the_replay():
                 tampered = _mutated(report, path, value)
                 assert first_wrong_field(tampered) == path, name
                 assert replayed_report_verdict(tampered) is False, name
+
+
+# ---------------------------------------------------------------------------
+# Rank-2 tamper corpus
+# ---------------------------------------------------------------------------
+
+
+def planned_rank2_corpus() -> dict:
+    """Rank-2 reports: the benchmark ladder at seeds 0-4, its certifying and
+    its ``unknown`` rungs, and seeded compatible data with a repetition rule,
+    one of them stopped at the cap."""
+    reports = {
+        f"seed{seed}:{rung['name']}": _json(
+            plan_rank2_realization(rung["data"], rung["unit_class"], depth=rung["depth"])
+        )
+        for seed in range(5)
+        for rung in bench_inputs().rank2_ladder(seed)
+    }
+    reports.update(
+        (
+            f"compatible{seed}",
+            _json(plan_rank2_realization(seeded_compatible_data(seed, True, 1), depth=3, lbound=20)),
+        )
+        for seed in range(5)
+    )
+    return reports
+
+
+rank2_corpus = cache(planned_rank2_corpus)
+
+
+def rank2_mutations(report: dict) -> list[tuple[str, object]]:
+    """(path, new value) pairs, one field at a time: the last entry of the
+    telescope's M and, on a complete telescope, the first, a middle and the
+    last witness key or one undecided pair, one inequality row, the K-theory
+    m sequence and orders, and one LC entry."""
+    tele = report["telescoping"]
+    out = [(f"telescoping.M.{len(tele['M']) - 1}", tele["M"][-1] + 1)]
+    if not tele["complete"]:
+        return out
+    details = report["wfc"]["details"]
+    ktheory, entries = report["ktheory"], report["lc"]["entries"]
+    witness = details.get("witness_level_per_shift_and_red_offset")
+    if witness is not None:
+        keys = list(witness)
+        path = "wfc.details.witness_level_per_shift_and_red_offset"
+        out += [(f"{path}.{k}", witness[k] + 1) for k in (keys[0], keys[len(keys) // 2], keys[-1])]
+    else:
+        pairs = details["undecided_pairs"]
+        mid = len(pairs) // 2
+        out.append((f"wfc.details.undecided_pairs.{mid}.1", pairs[mid][1] + 1))
+    rows = details["inequality"]
+    row = str(len(rows) // 2)
+    last = len(ktheory["m_sequence"]) - 1
+    level = str(len(ktheory["orders_per_level"]) - 1)
+    out += [
+        (f"wfc.details.inequality.{row}.min_order", rows[row]["min_order"] + 1),
+        (f"ktheory.m_sequence.{last}", ktheory["m_sequence"][last] + 1),
+        (f"ktheory.orders_per_level.{level}.0", ktheory["orders_per_level"][level][0] + 1),
+        (f"lc.entries.{len(entries) // 2}.l", entries[len(entries) // 2]["l"] + 1),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(rank2_corpus()))
+def test_tampered_rank2_reports_rejected_at_the_changed_field(name):
+    report = rank2_corpus()[name]
+    assert first_wrong_field(report) is None
+    assert replayed_report_verdict(report) is True
+    for path, value in rank2_mutations(report):
+        tampered = _mutated(report, path, value)
+        assert tampered != report, path
+        assert first_wrong_field(tampered) == path
+        assert verify_report_json(tampered) is replayed_report_verdict(tampered) is False, path
+
+
+def test_rank2_corpus_covers_every_tampered_block():
+    reports = rank2_corpus().values()
+    assert {r["status"] for r in reports} == {"ok", "unknown"}
+    outcomes = {r["wfc"]["status"] if r["wfc"] else None for r in reports}
+    assert outcomes == {"certificate", "unknown", None}
+    blocks = {
+        path.split(".")[2 if path.startswith("wfc") else 1]
+        for r in reports
+        for path, _ in rank2_mutations(r)
+    }
+    assert blocks == {
+        "M", "witness_level_per_shift_and_red_offset", "undecided_pairs", "inequality",
+        "m_sequence", "orders_per_level", "entries",
+    }
+    assert len(reports) == 25
+    assert sum(len(rank2_mutations(r)) for r in reports) == 181
