@@ -1,7 +1,8 @@
 """The planners' certificates, read from diagram data alone: orbit freeness
 (``check_wfc``, with the shift sweep ``shift_witness_levels`` the AF planner
-shares), local contraction on path cylinders (``check_path_lc``) and
-cofinality (``minimality_verdict``).
+shares), local contraction on path cylinders (``check_path_lc`` on rank-2
+paths, ``af_lc_witness`` off the AF multiplicities) and cofinality
+(``minimality_verdict``).
 
 None of them builds a groupoid, so this module imports no finite-groupoid,
 bisection, convolution or scalar code.
@@ -9,13 +10,14 @@ bisection, convolution or scalar code.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice, starmap
+from math import lcm
 from struct import unpack
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
 from .graph_model import BratteliDiagram
-from .matrices import mat_mul
+from .matrices import IntMatrix, mat_mul
 from .rank2_diagrams import CanonicalOrders
 
 
@@ -160,9 +162,46 @@ def check_path_lc(alpha, paths: Sequence) -> LcWitness:
     """Per path mu of the sample, the least l >= 1 with alpha^{-l}(Z(mu))
     inside the cylinder Z(mu).  That holds exactly when alpha^{-l}(mu) = mu,
     so l is the orbit length of mu, which ``alpha.orbit_length`` reads in
-    closed form from the automorphism's cycle lengths: a class-cycling
-    automorphism on path words, the F^{m_n} automorphism on rank-2 paths."""
+    closed form from the automorphism's cycle lengths: on a rank-2 path under
+    the F^{m_n} automorphism, the lcm of o/gcd(o, m_n) over its blue edges.
+    The AF sample under parallel-class cycling is ``af_lc_witness``, which
+    reads the same rule off the multiplicities with no path built."""
     return LcWitness(tuple(LcEntry(p, alpha.orbit_length(p)) for p in paths))
+
+
+def af_lc_witness(
+    size: int, multiplicity: Callable[[int], IntMatrix], count: int = 40
+) -> LcWitness:
+    """The LC witness of parallel-class cycling on a Bratteli diagram with
+    ``size`` vertices at level 0 and level-n multiplicity matrix
+    ``multiplicity(n)``: the AF plan's ``lc`` block (of its telescoped
+    diagram) and ``forge certify lc``.
+
+    The sample is the first ``count`` paths of length at most 2 from level 0:
+    the level-0 vertices in order, below each its empty path, then its paths
+    of length 1 and 2, each length in label order.  Under the cycling, copy t
+    of a class of k parallel edges goes to copy t + 1 mod k, so a path's
+    entry is the lcm of the class sizes along it (1 for an empty path).
+    Each entry's element is the path's text, labels joined by ``.``.  The
+    level-1 matrix is read only when the sample first reaches a path of
+    length 2, so a diagram that ends at level 1 is refused only then."""
+
+    def sample():
+        for i in range(size):
+            yield f"(0, {i})", 1
+            row = enumerate(multiplicity(0)[i])
+            # past ``count`` length-1 paths the sample ends among them
+            ones = ((f"(0, {i}, {j}, {t})", j, k) for j, k in row for t in range(k))
+            ones = list(islice(ones, count))
+            yield from ((text, k) for text, _, k in ones)
+            second = multiplicity(1) if ones else ()
+            for text, j, k in ones:
+                for j2, k2 in enumerate(second[j]):
+                    l = lcm(k, k2)
+                    for t in range(k2):
+                        yield f"{text}.(1, {j}, {j2}, {t})", l
+
+    return LcWitness(tuple(starmap(LcEntry, islice(sample(), count))))
 
 
 def minimality_verdict(d: BratteliDiagram, depth: int) -> Verdict:

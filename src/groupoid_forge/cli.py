@@ -13,6 +13,7 @@ import json
 import sys
 from itertools import chain, islice
 
+from .certificates import af_lc_witness
 from .dimension_groups import (
     DimGroupElement,
     dg_equal,
@@ -27,7 +28,6 @@ from .graph_model import (
 )
 from .pipeline import (
     PipelineInputError,
-    af_lc_witness,
     first_wrong_field,
     plan_report,
     unit_corner_spec,
@@ -194,7 +194,7 @@ def cmd_certify(args) -> int:
         return 0 if report.wfc.is_certificate else 1
     if args.what == "lc":
         d = diagram_from_json(_load_json(args.input))
-        witness = af_lc_witness(d)
+        witness = af_lc_witness(d.level_size(0), d.multiplicity_matrix)
         _dump(witness.to_json(), args.out)
         return 0
     # contract: build a demonstration witness over the bouquet with trivial G

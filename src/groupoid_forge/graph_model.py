@@ -340,12 +340,6 @@ class EdgeCycleAutomorphism:
         ``level + 1``: the nonzero multiplicities."""
         return {k for row in self.diagram.multiplicity_matrix(level) for k in row if k}
 
-    def orbit_length(self, p: PathWord) -> int:
-        """The orbit length of a path: the lcm of the multiplicities of its
-        edge classes (1 for an empty path)."""
-        mult = self.diagram.multiplicity_matrix
-        return math.lcm(*(mult(n)[i][j] for n, i, j, _ in (e.label for e in p.edges)))
-
     def order(self, max_level: int) -> int:
         """lcm of the cycle lengths over levels 0..max_level-1."""
         return math.lcm(*(n for lvl in range(max_level) for n in self.cycle_lengths(lvl)))

@@ -23,20 +23,14 @@ from . import matrices
 from .certificates import (
     LcWitness,
     WfcCertificate,
+    af_lc_witness,
     check_path_lc,
     check_wfc,
     minimality_verdict,
     shift_witness_levels,
 )
 from .dimension_groups import DimGroupElement, Verdict, dimension_group_of
-from .graph_model import (
-    BratteliDiagram,
-    EdgeCycleAutomorphism,
-    PathWord,
-    diagram_from_json,
-    iter_paths,
-    validate_bratteli,
-)
+from .graph_model import BratteliDiagram, diagram_from_json, validate_bratteli
 from .matrices import growth_levels, min_entry, transpose
 from .rank2_diagrams import (
     Rank2Data,
@@ -198,20 +192,6 @@ class RealizationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _lc_sample(d: BratteliDiagram, count: int) -> list[PathWord]:
-    """The first ``count`` paths over the level-0 vertices and the lengths
-    0, 1, 2, each length in label order, built no further than needed."""
-    every = (p for v in d.vertices_at(0) for length in range(3) for p in iter_paths(d, v, length))
-    return list(islice(every, count))
-
-
-def af_lc_witness(d: BratteliDiagram) -> LcWitness:
-    """The LC witness of a diagram under parallel-class cycling, on the
-    first 40 paths of length at most 2 from level 0: the AF plan's ``lc``
-    block (of its telescoped diagram) and ``forge certify lc``."""
-    return check_path_lc(EdgeCycleAutomorphism(d), _lc_sample(d, 40))
-
-
 _AF_AUTOMORPHISM = {
     "kind": "parallel-class cycling",
     "description": "fixes every vertex; cycles the edges of each "
@@ -325,9 +305,9 @@ def plan_af_realization(
             "witness_level_per_shift": {str(l): t for l, t in witness.items()},
         },
     )
-    # the LC sample reaches levels 0..2 of the telescoped diagram
-    top = BratteliDiagram(tuple(map(d.level_size, levels[:3])), tuple(map(transpose, chains[:2])))
-    lc = af_lc_witness(top)
+    # the LC sample reaches levels 0..2 of the telescoped diagram, whose
+    # multiplicities are the chains transposed
+    lc = af_lc_witness(d.level_size(0), lambda n: transpose(chains[n]))
     ktheory = {
         "telescope_class_consistency": "yes",
         "checks": sum(d.level_size(t) for t in levels[:-1]),

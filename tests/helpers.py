@@ -56,6 +56,7 @@ from groupoid_forge.graph_model import (
     PathWord,
     diagram_from_json,
     edge_cycle_automorphism,
+    enumerate_paths,
     iter_paths,
     path_count_matrix,
     path_from_edges,
@@ -979,8 +980,39 @@ def rescanned_telescope_rank2(data: Rank2Data, levels_out: int, cap: int) -> Tel
 # exactly when alpha^{-l}(mu) = mu, so the entry is the orbit length of mu,
 # which is the same under alpha as under its inverse.
 # ``certificates.check_path_lc`` reads it off the cycle lengths and is tested
-# against these walks.
+# against these walks, and so is ``LabelledCycling``, the oracle for the AF
+# closed form ``certificates.af_lc_witness``.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LabelledCycling(EdgeCycleAutomorphism):
+    """Parallel-class cycling with the orbit length of a path word read back
+    from its edge labels: the lcm of the multiplicities of its edge classes
+    (1 for an empty path)."""
+
+    def orbit_length(self, p: PathWord) -> int:
+        mult = self.diagram.multiplicity_matrix
+        return math.lcm(*(mult(n)[i][j] for n, i, j, _ in (e.label for e in p.edges)))
+
+
+def af_lc_sample_paths(d: BratteliDiagram) -> list[PathWord]:
+    """Every path of length at most 2 from level 0, enumerated: the level-0
+    vertices in order, below each the lengths 0, 1 and 2 in label order."""
+    return [p for v in d.vertices_at(0) for n in range(3) for p in enumerate_paths(d, v, n)]
+
+
+def enumerated_af_lc_witness(d: BratteliDiagram, count: int) -> LcWitness:
+    """The first ``count`` entries of the AF LC sample as the walk found
+    them: each path built as a ``PathWord`` and its orbit length read back
+    from its labels (the oracle for ``certificates.af_lc_witness``)."""
+    return check_path_lc(LabelledCycling(d), af_lc_sample_paths(d)[:count])
+
+
+def prefix_texts(p: PathWord) -> set[str]:
+    """The texts of the prefixes of a path, the empty one at its range
+    included: the LC entries whose cylinders hold the path."""
+    return {str(p.range_vertex), *(str(PathWord(p.edges[:k])) for k in range(1, len(p) + 1))}
 
 
 def af_path_image(alpha, p: PathWord) -> PathWord:
@@ -1030,14 +1062,17 @@ def walked_rank2_lc_lengths(orders, paths) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def af_truncation(d: BratteliDiagram, n: int) -> tuple[FiniteGroupoid, GroupoidAutomorphism]:
-    """The level-n truncation of the AF groupoid of ``d``, built with
-    ``build_groupoid``: the pairs (x, y) of length-n paths from level 0 that
-    share a source, in the order of the paths, and the parallel-class
-    cycling acting on both paths edge by edge, as a ``GroupoidAutomorphism``."""
+def af_truncation(
+    d: BratteliDiagram, n: int, start: int = 0
+) -> tuple[FiniteGroupoid, GroupoidAutomorphism]:
+    """The level-n truncation of the AF groupoid of ``d`` from level
+    ``start``, built with ``build_groupoid``: the pairs (x, y) of paths from
+    level ``start`` to level n that share a source, in the order of the
+    paths, and the parallel-class cycling acting on both paths edge by edge,
+    as a ``GroupoidAutomorphism``."""
     classes: dict = {}
-    for v in d.vertices_at(0):
-        for p in iter_paths(d, v, n):
+    for v in d.vertices_at(start):
+        for p in iter_paths(d, v, n - start):
             classes.setdefault(p.source_vertex, []).append(p)
     pairs = [(x, y) for c in classes.values() for x in c for y in c]
     G = build_groupoid(

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import pytest
 
-from groupoid_forge.certificates import check_path_lc, shift_witness_levels
+from groupoid_forge.certificates import af_lc_witness, check_path_lc, shift_witness_levels
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     EdgeCycleAutomorphism,
@@ -26,6 +26,7 @@ from groupoid_forge.pipeline import PipelineInputError, first_wrong_field, plan_
 from groupoid_forge.validation import StructuralError
 
 from helpers import (
+    LabelledCycling,
     SteppedEdgeCycle,
     af_growth_levels,
     generic_af_report,
@@ -193,8 +194,10 @@ class TestWfcAgainstEdgeWalk:
 
 
 class TestLcAgainstOrbitWalk:
-    """Every path of length <= 3 from level 0: check_path_lc against the orbit
-    walk of each path through the class-cycling automorphism."""
+    """Every path of length <= 3 from level 0: the orbit length read back
+    from a path word's labels, the oracle of the AF LC closed form, against
+    the orbit walk of each path through the class-cycling automorphism; and
+    ``af_lc_witness`` over every path of length <= 2 against the same walk."""
 
     def check(self, d):
         alpha = edge_cycle_automorphism(d)
@@ -204,9 +207,12 @@ class TestLcAgainstOrbitWalk:
                 if not d.has_level(length):
                     break
                 paths.extend(iter_paths(d, v, length))
-        got = [e.l for e in check_path_lc(alpha, paths).entries]
-        assert got == walked_af_lc_lengths(alpha, paths)
-        return got
+        walked = walked_af_lc_lengths(alpha, paths)
+        assert [e.l for e in check_path_lc(LabelledCycling(d), paths).entries] == walked
+        sample = [(str(p), l) for p, l in zip(paths, walked) if len(p) <= 2]
+        closed = af_lc_witness(d.level_size(0), d.multiplicity_matrix, len(sample))
+        assert list(map(tuple, closed.entries)) == sample
+        return walked
 
     @pytest.mark.parametrize("name", sorted(DIAGRAMS))
     def test_diagrams(self, name):

@@ -12,13 +12,11 @@ import pytest
 
 import groupoid_forge
 from groupoid_forge import cli, matrices, pipeline, twisted_product
-from groupoid_forge.certificates import check_path_lc, check_wfc
+from groupoid_forge.certificates import check_wfc
 from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     constant_diagram,
-    edge_cycle_automorphism,
-    enumerate_paths,
     path_count_matrix,
 )
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
@@ -29,7 +27,13 @@ from groupoid_forge.matrices import as_matrix
 from groupoid_forge.validation import StructuralError
 from groupoid_forge.twisted_product import reverify_contracting_witness
 
-from helpers import level_cap, materialized_automorphism, materialized_orders
+from helpers import (
+    enumerated_af_lc_witness,
+    level_cap,
+    materialized_automorphism,
+    materialized_orders,
+    mutant,
+)
 
 CONSTANT2 = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
 FIGURE = Rank2Data(A=(((3,),), ((4,),)), B=(((1,),), ((2,),)), T=((1,), (3,), (6,)))
@@ -370,9 +374,27 @@ class TestCertify:
         assert main(["certify", "lc", "--input", str(source), "--out", str(out)]) == 0
         # the sample the command drew before it shared the planner's: every
         # path of length 0, 1, 2 below level 0, enumerated and cut at 40
-        paths = [p for v in d.vertices_at(0) for n in range(3) for p in enumerate_paths(d, v, n)]
-        expected = check_path_lc(edge_cycle_automorphism(d), paths[:40])
-        assert json.loads(out.read_text()) == expected.to_json()
+        assert json.loads(out.read_text()) == enumerated_af_lc_witness(d, 40).to_json()
+
+    @pytest.mark.parametrize("mult", [3, 50])
+    def test_lc_reads_level_one_only_when_the_sample_reaches_length_two(
+        self, mult, tmp_path, capsys
+    ):
+        # one edge level and no repetition rule: 50 parallel edges fill the
+        # sample at length 1 (exit 0), while 3 leave it short, so it reaches
+        # a length-2 path and the missing level 1 is refused (exit 2)
+        source = tmp_path / "diagram.json"
+        edge = {"level": 0, "range": 0, "source": 0, "mult": mult}
+        source.write_text(json.dumps({"levels": [{"size": 1}, {"size": 1}], "edges": [edge]}))
+        code = main(["certify", "lc", "--input", str(source)])
+        out, err = capsys.readouterr()
+        if mult == 3:
+            assert (code, out) == (2, "")
+            assert "structural error: level 1 beyond horizon, no repetition rule" in err
+        else:
+            entries = json.loads(out)["entries"]
+            assert (code, err, len(entries)) == (0, "", 40)
+            assert entries[-1] == {"element": "(0, 0, 0, 38)", "l": 50}
 
     @pytest.mark.parametrize("target", ["af", "rank2"])
     def test_wfc_without_flags_is_the_planner_certificate(
@@ -723,6 +745,25 @@ class TestCylinderCap:
             report["corner"]["vector"] = [4]
             with pytest.raises(PipelineInputError, match=refusal):
                 pipeline.first_wrong_field(report)
+
+
+class TestCornerCapMutant:
+    """A mutation gate for the cylinder cap: the tie mutant of
+    ``pipeline._corner_spec`` refuses a corner of exactly ``CYLINDER_CAP``
+    copies, which ``TestCylinderCap`` plans."""
+
+    def cap_test(self, monkeypatch, new, diagram_file, tmp_path, capsys):
+        old = "sum(vec) > CYLINDER_CAP"
+        monkeypatch.setattr(pipeline, "_corner_spec", mutant(pipeline._corner_spec, old, new))
+        TestCylinderCap().test_af_at_the_cap_and_one_past(diagram_file, tmp_path, capsys)
+
+    def test_the_unmutated_source_passes(self, monkeypatch, diagram_file, tmp_path, capsys):
+        self.cap_test(monkeypatch, "sum(vec) > CYLINDER_CAP", diagram_file, tmp_path, capsys)
+
+    def test_the_tie_is_killed_at_the_cap(self, monkeypatch, diagram_file, tmp_path, capsys):
+        # the corner of exactly CYLINDER_CAP copies exits 2 instead of 0
+        with pytest.raises(AssertionError, match="assert 2 == 0"):
+            self.cap_test(monkeypatch, "sum(vec) >= CYLINDER_CAP", diagram_file, tmp_path, capsys)
 
 
 class TestRealize:

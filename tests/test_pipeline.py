@@ -3,17 +3,13 @@
 import hashlib
 import json
 import random
+from functools import cache
 
 import pytest
 
 from groupoid_forge import pipeline, rank2_diagrams
-from groupoid_forge.graph_model import (
-    BratteliDiagram,
-    PathWord,
-    constant_diagram,
-    enumerate_paths,
-    telescope,
-)
+from groupoid_forge.certificates import af_lc_witness
+from groupoid_forge.graph_model import BratteliDiagram, Edge, PathWord, constant_diagram, telescope
 from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import (
     PipelineInputError,
@@ -29,7 +25,14 @@ from groupoid_forge.rank2_diagrams import Rank2Data, compute_orders
 from groupoid_forge.validation import StructuralError
 
 from families import CONSTANT2, FIGURE
-from helpers import af_growth_levels, level_cap
+from helpers import (
+    af_growth_levels,
+    af_lc_sample_paths,
+    bench_inputs,
+    enumerated_af_lc_witness,
+    level_cap,
+    mutant,
+)
 
 
 class TestAfPlan:
@@ -128,34 +131,95 @@ def growth_telescope(d, levels):
     return telescope(d, af_growth_levels(d, levels)[0])
 
 
+@cache
+def lc_cases() -> dict:
+    """The diagrams the AF LC closed form is checked on: the telescoped top
+    (the first three levels of the subsequence) of every ``af_ladder`` rung
+    of seeds 0-4, and six seeded squares telescoped along the growth
+    condition, among them random 3x3 data at lbound 40 with 682 paths of
+    length at most 2 from level 0."""
+    cases = {}
+    for seed in range(5):
+        for rung in bench_inputs().af_ladder(seed):
+            d = rung["diagram"]
+            levels = af_growth_levels(d, max(rung["depth"], rung["lbound"] + 1) + 1)[0]
+            cases[f"{rung['name']}_seed{seed}"] = telescope(d, levels[:3])
+    for seed in range(6):
+        cases[f"square{seed}"] = growth_telescope(seeded_square(seed, 2 + seed % 2), 8 + seed)
+    cases["square3x3_lb40"] = growth_telescope(seeded_square(0, 3), 42)
+    return cases
+
+
+@cache
+def lc_expected() -> dict:
+    """The enumerated sample's entries at each (case, count), with counts 1,
+    7, 40 and one past the last path."""
+    return {
+        (name, count): enumerated_af_lc_witness(d, count).to_json()
+        for name, d in lc_cases().items()
+        for count in (1, 7, 40, len(af_lc_sample_paths(d)) + 1)
+    }
+
+
+def lc_disagreements(witness) -> list:
+    """The (case, count) pairs at which ``witness``, called as ``forge
+    certify lc`` calls ``af_lc_witness``, differs from the enumeration."""
+    cases = lc_cases()
+    return [
+        (name, count)
+        for (name, count), expected in lc_expected().items()
+        if witness(cases[name].level_size(0), cases[name].multiplicity_matrix, count).to_json()
+        != expected
+    ]
+
+
+LC_MUTANTS = {
+    "the class sizes multiply": ("l = lcm(k, k2)", "l = k * k2"),
+    "a class loses its last copy": ("for t in range(k2):", "for t in range(k2 - 1):"),
+}
+
+
 class TestAfLcSample:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_first_forty_of_every_listed_path(self, seed):
-        d = seeded_square(seed, 2 + seed % 2)
-        tele = growth_telescope(d, 8 + seed)
-        every = [
-            p for v in tele.vertices_at(0) for n in range(3) for p in enumerate_paths(tele, v, n)
-        ]
-        for count in (1, 7, 40, len(every) + 1):
-            assert pipeline._lc_sample(tele, count) == every[:count]
+    """``certificates.af_lc_witness`` reads the sample off the multiplicities:
+    the first ``count`` paths of length at most 2 from level 0, each entry
+    the lcm of the class sizes along its path.  It must equal
+    ``check_path_lc`` on the enumerated paths, with each path word's orbit
+    length read back from its labels."""
 
-    def test_lists_no_path_past_the_fortieth(self, monkeypatch):
-        # random 3x3 data at lbound 40: 682 paths of length <= 2 from level 0
+    def test_agrees_with_the_enumerated_sample(self):
+        assert lc_disagreements(af_lc_witness) == []
+        assert len(af_lc_sample_paths(lc_cases()["square3x3_lb40"])) == 682
+
+    def test_the_plan_lists_the_top_sample(self):
+        for seed in range(5):
+            for rung in bench_inputs().af_ladder(seed):
+                report = plan_af_realization(
+                    rung["diagram"], rung["unit_class"], rung["depth"], rung["lbound"]
+                )
+                expected = lc_expected()[(f"{rung['name']}_seed{seed}", 40)]
+                assert report.lc.to_json() == expected, rung["name"]
+
+    def test_builds_no_path_or_edge(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a path or an edge was built")
+
+        monkeypatch.setattr(PathWord, "__init__", refuse)
+        monkeypatch.setattr(Edge, "__new__", refuse)
         d = seeded_square(0, 3)
-        tele = growth_telescope(d, 42)
-        listed = [len(enumerate_paths(tele, v, n)) for v in tele.vertices_at(0) for n in range(3)]
-        assert sum(listed) == 682
-        built = []
-        concat = PathWord.concat
+        report = plan_af_realization(d, depth=5, lbound=40)
+        assert len(report.lc.entries) == 40
+        assert verify_report_json(json.loads(json.dumps(report.to_json())))
+        tele = lc_cases()["square3x3_lb40"]
+        assert len(af_lc_witness(tele.level_size(0), tele.multiplicity_matrix).entries) == 40
 
-        def counted(self, other):
-            built.append(other)
-            return concat(self, other)
+    def test_the_unmutated_source_passes(self):
+        witness = mutant(af_lc_witness, "l = lcm(k, k2)", "l = lcm(k, k2)")
+        assert witness is not af_lc_witness
+        assert lc_disagreements(witness) == []
 
-        monkeypatch.setattr(PathWord, "concat", counted)
-        assert len(pipeline._lc_sample(tele, 40)) == 40
-        # 39 paths and the length-1 prefixes of the length-2 paths taken
-        assert len(built) < 50
+    @pytest.mark.parametrize("name", sorted(LC_MUTANTS))
+    def test_each_mutant_is_killed(self, name):
+        assert lc_disagreements(mutant(af_lc_witness, *LC_MUTANTS[name]))
 
 
 class TestNonpositiveLbound:

@@ -169,13 +169,16 @@ def test_checker_runs_no_planner_certificate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a planner called a check its derivation settles")
 
-    # the AF LC witness is check_path_lc's closed form, as ``forge certify
-    # lc`` writes it, so only check_path_lc stays callable
+    # the AF LC witness is af_lc_witness's closed form over the chains, as
+    # ``forge certify lc`` writes it over its input, so check_path_lc, the
+    # rank-2 route's, is refused too
     with monkeypatch.context() as patch:
         for module, name in [
             (pipeline, "check_wfc"),
+            (pipeline, "check_path_lc"),
             (pipeline, "minimality_verdict"),
             (certificates, "check_wfc"),
+            (certificates, "check_path_lc"),
             (certificates, "minimality_verdict"),
             (dimension_groups, "dg_equal"),
             (dimension_groups, "dg_is_positive"),

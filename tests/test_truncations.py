@@ -14,17 +14,26 @@ move, under ``alpha.power(l)``, the level-k edge of every unit's path for
 every k from t to n - 1.  That runs at n = 2 on every rung and at n = 3 on
 the constant-2 rungs, whose 256 elements are the only n = 3 truncations of
 the ladder small enough to build.
+
+Minimality is checked on the same rungs and depths through the orbits: the
+telescope is cofinal to level n exactly when, for each level t < n, every
+orbit of the truncation from level t (the paths from level t to level n,
+x ~ y when they share a source) holds a path from every level-t vertex.
+That must agree with ``minimality_verdict`` on every rung, where both say
+cofinal, and on two diagrams where both say not.
 """
 
 import pytest
 
 from groupoid_forge import groupoid_core
-from groupoid_forge.graph_model import telescope
-from groupoid_forge.groupoid_core import verify_groupoid_axioms
+from groupoid_forge.certificates import minimality_verdict
+from groupoid_forge.graph_model import BratteliDiagram, telescope
+from groupoid_forge.groupoid_core import orbits, verify_groupoid_axioms
+from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.twisted_product import check_lc
 
-from helpers import af_truncation, bench_inputs, is_prefix
+from helpers import af_truncation, bench_inputs, prefix_texts
 
 
 def _refuse_walk(G):
@@ -51,11 +60,12 @@ def test_af_truncations_agree_with_the_plan(seed, monkeypatch):
         G, alpha = af_truncation(telescope(d, levels[:3]), 2)
         assert verify_groupoid_axioms(G).passed, rung["name"]
         assert alpha.validate().passed, rung["name"]
+        prefixes = {u: prefix_texts(u[0]) for u in G.units}
         for entry in report.lc.entries:
-            cylinder = frozenset(u for u in G.units if is_prefix(entry.element, u[0]))
-            assert cylinder, (rung["name"], str(entry.element))
+            cylinder = frozenset(u for u in G.units if entry.element in prefixes[u])
+            assert cylinder, (rung["name"], entry.element)
             (found,) = check_lc(G, alpha, [cylinder]).entries
-            assert found.l == entry.l, (rung["name"], str(entry.element))
+            assert found.l == entry.l, (rung["name"], entry.element)
             checked += 1
     # every path of length at most 2 on the three constant-2 rungs (7 each)
     # and the two all-ones rungs (22 each), and the first 40 on the seeded one
@@ -82,3 +92,51 @@ def test_witnessed_shifts_move_every_unit_on_the_truncations(seed):
     # shift at n or later.  Constant-2: 4 units x 2 levels at n = 2, 16 x 3
     # + 2 x 16 at n = 3; all-ones: 16 units; seeded: 34 units.
     assert checked == 3 * (8 + 80) + 2 * 16 + 34
+
+
+def cofinal_by_orbits(d: BratteliDiagram, n: int) -> bool:
+    """Whether every orbit of the truncation of ``d`` from each level t < n
+    holds a path from every level-t vertex; the truncations' sizes are
+    checked against the budget of about 2,000 elements."""
+    for t in range(n):
+        G, _ = af_truncation(d, n, start=t)
+        assert len(G) <= 2000, (n, t, len(G))
+        every = set(d.vertices_at(t))
+        if any({x.range_vertex for x, _ in orbit} != every for orbit in orbits(G)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_minimality_agrees_with_the_truncation_orbits(seed):
+    checked = 0
+    for rung, report in _planned_rungs(seed):
+        levels = report.telescoping["subsequence"]
+        for n in (2, 3) if rung["name"].startswith("const2") else (2,):
+            tele = telescope(rung["diagram"], levels[: n + 1])
+            assert minimality_verdict(tele, n).is_yes, (rung["name"], n)
+            assert cofinal_by_orbits(tele, n), (rung["name"], n)
+            checked += 1
+    assert checked == 3 * 2 + 3
+
+
+IDENTITY = as_matrix([[1, 0], [0, 1]])
+ONES = as_matrix([[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "mult, short",
+    [((IDENTITY, IDENTITY, IDENTITY), 0), ((ONES, IDENTITY), 1)],
+    ids=["identity-blocks", "all-ones-above-identity"],
+)
+def test_a_non_cofinal_diagram_fails_both_checks(mult, short):
+    # an identity block keeps the vertices above it apart: with identities
+    # only no level reaches both top vertices, and the verdict names the
+    # lowest, level 0; above one identity block, level 0 reaches both
+    # through the all-ones block, and level 1 is named
+    n = len(mult)
+    d = BratteliDiagram((2,) * (n + 1), mult)
+    verdict = minimality_verdict(d, n)
+    assert verdict.justification == f"level {short} does not reach every level-{n} vertex"
+    assert not verdict.is_yes
+    assert not cofinal_by_orbits(d, n)

@@ -3,6 +3,7 @@ finite principality oracle."""
 
 import dataclasses
 import json
+from functools import cache
 
 import pytest
 
@@ -17,16 +18,22 @@ from helpers import (
     cartesian_product,
     dict_twisted_product,
     label_tables,
+    mutant,
     per_level_minimality_verdict,
 )
-from groupoid_forge.certificates import check_path_lc, check_wfc, minimality_verdict
+from groupoid_forge.certificates import (
+    af_lc_witness,
+    check_path_lc,
+    check_wfc,
+    minimality_verdict,
+)
 from groupoid_forge.graph_groupoid import (
     InfiniteBouquet,
     basic_proper_subset,
     basic_subset,
     unit_bisection,
 )
-from groupoid_forge.graph_model import constant_diagram, edge_cycle_automorphism
+from groupoid_forge.graph_model import constant_diagram
 from groupoid_forge.groupoid_core import (
     Cocycle,
     GroupoidAutomorphism,
@@ -361,14 +368,13 @@ class TestLc:
         assert w.entries[0].l == 1
 
     def test_edge_orbit_three(self):
-        from groupoid_forge.graph_model import BratteliDiagram, path_from_edges
-        from groupoid_forge.matrices import as_matrix
-
-        d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
-        alpha = edge_cycle_automorphism(d)
-        mu = path_from_edges((d.edges_between(0)[0],))
-        w = check_path_lc(alpha, [mu])
-        assert w.entries[0].l == 3
+        # three parallel edges: the vertex's cylinder is fixed, each edge's
+        # closes after 3 steps
+        w = af_lc_witness(1, lambda n: ((3,),), 2)
+        assert w.to_json()["entries"] == [
+            {"element": "(0, 0)", "l": 1},
+            {"element": "(0, 0, 0, 0)", "l": 3},
+        ]
 
     def test_finite_subset_orbit(self):
         G = full_relation(range(3))
@@ -404,22 +410,22 @@ class TestLc:
 
 
 class TestLcClosedForm:
-    """check_path_lc reads each orbit length off the cycle lengths; it walks no
-    edge and needs no step cap."""
+    """The LC entries are read off the cycle lengths: ``af_lc_witness`` off
+    the class sizes, ``check_path_lc`` off the rank-2 orders.  Neither walks
+    an edge or needs a step cap."""
 
     def test_cylinder_orbit_length(self, monkeypatch):
-        from groupoid_forge.graph_model import BratteliDiagram, EdgeCycleAutomorphism, path_from_edges
-        from groupoid_forge.matrices import as_matrix
+        from groupoid_forge.graph_model import Edge, EdgeCycleAutomorphism
 
-        d = BratteliDiagram((1, 1), (as_matrix([[3]]),))
-        alpha = edge_cycle_automorphism(d)
-        mu = path_from_edges((d.edges_between(0)[0],))
-
-        def refuse(self, e):
-            raise AssertionError("check_path_lc walked an edge")
+        def refuse(*args):
+            raise AssertionError("the LC witness built or walked an edge")
 
         monkeypatch.setattr(EdgeCycleAutomorphism, "edge_image", refuse)
-        assert check_path_lc(alpha, [mu]).entries[0].l == 3
+        monkeypatch.setattr(Edge, "__new__", refuse)
+        # a class of 3 edges then a class of 2: a path through both closes
+        # after their lcm 6
+        w = af_lc_witness(1, lambda n: (((3,),), ((2,),))[n], 5)
+        assert [e.l for e in w.entries] == [1, 3, 3, 3, 6]
 
     def test_rank2_orbit_length(self):
         from groupoid_forge.rank2_diagrams import Rank2Path, canonical_rank2, rank2_automorphism
@@ -544,32 +550,71 @@ class TestMinimality:
             minimality_verdict(full_relation(range(3)), 3)
 
     def test_running_product_matches_per_level_chains(self):
-        ladder = bench_inputs().rank2_ladder
-        cases = [(rung["data"], rung["depth"]) for seed in range(5) for rung in ladder(seed)]
-        cases += [
-            (seeded_compatible_data(seed, repeat, orientation), depth)
-            for seed in range(20)
-            for repeat in (False, True)
-            for orientation in (1, -1)
-            for depth in (1, 2, 3, 4)
-        ]
         seen = set()
-        for data, depth in cases:
-            levels_out = depth + 2
-            tele = telescope_rank2(data, levels_out)
-            if not tele.complete:
-                continue
-            skeleton = blue_skeleton(canonical_rank2(tele.telescoped, levels_out))
-            for top in range(levels_out):
-                verdict = minimality_verdict(skeleton, top)
-                assert verdict == per_level_minimality_verdict(skeleton, top), (data, top)
-                if verdict.is_yes:
-                    seen.add("yes")
-                elif verdict.justification.startswith(f"level {top - 1} "):
-                    seen.add("top")
-                else:
-                    seen.add("below")
+        for skeleton, top in minimality_grid():
+            verdict = minimality_verdict(skeleton, top)
+            assert verdict == per_level_minimality_verdict(skeleton, top), top
+            if verdict.is_yes:
+                seen.add("yes")
+            elif verdict.justification.startswith(f"level {top - 1} "):
+                seen.add("top")
+            else:
+                seen.add("below")
         assert seen == {"yes", "top", "below"}
+
+
+@cache
+def minimality_grid() -> list:
+    """(blue skeleton, depth) for every telescope of the rank-2 ladders of
+    seeds 0-4 and of the seeded compatible data that completes, at every
+    depth below its levels_out."""
+    ladder = bench_inputs().rank2_ladder
+    cases = [(rung["data"], rung["depth"]) for seed in range(5) for rung in ladder(seed)]
+    cases += [
+        (seeded_compatible_data(seed, repeat, orientation), depth)
+        for seed in range(20)
+        for repeat in (False, True)
+        for orientation in (1, -1)
+        for depth in (1, 2, 3, 4)
+    ]
+    grid = []
+    for data, depth in cases:
+        levels_out = depth + 2
+        tele = telescope_rank2(data, levels_out)
+        if tele.complete:
+            skeleton = blue_skeleton(canonical_rank2(tele.telescoped, levels_out))
+            grid.extend((skeleton, top) for top in range(levels_out))
+    return grid
+
+
+def minimality_disagreements(verdict) -> int:
+    """The number of grid cases at which ``verdict`` differs from the
+    per-level oracle."""
+    return sum(
+        verdict(skeleton, top) != per_level_minimality_verdict(skeleton, top)
+        for skeleton, top in minimality_grid()
+    )
+
+
+MINIMALITY_MUTANTS = {
+    "one positive row suffices": ("not all(map(all, counts))", "not any(map(all, counts))"),
+    "the sweep stops above level 0": ("range(depth - 1, -1, -1)", "range(depth - 1, 0, -1)"),
+}
+
+
+class TestMinimalityMutants:
+    """A mutation gate for the cofinality sweep: each fixed mutant of
+    ``certificates.minimality_verdict`` disagrees with the per-level oracle
+    on the grid of ``TestMinimality.test_running_product_matches_per_level_chains``."""
+
+    def test_the_unmutated_source_passes(self):
+        verdict = mutant(minimality_verdict, "not all(", "not all(")
+        assert verdict is not minimality_verdict
+        assert minimality_disagreements(verdict) == 0
+
+    @pytest.mark.parametrize("name", sorted(MINIMALITY_MUTANTS))
+    def test_each_mutant_is_killed(self, name):
+        assert minimality_disagreements(mutant(minimality_verdict, *MINIMALITY_MUTANTS[name]))
 
 
 class TestPrincipalityOracle:
