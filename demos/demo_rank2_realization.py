@@ -29,8 +29,10 @@ print("order inequality o(e) > n*m_n:", report.ktheory["order_inequality_o_gt_n_
 print("order formula round trip:", report.ktheory["order_formula_round_trip"])
 
 print("\nfreeness certificate:", report.wfc.status)
-print("  (per-level inequality + bounded congruence refutations,",
-      f"s bound {report.wfc.details['s_bound']})")
+print("  (per-level inequality; no pair open in the window 1 <= l, s <=",
+      f"{report.wfc.shift_bound})")
+r, M = report.wfc.details["open_class_per_shift"]["23"]
+print(f"  shift 23 leaves open exactly the offsets s = {r} mod {M}")
 
 print("\nminimality of the blue skeleton:", report.minimality.to_json())
 print("corner class positive:", report.ktheory["corner_class_positive"]["value"])

@@ -11,8 +11,7 @@ bisection, convolution or scalar code.
 from __future__ import annotations
 
 from itertools import accumulate, islice, starmap
-from math import lcm
-from struct import unpack
+from math import gcd, lcm
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .dimension_groups import Verdict
@@ -25,8 +24,8 @@ class WfcCertificate(NamedTuple):
     """Outcome of the bounded orbit-freeness check.
 
     status is "certificate" or "unknown".  The details are JSON-ready and
-    re-verifiable: per-shift witness levels with the bound they certify, or
-    the shifts left undecided.
+    re-verifiable: per-shift witness levels (AF) or open offset classes
+    (rank-2) with the bound they certify, or the pairs left undecided.
     """
 
     status: str
@@ -58,31 +57,31 @@ def shift_witness_levels(shortest_cycle: Mapping[int, int], shift_bound: int) ->
     return witnesses
 
 
-def _digits(packed: int, count: int) -> tuple[int, ...]:
-    """The ``count`` lowest 16-bit digits of ``packed``, lowest first: its
-    little-endian bytes read as little-endian shorts, whatever the host."""
-    return unpack(f"<{count}H", packed.to_bytes(2 * count, "little"))
-
-
 def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
-    """Bounded check that orbit collisions [x] = [alpha^l(x)] force l = 0
-    on a rank-2 diagram, for the F^{m_n} automorphism its ``orders`` are,
-    through the order inequality and bounded congruences at every edge
-    level.  It covers shifts 1 <= l <= L and red offsets 0 <= s <= L, L the
-    shift bound; negative offsets and offsets past L, such as (23, 734) on
-    constant-2 at depth 5, are not checked.  The certificate's depth is the
-    last edge level, ``orders.max_edge_level()``.  (The AF planner reads its
-    certificate off the growth chains in closed form.)  A shift bound below
-    1 certifies nothing and raises ``ValueError``.
+    """Orbit freeness of the F^{m_n} automorphism that a rank-2 diagram's
+    ``orders`` are.  A collision [x] = [alpha^l(x)] with red offset s
+    survives edge level t only when s = l*m_t (mod o) for an edge order o at
+    t, so the check runs the order inequality o(e) > n*m_n and these
+    congruences over the edge levels 0..``orders.max_edge_level()``, its
+    depth.  A shift bound L below 1 certifies nothing: ``ValueError``.
 
-    A shift's offsets are the 16-bit digits of one int, read off its bytes
-    at once.  16 bits hold every witness level t: t is an edge level of a
-    ``canonical_rank2`` diagram, whose last level ``matrices.capped_level``
-    keeps within LEVEL_CAP = 4096.
+    * ``open_class_per_shift`` gives each shift 1 <= l <= L one class
+      [r, M], 0 <= r < M, or null.  The class holds every offset s in Z, of
+      either sign and any size, that no level witnesses: such an s is
+      l*m_t mod g_t at each level t, g_t the gcd of the orders at t, and one
+      CRT walk over the levels solves that system.  When each level has one
+      order the class is exactly that open set, and null means that every
+      offset is witnessed; with several orders at a level it is an outer
+      bound.  On constant-2 at depth 5, shift 23's class holds s = 734.
+    * The status reads the window 1 <= l <= L, 0 <= s <= L (L is the
+      certificate's ``shift_bound``): a certificate when no pair of it is
+      open, else ``unknown`` with the open pairs as ``undecided_pairs``.
+      Only a class that meets the window is swept, as one int with a bit
+      per offset.
     """
     if shift_bound < 1:
         raise ValueError(f"shift bound must be at least 1, got {shift_bound}")
-    L = S = shift_bound  # red offsets 0..S are checked for every shift 1..L
+    L = shift_bound
     depth = orders.max_edge_level()
 
     def certificate(status: str, details: dict) -> WfcCertificate:
@@ -90,58 +89,51 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
 
     inequality = {}
     for n in range(depth + 1):
-        o_min = orders.min_order_at(n)
-        bound = n * orders.m[n]
-        inequality[str(n)] = {
-            "min_order": o_min,
-            "n_times_m_n": bound,
-            "holds": o_min > bound,
-        }
+        o_min, bound = orders.min_order_at(n), n * orders.m[n]
+        inequality[str(n)] = {"min_order": o_min, "n_times_m_n": bound, "holds": o_min > bound}
     if not all(row["holds"] for row in inequality.values()):
-        return certificate(
-            "unknown", {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality}
-        )
-    # Level t witnesses (l, s) unless s = l*m_t (mod o) for an order o at t,
-    # so the offsets a level misses are one arithmetic progression per order.
-    # combs[o] holds the digit 1 at 0, o, 2o, ... up to S (a geometric series
-    # in 2^(16o)), and shifted to the start l*m_t mod o it is one progression.
-    # open_ holds the digit 1 at each offset no level has witnessed yet (at
-    # first combs[1]); each level adds t at the open offsets it does not miss.
+        note = "order inequality o(e) > n*m_n fails"
+        return certificate("unknown", {"note": note, "inequality": inequality})
     levels = [(orders.m[t], orders.orders_at(t)) for t in range(depth + 1)]
-    combs = {
-        o: ((1 << (16 * o * (S // o + 1))) - 1) // ((1 << (16 * o)) - 1) if o <= S else 1
-        for o in {1}.union(*(level_orders for _, level_orders in levels))
-    }
-    offsets = [str(s) for s in range(S + 1)]
-    witness: dict[str, int] = {}
-    undecided = []
+    # The CRT moduli do not depend on l: level t meets the class r mod M of
+    # the levels below in r + M*k, k = (l*m_t - r)/d times the inverse of M/d
+    # mod g/d, with g = g_t and d = gcd(M, g), and leaves M = lcm(M, g).
+    steps, M = [], 1
+    for m_t, level_orders in levels:
+        g = gcd(*level_orders)
+        d = gcd(M, g)
+        steps.append((m_t, d, M, pow(M // d, -1, g // d), g // d))
+        M = M // d * g
+    # combs[o] has the bits 0, o, 2o, ... up to L; shifted to l*m_t mod o it
+    # is the progression of window offsets that the order o at t misses
+    small = {o for _, level_orders in levels for o in level_orders if o <= L}
+    combs = {o: ((1 << o * (L // o + 1)) - 1) // ((1 << o) - 1) for o in small}
+    classes, undecided = {}, []
     for l in range(1, L + 1):
-        level_of, open_ = 0, combs[1]
-        for t, (m_t, level_orders) in enumerate(levels):
+        r = 0
+        for m_t, d, below, inverse, q in steps:
+            a = l * m_t - r
+            if a % d:
+                r = None
+                break
+            r += below * (a // d * inverse % q)
+        classes[str(l)] = None if r is None else [r, M]
+        if r is None or r > L:
+            continue
+        open_ = (1 << (L + 1)) - 1
+        for m_t, level_orders in levels:
             missed = 0
             for o in level_orders:
                 start = l * m_t % o
-                if start <= S:
-                    missed |= combs[o] << (16 * start)
-            level_of += t * (open_ & ~missed)
+                if start <= L:
+                    missed |= combs.get(o, 1) << start
             open_ &= missed
-            if not open_:
-                break
-        if open_:
-            undecided.extend([l, s] for s, digit in enumerate(_digits(open_, S + 1)) if digit)
-        elif not undecided:  # the witness map is reported only if none is undecided
-            witness.update(zip(map(f"{l},".__add__, offsets), _digits(level_of, S + 1)))
+        undecided.extend([l, s] for s in range(r, L + 1) if open_ >> s & 1)
+    kind = "order-inequality+residue-classes"
+    details = {"kind": kind, "inequality": inequality, "open_class_per_shift": classes}
     if undecided:
-        return certificate("unknown", {"inequality": inequality, "undecided_pairs": undecided})
-    return certificate(
-        "certificate",
-        {
-            "kind": "order-inequality+bounded-congruences",
-            "inequality": inequality,
-            "s_bound": S,
-            "witness_level_per_shift_and_red_offset": witness,
-        },
-    )
+        return certificate("unknown", {**details, "undecided_pairs": undecided})
+    return certificate("certificate", details)
 
 
 class LcEntry(NamedTuple):

@@ -31,6 +31,7 @@ from .pipeline import (
     first_wrong_field,
     plan_report,
     unit_corner_spec,
+    validated_diagram,
 )
 from .rank2_diagrams import (
     canonical_rank2,
@@ -58,6 +59,12 @@ def _dump(data: dict, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _read_diagram(path: str):
+    """A Bratteli diagram file; one that fails validation is refused (exit
+    2) with the message ``forge realize af`` gives."""
+    return validated_diagram(diagram_from_json(_load_json(path)))
 
 
 def _parse_levels_vector(text: str) -> tuple[int, tuple[int, ...]]:
@@ -108,7 +115,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_telescope(args) -> int:
-    d = diagram_from_json(_load_json(args.file))
+    d = _read_diagram(args.file)
     subsequence = tuple(int(x) for x in args.subsequence.split(","))
     result = telescope(d, subsequence)
     _dump(result.to_json(), args.out)
@@ -193,7 +200,7 @@ def cmd_certify(args) -> int:
         _dump(report.wfc.to_json(), args.out)
         return 0 if report.wfc.is_certificate else 1
     if args.what == "lc":
-        d = diagram_from_json(_load_json(args.input))
+        d = _read_diagram(args.input)
         witness = af_lc_witness(d.level_size(0), d.multiplicity_matrix)
         _dump(witness.to_json(), args.out)
         return 0
@@ -263,7 +270,7 @@ def cmd_convolve_demo(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
-    d = diagram_from_json(_load_json(args.file))
+    d = _read_diagram(args.file)
     spec = dimension_group_of(d)
     if args.vertex_class:
         level, vec = _parse_levels_vector(args.vertex_class)

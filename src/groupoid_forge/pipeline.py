@@ -113,6 +113,17 @@ def _corner_spec(level: int, vec, size: int | None, vertex, **extra) -> CornerSp
     return CornerSpec(level, vec, cylinders)
 
 
+def validated_diagram(d: BratteliDiagram) -> BratteliDiagram:
+    """``d`` itself when it passes ``validate_bratteli``; otherwise
+    ``PipelineInputError`` listing the violations.  The AF planner and every
+    command that reads a diagram file for more than its validation refuse
+    input through it."""
+    check = validate_bratteli(d)
+    if not check.passed:
+        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
+    return d
+
+
 def unit_corner_spec(d: BratteliDiagram, level: int, a: Sequence[int]) -> CornerSpec:
     """Corner data for a unit class: a(v) cylinder copies per level vertex."""
     return _corner_spec(level, a, d.level_size(level), lambda i: [level, i])
@@ -162,7 +173,7 @@ class RealizationReport(NamedTuple):
             "note": "Kirchberg-Phillips classification identifies the target algebra",
         },
     )
-    schema_version = 1
+    schema_version = 2
 
     def to_json(self) -> dict:
         return {
@@ -274,9 +285,7 @@ def plan_af_realization(
     report echoes the cap, ``matrices.LEVEL_CAP``, as ``source_cap``.
     """
     _check_bounds(depth, lbound)
-    check = validate_bratteli(d)
-    if not check.passed:
-        raise PipelineInputError(f"input diagram fails validation:\n{check.describe()}")
+    validated_diagram(d)
     corner = None if unit_class is None else unit_corner_spec(d, *unit_class)
     params = {"depth": depth, "lbound": lbound, "source_cap": matrices.LEVEL_CAP}
     spec = dimension_group_of(d)
@@ -387,14 +396,15 @@ def plan_rank2_realization(
     orders = compute_orders(diagram)
     wfc = check_wfc(orders, shift_bound=lbound)
 
-    sample: list[Rank2Path] = []
-    for j in range(diagram.cycle_count(0)):
-        sample.append(Rank2Path((), 0, (0, j, 0)))
-        sample.append(Rank2Path((), 1, (0, j, 0)))
-    for label in islice(diagram.blue_labels_at(0), 4):
-        sample.append(Rank2Path((label,), 0))
-    for label in islice(diagram.blue_labels_at(1), 4):
-        sample.append(Rank2Path((label,), 1))
+    # the LC sample: each level-0 anchor with red degree 0 and 1, up to 4
+    # one-edge paths at levels 0 and 1, and up to 4 at each edge level where
+    # m_n > 0 moves the blue edges
+    anchors = ((0, j, 0) for j in range(diagram.cycle_count(0)))
+    sample = [Rank2Path((), red, anchor) for anchor in anchors for red in (0, 1)]
+    sample += [Rank2Path((label,), 0) for label in islice(diagram.blue_labels_at(0), 4)]
+    sample += [Rank2Path((label,), 1) for label in islice(diagram.blue_labels_at(1), 4)]
+    moved = (n for n in range(levels_out - 1) if orders.m[n] > 0)
+    sample += [Rank2Path((b,), 0) for n in moved for b in islice(diagram.blue_labels_at(n), 4)]
     lc = check_path_lc(orders, sample)
 
     minimality = minimality_verdict(blue_skeleton(diagram), levels_out - 1)

@@ -370,7 +370,8 @@ def compute_orders(d: CanonicalRank2Diagram) -> CanonicalOrders:
 
 class TelescopeResult(NamedTuple):
     """A rank-2 telescope: its levels, bounds and entry certificate, with
-    the telescoped data or the ``failure`` that stopped the search."""
+    the telescoped data or the ``failure`` that stopped the search.  Its
+    JSON leaves out the ``source`` data, which a report echoes as its input."""
 
     l: tuple[int, ...]
     M: tuple[int, ...]
@@ -396,7 +397,6 @@ class TelescopeResult(NamedTuple):
             "M": list(self.M),
             "certificate": list(self.certificate),
             "telescoped": None if self.telescoped is None else self.telescoped.to_json(),
-            "source": self.source.to_json(),
             "failure": self.failure,
         }
 

@@ -1089,12 +1089,85 @@ def af_truncation(
 
 
 # ---------------------------------------------------------------------------
+# Unit-space truncations
+#
+# Every question the AF checks ask of a truncation is about its units: the
+# orbits, the automorphism's action and cylinder inclusion.  So the walks
+# below list the units of the level-n truncation as label tuples, with no
+# pair, PathWord or Edge built, and reach n = 4 on every ``af_ladder`` rung,
+# where ``af_truncation`` materializes up to 63,245,986 pairs.
+# ---------------------------------------------------------------------------
+
+
+def af_units(d: BratteliDiagram, n: int, start: int = 0) -> list[tuple[tuple, tuple]]:
+    """The units of the level-n truncation from level ``start``: each path
+    from a level-``start`` vertex down to level n as its range vertex and its
+    edge labels (k, i, j, copy), in label order, with its orbit key, the
+    level-n vertex it ends at."""
+    units = [(((start, i), ()), (start, i)) for i in range(d.level_size(start))]
+    for k in range(start, n):
+        m = d.multiplicity_matrix(k)
+        units = [
+            ((v, labels + ((k, i, j, t),)), (k + 1, j))
+            for (v, labels), (_, i) in units
+            for j, copies in enumerate(m[i])
+            for t in range(copies)
+        ]
+    return units
+
+
+def cycled(d: BratteliDiagram, labels: tuple, l: int) -> tuple:
+    """alpha^l on a label tuple, edge by edge: parallel-class cycling moves
+    copy t of a class of c parallel edges to copy t + l mod c.  The levels
+    are those ``d`` stores, as on a telescoped diagram."""
+    return tuple((k, i, j, (t + l) % d.mult[k][i][j]) for k, i, j, t in labels)
+
+
+def walked_unit_lc(d: BratteliDiagram, units, mu: tuple) -> int:
+    """The least l >= 1 with alpha^{-l}(Z(mu)) inside Z(mu), Z(mu) the
+    units (range vertex v, labels) that start with mu = (v, prefix): every
+    unit of the cylinder is moved, the next l tried at the first one that
+    leaves it."""
+    v, prefix = mu
+    cylinder = [labels for (w, labels), _ in units if w == v and labels[: len(prefix)] == prefix]
+    assert cylinder, mu
+    l = 1
+    while any(cycled(d, labels, -l)[: len(prefix)] != prefix for labels in cylinder):
+        l += 1
+    return l
+
+
+def walked_unit_moves(d: BratteliDiagram, units, l: int, t: int) -> bool:
+    """Whether alpha^l moves the level-k edge of every unit for every k
+    from t on."""
+    return all(
+        all(a != b for a, b in zip(cycled(d, labels, l)[t:], labels[t:]))
+        for (_, labels), _ in units
+    )
+
+
+def walked_unit_cofinal(d: BratteliDiagram, n: int) -> bool:
+    """Whether, for each level t < n, the orbit of each level-n vertex among
+    the units from level t (the paths that end at it) holds a path from
+    every level-t vertex."""
+    ends = d.level_size(n)
+    for t in range(n):
+        # the (start, end) pairs the units join, among the |V_t| x |V_n|
+        joined = {(v, end) for (v, _), end in af_units(d, n, start=t)}
+        if len(joined) < d.level_size(t) * ends:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Pair-scan rank-2 oracle
 #
 # The rank-2 orbit-freeness check as it tested every shift and red offset
 # (l, s) on its own, level by level, with one congruence per edge order.
-# ``certificates.check_wfc`` sweeps one arithmetic progression per
-# (shift, level, order) instead and is tested against this.
+# ``certificates.check_wfc`` reads the window off one residue class per shift
+# and a bit sweep instead, and its status and undecided pairs are tested
+# against this; ``scanned_open_offsets`` scans one shift's offsets over any
+# range, the oracle of its classes.
 # ---------------------------------------------------------------------------
 
 
@@ -1156,6 +1229,18 @@ def scanned_rank2_wfc_certificate(orders, L: int) -> WfcCertificate:
             "witness_level_per_shift_and_red_offset": witness,
         },
     )
+
+
+def scanned_open_offsets(orders, l: int, lo: int, hi: int) -> list[int]:
+    """The red offsets lo <= s <= hi that no edge level witnesses for shift
+    l, scanned one offset at a time: level t witnesses s when no edge order
+    at t divides l*m_t - s."""
+    levels = [(l * orders.m[t], orders.orders_at(t)) for t in range(orders.max_edge_level() + 1)]
+    return [
+        s
+        for s in range(lo, hi + 1)
+        if all(any((lm - s) % o == 0 for o in level_orders) for lm, level_orders in levels)
+    ]
 
 
 @dataclass(frozen=True)
@@ -1443,6 +1528,10 @@ def generic_rank2_report(data: Rank2Data, unit_class=None, depth=5, lbound=50):
         sample.append(Rank2Path((label,), 0))
     for label in itertools.islice(diagram.blue_labels_at(1), 4):
         sample.append(Rank2Path((label,), 1))
+    for n in range(2, levels_out - 1):
+        if orders.m[n] > 0:
+            for label in itertools.islice(diagram.blue_labels_at(n), 4):
+                sample.append(Rank2Path((label,), 0))
     lc = check_path_lc(orders, sample)
 
     skeleton = blue_skeleton(diagram)

@@ -179,12 +179,9 @@ def test_criterion_05_telescoping_recursion_executable():
         assert orders.min_order_at(n) > n * orders.m[n]
     assert reverify_telescope(result)
     blob = json.loads(json.dumps(result.to_json()))
-    from groupoid_forge.rank2_diagrams import rank2_data_from_json
-
-    source, _ = rank2_data_from_json(blob["source"])
     for entry in blob["certificate"]:
         step, level, bound = entry["step"], entry["level"], entry["strict_bound"]
-        chained = chain_product([source.a_at(n) for n in range(blob["l"][step], level)])
+        chained = chain_product([data.a_at(n) for n in range(blob["l"][step], level)])
         assert min_entry(chained) > bound
         assert bound == step * blob["M"][step]
     _report(5, "telescoping recursion executable", f"(levels {result.l})")

@@ -17,7 +17,9 @@ from groupoid_forge.cli import main
 from groupoid_forge.graph_model import (
     BratteliDiagram,
     constant_diagram,
+    diagram_from_json,
     path_count_matrix,
+    validate_bratteli,
 )
 from groupoid_forge.groupoid_core import cyclic_group_groupoid, full_relation
 from groupoid_forge.pipeline import PipelineInputError, plan_af_realization, plan_rank2_realization
@@ -777,7 +779,7 @@ class TestRealize:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["status"] == "ok"
         assert main(["verify-report", str(out)]) == 0
 
@@ -877,6 +879,55 @@ class TestRealize:
         assert main(argv + ["--depth", depth, "--out", str(out)]) == 2
         assert f"error: --depth must be at least 1, got {depth}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# two vertices at each level, and only vertex 0 of level 0 sends edges:
+# (0, 1) and (1, 1) break the receiver conditions
+UNRECEIVED = {
+    "levels": [{"size": 2}, {"size": 2}],
+    "edges": [
+        {"level": 0, "range": 0, "source": 0, "mult": 2},
+        {"level": 0, "range": 0, "source": 1, "mult": 1},
+    ],
+    "repeat_from": 0,
+}
+
+
+class TestValidatingReader:
+    """Every command that reads a diagram for more than its validation
+    refuses one that fails validation, with the message of ``realize af``."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["telescope", "{file}", "--subsequence", "0,1,2"],
+            ["ktheory", "{file}", "--class", "0:0", "--op", "positive"],
+            ["certify", "lc", "--input", "{file}"],
+        ],
+        ids=["telescope", "ktheory", "certify-lc"],
+    )
+    def test_exit_two_as_realize_af(self, command, tmp_path, capsys):
+        path = tmp_path / "unreceived.json"
+        path.write_text(json.dumps(UNRECEIVED))
+        assert main(["realize", "af", str(path)]) == 2
+        refusal = capsys.readouterr()
+        assert refusal.err.startswith("input rejected: input diagram fails validation:")
+        assert "(0, 1)" in refusal.err and "(1, 1)" in refusal.err
+        assert main([arg.format(file=path) for arg in command]) == 2
+        assert capsys.readouterr() == refusal
+
+    def test_the_af_plan_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return validate_bratteli(d)
+
+        monkeypatch.setattr(pipeline, "validate_bratteli", counted)
+        with pytest.raises(PipelineInputError, match="input diagram fails validation"):
+            plan_af_realization(diagram_from_json(UNRECEIVED))
+        assert plan_af_realization(constant_diagram(2), depth=2, lbound=3).ok
+        assert len(calls) == 2
 
 
 class TestMalformedCommandLine:

@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "demo_bratteli_telescoping.py": "4cc129c9def2d29e8d61f66dd2838b510d7167398ef7d8ad4297acabe8e63fd6",
     "demo_convolution_identities.py": "cc959589ab816eb40572044ab7a856fdb30927c2822fcbb914f33aea6da237c8",
     "demo_dimension_groups.py": "a7fb23a2bae686a2670baa9015340640d36c604e6e602193a044d35382c4edae",
-    "demo_rank2_realization.py": "bd14383c3b841c9f8800c4c2b091e22d13cade9abc71a73e38f782031489be33",
+    "demo_rank2_realization.py": "19d9d0aee90f03c4abed3981fd5d42238b70e85fa0efb277812ead144cfd72d4",
     "demo_rank2_worked_example.py": "240e8995d7555c083e68278bf7d83447e3a056b276d85c4d8e229ec58dc63b98",
     "demo_twisted_products.py": "893603562819fd8a0c52a3fb97d959bf026c66122555fca77976a439b052dc91",
 }

@@ -400,8 +400,20 @@ class TestRank2Plan:
         assert report.ok
         text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "79df70d468e1d9da3e1bcb86fb58558d61a80e4b34aa8db3fff3aa63f4b257ce"
+        assert digest == "42069daacb1caa9ba4d50520a9845a09fcd471b93debbd398c24cf85f631b51c"
         assert verify_report_json(json.loads(text))
+
+    def test_report_bytes_grow_linearly_in_lbound(self):
+        # one residue class per shift: the depth-7 constant-2 report as
+        # ``forge realize rank2`` writes it, at lbound 100, 200 and 400
+        sizes = {}
+        for lbound in (100, 200, 400):
+            report = plan_rank2_realization(CONSTANT2, depth=7, lbound=lbound)
+            assert report.ok
+            sizes[lbound] = len(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        assert sizes[200] < 50_000
+        # a doubled lbound doubles the growth (a quadratic map would quadruple it)
+        assert 1.9 < (sizes[400] - sizes[200]) / (sizes[200] - sizes[100]) < 2.1
 
     def test_horizon_exhaustion(self):
         with level_cap(4):

@@ -1,7 +1,9 @@
 """The canonical rank-2 layout in closed form, against the per-edge
 algorithms of ``tests/helpers.py`` run on the materialized diagram of
-``build_rank2``, the orbit-freeness sweep against the per-pair scan (and
-mutants of the sweep against it), and the telescope against the one that
+``build_rank2``; the orbit-freeness certificate's window against the
+per-pair scan and its residue classes against a per-offset scan (and
+mutants of the window sweep and the CRT walk against both); the report's
+LC entries against walked orbits; and the telescope against the one that
 recomputes every chain."""
 
 import dataclasses
@@ -14,7 +16,7 @@ from itertools import islice
 
 import pytest
 
-from groupoid_forge import graph_model, matrices, rank2_diagrams
+from groupoid_forge import graph_model, rank2_diagrams
 from groupoid_forge.certificates import check_path_lc, check_wfc
 from groupoid_forge.dimension_groups import rank2_k_matrices
 from groupoid_forge.pipeline import plan_rank2_realization, verify_report_json
@@ -50,6 +52,7 @@ from helpers import (
     OrderData,
     bench_inputs,
     blue_edges_at,
+    brute_orbit_length,
     level_cap,
     materialize_rank2,
     materialized_automorphism,
@@ -64,6 +67,7 @@ from helpers import (
     mutant,
     red_blue_cofinal,
     rescanned_telescope_rank2,
+    scanned_open_offsets,
     scanned_rank2_wfc_certificate,
     walked_rank2_lc_lengths,
 )
@@ -192,6 +196,34 @@ class TestLcAgainstOrbitWalk:
             # m_0 = m_1 = 0, and every red cycle at level 2 divides m_2 = O_1,
             # so a three-level diagram fixes every sampled cylinder
             assert set(got) == {1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_lc_entries_are_walked_orbits(seed):
+    # each entry of a planned report against its orbit, walked: a one-edge
+    # path by iterating blue_image on its label until it returns, a blueless
+    # one by walking its anchor along its red cycle
+    for rung in bench_inputs().rank2_ladder(seed):
+        report = plan_rank2_realization(rung["data"], rung["unit_class"], depth=rung["depth"])
+        if not report.telescoping["complete"]:
+            continue
+        levels = rung["depth"] + 2
+        diagram = canonical_rank2(telescope_rank2(rung["data"], levels).telescoped, levels)
+        orders = compute_orders(diagram)
+        per_level = {}
+        for entry in report.lc.entries:
+            p = entry.element
+            if p.blue:
+                (label,) = p.blue
+                assert entry.l == brute_orbit_length(orders.blue_image, label)
+                per_level[label[0]] = per_level.get(label[0], 0) + 1
+            else:
+                assert entry.l == walked_rank2_lc_lengths(orders, [p])[0]
+        # up to 4 edges at every edge level; the levels from 2 on have m_n > 0
+        assert all(orders.m[n] > 0 for n in range(2, levels - 1))
+        expected = {n: min(4, len(list(diagram.blue_labels_at(n)))) for n in range(levels - 1)}
+        assert per_level == expected
+        assert max(e.l for e in report.lc.entries) > 1, rung["name"]
 
 
 @pytest.mark.parametrize("orientation", (1, -1))
@@ -332,16 +364,62 @@ def test_plan_and_reverification_build_no_blue_edge(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Orbit-freeness: the residue sweep against the per-pair scan
+# Orbit-freeness: the window against the per-pair scan, the classes against
+# a per-offset scan
 # ---------------------------------------------------------------------------
 
 
-def _same_certificate(orders, L):
-    """``check_wfc`` equals the pair scan, key order included; returns it."""
-    cert = check_wfc(orders, L)
-    expected = scanned_rank2_wfc_certificate(orders, L)
-    assert json.dumps(cert.to_json()) == json.dumps(expected.to_json())
-    return cert
+def window_verdict(cert: dict) -> tuple:
+    """What a certificate says about the window 1 <= l <= L, 0 <= s <= L:
+    its status, depth, bound, inequality rows and undecided pairs."""
+    details = cert["details"]
+    return (
+        cert["status"], cert["depth"], cert["shift_bound"], details.get("note"),
+        details["inequality"], details.get("undecided_pairs"),
+    )
+
+
+def scanned_wfc(orders, L) -> tuple:
+    """(the pair scan's window verdict, whether each level has one order,
+    and per shift l the offsets -3L <= s <= 3L that no level witnesses, by
+    a per-offset scan), or the verdict alone when the inequality fails."""
+    verdict = window_verdict(scanned_rank2_wfc_certificate(orders, L).to_json())
+    if verdict[3] is not None:
+        return verdict, None, None
+    levels = range(orders.max_edge_level() + 1)
+    single = all(len(orders.orders_at(t)) == 1 for t in levels)
+    opens = tuple(scanned_open_offsets(orders, l, -3 * L, 3 * L) for l in range(1, L + 1))
+    return verdict, single, opens
+
+
+def class_misses(cert: dict, L: int, single, opens) -> int:
+    """How many offsets -3L <= s <= 3L break a shift's class [r, M]: an open
+    offset outside it or, when each level has one order, an offset inside
+    it that a level witnesses; and how many classes have r outside 0..M-1.
+    Classes keyed other than by the shifts 1..L in order count as one."""
+    classes = cert["details"]["open_class_per_shift"]
+    if list(classes) != [str(l) for l in range(1, L + 1)]:
+        return 1
+    misses = 0
+    for l, open_ in enumerate(opens, 1):
+        found = classes[str(l)]
+        inside = set()
+        if found is not None:
+            r, M = found
+            misses += not 0 <= r < M
+            inside = set(range(-3 * L + (r + 3 * L) % M, 3 * L + 1, M))
+        misses += len(set(open_) - inside) + (len(inside - set(open_)) if single else 0)
+    return misses
+
+
+def wfc_disagreements(check, orders, L, scans) -> int:
+    """How far ``check`` strays from the scans: 1 for a different window
+    verdict, else the class misses (none when the inequality fails)."""
+    verdict, single, opens = scans
+    cert = check(orders, L).to_json()
+    if window_verdict(cert) != verdict:
+        return 1
+    return 0 if opens is None else class_misses(cert, L, single, opens)
 
 
 def seeded_orders(seed: int) -> OrderData:
@@ -409,48 +487,96 @@ def benchmark_orders(data, depth):
     return compute_orders(canonical_rank2(telescope_rank2(data, levels).telescoped, levels))
 
 
-class TestWfcAgainstPairScan:
+def deep_orders() -> OrderData:
+    """Levels 0..299 have the one order 1, which misses every offset; at
+    level 300 (m = 1) the order 1000 misses only s = l mod 1000, at 301
+    (m = 2) only s = 2l mod 1000, and no shift 1..999 is both: every class
+    is null."""
+    top = 301
+    edge_orders = {(n, 0): 1 for n in range(top - 1)} | {(top - 1, 0): 1000, (top, 0): 1000}
+    lcms = (1,) * (top - 1) + (1000, 1000)
+    return OrderData(edge_orders, lcms, (0,) * (top - 1) + (1, 2), {})
+
+
+@cache
+def scanned_cases() -> dict:
+    """Per test group, (depth, orders, L, scans) over ``TestWfcAgainstScans``'s
+    canonical, benchmark, seeded and deep cases, each scanned once per
+    session."""
+    groups = {
+        ("canonical", name, seed): list(canonical_wfc_cases(name, seed))
+        for name in CASES
+        for seed in range(3)
+    }
+    groups.update(
+        (("benchmark", name), [(depth, benchmark_orders(data, depth), L)])
+        for name, (data, depth, L) in BENCHMARK_DEPTHS.items()
+    )
+    groups.update((("seeded", seed), list(seeded_wfc_cases(seed))) for seed in range(40))
+    groups[("deep",)] = [(301, deep_orders(), 10)]
+    return {
+        group: [(depth, orders, L, scanned_wfc(orders, L)) for depth, orders, L in cases]
+        for group, cases in groups.items()
+    }
+
+
+def _checked(group):
+    """``check_wfc`` on each case of the group, each agreeing with the scans."""
+    for depth, orders, L, scans in scanned_cases()[group]:
+        assert wfc_disagreements(check_wfc, orders, L, scans) == 0
+        cert = check_wfc(orders, L)
+        assert cert.depth == depth
+        yield cert
+
+
+class TestWfcAgainstScans:
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_canonical_cases(self, name, seed):
-        for depth, orders, L in canonical_wfc_cases(name, seed):
-            # the certificate reaches the last edge level of its diagram
-            assert _same_certificate(orders, L).depth == depth
+        # the certificate reaches the last edge level of its diagram
+        assert len(list(_checked(("canonical", name, seed)))) == 4 * (CASES[name][1] - 1)
 
     @pytest.mark.parametrize("name", BENCHMARK_DEPTHS)
     def test_benchmark_depths(self, name):
-        data, depth, lbound = BENCHMARK_DEPTHS[name]
-        cert = _same_certificate(benchmark_orders(data, depth), lbound)
-        if lbound == 200:
+        (cert,) = _checked(("benchmark", name))
+        if name == "const2_d5_l200":
             # one pair (l, s) survives every level
             assert cert.details["undecided_pairs"] == [[137, 98]]
         else:
             assert cert.status == "certificate"
+        if name == "const2_d5":
+            # (23, 734) is open at every level, past the window: on one-cycle
+            # data each shift keeps one class, s = l*m_5 mod o_5
+            assert cert.details["open_class_per_shift"]["23"] == [734, 32768]
+            assert scanned_open_offsets(benchmark_orders(CONSTANT2, 5), 23, 734, 734) == [734]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_orders(self, seed):
         # several distinct orders per level: check_wfc reads nothing else
-        for depth, cut, L in seeded_wfc_cases(seed):
-            assert _same_certificate(cut, L).depth == depth
+        assert list(_checked(("seeded", seed)))
 
-    def test_witness_levels_past_one_byte(self):
-        # levels 0..299 have the one order 1, which misses every offset; at
-        # level 300 (m = 1) the order 1000 misses only s = l, at 301 (m = 2)
-        # only s = 2l, so the high byte of a digit carries the witness level
-        top = 301
-        edge_orders = {(n, 0): 1 for n in range(top - 1)} | {(top - 1, 0): 1000, (top, 0): 1000}
-        lcms = (1,) * (top - 1) + (1000, 1000)
-        orders = OrderData(edge_orders, lcms, (0,) * (top - 1) + (1, 2), {})
-        cert = _same_certificate(orders, 30)
-        assert set(cert.details["witness_level_per_shift_and_red_offset"].values()) == {300, 301}
-        # a digit holds 16 bits, and every edge level is below the level cap
-        assert matrices.LEVEL_CAP < 1 << 16
+    def test_a_deep_level_closes_every_class(self):
+        (cert,) = _checked(("deep",))
+        assert cert.status == "certificate"
+        assert set(map(str, cert.details["open_class_per_shift"].values())) == {"None"}
+
+    def test_several_orders_give_an_outer_bound(self):
+        # orders 2 and 3 at level 0 and 5 at level 1, with m = 0 at both: the
+        # open offsets of shift 1 are the multiples of 5 that are even or
+        # multiples of 3, and the class, s = 0 mod 5 with g_0 = gcd(2, 3) = 1,
+        # holds the witnessed -5 and 5 as well
+        orders = OrderData({(0, 0): 2, (0, 1): 3, (1, 0): 5}, (6, 5), (0, 0, 5), {})
+        cert = check_wfc(orders, 4)
+        assert cert.details["open_class_per_shift"]["1"] == [0, 5]
+        assert scanned_open_offsets(orders, 1, -10, 10) == [-10, 0, 10]
+        assert wfc_disagreements(check_wfc, orders, 4, scanned_wfc(orders, 4)) == 0
 
     def test_a_least_order_equal_to_n_m_n_fails_the_inequality(self):
         # m_2 = m_1 + 1 * O_1 = 3, so the one order 6 at level 2 ties with
         # 2 * m_2: the inequality o(e) > n * m_n is strict, and fails there
         orders = OrderData({(0, 0): 2, (1, 0): 3, (2, 0): 6}, (2, 3, 6), (0, 0, 3, 15), {})
-        cert = _same_certificate(orders, 5)
+        assert wfc_disagreements(check_wfc, orders, 5, scanned_wfc(orders, 5)) == 0
+        cert = check_wfc(orders, 5)
         row = cert.details["inequality"]["2"]
         assert (row["min_order"], row["n_times_m_n"], row["holds"]) == (6, 6, False)
         assert cert.status == "unknown"
@@ -458,17 +584,28 @@ class TestWfcAgainstPairScan:
     def test_outcomes_the_cases_cover(self):
         # the sweep meets all three outcomes on these diagrams
         tail, levels = CASES["figure_tail_d3"]
-        undecided = _same_certificate(compute_orders(canonical_rank2(tail, levels - 1)), 30)
+        undecided = check_wfc(compute_orders(canonical_rank2(tail, levels - 1)), 30)
         assert undecided.status == "unknown"
         assert len(undecided.details["undecided_pairs"]) == 5
-        certified = _same_certificate(compute_orders(canonical_rank2(tail, levels)), 30)
-        assert certified.status == "certificate" and certified.details["s_bound"] == 30
-        assert len(certified.details["witness_level_per_shift_and_red_offset"]) == 30 * 31
+        certified = check_wfc(compute_orders(canonical_rank2(tail, levels)), 30)
+        assert certified.status == "certificate" and certified.shift_bound == 30
+        assert len(certified.details["open_class_per_shift"]) == 30
         # untelescoped constant data: o = 2 at level 2, but 2 * m_2 = 4
-        failing = _same_certificate(compute_orders(canonical_rank2(CONSTANT2, 5)), 10)
+        failing = check_wfc(compute_orders(canonical_rank2(CONSTANT2, 5)), 10)
         assert failing.details["note"] == "order inequality o(e) > n*m_n fails"
         mixed = canonical_rank2(TWO_CYCLE_MIXED, 3)
         assert any(len(compute_orders(mixed).orders_at(n)) > 1 for n in range(2))
+        # the scanned cases meet null classes, classes that meet the window
+        # at its edge L and levels with several orders
+        met = {"null": 0, "edge": 0, "several": 0}
+        for group in scanned_cases().values():
+            for _, orders, L, (verdict, single, _) in group:
+                if verdict[3] is None:
+                    classes = check_wfc(orders, L).details["open_class_per_shift"].values()
+                    met["null"] += None in classes
+                    met["edge"] += any(c and c[0] == L for c in classes)
+                    met["several"] += not single
+        assert min(met.values()) > 0, met
 
     @pytest.mark.parametrize("shift_bound", [0, -3])
     def test_bounds_that_certify_nothing_are_rejected(self, shift_bound):
@@ -477,52 +614,68 @@ class TestWfcAgainstPairScan:
             check_wfc(orders, shift_bound)
 
 
-@cache
-def scanned_pair_cases() -> tuple:
-    """(orders, L, the pair scan's certificate JSON) over the cases of
-    ``TestWfcAgainstPairScan``'s canonical, benchmark and seeded tests."""
-    cases = [
-        (orders, L)
-        for name in CASES
-        for seed in range(3)
-        for _, orders, L in canonical_wfc_cases(name, seed)
+def grid_orders():
+    """(name, orders) of each complete telescope among the plans of the
+    seed-0 rank-2 ladder at depths 1-6 and of seeded compatible data, seeds
+    0-39 under both repetition rules, at depths 1-4.  The orders do not
+    depend on the orientation, so one of each suffices."""
+    datas = [(r["name"], r["data"], 6) for r in bench_inputs().rank2_ladder(0)]
+    datas += [
+        (f"seeded{seed}:{repeat}", seeded_compatible_data(seed, repeat, 1), 4)
+        for seed in range(40)
+        for repeat in (False, True)
     ]
-    cases += [(benchmark_orders(data, depth), L) for data, depth, L in BENCHMARK_DEPTHS.values()]
-    cases += [(orders, L) for seed in range(40) for _, orders, L in seeded_wfc_cases(seed)]
-    return tuple(
-        (orders, L, json.dumps(scanned_rank2_wfc_certificate(orders, L).to_json()))
-        for orders, L in cases
-    )
+    for name, data, depths in datas:
+        for depth in range(1, depths + 1):
+            tele = telescope_rank2(data, depth + 2)
+            if tele.complete:
+                yield f"{name}:{depth}", compute_orders(canonical_rank2(tele.telescoped, depth + 2))
 
 
-def pair_scan_disagreements(check) -> int:
-    """How many pair-scan cases ``check`` answers otherwise, key order included."""
+def test_plans_agree_with_the_scans():
+    # the ladder at lbound 10 and 50, the seeded data at lbound 10: the
+    # window against the pair scan, the classes against the per-offset scan
+    several = 0
+    for name, orders in grid_orders():
+        for L in (10,) if name.startswith("seeded") else (10, 50):
+            scans = scanned_wfc(orders, L)
+            assert wfc_disagreements(check_wfc, orders, L, scans) == 0, (name, L)
+            several += scans[1] is False
+    assert several
+
+
+def scan_disagreements(check) -> int:
+    """How far ``check`` strays from the scans over every case of the groups."""
     return sum(
-        json.dumps(check(orders, L).to_json()) != expected
-        for orders, L, expected in scanned_pair_cases()
+        wfc_disagreements(check, orders, L, scans)
+        for group in scanned_cases().values()
+        for _, orders, L, scans in group
     )
 
 
 WFC_SWEEP_MUTANTS = {
-    "a progression starting at S is dropped": ("start <= S", "start < S"),
-    "each comb is one digit short": ("S // o + 1", "S // o"),
-    "a digit receives the next level": ("t * (open_", "(t + 1) * (open_"),
+    "a progression starting at L is dropped": ("if start <= L:", "if start < L:"),
+    "each comb is one bit short": ("L // o + 1", "L // o"),
+    "a class at the window's edge is not swept": ("r > L", "r >= L"),
+    "the CRT step tests consistency mod the wrong modulus": ("if a % d:", "if a % g:"),
+    "the modulus forgets the gcd": ("M = M // d * g", "M = M * g"),
+    "the step is not lifted by the modulus below": ("r += below * (", "r += ("),
 }
 
 
 class TestWfcSweepMutants:
-    """A mutation gate for the packed sweep: each fixed mutant of
-    ``certificates.check_wfc`` disagrees with the pair scan on the cases of
-    ``TestWfcAgainstPairScan``, and the unmutated copy agrees on all."""
+    """A mutation gate for the window sweep and the CRT walk: each fixed
+    mutant of ``certificates.check_wfc`` disagrees with the scans on the
+    cases of ``TestWfcAgainstScans``, and the unmutated copy agrees on all."""
 
     def test_the_unmutated_source_agrees(self):
-        check = mutant(check_wfc, "start <= S", "start <= S")
+        check = mutant(check_wfc, "if start <= L:", "if start <= L:")
         assert check is not check_wfc
-        assert pair_scan_disagreements(check) == 0
+        assert scan_disagreements(check) == 0
 
     @pytest.mark.parametrize("name", sorted(WFC_SWEEP_MUTANTS))
     def test_each_mutant_is_killed(self, name):
-        assert pair_scan_disagreements(mutant(check_wfc, *WFC_SWEEP_MUTANTS[name]))
+        assert scan_disagreements(mutant(check_wfc, *WFC_SWEEP_MUTANTS[name]))
 
 
 def test_telescope_matches_the_rescanned_chains():

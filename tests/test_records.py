@@ -134,7 +134,7 @@ def test_derived_values_follow_their_source_fields():
     assert not stopped.complete
     assert tele._replace(l=(0, 2, 5, 9)).l_prime == (0, 2, 5)
     assert _corner()._replace(level=3).k_class == DimGroupElement(3, (2,))
-    assert _report().to_json()["schema_version"] == RealizationReport.schema_version == 1
+    assert _report().to_json()["schema_version"] == RealizationReport.schema_version == 2
 
 
 def test_orders_hold_only_their_diagram():

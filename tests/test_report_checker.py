@@ -241,12 +241,12 @@ class TestFirstWrongField:
         data = Rank2Data(A=(((2,),),), B=(((2,),),), T=((1,), (1,)), repeat_from=0)
         report = _json(plan_rank2_realization(data, unit_class=(0, [2]), depth=3, lbound=6))
         assert first_wrong_field(report) is None
-        witness = "wfc.details.witness_level_per_shift_and_red_offset"
+        classes = "wfc.details.open_class_per_shift"
         tampered = _mutated(report, "stabilization.full_relation_truncation", 9)
         assert first_wrong_field(tampered) == "stabilization.full_relation_truncation"
-        key = next(iter(report["wfc"]["details"]["witness_level_per_shift_and_red_offset"]))
-        tampered["wfc"]["details"]["witness_level_per_shift_and_red_offset"][key] += 1
-        assert first_wrong_field(tampered) == f"{witness}.{key}"
+        key = next(iter(report["wfc"]["details"]["open_class_per_shift"]))
+        tampered["wfc"]["details"]["open_class_per_shift"][key][0] += 1
+        assert first_wrong_field(tampered) == f"{classes}.{key}.0"
         assert verify_report_json(tampered) is False
 
 
@@ -431,22 +431,23 @@ rank2_corpus = cache(planned_rank2_corpus)
 
 def rank2_mutations(report: dict) -> list[tuple[str, object]]:
     """(path, new value) pairs, one field at a time: the last entry of the
-    telescope's M and, on a complete telescope, the first, a middle and the
-    last witness key or one undecided pair, one inequality row, the K-theory
-    m sequence and orders, and one LC entry."""
+    telescope's M and, on a complete telescope, the residue (or, for a null
+    class, the class) of the first, a middle and the last shift, one
+    undecided pair if any, one inequality row, the K-theory m sequence and
+    orders, and one LC entry."""
     tele = report["telescoping"]
     out = [(f"telescoping.M.{len(tele['M']) - 1}", tele["M"][-1] + 1)]
     if not tele["complete"]:
         return out
     details = report["wfc"]["details"]
     ktheory, entries = report["ktheory"], report["lc"]["entries"]
-    witness = details.get("witness_level_per_shift_and_red_offset")
-    if witness is not None:
-        keys = list(witness)
-        path = "wfc.details.witness_level_per_shift_and_red_offset"
-        out += [(f"{path}.{k}", witness[k] + 1) for k in (keys[0], keys[len(keys) // 2], keys[-1])]
-    else:
-        pairs = details["undecided_pairs"]
+    classes = details["open_class_per_shift"]
+    keys = list(classes)
+    for k in (keys[0], keys[len(keys) // 2], keys[-1]):
+        path = f"wfc.details.open_class_per_shift.{k}"
+        out.append((f"{path}.0", classes[k][0] + 1) if classes[k] else (path, [0, 1]))
+    pairs = details.get("undecided_pairs", ())
+    if pairs:
         mid = len(pairs) // 2
         out.append((f"wfc.details.undecided_pairs.{mid}.1", pairs[mid][1] + 1))
     rows = details["inequality"]
@@ -485,8 +486,10 @@ def test_rank2_corpus_covers_every_tampered_block():
         for path, _ in rank2_mutations(r)
     }
     assert blocks == {
-        "M", "witness_level_per_shift_and_red_offset", "undecided_pairs", "inequality",
+        "M", "open_class_per_shift", "undecided_pairs", "inequality",
         "m_sequence", "orders_per_level", "entries",
     }
     assert len(reports) == 25
-    assert sum(len(rank2_mutations(r)) for r in reports) == 181
+    assert sum(len(rank2_mutations(r)) for r in reports) == 199
+    # two of the tampered shifts have a null class, which becomes [0, 1]
+    assert sum(isinstance(v, list) for r in reports for _, v in rank2_mutations(r)) == 2

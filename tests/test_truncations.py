@@ -21,7 +21,15 @@ orbit of the truncation from level t (the paths from level t to level n,
 x ~ y when they share a source) holds a path from every level-t vertex.
 That must agree with ``minimality_verdict`` on every rung, where both say
 cofinal, and on two diagrams where both say not.
+
+The unit walks (``helpers.af_units``) ask the same three questions of the
+truncation's units alone, as label tuples, so they reach n = 4 on every rung:
+each LC entry, each shift witnessed below level 4 and cofinality to level 4.
+Where the truncation is materialized they must agree with it on every unit,
+cylinder, shift and level.
 """
+
+import ast
 
 import pytest
 
@@ -33,7 +41,15 @@ from groupoid_forge.matrices import as_matrix
 from groupoid_forge.pipeline import plan_af_realization
 from groupoid_forge.twisted_product import check_lc
 
-from helpers import af_truncation, bench_inputs, prefix_texts
+from helpers import (
+    af_truncation,
+    af_units,
+    bench_inputs,
+    prefix_texts,
+    walked_unit_cofinal,
+    walked_unit_lc,
+    walked_unit_moves,
+)
 
 
 def _refuse_walk(G):
@@ -140,3 +156,78 @@ def test_a_non_cofinal_diagram_fails_both_checks(mult, short):
     assert verdict.justification == f"level {short} does not reach every level-{n} vertex"
     assert not verdict.is_yes
     assert not cofinal_by_orbits(d, n)
+
+
+def _cylinder_key(text: str) -> tuple:
+    """An LC entry's path text as its range vertex and edge labels."""
+    pieces = [ast.literal_eval(piece) for piece in text.split(".")]
+    if len(pieces[0]) == 2:
+        return pieces[0], ()
+    return (0, pieces[0][1]), tuple(pieces)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_walks_check_the_plan_at_level_four(seed):
+    walked = {"lc": 0, "shifts": 0, "units": 0}
+    for rung, report in _planned_rungs(seed):
+        levels = report.telescoping["subsequence"]
+        tele = telescope(rung["diagram"], levels[:5])
+        units = af_units(tele, 4)
+        for entry in report.lc.entries:
+            assert walked_unit_lc(tele, units, _cylinder_key(entry.element)) == entry.l
+            walked["lc"] += 1
+        for l, t in report.wfc.details["witness_level_per_shift"].items():
+            if t < 4:
+                assert walked_unit_moves(tele, units, int(l), t), (rung["name"], l)
+                walked["shifts"] += 1
+        assert walked_unit_cofinal(tele, 4), rung["name"]
+        walked["units"] += len(units)
+    # 7 entries on each constant-2 rung, 22 on each all-ones rung and 40 on
+    # the seeded one; 19 shifts witnessed below level 4 in all; 64 units on
+    # each constant-2 rung, 1,024 on each all-ones rung and the rest on the
+    # seeded one
+    assert walked["lc"] == 3 * 7 + 2 * 22 + 40
+    assert walked["shifts"] == 19
+    assert walked["units"] == 13186
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_walks_agree_with_the_truncations(seed):
+    compared = 0
+    for rung, report in _planned_rungs(seed):
+        levels = report.telescoping["subsequence"]
+        for n in (1, 2, 3) if rung["name"].startswith("const2") else (1, 2):
+            tele = telescope(rung["diagram"], levels[: n + 1])
+            G, alpha = af_truncation(tele, n)
+            units = af_units(tele, n)
+            paths = {x: (x.range_vertex, tuple(e.label for e in x.edges)) for x, _ in G.units}
+            assert sorted(paths.values()) == sorted(key for key, _ in units)
+            for entry in report.lc.entries:
+                v, prefix = _cylinder_key(entry.element)
+                if len(prefix) <= n:
+                    cylinder = frozenset(u for u in G.units if entry.element in prefix_texts(u[0]))
+                    (found,) = check_lc(G, alpha, [cylinder]).entries
+                    assert walked_unit_lc(tele, units, (v, prefix)) == found.l
+                    compared += 1
+            for l in range(1, report.parameters["lbound"] + 1):
+                power = alpha.power(l)
+                for t in range(n):
+                    moved = all(
+                        power((x, x))[0].edges[k] != x.edges[k]
+                        for x, _ in G.units
+                        for k in range(t, n)
+                    )
+                    assert walked_unit_moves(tele, units, l, t) == moved, (rung["name"], l, t)
+                    compared += 1
+            assert walked_unit_cofinal(tele, n) == cofinal_by_orbits(tele, n)
+    assert compared > 0
+
+
+@pytest.mark.parametrize(
+    "mult, short",
+    [((IDENTITY, IDENTITY, IDENTITY), 0), ((ONES, IDENTITY), 1)],
+    ids=["identity-blocks", "all-ones-above-identity"],
+)
+def test_a_non_cofinal_diagram_fails_the_unit_walk(mult, short):
+    n = len(mult)
+    assert not walked_unit_cofinal(BratteliDiagram((2,) * (n + 1), mult), n)
