@@ -31,7 +31,7 @@ print("order formula round trip:", report.ktheory["order_formula_round_trip"])
 print("\nfreeness certificate:", report.wfc.status)
 print("  (per-level inequality; no pair open in the window 1 <= l, s <=",
       f"{report.wfc.shift_bound})")
-r, M = report.wfc.details["open_class_per_shift"]["23"]
+r, M = report.wfc.details["open_class_per_shift"]["23"], report.wfc.details["open_class_modulus"]
 print(f"  shift 23 leaves open exactly the offsets s = {r} mod {M}")
 
 print("\nminimality of the blue skeleton:", report.minimality.to_json())

@@ -25,7 +25,8 @@ class WfcCertificate(NamedTuple):
 
     status is "certificate" or "unknown".  The details are JSON-ready and
     re-verifiable: per-shift witness levels (AF) or open offset classes
-    (rank-2) with the bound they certify, or the pairs left undecided.
+    (rank-2, one residue per shift under one modulus) with the bound they
+    certify, or the pairs left undecided.
     """
 
     status: str
@@ -65,8 +66,9 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
     congruences over the edge levels 0..``orders.max_edge_level()``, its
     depth.  A shift bound L below 1 certifies nothing: ``ValueError``.
 
-    * ``open_class_per_shift`` gives each shift 1 <= l <= L one class
-      [r, M], 0 <= r < M, or null.  The class holds every offset s in Z, of
+    * ``open_class_per_shift`` gives each shift 1 <= l <= L one residue r,
+      0 <= r < M, or null, and ``open_class_modulus`` the one modulus M,
+      the lcm of the g_t.  The class r mod M holds every offset s in Z, of
       either sign and any size, that no level witnesses: such an s is
       l*m_t mod g_t at each level t, g_t the gcd of the orders at t, and one
       CRT walk over the levels solves that system.  When each level has one
@@ -89,11 +91,17 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
 
     inequality = {}
     for n in range(depth + 1):
-        o_min, bound = orders.min_order_at(n), n * orders.m[n]
-        inequality[str(n)] = {"min_order": o_min, "n_times_m_n": bound, "holds": o_min > bound}
+        o_min = orders.min_order_at(n)
+        bound = n * orders.m[n]
+        inequality[str(n)] = {
+            "min_order": o_min,
+            "n_times_m_n": bound,
+            "holds": o_min > bound,
+        }
     if not all(row["holds"] for row in inequality.values()):
-        note = "order inequality o(e) > n*m_n fails"
-        return certificate("unknown", {"note": note, "inequality": inequality})
+        return certificate(
+            "unknown", {"note": "order inequality o(e) > n*m_n fails", "inequality": inequality}
+        )
     levels = [(orders.m[t], orders.orders_at(t)) for t in range(depth + 1)]
     # The CRT moduli do not depend on l: level t meets the class r mod M of
     # the levels below in r + M*k, k = (l*m_t - r)/d times the inverse of M/d
@@ -117,7 +125,7 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
                 r = None
                 break
             r += below * (a // d * inverse % q)
-        classes[str(l)] = None if r is None else [r, M]
+        classes[str(l)] = r
         if r is None or r > L:
             continue
         open_ = (1 << (L + 1)) - 1
@@ -129,8 +137,12 @@ def check_wfc(orders: CanonicalOrders, shift_bound: int) -> WfcCertificate:
                     missed |= combs.get(o, 1) << start
             open_ &= missed
         undecided.extend([l, s] for s in range(r, L + 1) if open_ >> s & 1)
-    kind = "order-inequality+residue-classes"
-    details = {"kind": kind, "inequality": inequality, "open_class_per_shift": classes}
+    details = {
+        "kind": "order-inequality+residue-classes",
+        "inequality": inequality,
+        "open_class_modulus": M,
+        "open_class_per_shift": classes,
+    }
     if undecided:
         return certificate("unknown", {**details, "undecided_pairs": undecided})
     return certificate("certificate", details)

@@ -491,6 +491,9 @@ def first_wrong_field(report_json: dict) -> str | None:
     needs, or one recording a parameter no plan takes raises
     ``PipelineInputError``; a parameter or corner entry that is not a JSON
     integer, or input no plan accepts, raises as reading or planning would.
+    A report whose ``schema_version`` is not the one this planner writes
+    (``RealizationReport.schema_version``) is not compared: once its input
+    plans, it raises ``PipelineInputError`` naming both versions.
     """
     kind = report_json.get("kind") if isinstance(report_json, dict) else None
     if kind not in ("af", "rank2"):
@@ -508,7 +511,14 @@ def first_wrong_field(report_json: dict) -> str | None:
         options.update((k, params[k]) for k in PLAN_PARAMETERS if k in params)
     except (KeyError, TypeError, AttributeError) as exc:
         raise PipelineInputError(f"report field {exc} is missing or malformed") from exc
-    return _first_difference(plan_report(kind, source, **options).to_json(), report_json, "")
+    fresh = plan_report(kind, source, **options).to_json()
+    version = report_json.get("schema_version")
+    if version != fresh["schema_version"]:
+        raise PipelineInputError(
+            f"report schema_version {version!r} is not {fresh['schema_version']}, "
+            "the schema this checker reads"
+        )
+    return _first_difference(fresh, report_json, "")
 
 
 def verify_report_json(report_json: dict) -> bool:

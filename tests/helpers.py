@@ -1234,8 +1234,10 @@ def scanned_rank2_wfc_certificate(orders, L: int) -> WfcCertificate:
 def scanned_open_offsets(orders, l: int, lo: int, hi: int) -> list[int]:
     """The red offsets lo <= s <= hi that no edge level witnesses for shift
     l, scanned one offset at a time: level t witnesses s when no edge order
-    at t divides l*m_t - s."""
+    at t divides l*m_t - s, so a level with the order 1 witnesses none and
+    is skipped."""
     levels = [(l * orders.m[t], orders.orders_at(t)) for t in range(orders.max_edge_level() + 1)]
+    levels = [(lm, level_orders) for lm, level_orders in levels if 1 not in level_orders]
     return [
         s
         for s in range(lo, hi + 1)

@@ -1095,3 +1095,24 @@ class TestVerifyReport:
         path.write_text(json.dumps(report))
         assert main(["verify-report", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_report_of_another_schema_exit_two(self, tmp_path, capsys):
+        # the untampered constant-2 report the schema-1 planner wrote at
+        # depth 3, lbound 6: its input plans, but its layout is not compared
+        report = DATA / "constant2_rank2_schema1_report.json"
+        written = json.loads(report.read_text())
+        assert (written["schema_version"], written["status"]) == (1, "ok")
+        assert main(["verify-report", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            "input rejected: report schema_version 1 is not 2, the schema this checker reads\n"
+        )
+        with pytest.raises(PipelineInputError, match="schema_version 1 is not 2"):
+            pipeline.first_wrong_field(written)
+        # the same input planned by this planner re-verifies
+        fresh = plan_rank2_realization(CONSTANT2, depth=3, lbound=6).to_json()
+        assert fresh["input"] == written["input"] and pipeline.first_wrong_field(fresh) is None
+        for version in (3, True, None):
+            path = tmp_path / "report.json"
+            path.write_text(json.dumps({**fresh, "schema_version": version}))
+            assert main(["verify-report", str(path)]) == 2
+            assert f"schema_version {version!r} is not 2" in capsys.readouterr().err

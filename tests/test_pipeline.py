@@ -400,7 +400,7 @@ class TestRank2Plan:
         assert report.ok
         text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "42069daacb1caa9ba4d50520a9845a09fcd471b93debbd398c24cf85f631b51c"
+        assert digest == "75c38e62558f50c8eb5544c3d84088a9b1826ed2b17208dce7a126bfc3434184"
         assert verify_report_json(json.loads(text))
 
     def test_report_bytes_grow_linearly_in_lbound(self):

@@ -6,9 +6,9 @@ compare each report's sha256 with ``SCHEMA_2_DIGESTS``.
 the benchmark recorded when it was defined, under report schema 1.  Each
 schema-2 report, with the schema-2 changes undone, must still hash to them:
 an AF report differs in ``schema_version`` only; a rank-2 report also drops
-the ``telescoping.source`` echo of its input, lists a residue class per
-shift where the pair scan listed a witness level per (shift, offset) and
-``s_bound``, and extends its LC sample past levels 0 and 1."""
+the ``telescoping.source`` echo of its input, lists one modulus and a
+residue per shift where the pair scan listed a witness level per (shift,
+offset) and ``s_bound``, and extends its LC sample past levels 0 and 1."""
 
 import hashlib
 import json
@@ -31,10 +31,10 @@ SCHEMA_2_DIGESTS = {
         "seeded2x2_lb20": "c977ba1477aec3dcc356656cf25e688beadfe74765df556f50bbbe81b48d52af",
     },
     "rank2_realize": {
-        "const2_d5": "b54d424c470b1d1f7c0aec69528513a8df7bec28e63c5d0d5953b8ba1c1c2ddc",
-        "const3_d5": "7090180d599be53b11fefc3f5efcb1741425b3b5a09eafb17cfb0a435da5d2e2",
-        "figure_tail_d3": "8558fadffc0563445d44b8cdf21592da145df9e20cac767df75a0243d8aed252",
-        "twocycle_ones_d2": "b7a583a4d561327e5e824a1ce271453c42c00081392851b524972a2c9c06b7d0",
+        "const2_d5": "b90153d0d8bcad409faada2b5d089ffef15606f4e71bbd82227662e1589f4893",
+        "const3_d5": "03b5a94fcbfa3b66b481e08a6a7faff2a4d6e343485f6039d76259d925284742",
+        "figure_tail_d3": "9324f9d3527c417b94896fdfa838fc399f1c12c8f44a48464889a8aa43295246",
+        "twocycle_ones_d2": "ad3106ba510fac42046972e41ae53261bdeefa93a903b481d71e744bdf3c0abd",
     },
 }
 

@@ -245,8 +245,8 @@ class TestFirstWrongField:
         tampered = _mutated(report, "stabilization.full_relation_truncation", 9)
         assert first_wrong_field(tampered) == "stabilization.full_relation_truncation"
         key = next(iter(report["wfc"]["details"]["open_class_per_shift"]))
-        tampered["wfc"]["details"]["open_class_per_shift"][key][0] += 1
-        assert first_wrong_field(tampered) == f"{classes}.{key}.0"
+        tampered["wfc"]["details"]["open_class_per_shift"][key] += 1
+        assert first_wrong_field(tampered) == f"{classes}.{key}"
         assert verify_report_json(tampered) is False
 
 
@@ -431,10 +431,10 @@ rank2_corpus = cache(planned_rank2_corpus)
 
 def rank2_mutations(report: dict) -> list[tuple[str, object]]:
     """(path, new value) pairs, one field at a time: the last entry of the
-    telescope's M and, on a complete telescope, the residue (or, for a null
-    class, the class) of the first, a middle and the last shift, one
-    undecided pair if any, one inequality row, the K-theory m sequence and
-    orders, and one LC entry."""
+    telescope's M and, on a complete telescope, the classes' modulus, the
+    residue of the first, a middle and the last shift (a null one becomes
+    0), one undecided pair if any, one inequality row, the K-theory m
+    sequence and orders, and one LC entry."""
     tele = report["telescoping"]
     out = [(f"telescoping.M.{len(tele['M']) - 1}", tele["M"][-1] + 1)]
     if not tele["complete"]:
@@ -443,9 +443,10 @@ def rank2_mutations(report: dict) -> list[tuple[str, object]]:
     ktheory, entries = report["ktheory"], report["lc"]["entries"]
     classes = details["open_class_per_shift"]
     keys = list(classes)
+    out.append(("wfc.details.open_class_modulus", details["open_class_modulus"] + 1))
     for k in (keys[0], keys[len(keys) // 2], keys[-1]):
-        path = f"wfc.details.open_class_per_shift.{k}"
-        out.append((f"{path}.0", classes[k][0] + 1) if classes[k] else (path, [0, 1]))
+        residue = classes[k]
+        out.append((f"wfc.details.open_class_per_shift.{k}", 0 if residue is None else residue + 1))
     pairs = details.get("undecided_pairs", ())
     if pairs:
         mid = len(pairs) // 2
@@ -486,10 +487,16 @@ def test_rank2_corpus_covers_every_tampered_block():
         for path, _ in rank2_mutations(r)
     }
     assert blocks == {
-        "M", "open_class_per_shift", "undecided_pairs", "inequality",
+        "M", "open_class_modulus", "open_class_per_shift", "undecided_pairs", "inequality",
         "m_sequence", "orders_per_level", "entries",
     }
     assert len(reports) == 25
-    assert sum(len(rank2_mutations(r)) for r in reports) == 199
-    # two of the tampered shifts have a null class, which becomes [0, 1]
-    assert sum(isinstance(v, list) for r in reports for _, v in rank2_mutations(r)) == 2
+    assert sum(len(rank2_mutations(r)) for r in reports) == 223
+    # two of the tampered shifts have a null class, which becomes 0
+    nulls = sum(
+        r["wfc"]["details"]["open_class_per_shift"][path.rsplit(".", 1)[1]] is None
+        for r in reports
+        for path, _ in rank2_mutations(r)
+        if ".open_class_per_shift." in path
+    )
+    assert nulls == 2
